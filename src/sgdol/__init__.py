@@ -1,6 +1,6 @@
 """SGD with online-learned stepsizes, baselines, oracles, and a run harness."""
 
-from .core import RngStream, Trajectory, TrajectoryRecord, derive_stream_id, dot, gaussian, sq_norm, vector
+from .core import RngStream, Trajectory, TrajectoryRecord, derive_stream_id, dot, sq_norm, vector
 from .online import (
     DEFAULT_ALPHA,
     CoordFtrlState,

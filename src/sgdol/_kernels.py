@@ -3,12 +3,35 @@
 Each kernel executes a full T-step optimizer run on one of the built-in
 analytic objectives (0 = Rosenbrock, 1 = diagonal quadratic) with
 pre-generated Gaussian noise, recording the trajectory at a fixed stride.
+The objective is written once, in three helpers shared by every array
+kernel: ``_grad_into`` (gradient into a buffer), ``_objective`` (f at x) and
+``_sq_norm``. With numba installed they are marked ``register_jitable`` and
+compiled into each ``@njit`` kernel; without it they stay plain functions.
+
+Every kernel has the signature
+
+    kernel(oracle_id, diag, x, T, sigma, noise, k_index, stride, *params, *state)
+
+and returns
+
+    (t, f, ||grad||^2, stepsize, surrogate, cumulative, stepsize_coords, x_k,
+     *state, *extras)
+
+``state`` is the optimizer's mutable state (FTRL sums and round counter,
+AdaGrad accumulators, Adam moments and beta powers). It comes in, so a
+kernel can continue a run that generic steps started, and its final value
+goes out; array state and ``x`` are updated in place. Kernels without
+per-coordinate stepsizes return ``stepsize_coords`` with zero columns. The
+only extras are ``sgdol_global``'s per-step regret statistics, filled only
+when its ``keep_steps`` flag is set.
+
 Every kernel has an array source, which numba compiles with ``@njit``, and a
 plain-Python variant, which is what runs without numba. For ``sgdol_global``
 and ``sgd`` the plain-Python variant is a separate source on Python floats
-and lists (``_py_sgdol_global``, ``_py_sgd``), several times faster under
-CPython than the array source; the other four kernels still run their array
-source under CPython. Which variant runs is controlled by
+and lists (``_py_sgdol_global``, ``_py_sgd``) with the objective inlined,
+several times faster under CPython than the array source; the other four
+kernels still run their array source under CPython. Which variant runs is
+controlled by
 
     SGDOL_DISABLE_NUMBA=1   (environment, read at import)
 
@@ -36,11 +59,16 @@ import numpy as np
 
 try:
     import numba
+    from numba.extending import register_jitable
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is the optional ``jit`` extra
     numba = None
     _HAVE_NUMBA = False
+
+    def register_jitable(fn):
+        return fn
+
 
 __all__ = ["numba_available", "numba_enabled", "set_backend", "get_kernel", "KERNEL_NAMES"]
 
@@ -70,12 +98,48 @@ ORACLE_ROSENBROCK = 0
 ORACLE_QUADRATIC = 1
 
 
-def _run_sgdol_global(oracle_id, diag, x, T, M, alpha, curv, sigma, noise, k_index, stride):
+@register_jitable
+def _grad_into(oracle_id, diag, x, grad):
+    """Write the exact gradient at x into grad."""
+    if oracle_id == ORACLE_ROSENBROCK:
+        c = x[1] - x[0] * x[0]
+        grad[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * c
+        grad[1] = 200.0 * c
+    else:
+        for i in range(x.shape[0]):
+            grad[i] = diag[i] * x[i]
+
+
+@register_jitable
+def _objective(oracle_id, diag, x):
+    """The exact objective value at x."""
+    if oracle_id == ORACLE_ROSENBROCK:
+        a1 = 1.0 - x[0]
+        cc = x[1] - x[0] * x[0]
+        return a1 * a1 + 100.0 * (cc * cc)
+    acc = 0.0
+    for i in range(x.shape[0]):
+        acc += diag[i] * (x[i] * x[i])
+    return 0.5 * acc
+
+
+@register_jitable
+def _sq_norm(v):
+    """Sum of squares, accumulated in index order from 0.0."""
+    acc = 0.0
+    for i in range(v.shape[0]):
+        acc += v[i] * v[i]
+    return acc
+
+
+def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
+                      M, alpha, curv, keep_steps, si, ss, t):
     """SGDOL with one global FTRL-learned stepsize.
 
-    Returns recorded series plus the full per-step (eta, <g,g'>, ||g||^2,
-    ||g'||^2) arrays needed for regret bookkeeping, the captured iterate
-    x_k, and the final learner sums. x is updated in place.
+    The learner state is (sum of <g,g'>, sum of ||g||^2, round counter).
+    With ``keep_steps`` the extras are the full per-step (eta, <g,g'>,
+    ||g||^2, ||g'||^2) arrays needed for regret bookkeeping; otherwise they
+    are empty.
     """
     d = x.shape[0]
     n_rec = (T + stride - 1) // stride
@@ -85,44 +149,27 @@ def _run_sgdol_global(oracle_id, diag, x, T, M, alpha, curv, sigma, noise, k_ind
     rec_eta = np.empty(n_rec)
     rec_surr = np.empty(n_rec)
     rec_cum = np.empty(n_rec)
-    etas = np.empty(T)
-    inners = np.empty(T)
-    sqs = np.empty(T)
-    sqps = np.empty(T)
+    n_steps = T if keep_steps else 0
+    etas = np.empty(n_steps)
+    inners = np.empty(n_steps)
+    sqs = np.empty(n_steps)
+    sqps = np.empty(n_steps)
     grad = np.empty(d)
     g = np.empty(d)
     gp = np.empty(d)
     xk = np.empty(d)
-    si = 0.0
-    ss = 0.0
     cum = 0.0
     hi = 2.0 / M
     ri = 0
     for t0 in range(T):
-        if oracle_id == ORACLE_ROSENBROCK:
-            c = x[1] - x[0] * x[0]
-            grad[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * c
-            grad[1] = 200.0 * c
-        else:
-            for i in range(d):
-                grad[i] = diag[i] * x[i]
+        _grad_into(oracle_id, diag, x, grad)
         if t0 + 1 == k_index:
             for i in range(d):
                 xk[i] = x[i]
         rec_here = t0 % stride == 0
         if rec_here:
-            if oracle_id == ORACLE_ROSENBROCK:
-                a1 = 1.0 - x[0]
-                cc = x[1] - x[0] * x[0]
-                fv = a1 * a1 + 100.0 * (cc * cc)
-            else:
-                acc = 0.0
-                for i in range(d):
-                    acc += diag[i] * (x[i] * x[i])
-                fv = 0.5 * acc
-            gsq = 0.0
-            for i in range(d):
-                gsq += grad[i] * grad[i]
+            fv = _objective(oracle_id, diag, x)
+            gsq = _sq_norm(grad)
         eta = (alpha + si) / (alpha + curv * ss) / M
         if eta < 0.0:
             eta = 0.0
@@ -135,19 +182,18 @@ def _run_sgdol_global(oracle_id, diag, x, T, M, alpha, curv, sigma, noise, k_ind
             x[i] = x[i] - eta * g[i]
         b = 0.0
         a = 0.0
-        ap = 0.0
         for i in range(d):
             b += g[i] * gp[i]
             a += g[i] * g[i]
-            ap += gp[i] * gp[i]
         loss = 0.5 * curv * M * eta * eta * a - eta * b
         cum += loss
         si += b
         ss += a
-        etas[t0] = eta
-        inners[t0] = b
-        sqs[t0] = a
-        sqps[t0] = ap
+        if keep_steps:
+            etas[t0] = eta
+            inners[t0] = b
+            sqs[t0] = a
+            sqps[t0] = _sq_norm(gp)
         if rec_here:
             rec_t[ri] = t0 + 1
             rec_f[ri] = fv
@@ -156,11 +202,12 @@ def _run_sgdol_global(oracle_id, diag, x, T, M, alpha, curv, sigma, noise, k_ind
             rec_surr[ri] = loss
             rec_cum[ri] = cum
             ri += 1
-    return rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum, xk, etas, inners, sqs, sqps, si, ss
+    return (rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum, np.empty((n_rec, 0)), xk,
+            si, ss, t + T, etas, inners, sqs, sqps)
 
 
-def _run_sgdol_coord(oracle_id, diag, x, T, M, alpha, sigma, noise, k_index, stride):
-    """SGDOL with one FTRL learner per coordinate. x is updated in place."""
+def _run_sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, alpha, si, ss, t):
+    """SGDOL with one FTRL learner per coordinate; state (si, ss, t) as above."""
     d = x.shape[0]
     n_rec = (T + stride - 1) // stride
     rec_t = np.empty(n_rec, np.int64)
@@ -175,36 +222,18 @@ def _run_sgdol_coord(oracle_id, diag, x, T, M, alpha, sigma, noise, k_index, str
     gp = np.empty(d)
     eta = np.empty(d)
     xk = np.empty(d)
-    si = np.zeros(d)
-    ss = np.zeros(d)
     cum = 0.0
     hi = 2.0 / M
     ri = 0
     for t0 in range(T):
-        if oracle_id == ORACLE_ROSENBROCK:
-            c = x[1] - x[0] * x[0]
-            grad[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * c
-            grad[1] = 200.0 * c
-        else:
-            for i in range(d):
-                grad[i] = diag[i] * x[i]
+        _grad_into(oracle_id, diag, x, grad)
         if t0 + 1 == k_index:
             for i in range(d):
                 xk[i] = x[i]
         rec_here = t0 % stride == 0
         if rec_here:
-            if oracle_id == ORACLE_ROSENBROCK:
-                a1 = 1.0 - x[0]
-                cc = x[1] - x[0] * x[0]
-                fv = a1 * a1 + 100.0 * (cc * cc)
-            else:
-                acc = 0.0
-                for i in range(d):
-                    acc += diag[i] * (x[i] * x[i])
-                fv = 0.5 * acc
-            gsq = 0.0
-            for i in range(d):
-                gsq += grad[i] * grad[i]
+            fv = _objective(oracle_id, diag, x)
+            gsq = _sq_norm(grad)
         for i in range(d):
             raw = (alpha + si[i]) / (alpha + ss[i]) / M
             if raw < 0.0:
@@ -237,54 +266,38 @@ def _run_sgdol_coord(oracle_id, diag, x, T, M, alpha, sigma, noise, k_index, str
             rec_surr[ri] = loss
             rec_cum[ri] = cum
             ri += 1
-    return rec_t, rec_f, rec_gsq, rec_eta_mean, rec_eta, rec_surr, rec_cum, xk, si, ss
+    return rec_t, rec_f, rec_gsq, rec_eta_mean, rec_surr, rec_cum, rec_eta, xk, si, ss, t + T
 
 
-def _run_sgd(oracle_id, diag, x, T, lr, sigma, noise, k_index, stride):
+def _run_sgd(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr):
     """Constant-stepsize SGD (also covers the precomputed-stepsize variant)."""
     d = x.shape[0]
     n_rec = (T + stride - 1) // stride
     rec_t = np.empty(n_rec, np.int64)
     rec_f = np.empty(n_rec)
     rec_gsq = np.empty(n_rec)
+    rec_eta = np.empty(n_rec)
     grad = np.empty(d)
     xk = np.empty(d)
     ri = 0
     for t0 in range(T):
-        if oracle_id == ORACLE_ROSENBROCK:
-            c = x[1] - x[0] * x[0]
-            grad[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * c
-            grad[1] = 200.0 * c
-        else:
-            for i in range(d):
-                grad[i] = diag[i] * x[i]
+        _grad_into(oracle_id, diag, x, grad)
         if t0 + 1 == k_index:
             for i in range(d):
                 xk[i] = x[i]
         if t0 % stride == 0:
-            if oracle_id == ORACLE_ROSENBROCK:
-                a1 = 1.0 - x[0]
-                cc = x[1] - x[0] * x[0]
-                fv = a1 * a1 + 100.0 * (cc * cc)
-            else:
-                acc = 0.0
-                for i in range(d):
-                    acc += diag[i] * (x[i] * x[i])
-                fv = 0.5 * acc
-            gsq = 0.0
-            for i in range(d):
-                gsq += grad[i] * grad[i]
             rec_t[ri] = t0 + 1
-            rec_f[ri] = fv
-            rec_gsq[ri] = gsq
+            rec_f[ri] = _objective(oracle_id, diag, x)
+            rec_gsq[ri] = _sq_norm(grad)
+            rec_eta[ri] = lr
             ri += 1
         for i in range(d):
             gi = grad[i] + sigma[i] * noise[t0, 0, i]
             x[i] = x[i] - lr * gi
-    return rec_t, rec_f, rec_gsq, xk
+    return rec_t, rec_f, rec_gsq, rec_eta, np.zeros(n_rec), np.zeros(n_rec), np.empty((n_rec, 0)), xk
 
 
-def _run_adagrad_global(oracle_id, diag, x, T, lr, sigma, noise, k_index, stride):
+def _run_adagrad_global(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, accum):
     """AdaGrad with one shared stepsize lr / sqrt(sum of squared grad norms)."""
     d = x.shape[0]
     n_rec = (T + stride - 1) // stride
@@ -295,33 +308,16 @@ def _run_adagrad_global(oracle_id, diag, x, T, lr, sigma, noise, k_index, stride
     grad = np.empty(d)
     g = np.empty(d)
     xk = np.empty(d)
-    accum = 0.0
     ri = 0
     for t0 in range(T):
-        if oracle_id == ORACLE_ROSENBROCK:
-            c = x[1] - x[0] * x[0]
-            grad[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * c
-            grad[1] = 200.0 * c
-        else:
-            for i in range(d):
-                grad[i] = diag[i] * x[i]
+        _grad_into(oracle_id, diag, x, grad)
         if t0 + 1 == k_index:
             for i in range(d):
                 xk[i] = x[i]
         rec_here = t0 % stride == 0
         if rec_here:
-            if oracle_id == ORACLE_ROSENBROCK:
-                a1 = 1.0 - x[0]
-                cc = x[1] - x[0] * x[0]
-                fv = a1 * a1 + 100.0 * (cc * cc)
-            else:
-                acc = 0.0
-                for i in range(d):
-                    acc += diag[i] * (x[i] * x[i])
-                fv = 0.5 * acc
-            gsq = 0.0
-            for i in range(d):
-                gsq += grad[i] * grad[i]
+            fv = _objective(oracle_id, diag, x)
+            gsq = _sq_norm(grad)
         a = 0.0
         for i in range(d):
             g[i] = grad[i] + sigma[i] * noise[t0, 0, i]
@@ -339,10 +335,11 @@ def _run_adagrad_global(oracle_id, diag, x, T, lr, sigma, noise, k_index, stride
             rec_gsq[ri] = gsq
             rec_eta[ri] = coef
             ri += 1
-    return rec_t, rec_f, rec_gsq, rec_eta, xk, accum
+    return (rec_t, rec_f, rec_gsq, rec_eta, np.zeros(n_rec), np.zeros(n_rec), np.empty((n_rec, 0)),
+            xk, accum)
 
 
-def _run_adagrad_coord(oracle_id, diag, x, T, lr, sigma, noise, k_index, stride):
+def _run_adagrad_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, accum):
     """AdaGrad with a per-coordinate accumulator."""
     d = x.shape[0]
     n_rec = (T + stride - 1) // stride
@@ -355,33 +352,16 @@ def _run_adagrad_coord(oracle_id, diag, x, T, lr, sigma, noise, k_index, stride)
     g = np.empty(d)
     coef = np.empty(d)
     xk = np.empty(d)
-    accum = np.zeros(d)
     ri = 0
     for t0 in range(T):
-        if oracle_id == ORACLE_ROSENBROCK:
-            c = x[1] - x[0] * x[0]
-            grad[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * c
-            grad[1] = 200.0 * c
-        else:
-            for i in range(d):
-                grad[i] = diag[i] * x[i]
+        _grad_into(oracle_id, diag, x, grad)
         if t0 + 1 == k_index:
             for i in range(d):
                 xk[i] = x[i]
         rec_here = t0 % stride == 0
         if rec_here:
-            if oracle_id == ORACLE_ROSENBROCK:
-                a1 = 1.0 - x[0]
-                cc = x[1] - x[0] * x[0]
-                fv = a1 * a1 + 100.0 * (cc * cc)
-            else:
-                acc = 0.0
-                for i in range(d):
-                    acc += diag[i] * (x[i] * x[i])
-                fv = 0.5 * acc
-            gsq = 0.0
-            for i in range(d):
-                gsq += grad[i] * grad[i]
+            fv = _objective(oracle_id, diag, x)
+            gsq = _sq_norm(grad)
         for i in range(d):
             g[i] = grad[i] + sigma[i] * noise[t0, 0, i]
             accum[i] += g[i] * g[i]
@@ -400,51 +380,32 @@ def _run_adagrad_coord(oracle_id, diag, x, T, lr, sigma, noise, k_index, stride)
                 mean_eta += coef[i]
             rec_eta_mean[ri] = mean_eta / d
             ri += 1
-    return rec_t, rec_f, rec_gsq, rec_eta_mean, rec_eta, xk, accum
+    return rec_t, rec_f, rec_gsq, rec_eta_mean, np.zeros(n_rec), np.zeros(n_rec), rec_eta, xk, accum
 
 
-def _run_adam(oracle_id, diag, x, T, lr, beta1, beta2, eps, sigma, noise, k_index, stride):
-    """Adam with standard bias-corrected moment estimates."""
+def _run_adam(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, beta1, beta2, eps,
+              m, v, p1, p2):
+    """Adam with standard bias-corrected moment estimates; it records NaN stepsizes."""
     d = x.shape[0]
     n_rec = (T + stride - 1) // stride
     rec_t = np.empty(n_rec, np.int64)
     rec_f = np.empty(n_rec)
     rec_gsq = np.empty(n_rec)
+    rec_eta = np.empty(n_rec)
     grad = np.empty(d)
     g = np.empty(d)
-    m = np.zeros(d)
-    v = np.zeros(d)
     xk = np.empty(d)
-    p1 = 1.0
-    p2 = 1.0
     ri = 0
     for t0 in range(T):
-        if oracle_id == ORACLE_ROSENBROCK:
-            c = x[1] - x[0] * x[0]
-            grad[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * c
-            grad[1] = 200.0 * c
-        else:
-            for i in range(d):
-                grad[i] = diag[i] * x[i]
+        _grad_into(oracle_id, diag, x, grad)
         if t0 + 1 == k_index:
             for i in range(d):
                 xk[i] = x[i]
         if t0 % stride == 0:
-            if oracle_id == ORACLE_ROSENBROCK:
-                a1 = 1.0 - x[0]
-                cc = x[1] - x[0] * x[0]
-                fv = a1 * a1 + 100.0 * (cc * cc)
-            else:
-                acc = 0.0
-                for i in range(d):
-                    acc += diag[i] * (x[i] * x[i])
-                fv = 0.5 * acc
-            gsq = 0.0
-            for i in range(d):
-                gsq += grad[i] * grad[i]
             rec_t[ri] = t0 + 1
-            rec_f[ri] = fv
-            rec_gsq[ri] = gsq
+            rec_f[ri] = _objective(oracle_id, diag, x)
+            rec_gsq[ri] = _sq_norm(grad)
+            rec_eta[ri] = math.nan
             ri += 1
         p1 *= beta1
         p2 *= beta2
@@ -455,7 +416,8 @@ def _run_adam(oracle_id, diag, x, T, lr, beta1, beta2, eps, sigma, noise, k_inde
             m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
             v[i] = beta2 * v[i] + (1.0 - beta2) * (g[i] * g[i])
             x[i] = x[i] - lr * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
-    return rec_t, rec_f, rec_gsq, xk, m, v, p1, p2
+    return (rec_t, rec_f, rec_gsq, rec_eta, np.zeros(n_rec), np.zeros(n_rec), np.empty((n_rec, 0)),
+            xk, m, v, p1, p2)
 
 
 # ----------------------------------------------------------------------------
@@ -467,7 +429,9 @@ def _run_adam(oracle_id, diag, x, T, lr, beta1, beta2, eps, sigma, noise, k_inde
 # order on Python floats: x, sigma and diag are unpacked once, the noise is
 # converted a chunk at a time, records are appended to typed buffers that
 # become arrays once at the end, and the final iterate is written back into
-# x. On Rosenbrock (d = 2) the coordinates live in scalar locals.
+# x. On Rosenbrock (d = 2) the coordinates live in scalar locals. The
+# objective is inlined rather than called through the shared helpers, which
+# is where much of the speed comes from.
 
 # Noise floats converted per chunk. Boxed into nested lists a float costs
 # 32-80 bytes, so the copy stays under 160 kB at any d; at 8192 the peak RSS
@@ -482,15 +446,14 @@ def _noise_rows(noise, T):
         enumerate(noise[c0:c0 + rows].tolist(), c0) for c0 in range(0, T, rows))
 
 
-def _py_sgdol_global(oracle_id, diag, x, T, M, alpha, curv, sigma, noise, k_index, stride):
+def _py_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
+                     M, alpha, curv, keep_steps, si, ss, t):
     """Plain-Python twin of ``_run_sgdol_global``."""
     d = x.shape[0]
     xk = np.empty(d)
     rec_t = array("q")
     rec_f, rec_gsq, rec_eta, rec_surr, rec_cum = (array("d") for _ in range(5))
     etas, inners, sqs, sqps = (array("d") for _ in range(4))
-    si = 0.0
-    ss = 0.0
     cum = 0.0
     hi = 2.0 / M
     if oracle_id == ORACLE_ROSENBROCK:
@@ -521,15 +484,15 @@ def _py_sgdol_global(oracle_id, diag, x, T, M, alpha, curv, sigma, noise, k_inde
             x1 = x1 - eta * g1
             b = 0.0 + g0 * gp0 + g1 * gp1
             a = 0.0 + g0 * g0 + g1 * g1
-            ap = 0.0 + gp0 * gp0 + gp1 * gp1
             loss = 0.5 * curv * M * eta * eta * a - eta * b
             cum += loss
             si += b
             ss += a
-            etas.append(eta)
-            inners.append(b)
-            sqs.append(a)
-            sqps.append(ap)
+            if keep_steps:
+                etas.append(eta)
+                inners.append(b)
+                sqs.append(a)
+                sqps.append(0.0 + gp0 * gp0 + gp1 * gp1)
             if rec_here:
                 rec_t.append(t0 + 1)
                 rec_f.append(fv)
@@ -566,19 +529,21 @@ def _py_sgdol_global(oracle_id, diag, x, T, M, alpha, curv, sigma, noise, k_inde
             xs = [xi - eta * gi for xi, gi in zip(xs, g)]
             b = 0.0
             a = 0.0
-            ap = 0.0
             for gi, gpi in zip(g, gp):
                 b += gi * gpi
                 a += gi * gi
-                ap += gpi * gpi
             loss = 0.5 * curv * M * eta * eta * a - eta * b
             cum += loss
             si += b
             ss += a
-            etas.append(eta)
-            inners.append(b)
-            sqs.append(a)
-            sqps.append(ap)
+            if keep_steps:
+                ap = 0.0
+                for gpi in gp:
+                    ap += gpi * gpi
+                etas.append(eta)
+                inners.append(b)
+                sqs.append(a)
+                sqps.append(ap)
             if rec_here:
                 rec_t.append(t0 + 1)
                 rec_f.append(fv)
@@ -589,10 +554,11 @@ def _py_sgdol_global(oracle_id, diag, x, T, M, alpha, curv, sigma, noise, k_inde
         x[:] = xs
     recs = [np.frombuffer(buf) for buf in (rec_f, rec_gsq, rec_eta, rec_surr, rec_cum)]
     steps = [np.frombuffer(buf) for buf in (etas, inners, sqs, sqps)]
-    return (np.frombuffer(rec_t, np.int64), *recs, xk, *steps, si, ss)
+    return (np.frombuffer(rec_t, np.int64), *recs, np.empty((len(rec_t), 0)), xk,
+            si, ss, t + T, *steps)
 
 
-def _py_sgd(oracle_id, diag, x, T, lr, sigma, noise, k_index, stride):
+def _py_sgd(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr):
     """Plain-Python twin of ``_run_sgd``; reads only the noise of g, not of g'."""
     d = x.shape[0]
     xk = np.empty(d)
@@ -636,7 +602,9 @@ def _py_sgd(oracle_id, diag, x, T, lr, sigma, noise, k_index, stride):
                 rec_gsq.append(gsq)
             xs = [xi - lr * (ri + s * n) for xi, ri, s, n in zip(xs, grad, sg, u)]
         x[:] = xs
-    return np.frombuffer(rec_t, np.int64), np.frombuffer(rec_f), np.frombuffer(rec_gsq), xk
+    n_rec = len(rec_t)
+    return (np.frombuffer(rec_t, np.int64), np.frombuffer(rec_f), np.frombuffer(rec_gsq),
+            np.full(n_rec, lr), np.zeros(n_rec), np.zeros(n_rec), np.empty((n_rec, 0)), xk)
 
 
 _IMPLS = {

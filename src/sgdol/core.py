@@ -12,7 +12,6 @@ __all__ = [
     "vector",
     "dot",
     "sq_norm",
-    "gaussian",
     "RngStream",
     "derive_stream_id",
     "TrajectoryRecord",
@@ -48,17 +47,6 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 def sq_norm(a: np.ndarray) -> float:
     """Squared Euclidean norm ``dot(a, a)``."""
     return float(np.sum(a * a))
-
-
-def gaussian(rng: Generator, dim: int, sigma: float) -> np.ndarray:
-    """dim i.i.d. samples from N(0, sigma^2); sigma=0 yields the zero vector.
-
-    Always consumes the same amount of the stream regardless of sigma, so runs
-    that differ only in noise level stay aligned draw-for-draw.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return sigma * rng.standard_normal(dim)
 
 
 def _splitmix64(z: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import configparser
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -158,18 +158,20 @@ class ResultTable:
 
 def _fill_sgd_gl(cfg: OptimizerConfig, oracle: StochasticOracle, x0, T: int) -> OptimizerConfig:
     # The theoretically tuned constant stepsize needs problem constants; fill
-    # anything left unset from the oracle so configs stay terse.
+    # anything left unset from the oracle so configs stay terse. The caller's
+    # config is left as it was, so a rerun at another T fills afresh.
     if cfg.kind != "sgd_gl":
         return cfg
+    fill = {}
     if cfg.sigma is None and hasattr(oracle, "sigma"):
-        cfg.sigma = float(np.sqrt(np.sum(np.asarray(oracle.sigma) ** 2)))
+        fill["sigma"] = float(np.sqrt(np.sum(np.asarray(oracle.sigma) ** 2)))
     if cfg.T is None:
-        cfg.T = T
+        fill["T"] = T
     if cfg.f_gap is None and oracle.exact_f and oracle.f_star is not None:
-        cfg.f_gap = oracle.f(x0) - oracle.f_star
+        fill["f_gap"] = oracle.f(x0) - oracle.f_star
     if cfg.M is None and oracle.smoothness is not None:
-        cfg.M = oracle.smoothness
-    return cfg
+        fill["M"] = oracle.smoothness
+    return replace(cfg, **fill)
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:

@@ -209,13 +209,10 @@ class RegretLedger:
     def record_pair(self, eta: float, pair: GradientPair):
         self.record(eta, dot(pair.g, pair.g_prime), sq_norm(pair.g), sq_norm(pair.g_prime))
 
-    @classmethod
-    def from_arrays(cls, alpha: float, M: float, etas, inners, g_sqs, g_prime_sqs,
-                    curvature_scale: float = 1.0) -> "RegretLedger":
-        ledger = cls(alpha, M, keep_records=True, curvature_scale=curvature_scale)
+    def record_arrays(self, etas, inners, g_sqs, g_prime_sqs):
+        """Log a run of rounds from per-step arrays, one ``record`` each."""
         for eta, b, a, ap in zip(etas, inners, g_sqs, g_prime_sqs):
-            ledger.record(float(eta), float(b), float(a), float(ap))
-        return ledger
+            self.record(float(eta), float(b), float(a), float(ap))
 
     def comparator_loss(self, eta: float) -> float:
         """Cumulative loss of a fixed stepsize: (cM/2) eta^2 sum_sq - eta sum_inner."""
@@ -257,9 +254,10 @@ class RegretLedger:
     def regret_bound_rhs(self, eta: float, L: Optional[float] = None) -> float:
         """Exact FTRL regret bound at comparator eta in [0, 2/M].
 
-        When L is supplied it must dominate every recorded gradient norm
-        (that is the hypothesis under which the closed-form logarithmic cap
-        on the second term is valid).
+        ``L`` is only a hypothesis check and does not enter the value: when
+        supplied it must dominate every recorded gradient norm (the
+        hypothesis under which the closed-form logarithmic cap on the second
+        term is valid), else ValueError.
         """
         self._require_records("regret_bound_rhs")
         if not 0.0 <= eta <= 2.0 / self.M:

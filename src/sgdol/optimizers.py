@@ -7,15 +7,18 @@ sees identical oracle call counts and random streams under a shared seed.
 
 ``run`` executes T steps and records the trajectory. On the built-in
 analytic oracles it dispatches to the fused kernels in ``_kernels`` (JIT or
-plain-Python per the active backend); everything else goes through the
-generic step-by-step path. Both paths consume the random stream
-identically.
+plain-Python per the active backend), which continue from whatever state
+earlier steps left; the momentum variant, other oracles and
+``force_generic`` runs go through the generic step-by-step path. Both paths
+consume the random stream identically and leave the optimizer in the same
+state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Union
 
 import numpy as np
@@ -88,10 +91,6 @@ class Optimizer:
         if pair.dim != self.dim:
             raise ValueError(f"gradient pair dim {pair.dim} != iterate dim {self.dim}")
 
-    def _fresh(self) -> bool:
-        """True when no step has been taken yet (enables fused-kernel runs)."""
-        return True
-
 
 class Sgdol(Optimizer):
     """SGD whose single global stepsize is learned by FTRL on surrogate losses.
@@ -117,8 +116,10 @@ class Sgdol(Optimizer):
     def alpha(self) -> float:
         return self.ftrl.alpha
 
-    def _fresh(self) -> bool:
-        return self.ftrl.t == 1 and self.ftrl.sum_inner == 0.0 and self.ftrl.sum_sq == 0.0
+    @property
+    def logs_regret(self) -> bool:
+        """True when every step is recorded into ``ledger``."""
+        return self.ledger is not None
 
     def step(self, pair: GradientPair) -> StepReport:
         self._check_pair(pair)
@@ -149,9 +150,6 @@ class SgdolCoord(Optimizer):
     @property
     def alpha(self) -> float:
         return self.ftrl.alpha
-
-    def _fresh(self) -> bool:
-        return self.ftrl.t == 1 and not self.ftrl.sum_sq.any()
 
     def step(self, pair: GradientPair) -> StepReport:
         self._check_pair(pair)
@@ -191,9 +189,6 @@ class SgdolMomentum(Optimizer):
     @property
     def alpha(self) -> float:
         return self.ftrl_eta.alpha
-
-    def _fresh(self) -> bool:
-        return self.ftrl_eta.t == 1 and self.ftrl_beta.t == 1
 
     def step(self, pair: GradientPair) -> StepReport:
         self._check_pair(pair)
@@ -247,9 +242,6 @@ class AdaGradGlobal(Optimizer):
         self.lr = lr
         self.accum = 0.0
 
-    def _fresh(self) -> bool:
-        return self.accum == 0.0
-
     def step(self, pair: GradientPair) -> StepReport:
         self._check_pair(pair)
         self.accum += sq_norm(pair.g)
@@ -269,9 +261,6 @@ class AdaGradCoord(Optimizer):
             raise ValueError(f"lr must be > 0, got {lr}")
         self.lr = lr
         self.accum = np.zeros(self.dim)
-
-    def _fresh(self) -> bool:
-        return not self.accum.any()
 
     def step(self, pair: GradientPair) -> StepReport:
         self._check_pair(pair)
@@ -305,9 +294,6 @@ class Adam(Optimizer):
         self.v = np.zeros(self.dim)
         self._p1 = 1.0
         self._p2 = 1.0
-
-    def _fresh(self) -> bool:
-        return self._p1 == 1.0
 
     def step(self, pair: GradientPair) -> StepReport:
         self._check_pair(pair)
@@ -485,6 +471,8 @@ def run(
     ``rng`` feeds the oracle's noise; ``output_rng`` (derived from ``rng``
     when omitted) picks the uniformly sampled output iterate index k. Two
     calls with identical arguments produce bitwise-identical results.
+    ``record_regret`` attaches a new record-keeping ledger to the optimizer
+    and returns it with the result.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -499,92 +487,53 @@ def run(
     out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
     k = int(out_stream.generator().integers(1, T + 1))
 
+    ledger = None
+    if record_regret:
+        ledger = optimizer.ledger = RegretLedger(
+            optimizer.alpha, optimizer.M, keep_records=True,
+            curvature_scale=optimizer.ftrl.curvature_scale)
     params = _analytic_params(oracle)
-    if params is not None and not force_generic and optimizer._fresh():
-        result = _run_kernel(optimizer, oracle, params, T, rng, stride, k, record_regret)
-        if result is not None:
-            return result
-    return _run_generic(optimizer, oracle, T, rng, stride, k, record_regret)
+    if params is not None and not force_generic and optimizer.kind in _KERNELS:
+        return _run_kernel(optimizer, params, T, rng, stride, k, ledger)
+    return _run_generic(optimizer, oracle, T, rng, stride, k, ledger)
 
 
-def _run_kernel(optimizer, oracle, params, T, rng, stride, k, record_regret):
+# kind -> (kernel name, optimizer attributes passed in, state attributes).
+# The state attributes are passed in after the others, and the kernel's final
+# values of them are written back, so a kernel continues from whatever state
+# earlier steps left.
+_KERNELS = {
+    "sgdol_global": ("sgdol_global", ("M", "alpha", "ftrl.curvature_scale", "logs_regret"),
+                     ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t")),
+    "sgdol_coord": ("sgdol_coord", ("M", "alpha"), ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t")),
+    "sgd": ("sgd", ("lr",), ()),
+    "sgd_gl": ("sgd", ("lr",), ()),
+    "adagrad_global": ("adagrad_global", ("lr",), ("accum",)),
+    "adagrad_coord": ("adagrad_coord", ("lr",), ("accum",)),
+    "adam": ("adam", ("lr", "beta1", "beta2", "eps"), ("m", "v", "_p1", "_p2")),
+}
+
+
+def _run_kernel(optimizer, params, T, rng, stride, k, ledger):
     oracle_id, diag, sigma = params
-    kind = optimizer.kind
+    name, inputs, state = _KERNELS[optimizer.kind]
     # One bulk draw consumes the stream exactly like T per-step pair draws.
     noise = rng.generator().standard_normal((T, 2, optimizer.dim))
     x = optimizer.x  # mutated in place by the kernel
-
-    if kind == "sgdol_global":
-        kern = _kernels.get_kernel("sgdol_global")
-        (rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum, xk,
-         etas, inners, sqs, sqps, si, ss) = kern(
-            oracle_id, diag, x, T, optimizer.M, optimizer.alpha,
-            optimizer.ftrl.curvature_scale, sigma, noise, k, stride)
-        optimizer.ftrl.sum_inner = float(si)
-        optimizer.ftrl.sum_sq = float(ss)
-        optimizer.ftrl.t += T
-        ledger = None
-        if record_regret:
-            ledger = RegretLedger.from_arrays(
-                optimizer.alpha, optimizer.M, etas, inners, sqs, sqps,
-                curvature_scale=optimizer.ftrl.curvature_scale)
-        traj = Trajectory(rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum)
-        return RunResult(traj, k, xk, x.copy(), ledger)
-
-    if kind == "sgdol_coord":
-        kern = _kernels.get_kernel("sgdol_coord")
-        (rec_t, rec_f, rec_gsq, rec_eta_mean, rec_eta, rec_surr, rec_cum, xk,
-         si, ss) = kern(
-            oracle_id, diag, x, T, optimizer.M, optimizer.alpha, sigma, noise, k, stride)
-        optimizer.ftrl.sum_inner = si
-        optimizer.ftrl.sum_sq = ss
-        optimizer.ftrl.t += T
-        traj = Trajectory(rec_t, rec_f, rec_gsq, rec_eta_mean, rec_surr, rec_cum,
-                          stepsize_coords=rec_eta)
-        return RunResult(traj, k, xk, x.copy(), None)
-
-    if kind in ("sgd", "sgd_gl"):
-        kern = _kernels.get_kernel("sgd")
-        rec_t, rec_f, rec_gsq, xk = kern(
-            oracle_id, diag, x, T, optimizer.lr, sigma, noise, k, stride)
-        n_rec = len(rec_t)
-        traj = Trajectory(rec_t, rec_f, rec_gsq, np.full(n_rec, optimizer.lr),
-                          np.zeros(n_rec), np.zeros(n_rec))
-        return RunResult(traj, k, xk, x.copy(), None)
-
-    if kind == "adagrad_global":
-        kern = _kernels.get_kernel("adagrad_global")
-        rec_t, rec_f, rec_gsq, rec_eta, xk, accum = kern(
-            oracle_id, diag, x, T, optimizer.lr, sigma, noise, k, stride)
-        optimizer.accum = float(accum)
-        traj = Trajectory(rec_t, rec_f, rec_gsq, rec_eta,
-                          np.zeros(len(rec_t)), np.zeros(len(rec_t)))
-        return RunResult(traj, k, xk, x.copy(), None)
-
-    if kind == "adagrad_coord":
-        kern = _kernels.get_kernel("adagrad_coord")
-        rec_t, rec_f, rec_gsq, rec_eta_mean, rec_eta, xk, accum = kern(
-            oracle_id, diag, x, T, optimizer.lr, sigma, noise, k, stride)
-        optimizer.accum = accum
-        traj = Trajectory(rec_t, rec_f, rec_gsq, rec_eta_mean, np.zeros(len(rec_t)),
-                          np.zeros(len(rec_t)), stepsize_coords=rec_eta)
-        return RunResult(traj, k, xk, x.copy(), None)
-
-    if kind == "adam":
-        kern = _kernels.get_kernel("adam")
-        rec_t, rec_f, rec_gsq, xk, m, v, p1, p2 = kern(
-            oracle_id, diag, x, T, optimizer.lr, optimizer.beta1, optimizer.beta2,
-            optimizer.eps, sigma, noise, k, stride)
-        optimizer.m, optimizer.v = m, v
-        optimizer._p1, optimizer._p2 = float(p1), float(p2)
-        traj = Trajectory(rec_t, rec_f, rec_gsq, np.full(len(rec_t), np.nan),
-                          np.zeros(len(rec_t)), np.zeros(len(rec_t)))
-        return RunResult(traj, k, xk, x.copy(), None)
-
-    return None
+    args = [attrgetter(attr)(optimizer) for attr in inputs + state]
+    out = _kernels.get_kernel(name)(oracle_id, diag, x, T, sigma, noise, k, stride, *args)
+    *series, coords, xk = out[:8]
+    for attr, value in zip(state, out[8:]):
+        owner, _, leaf = attr.rpartition(".")
+        setattr(attrgetter(owner)(optimizer) if owner else optimizer, leaf, value)
+    steps = out[8 + len(state):]  # per-step regret statistics, sgdol_global only
+    if steps and optimizer.logs_regret:
+        optimizer.ledger.record_arrays(*steps)
+    traj = Trajectory(*series, stepsize_coords=coords if coords.shape[1] else None)
+    return RunResult(traj, k, xk, x.copy(), ledger)
 
 
-def _run_generic(optimizer, oracle, T, rng, stride, k, record_regret):
+def _run_generic(optimizer, oracle, T, rng, stride, k, ledger):
     gen = rng.generator()
     n_rec = (T + stride - 1) // stride
     rec_t = np.empty(n_rec, np.int64)
@@ -595,12 +544,6 @@ def _run_generic(optimizer, oracle, T, rng, stride, k, record_regret):
     rec_eta_coords = np.empty((n_rec, optimizer.dim)) if coord else None
     rec_surr = np.empty(n_rec)
     rec_cum = np.empty(n_rec)
-
-    ledger = None
-    if record_regret:
-        ledger = RegretLedger(optimizer.alpha, optimizer.M, keep_records=True,
-                              curvature_scale=optimizer.ftrl.curvature_scale)
-        optimizer.ledger = ledger
 
     cum = 0.0
     ri = 0

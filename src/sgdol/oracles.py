@@ -61,7 +61,7 @@ class StochasticOracle:
 
     Subclasses set ``dim`` and capability flags, and may attach metadata used
     only by diagnostics: ``smoothness`` (gradient Lipschitz constant),
-    ``f_star`` (known infimum), ``pl_constant``, ``grad_bound``.
+    ``f_star`` (known infimum), ``pl_constant``.
     """
 
     dim: int
@@ -70,7 +70,6 @@ class StochasticOracle:
     f_star: Optional[float] = None
     smoothness: Optional[float] = None
     pl_constant: Optional[float] = None
-    grad_bound: Optional[float] = None
 
     def f(self, x: np.ndarray) -> float:
         raise NotImplementedError

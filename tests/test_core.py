@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgdol import RngStream, dot, gaussian, sq_norm, vector
+from sgdol import RngStream, dot, sq_norm, vector
 from sgdol.core import Trajectory, derive_stream_id
 
 
@@ -66,26 +66,6 @@ def test_vector_validation():
         vector([[1.0, 2.0]])
     with pytest.raises(ValueError):
         vector([])
-
-
-def test_gaussian_zero_sigma_is_zero_vector():
-    gen = RngStream(5).generator()
-    assert np.array_equal(gaussian(gen, 2, 0.0), np.zeros(2))
-
-
-def test_gaussian_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        gaussian(RngStream(5).generator(), 2, -1.0)
-
-
-def test_gaussian_mean_and_variance():
-    # One long draw reshaped to (1e5, 3) is distributionally the same as 1e5
-    # dim-3 draws and exercises the same code path.
-    n = 100000
-    samples = gaussian(RngStream(6).generator(), 3 * n, 1.0).reshape(n, 3)
-    assert np.all(np.abs(samples.mean(axis=0)) < 0.02)
-    big = gaussian(RngStream(7).generator(), 2 * n, 5.0).reshape(n, 2)
-    assert np.all(np.abs(big.var(axis=0) / 25.0 - 1.0) < 0.05)
 
 
 def test_rng_stream_reproducible_and_independent():

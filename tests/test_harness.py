@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,21 @@ def test_sgd_gl_constants_filled_from_oracle():
     # rosenbrock at zero start: f_gap = 1, sigma_total = sqrt(2)*0.5, M = 1002
     expected = min(1.0 / 1002.0, 1.0 / (np.sqrt(2 * 0.5**2) * np.sqrt(400)))
     assert s.stepsize_mean[0] == pytest.approx(expected)
+
+
+def test_rerun_at_new_T_refills_sgd_gl_constants():
+    # sigma is set so high that the tuned stepsize depends on T at both horizons
+    cfg = OptimizerConfig(kind="sgd_gl", sigma=100.0)
+    spec = _spec(optimizers=[("gl", cfg)], T=100, repetitions=1)
+    run_experiment(spec)
+    rerun = run_experiment(replace(spec, T=1000))
+    fresh = run_experiment(_spec(optimizers=[("gl", OptimizerConfig(kind="sgd_gl", sigma=100.0))],
+                                 T=1000, repetitions=1))
+    assert cfg.T is None and cfg.M is None and cfg.f_gap is None
+    a, b = rerun.series["gl"], fresh.series["gl"]
+    assert a.stepsize_mean[0] < 1.0 / 1002.0
+    assert np.array_equal(a.stepsize_mean, b.stepsize_mean)
+    assert np.array_equal(a.f_value, b.f_value)
 
 
 def test_sigmoid_experiment_runs(synthetic500_path):

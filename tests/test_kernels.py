@@ -5,9 +5,12 @@ the same floating-point operations in the same order."""
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgdol._kernels as kernels
 from sgdol import (
@@ -15,6 +18,7 @@ from sgdol import (
     AdaGradGlobal,
     Adam,
     QuadraticOracle,
+    RegretLedger,
     RngStream,
     RosenbrockOracle,
     Sgd,
@@ -115,6 +119,83 @@ def test_used_optimizer_falls_back_to_generic():
     res = run(opt, oracle, T=10, rng=RngStream(73))
     assert len(res.trajectory) >= 1
     assert opt.ftrl.t == 12
+
+
+def _warmed_up(make, oracle, steps):
+    """A new optimizer after ``steps`` generic steps on a stream of its own."""
+    opt = make(oracle.dim)
+    gen = RngStream(90).generator()
+    for _ in range(steps):
+        opt.step(oracle.sample_pair(opt.x, gen))
+    return opt
+
+
+def _agree_after_warm_up(make, oracle, steps, T, stride, seed):
+    """Kernel and generic runs of two equally used optimizers, twice in a row.
+
+    The second run starts from the state the first one wrote back.
+    """
+    o1, o2 = _warmed_up(make, oracle, steps), _warmed_up(make, oracle, steps)
+    for leg in (seed, seed + 1):
+        r1 = run(o1, oracle, T=T, rng=RngStream(leg), report_every=stride)
+        r2 = run(o2, oracle, T=T, rng=RngStream(leg), report_every=stride, force_generic=True)
+        if not _trajectories_equal(r1, r2):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("make", MAKERS)
+def test_used_optimizer_kernel_matches_generic_on_rosenbrock(make):
+    assert _agree_after_warm_up(make, RosenbrockOracle(sigma=5.0), steps=7, T=300, stride=1,
+                                seed=80)
+
+
+@pytest.mark.parametrize("make", MAKERS)
+def test_used_optimizer_kernel_matches_generic_on_quadratic_d5(make):
+    oracle = QuadraticOracle(np.linspace(0.2, 1.0, 5), sigma=0.7)
+    assert _agree_after_warm_up(make, oracle, steps=5, T=200, stride=3, seed=82)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(maker=st.integers(0, len(MAKERS) - 1), rosenbrock=st.booleans(), d=st.integers(1, 6),
+       sigma=st.floats(0.0, 3.0), T=st.integers(1, 80), stride=st.integers(1, 10),
+       steps=st.integers(0, 6), seed=st.integers(0, 2**32))
+def test_kernel_matches_generic_after_any_warm_up(maker, rosenbrock, d, sigma, T, stride,
+                                                  steps, seed):
+    if rosenbrock:
+        oracle = RosenbrockOracle(sigma=sigma)
+    else:
+        oracle = QuadraticOracle(np.linspace(0.2, 1.0, d), sigma=sigma)
+    assert _agree_after_warm_up(MAKERS[maker], oracle, steps, T, stride, seed)
+
+
+def test_attached_ledger_is_filled_on_both_paths():
+    oracle = RosenbrockOracle(sigma=2.0)
+    ledgers = [RegretLedger(10.0, 1002.0) for _ in range(2)]
+    for ledger, generic in zip(ledgers, (False, True)):
+        opt = Sgdol(np.zeros(2), M=1002.0, ledger=ledger)
+        res = run(opt, oracle, T=150, rng=RngStream(79), force_generic=generic)
+        assert res.ledger is None
+    assert ledgers[0].count == ledgers[1].count == 150
+    assert ledgers[0].cumulative_loss == ledgers[1].cumulative_loss
+    assert ledgers[0].sum_inner == ledgers[1].sum_inner
+    assert ledgers[0].sum_sq == ledgers[1].sum_sq
+
+
+def test_sgdol_global_keeps_no_per_step_arrays_unless_asked():
+    T = 20_000
+    noise_bytes = T * 2 * 2 * 8  # the bulk (T, 2, d) draw at d = 2
+    tracemalloc.start()
+    try:
+        run(Sgdol(np.zeros(2), M=1002.0), RosenbrockOracle(sigma=5.0), T=T, rng=RngStream(78),
+            report_every=T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The noise is the only allocation that grows with T. The four per-step
+    # regret arrays would add 32 bytes a step; the bound allows 16, which
+    # covers the constant overhead (chunked noise conversion, about 170 kB).
+    assert peak < noise_bytes + 16 * T
 
 
 @pytest.mark.skipif(not kernels.numba_available(), reason="numba not installed")
