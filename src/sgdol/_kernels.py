@@ -26,21 +26,20 @@ only extras are ``sgdol_global``'s per-step regret statistics, filled only
 when its ``keep_steps`` flag is set.
 
 Every kernel has an array source, which numba compiles with ``@njit``, and a
-plain-Python variant, which is what runs without numba. For ``sgdol_global``
-and ``sgd`` the plain-Python variant is a separate source on Python floats
-and lists (``_py_sgdol_global``, ``_py_sgd``) with the objective inlined,
-several times faster under CPython than the array source; the other four
-kernels still run their array source under CPython. Which variant runs is
-controlled by
+plain-Python twin (``_pykernels._py_<name>``), which is what runs without
+numba: the same loop on Python floats and lists, with the Rosenbrock
+objective inlined, four to seven times faster under CPython than the array
+source. Which variant runs is controlled by
 
     SGDOL_DISABLE_NUMBA=1   (environment, read at import)
 
 or at runtime via ``set_backend``. All variants execute the same
 floating-point operations in the same order, so their outputs are
-bit-for-bit identical. ``tests/test_kernels.py`` pins this against the
-generic step path on every machine, and JIT against plain Python where numba
-is installed; ``benchmarks/compare_backends.py`` measures the speed
-difference.
+bit-for-bit identical. ``tests/test_kernels.py`` pins this for each twin
+against its array source and, where numba is installed, for JIT against
+plain Python; against the generic step path it is exact up to d = 7 (numpy
+sums pairwise from 8 elements up). ``benchmarks/compare_backends.py``
+measures the speed of every variant.
 
 The noise argument holds raw standard normals of shape (T, 2, d), scaled
 inside by the per-coordinate sigma. Pre-generating the whole array consumes
@@ -50,12 +49,13 @@ paths see identical gradient pairs under one stream.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from array import array
 
 import numpy as np
+
+from . import _pykernels
+from ._pykernels import ORACLE_QUADRATIC, ORACLE_ROSENBROCK  # noqa: F401 (used by optimizers.run)
 
 try:
     import numba
@@ -93,9 +93,6 @@ def set_backend(use_numba: bool):
     _use_numba = bool(use_numba)
 
 
-# Oracle ids shared with optimizers.run
-ORACLE_ROSENBROCK = 0
-ORACLE_QUADRATIC = 1
 
 
 @register_jitable
@@ -420,193 +417,6 @@ def _run_adam(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, beta1, b
             xk, m, v, p1, p2)
 
 
-# ----------------------------------------------------------------------------
-# Plain-Python variants of the two hottest kernels
-# ----------------------------------------------------------------------------
-#
-# Run by CPython, the array sources above box a numpy scalar at every element
-# access. The variants below execute the same IEEE operations in the same
-# order on Python floats: x, sigma and diag are unpacked once, the noise is
-# converted a chunk at a time, records are appended to typed buffers that
-# become arrays once at the end, and the final iterate is written back into
-# x. On Rosenbrock (d = 2) the coordinates live in scalar locals. The
-# objective is inlined rather than called through the shared helpers, which
-# is where much of the speed comes from.
-
-# Noise floats converted per chunk. Boxed into nested lists a float costs
-# 32-80 bytes, so the copy stays under 160 kB at any d; at 8192 the peak RSS
-# of a short Rosenbrock sweep rose by 1 MB, with no gain in speed.
-_CHUNK_FLOATS = 2048
-
-
-def _noise_rows(noise, T):
-    """Iterate (t0, noise[t0].tolist()) for t0 < T, converting in chunks."""
-    rows = max(1, _CHUNK_FLOATS // noise[0].size)
-    return itertools.chain.from_iterable(
-        enumerate(noise[c0:c0 + rows].tolist(), c0) for c0 in range(0, T, rows))
-
-
-def _py_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
-                     M, alpha, curv, keep_steps, si, ss, t):
-    """Plain-Python twin of ``_run_sgdol_global``."""
-    d = x.shape[0]
-    xk = np.empty(d)
-    rec_t = array("q")
-    rec_f, rec_gsq, rec_eta, rec_surr, rec_cum = (array("d") for _ in range(5))
-    etas, inners, sqs, sqps = (array("d") for _ in range(4))
-    cum = 0.0
-    hi = 2.0 / M
-    if oracle_id == ORACLE_ROSENBROCK:
-        x0, x1 = x.tolist()
-        s0, s1 = sigma.tolist()
-        for t0, ((u0, u1), (v0, v1)) in _noise_rows(noise, T):
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
-            if t0 + 1 == k_index:
-                xk[0] = x0
-                xk[1] = x1
-            rec_here = t0 % stride == 0
-            if rec_here:
-                a1 = 1.0 - x0
-                fv = a1 * a1 + 100.0 * (c * c)
-                gsq = 0.0 + r0 * r0 + r1 * r1
-            eta = (alpha + si) / (alpha + curv * ss) / M
-            if eta < 0.0:
-                eta = 0.0
-            elif eta > hi:
-                eta = hi
-            g0 = r0 + s0 * u0
-            g1 = r1 + s1 * u1
-            gp0 = r0 + s0 * v0
-            gp1 = r1 + s1 * v1
-            x0 = x0 - eta * g0
-            x1 = x1 - eta * g1
-            b = 0.0 + g0 * gp0 + g1 * gp1
-            a = 0.0 + g0 * g0 + g1 * g1
-            loss = 0.5 * curv * M * eta * eta * a - eta * b
-            cum += loss
-            si += b
-            ss += a
-            if keep_steps:
-                etas.append(eta)
-                inners.append(b)
-                sqs.append(a)
-                sqps.append(0.0 + gp0 * gp0 + gp1 * gp1)
-            if rec_here:
-                rec_t.append(t0 + 1)
-                rec_f.append(fv)
-                rec_gsq.append(gsq)
-                rec_eta.append(eta)
-                rec_surr.append(loss)
-                rec_cum.append(cum)
-        x[0] = x0
-        x[1] = x1
-    else:
-        xs = x.tolist()
-        sg = sigma.tolist()
-        dg = diag.tolist()
-        for t0, (u, v) in _noise_rows(noise, T):
-            grad = [di * xi for di, xi in zip(dg, xs)]
-            if t0 + 1 == k_index:
-                xk[:] = xs
-            rec_here = t0 % stride == 0
-            if rec_here:
-                acc = 0.0
-                for di, xi in zip(dg, xs):
-                    acc += di * (xi * xi)
-                fv = 0.5 * acc
-                gsq = 0.0
-                for ri in grad:
-                    gsq += ri * ri
-            eta = (alpha + si) / (alpha + curv * ss) / M
-            if eta < 0.0:
-                eta = 0.0
-            elif eta > hi:
-                eta = hi
-            g = [ri + s * n for ri, s, n in zip(grad, sg, u)]
-            gp = [ri + s * n for ri, s, n in zip(grad, sg, v)]
-            xs = [xi - eta * gi for xi, gi in zip(xs, g)]
-            b = 0.0
-            a = 0.0
-            for gi, gpi in zip(g, gp):
-                b += gi * gpi
-                a += gi * gi
-            loss = 0.5 * curv * M * eta * eta * a - eta * b
-            cum += loss
-            si += b
-            ss += a
-            if keep_steps:
-                ap = 0.0
-                for gpi in gp:
-                    ap += gpi * gpi
-                etas.append(eta)
-                inners.append(b)
-                sqs.append(a)
-                sqps.append(ap)
-            if rec_here:
-                rec_t.append(t0 + 1)
-                rec_f.append(fv)
-                rec_gsq.append(gsq)
-                rec_eta.append(eta)
-                rec_surr.append(loss)
-                rec_cum.append(cum)
-        x[:] = xs
-    recs = [np.frombuffer(buf) for buf in (rec_f, rec_gsq, rec_eta, rec_surr, rec_cum)]
-    steps = [np.frombuffer(buf) for buf in (etas, inners, sqs, sqps)]
-    return (np.frombuffer(rec_t, np.int64), *recs, np.empty((len(rec_t), 0)), xk,
-            si, ss, t + T, *steps)
-
-
-def _py_sgd(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr):
-    """Plain-Python twin of ``_run_sgd``; reads only the noise of g, not of g'."""
-    d = x.shape[0]
-    xk = np.empty(d)
-    rec_t, rec_f, rec_gsq = array("q"), array("d"), array("d")
-    if oracle_id == ORACLE_ROSENBROCK:
-        x0, x1 = x.tolist()
-        s0, s1 = sigma.tolist()
-        for t0, (u0, u1) in _noise_rows(noise[:, 0], T):
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
-            if t0 + 1 == k_index:
-                xk[0] = x0
-                xk[1] = x1
-            if t0 % stride == 0:
-                a1 = 1.0 - x0
-                rec_t.append(t0 + 1)
-                rec_f.append(a1 * a1 + 100.0 * (c * c))
-                rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
-            x0 = x0 - lr * (r0 + s0 * u0)
-            x1 = x1 - lr * (r1 + s1 * u1)
-        x[0] = x0
-        x[1] = x1
-    else:
-        xs = x.tolist()
-        sg = sigma.tolist()
-        dg = diag.tolist()
-        for t0, u in _noise_rows(noise[:, 0], T):
-            grad = [di * xi for di, xi in zip(dg, xs)]
-            if t0 + 1 == k_index:
-                xk[:] = xs
-            if t0 % stride == 0:
-                acc = 0.0
-                for di, xi in zip(dg, xs):
-                    acc += di * (xi * xi)
-                gsq = 0.0
-                for ri in grad:
-                    gsq += ri * ri
-                rec_t.append(t0 + 1)
-                rec_f.append(0.5 * acc)
-                rec_gsq.append(gsq)
-            xs = [xi - lr * (ri + s * n) for xi, ri, s, n in zip(xs, grad, sg, u)]
-        x[:] = xs
-    n_rec = len(rec_t)
-    return (np.frombuffer(rec_t, np.int64), np.frombuffer(rec_f), np.frombuffer(rec_gsq),
-            np.full(n_rec, lr), np.zeros(n_rec), np.zeros(n_rec), np.empty((n_rec, 0)), xk)
-
-
 _IMPLS = {
     "sgdol_global": _run_sgdol_global,
     "sgdol_coord": _run_sgdol_coord,
@@ -623,10 +433,18 @@ if _HAVE_NUMBA:
 else:  # pragma: no cover
     _JITTED = {}
 
-
-# What runs without JIT: the plain-Python twins where they exist, else the
-# array source itself.
-_PYTHON = dict(_IMPLS, sgdol_global=_py_sgdol_global, sgd=_py_sgd)
+# What runs without JIT. The array sources stay the reference that
+# tests/test_kernels.py compares each twin against. The twins are a module of
+# their own because, compiled from source, one module holding both the array
+# sources and the twins raised the peak RSS of a run by 1.4 MB.
+_PYTHON = {
+    "sgdol_global": _pykernels._py_sgdol_global,
+    "sgdol_coord": _pykernels._py_sgdol_coord,
+    "sgd": _pykernels._py_sgd,
+    "adagrad_global": _pykernels._py_adagrad_global,
+    "adagrad_coord": _pykernels._py_adagrad_coord,
+    "adam": _pykernels._py_adam,
+}
 
 
 def get_kernel(name: str):

@@ -36,8 +36,9 @@ def vector(entries) -> np.ndarray:
 def dot(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean inner product. Raises on dimension mismatch.
 
-    Computed as a plain sum of elementwise products (no FMA), so the result
-    matches a sequential scalar loop exactly in low dimensions.
+    Computed as a plain sum of elementwise products (no FMA). Up to 7
+    elements the result matches a sequential scalar loop exactly; from 8 up
+    numpy sums pairwise, and the last bits can differ.
     """
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
