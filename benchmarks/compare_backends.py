@@ -1,7 +1,8 @@
 """Time each fused run kernel in every variant and check that they agree bitwise.
 
 Every kernel in ``sgdol._kernels`` runs T steps from the same inputs (a fresh
-optimizer state, pre-drawn noise) in each of its variants:
+optimizer's parameters and state, read through its kernel spec as ``sgdol.run``
+does, and pre-drawn noise) in each of its variants:
 
 - ``array``: the array source run by CPython (what numba compiles),
 - ``python``: the plain-Python twin that runs without numba
@@ -20,7 +21,6 @@ Usage:  python benchmarks/compare_backends.py [--T 5000] [--repeats 3] [--json o
 """
 
 import argparse
-import copy
 import json
 import platform
 import sys
@@ -29,15 +29,17 @@ import time
 import numpy as np
 
 import sgdol._kernels as kernels
+from sgdol.optimizers import (Adam, AdaGradCoord, AdaGradGlobal, Sgd, Sgdol, SgdolCoord,
+                              _kernel_args)
 
-# Parameters, then the fresh state, of each kernel at dimension d.
-ARGS = {
-    "sgdol_global": lambda d: [1002.0, 10.0, 1.0, False, 0.0, 0.0, 1],
-    "sgdol_coord": lambda d: [1002.0, 10.0, np.zeros(d), np.zeros(d), 1],
-    "sgd": lambda d: [1.0 / 1002.0],
-    "adagrad_global": lambda d: [1e-3, 0.0],
-    "adagrad_coord": lambda d: [1e-3, np.zeros(d)],
-    "adam": lambda d: [1e-3, 0.9, 0.999, 1e-8, np.zeros(d), np.zeros(d), 1.0, 1.0],
+# A fresh optimizer at dimension d for each kernel.
+OPTIMIZERS = {
+    "sgdol_global": lambda d: Sgdol(np.zeros(d), M=1002.0, alpha=10.0),
+    "sgdol_coord": lambda d: SgdolCoord(np.zeros(d), M=1002.0, alpha=10.0),
+    "sgd": lambda d: Sgd(np.zeros(d), lr=1.0 / 1002.0),
+    "adagrad_global": lambda d: AdaGradGlobal(np.zeros(d), lr=1e-3),
+    "adagrad_coord": lambda d: AdaGradCoord(np.zeros(d), lr=1e-3),
+    "adam": lambda d: Adam(np.zeros(d), lr=1e-3),
 }
 
 # name -> (oracle id, diag, sigma, stride, divisor of --T giving the steps run)
@@ -59,7 +61,9 @@ def time_kernel(fn, name, problem, T, repeats):
     noise = np.random.default_rng(1).standard_normal((T, 2, d))
     best = float("inf")
     for _ in range(repeats):
-        x, args = np.zeros(d), copy.deepcopy(ARGS[name](d))
+        optimizer = OPTIMIZERS[name](d)
+        _, args = _kernel_args(optimizer)
+        x = optimizer.x
         t0 = time.perf_counter()
         out = fn(oracle_id, diag, x, T, sigma, noise, T // 2 + 1, stride, *args)
         best = min(best, time.perf_counter() - t0)

@@ -70,6 +70,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
+        return 1
     results = run_verification(seed=args.seed, mc_samples=args.samples)
     failures = 0
     for r in results:

@@ -1,4 +1,5 @@
-"""Dense float64 vectors, the seeded randomness contract, and shared record types."""
+"""Dense float64 vectors, the seeded randomness contract, shared record types,
+and the range of every optimizer parameter."""
 
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ __all__ = [
     "derive_stream_id",
     "TrajectoryRecord",
     "Trajectory",
+    "field_problems",
+    "check_fields",
 ]
 
 _U64 = np.uint64
@@ -48,6 +51,40 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 def sq_norm(a: np.ndarray) -> float:
     """Squared Euclidean norm ``dot(a, a)``."""
     return float(np.sum(a * a))
+
+
+# Parameter name -> (test, requirement). The one statement of each range:
+# OptimizerConfig.validate reports every value that fails its test, and the
+# optimizer and stepsize-learner constructors raise on the first. NaN fails
+# every test.
+_FIELD_RANGES = {
+    "M": (lambda v: v > 0, "must be > 0"),
+    "alpha": (lambda v: v > 0, "must be > 0"),
+    "lr": (lambda v: v > 0, "must be > 0"),
+    "beta1": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "beta2": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "eps": (lambda v: v > 0, "must be > 0"),
+    "sigma": (lambda v: v >= 0, "must be >= 0"),
+    "T": (lambda v: v >= 1, "must be >= 1"),
+    "f_gap": (lambda v: v >= 0, "must be >= 0"),
+}
+
+
+def field_problems(**values) -> list:
+    """'<name>: <requirement>, got <value>' for each value out of its range."""
+    problems = []
+    for name, value in values.items():
+        test, need = _FIELD_RANGES[name]
+        if not test(value):
+            problems.append(f"{name}: {need}, got {value}")
+    return problems
+
+
+def check_fields(**values):
+    """Raise ValueError naming the first value out of its parameter's range."""
+    problems = field_problems(**values)
+    if problems:
+        raise ValueError(problems[0])
 
 
 def _splitmix64(z: int) -> int:

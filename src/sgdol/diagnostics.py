@@ -143,6 +143,8 @@ def surrogate_bound_check(oracle: StochasticOracle, x: np.ndarray, eta: float,
         raise ValueError("surrogate_bound_check needs an oracle with exact f")
     if oracle.smoothness is None:
         raise ValueError("surrogate_bound_check needs the oracle's smoothness constant")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     gen = rng.generator()
     M = oracle.smoothness
     gs, gps = oracle.sample_pairs(x, N, gen)

@@ -15,11 +15,11 @@ import configparser
 import csv
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, get_args, get_type_hints
 
 import numpy as np
 
-from .core import RngStream, derive_stream_id
+from .core import RngStream, derive_stream_id, field_problems
 from .optimizers import OptimizerConfig, RunResult, run
 from .oracles import (
     QuadraticOracle,
@@ -73,10 +73,15 @@ class OracleSpec:
         problems = []
         if self.kind not in ("rosenbrock", "quadratic", "sigmoid"):
             return [f"oracle: unknown kind {self.kind!r}"]
-        if self.kind in ("rosenbrock", "quadratic") and self.sigma < 0:
-            problems.append(f"sigma: must be >= 0, got {self.sigma}")
+        if self.kind in ("rosenbrock", "quadratic"):
+            problems += field_problems(sigma=self.sigma)
         if self.kind == "quadratic" and self.diag is None:
             problems.append("diag: required for the quadratic oracle")
+        elif self.kind == "quadratic":
+            diag = np.asarray(self.diag, dtype=np.float64)
+            if diag.size == 0 or not np.all(np.isfinite(diag) & (diag > 0)):
+                problems.append(f"diag: must hold one or more finite entries > 0, "
+                                f"got {diag.tolist()}")
         if self.kind == "sigmoid":
             if self.dataset is None:
                 problems.append("dataset: required for the sigmoid oracle")
@@ -113,9 +118,7 @@ class ExperimentSpec:
     keep_raw: bool = False
 
     def validate(self) -> List[str]:
-        problems = list(self.oracle.validate())
-        if self.T < 1:
-            problems.append(f"T: must be >= 1, got {self.T}")
+        problems = self.oracle.validate() + field_problems(T=self.T)
         if self.repetitions < 1:
             problems.append(f"repetitions: must be >= 1, got {self.repetitions}")
         if not 0 <= self.seed < 2**64:
@@ -307,10 +310,12 @@ _EXPERIMENT_KEYS = {
     "balance", "t", "repetitions", "seed", "report_every", "output_dir",
     "keep_raw",
 }
-_OPTIMIZER_KEYS = {
-    "kind", "m", "alpha", "lr", "beta1", "beta2", "eps", "sigma", "t",
-    "f_gap", "c",
+# Config key (configparser lower-cases keys) -> (OptimizerConfig field, type).
+_OPTIMIZER_FIELDS = {
+    name.lower(): (name, get_args(hint)[0])
+    for name, hint in get_type_hints(OptimizerConfig).items() if name != "kind"
 }
+_OPTIMIZER_KEYS = {"kind", *_OPTIMIZER_FIELDS}
 
 
 def _get_typed(section, key, cast, problems, where, default=None):
@@ -375,20 +380,9 @@ def parse_config(path) -> ExperimentSpec:
         for key in sec:
             if key not in _OPTIMIZER_KEYS:
                 problems.append(f"{section}.{key}: unknown key")
-        cfg = OptimizerConfig(
-            kind=sec.get("kind", ""),
-            M=_get_typed(sec, "m", float, problems, section),
-            alpha=_get_typed(sec, "alpha", float, problems, section),
-            lr=_get_typed(sec, "lr", float, problems, section),
-            beta1=_get_typed(sec, "beta1", float, problems, section, 0.9),
-            beta2=_get_typed(sec, "beta2", float, problems, section, 0.999),
-            eps=_get_typed(sec, "eps", float, problems, section, 1e-8),
-            sigma=_get_typed(sec, "sigma", float, problems, section),
-            T=_get_typed(sec, "t", int, problems, section),
-            f_gap=_get_typed(sec, "f_gap", float, problems, section),
-            c=_get_typed(sec, "c", float, problems, section, 1.0),
-        )
-        optimizers.append((name, cfg))
+        values = {attr: _get_typed(sec, key, cast, problems, section)
+                  for key, (attr, cast) in _OPTIMIZER_FIELDS.items()}
+        optimizers.append((name, OptimizerConfig(kind=sec.get("kind", ""), **values)))
     spec = ExperimentSpec(
         oracle=oracle,
         optimizers=optimizers,

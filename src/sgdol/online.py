@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import dot, sq_norm
+from .core import check_fields, dot, sq_norm
 from .oracles import GradientPair
 
 __all__ = [
@@ -35,11 +35,6 @@ __all__ = [
 DEFAULT_ALPHA = 10.0
 
 
-def _check_positive(name: str, value: float):
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
-
-
 @dataclass(frozen=True)
 class SurrogateLoss:
     """One round's quadratic surrogate, parameterized by (M, g, g')."""
@@ -49,7 +44,7 @@ class SurrogateLoss:
     g_prime: np.ndarray
 
     def __post_init__(self):
-        _check_positive("M", self.M)
+        check_fields(M=self.M)
         if self.g.shape != self.g_prime.shape:
             raise ValueError("surrogate loss gradients must share a dimension")
 
@@ -92,8 +87,7 @@ class FtrlState:
     curvature_scale: float = 1.0
 
     def __post_init__(self):
-        _check_positive("alpha", self.alpha)
-        _check_positive("M", self.M)
+        check_fields(alpha=self.alpha, M=self.M)
 
     def stepsize(self) -> float:
         """Closed-form FTRL play, clipped to [0, 2/M].
@@ -145,8 +139,7 @@ class CoordFtrlState:
     t: int = 1
 
     def __post_init__(self):
-        _check_positive("alpha", self.alpha)
-        _check_positive("M", self.M)
+        check_fields(alpha=self.alpha, M=self.M)
         if self.sum_inner is None:
             self.sum_inner = np.zeros(self.dim)
         if self.sum_sq is None:
@@ -178,8 +171,7 @@ class RegretLedger:
 
     def __init__(self, alpha: float, M: float, keep_records: bool = False,
                  curvature_scale: float = 1.0):
-        _check_positive("alpha", alpha)
-        _check_positive("M", M)
+        check_fields(alpha=alpha, M=M)
         self.alpha = alpha
         self.M = M
         self.curvature_scale = curvature_scale

@@ -16,6 +16,7 @@ state.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -24,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .core import RngStream, Trajectory, dot, sq_norm, vector
+from .core import RngStream, Trajectory, check_fields, dot, field_problems, sq_norm, vector
 from .online import DEFAULT_ALPHA, CoordFtrlState, FtrlState, RegretLedger
 from .oracles import (
     GradientPair,
@@ -50,18 +51,6 @@ __all__ = [
     "run",
 ]
 
-OPTIMIZER_KINDS = (
-    "sgdol_global",
-    "sgdol_coord",
-    "sgdol_momentum",
-    "sgd",
-    "adagrad_global",
-    "adagrad_coord",
-    "adam",
-    "sgd_gl",
-)
-
-
 @dataclass(frozen=True)
 class StepReport:
     """What one optimizer step did: stepsize(s) used and pair consumption."""
@@ -76,6 +65,11 @@ class Optimizer:
     """Stateful optimizer over a dense iterate; one transition per pair."""
 
     kind: str
+    # (kernel name, attributes passed in, state attributes), or None when the
+    # kind has no fused kernel. The state attributes are passed in after the
+    # others and the kernel's final values of them are written back, so a
+    # kernel continues from whatever state earlier steps left.
+    kernel: Optional[tuple] = None
 
     def __init__(self, x0):
         self.x = vector(x0).copy()
@@ -101,6 +95,8 @@ class Sgdol(Optimizer):
     """
 
     kind = "sgdol_global"
+    kernel = ("sgdol_global", ("M", "alpha", "ftrl.curvature_scale", "logs_regret"),
+              ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t"))
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA,
                  curvature_scale: float = 1.0, ledger: Optional[RegretLedger] = None):
@@ -138,6 +134,7 @@ class SgdolCoord(Optimizer):
     """SGDOL with one independent FTRL stepsize learner per coordinate."""
 
     kind = "sgdol_coord"
+    kernel = ("sgdol_coord", ("M", "alpha"), ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t"))
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA):
         super().__init__(x0)
@@ -213,11 +210,11 @@ class Sgd(Optimizer):
     """Plain SGD with a constant stepsize; uses only g from each pair."""
 
     kind = "sgd"
+    kernel = ("sgd", ("lr",), ())
 
     def __init__(self, x0, lr: float):
         super().__init__(x0)
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
+        check_fields(lr=lr)
         self.lr = lr
 
     def step(self, pair: GradientPair) -> StepReport:
@@ -234,11 +231,11 @@ class AdaGradGlobal(Optimizer):
     """
 
     kind = "adagrad_global"
+    kernel = ("adagrad_global", ("lr",), ("accum",))
 
     def __init__(self, x0, lr: float):
         super().__init__(x0)
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
+        check_fields(lr=lr)
         self.lr = lr
         self.accum = 0.0
 
@@ -254,11 +251,11 @@ class AdaGradCoord(Optimizer):
     """AdaGrad with per-coordinate accumulators."""
 
     kind = "adagrad_coord"
+    kernel = ("adagrad_coord", ("lr",), ("accum",))
 
     def __init__(self, x0, lr: float):
         super().__init__(x0)
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
+        check_fields(lr=lr)
         self.lr = lr
         self.accum = np.zeros(self.dim)
 
@@ -276,16 +273,12 @@ class Adam(Optimizer):
     """Adam with standard bias-corrected first and second moments."""
 
     kind = "adam"
+    kernel = ("adam", ("lr", "beta1", "beta2", "eps"), ("m", "v", "_p1", "_p2"))
 
     def __init__(self, x0, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         super().__init__(x0)
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got ({beta1}, {beta2})")
-        if eps <= 0:
-            raise ValueError(f"eps must be > 0, got {eps}")
+        check_fields(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -308,7 +301,7 @@ class Adam(Optimizer):
         return StepReport(eta_used=math.nan, g_pair_consumed=1)
 
 
-class SgdGhadimiLan(Optimizer):
+class SgdGhadimiLan(Sgd):
     """SGD with the constant stepsize min(1/M, sqrt(f_gap) / (sigma * sqrt(T))).
 
     Requires knowing the noise level and the initial optimality gap, so it is
@@ -317,62 +310,49 @@ class SgdGhadimiLan(Optimizer):
 
     kind = "sgd_gl"
 
-    def __init__(self, x0, M: float, sigma: float, T: int, f_gap: float, c: float = 1.0):
-        super().__init__(x0)
-        if M <= 0:
-            raise ValueError(f"M must be > 0, got {M}")
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
-        if T < 1:
-            raise ValueError(f"T must be >= 1, got {T}")
-        if f_gap < 0:
-            raise ValueError(f"f_gap must be >= 0, got {f_gap}")
+    def __init__(self, x0, M: float, sigma: float, T: int, f_gap: float):
+        # Skips Sgd.__init__: f_gap = 0 gives lr = 0, which its range check refuses.
+        Optimizer.__init__(self, x0)
+        check_fields(M=M, sigma=sigma, T=T, f_gap=f_gap)
         if sigma == 0.0:
             self.lr = 1.0 / M
         else:
-            self.lr = min(1.0 / M, c * math.sqrt(f_gap) / (sigma * math.sqrt(T)))
+            self.lr = min(1.0 / M, math.sqrt(f_gap) / (sigma * math.sqrt(T)))
         self.M = M
-
-    def step(self, pair: GradientPair) -> StepReport:
-        self._check_pair(pair)
-        self.x = self.x - self.lr * pair.g
-        return StepReport(eta_used=self.lr, g_pair_consumed=1)
 
 
 # ----------------------------------------------------------------------------
 # Declarative configuration
 # ----------------------------------------------------------------------------
 
-_REQUIRED_FIELDS = {
-    "sgdol_global": ("M",),
-    "sgdol_coord": ("M",),
-    "sgdol_momentum": ("M",),
-    "sgd": ("lr",),
-    "adagrad_global": ("lr",),
-    "adagrad_coord": ("lr",),
-    "adam": ("lr",),
-    "sgd_gl": ("M", "sigma", "T", "f_gap"),
-}
+_CLASSES = {cls.kind: cls for cls in (Sgdol, SgdolCoord, SgdolMomentum, Sgd,
+                                       AdaGradGlobal, AdaGradCoord, Adam, SgdGhadimiLan)}
+OPTIMIZER_KINDS = tuple(_CLASSES)
+# kind -> its constructor's parameters after x0; those without a default are required.
+_PARAMETERS = {kind: {name: p for name, p in inspect.signature(cls).parameters.items()
+                      if name != "x0"}
+               for kind, cls in _CLASSES.items()}
 
 
 @dataclass
 class OptimizerConfig:
     """Validated recipe for building an optimizer at a start point.
 
-    Only the fields required by ``kind`` are checked; the rest are ignored.
+    ``validate`` range-checks every field that is set, whatever the kind;
+    ``build`` passes each set field that the kind's constructor accepts, so an
+    unset one takes the constructor's default.
     """
 
     kind: str
     M: Optional[float] = None
     alpha: Optional[float] = None
     lr: Optional[float] = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: Optional[float] = None
+    beta2: Optional[float] = None
+    eps: Optional[float] = None
     sigma: Optional[float] = None
     T: Optional[int] = None
     f_gap: Optional[float] = None
-    c: float = 1.0
 
     def validate(self, deferred_ok: bool = False) -> list:
         """Return a list of '<field>: <problem>' strings; empty means valid.
@@ -380,56 +360,25 @@ class OptimizerConfig:
         With ``deferred_ok`` the sgd_gl constants (M, sigma, T, f_gap) may be
         left unset; the harness fills them from the oracle before building.
         """
-        problems = []
-        if self.kind not in OPTIMIZER_KINDS:
+        cls = _CLASSES.get(self.kind)
+        if cls is None:
             return [f"kind: unknown optimizer kind {self.kind!r}"]
-        skip_missing = deferred_ok and self.kind == "sgd_gl"
-        for name in _REQUIRED_FIELDS[self.kind]:
-            if getattr(self, name) is None and not skip_missing:
-                problems.append(f"{name}: required for kind {self.kind!r}")
-        if self.M is not None and self.M <= 0:
-            problems.append(f"M: must be > 0, got {self.M}")
-        if self.alpha is not None and self.alpha <= 0:
-            problems.append(f"alpha: must be > 0, got {self.alpha}")
-        if self.lr is not None and self.lr <= 0:
-            problems.append(f"lr: must be > 0, got {self.lr}")
-        if self.kind == "adam":
-            if not 0.0 <= self.beta1 < 1.0:
-                problems.append(f"beta1: must lie in [0, 1), got {self.beta1}")
-            if not 0.0 <= self.beta2 < 1.0:
-                problems.append(f"beta2: must lie in [0, 1), got {self.beta2}")
-            if self.eps <= 0:
-                problems.append(f"eps: must be > 0, got {self.eps}")
-        if self.kind == "sgd_gl":
-            if self.sigma is not None and self.sigma < 0:
-                problems.append(f"sigma: must be >= 0, got {self.sigma}")
-            if self.T is not None and self.T < 1:
-                problems.append(f"T: must be >= 1, got {self.T}")
-            if self.f_gap is not None and self.f_gap < 0:
-                problems.append(f"f_gap: must be >= 0, got {self.f_gap}")
-        return problems
+        problems = []
+        if not (deferred_ok and cls is SgdGhadimiLan):
+            problems += [f"{name}: required for kind {self.kind!r}"
+                         for name, p in _PARAMETERS[self.kind].items()
+                         if p.default is p.empty and getattr(self, name) is None]
+        set_fields = {name: value for name, value in vars(self).items()
+                      if name != "kind" and value is not None}
+        return problems + field_problems(**set_fields)
 
     def build(self, x0) -> Optimizer:
         problems = self.validate()
         if problems:
             raise ValueError("invalid optimizer config: " + "; ".join(problems))
-        alpha = DEFAULT_ALPHA if self.alpha is None else self.alpha
-        if self.kind == "sgdol_global":
-            return Sgdol(x0, M=self.M, alpha=alpha)
-        if self.kind == "sgdol_coord":
-            return SgdolCoord(x0, M=self.M, alpha=alpha)
-        if self.kind == "sgdol_momentum":
-            return SgdolMomentum(x0, M=self.M, alpha=alpha)
-        if self.kind == "sgd":
-            return Sgd(x0, lr=self.lr)
-        if self.kind == "adagrad_global":
-            return AdaGradGlobal(x0, lr=self.lr)
-        if self.kind == "adagrad_coord":
-            return AdaGradCoord(x0, lr=self.lr)
-        if self.kind == "adam":
-            return Adam(x0, lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
-        return SgdGhadimiLan(x0, M=self.M, sigma=self.sigma, T=self.T,
-                             f_gap=self.f_gap, c=self.c)
+        accepted = _PARAMETERS[self.kind]
+        return _CLASSES[self.kind](x0, **{name: value for name, value in vars(self).items()
+                                          if name in accepted and value is not None})
 
 
 # ----------------------------------------------------------------------------
@@ -493,34 +442,24 @@ def run(
             optimizer.alpha, optimizer.M, keep_records=True,
             curvature_scale=optimizer.ftrl.curvature_scale)
     params = _analytic_params(oracle)
-    if params is not None and not force_generic and optimizer.kind in _KERNELS:
+    if params is not None and not force_generic and optimizer.kernel is not None:
         return _run_kernel(optimizer, params, T, rng, stride, k, ledger)
     return _run_generic(optimizer, oracle, T, rng, stride, k, ledger)
 
 
-# kind -> (kernel name, optimizer attributes passed in, state attributes).
-# The state attributes are passed in after the others, and the kernel's final
-# values of them are written back, so a kernel continues from whatever state
-# earlier steps left.
-_KERNELS = {
-    "sgdol_global": ("sgdol_global", ("M", "alpha", "ftrl.curvature_scale", "logs_regret"),
-                     ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t")),
-    "sgdol_coord": ("sgdol_coord", ("M", "alpha"), ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t")),
-    "sgd": ("sgd", ("lr",), ()),
-    "sgd_gl": ("sgd", ("lr",), ()),
-    "adagrad_global": ("adagrad_global", ("lr",), ("accum",)),
-    "adagrad_coord": ("adagrad_coord", ("lr",), ("accum",)),
-    "adam": ("adam", ("lr", "beta1", "beta2", "eps"), ("m", "v", "_p1", "_p2")),
-}
+def _kernel_args(optimizer: Optimizer):
+    """The optimizer's kernel name, and its parameters then state in kernel order."""
+    name, inputs, state = optimizer.kernel
+    return name, [attrgetter(attr)(optimizer) for attr in inputs + state]
 
 
 def _run_kernel(optimizer, params, T, rng, stride, k, ledger):
     oracle_id, diag, sigma = params
-    name, inputs, state = _KERNELS[optimizer.kind]
+    name, args = _kernel_args(optimizer)
+    state = optimizer.kernel[2]
     # One bulk draw consumes the stream exactly like T per-step pair draws.
     noise = rng.generator().standard_normal((T, 2, optimizer.dim))
     x = optimizer.x  # mutated in place by the kernel
-    args = [attrgetter(attr)(optimizer) for attr in inputs + state]
     out = _kernels.get_kernel(name)(oracle_id, diag, x, T, sigma, noise, k, stride, *args)
     *series, coords, xk = out[:8]
     for attr, value in zip(state, out[8:]):

@@ -1,3 +1,5 @@
+import pytest
+
 from sgdol.cli import cli_main
 
 
@@ -70,6 +72,26 @@ lr = 0.001
     assert "repetitions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("diag", ["1.0 -2.0", "", "1.0 nan", "inf 1.0", "0.0"])
+def test_run_invalid_diag_names_field(tmp_path, capsys, diag):
+    config = tmp_path / "exp.ini"
+    config.write_text(f"""
+[experiment]
+oracle = quadratic
+diag = {diag}
+t = 10
+repetitions = 1
+seed = 11
+
+[optimizer.sgd]
+kind = sgd
+lr = 0.001
+""")
+    code = cli_main(["run", str(config)])
+    assert code == 1
+    assert "config error: diag:" in capsys.readouterr().err
+
+
 def test_run_missing_config_file(capsys):
     code = cli_main(["run", "/nope/missing.ini"])
     assert code == 2
@@ -89,3 +111,12 @@ def test_verify_subcommand(capsys):
     assert code == 0
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_fewer_than_one_sample(capsys, samples):
+    code = cli_main(["verify", "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be >= 1, got {samples}\n"

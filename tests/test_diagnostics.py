@@ -106,6 +106,12 @@ def test_surrogate_bound_requires_exact_f():
         surrogate_bound_check(NoF(), np.zeros(2), 0.1, 10, RngStream(84))
 
 
+@pytest.mark.parametrize("N", [0, -5])
+def test_surrogate_bound_requires_a_sample(N):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        surrogate_bound_check(RosenbrockOracle(sigma=1.0), np.zeros(2), 1e-3, N, RngStream(84))
+
+
 def test_smoothness_probe_linear_field_exact():
     probe = smoothness_probe(lambda x: 2.0 * x,
                              lambda gen: gen.uniform(-1, 1, 3),

@@ -11,6 +11,7 @@ states.
 """
 
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -325,3 +326,16 @@ def test_regret_arrays_match_between_paths():
     assert r1.ledger._inners == r2.ledger._inners
     assert r1.ledger._sqs == r2.ledger._sqs
     assert r1.ledger._sqs_prime == r2.ledger._sqs_prime
+
+
+def test_compare_backends_script_runs_and_agrees(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = tmp_path / "cb.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    subprocess.run(
+        [sys.executable, os.path.join(root, "benchmarks", "compare_backends.py"),
+         "--T", "40", "--repeats", "1", "--json", str(out)],
+        capture_output=True, text=True, env=env, check=True, timeout=300)
+    rows = json.loads(out.read_text())["results"]
+    assert {row["kernel"] for row in rows} == set(kernels.KERNEL_NAMES)
+    assert all(row["identical"] for row in rows)

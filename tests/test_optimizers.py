@@ -1,7 +1,11 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 
 from sgdol import (
+    DEFAULT_ALPHA,
     AdaGradCoord,
     AdaGradGlobal,
     Adam,
@@ -17,6 +21,7 @@ from sgdol import (
     SgdolMomentum,
     run,
 )
+from sgdol.optimizers import OPTIMIZER_KINDS
 
 
 def _pair(g, gp=None):
@@ -274,3 +279,67 @@ def test_optimizer_config_builds_each_kind(kind, kwargs, cls):
     opt = OptimizerConfig(kind=kind, **kwargs).build(np.zeros(2))
     assert isinstance(opt, cls)
     assert opt.kind == kind
+
+
+# Every config field each kind takes, at in-range values that differ from the
+# constructor defaults, so a field that build drops shows.
+_TAKES = {
+    "sgdol_global": (Sgdol, dict(M=4.0, alpha=3.0)),
+    "sgdol_coord": (SgdolCoord, dict(M=4.0, alpha=3.0)),
+    "sgdol_momentum": (SgdolMomentum, dict(M=4.0, alpha=3.0)),
+    "sgd": (Sgd, dict(lr=0.1)),
+    "adagrad_global": (AdaGradGlobal, dict(lr=0.1)),
+    "adagrad_coord": (AdaGradCoord, dict(lr=0.1)),
+    "adam": (Adam, dict(lr=0.1, beta1=0.5, beta2=0.75, eps=1e-6)),
+    "sgd_gl": (SgdGhadimiLan, dict(M=4.0, sigma=2.0, T=10, f_gap=1.0)),
+}
+# Values on both sides of each field's range, boundaries included.
+_PROBES = {
+    "M": (1e-300, 0.0, -1.0, math.nan),
+    "alpha": (1e-300, 0.0, -1.0, math.nan),
+    "lr": (1e-300, 0.0, -1.0, math.nan),
+    "eps": (1e-300, 0.0, -1.0, math.nan),
+    "beta1": (0.0, 0.999, 1.0, -1e-9, math.nan),
+    "beta2": (0.0, 0.999, 1.0, -1e-9, math.nan),
+    "sigma": (0.0, 2.0, -1e-9, math.nan),
+    "T": (1, 0, -3),
+    "f_gap": (0.0, 1.0, -1e-9, math.nan),
+}
+
+
+def test_every_kind_declares_the_fields_it_takes():
+    assert set(_TAKES) == set(OPTIMIZER_KINDS)
+    config_fields = set(vars(OptimizerConfig(kind="sgd")))
+    for kind, (cls, valid) in _TAKES.items():
+        assert set(valid) == set(inspect.signature(cls).parameters) & config_fields
+
+
+@pytest.mark.parametrize("kind,name", [(k, n) for k, (_, valid) in _TAKES.items()
+                                       for n in valid])
+def test_config_validation_and_build_match_the_constructor(kind, name):
+    cls, valid = _TAKES[kind]
+    x0 = np.zeros(2)
+    for value in _PROBES[name]:
+        kwargs = dict(valid, **{name: value})
+        named = any(p.startswith(f"{name}:")
+                    for p in OptimizerConfig(kind=kind, **kwargs).validate())
+        try:
+            cls(x0, **kwargs)
+            raised = False
+        except ValueError:
+            raised = True
+        assert named == raised, (kind, name, value)
+
+    built = OptimizerConfig(kind=kind, **valid).build(x0)
+    direct = cls(x0, **valid)
+    assert getattr(built, name, None) == getattr(direct, name, None)
+    # sgd_gl keeps only the stepsize it derives from sigma, T and f_gap.
+    assert getattr(built, "lr", None) == getattr(direct, "lr", None)
+
+    default = inspect.signature(cls).parameters[name].default
+    if default is not inspect.Parameter.empty:
+        unset = dict(valid)
+        del unset[name]
+        assert getattr(OptimizerConfig(kind=kind, **unset).build(x0), name) == default
+        if name == "alpha":
+            assert default == DEFAULT_ALPHA
