@@ -73,6 +73,9 @@ def _cmd_verify(args) -> int:
     if args.samples < 1:
         print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
         return 1
+    if not 0 <= args.seed < 2**64:
+        print(f"error: --seed must be a 64-bit unsigned integer, got {args.seed}", file=sys.stderr)
+        return 1
     results = run_verification(seed=args.seed, mc_samples=args.samples)
     failures = 0
     for r in results:
@@ -84,6 +87,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_parse_libsvm(args) -> int:
+    if args.n_features is not None and args.n_features < 1:
+        print(f"error: --n-features must be >= 1, got {args.n_features}", file=sys.stderr)
+        return 1
     append_bias = not args.no_bias
     try:
         data = load_libsvm(args.path, append_bias=append_bias,

@@ -6,12 +6,11 @@ stepsize) consume only the first gradient of each pair, so every optimizer
 sees identical oracle call counts and random streams under a shared seed.
 
 ``run`` executes T steps and records the trajectory. On the built-in
-analytic oracles it dispatches to the fused kernels in ``_kernels`` (JIT or
-plain-Python per the active backend), which continue from whatever state
-earlier steps left; the momentum variant, other oracles and
-``force_generic`` runs go through the generic step-by-step path. Both paths
-consume the random stream identically and leave the optimizer in the same
-state.
+analytic oracles it dispatches to the fused kernels in ``_kernels``, which
+continue from whatever state earlier steps left; the momentum variant,
+other oracles and ``force_generic`` runs go through the generic
+step-by-step path. Both paths consume the random stream identically and
+leave the optimizer in the same state.
 """
 
 from __future__ import annotations
@@ -338,9 +337,9 @@ _PARAMETERS = {kind: {name: p for name, p in inspect.signature(cls).parameters.i
 class OptimizerConfig:
     """Validated recipe for building an optimizer at a start point.
 
-    ``validate`` range-checks every field that is set, whatever the kind;
-    ``build`` passes each set field that the kind's constructor accepts, so an
-    unset one takes the constructor's default.
+    ``validate`` rejects a set field that the kind's constructor does not
+    take and range-checks every set field; ``build`` passes the set fields,
+    so an unset one takes the constructor's default.
     """
 
     kind: str
@@ -370,15 +369,16 @@ class OptimizerConfig:
                          if p.default is p.empty and getattr(self, name) is None]
         set_fields = {name: value for name, value in vars(self).items()
                       if name != "kind" and value is not None}
+        problems += [f"{name}: not taken by kind {self.kind!r}"
+                     for name in set_fields if name not in _PARAMETERS[self.kind]]
         return problems + field_problems(**set_fields)
 
     def build(self, x0) -> Optimizer:
         problems = self.validate()
         if problems:
             raise ValueError("invalid optimizer config: " + "; ".join(problems))
-        accepted = _PARAMETERS[self.kind]
         return _CLASSES[self.kind](x0, **{name: value for name, value in vars(self).items()
-                                          if name in accepted and value is not None})
+                                          if name != "kind" and value is not None})
 
 
 # ----------------------------------------------------------------------------

@@ -379,6 +379,8 @@ def load_libsvm(
     increasing indices. ``#`` starts a comment; blank lines are skipped.
     When ``append_bias`` a constant 1.0 feature is added to every row.
     """
+    if n_features is not None and n_features < 1:
+        raise ValueError(f"n_features must be >= 1, got {n_features}")
     rows = []
     labels = []
     max_index = 0

@@ -72,6 +72,26 @@ lr = 0.001
     assert "repetitions" in capsys.readouterr().err
 
 
+def test_run_rejects_a_field_the_kind_does_not_take(tmp_path, capsys):
+    config = tmp_path / "exp.ini"
+    config.write_text("""
+[experiment]
+oracle = rosenbrock
+t = 100
+repetitions = 1
+seed = 11
+
+[optimizer.sgdol]
+kind = sgdol_global
+m = 1002
+lr = 0.1
+""")
+    code = cli_main(["run", str(config)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: optimizer.sgdol.lr: not taken by kind 'sgdol_global'\n")
+
+
 @pytest.mark.parametrize("diag", ["1.0 -2.0", "", "1.0 nan", "inf 1.0", "0.0"])
 def test_run_invalid_diag_names_field(tmp_path, capsys, diag):
     config = tmp_path / "exp.ini"
@@ -120,3 +140,21 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: --samples must be >= 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_verify_rejects_a_seed_outside_64_bits(capsys, seed):
+    code = cli_main(["verify", "--seed", seed, "--samples", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --seed must be a 64-bit unsigned integer, got {seed}\n"
+
+
+@pytest.mark.parametrize("n_features", ["0", "-3"])
+def test_parse_libsvm_rejects_fewer_than_one_feature(tiny3_path, capsys, n_features):
+    code = cli_main(["parse-libsvm", tiny3_path, "--n-features", n_features])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --n-features must be >= 1, got {n_features}\n"

@@ -1,7 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgdol import (
     ConfigError,
@@ -101,6 +105,55 @@ def test_csv_round_trip_exact(tmp_path):
     assert np.array_equal(back["f_value"], s.f_value)
     assert np.array_equal(back["stepsize_mean"], s.stepsize_mean)
     assert np.array_equal(back["optimality_gap"], s.optimality_gap)
+
+
+# Any float64 the writer may meet. NaN is only the canonical quiet NaN: the
+# decimal text spells every NaN "nan", so a sign or payload cannot survive.
+_CSV_FLOATS = (st.floats(allow_nan=False)
+               | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]))
+
+
+@st.composite
+def _csv_series(draw):
+    n = draw(st.integers(0, 12))
+    d = draw(st.integers(0, 3))  # 0: no per-coordinate columns
+
+    def column(shape=n):
+        return draw(arrays(np.float64, shape, elements=_CSV_FLOATS))
+
+    def optional_column():
+        return column() if draw(st.booleans()) else None
+
+    return OptimizerSeries(
+        name="s", kind="sgd", t=draw(arrays(np.int64, n)), grad_sq_norm=optional_column(),
+        f_value=optional_column(), stepsize_mean=column(),
+        stepsize_coords=column((n, d)) if d else None, optimality_gap=optional_column())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(series=_csv_series())
+def test_csv_round_trip_is_bitwise_for_any_series(tmp_path_factory, series):
+    out_dir = tmp_path_factory.mktemp("csv")
+    write_csv(ResultTable(series={"s": series}), out_dir)
+    back = read_csv_series(out_dir / "s.csv")
+    n = len(series.t)
+    absent = np.full(n, math.nan)  # an absent column reads back as NaN
+    expected = {
+        "t": series.t,
+        "grad_sq_norm": absent if series.grad_sq_norm is None else series.grad_sq_norm,
+        "f_value": absent if series.f_value is None else series.f_value,
+        "stepsize_mean": series.stepsize_mean,
+    }
+    if series.stepsize_coords is not None:
+        for j in range(series.stepsize_coords.shape[1]):
+            expected[f"stepsize_{j + 1}"] = series.stepsize_coords[:, j]
+    if series.optimality_gap is not None:
+        expected["optimality_gap"] = series.optimality_gap
+    assert list(back) == list(expected)
+    for name, column in expected.items():
+        want = np.ascontiguousarray(column)
+        assert (back[name].dtype, back[name].shape, back[name].tobytes()) == (
+            want.dtype, want.shape, want.tobytes()), name
 
 
 def test_csv_header_prefix_contract(tmp_path):

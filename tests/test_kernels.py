@@ -1,20 +1,16 @@
-"""Cross-checks between the fused kernels, the generic step path, and the
-JIT/plain backends.
+"""Cross-checks between the fused kernels, their array-loop references and
+the generic step path.
 
 The comparisons are exact wherever the paths execute the same floating-point
-operations in the same order: every kernel variant against every other, and
-the kernels against the generic path up to d = 7. From 8 elements up numpy
-sums pairwise while the kernels sum in index order, so at larger d the
-kernels and the generic path agree only to the tolerance that
-``test_kernel_matches_generic_on_quadratic_d100_within_summation_order``
+operations in the same order: every kernel against its reference in
+``reference_kernels``, and the kernels against the generic path up to d = 7.
+From 8 elements up numpy sums pairwise while the kernels sum in index order,
+so at larger d the kernels and the generic path agree only to the tolerance
+that ``test_kernel_matches_generic_on_quadratic_d100_within_summation_order``
 states.
 """
 
 import copy
-import json
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgdol._kernels as kernels
-from sgdol import _pykernels
+from reference_kernels import REFERENCE_KERNELS
 from sgdol import (
     AdaGradCoord,
     AdaGradGlobal,
@@ -83,13 +79,13 @@ def test_kernel_matches_generic_on_quadratic_d5(make):
 
 
 def _chunk_crossing_T(d):
-    """A horizon that crosses noise-chunk boundaries of the Python kernels.
+    """A horizon that crosses noise-chunk boundaries of the kernels.
 
     They convert about ``_CHUNK_FLOATS`` noise floats at a time: rows of 2d
     floats for the SGDOL kernels, of d floats for the others. The horizon is
     a multiple of neither chunk.
     """
-    return _pykernels._CHUNK_FLOATS // d + 77
+    return kernels._CHUNK_FLOATS // d + 77
 
 
 @pytest.mark.parametrize("make", MAKERS)
@@ -181,9 +177,9 @@ def test_python_twin_matches_array_source_bitwise(name, oracle_id, d, x0, stride
     noise = rs.standard_normal((T, 2, d))
     x = np.broadcast_to(np.asarray(x0, dtype=float), (d,))
     args = _kernel_args(name, d, rs)
-    assert kernels._PYTHON[name] is not kernels._IMPLS[name]
+    assert kernels.get_kernel(name) is not REFERENCE_KERNELS[name]
     runs = []
-    for kernel in (kernels._IMPLS[name], kernels._PYTHON[name]):
+    for kernel in (REFERENCE_KERNELS[name], kernels.get_kernel(name)):
         xi, argsi = x.copy(), copy.deepcopy(args)  # both are updated in place
         with np.errstate(over="ignore", invalid="ignore"):
             out = kernel(oracle_id, diag, xi, T, sigma, noise, T // 2 + 1, stride, *argsi)
@@ -291,30 +287,6 @@ def test_sgdol_global_keeps_no_per_step_arrays_unless_asked():
     assert peak < noise_bytes + 16 * T
 
 
-@pytest.mark.skipif(not kernels.numba_available(), reason="numba not installed")
-@pytest.mark.parametrize("make", MAKERS)
-def test_jit_and_python_backends_agree_bitwise(make):
-    oracle = RosenbrockOracle(sigma=5.0)
-    assert kernels.numba_enabled()
-    r_jit = run(make(2), oracle, T=250, rng=RngStream(74), report_every=1)
-    kernels.set_backend(False)
-    try:
-        assert not kernels.numba_enabled()
-        r_py = run(make(2), oracle, T=250, rng=RngStream(74), report_every=1)
-    finally:
-        kernels.set_backend(True)
-    assert _trajectories_equal(r_jit, r_py)
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, SGDOL_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sgdol._kernels as k; print(k.numba_enabled())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
-
-
 def test_regret_arrays_match_between_paths():
     oracle = RosenbrockOracle(sigma=2.0)
     r1 = run(Sgdol(np.zeros(2), M=1002.0), oracle, T=150, rng=RngStream(75),
@@ -326,16 +298,3 @@ def test_regret_arrays_match_between_paths():
     assert r1.ledger._inners == r2.ledger._inners
     assert r1.ledger._sqs == r2.ledger._sqs
     assert r1.ledger._sqs_prime == r2.ledger._sqs_prime
-
-
-def test_compare_backends_script_runs_and_agrees(tmp_path):
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    out = tmp_path / "cb.json"
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    subprocess.run(
-        [sys.executable, os.path.join(root, "benchmarks", "compare_backends.py"),
-         "--T", "40", "--repeats", "1", "--json", str(out)],
-        capture_output=True, text=True, env=env, check=True, timeout=300)
-    rows = json.loads(out.read_text())["results"]
-    assert {row["kernel"] for row in rows} == set(kernels.KERNEL_NAMES)
-    assert all(row["identical"] for row in rows)

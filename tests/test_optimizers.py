@@ -343,3 +343,19 @@ def test_config_validation_and_build_match_the_constructor(kind, name):
         assert getattr(OptimizerConfig(kind=kind, **unset).build(x0), name) == default
         if name == "alpha":
             assert default == DEFAULT_ALPHA
+
+
+@pytest.mark.parametrize("kind", list(_TAKES))
+def test_config_names_every_set_field_its_kind_does_not_take(kind):
+    _, valid = _TAKES[kind]
+    # An in-range value for every field the kind does not take.
+    foreign = {name: probes[0] for name, probes in _PROBES.items() if name not in valid}
+    expected = {f"{name}: not taken by kind {kind!r}" for name in foreign}
+    problems = OptimizerConfig(kind=kind, **valid, **foreign).validate()
+    assert sorted(problems) == sorted(expected)
+    for name, value in foreign.items():
+        config = OptimizerConfig(kind=kind, **valid, **{name: value})
+        problem = f"{name}: not taken by kind {kind!r}"
+        assert config.validate() == [problem]
+        with pytest.raises(ValueError, match=problem):
+            config.build(np.zeros(2))

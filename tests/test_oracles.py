@@ -220,6 +220,12 @@ def test_load_libsvm_decreasing_indices(tmp_path):
         load_libsvm(path)
 
 
+@pytest.mark.parametrize("n_features", [0, -3])
+def test_load_libsvm_rejects_fewer_than_one_feature(tiny3_path, n_features):
+    with pytest.raises(ValueError, match=f"n_features must be >= 1, got {n_features}"):
+        load_libsvm(tiny3_path, n_features=n_features)
+
+
 def test_load_libsvm_comments_and_blank_lines(tiny3_path):
     data = load_libsvm(tiny3_path)
     assert len(data) == 3
