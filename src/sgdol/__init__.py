@@ -24,6 +24,7 @@ from .optimizers import (
     SgdolMomentum,
     StepReport,
     run,
+    run_lanes,
 )
 from .oracles import (
     Dataset,

@@ -13,6 +13,7 @@ __all__ = [
     "vector",
     "dot",
     "sq_norm",
+    "row_dot",
     "RngStream",
     "derive_stream_id",
     "TrajectoryRecord",
@@ -51,6 +52,15 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 def sq_norm(a: np.ndarray) -> float:
     """Squared Euclidean norm ``dot(a, a)``."""
     return float(np.sum(a * a))
+
+
+def row_dot(a: np.ndarray, b: np.ndarray):
+    """Inner products over the last axis, one per stacked row.
+
+    Each row sums exactly like ``dot`` on that row alone: numpy reduces a
+    contiguous last axis row by row in the same pairwise order.
+    """
+    return np.add.reduce(a * b, axis=-1)  # np.sum's reduction, minus its wrapper
 
 
 # Parameter name -> (test, requirement). The one statement of each range:

@@ -4,9 +4,14 @@ An experiment is (oracle x optimizer list x T x repetitions x seed). Each
 repetition owns one oracle noise stream shared by every optimizer, so
 optimizers see identical gradient pairs and their series are directly
 comparable; the uniformly sampled output index gets its own stream per
-(optimizer, repetition). Averages over repetitions are plain arithmetic
-means. CSV output uses shortest round-trip decimals, so identical specs
-produce byte-identical files.
+(optimizer, repetition). Optimizers that take a fused kernel (on the
+analytic oracles) run one ``run`` per repetition. Every other
+(optimizer x repetition) run, which is all of them on the dataset oracle
+and the momentum variant on the analytic ones, goes through a single
+``run_lanes`` call that steps them together, each repetition's lanes on its
+stream. Averages over repetitions are plain arithmetic means, taken in
+repetition order. CSV output uses shortest round-trip decimals, so
+identical specs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Dict, List, Optional, Tuple, get_args, get_type_hints
 import numpy as np
 
 from .core import RngStream, derive_stream_id, field_problems
-from .optimizers import OptimizerConfig, RunResult, run
+from .optimizers import OptimizerConfig, RunResult, run, run_lanes, takes_kernel
 from .oracles import (
     QuadraticOracle,
     RosenbrockOracle,
@@ -100,8 +105,10 @@ class OracleSpec:
         if self.balance:
             gen = RngStream(seed, derive_stream_id(_PURPOSE_BALANCE)).generator()
             data = balance_subsample(data, gen)
-        batch = min(self.batch_size, len(data))
-        return SigmoidLossOracle(data, batch_size=batch)
+        if self.batch_size > len(data):
+            raise ConfigError([f"batch_size: must be <= {len(data)} (the dataset's rows), "
+                               f"got {self.batch_size}"])
+        return SigmoidLossOracle(data, batch_size=self.batch_size)
 
 
 @dataclass
@@ -180,7 +187,9 @@ def _fill_sgd_gl(cfg: OptimizerConfig, oracle: StochasticOracle, x0, T: int) -> 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute repetitions x optimizers runs, average, and write CSV output.
 
-    The start point is all zeros for every oracle. Files are written only
+    The start point is all zeros for every oracle. Optimizers that take a
+    fused kernel run one ``run`` per repetition; all the others, over all
+    repetitions, go through one ``run_lanes`` call. Files are written only
     when the spec names an output directory.
     """
     problems = spec.validate()
@@ -188,21 +197,35 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         raise ConfigError(problems)
     oracle = spec.oracle.build(spec.seed)
     x0 = np.zeros(oracle.dim)
-    table = ResultTable(f_star=oracle.f_star)
-    for opt_idx, (name, cfg) in enumerate(spec.optimizers):
+    reps = spec.repetitions
+    oracle_rngs = [RngStream(spec.seed, derive_stream_id(_PURPOSE_ORACLE, rep))
+                   for rep in range(reps)]
+    configs = []
+    for name, cfg in spec.optimizers:
         cfg = _fill_sgd_gl(cfg, oracle, x0, spec.T)
         strict = cfg.validate()
         if strict:
             raise ConfigError([f"optimizer.{name}.{p}" for p in strict])
+        configs.append(cfg)
+    output_rngs = [[RngStream(spec.seed, derive_stream_id(_PURPOSE_OUTPUT, opt_idx, rep))
+                    for rep in range(reps)] for opt_idx in range(len(configs))]
+    groups = [[cfg.build(x0) for _ in range(reps)] for cfg in configs]
+    on_lanes = [i for i, group in enumerate(groups) if not takes_kernel(group[0], oracle)]
+    lane_results = run_lanes([groups[i] for i in on_lanes], oracle, spec.T, oracle_rngs,
+                             [output_rngs[i] for i in on_lanes], spec.report_every)
+    results = dict(zip(on_lanes, lane_results))
+
+    table = ResultTable(f_star=oracle.f_star)
+    for opt_idx, ((name, _), cfg) in enumerate(zip(spec.optimizers, configs)):
         sums = None
         raws: List[RunResult] = []
-        for rep in range(spec.repetitions):
-            optimizer = cfg.build(x0)
-            oracle_rng = RngStream(spec.seed, derive_stream_id(_PURPOSE_ORACLE, rep))
-            output_rng = RngStream(
-                spec.seed, derive_stream_id(_PURPOSE_OUTPUT, opt_idx, rep))
-            result = run(optimizer, oracle, spec.T, oracle_rng,
-                         report_every=spec.report_every, output_rng=output_rng)
+        for rep in range(reps):
+            if opt_idx in results:
+                result = results[opt_idx][rep]
+            else:
+                result = run(groups[opt_idx][rep], oracle, spec.T, oracle_rngs[rep],
+                             report_every=spec.report_every,
+                             output_rng=output_rngs[opt_idx][rep])
             traj = result.trajectory
             if sums is None:
                 sums = {
@@ -224,7 +247,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
                     sums["coords"] += traj.stepsize_coords
             if spec.keep_raw:
                 raws.append(result)
-        reps = spec.repetitions
         mean_f = None if sums["f"] is None else sums["f"] / reps
         gap = None
         if mean_f is not None and oracle.f_star is not None:

@@ -76,7 +76,8 @@ class FtrlState:
     ``curvature_scale`` selects the loss family: 1.0 for the standard
     (M/2) eta^2 curvature, 2.0 for the doubled-curvature losses used by the
     two-stepsize momentum variant. The next stepsize is fully determined by
-    (alpha, M, sum_inner, sum_sq).
+    (alpha, M, sum_inner, sum_sq). The sums and ``t`` are floats for one
+    learner, or arrays of shape (L,) for L learners stepped together.
     """
 
     alpha: float
@@ -94,15 +95,10 @@ class FtrlState:
 
         Written as num/den/M so that a history with g_j == g'_j for all j
         keeps numerator and denominator bitwise equal and the result is
-        exactly 1/M.
+        exactly 1/M. A NaN sum gives a NaN stepsize.
         """
         raw = (self.alpha + self.sum_inner) / (self.alpha + self.curvature_scale * self.sum_sq) / self.M
-        hi = 2.0 / self.M
-        if raw < 0.0:
-            return 0.0
-        if raw > hi:
-            return hi
-        return raw
+        return np.where(raw < 0.0, 0.0, np.minimum(raw, 2.0 / self.M))[()]
 
     def observe_stats(self, inner: float, g_sq: float):
         """Fold one loss into the sums from its precomputed statistics."""
@@ -129,6 +125,7 @@ class CoordFtrlState:
 
     Coordinate i's state depends only on the i-th entries of past pairs, so
     noise in one coordinate never perturbs another coordinate's stepsize.
+    The sums have shape (dim,), or (L, dim) for L learners stepped together.
     """
 
     alpha: float
@@ -202,8 +199,8 @@ class RegretLedger:
         self.record(eta, dot(pair.g, pair.g_prime), sq_norm(pair.g), sq_norm(pair.g_prime))
 
     def record_arrays(self, etas, inners, g_sqs, g_prime_sqs):
-        """Log a run of rounds from per-step arrays, one ``record`` each."""
-        for eta, b, a, ap in zip(etas, inners, g_sqs, g_prime_sqs):
+        """Log a run of rounds from per-step arrays (or scalars), one ``record`` each."""
+        for eta, b, a, ap in zip(*map(np.ravel, (etas, inners, g_sqs, g_prime_sqs))):
             self.record(float(eta), float(b), float(a), float(ap))
 
     def comparator_loss(self, eta: float) -> float:

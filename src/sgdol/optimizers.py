@@ -1,30 +1,38 @@
-"""Optimizers behind one stepping interface, and the seeded run loop.
+"""Optimizers behind one update rule each, and the seeded run loops.
 
 The SGDOL family learns its stepsizes online from surrogate losses; the
 baselines (SGD, AdaGrad, Adam, and the constant theoretically-tuned
 stepsize) consume only the first gradient of each pair, so every optimizer
 sees identical oracle call counts and random streams under a shared seed.
 
-``run`` executes T steps and records the trajectory. On the built-in
-analytic oracles it dispatches to the fused kernels in ``_kernels``, which
-continue from whatever state earlier steps left; the momentum variant,
-other oracles and ``force_generic`` runs go through the generic
-step-by-step path. Both paths consume the random stream identically and
-leave the optimizer in the same state.
+Each optimizer's ``update`` is written once over an iterate of shape (d,)
+or (L, d), with its state shaped to match, and ``step(pair)`` applies it to
+one pair. ``run`` executes T steps and records the trajectory. On the
+built-in analytic oracles it dispatches to the fused kernels in
+``_kernels``, which continue from whatever state earlier steps left. Every
+other run (the momentum variant, the dataset oracle, user oracles and
+``force_generic`` runs) goes through the lane engine, ``run_lanes``: it
+stacks optimizers that share a kind and parameters along a lane axis and
+steps all lanes of all groups in one loop, so ``harness.run_experiment``
+hands it every (optimizer x repetition) run that takes no kernel at once.
+Lanes on one repetition stream share its pair draws, which are taken in
+chunks. All paths consume the random streams identically and leave the
+optimizers in the same state.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from . import _kernels
-from .core import RngStream, Trajectory, check_fields, dot, field_problems, sq_norm, vector
+from .core import RngStream, Trajectory, check_fields, field_problems, row_dot, vector
 from .online import DEFAULT_ALPHA, CoordFtrlState, FtrlState, RegretLedger
 from .oracles import (
     GradientPair,
@@ -48,6 +56,8 @@ __all__ = [
     "OPTIMIZER_KINDS",
     "RunResult",
     "run",
+    "run_lanes",
+    "takes_kernel",
 ]
 
 @dataclass(frozen=True)
@@ -60,25 +70,52 @@ class StepReport:
     surrogate_value: Optional[float] = None
 
 
+def _col(v):
+    """A per-lane scalar (shape () or (L,)) as a column that scales rows of (d,) or (L, d)."""
+    return np.asarray(v)[..., None]
+
+
+def _ratio(num, den):
+    """num / den where den > 0, else 0.0 (a NaN den included), elementwise."""
+    den = np.asarray(den)
+    out = np.zeros(np.broadcast(num, den).shape)
+    return np.divide(num, den, out=out, where=den > 0.0)[()]
+
+
 class Optimizer:
-    """Stateful optimizer over a dense iterate; one transition per pair."""
+    """Stateful optimizer over a dense iterate; one transition per pair.
+
+    The iterate ``x`` has shape (d,), or (L, d) for L lanes stacked by
+    ``run_lanes``; ``update`` is written for both.
+    """
 
     kind: str
-    # (kernel name, attributes passed in, state attributes), or None when the
-    # kind has no fused kernel. The state attributes are passed in after the
-    # others and the kernel's final values of them are written back, so a
+    # Attributes, besides x, that stepping changes (dotted for nested ones).
+    state: tuple = ()
+    # (kernel name, parameter attributes), or None when the kind has no
+    # fused kernel. The kernel takes the parameters, then the state
+    # attributes, and its final values of them are written back, so a
     # kernel continues from whatever state earlier steps left.
     kernel: Optional[tuple] = None
+    # Gradients of each pair the update uses: g only (1) or g and g' (2).
+    g_pair_consumed = 1
 
     def __init__(self, x0):
         self.x = vector(x0).copy()
 
     @property
     def dim(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-1]
+
+    def update(self, g: np.ndarray, g_prime: np.ndarray):
+        """Take one step on every lane; return (stepsize(s), surrogate loss or None)."""
+        raise NotImplementedError
 
     def step(self, pair: GradientPair) -> StepReport:
-        raise NotImplementedError
+        self._check_pair(pair)
+        eta, loss = self.update(pair.g, pair.g_prime)
+        return StepReport(eta_used=eta, g_pair_consumed=self.g_pair_consumed,
+                          surrogate_value=loss)
 
     def _check_pair(self, pair: GradientPair):
         if pair.dim != self.dim:
@@ -94,8 +131,9 @@ class Sgdol(Optimizer):
     """
 
     kind = "sgdol_global"
-    kernel = ("sgdol_global", ("M", "alpha", "ftrl.curvature_scale", "logs_regret"),
-              ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t"))
+    state = ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t")
+    kernel = ("sgdol_global", ("M", "alpha", "ftrl.curvature_scale", "logs_regret"))
+    g_pair_consumed = 2
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA,
                  curvature_scale: float = 1.0, ledger: Optional[RegretLedger] = None):
@@ -116,24 +154,25 @@ class Sgdol(Optimizer):
         """True when every step is recorded into ``ledger``."""
         return self.ledger is not None
 
-    def step(self, pair: GradientPair) -> StepReport:
-        self._check_pair(pair)
+    def update(self, g, g_prime):
         eta = self.ftrl.stepsize()
-        self.x = self.x - eta * pair.g
-        b = dot(pair.g, pair.g_prime)
-        a = sq_norm(pair.g)
+        self.x = self.x - _col(eta) * g
+        b = row_dot(g, g_prime)
+        a = row_dot(g, g)
         loss = 0.5 * self.ftrl.curvature_scale * self.M * eta * eta * a - eta * b
         if self.ledger is not None:
-            self.ledger.record(eta, b, a, sq_norm(pair.g_prime))
+            self.ledger.record_arrays(eta, b, a, row_dot(g_prime, g_prime))
         self.ftrl.observe_stats(b, a)
-        return StepReport(eta_used=eta, g_pair_consumed=2, surrogate_value=loss)
+        return eta, loss
 
 
 class SgdolCoord(Optimizer):
     """SGDOL with one independent FTRL stepsize learner per coordinate."""
 
     kind = "sgdol_coord"
-    kernel = ("sgdol_coord", ("M", "alpha"), ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t"))
+    state = ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t")
+    kernel = ("sgdol_coord", ("M", "alpha"))
+    g_pair_consumed = 2
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA):
         super().__init__(x0)
@@ -147,15 +186,14 @@ class SgdolCoord(Optimizer):
     def alpha(self) -> float:
         return self.ftrl.alpha
 
-    def step(self, pair: GradientPair) -> StepReport:
-        self._check_pair(pair)
+    def update(self, g, g_prime):
         eta = self.ftrl.stepsize()
-        self.x = self.x - eta * pair.g
-        b = pair.g * pair.g_prime
-        a = pair.g * pair.g
-        loss = float(np.sum(0.5 * self.M * eta * eta * a - eta * b))
+        self.x = self.x - eta * g
+        b = g * g_prime
+        a = g * g
+        loss = np.sum(0.5 * self.M * eta * eta * a - eta * b, axis=-1)
         self.ftrl.observe_stats(b, a)
-        return StepReport(eta_used=eta, g_pair_consumed=2, surrogate_value=loss)
+        return eta, loss
 
 
 class SgdolMomentum(Optimizer):
@@ -170,6 +208,9 @@ class SgdolMomentum(Optimizer):
     """
 
     kind = "sgdol_momentum"
+    state = ("ftrl_eta.sum_inner", "ftrl_eta.sum_sq", "ftrl_eta.t",
+             "ftrl_beta.sum_inner", "ftrl_beta.sum_sq", "ftrl_beta.t", "z")
+    g_pair_consumed = 2
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA, clamp_beta: bool = False):
         super().__init__(x0)
@@ -177,6 +218,7 @@ class SgdolMomentum(Optimizer):
         self.ftrl_beta = FtrlState(alpha=alpha, M=M, curvature_scale=2.0)
         self.z = np.zeros(self.dim)
         self.clamp_beta = clamp_beta
+        self.beta = None  # the momentum stepsize of the last step
 
     @property
     def M(self) -> float:
@@ -186,40 +228,41 @@ class SgdolMomentum(Optimizer):
     def alpha(self) -> float:
         return self.ftrl_eta.alpha
 
-    def step(self, pair: GradientPair) -> StepReport:
-        self._check_pair(pair)
+    def update(self, g, g_prime):
         eta = self.ftrl_eta.stepsize()
         beta = 0.0 if self.clamp_beta else self.ftrl_beta.stepsize()
         z_old = self.z
-        self.x = self.x - eta * pair.g - beta * z_old
-        b_eta = dot(pair.g, pair.g_prime)
-        a_eta = sq_norm(pair.g)
-        b_beta = dot(z_old, pair.g_prime)
-        a_beta = sq_norm(z_old)
+        self.x = self.x - _col(eta) * g - _col(beta) * z_old
+        b_eta = row_dot(g, g_prime)
+        a_eta = row_dot(g, g)
+        b_beta = row_dot(z_old, g_prime)
+        a_beta = row_dot(z_old, z_old)
         M = self.M
         loss = (M * eta * eta * a_eta - eta * b_eta) + (M * beta * beta * a_beta - beta * b_beta)
-        decay = beta / eta if eta > 0.0 else 0.0
-        self.z = decay * z_old + pair.g
+        self.z = _col(_ratio(beta, eta)) * z_old + g
         self.ftrl_eta.observe_stats(b_eta, a_eta)
         self.ftrl_beta.observe_stats(b_beta, a_beta)
-        return StepReport(eta_used=eta, beta_used=beta, g_pair_consumed=2, surrogate_value=loss)
+        self.beta = beta
+        return eta, loss
+
+    def step(self, pair: GradientPair) -> StepReport:
+        return replace(super().step(pair), beta_used=self.beta)
 
 
 class Sgd(Optimizer):
     """Plain SGD with a constant stepsize; uses only g from each pair."""
 
     kind = "sgd"
-    kernel = ("sgd", ("lr",), ())
+    kernel = ("sgd", ("lr",))
 
     def __init__(self, x0, lr: float):
         super().__init__(x0)
         check_fields(lr=lr)
         self.lr = lr
 
-    def step(self, pair: GradientPair) -> StepReport:
-        self._check_pair(pair)
-        self.x = self.x - self.lr * pair.g
-        return StepReport(eta_used=self.lr, g_pair_consumed=1)
+    def update(self, g, g_prime):
+        self.x = self.x - self.lr * g
+        return self.lr, None
 
 
 class AdaGradGlobal(Optimizer):
@@ -230,7 +273,8 @@ class AdaGradGlobal(Optimizer):
     """
 
     kind = "adagrad_global"
-    kernel = ("adagrad_global", ("lr",), ("accum",))
+    state = ("accum",)
+    kernel = ("adagrad_global", ("lr",))
 
     def __init__(self, x0, lr: float):
         super().__init__(x0)
@@ -238,19 +282,19 @@ class AdaGradGlobal(Optimizer):
         self.lr = lr
         self.accum = 0.0
 
-    def step(self, pair: GradientPair) -> StepReport:
-        self._check_pair(pair)
-        self.accum += sq_norm(pair.g)
-        coef = self.lr / math.sqrt(self.accum) if self.accum > 0.0 else 0.0
-        self.x = self.x - coef * pair.g
-        return StepReport(eta_used=coef, g_pair_consumed=1)
+    def update(self, g, g_prime):
+        self.accum = self.accum + row_dot(g, g)
+        coef = _ratio(self.lr, np.sqrt(self.accum))
+        self.x = self.x - _col(coef) * g
+        return coef, None
 
 
 class AdaGradCoord(Optimizer):
     """AdaGrad with per-coordinate accumulators."""
 
     kind = "adagrad_coord"
-    kernel = ("adagrad_coord", ("lr",), ("accum",))
+    state = ("accum",)
+    kernel = ("adagrad_coord", ("lr",))
 
     def __init__(self, x0, lr: float):
         super().__init__(x0)
@@ -258,21 +302,19 @@ class AdaGradCoord(Optimizer):
         self.lr = lr
         self.accum = np.zeros(self.dim)
 
-    def step(self, pair: GradientPair) -> StepReport:
-        self._check_pair(pair)
-        self.accum += pair.g * pair.g
-        coef = np.zeros(self.dim)
-        nz = self.accum > 0.0
-        coef[nz] = self.lr / np.sqrt(self.accum[nz])
-        self.x = self.x - coef * pair.g
-        return StepReport(eta_used=coef, g_pair_consumed=1)
+    def update(self, g, g_prime):
+        self.accum = self.accum + g * g
+        coef = _ratio(self.lr, np.sqrt(self.accum))
+        self.x = self.x - coef * g
+        return coef, None
 
 
 class Adam(Optimizer):
     """Adam with standard bias-corrected first and second moments."""
 
     kind = "adam"
-    kernel = ("adam", ("lr", "beta1", "beta2", "eps"), ("m", "v", "_p1", "_p2"))
+    state = ("m", "v", "_p1", "_p2")
+    kernel = ("adam", ("lr", "beta1", "beta2", "eps"))
 
     def __init__(self, x0, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -287,17 +329,15 @@ class Adam(Optimizer):
         self._p1 = 1.0
         self._p2 = 1.0
 
-    def step(self, pair: GradientPair) -> StepReport:
-        self._check_pair(pair)
-        g = pair.g
-        self._p1 *= self.beta1
-        self._p2 *= self.beta2
-        bc1 = 1.0 - self._p1
-        bc2 = 1.0 - self._p2
+    def update(self, g, g_prime):
+        self._p1 = self._p1 * self.beta1
+        self._p2 = self._p2 * self.beta2
+        bc1 = _col(1.0 - self._p1)
+        bc2 = _col(1.0 - self._p2)
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
         self.x = self.x - self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
-        return StepReport(eta_used=math.nan, g_pair_consumed=1)
+        return math.nan, None
 
 
 class SgdGhadimiLan(Sgd):
@@ -405,6 +445,30 @@ def _analytic_params(oracle: StochasticOracle):
     return None
 
 
+def takes_kernel(optimizer: Optimizer, oracle: StochasticOracle,
+                 force_generic: bool = False) -> bool:
+    """Whether ``run`` steps this optimizer on this oracle with a fused kernel.
+
+    Every other run goes through the lane engine (``run_lanes``).
+    """
+    return (not force_generic and optimizer.kernel is not None
+            and _analytic_params(oracle) is not None)
+
+
+def _schedule(groups, oracle, T, report_every, output_rngs):
+    """Check a run's arguments; return the record stride and each run's output index k."""
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    for optimizer in (opt for group in groups for opt in group):
+        if optimizer.dim != oracle.dim:
+            raise ValueError(f"optimizer dim {optimizer.dim} != oracle dim {oracle.dim}")
+    stride = max(1, T // 500) if report_every is None else int(report_every)
+    if stride < 1:
+        raise ValueError(f"report_every must be >= 1, got {report_every}")
+    ks = [[int(stream.generator().integers(1, T + 1)) for stream in row] for row in output_rngs]
+    return stride, ks
+
+
 def run(
     optimizer: Optimizer,
     oracle: StochasticOracle,
@@ -423,94 +487,183 @@ def run(
     ``record_regret`` attaches a new record-keeping ledger to the optimizer
     and returns it with the result.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if optimizer.dim != oracle.dim:
-        raise ValueError(f"optimizer dim {optimizer.dim} != oracle dim {oracle.dim}")
+    out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
+    stride, [[k]] = _schedule([[optimizer]], oracle, T, report_every, [[out_stream]])
     if record_regret and optimizer.kind != "sgdol_global":
         raise ValueError("record_regret is only supported for sgdol_global runs")
-    stride = max(1, T // 500) if report_every is None else int(report_every)
-    if stride < 1:
-        raise ValueError(f"report_every must be >= 1, got {report_every}")
-
-    out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
-    k = int(out_stream.generator().integers(1, T + 1))
 
     ledger = None
     if record_regret:
         ledger = optimizer.ledger = RegretLedger(
             optimizer.alpha, optimizer.M, keep_records=True,
             curvature_scale=optimizer.ftrl.curvature_scale)
-    params = _analytic_params(oracle)
-    if params is not None and not force_generic and optimizer.kernel is not None:
-        return _run_kernel(optimizer, params, T, rng, stride, k, ledger)
-    return _run_generic(optimizer, oracle, T, rng, stride, k, ledger)
+    if takes_kernel(optimizer, oracle, force_generic):
+        return _run_kernel(optimizer, _analytic_params(oracle), T, rng, stride, k, ledger)
+    [[result]] = run_lanes([[optimizer]], oracle, T, [rng], [[out_stream]], report_every)
+    result.ledger = ledger
+    return result
 
 
 def _kernel_args(optimizer: Optimizer):
     """The optimizer's kernel name, and its parameters then state in kernel order."""
-    name, inputs, state = optimizer.kernel
-    return name, [attrgetter(attr)(optimizer) for attr in inputs + state]
+    name, inputs = optimizer.kernel
+    return name, [attrgetter(attr)(optimizer) for attr in inputs + optimizer.state]
+
+
+def _set_attr(obj, attr: str, value):
+    owner, _, leaf = attr.rpartition(".")
+    setattr(attrgetter(owner)(obj) if owner else obj, leaf, value)
 
 
 def _run_kernel(optimizer, params, T, rng, stride, k, ledger):
     oracle_id, diag, sigma = params
     name, args = _kernel_args(optimizer)
-    state = optimizer.kernel[2]
     # One bulk draw consumes the stream exactly like T per-step pair draws.
     noise = rng.generator().standard_normal((T, 2, optimizer.dim))
     x = optimizer.x  # mutated in place by the kernel
     out = _kernels.get_kernel(name)(oracle_id, diag, x, T, sigma, noise, k, stride, *args)
     *series, coords, xk = out[:8]
-    for attr, value in zip(state, out[8:]):
-        owner, _, leaf = attr.rpartition(".")
-        setattr(attrgetter(owner)(optimizer) if owner else optimizer, leaf, value)
-    steps = out[8 + len(state):]  # per-step regret statistics, sgdol_global only
+    for attr, value in zip(optimizer.state, out[8:]):
+        _set_attr(optimizer, attr, value)
+    steps = out[8 + len(optimizer.state):]  # per-step regret statistics, sgdol_global only
     if steps and optimizer.logs_regret:
         optimizer.ledger.record_arrays(*steps)
     traj = Trajectory(*series, stepsize_coords=coords if coords.shape[1] else None)
     return RunResult(traj, k, xk, x.copy(), ledger)
 
 
-def _run_generic(optimizer, oracle, T, rng, stride, k, ledger):
-    gen = rng.generator()
+# Pairs drawn ahead from each oracle stream at a time: 64 pairs of two
+# 50-row minibatches are 51 kB of indices, of d=100 Gaussian noise 102 kB.
+_DRAW_CHUNK = 64
+
+
+def _clone(obj):
+    """A shallow copy. Unlike ``copy.copy`` it caches nothing on the class."""
+    twin = object.__new__(type(obj))
+    twin.__dict__.update(vars(obj))
+    return twin
+
+
+def _stack(optimizers: Sequence[Optimizer]) -> Optimizer:
+    """One optimizer whose x and state stack those of ``optimizers`` on a lane axis.
+
+    Its parameters are the first optimizer's; so is its ledger, which can
+    only follow a single lane.
+    """
+    first = optimizers[0]
+    if any(type(o) is not type(first) for o in optimizers):
+        raise ValueError("the optimizers of one lane group must share a kind")
+    if len(optimizers) > 1 and any(getattr(o, "ledger", None) is not None for o in optimizers):
+        raise ValueError("a regret ledger follows a single run, not stacked lanes")
+    lanes = _clone(first)
+    for owner in {attr.rpartition(".")[0] for attr in first.state} - {""}:
+        setattr(lanes, owner, _clone(getattr(first, owner)))
+    for attr in ("x",) + first.state:
+        _set_attr(lanes, attr, np.stack([attrgetter(attr)(o) for o in optimizers]))
+    return lanes
+
+
+def _unstack(lanes: Optimizer, optimizers: Sequence[Optimizer]):
+    """Write each lane's x and state back to its optimizer."""
+    for attr in ("x",) + lanes.state:
+        for optimizer, value in zip(optimizers, attrgetter(attr)(lanes)):
+            _set_attr(optimizer, attr, value.copy() if value.ndim else value.item())
+
+
+def run_lanes(
+    groups: Sequence[Sequence[Optimizer]],
+    oracle: StochasticOracle,
+    T: int,
+    rngs: Sequence[RngStream],
+    output_rngs: Sequence[Sequence[RngStream]],
+    report_every: Optional[int] = None,
+) -> List[List[RunResult]]:
+    """Run every optimizer in ``groups`` for T steps, all in one loop.
+
+    ``groups[i][r]`` draws its pairs from the oracle stream ``rngs[r]``,
+    shared with the r-th optimizer of every other group, and its output
+    index from ``output_rngs[i][r]``. The optimizers of one group share a
+    kind and parameters; their iterates and state may differ. Returns
+    ``results[i][r]``, equal bit for bit to ``run(groups[i][r], oracle, T,
+    rngs[r], report_every, output_rng=output_rngs[i][r],
+    force_generic=True)``, and leaves each optimizer in the state that run
+    would.
+
+    Each step stacks the iterates of the G groups of R lanes as X of shape
+    (G, R, d), records f and ||grad f||^2 at X on record steps, gets every
+    pair from one ``oracle.pairs`` call and applies each group's ``update``
+    to its lanes.
+    """
+    if any(len(group) != len(rngs) for group in groups):
+        raise ValueError("every group needs one optimizer per oracle stream")
+    stride, ks = _schedule(groups, oracle, T, report_every, output_rngs)
+    if not groups:
+        return []
+    gens = [rng.generator() for rng in rngs]
+    stacks = [_stack(group) for group in groups]
+    coord = [isinstance(s, (SgdolCoord, AdaGradCoord)) for s in stacks]
+    n_groups, n_streams = len(groups), len(rngs)
     n_rec = (T + stride - 1) // stride
-    rec_t = np.empty(n_rec, np.int64)
-    rec_f = np.empty(n_rec) if oracle.exact_f else None
-    rec_gsq = np.empty(n_rec) if oracle.exact_grad else None
-    rec_eta = np.empty(n_rec)
-    coord = isinstance(optimizer, (SgdolCoord, AdaGradCoord))
-    rec_eta_coords = np.empty((n_rec, optimizer.dim)) if coord else None
-    rec_surr = np.empty(n_rec)
-    rec_cum = np.empty(n_rec)
+    shape = (n_rec, n_groups, n_streams)
+    rec_f = np.empty(shape) if oracle.exact_f else None
+    rec_gsq = np.empty(shape) if oracle.exact_grad else None
+    rec_eta = np.empty(shape)
+    rec_coords = [np.empty((n_rec, n_streams, oracle.dim)) if c else None for c in coord]
+    rec_surr = np.zeros(shape)
+    rec_cum = np.zeros(shape)
+    cum = np.zeros((n_groups, n_streams))
+    captures = defaultdict(list)  # t -> lanes whose output iterate is x_t
+    for i, row in enumerate(ks):
+        for r, k in enumerate(row):
+            captures[k].append((i, r))
+    x_k = {}
 
-    cum = 0.0
-    ri = 0
-    x_k = None
-    for t in range(1, T + 1):
-        if t == k:
-            x_k = optimizer.x.copy()
-        rec_here = (t - 1) % stride == 0
-        if rec_here:
-            if rec_f is not None:
-                rec_f[ri] = oracle.f(optimizer.x)
-            if rec_gsq is not None:
-                rec_gsq[ri] = sq_norm(oracle.grad(optimizer.x))
-        pair = oracle.sample_pair(optimizer.x, gen)
-        report = optimizer.step(pair)
-        loss = report.surrogate_value if report.surrogate_value is not None else 0.0
-        cum += loss
-        if rec_here:
-            rec_t[ri] = t
-            if coord:
-                rec_eta_coords[ri] = report.eta_used
-                rec_eta[ri] = float(np.mean(report.eta_used))
-            else:
-                rec_eta[ri] = report.eta_used
-            rec_surr[ri] = loss
-            rec_cum[ri] = cum
-            ri += 1
+    try:
+        for t in range(1, T + 1):
+            j = (t - 1) % _DRAW_CHUNK
+            if j == 0:
+                n = min(_DRAW_CHUNK, T - t + 1)
+                draws = np.stack([oracle.draw(gen, n) for gen in gens], axis=1)
+            X = np.array([lanes.x for lanes in stacks])
+            for i, r in captures.get(t, ()):
+                x_k[i, r] = X[i, r].copy()
+            ri, off = divmod(t - 1, stride)
+            record = off == 0
+            if record:
+                f, grad = oracle.record_lanes(X)
+                if f is not None:
+                    rec_f[ri] = f
+                if grad is not None:
+                    rec_gsq[ri] = row_dot(grad, grad)
+            pairs = oracle.pairs(X, draws[j])
+            if not np.isfinite(pairs).all():
+                raise ValueError("gradient pair entries must be finite")
+            for i, lanes in enumerate(stacks):
+                eta, loss = lanes.update(pairs[i, :, 0], pairs[i, :, 1])
+                if loss is not None:
+                    cum[i] += loss
+                if record:
+                    if coord[i]:
+                        rec_coords[i][ri] = eta
+                        eta = np.mean(eta, axis=-1)
+                    rec_eta[ri, i] = eta
+                    if loss is not None:
+                        rec_surr[ri, i] = loss
+                        rec_cum[ri, i] = cum[i]
+    finally:
+        # Even when a lane diverges, each optimizer keeps the steps taken.
+        for lanes, group in zip(stacks, groups):
+            _unstack(lanes, group)
 
-    traj = Trajectory(rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum,
-                      stepsize_coords=rec_eta_coords)
-    return RunResult(traj, k, x_k, optimizer.x.copy(), ledger)
+    rec_t = np.arange(1, T + 1, stride, dtype=np.int64)
+    series = (rec_f, rec_gsq, rec_eta, rec_surr, rec_cum)
+    results = []
+    for i, group in enumerate(groups):
+        results.append([
+            RunResult(Trajectory(rec_t.copy(),
+                                 *(None if s is None else s[:, i, r].copy() for s in series),
+                                 stepsize_coords=None if rec_coords[i] is None
+                                 else rec_coords[i][:, r].copy()),
+                      ks[i][r], x_k[i, r], optimizer.x.copy())
+            for r, optimizer in enumerate(group)])
+    return results

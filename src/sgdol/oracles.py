@@ -62,6 +62,11 @@ class StochasticOracle:
     Subclasses set ``dim`` and capability flags, and may attach metadata used
     only by diagnostics: ``smoothness`` (gradient Lipschitz constant),
     ``f_star`` (known infimum), ``pl_constant``.
+
+    The step engine in ``optimizers`` works on stacked query points through
+    ``record_lanes``, ``draw`` and ``pairs``. The defaults here serve an
+    oracle that implements only ``f``, ``grad`` and ``sample_pair``, one
+    query point at a time.
     """
 
     dim: int
@@ -84,6 +89,38 @@ class StochasticOracle:
         if x.shape != (self.dim,):
             raise ValueError(f"query point has shape {x.shape}, oracle dim is {self.dim}")
 
+    def record_lanes(self, X: np.ndarray):
+        """(f, exact gradient) at every row of X, shape (..., dim).
+
+        Either is None when the oracle does not expose it. This default
+        evaluates one row at a time.
+        """
+        rows = X.reshape(-1, self.dim)
+        f = np.array([self.f(x) for x in rows]).reshape(X.shape[:-1]) if self.exact_f else None
+        grad = np.array([self.grad(x) for x in rows]).reshape(X.shape) if self.exact_grad else None
+        return f, grad
+
+    def draw(self, rng: Generator, n: int) -> np.ndarray:
+        """The randomness of the next n pairs from rng, one entry per pair.
+
+        By default nothing is drawn ahead: every entry is rng itself, and
+        ``pairs`` draws from it through ``sample_pair``.
+        """
+        return np.full(n, rng, dtype=object)
+
+    def pairs(self, X: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """The pairs at every row of X from one entry of each of R streams.
+
+        X has shape (..., R, dim) and ``noise`` stacks one ``draw`` entry per
+        stream, so lanes on one stream share its draw. The result has shape
+        (..., R, 2, dim): g at index 0 of the pair axis, g' at index 1. The
+        default serves a single lane.
+        """
+        if X.size != self.dim:
+            raise ValueError("an oracle without its own pairs() takes one query point a step")
+        pair = self.sample_pair(X.reshape(self.dim), noise.flat[0])
+        return np.stack((pair.g, pair.g_prime)).reshape(X.shape[:-1] + (2, self.dim))
+
     # Vectorized helpers for Monte Carlo verification; subclasses override
     # with faster versions where it matters.
 
@@ -100,39 +137,75 @@ class StochasticOracle:
         return gs, gps
 
 
+class _LaneOracle(StochasticOracle):
+    """A built-in oracle: written over stacked query points, randomness drawn ahead.
+
+    Subclasses define ``f_lanes`` and ``grad_lanes`` (at every row of an
+    array of shape (..., dim)), ``draw`` and ``pairs``; the one-point
+    methods here apply them to a single query point, so a
+    pair from ``sample_pair`` equals that lane's pair in the step engine bit
+    for bit, and consumes the stream alike.
+    """
+
+    exact_f = True
+    exact_grad = True
+
+    def f(self, x: np.ndarray) -> float:
+        self._check_dim(x)
+        return float(self.f_lanes(x))
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        self._check_dim(x)
+        return self.grad_lanes(x)
+
+    def sample_pair(self, x: np.ndarray, rng: Generator) -> GradientPair:
+        self._check_dim(x)
+        pair = self.pairs(x[None], self.draw(rng, 1))[0]
+        return GradientPair(pair[0], pair[1])
+
+    def record_lanes(self, X: np.ndarray):
+        return self.f_lanes(X), self.grad_lanes(X)
+
+
 # ----------------------------------------------------------------------------
 # Analytic objectives with additive Gaussian noise
 # ----------------------------------------------------------------------------
 
 
-def rosenbrock_f(x: np.ndarray) -> float:
-    """Rosenbrock banana: (1-x1)^2 + 100*(x2-x1^2)^2, minimum 0 at (1, 1)."""
-    if x.shape != (2,):
+def _rosenbrock_coords(x: np.ndarray):
+    """(x1, x2): numpy scalars at a point of shape (2,), arrays for shape (..., 2)."""
+    if x.shape[-1:] != (2,):
         raise ValueError(f"rosenbrock is 2-D, got shape {x.shape}")
-    a = 1.0 - x[0]
-    c = x[1] - x[0] * x[0]
-    return float(a * a + 100.0 * (c * c))
+    return x[..., 0][()], x[..., 1][()]
+
+
+def rosenbrock_f(x: np.ndarray) -> float:
+    """Rosenbrock banana: (1-x1)^2 + 100*(x2-x1^2)^2, minimum 0 at (1, 1).
+
+    At a point of shape (2,), or at every row of an array of shape (..., 2).
+    """
+    x1, x2 = _rosenbrock_coords(x)
+    a = 1.0 - x1
+    c = x2 - x1 * x1
+    return a * a + 100.0 * (c * c)
 
 
 def rosenbrock_grad(x: np.ndarray) -> np.ndarray:
-    """Analytic Rosenbrock gradient."""
-    if x.shape != (2,):
-        raise ValueError(f"rosenbrock is 2-D, got shape {x.shape}")
-    c = x[1] - x[0] * x[0]
-    gx = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * c
-    gy = 200.0 * c
-    return np.array([gx, gy])
+    """Analytic Rosenbrock gradient, at a point or at every row like ``rosenbrock_f``."""
+    x1, x2 = _rosenbrock_coords(x)
+    c = x2 - x1 * x1
+    grad = np.empty(x.shape)
+    grad[..., 0] = -2.0 * (1.0 - x1) - 400.0 * x1 * c
+    grad[..., 1] = 200.0 * c
+    return grad
 
 
-class _AnalyticNoiseOracle(StochasticOracle):
+class _AnalyticNoiseOracle(_LaneOracle):
     """Exact objective plus independent additive Gaussian noise on each sample.
 
     Each query draws two fresh noise vectors, so the pair is conditionally
     independent given the query point and both components are unbiased.
     """
-
-    exact_f = True
-    exact_grad = True
 
     def __init__(self, dim: int, sigma):
         self.dim = dim
@@ -145,21 +218,19 @@ class _AnalyticNoiseOracle(StochasticOracle):
             raise ValueError("noise levels must be >= 0")
         self.sigma = sig
 
-    def sample_pair(self, x: np.ndarray, rng: Generator) -> GradientPair:
-        self._check_dim(x)
-        grad = self.grad(x)
-        eps = rng.standard_normal((2, self.dim))
-        g = grad + self.sigma * eps[0]
-        gp = grad + self.sigma * eps[1]
-        return GradientPair(g, gp)
+    def draw(self, rng: Generator, n: int) -> np.ndarray:
+        return rng.standard_normal((n, 2, self.dim))
+
+    def pairs(self, X: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        return self.grad_lanes(X)[..., None, :] + self.sigma * noise
 
     def sample_pairs(self, x: np.ndarray, n: int, rng: Generator) -> Tuple[np.ndarray, np.ndarray]:
         self._check_dim(x)
-        grad = self.grad(x)
-        eps = rng.standard_normal((n, 2, self.dim))
-        gs = grad + self.sigma * eps[:, 0, :]
-        gps = grad + self.sigma * eps[:, 1, :]
-        return gs, gps
+        pairs = self.pairs(x, self.draw(rng, n))  # the n draws broadcast against one x
+        return pairs[:, 0].copy(), pairs[:, 1].copy()
+
+    def f_many(self, xs: np.ndarray) -> np.ndarray:
+        return self.f_lanes(xs)
 
 
 class RosenbrockOracle(_AnalyticNoiseOracle):
@@ -175,16 +246,11 @@ class RosenbrockOracle(_AnalyticNoiseOracle):
         super().__init__(2, sigma)
         self.smoothness = smoothness
 
-    def f(self, x: np.ndarray) -> float:
-        return rosenbrock_f(x)
+    def f_lanes(self, X: np.ndarray) -> np.ndarray:
+        return rosenbrock_f(X)
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return rosenbrock_grad(x)
-
-    def f_many(self, xs: np.ndarray) -> np.ndarray:
-        a = 1.0 - xs[:, 0]
-        c = xs[:, 1] - xs[:, 0] * xs[:, 0]
-        return a * a + 100.0 * (c * c)
+    def grad_lanes(self, X: np.ndarray) -> np.ndarray:
+        return rosenbrock_grad(X)
 
 
 class QuadraticOracle(_AnalyticNoiseOracle):
@@ -205,16 +271,11 @@ class QuadraticOracle(_AnalyticNoiseOracle):
         self.smoothness = float(np.max(diag))
         self.pl_constant = float(np.min(diag))
 
-    def f(self, x: np.ndarray) -> float:
-        self._check_dim(x)
-        return 0.5 * float(np.sum(self.diag * (x * x)))
+    def f_lanes(self, X: np.ndarray) -> np.ndarray:
+        return 0.5 * np.sum(self.diag * (X * X), axis=-1)
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        self._check_dim(x)
-        return self.diag * x
-
-    def f_many(self, xs: np.ndarray) -> np.ndarray:
-        return 0.5 * ((xs * xs) @ self.diag)
+    def grad_lanes(self, X: np.ndarray) -> np.ndarray:
+        return self.diag * X
 
 
 # ----------------------------------------------------------------------------
@@ -266,36 +327,47 @@ class Dataset:
         )
 
 
+def _residuals(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    # A stacked matmul is one gemv per query point, so each row's residuals
+    # equal features @ x for that row bit for bit (a single gemm would not).
+    return np.matmul(features, x[..., None])[..., 0] - labels
+
+
 def sigmoid_loss_f(x: np.ndarray, data: Dataset) -> float:
-    """Mean of phi(a_i . x - y_i) over all rows."""
+    """Mean of phi(a_i . x - y_i) over all rows, at x or at every row of (..., d)."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    if x.shape != (data.n_features,):
+    if x.shape[-1:] != (data.n_features,):
         raise ValueError(f"x has shape {x.shape}, dataset has {data.n_features} features")
-    r = data.features @ x - data.labels
-    return float(np.mean(sigmoid_phi(r)))
+    return np.mean(sigmoid_phi(_residuals(x, data.features, data.labels)), axis=-1)
 
 
 def sigmoid_loss_grad(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of the mean sigmoid-type loss over the given rows."""
-    if features.shape[0] == 0:
+    """Gradient of the mean sigmoid-type loss over the given rows.
+
+    ``features`` (..., B, d) and ``labels`` (..., B) broadcast against the
+    query points ``x`` (..., d): one gradient per stacked query point and
+    row subset.
+    """
+    if features.shape[-2] == 0:
         raise ValueError("gradient over an empty row subset")
-    r = features @ x - labels
+    return _grad_from_residuals(_residuals(x, features, labels), features)
+
+
+def _grad_from_residuals(r: np.ndarray, features: np.ndarray) -> np.ndarray:
     w = sigmoid_phi_prime(r)
-    return (w @ features) / features.shape[0]
+    return np.matmul(w[..., None, :], features)[..., 0, :] / features.shape[-2]
 
 
-class SigmoidLossOracle(StochasticOracle):
+class SigmoidLossOracle(_LaneOracle):
     """Minibatch oracle for the sigmoid-type classification loss.
 
     Each half of a pair is the gradient over its own minibatch of rows drawn
     i.i.d. with replacement, so the two halves are independent and unbiased.
     batch_size equal to the dataset size short-circuits to the deterministic
-    full-batch gradient for both halves (zero sampling noise).
+    full-batch gradient for both halves (zero sampling noise) and draws
+    nothing.
     """
-
-    exact_f = True
-    exact_grad = True
 
     def __init__(self, data: Dataset, batch_size: int, smoothness: Optional[float] = None):
         if not 1 <= batch_size <= len(data):
@@ -309,25 +381,34 @@ class SigmoidLossOracle(StochasticOracle):
             smoothness = 2.0 * float(np.mean(np.sum(data.features**2, axis=1)))
         self.smoothness = smoothness
 
-    def f(self, x: np.ndarray) -> float:
-        return sigmoid_loss_f(x, self.data)
+    @property
+    def full_batch(self) -> bool:
+        return self.batch_size == len(self.data)
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        self._check_dim(x)
-        return sigmoid_loss_grad(x, self.data.features, self.data.labels)
+    def f_lanes(self, X: np.ndarray) -> np.ndarray:
+        return sigmoid_loss_f(X, self.data)
 
-    def _batch_grad(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return sigmoid_loss_grad(x, self.data.features[idx], self.data.labels[idx])
+    def grad_lanes(self, X: np.ndarray) -> np.ndarray:
+        return sigmoid_loss_grad(X, self.data.features, self.data.labels)
 
-    def sample_pair(self, x: np.ndarray, rng: Generator) -> GradientPair:
-        self._check_dim(x)
-        m = len(self.data)
-        if self.batch_size == m:
-            g = self.grad(x)
-            return GradientPair(g, g.copy())
-        idx = rng.integers(0, m, size=self.batch_size)
-        idx2 = rng.integers(0, m, size=self.batch_size)
-        return GradientPair(self._batch_grad(x, idx), self._batch_grad(x, idx2))
+    def record_lanes(self, X: np.ndarray):
+        # f and grad share the residuals, which both would compute alike.
+        r = _residuals(X, self.data.features, self.data.labels)
+        return np.mean(sigmoid_phi(r), axis=-1), _grad_from_residuals(r, self.data.features)
+
+    def draw(self, rng: Generator, n: int) -> np.ndarray:
+        """Row indices of both minibatches of each pair, shape (n, 2, batch_size)."""
+        if self.full_batch:
+            return np.empty((n, 0), np.int64)
+        return rng.integers(0, len(self.data), size=(n, 2, self.batch_size))
+
+    def pairs(self, X: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        if self.full_batch:
+            g = self.grad_lanes(X)[..., None, :]
+            return np.concatenate((g, g), axis=-2)
+        # Rows are gathered once per stream and broadcast over its lanes.
+        return sigmoid_loss_grad(X[..., None, :], self.data.features[noise],
+                                 self.data.labels[noise])
 
     def f_many(self, xs: np.ndarray, chunk: int = 8192) -> np.ndarray:
         out = np.empty(xs.shape[0])
@@ -341,7 +422,7 @@ class SigmoidLossOracle(StochasticOracle):
     def sample_pairs(self, x: np.ndarray, n: int, rng: Generator, chunk: int = 2048):
         self._check_dim(x)
         m, b = len(self.data), self.batch_size
-        if b == m:
+        if self.full_batch:
             g = self.grad(x)
             return np.tile(g, (n, 1)), np.tile(g, (n, 1))
         F, y = self.data.features, self.data.labels

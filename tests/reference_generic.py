@@ -1,0 +1,312 @@
+"""The one-run-at-a-time step loop that preceded the lane engine: the bitwise reference.
+
+``reference_run`` is ``sgdol.run`` with ``force_generic=True`` as it was
+before the engine in ``sgdol.optimizers`` replaced it: ``_run_generic``
+below is that loop, unchanged, and it drives reference subclasses whose
+``step``, ``f``, ``grad`` and ``sample_pair`` are the single-point code of
+that time (one ``GradientPair`` and one ``StepReport`` per step, Python
+float state, per-step index and noise draws). ``tests/test_lanes.py``
+requires every lane of an engine run to equal this loop bit for bit. This
+is test code only.
+"""
+
+import copy
+import math
+
+import numpy as np
+
+from sgdol import (
+    AdaGradCoord,
+    AdaGradGlobal,
+    Adam,
+    GradientPair,
+    QuadraticOracle,
+    RegretLedger,
+    RosenbrockOracle,
+    Sgd,
+    SgdGhadimiLan,
+    Sgdol,
+    SgdolCoord,
+    SgdolMomentum,
+    SigmoidLossOracle,
+    StepReport,
+)
+from sgdol.core import Trajectory, dot, sq_norm
+from sgdol.optimizers import RunResult
+from sgdol.oracles import sigmoid_phi, sigmoid_phi_prime
+
+
+def trajectories_equal(r1, r2):
+    """Bitwise equality of two RunResults: iterates, k and every recorded series."""
+    t1, t2 = r1.trajectory, r2.trajectory
+    return (np.array_equal(r1.x_final, r2.x_final)
+            and np.array_equal(r1.x_k, r2.x_k)
+            and r1.k == r2.k
+            and np.array_equal(t1.t, t2.t)
+            and np.array_equal(t1.f_value, t2.f_value)
+            and np.array_equal(t1.true_grad_sq_norm, t2.true_grad_sq_norm)
+            and np.array_equal(t1.stepsize, t2.stepsize, equal_nan=True)
+            and np.array_equal(t1.surrogate_loss_value, t2.surrogate_loss_value)
+            and np.array_equal(t1.cumulative_regret_lhs, t2.cumulative_regret_lhs)
+            and np.array_equal(t1.stepsize_coords, t2.stepsize_coords))
+
+
+# ---------------------------------------------------------------------------
+# Single-point oracle code
+# ---------------------------------------------------------------------------
+
+
+def _analytic_sample_pair(self, x, rng):
+    self._check_dim(x)
+    grad = self.grad(x)
+    eps = rng.standard_normal((2, self.dim))
+    g = grad + self.sigma * eps[0]
+    gp = grad + self.sigma * eps[1]
+    return GradientPair(g, gp)
+
+
+class _RosenbrockReference(RosenbrockOracle):
+    def f(self, x):
+        a = 1.0 - x[0]
+        c = x[1] - x[0] * x[0]
+        return float(a * a + 100.0 * (c * c))
+
+    def grad(self, x):
+        c = x[1] - x[0] * x[0]
+        gx = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * c
+        gy = 200.0 * c
+        return np.array([gx, gy])
+
+    sample_pair = _analytic_sample_pair
+
+
+class _QuadraticReference(QuadraticOracle):
+    def f(self, x):
+        self._check_dim(x)
+        return 0.5 * float(np.sum(self.diag * (x * x)))
+
+    def grad(self, x):
+        self._check_dim(x)
+        return self.diag * x
+
+    sample_pair = _analytic_sample_pair
+
+
+def _sigmoid_grad(x, features, labels):
+    r = features @ x - labels
+    w = sigmoid_phi_prime(r)
+    return (w @ features) / features.shape[0]
+
+
+class _SigmoidReference(SigmoidLossOracle):
+    def f(self, x):
+        r = self.data.features @ x - self.data.labels
+        return float(np.mean(sigmoid_phi(r)))
+
+    def grad(self, x):
+        self._check_dim(x)
+        return _sigmoid_grad(x, self.data.features, self.data.labels)
+
+    def _batch_grad(self, x, idx):
+        return _sigmoid_grad(x, self.data.features[idx], self.data.labels[idx])
+
+    def sample_pair(self, x, rng):
+        self._check_dim(x)
+        m = len(self.data)
+        if self.batch_size == m:
+            g = self.grad(x)
+            return GradientPair(g, g.copy())
+        idx = rng.integers(0, m, size=self.batch_size)
+        idx2 = rng.integers(0, m, size=self.batch_size)
+        return GradientPair(self._batch_grad(x, idx), self._batch_grad(x, idx2))
+
+
+# ---------------------------------------------------------------------------
+# Single-point update rules
+# ---------------------------------------------------------------------------
+
+
+def _ftrl_stepsize(ftrl):
+    raw = (ftrl.alpha + ftrl.sum_inner) / (ftrl.alpha + ftrl.curvature_scale * ftrl.sum_sq) / ftrl.M
+    hi = 2.0 / ftrl.M
+    if raw < 0.0:
+        return 0.0
+    if raw > hi:
+        return hi
+    return raw
+
+
+class _SgdolReference(Sgdol):
+    def step(self, pair):
+        self._check_pair(pair)
+        eta = _ftrl_stepsize(self.ftrl)
+        self.x = self.x - eta * pair.g
+        b = dot(pair.g, pair.g_prime)
+        a = sq_norm(pair.g)
+        loss = 0.5 * self.ftrl.curvature_scale * self.M * eta * eta * a - eta * b
+        if self.ledger is not None:
+            self.ledger.record(eta, b, a, sq_norm(pair.g_prime))
+        self.ftrl.observe_stats(b, a)
+        return StepReport(eta_used=eta, g_pair_consumed=2, surrogate_value=loss)
+
+
+class _SgdolCoordReference(SgdolCoord):
+    def step(self, pair):
+        self._check_pair(pair)
+        eta = self.ftrl.stepsize()
+        self.x = self.x - eta * pair.g
+        b = pair.g * pair.g_prime
+        a = pair.g * pair.g
+        loss = float(np.sum(0.5 * self.M * eta * eta * a - eta * b))
+        self.ftrl.observe_stats(b, a)
+        return StepReport(eta_used=eta, g_pair_consumed=2, surrogate_value=loss)
+
+
+class _SgdolMomentumReference(SgdolMomentum):
+    def step(self, pair):
+        self._check_pair(pair)
+        eta = _ftrl_stepsize(self.ftrl_eta)
+        beta = 0.0 if self.clamp_beta else _ftrl_stepsize(self.ftrl_beta)
+        z_old = self.z
+        self.x = self.x - eta * pair.g - beta * z_old
+        b_eta = dot(pair.g, pair.g_prime)
+        a_eta = sq_norm(pair.g)
+        b_beta = dot(z_old, pair.g_prime)
+        a_beta = sq_norm(z_old)
+        M = self.M
+        loss = (M * eta * eta * a_eta - eta * b_eta) + (M * beta * beta * a_beta - beta * b_beta)
+        decay = beta / eta if eta > 0.0 else 0.0
+        self.z = decay * z_old + pair.g
+        self.ftrl_eta.observe_stats(b_eta, a_eta)
+        self.ftrl_beta.observe_stats(b_beta, a_beta)
+        return StepReport(eta_used=eta, beta_used=beta, g_pair_consumed=2, surrogate_value=loss)
+
+
+def _sgd_step(self, pair):
+    self._check_pair(pair)
+    self.x = self.x - self.lr * pair.g
+    return StepReport(eta_used=self.lr, g_pair_consumed=1)
+
+
+class _SgdReference(Sgd):
+    step = _sgd_step
+
+
+class _SgdGhadimiLanReference(SgdGhadimiLan):
+    step = _sgd_step
+
+
+class _AdaGradGlobalReference(AdaGradGlobal):
+    def step(self, pair):
+        self._check_pair(pair)
+        self.accum += sq_norm(pair.g)
+        coef = self.lr / math.sqrt(self.accum) if self.accum > 0.0 else 0.0
+        self.x = self.x - coef * pair.g
+        return StepReport(eta_used=coef, g_pair_consumed=1)
+
+
+class _AdaGradCoordReference(AdaGradCoord):
+    def step(self, pair):
+        self._check_pair(pair)
+        self.accum += pair.g * pair.g
+        coef = np.zeros(self.dim)
+        nz = self.accum > 0.0
+        coef[nz] = self.lr / np.sqrt(self.accum[nz])
+        self.x = self.x - coef * pair.g
+        return StepReport(eta_used=coef, g_pair_consumed=1)
+
+
+class _AdamReference(Adam):
+    def step(self, pair):
+        self._check_pair(pair)
+        g = pair.g
+        self._p1 *= self.beta1
+        self._p2 *= self.beta2
+        bc1 = 1.0 - self._p1
+        bc2 = 1.0 - self._p2
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
+        self.x = self.x - self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        return StepReport(eta_used=math.nan, g_pair_consumed=1)
+
+
+_REFERENCE_CLASSES = {cls.__base__: cls for cls in (
+    _RosenbrockReference, _QuadraticReference, _SigmoidReference,
+    _SgdolReference, _SgdolCoordReference, _SgdolMomentumReference, _SgdReference,
+    _SgdGhadimiLanReference, _AdaGradGlobalReference, _AdaGradCoordReference, _AdamReference)}
+
+
+def as_reference(obj):
+    """A deep copy of an optimizer or built-in oracle that runs the single-point code.
+
+    A reference object is returned as it is, so it can run several legs.
+    """
+    if type(obj) in _REFERENCE_CLASSES.values():
+        return obj
+    ref = copy.deepcopy(obj)
+    ref.__class__ = _REFERENCE_CLASSES[type(obj)]
+    return ref
+
+
+# ---------------------------------------------------------------------------
+# The loop
+# ---------------------------------------------------------------------------
+
+
+def reference_run(optimizer, oracle, T, rng, report_every=None, record_regret=False,
+                  output_rng=None):
+    """``run(..., force_generic=True)`` on ``as_reference`` of optimizer and oracle."""
+    optimizer, oracle = as_reference(optimizer), as_reference(oracle)
+    stride = max(1, T // 500) if report_every is None else int(report_every)
+    out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
+    k = int(out_stream.generator().integers(1, T + 1))
+    ledger = None
+    if record_regret:
+        ledger = optimizer.ledger = RegretLedger(
+            optimizer.alpha, optimizer.M, keep_records=True,
+            curvature_scale=optimizer.ftrl.curvature_scale)
+    return _run_generic(optimizer, oracle, T, rng, stride, k, ledger)
+
+
+def _run_generic(optimizer, oracle, T, rng, stride, k, ledger):
+    gen = rng.generator()
+    n_rec = (T + stride - 1) // stride
+    rec_t = np.empty(n_rec, np.int64)
+    rec_f = np.empty(n_rec) if oracle.exact_f else None
+    rec_gsq = np.empty(n_rec) if oracle.exact_grad else None
+    rec_eta = np.empty(n_rec)
+    coord = isinstance(optimizer, (SgdolCoord, AdaGradCoord))
+    rec_eta_coords = np.empty((n_rec, optimizer.dim)) if coord else None
+    rec_surr = np.empty(n_rec)
+    rec_cum = np.empty(n_rec)
+
+    cum = 0.0
+    ri = 0
+    x_k = None
+    for t in range(1, T + 1):
+        if t == k:
+            x_k = optimizer.x.copy()
+        rec_here = (t - 1) % stride == 0
+        if rec_here:
+            if rec_f is not None:
+                rec_f[ri] = oracle.f(optimizer.x)
+            if rec_gsq is not None:
+                rec_gsq[ri] = sq_norm(oracle.grad(optimizer.x))
+        pair = oracle.sample_pair(optimizer.x, gen)
+        report = optimizer.step(pair)
+        loss = report.surrogate_value if report.surrogate_value is not None else 0.0
+        cum += loss
+        if rec_here:
+            rec_t[ri] = t
+            if coord:
+                rec_eta_coords[ri] = report.eta_used
+                rec_eta[ri] = float(np.mean(report.eta_used))
+            else:
+                rec_eta[ri] = report.eta_used
+            rec_surr[ri] = loss
+            rec_cum[ri] = cum
+            ri += 1
+
+    traj = Trajectory(rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum,
+                      stepsize_coords=rec_eta_coords)
+    return RunResult(traj, k, x_k, optimizer.x.copy(), ledger)

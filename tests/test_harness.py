@@ -197,6 +197,13 @@ def test_missing_dataset_is_io_error():
         run_experiment(spec)
 
 
+def test_batch_size_above_the_row_count_is_a_config_error(synthetic500_path):
+    spec = _spec(oracle=OracleSpec(kind="sigmoid", dataset=synthetic500_path, batch_size=1000))
+    with pytest.raises(ConfigError) as info:
+        run_experiment(spec)
+    assert info.value.problems == ["batch_size: must be <= 500 (the dataset's rows), got 1000"]
+
+
 def test_sgd_gl_constants_filled_from_oracle():
     spec = _spec()
     spec.optimizers = [("gl", OptimizerConfig(kind="sgd_gl"))]

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgdol._kernels as kernels
+from reference_generic import trajectories_equal as _trajectories_equal
 from reference_kernels import REFERENCE_KERNELS
 from sgdol import (
     AdaGradCoord,
@@ -44,20 +45,6 @@ MAKERS = [
     lambda d: AdaGradCoord(np.zeros(d), lr=1e-3),
     lambda d: Adam(np.zeros(d), lr=1e-3),
 ]
-
-
-def _trajectories_equal(r1, r2):
-    t1, t2 = r1.trajectory, r2.trajectory
-    return (np.array_equal(r1.x_final, r2.x_final)
-            and np.array_equal(r1.x_k, r2.x_k)
-            and r1.k == r2.k
-            and np.array_equal(t1.t, t2.t)
-            and np.array_equal(t1.f_value, t2.f_value)
-            and np.array_equal(t1.true_grad_sq_norm, t2.true_grad_sq_norm)
-            and np.array_equal(t1.stepsize, t2.stepsize, equal_nan=True)
-            and np.array_equal(t1.surrogate_loss_value, t2.surrogate_loss_value)
-            and np.array_equal(t1.cumulative_regret_lhs, t2.cumulative_regret_lhs)
-            and np.array_equal(t1.stepsize_coords, t2.stepsize_coords))
 
 
 @pytest.mark.parametrize("make", MAKERS)

@@ -1,0 +1,208 @@
+"""The lane engine against the one-run-at-a-time loop it replaced.
+
+Every lane of a multi-lane ``run_lanes`` call must equal, bit for bit, the
+run that ``reference_generic.reference_run`` makes of that optimizer on that
+repetition's stream. Each engine call here holds every optimizer kind on two
+streams, so lanes of different kinds share each stream's draws, and its
+horizon crosses a draw-chunk boundary.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from reference_generic import as_reference, reference_run, trajectories_equal
+from sgdol import (
+    OptimizerConfig,
+    QuadraticOracle,
+    RegretLedger,
+    RngStream,
+    RosenbrockOracle,
+    Sgd,
+    Sgdol,
+    SigmoidLossOracle,
+    StochasticOracle,
+    run,
+)
+from sgdol.optimizers import _DRAW_CHUNK, OPTIMIZER_KINDS, run_lanes
+
+T = _DRAW_CHUNK + 77  # one chunk boundary, and a last chunk that is cut short
+STREAMS = 2
+
+
+def _configs(M, lr):
+    """One config per kind, with stepsizes scaled to the objective's smoothness M."""
+    return {
+        "sgdol_global": OptimizerConfig(kind="sgdol_global", M=M),
+        "sgdol_coord": OptimizerConfig(kind="sgdol_coord", M=M, alpha=3.0),
+        "sgdol_momentum": OptimizerConfig(kind="sgdol_momentum", M=M),
+        "sgd": OptimizerConfig(kind="sgd", lr=lr),
+        "adagrad_global": OptimizerConfig(kind="adagrad_global", lr=5.0 * lr),
+        "adagrad_coord": OptimizerConfig(kind="adagrad_coord", lr=lr),
+        "adam": OptimizerConfig(kind="adam", lr=0.1 * lr),
+        "sgd_gl": OptimizerConfig(kind="sgd_gl", M=M, sigma=3.0, T=T, f_gap=1.0),
+    }
+
+
+def _sigmoid(batch):
+    def make(data):
+        return SigmoidLossOracle(data, batch_size=len(data) if batch is None else batch)
+    return make
+
+
+CASES = {
+    "sigmoid-b50": (_sigmoid(50), 3),
+    "sigmoid-b1": (_sigmoid(1), 1),
+    "sigmoid-full": (_sigmoid(None), 4),
+    "rosenbrock": (lambda data: RosenbrockOracle(sigma=5.0), 2),
+    "quadratic-d100": (lambda data: QuadraticOracle(np.arange(1, 101) / 100, sigma=1.0), 5),
+}
+_engine_cache = {}
+
+
+def _case(name, synthetic500):
+    """The oracle, configs, streams and engine results of one case, computed once."""
+    if name not in _engine_cache:
+        make_oracle, stride = CASES[name]
+        oracle = make_oracle(synthetic500)
+        configs = _configs(oracle.smoothness, 1.0 / oracle.smoothness)
+        x0 = np.zeros(oracle.dim)
+        rngs = [RngStream(500 + r) for r in range(STREAMS)]
+        outs = [[RngStream(600 + r, i) for r in range(STREAMS)] for i in range(len(configs))]
+        groups = [[cfg.build(x0) for _ in rngs] for cfg in configs.values()]
+        results = run_lanes(groups, oracle, T, rngs, outs, report_every=stride)
+        _engine_cache[name] = (oracle, configs, x0, rngs, outs, stride, groups, results)
+    return _engine_cache[name]
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+@pytest.mark.parametrize("case", list(CASES))
+def test_every_lane_matches_the_reference_loop(case, kind, synthetic500):
+    oracle, configs, x0, rngs, outs, stride, groups, results = _case(case, synthetic500)
+    i = list(configs).index(kind)
+    for r, rng in enumerate(rngs):
+        expected = reference_run(configs[kind].build(x0), oracle, T, rng, report_every=stride,
+                                 output_rng=outs[i][r])
+        assert trajectories_equal(results[i][r], expected), (case, kind, r)
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_engine_leaves_each_optimizer_in_the_reference_state(kind, synthetic500):
+    oracle, configs, x0, rngs, outs, stride, groups, results = _case("sigmoid-b50", synthetic500)
+    i = list(configs).index(kind)
+    ref = as_reference(configs[kind].build(x0))
+    reference_run(ref, oracle, T, rngs[1], report_every=stride, output_rng=outs[i][1])
+    # A second leg from the state each first leg left.
+    got = run(groups[i][1], oracle, 40, RngStream(700), report_every=1, force_generic=True)
+    assert trajectories_equal(got, reference_run(ref, oracle, 40, RngStream(700), report_every=1))
+
+
+def test_single_run_matches_the_reference_loop(synthetic500):
+    oracle = SigmoidLossOracle(synthetic500, batch_size=50)
+    for cfg in _configs(oracle.smoothness, 1.0 / oracle.smoothness).values():
+        opt = cfg.build(np.zeros(oracle.dim))
+        expected = reference_run(opt, oracle, 150, RngStream(41), report_every=7)
+        assert trajectories_equal(run(opt, oracle, 150, RngStream(41), report_every=7), expected)
+
+
+def test_regret_ledger_matches_the_reference_loop(synthetic500):
+    oracle = SigmoidLossOracle(synthetic500, batch_size=1)
+    make = lambda: Sgdol(np.zeros(oracle.dim), M=oracle.smoothness)  # noqa: E731
+    got = run(make(), oracle, T, RngStream(42), record_regret=True)
+    expected = reference_run(make(), oracle, T, RngStream(42), record_regret=True)
+    assert trajectories_equal(got, expected)
+    a, b = got.ledger, expected.ledger
+    assert a.count == b.count == T
+    assert a.cumulative_loss == b.cumulative_loss
+    assert (a.sum_inner, a.sum_sq) == (b.sum_inner, b.sum_sq)
+    assert a._etas == b._etas and a._inners == b._inners
+    assert a._sqs == b._sqs and a._sqs_prime == b._sqs_prime
+
+
+class _PairOnlyOracle(StochasticOracle):
+    """A user oracle with nothing but f, grad and sample_pair."""
+
+    dim = 2
+    exact_f = True
+    exact_grad = True
+
+    def __init__(self):
+        self._inner = RosenbrockOracle(sigma=1.0)
+
+    def f(self, x):
+        return self._inner.f(x)
+
+    def grad(self, x):
+        return self._inner.grad(x)
+
+    def sample_pair(self, x, rng):
+        return self._inner.sample_pair(x, rng)
+
+
+def test_pair_only_oracle_runs_one_lane():
+    got = run(Sgdol(np.zeros(2), M=1002.0), _PairOnlyOracle(), 100, RngStream(43),
+              report_every=3)
+    expected = run(Sgdol(np.zeros(2), M=1002.0), RosenbrockOracle(sigma=1.0), 100,
+                   RngStream(43), report_every=3, force_generic=True)
+    assert trajectories_equal(got, expected)
+    with pytest.raises(ValueError, match="one query point"):
+        run_lanes([[Sgd(np.zeros(2), lr=1e-3)] * 2], _PairOnlyOracle(), 10,
+                  [RngStream(1), RngStream(2)], [[RngStream(3), RngStream(4)]])
+
+
+def test_lane_groups_are_checked():
+    oracle, rngs = RosenbrockOracle(sigma=1.0), [RngStream(1), RngStream(2)]
+    outs = [[RngStream(3), RngStream(4)]]
+    with pytest.raises(ValueError, match="share a kind"):
+        run_lanes([[Sgd(np.zeros(2), lr=1e-3), Sgdol(np.zeros(2), M=1002.0)]], oracle, 10, rngs, outs)
+    with pytest.raises(ValueError, match="one optimizer per oracle stream"):
+        run_lanes([[Sgd(np.zeros(2), lr=1e-3)]], oracle, 10, rngs, outs)
+    with pytest.raises(ValueError, match="regret ledger"):
+        run_lanes([[Sgdol(np.zeros(2), M=1002.0, ledger=RegretLedger(10.0, 1002.0)),
+                    Sgdol(np.zeros(2), M=1002.0)]], oracle, 10, rngs, outs)
+
+
+DIVERGING = dict(oracle=RosenbrockOracle(sigma=5.0), T=1000, rng=RngStream(44))
+
+
+def test_divergence_raises_like_the_reference_loop():
+    ref, opt = as_reference(Sgd(np.zeros(2), lr=0.05)), Sgd(np.zeros(2), lr=0.05)
+    with pytest.raises(ValueError, match="gradient pair entries must be finite"):
+        reference_run(ref, **DIVERGING)
+    with pytest.raises(ValueError, match="gradient pair entries must be finite"):
+        run(opt, **DIVERGING, force_generic=True)
+    # Both stop before the step whose pair is not finite.
+    assert np.array_equal(opt.x, ref.x, equal_nan=True)
+
+
+def test_one_diverging_lane_stops_the_engine():
+    oracle, T_, rng = DIVERGING.values()
+    # The stable lane alone runs to the end.
+    run_lanes([[Sgd(np.zeros(2), lr=1e-4)]], oracle, T_, [rng], [[RngStream(45)]])
+    with pytest.raises(ValueError, match="gradient pair entries must be finite"):
+        run_lanes([[Sgd(np.zeros(2), lr=1e-4)], [Sgd(np.zeros(2), lr=0.05)]], oracle, T_,
+                  [rng], [[RngStream(45)], [RngStream(46)]])
+
+
+def _peak_bytes(synthetic500, T_):
+    oracle = SigmoidLossOracle(synthetic500, batch_size=50)
+    x0 = np.zeros(oracle.dim)
+    rngs = [RngStream(47), RngStream(48)]
+    groups = [[Sgd(x0, lr=0.1) for _ in rngs]]
+    outs = [[RngStream(49), RngStream(50)]]
+    tracemalloc.start()
+    try:
+        run_lanes(groups, oracle, T_, rngs, outs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lane_memory_does_not_grow_with_T(synthetic500):
+    # Both horizons keep 500 records. Drawing all indices at once would add
+    # 1.6 MB a stream at T = 2e3 and 16 MB at T = 2e4; drawn in chunks, the
+    # peak stays put.
+    small = _peak_bytes(synthetic500, 2_000)
+    large = _peak_bytes(synthetic500, 20_000)
+    assert large < small + 64_000
