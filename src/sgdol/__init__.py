@@ -1,6 +1,6 @@
 """SGD with online-learned stepsizes, baselines, oracles, and a run harness."""
 
-from .core import RngStream, Trajectory, TrajectoryRecord, derive_stream_id, dot, sq_norm, vector
+from .core import RngStream, Trajectory, derive_stream_id, dot, sq_norm, vector
 from .online import (
     DEFAULT_ALPHA,
     CoordFtrlState,
@@ -9,6 +9,7 @@ from .online import (
     SurrogateLoss,
     eval_surrogate,
     eval_surrogate_percoord,
+    surrogate_loss,
 )
 from .optimizers import (
     Adam,

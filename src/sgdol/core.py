@@ -4,7 +4,7 @@ and the range of every optimizer parameter."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -16,7 +16,6 @@ __all__ = [
     "row_dot",
     "RngStream",
     "derive_stream_id",
-    "TrajectoryRecord",
     "Trajectory",
     "field_problems",
     "check_fields",
@@ -145,29 +144,17 @@ class RngStream:
         return RngStream(self.seed, derive_stream_id(self.stream_id, *parts))
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One recorded iteration of an optimizer run."""
-
-    iteration: int
-    f_value: Optional[float]
-    true_grad_sq_norm: Optional[float]
-    stepsize: Union[float, np.ndarray]
-    surrogate_loss_value: float
-    cumulative_regret_lhs: float
-
-
 @dataclass
 class Trajectory:
-    """Column-oriented time series of TrajectoryRecords.
+    """Column-oriented time series of the recorded iterations of one run.
 
     Arrays all share length n (the number of recorded iterations);
     ``stepsize_coords`` is present only for per-coordinate optimizers.
     """
 
     t: np.ndarray
-    f_value: Optional[np.ndarray]
-    true_grad_sq_norm: Optional[np.ndarray]
+    f_value: np.ndarray
+    true_grad_sq_norm: np.ndarray
     stepsize: np.ndarray
     surrogate_loss_value: np.ndarray
     cumulative_regret_lhs: np.ndarray
@@ -175,22 +162,3 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def record(self, i: int) -> TrajectoryRecord:
-        step = (
-            self.stepsize_coords[i]
-            if self.stepsize_coords is not None
-            else float(self.stepsize[i])
-        )
-        return TrajectoryRecord(
-            iteration=int(self.t[i]),
-            f_value=None if self.f_value is None else float(self.f_value[i]),
-            true_grad_sq_norm=(
-                None
-                if self.true_grad_sq_norm is None
-                else float(self.true_grad_sq_norm[i])
-            ),
-            stepsize=step,
-            surrogate_loss_value=float(self.surrogate_loss_value[i]),
-            cumulative_regret_lhs=float(self.cumulative_regret_lhs[i]),
-        )

@@ -62,23 +62,39 @@ class ConfigError(ValueError):
         self.problems = problems
 
 
+# Oracle kind -> the OracleSpec fields it takes. A field left unset (None)
+# takes the default that ``OracleSpec.build`` applies.
+_ORACLE_KEYS = {
+    "rosenbrock": ("sigma",),
+    "quadratic": ("sigma", "diag"),
+    "sigmoid": ("dataset", "batch_size", "append_bias", "balance"),
+}
+
+
 @dataclass
 class OracleSpec:
-    """Which objective to run on, and its noise / data parameters."""
+    """Which objective to run on, and its noise / data parameters.
+
+    ``validate`` rejects a set field that the kind does not take; ``build``
+    gives an unset sigma 0.0, append_bias True and balance False.
+    """
 
     kind: str  # rosenbrock | quadratic | sigmoid
-    sigma: float = 0.0
+    sigma: Optional[float] = None
     diag: Optional[np.ndarray] = None
     dataset: Optional[str] = None
     batch_size: Optional[int] = None
-    append_bias: bool = True
-    balance: bool = False
+    append_bias: Optional[bool] = None
+    balance: Optional[bool] = None
 
     def validate(self) -> List[str]:
-        problems = []
-        if self.kind not in ("rosenbrock", "quadratic", "sigmoid"):
+        keys = _ORACLE_KEYS.get(self.kind)
+        if keys is None:
             return [f"oracle: unknown kind {self.kind!r}"]
-        if self.kind in ("rosenbrock", "quadratic"):
+        problems = [f"{name}: not taken by oracle {self.kind!r}"
+                    for name, value in vars(self).items()
+                    if name != "kind" and value is not None and name not in keys]
+        if "sigma" in keys and self.sigma is not None:
             problems += field_problems(sigma=self.sigma)
         if self.kind == "quadratic" and self.diag is None:
             problems.append("diag: required for the quadratic oracle")
@@ -97,11 +113,13 @@ class OracleSpec:
         return problems
 
     def build(self, seed: int) -> StochasticOracle:
+        sigma = 0.0 if self.sigma is None else self.sigma
         if self.kind == "rosenbrock":
-            return RosenbrockOracle(sigma=self.sigma)
+            return RosenbrockOracle(sigma=sigma)
         if self.kind == "quadratic":
-            return QuadraticOracle(self.diag, sigma=self.sigma)
-        data = load_libsvm(self.dataset, append_bias=self.append_bias)
+            return QuadraticOracle(self.diag, sigma=sigma)
+        data = load_libsvm(self.dataset,
+                           append_bias=True if self.append_bias is None else self.append_bias)
         if self.balance:
             gen = RngStream(seed, derive_stream_id(_PURPOSE_BALANCE)).generator()
             data = balance_subsample(data, gen)
@@ -177,7 +195,7 @@ def _fill_sgd_gl(cfg: OptimizerConfig, oracle: StochasticOracle, x0, T: int) -> 
         fill["sigma"] = float(np.sqrt(np.sum(np.asarray(oracle.sigma) ** 2)))
     if cfg.T is None:
         fill["T"] = T
-    if cfg.f_gap is None and oracle.exact_f and oracle.f_star is not None:
+    if cfg.f_gap is None and oracle.f_star is not None:
         fill["f_gap"] = oracle.f(x0) - oracle.f_star
     if cfg.M is None and oracle.smoothness is not None:
         fill["M"] = oracle.smoothness
@@ -217,7 +235,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 
     table = ResultTable(f_star=oracle.f_star)
     for opt_idx, ((name, _), cfg) in enumerate(zip(spec.optimizers, configs)):
-        sums = None
+        sums = {}
         raws: List[RunResult] = []
         for rep in range(reps):
             if opt_idx in results:
@@ -226,40 +244,24 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
                 result = run(groups[opt_idx][rep], oracle, spec.T, oracle_rngs[rep],
                              report_every=spec.report_every,
                              output_rng=output_rngs[opt_idx][rep])
-            traj = result.trajectory
-            if sums is None:
-                sums = {
-                    "t": traj.t.copy(),
-                    "gsq": None if traj.true_grad_sq_norm is None
-                    else traj.true_grad_sq_norm.astype(np.float64).copy(),
-                    "f": None if traj.f_value is None else traj.f_value.copy(),
-                    "step": traj.stepsize.copy(),
-                    "coords": None if traj.stepsize_coords is None
-                    else traj.stepsize_coords.copy(),
-                }
-            else:
-                if sums["gsq"] is not None:
-                    sums["gsq"] += traj.true_grad_sq_norm
-                if sums["f"] is not None:
-                    sums["f"] += traj.f_value
-                sums["step"] += traj.stepsize
-                if sums["coords"] is not None:
-                    sums["coords"] += traj.stepsize_coords
+            for attr in ("true_grad_sq_norm", "f_value", "stepsize", "stepsize_coords"):
+                series = getattr(result.trajectory, attr)
+                if attr in sums:
+                    sums[attr] += series
+                elif series is not None:
+                    sums[attr] = series.astype(np.float64)  # a copy
             if spec.keep_raw:
                 raws.append(result)
-        mean_f = None if sums["f"] is None else sums["f"] / reps
-        gap = None
-        if mean_f is not None and oracle.f_star is not None:
-            gap = mean_f - oracle.f_star
+        mean = {attr: total / reps for attr, total in sums.items()}
         table.series[name] = OptimizerSeries(
             name=name,
             kind=cfg.kind,
-            t=sums["t"],
-            grad_sq_norm=None if sums["gsq"] is None else sums["gsq"] / reps,
-            f_value=mean_f,
-            stepsize_mean=sums["step"] / reps,
-            stepsize_coords=None if sums["coords"] is None else sums["coords"] / reps,
-            optimality_gap=gap,
+            t=result.trajectory.t.copy(),
+            grad_sq_norm=mean["true_grad_sq_norm"],
+            f_value=mean["f_value"],
+            stepsize_mean=mean["stepsize"],
+            stepsize_coords=mean.get("stepsize_coords"),
+            optimality_gap=None if oracle.f_star is None else mean["f_value"] - oracle.f_star,
             raw=raws if spec.keep_raw else None,
         )
     if spec.output_dir is not None:
@@ -328,9 +330,8 @@ def read_csv_series(path) -> Dict[str, np.ndarray]:
 # ----------------------------------------------------------------------------
 
 _EXPERIMENT_KEYS = {
-    "oracle", "sigma", "diag", "dataset", "batch_size", "append_bias",
-    "balance", "t", "repetitions", "seed", "report_every", "output_dir",
-    "keep_raw",
+    "oracle", *(key for keys in _ORACLE_KEYS.values() for key in keys),
+    "t", "repetitions", "seed", "report_every", "output_dir", "keep_raw",
 }
 # Config key (configparser lower-cases keys) -> (OptimizerConfig field, type).
 _OPTIMIZER_FIELDS = {
@@ -383,12 +384,12 @@ def parse_config(path) -> ExperimentSpec:
             problems.append(f"experiment.diag: cannot parse {exp['diag']!r}")
     oracle = OracleSpec(
         kind=kind,
-        sigma=_get_typed(exp, "sigma", float, problems, "experiment", 0.0),
+        sigma=_get_typed(exp, "sigma", float, problems, "experiment"),
         diag=diag,
         dataset=exp.get("dataset"),
         batch_size=_get_typed(exp, "batch_size", int, problems, "experiment"),
-        append_bias=_get_typed(exp, "append_bias", bool, problems, "experiment", True),
-        balance=_get_typed(exp, "balance", bool, problems, "experiment", False),
+        append_bias=_get_typed(exp, "append_bias", bool, problems, "experiment"),
+        balance=_get_typed(exp, "balance", bool, problems, "experiment"),
     )
     optimizers: List[Tuple[str, OptimizerConfig]] = []
     for section in parser.sections():

@@ -23,6 +23,7 @@ from .oracles import GradientPair
 
 __all__ = [
     "SurrogateLoss",
+    "surrogate_loss",
     "eval_surrogate",
     "eval_surrogate_percoord",
     "FtrlState",
@@ -33,6 +34,15 @@ __all__ = [
 
 # Works well untuned across noise levels; comparable to M or smaller is fine.
 DEFAULT_ALPHA = 10.0
+
+
+def surrogate_loss(M, eta, g_sq, inner, curvature_scale=1.0):
+    """(c*M/2) * eta^2 * g_sq - eta * inner, elementwise: the surrogate loss at eta.
+
+    ``g_sq``, ``inner`` are ||g||^2, <g, g'> or their per-coordinate products;
+    c is 1.0, or 2.0 for the doubled-curvature losses (0.5 * c * M is exact).
+    """
+    return 0.5 * curvature_scale * M * eta * eta * g_sq - eta * inner
 
 
 @dataclass(frozen=True)
@@ -54,7 +64,7 @@ class SurrogateLoss:
 
 def eval_surrogate(loss: SurrogateLoss, eta: float) -> float:
     """(M/2) * eta^2 * ||g||^2 - eta * <g, g'>; convex in eta."""
-    return 0.5 * loss.M * eta * eta * sq_norm(loss.g) - eta * dot(loss.g, loss.g_prime)
+    return surrogate_loss(loss.M, eta, sq_norm(loss.g), dot(loss.g, loss.g_prime))
 
 
 def eval_surrogate_percoord(M: float, g: np.ndarray, g_prime: np.ndarray, eta: np.ndarray) -> float:
@@ -66,7 +76,7 @@ def eval_surrogate_percoord(M: float, g: np.ndarray, g_prime: np.ndarray, eta: n
         raise ValueError(
             f"dimension mismatch: g {g.shape}, g' {g_prime.shape}, eta {eta.shape}"
         )
-    return float(np.sum(0.5 * M * eta * eta * g * g - eta * g * g_prime))
+    return float(np.sum(surrogate_loss(M, eta, g * g, g * g_prime)))
 
 
 @dataclass
@@ -184,8 +194,7 @@ class RegretLedger:
 
     def record(self, eta: float, inner: float, g_sq: float, g_prime_sq: float):
         """Log one round: the played eta and the pair's inner/norm statistics."""
-        loss = 0.5 * self.curvature_scale * self.M * eta * eta * g_sq - eta * inner
-        self.cumulative_loss += loss
+        self.cumulative_loss += surrogate_loss(self.M, eta, g_sq, inner, self.curvature_scale)
         self.sum_inner += inner
         self.sum_sq += g_sq
         self.count += 1
@@ -205,7 +214,7 @@ class RegretLedger:
 
     def comparator_loss(self, eta: float) -> float:
         """Cumulative loss of a fixed stepsize: (cM/2) eta^2 sum_sq - eta sum_inner."""
-        return 0.5 * self.curvature_scale * self.M * eta * eta * self.sum_sq - eta * self.sum_inner
+        return surrogate_loss(self.M, eta, self.sum_sq, self.sum_inner, self.curvature_scale)
 
     def regret_vs(self, eta: float) -> float:
         """Regret against the fixed comparator eta."""

@@ -15,8 +15,11 @@ other run (the momentum variant, the dataset oracle, user oracles and
 stacks optimizers that share a kind and parameters along a lane axis and
 steps all lanes of all groups in one loop, so ``harness.run_experiment``
 hands it every (optimizer x repetition) run that takes no kernel at once.
-Lanes on one repetition stream share its pair draws, which are taken in
-chunks. All paths consume the random streams identically and leave the
+The engine asks the oracle only for what ``oracles.StochasticOracle``
+requires of every oracle: ``draw`` (each repetition stream's randomness,
+taken in chunks and shared by the stream's lanes), ``pairs`` at the
+stacked iterates, and f and the exact gradient through ``record_lanes``.
+All paths consume the random streams identically and leave the
 optimizers in the same state.
 """
 
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .core import RngStream, Trajectory, check_fields, field_problems, row_dot, vector
-from .online import DEFAULT_ALPHA, CoordFtrlState, FtrlState, RegretLedger
+from .online import DEFAULT_ALPHA, CoordFtrlState, FtrlState, RegretLedger, surrogate_loss
 from .oracles import (
     GradientPair,
     QuadraticOracle,
@@ -159,7 +162,7 @@ class Sgdol(Optimizer):
         self.x = self.x - _col(eta) * g
         b = row_dot(g, g_prime)
         a = row_dot(g, g)
-        loss = 0.5 * self.ftrl.curvature_scale * self.M * eta * eta * a - eta * b
+        loss = surrogate_loss(self.M, eta, a, b, self.ftrl.curvature_scale)
         if self.ledger is not None:
             self.ledger.record_arrays(eta, b, a, row_dot(g_prime, g_prime))
         self.ftrl.observe_stats(b, a)
@@ -191,7 +194,7 @@ class SgdolCoord(Optimizer):
         self.x = self.x - eta * g
         b = g * g_prime
         a = g * g
-        loss = np.sum(0.5 * self.M * eta * eta * a - eta * b, axis=-1)
+        loss = np.sum(surrogate_loss(self.M, eta, a, b), axis=-1)
         self.ftrl.observe_stats(b, a)
         return eta, loss
 
@@ -237,8 +240,8 @@ class SgdolMomentum(Optimizer):
         a_eta = row_dot(g, g)
         b_beta = row_dot(z_old, g_prime)
         a_beta = row_dot(z_old, z_old)
-        M = self.M
-        loss = (M * eta * eta * a_eta - eta * b_eta) + (M * beta * beta * a_beta - beta * b_beta)
+        loss = (surrogate_loss(self.M, eta, a_eta, b_eta, 2.0)
+                + surrogate_loss(self.M, beta, a_beta, b_beta, 2.0))
         self.z = _col(_ratio(beta, eta)) * z_old + g
         self.ftrl_eta.observe_stats(b_eta, a_eta)
         self.ftrl_beta.observe_stats(b_beta, a_beta)
@@ -605,8 +608,8 @@ def run_lanes(
     n_groups, n_streams = len(groups), len(rngs)
     n_rec = (T + stride - 1) // stride
     shape = (n_rec, n_groups, n_streams)
-    rec_f = np.empty(shape) if oracle.exact_f else None
-    rec_gsq = np.empty(shape) if oracle.exact_grad else None
+    rec_f = np.empty(shape)
+    rec_gsq = np.empty(shape)
     rec_eta = np.empty(shape)
     rec_coords = [np.empty((n_rec, n_streams, oracle.dim)) if c else None for c in coord]
     rec_surr = np.zeros(shape)
@@ -630,11 +633,8 @@ def run_lanes(
             ri, off = divmod(t - 1, stride)
             record = off == 0
             if record:
-                f, grad = oracle.record_lanes(X)
-                if f is not None:
-                    rec_f[ri] = f
-                if grad is not None:
-                    rec_gsq[ri] = row_dot(grad, grad)
+                rec_f[ri], grad = oracle.record_lanes(X)
+                rec_gsq[ri] = row_dot(grad, grad)
             pairs = oracle.pairs(X, draws[j])
             if not np.isfinite(pairs).all():
                 raise ValueError("gradient pair entries must be finite")
@@ -660,8 +660,7 @@ def run_lanes(
     results = []
     for i, group in enumerate(groups):
         results.append([
-            RunResult(Trajectory(rec_t.copy(),
-                                 *(None if s is None else s[:, i, r].copy() for s in series),
+            RunResult(Trajectory(rec_t.copy(), *(s[:, i, r].copy() for s in series),
                                  stepsize_coords=None if rec_coords[i] is None
                                  else rec_coords[i][:, r].copy()),
                       ks[i][r], x_k[i, r], optimizer.x.copy())

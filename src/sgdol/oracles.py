@@ -1,15 +1,18 @@
 """Stochastic first-order oracles, test objectives, and LibSVM data handling.
 
 Every oracle answers a query point with two gradient estimates drawn from
-disjoint randomness, each an unbiased estimate of the true gradient. Exact
-f / gradient access is exposed separately for reporting and verification.
+disjoint randomness, each an unbiased estimate of the true gradient, and
+gives exact f and gradient for reporting and verification. One contract,
+``StochasticOracle``, serves every caller: each oracle writes f, its
+gradient and its pairs once, over stacked query points, with the
+randomness drawn ahead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from numpy.random import Generator
@@ -57,98 +60,53 @@ class GradientPair:
 
 
 class StochasticOracle:
-    """Base contract for two-sample stochastic gradient oracles.
+    """The oracle contract: exact f and gradient, and two-sample gradient pairs.
 
-    Subclasses set ``dim`` and capability flags, and may attach metadata used
-    only by diagnostics: ``smoothness`` (gradient Lipschitz constant),
-    ``f_star`` (known infimum), ``pl_constant``.
+    A subclass sets ``dim`` and defines four methods, all written over
+    stacked query points: ``f_lanes`` and ``grad_lanes`` (f and the exact
+    gradient at every row of an array of shape (..., dim)), ``draw`` (the
+    randomness of the next pairs from a stream, drawn ahead) and ``pairs``
+    (the pairs at stacked query points from drawn randomness). The step
+    engine in ``optimizers`` and the Monte Carlo check in ``diagnostics``
+    call them directly. The one-point methods here derive from them, so a
+    pair from ``sample_pair`` equals that lane's pair in the engine bit for
+    bit, and consumes the stream alike.
 
-    The step engine in ``optimizers`` works on stacked query points through
-    ``record_lanes``, ``draw`` and ``pairs``. The defaults here serve an
-    oracle that implements only ``f``, ``grad`` and ``sample_pair``, one
-    query point at a time.
+    Metadata read by diagnostics and the tuned SGD baseline: ``smoothness``
+    (gradient Lipschitz constant), ``f_star`` (known infimum),
+    ``pl_constant``.
     """
 
     dim: int
-    exact_f: bool = False
-    exact_grad: bool = False
     f_star: Optional[float] = None
     smoothness: Optional[float] = None
     pl_constant: Optional[float] = None
 
-    def f(self, x: np.ndarray) -> float:
+    def f_lanes(self, X: np.ndarray) -> np.ndarray:
+        """f at every row of X, shape (..., dim); the result has shape (...)."""
         raise NotImplementedError
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
+    def grad_lanes(self, X: np.ndarray) -> np.ndarray:
+        """The exact gradient at every row of X, shape (..., dim)."""
         raise NotImplementedError
-
-    def sample_pair(self, x: np.ndarray, rng: Generator) -> GradientPair:
-        raise NotImplementedError
-
-    def _check_dim(self, x: np.ndarray):
-        if x.shape != (self.dim,):
-            raise ValueError(f"query point has shape {x.shape}, oracle dim is {self.dim}")
-
-    def record_lanes(self, X: np.ndarray):
-        """(f, exact gradient) at every row of X, shape (..., dim).
-
-        Either is None when the oracle does not expose it. This default
-        evaluates one row at a time.
-        """
-        rows = X.reshape(-1, self.dim)
-        f = np.array([self.f(x) for x in rows]).reshape(X.shape[:-1]) if self.exact_f else None
-        grad = np.array([self.grad(x) for x in rows]).reshape(X.shape) if self.exact_grad else None
-        return f, grad
 
     def draw(self, rng: Generator, n: int) -> np.ndarray:
-        """The randomness of the next n pairs from rng, one entry per pair.
-
-        By default nothing is drawn ahead: every entry is rng itself, and
-        ``pairs`` draws from it through ``sample_pair``.
-        """
-        return np.full(n, rng, dtype=object)
+        """The randomness of the next n pairs from rng, stacked on a leading axis of n."""
+        raise NotImplementedError
 
     def pairs(self, X: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """The pairs at every row of X from one entry of each of R streams.
 
         X has shape (..., R, dim) and ``noise`` stacks one ``draw`` entry per
-        stream, so lanes on one stream share its draw. The result has shape
-        (..., R, 2, dim): g at index 0 of the pair axis, g' at index 1. The
-        default serves a single lane.
+        stream, so lanes on one stream share its draw; a single query point
+        of shape (dim,) broadcasts against all R entries. The result has
+        shape (..., R, 2, dim): g at index 0 of the pair axis, g' at index 1.
         """
-        if X.size != self.dim:
-            raise ValueError("an oracle without its own pairs() takes one query point a step")
-        pair = self.sample_pair(X.reshape(self.dim), noise.flat[0])
-        return np.stack((pair.g, pair.g_prime)).reshape(X.shape[:-1] + (2, self.dim))
+        raise NotImplementedError
 
-    # Vectorized helpers for Monte Carlo verification; subclasses override
-    # with faster versions where it matters.
-
-    def f_many(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.f(x) for x in xs])
-
-    def sample_pairs(self, x: np.ndarray, n: int, rng: Generator) -> Tuple[np.ndarray, np.ndarray]:
-        gs = np.empty((n, self.dim))
-        gps = np.empty((n, self.dim))
-        for i in range(n):
-            pair = self.sample_pair(x, rng)
-            gs[i] = pair.g
-            gps[i] = pair.g_prime
-        return gs, gps
-
-
-class _LaneOracle(StochasticOracle):
-    """A built-in oracle: written over stacked query points, randomness drawn ahead.
-
-    Subclasses define ``f_lanes`` and ``grad_lanes`` (at every row of an
-    array of shape (..., dim)), ``draw`` and ``pairs``; the one-point
-    methods here apply them to a single query point, so a
-    pair from ``sample_pair`` equals that lane's pair in the step engine bit
-    for bit, and consumes the stream alike.
-    """
-
-    exact_f = True
-    exact_grad = True
+    def _check_dim(self, x: np.ndarray):
+        if x.shape != (self.dim,):
+            raise ValueError(f"query point has shape {x.shape}, oracle dim is {self.dim}")
 
     def f(self, x: np.ndarray) -> float:
         self._check_dim(x)
@@ -164,6 +122,7 @@ class _LaneOracle(StochasticOracle):
         return GradientPair(pair[0], pair[1])
 
     def record_lanes(self, X: np.ndarray):
+        """(f, exact gradient) at every row of X, shape (..., dim)."""
         return self.f_lanes(X), self.grad_lanes(X)
 
 
@@ -200,7 +159,7 @@ def rosenbrock_grad(x: np.ndarray) -> np.ndarray:
     return grad
 
 
-class _AnalyticNoiseOracle(_LaneOracle):
+class _AnalyticNoiseOracle(StochasticOracle):
     """Exact objective plus independent additive Gaussian noise on each sample.
 
     Each query draws two fresh noise vectors, so the pair is conditionally
@@ -223,14 +182,6 @@ class _AnalyticNoiseOracle(_LaneOracle):
 
     def pairs(self, X: np.ndarray, noise: np.ndarray) -> np.ndarray:
         return self.grad_lanes(X)[..., None, :] + self.sigma * noise
-
-    def sample_pairs(self, x: np.ndarray, n: int, rng: Generator) -> Tuple[np.ndarray, np.ndarray]:
-        self._check_dim(x)
-        pairs = self.pairs(x, self.draw(rng, n))  # the n draws broadcast against one x
-        return pairs[:, 0].copy(), pairs[:, 1].copy()
-
-    def f_many(self, xs: np.ndarray) -> np.ndarray:
-        return self.f_lanes(xs)
 
 
 class RosenbrockOracle(_AnalyticNoiseOracle):
@@ -335,8 +286,6 @@ def _residuals(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.nd
 
 def sigmoid_loss_f(x: np.ndarray, data: Dataset) -> float:
     """Mean of phi(a_i . x - y_i) over all rows, at x or at every row of (..., d)."""
-    if len(data) == 0:
-        raise ValueError("empty dataset")
     if x.shape[-1:] != (data.n_features,):
         raise ValueError(f"x has shape {x.shape}, dataset has {data.n_features} features")
     return np.mean(sigmoid_phi(_residuals(x, data.features, data.labels)), axis=-1)
@@ -359,7 +308,7 @@ def _grad_from_residuals(r: np.ndarray, features: np.ndarray) -> np.ndarray:
     return np.matmul(w[..., None, :], features)[..., 0, :] / features.shape[-2]
 
 
-class SigmoidLossOracle(_LaneOracle):
+class SigmoidLossOracle(StochasticOracle):
     """Minibatch oracle for the sigmoid-type classification loss.
 
     Each half of a pair is the gradient over its own minibatch of rows drawn
@@ -405,38 +354,11 @@ class SigmoidLossOracle(_LaneOracle):
     def pairs(self, X: np.ndarray, noise: np.ndarray) -> np.ndarray:
         if self.full_batch:
             g = self.grad_lanes(X)[..., None, :]
-            return np.concatenate((g, g), axis=-2)
+            lanes = np.broadcast_shapes(g.shape[:-2], noise.shape[:-1])
+            return np.broadcast_to(g, lanes + (2, self.dim)).copy()
         # Rows are gathered once per stream and broadcast over its lanes.
         return sigmoid_loss_grad(X[..., None, :], self.data.features[noise],
                                  self.data.labels[noise])
-
-    def f_many(self, xs: np.ndarray, chunk: int = 8192) -> np.ndarray:
-        out = np.empty(xs.shape[0])
-        F, y = self.data.features, self.data.labels
-        for lo in range(0, xs.shape[0], chunk):
-            hi = min(lo + chunk, xs.shape[0])
-            r = xs[lo:hi] @ F.T - y
-            out[lo:hi] = np.mean(sigmoid_phi(r), axis=1)
-        return out
-
-    def sample_pairs(self, x: np.ndarray, n: int, rng: Generator, chunk: int = 2048):
-        self._check_dim(x)
-        m, b = len(self.data), self.batch_size
-        if self.full_batch:
-            g = self.grad(x)
-            return np.tile(g, (n, 1)), np.tile(g, (n, 1))
-        F, y = self.data.features, self.data.labels
-        resid = F @ x - y
-        w = sigmoid_phi_prime(resid)
-        gs = np.empty((n, self.dim))
-        gps = np.empty((n, self.dim))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            for out in (gs, gps):
-                idx = rng.integers(0, m, size=(hi - lo, b))
-                # mean_j w[idx_j] * F[idx_j] for each draw
-                out[lo:hi] = np.einsum("nb,nbd->nd", w[idx], F[idx]) / b
-        return gs, gps
 
 
 # ----------------------------------------------------------------------------
@@ -452,7 +374,6 @@ def load_libsvm(
     path,
     append_bias: bool = True,
     n_features: Optional[int] = None,
-    binary_labels: bool = True,
 ) -> Dataset:
     """Parse a LibSVM text file into a dense Dataset.
 
@@ -475,7 +396,7 @@ def load_libsvm(
                 label = float(tokens[0])
             except ValueError:
                 raise LibsvmParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
-            if binary_labels and label not in (-1.0, 1.0):
+            if label not in (-1.0, 1.0):
                 raise LibsvmParseError(f"line {lineno}: label must be +1 or -1, got {tokens[0]!r}")
             feats = []
             prev = 0

@@ -66,6 +66,8 @@ def _analytic_sample_pair(self, x, rng):
 
 
 class _RosenbrockReference(RosenbrockOracle):
+    exact_f = exact_grad = True
+
     def f(self, x):
         a = 1.0 - x[0]
         c = x[1] - x[0] * x[0]
@@ -81,6 +83,8 @@ class _RosenbrockReference(RosenbrockOracle):
 
 
 class _QuadraticReference(QuadraticOracle):
+    exact_f = exact_grad = True
+
     def f(self, x):
         self._check_dim(x)
         return 0.5 * float(np.sum(self.diag * (x * x)))
@@ -99,6 +103,8 @@ def _sigmoid_grad(x, features, labels):
 
 
 class _SigmoidReference(SigmoidLossOracle):
+    exact_f = exact_grad = True
+
     def f(self, x):
         r = self.data.features @ x - self.data.labels
         return float(np.mean(sigmoid_phi(r)))

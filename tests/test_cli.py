@@ -92,6 +92,29 @@ lr = 0.1
         "config error: optimizer.sgdol.lr: not taken by kind 'sgdol_global'\n")
 
 
+def test_run_rejects_an_oracle_key_the_kind_does_not_take(tmp_path, synthetic500_path, capsys):
+    config = tmp_path / "exp.ini"
+    config.write_text(f"""
+[experiment]
+oracle = sigmoid
+dataset = {synthetic500_path}
+batch_size = 50
+sigma = 5.0
+t = 10
+repetitions = 1
+seed = 11
+
+[optimizer.sgd]
+kind = sgd
+lr = 0.1
+""")
+    code = cli_main(["run", str(config)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "config error: sigma: not taken by oracle 'sigmoid'\n"
+
+
 def test_run_rejects_a_batch_larger_than_the_dataset(tmp_path, synthetic500_path, capsys):
     config = tmp_path / "exp.ini"
     config.write_text(f"""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sgdol import RngStream, dot, sq_norm, vector
-from sgdol.core import Trajectory, derive_stream_id
+from sgdol.core import derive_stream_id
 
 
 def test_dot_examples():
@@ -93,20 +93,3 @@ def test_stream_child_deterministic():
     s = RngStream(9)
     assert s.child(1, 2) == s.child(1, 2)
     assert s.child(1, 2) != s.child(2, 1)
-
-
-def test_trajectory_record_accessor():
-    traj = Trajectory(
-        t=np.array([1, 3], dtype=np.int64),
-        f_value=np.array([2.0, 1.0]),
-        true_grad_sq_norm=np.array([4.0, 1.0]),
-        stepsize=np.array([0.5, 0.25]),
-        surrogate_loss_value=np.array([-0.1, -0.2]),
-        cumulative_regret_lhs=np.array([-0.1, -0.3]),
-    )
-    assert len(traj) == 2
-    rec = traj.record(1)
-    assert rec.iteration == 3
-    assert rec.f_value == 1.0
-    assert rec.stepsize == 0.25
-    assert rec.cumulative_regret_lhs == -0.3

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from sgdol import (
     GradientPair,
     RngStream,
     RosenbrockOracle,
+    SigmoidLossOracle,
     finite_diff_grad,
     ftrl_argmin_oracle,
     rosenbrock_f,
@@ -13,7 +17,7 @@ from sgdol import (
     smoothness_probe,
     surrogate_bound_check,
 )
-from sgdol.oracles import StochasticOracle
+from sgdol.diagnostics import _MC_CHUNK
 
 
 def test_argmin_oracle_empty_history():
@@ -96,14 +100,51 @@ def test_surrogate_bound_zero_stepsize():
     assert v.mean_surrogate == 0.0
 
 
-def test_surrogate_bound_requires_exact_f():
-    class NoF(StochasticOracle):
-        dim = 2
-        exact_f = False
-        smoothness = 1.0
+def test_surrogate_bound_requires_smoothness():
+    oracle = RosenbrockOracle(sigma=1.0)
+    oracle.smoothness = None
+    with pytest.raises(ValueError, match="smoothness"):
+        surrogate_bound_check(oracle, np.zeros(2), 0.1, 10, RngStream(84))
 
-    with pytest.raises(ValueError):
-        surrogate_bound_check(NoF(), np.zeros(2), 0.1, 10, RngStream(84))
+
+def _one_shot_verdict(oracle, x, eta, N, rng):
+    """The check's statistics from all N pairs drawn and evaluated at once."""
+    pairs = oracle.pairs(x, oracle.draw(rng.generator(), N))
+    g, gp = pairs[:, 0], pairs[:, 1]
+    M = oracle.smoothness
+    decreases = oracle.f_lanes(x - eta * g) - oracle.f(x)
+    surrogates = 0.5 * M * eta * eta * np.sum(g * g, axis=1) - eta * np.sum(g * gp, axis=1)
+    se = math.sqrt((np.var(decreases, ddof=1) + np.var(surrogates, ddof=1)) / N)
+    return float(np.mean(decreases)), float(np.mean(surrogates)), se
+
+
+@pytest.mark.parametrize("case", ["rosenbrock-sigma5", "sigmoid-b1", "sigmoid-b50",
+                                  "sigmoid-b500"])  # b500: the full batch
+def test_chunked_surrogate_bound_equals_one_draw(case, synthetic500):
+    if case == "rosenbrock-sigma5":
+        oracle, x = RosenbrockOracle(sigma=5.0), np.array([0.3, -0.2])
+    else:
+        oracle = SigmoidLossOracle(synthetic500, batch_size=int(case[len("sigmoid-b"):]))
+        x = RngStream(87).generator().uniform(-0.5, 0.5, synthetic500.n_features)
+    N = 2 * _MC_CHUNK + 17  # two whole chunks and a short one
+    eta = 1.0 / oracle.smoothness
+    v = surrogate_bound_check(oracle, x, eta, N, RngStream(88))
+    assert (v.mean_decrease, v.mean_surrogate, v.std_err) == \
+        _one_shot_verdict(oracle, x, eta, N, RngStream(88))
+    assert v.n == N and v.passed
+
+
+def test_surrogate_bound_memory_does_not_grow_with_N(synthetic500):
+    # Every pair's two 50-row minibatches held at once took 141 MB here.
+    oracle = SigmoidLossOracle(synthetic500, batch_size=50)
+    x = np.zeros(synthetic500.n_features)
+    tracemalloc.start()
+    try:
+        surrogate_bound_check(oracle, x, 1.0 / oracle.smoothness, 20000, RngStream(89))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
 
 
 @pytest.mark.parametrize("N", [0, -5])

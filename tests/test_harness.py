@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,8 @@ from sgdol import (
     run_experiment,
 )
 from sgdol.harness import OptimizerSeries, ResultTable, read_csv_series, write_csv
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _spec(tmp=None, **overrides):
@@ -241,6 +244,27 @@ def test_sigmoid_experiment_runs(synthetic500_path):
     assert s.f_value is not None
 
 
+@pytest.mark.parametrize("oracle,key", [
+    (OracleSpec(kind="sigmoid", dataset="d.libsvm", batch_size=5, sigma=5.0), "sigma"),
+    (OracleSpec(kind="sigmoid", dataset="d.libsvm", batch_size=5, diag=np.ones(2)), "diag"),
+    (OracleSpec(kind="rosenbrock", dataset="d.libsvm"), "dataset"),
+    (OracleSpec(kind="rosenbrock", batch_size=5), "batch_size"),
+    (OracleSpec(kind="rosenbrock", diag=np.ones(2)), "diag"),
+    (OracleSpec(kind="quadratic", diag=np.ones(2), append_bias=True), "append_bias"),
+    (OracleSpec(kind="quadratic", diag=np.ones(2), balance=False), "balance"),
+])
+def test_oracle_rejects_a_key_its_kind_does_not_take(oracle, key):
+    assert oracle.validate() == [f"{key}: not taken by oracle {oracle.kind!r}"]
+    with pytest.raises(ConfigError, match=f"{key}: not taken by oracle"):
+        run_experiment(_spec(oracle=oracle))
+
+
+def test_unset_oracle_keys_take_their_defaults(synthetic500_path):
+    assert np.array_equal(OracleSpec(kind="rosenbrock").build(0).sigma, np.zeros(2))
+    oracle = OracleSpec(kind="sigmoid", dataset=synthetic500_path, batch_size=5).build(0)
+    assert oracle.dim == 21 and len(oracle.data) == 500  # bias appended, not balanced
+
+
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------
@@ -300,6 +324,24 @@ kind = sgdol_global
     assert "seed" in text
     assert "bogus" in text
     assert "optimizer.a.M" in text
+
+
+def test_parse_config_rejects_data_keys_on_an_analytic_oracle(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(GOOD_CONFIG.replace("sigma = 0.2", "dataset = d.libsvm\nbatch_size = 5\ndiag = 1"))
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    assert info.value.problems == [f"{key}: not taken by oracle 'rosenbrock'"
+                                   for key in ("diag", "dataset", "batch_size")]
+
+
+@pytest.mark.parametrize("path", ["configs/rosenbrock_noisy.ini",
+                                  "configs/classification_batch50.ini",
+                                  "perfbench/quad_d100_dense.ini"])
+def test_shipped_configs_parse(path):
+    # The benchmark builds its inputs from these files.
+    spec = parse_config(os.path.join(ROOT, path))
+    assert spec.validate() == []
 
 
 def test_parse_config_missing_file():

@@ -120,35 +120,40 @@ def test_regret_ledger_matches_the_reference_loop(synthetic500):
     assert a._sqs == b._sqs and a._sqs_prime == b._sqs_prime
 
 
-class _PairOnlyOracle(StochasticOracle):
-    """A user oracle with nothing but f, grad and sample_pair."""
+class _FourMethodOracle(StochasticOracle):
+    """A user oracle that defines only the contract's four methods."""
 
     dim = 2
-    exact_f = True
-    exact_grad = True
 
     def __init__(self):
         self._inner = RosenbrockOracle(sigma=1.0)
 
-    def f(self, x):
-        return self._inner.f(x)
+    def f_lanes(self, X):
+        return self._inner.f_lanes(X)
 
-    def grad(self, x):
-        return self._inner.grad(x)
+    def grad_lanes(self, X):
+        return self._inner.grad_lanes(X)
 
-    def sample_pair(self, x, rng):
-        return self._inner.sample_pair(x, rng)
+    def draw(self, rng, n):
+        return self._inner.draw(rng, n)
+
+    def pairs(self, X, noise):
+        return self._inner.pairs(X, noise)
 
 
-def test_pair_only_oracle_runs_one_lane():
-    got = run(Sgdol(np.zeros(2), M=1002.0), _PairOnlyOracle(), 100, RngStream(43),
+def test_four_method_oracle_runs_like_the_built_in_one():
+    got = run(Sgdol(np.zeros(2), M=1002.0), _FourMethodOracle(), 100, RngStream(43),
               report_every=3)
     expected = run(Sgdol(np.zeros(2), M=1002.0), RosenbrockOracle(sigma=1.0), 100,
                    RngStream(43), report_every=3, force_generic=True)
     assert trajectories_equal(got, expected)
-    with pytest.raises(ValueError, match="one query point"):
-        run_lanes([[Sgd(np.zeros(2), lr=1e-3)] * 2], _PairOnlyOracle(), 10,
-                  [RngStream(1), RngStream(2)], [[RngStream(3), RngStream(4)]])
+    rngs, outs = [RngStream(1), RngStream(2)], [[RngStream(3), RngStream(4)]]
+    [lanes] = run_lanes([[Sgd(np.zeros(2), lr=1e-3) for _ in rngs]], _FourMethodOracle(), 100,
+                        rngs, outs, report_every=3)
+    for r, rng in enumerate(rngs):
+        single = run(Sgd(np.zeros(2), lr=1e-3), RosenbrockOracle(sigma=1.0), 100, rng,
+                     report_every=3, output_rng=outs[0][r], force_generic=True)
+        assert trajectories_equal(lanes[r], single)
 
 
 def test_lane_groups_are_checked():

@@ -58,7 +58,7 @@ def test_sample_pair_dim_mismatch():
 def test_rosenbrock_noisy_unbiased_at_origin():
     # Mean over 1e5 pair draws within 3*sigma/sqrt(N) per coordinate.
     oracle = RosenbrockOracle(sigma=0.2)
-    gs, _ = oracle.sample_pairs(np.zeros(2), 100000, RngStream(13).generator())
+    gs = oracle.pairs(np.zeros(2), oracle.draw(RngStream(13).generator(), 100000))[:, 0]
     bound = 3.0 * 0.2 / np.sqrt(100000)
     assert np.all(np.abs(gs.mean(axis=0) - np.array([-2.0, 0.0])) < bound)
 
@@ -70,7 +70,7 @@ def test_rosenbrock_noisy_unbiased_at_origin():
 def test_h1_unbiasedness_and_independence(make_oracle, x):
     oracle = make_oracle()
     n = 100000
-    gs, gps = oracle.sample_pairs(x, n, RngStream(14).generator())
+    gs, gps = np.moveaxis(oracle.pairs(x, oracle.draw(RngStream(14).generator(), n)), 1, 0)
     exact = oracle.grad(x)
     for block in (gs, gps):
         err = np.abs(block.mean(axis=0) - exact)
@@ -160,7 +160,7 @@ def test_minibatch_batch1_unbiased(synthetic500):
     oracle = SigmoidLossOracle(synthetic500, batch_size=1)
     x = np.zeros(synthetic500.n_features)
     n = 100000
-    gs, gps = oracle.sample_pairs(x, n, RngStream(18).generator())
+    gs, gps = np.moveaxis(oracle.pairs(x, oracle.draw(RngStream(18).generator(), n)), 1, 0)
     full = oracle.grad(x)
     tol = 4.0 * gs.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(gs.mean(axis=0) - full) <= tol)
@@ -208,9 +208,6 @@ def test_load_libsvm_nonbinary_label(tmp_path):
     path.write_text("2 1:0.5\n")
     with pytest.raises(LibsvmParseError, match="label"):
         load_libsvm(path)
-    # Without binary mode the parse succeeds but Dataset still demands +-1.
-    with pytest.raises(ValueError):
-        load_libsvm(path, binary_labels=False)
 
 
 def test_load_libsvm_decreasing_indices(tmp_path):
