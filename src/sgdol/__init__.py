@@ -1,16 +1,7 @@
 """SGD with online-learned stepsizes, baselines, oracles, and a run harness."""
 
 from .core import RngStream, Trajectory, derive_stream_id, dot, sq_norm, vector
-from .online import (
-    DEFAULT_ALPHA,
-    CoordFtrlState,
-    FtrlState,
-    RegretLedger,
-    SurrogateLoss,
-    eval_surrogate,
-    eval_surrogate_percoord,
-    surrogate_loss,
-)
+from .online import DEFAULT_ALPHA, FtrlState, RegretLedger, surrogate_loss
 from .optimizers import (
     Adam,
     AdaGradCoord,

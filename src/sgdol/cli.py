@@ -43,14 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         spec = parse_config(args.config)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    try:
         table = run_experiment(spec)
     except ConfigError as exc:
         for problem in exc.problems:
@@ -60,10 +52,8 @@ def _cmd_run(args) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     for name, series in table.series.items():
-        last = len(series.t) - 1
-        gsq = series.grad_sq_norm
-        summary = f"final grad_sq_norm {float(gsq[last])!r}" if gsq is not None else "done"
-        print(f"{name}: {len(series.t)} recorded points, {summary}")
+        print(f"{name}: {len(series.t)} recorded points, "
+              f"final grad_sq_norm {float(series.grad_sq_norm[-1])!r}")
     if spec.output_dir:
         print(f"wrote CSV files to {spec.output_dir}")
     return 0

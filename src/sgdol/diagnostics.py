@@ -16,8 +16,8 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .core import RngStream, row_dot, sq_norm
-from .online import DEFAULT_ALPHA, surrogate_loss
+from .core import RngStream, dot, row_dot, sq_norm
+from .online import DEFAULT_ALPHA, FtrlState, surrogate_loss
 from .optimizers import Sgdol, run
 from .oracles import (
     Dataset,
@@ -205,8 +205,6 @@ class CheckResult:
 def _check_ftrl_closed_form(seed: int) -> CheckResult:
     gen = RngStream(seed, 1).generator()
     worst = 0.0
-    from .online import FtrlState
-
     for _ in range(60):
         T = int(gen.integers(0, 31))
         d = int(gen.integers(1, 6))
@@ -218,7 +216,7 @@ def _check_ftrl_closed_form(seed: int) -> CheckResult:
             g = gen.uniform(-1.0, 1.0, size=d)
             gp = gen.uniform(-1.0, 1.0, size=d)
             history.append(GradientPair(g, gp))
-            state.observe_pair(g, gp)
+            state.observe_stats(dot(g, gp), sq_norm(g))
         worst = max(worst, abs(state.stepsize() - ftrl_argmin_oracle(alpha, M, history)))
     return CheckResult("ftrl closed form vs numeric argmin",
                        worst < 1e-8, f"max deviation {worst:.3e}")

@@ -168,8 +168,8 @@ class OptimizerSeries:
     name: str
     kind: str
     t: np.ndarray
-    grad_sq_norm: Optional[np.ndarray]
-    f_value: Optional[np.ndarray]
+    grad_sq_norm: np.ndarray
+    f_value: np.ndarray
     stepsize_mean: np.ndarray
     stepsize_coords: Optional[np.ndarray] = None
     optimality_gap: Optional[np.ndarray] = None
@@ -269,10 +269,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     return table
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def write_csv(table: ResultTable, out_dir):
     """One CSV per optimizer: t,grad_sq_norm,f_value,stepsize_mean[,...].
 
@@ -284,25 +280,22 @@ def write_csv(table: ResultTable, out_dir):
     for name, s in table.series.items():
         path = os.path.join(out_dir, f"{name}.csv")
         header = ["t", "grad_sq_norm", "f_value", "stepsize_mean"]
-        n_coords = 0 if s.stepsize_coords is None else s.stepsize_coords.shape[1]
-        header += [f"stepsize_{i + 1}" for i in range(n_coords)]
+        columns = [s.grad_sq_norm, s.f_value, s.stepsize_mean]
+        if s.stepsize_coords is not None:
+            header += [f"stepsize_{i + 1}" for i in range(s.stepsize_coords.shape[1])]
+            columns += list(s.stepsize_coords.T)
         if s.optimality_gap is not None:
             header.append("optimality_gap")
+            columns.append(s.optimality_gap)
+        # One numeric row at a time: the text of a whole table would
+        # take about ten times the memory of its floats.
+        block = np.column_stack(columns)
         try:
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(header)
-                for i in range(len(s.t)):
-                    row = [
-                        str(int(s.t[i])),
-                        "" if s.grad_sq_norm is None else _fmt(s.grad_sq_norm[i]),
-                        "" if s.f_value is None else _fmt(s.f_value[i]),
-                        _fmt(s.stepsize_mean[i]),
-                    ]
-                    row += [_fmt(s.stepsize_coords[i, j]) for j in range(n_coords)]
-                    if s.optimality_gap is not None:
-                        row.append(_fmt(s.optimality_gap[i]))
-                    writer.writerow(row)
+                for t, row in zip(s.t.tolist(), block):
+                    writer.writerow([str(t), *map(repr, row.tolist())])
         except OSError as exc:
             raise OSError(f"failed writing {path}: {exc}") from exc
 

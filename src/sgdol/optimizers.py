@@ -7,7 +7,13 @@ sees identical oracle call counts and random streams under a shared seed.
 
 Each optimizer's ``update`` is written once over an iterate of shape (d,)
 or (L, d), with its state shaped to match, and ``step(pair)`` applies it to
-one pair. ``run`` executes T steps and records the trajectory. On the
+one pair. Every learned stepsize comes from one ``online.FtrlState``: float
+sums for a global stepsize, (d,) sums for per-coordinate stepsizes, each
+with a leading lane axis when stacked. An ``Sgdol`` with a ``ledger``
+records each round's statistics into it, one step at a time here or all
+steps at once from its kernel.
+
+``run`` executes T steps and records the trajectory. On the
 built-in analytic oracles it dispatches to the fused kernels in
 ``_kernels``, which continue from whatever state earlier steps left. Every
 other run (the momentum variant, the dataset oracle, user oracles and
@@ -36,7 +42,7 @@ import numpy as np
 
 from . import _kernels
 from .core import RngStream, Trajectory, check_fields, field_problems, row_dot, vector
-from .online import DEFAULT_ALPHA, CoordFtrlState, FtrlState, RegretLedger, surrogate_loss
+from .online import DEFAULT_ALPHA, FtrlState, RegretLedger, surrogate_loss
 from .oracles import (
     GradientPair,
     QuadraticOracle,
@@ -164,13 +170,17 @@ class Sgdol(Optimizer):
         a = row_dot(g, g)
         loss = surrogate_loss(self.M, eta, a, b, self.ftrl.curvature_scale)
         if self.ledger is not None:
-            self.ledger.record_arrays(eta, b, a, row_dot(g_prime, g_prime))
+            self.ledger.record(eta, b, a, row_dot(g_prime, g_prime))
         self.ftrl.observe_stats(b, a)
         return eta, loss
 
 
 class SgdolCoord(Optimizer):
-    """SGDOL with one independent FTRL stepsize learner per coordinate."""
+    """SGDOL with one independent FTRL stepsize learner per coordinate.
+
+    The learners are one ``FtrlState`` with (d,) sums, fed the
+    per-coordinate products g*g' and g*g.
+    """
 
     kind = "sgdol_coord"
     state = ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t")
@@ -179,7 +189,8 @@ class SgdolCoord(Optimizer):
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA):
         super().__init__(x0)
-        self.ftrl = CoordFtrlState(alpha=alpha, M=M, dim=self.dim)
+        self.ftrl = FtrlState(alpha=alpha, M=M, sum_inner=np.zeros(self.dim),
+                              sum_sq=np.zeros(self.dim))
 
     @property
     def M(self) -> float:
@@ -487,8 +498,8 @@ def run(
     ``rng`` feeds the oracle's noise; ``output_rng`` (derived from ``rng``
     when omitted) picks the uniformly sampled output iterate index k. Two
     calls with identical arguments produce bitwise-identical results.
-    ``record_regret`` attaches a new record-keeping ledger to the optimizer
-    and returns it with the result.
+    ``record_regret`` attaches a new ledger to the optimizer and returns it
+    with the result.
     """
     out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
     stride, [[k]] = _schedule([[optimizer]], oracle, T, report_every, [[out_stream]])
@@ -498,8 +509,7 @@ def run(
     ledger = None
     if record_regret:
         ledger = optimizer.ledger = RegretLedger(
-            optimizer.alpha, optimizer.M, keep_records=True,
-            curvature_scale=optimizer.ftrl.curvature_scale)
+            optimizer.alpha, optimizer.M, curvature_scale=optimizer.ftrl.curvature_scale)
     if takes_kernel(optimizer, oracle, force_generic):
         return _run_kernel(optimizer, _analytic_params(oracle), T, rng, stride, k, ledger)
     [[result]] = run_lanes([[optimizer]], oracle, T, [rng], [[out_stream]], report_every)
@@ -530,7 +540,7 @@ def _run_kernel(optimizer, params, T, rng, stride, k, ledger):
         _set_attr(optimizer, attr, value)
     steps = out[8 + len(optimizer.state):]  # per-step regret statistics, sgdol_global only
     if steps and optimizer.logs_regret:
-        optimizer.ledger.record_arrays(*steps)
+        optimizer.ledger.record(*steps)
     traj = Trajectory(*series, stepsize_coords=coords if coords.shape[1] else None)
     return RunResult(traj, k, xk, x.copy(), ledger)
 

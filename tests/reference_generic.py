@@ -269,7 +269,7 @@ def reference_run(optimizer, oracle, T, rng, report_every=None, record_regret=Fa
     ledger = None
     if record_regret:
         ledger = optimizer.ledger = RegretLedger(
-            optimizer.alpha, optimizer.M, keep_records=True,
+            optimizer.alpha, optimizer.M,
             curvature_scale=optimizer.ftrl.curvature_scale)
     return _run_generic(optimizer, oracle, T, rng, stride, k, ledger)
 

@@ -24,9 +24,11 @@ from sgdol import (
     SgdolCoord,
     SgdolMomentum,
     SigmoidLossOracle,
+    dot,
     ftrl_argmin_oracle,
     run,
     run_experiment,
+    sq_norm,
     surrogate_bound_check,
 )
 from sgdol.core import derive_stream_id
@@ -109,7 +111,7 @@ def test_c01_ftrl_closed_form_equivalence():
             g = gen.uniform(-1.0, 1.0, d)
             gp = gen.uniform(-1.0, 1.0, d)
             history.append(GradientPair(g, gp))
-            state.observe_pair(g, gp)
+            state.observe_stats(dot(g, gp), sq_norm(g))
         worst = max(worst, abs(state.stepsize() - ftrl_argmin_oracle(alpha, M, history)))
     elapsed = time.perf_counter() - t0
     _report("C1 ftrl closed-form equivalence",

@@ -158,6 +158,30 @@ lr = 0.001
     assert "config error: diag:" in capsys.readouterr().err
 
 
+def test_run_missing_dataset_is_io_error(tmp_path, capsys):
+    missing = tmp_path / "not-here.libsvm"
+    config = tmp_path / "exp.ini"
+    config.write_text(f"""
+[experiment]
+oracle = sigmoid
+dataset = {missing}
+batch_size = 10
+t = 10
+repetitions = 1
+seed = 11
+
+[optimizer.sgd]
+kind = sgd
+lr = 0.1
+""")
+    code = cli_main(["run", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: ") and str(missing) in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_run_missing_config_file(capsys):
     code = cli_main(["run", "/nope/missing.ini"])
     assert code == 2

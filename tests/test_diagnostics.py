@@ -10,11 +10,13 @@ from sgdol import (
     RngStream,
     RosenbrockOracle,
     SigmoidLossOracle,
+    dot,
     finite_diff_grad,
     ftrl_argmin_oracle,
     rosenbrock_f,
     run_verification,
     smoothness_probe,
+    sq_norm,
     surrogate_bound_check,
 )
 from sgdol.diagnostics import _MC_CHUNK
@@ -40,7 +42,7 @@ def test_argmin_oracle_matches_closed_form():
             g = gen.uniform(-1, 1, 3)
             gp = gen.uniform(-1, 1, 3)
             history.append(GradientPair(g, gp))
-            state.observe_pair(g, gp)
+            state.observe_stats(dot(g, gp), sq_norm(g))
         assert abs(state.stepsize() - ftrl_argmin_oracle(alpha, M, history)) < 1e-8
 
 

@@ -254,8 +254,7 @@ def test_attached_ledger_is_filled_on_both_paths():
         assert res.ledger is None
     assert ledgers[0].count == ledgers[1].count == 150
     assert ledgers[0].cumulative_loss == ledgers[1].cumulative_loss
-    assert ledgers[0].sum_inner == ledgers[1].sum_inner
-    assert ledgers[0].sum_sq == ledgers[1].sum_sq
+    assert np.array_equal(ledgers[0].steps, ledgers[1].steps)
 
 
 def test_sgdol_global_keeps_no_per_step_arrays_unless_asked():
@@ -281,7 +280,5 @@ def test_regret_arrays_match_between_paths():
     r2 = run(Sgdol(np.zeros(2), M=1002.0), oracle, T=150, rng=RngStream(75),
              record_regret=True, force_generic=True)
     assert r1.ledger.cumulative_loss == r2.ledger.cumulative_loss
-    assert r1.ledger._etas == r2.ledger._etas
-    assert r1.ledger._inners == r2.ledger._inners
-    assert r1.ledger._sqs == r2.ledger._sqs
-    assert r1.ledger._sqs_prime == r2.ledger._sqs_prime
+    assert r1.ledger.steps.shape == (4, 150)
+    assert np.array_equal(r1.ledger.steps, r2.ledger.steps)

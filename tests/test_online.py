@@ -1,37 +1,45 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgdol import (
-    CoordFtrlState,
     FtrlState,
     GradientPair,
     RegretLedger,
     RngStream,
-    SurrogateLoss,
-    eval_surrogate,
-    eval_surrogate_percoord,
+    dot,
+    ftrl_argmin_oracle,
+    sq_norm,
+    surrogate_loss,
 )
 from sgdol.online import regret_second_term_log_cap
 
 
 def test_eval_surrogate_examples():
-    loss = SurrogateLoss(M=2.0, g=np.array([1.0, 0.0]), g_prime=np.array([1.0, 0.0]))
-    assert eval_surrogate(loss, 0.0) == 0.0
-    assert eval_surrogate(loss, 0.5) == pytest.approx(-0.25)
+    g = np.array([1.0, 0.0])
+    assert surrogate_loss(2.0, 0.0, sq_norm(g), dot(g, g.copy())) == 0.0
+    assert surrogate_loss(2.0, 0.5, sq_norm(g), dot(g, g.copy())) == pytest.approx(-0.25)
 
 
 def test_eval_surrogate_minimizer_is_one_over_m_when_noiseless():
     g = np.array([0.7, -1.3])
-    loss = SurrogateLoss(M=2.0, g=g, g_prime=g.copy())
+    a, b = sq_norm(g), dot(g, g.copy())
     eta_star = 1.0 / 2.0
     for eta in (eta_star - 0.1, eta_star + 0.1, 0.0, 1.0):
-        assert loss.value(eta_star) <= loss.value(eta)
+        assert surrogate_loss(2.0, eta_star, a, b) <= surrogate_loss(2.0, eta, a, b)
+
+
+def _percoord_loss(M, g, g_prime, eta):
+    """Sum of the per-coordinate surrogates for a stepsize vector eta."""
+    return float(np.sum(surrogate_loss(M, eta, g * g, g * g_prime)))
 
 
 def test_eval_surrogate_percoord_examples():
     g = np.array([2.0, 3.0])
-    assert eval_surrogate_percoord(1.0, g, g.copy(), np.array([1.0, 0.0])) == pytest.approx(-2.0)
-    assert eval_surrogate_percoord(1.0, g, g.copy(), np.zeros(2)) == 0.0
+    assert _percoord_loss(1.0, g, g.copy(), np.array([1.0, 0.0])) == pytest.approx(-2.0)
+    assert _percoord_loss(1.0, g, g.copy(), np.zeros(2)) == 0.0
 
 
 def test_eval_surrogate_percoord_collapses_to_scalar():
@@ -41,15 +49,14 @@ def test_eval_surrogate_percoord_collapses_to_scalar():
         g = gen.uniform(-1, 1, d)
         gp = gen.uniform(-1, 1, d)
         eta = float(gen.uniform(0, 2))
-        loss = SurrogateLoss(M=1.5, g=g, g_prime=gp)
-        scalar = eval_surrogate(loss, eta)
-        vec = eval_surrogate_percoord(1.5, g, gp, np.full(d, eta))
+        scalar = surrogate_loss(1.5, eta, sq_norm(g), dot(g, gp))
+        vec = _percoord_loss(1.5, g, gp, np.full(d, eta))
         assert vec == pytest.approx(scalar, rel=1e-12)
 
 
-def test_eval_surrogate_percoord_dim_mismatch():
-    with pytest.raises(ValueError):
-        eval_surrogate_percoord(1.0, np.ones(2), np.ones(2), np.ones(3))
+def _coord_state(alpha, M, dim):
+    """One learner per coordinate: (dim,) sums, fed the products g*g' and g*g."""
+    return FtrlState(alpha=alpha, M=M, sum_inner=np.zeros(dim), sum_sq=np.zeros(dim))
 
 
 def test_ftrl_stepsize_fresh_state():
@@ -61,7 +68,7 @@ def test_ftrl_stepsize_noiseless_history_exact():
     gen = RngStream(31).generator()
     for _ in range(100):
         g = gen.uniform(-5, 5, size=2)
-        state.observe_pair(g, g.copy())
+        state.observe_stats(dot(g, g.copy()), sq_norm(g))
         assert state.stepsize() == 1.0 / 1002.0
 
 
@@ -74,7 +81,8 @@ def test_ftrl_stepsize_clipping():
 
 def test_ftrl_observe_arithmetic():
     state = FtrlState(alpha=1.0, M=1.0)
-    state.observe_pair(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
+    g, gp = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+    state.observe_stats(dot(g, gp), sq_norm(g))
     assert state.sum_inner == 0.0
     assert state.sum_sq == 2.0
     assert state.t == 2
@@ -83,7 +91,7 @@ def test_ftrl_observe_arithmetic():
 def test_ftrl_observe_zero_gradient_is_noop():
     state = FtrlState(alpha=2.0, M=1.0, sum_inner=1.0, sum_sq=3.0)
     before = state.stepsize()
-    state.observe_pair(np.zeros(3), np.ones(3))
+    state.observe_stats(dot(np.zeros(3), np.ones(3)), sq_norm(np.zeros(3)))
     assert state.stepsize() == before
 
 
@@ -93,16 +101,10 @@ def test_ftrl_observe_order_independent_on_integers():
     s1 = FtrlState(alpha=1.0, M=1.0)
     s2 = FtrlState(alpha=1.0, M=1.0)
     for g, gp in pairs:
-        s1.observe_pair(g, gp)
+        s1.observe_stats(dot(g, gp), sq_norm(g))
     for g, gp in reversed(pairs):
-        s2.observe_pair(g, gp)
+        s2.observe_stats(dot(g, gp), sq_norm(g))
     assert (s1.sum_inner, s1.sum_sq) == (s2.sum_inner, s2.sum_sq)
-
-
-def test_ftrl_observe_loss_m_mismatch():
-    state = FtrlState(alpha=1.0, M=1.0)
-    with pytest.raises(ValueError):
-        state.observe(SurrogateLoss(M=2.0, g=np.ones(2), g_prime=np.ones(2)))
 
 
 def test_ftrl_rejects_nonpositive_alpha():
@@ -125,38 +127,39 @@ def test_ftrl_stepsize_domain_randomized():
 
 
 def test_coord_ftrl_fresh_state():
-    state = CoordFtrlState(alpha=1.0, M=2.0, dim=3)
+    state = _coord_state(1.0, 2.0, 3)
     assert np.array_equal(state.stepsize(), np.full(3, 0.5))
 
 
 def test_coord_ftrl_single_pair_example():
-    state = CoordFtrlState(alpha=1.0, M=1.0, dim=2)
-    state.observe_pair(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+    state = _coord_state(1.0, 1.0, 2)
+    g, gp = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+    state.observe_stats(g * gp, g * g)
     assert np.array_equal(state.stepsize(), np.array([0.0, 1.0]))
 
 
 def test_coord_ftrl_noiseless_coordinate_stays_at_one_over_m():
-    state = CoordFtrlState(alpha=10.0, M=2.0, dim=2)
+    state = _coord_state(10.0, 2.0, 2)
     gen = RngStream(33).generator()
     for _ in range(50):
         g = gen.uniform(-1, 1, 2)
         gp = g.copy()
         gp[1] = g[1] + gen.standard_normal()  # noise only on coordinate 2
-        state.observe_pair(g, gp)
+        state.observe_stats(g * gp, g * g)
         assert state.stepsize()[0] == 0.5
 
 
 def test_coord_ftrl_coordinate_isolation():
     gen = RngStream(34).generator()
-    s1 = CoordFtrlState(alpha=1.0, M=1.0, dim=3)
-    s2 = CoordFtrlState(alpha=1.0, M=1.0, dim=3)
+    s1 = _coord_state(1.0, 1.0, 3)
+    s2 = _coord_state(1.0, 1.0, 3)
     for _ in range(20):
         g = gen.uniform(-1, 1, 3)
         gp = gen.uniform(-1, 1, 3)
         g2, gp2 = g.copy(), gp.copy()
         g2[2], gp2[2] = gen.uniform(-1, 1), gen.uniform(-1, 1)  # differ in coord 3 only
-        s1.observe_pair(g, gp)
-        s2.observe_pair(g2, gp2)
+        s1.observe_stats(g * gp, g * g)
+        s2.observe_stats(g2 * gp2, g2 * g2)
     assert np.array_equal(s1.stepsize()[:2], s2.stepsize()[:2])
 
 
@@ -167,21 +170,21 @@ def test_coord_ftrl_coordinate_isolation():
 
 def _random_ledger(seed, T, alpha=1.0, M=1.0, d=3):
     gen = RngStream(seed).generator()
-    ledger = RegretLedger(alpha, M, keep_records=True)
+    ledger = RegretLedger(alpha, M)
     state = FtrlState(alpha=alpha, M=M)
     for _ in range(T):
         eta = state.stepsize()
         g = gen.uniform(-1, 1, d)
         gp = gen.uniform(-1, 1, d)
-        ledger.record_pair(eta, GradientPair(g, gp))
-        state.observe_pair(g, gp)
+        ledger.record(eta, dot(g, gp), sq_norm(g), sq_norm(gp))
+        state.observe_stats(dot(g, gp), sq_norm(g))
     return ledger
 
 
 def test_ledger_cumulative_matches_recomputation():
     ledger = _random_ledger(seed=35, T=60)
-    total = sum(0.5 * ledger.M * e * e * a - e * b
-                for e, b, a in zip(ledger._etas, ledger._inners, ledger._sqs))
+    etas, inners, g_sqs, _ = ledger.steps
+    total = sum(0.5 * ledger.M * e * e * a - e * b for e, b, a in zip(etas, inners, g_sqs))
     assert ledger.cumulative_loss == pytest.approx(total, rel=1e-9)
 
 
@@ -192,7 +195,7 @@ def test_regret_vs_empty_ledger_is_zero():
 
 
 def test_regret_vs_single_step_own_minimizer():
-    ledger = RegretLedger(1.0, 2.0, keep_records=True)
+    ledger = RegretLedger(1.0, 2.0)
     g = np.array([1.0, 2.0])
     gp = np.array([0.5, 1.0])
     b = float(np.sum(g * gp))
@@ -206,7 +209,8 @@ def test_regret_vs_comparator_minimizer_is_largest():
     # The comparator minimizing the cumulative loss maximizes the regret
     # against it; no other fixed stepsize can have larger regret.
     ledger = _random_ledger(seed=36, T=40)
-    best = ledger.sum_inner / (ledger.M * ledger.sum_sq)
+    _, inners, g_sqs, _ = ledger.steps
+    best = np.sum(inners) / (ledger.M * np.sum(g_sqs))
     best = min(max(best, 0.0), 2.0 / ledger.M)
     base = ledger.regret_vs(best)
     for eta in np.linspace(0.0, 2.0 / ledger.M, 17):
@@ -229,10 +233,6 @@ def test_regret_bound_domain_and_record_requirements():
         ledger.regret_bound_rhs(2.0 / ledger.M + 0.1)
     with pytest.raises(ValueError):
         ledger.regret_bound_rhs(0.5, L=ledger.max_grad_norm() * 0.5)
-    bare = RegretLedger(1.0, 1.0)
-    bare.record(0.1, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        bare.regret_bound_rhs(0.5)
 
 
 def test_regret_second_term_log_cap():
@@ -243,5 +243,103 @@ def test_regret_second_term_log_cap():
 
 
 def test_ledger_empty_bound_at_one_over_m_is_zero():
-    ledger = RegretLedger(1.0, 2.0, keep_records=True)
+    ledger = RegretLedger(1.0, 2.0)
     assert ledger.regret_bound_rhs(0.5) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the closed form as a property
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _histories(draw):
+    """(alpha, M, pairs): a learner's parameters and a history of gradient pairs."""
+    alpha = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    M = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    d = draw(st.integers(1, 5))
+    entries = arrays(np.float64, d, elements=st.floats(-1.0, 1.0))
+    pairs = draw(st.lists(st.tuples(entries, entries), max_size=30))
+    return alpha, M, pairs
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(history=_histories(), curvature_scale=st.sampled_from([1.0, 2.0]))
+def test_ftrl_stepsize_is_the_regularized_argmin(history, curvature_scale):
+    alpha, M, pairs = history
+    state = FtrlState(alpha=alpha, M=M, curvature_scale=curvature_scale)
+    for g, gp in pairs:
+        state.observe_stats(dot(g, gp), sq_norm(g))
+    expected = ftrl_argmin_oracle(alpha, M, [GradientPair(g, gp) for g, gp in pairs],
+                                  curvature_scale=curvature_scale)
+    assert abs(state.stepsize() - expected) <= 1e-8 * 2.0 / M
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(history=_histories())
+def test_coordinate_sums_equal_one_scalar_learner_per_coordinate(history):
+    alpha, M, pairs = history
+    d = len(pairs[0][0]) if pairs else 3
+    coords = _coord_state(alpha, M, d)
+    scalars = [FtrlState(alpha=alpha, M=M) for _ in range(d)]
+    for g, gp in pairs:
+        coords.observe_stats(g * gp, g * g)
+        for i, state in enumerate(scalars):
+            state.observe_stats(g[i] * gp[i], g[i] * g[i])
+        etas = coords.stepsize()
+        assert etas.tobytes() == np.array([s.stepsize() for s in scalars]).tobytes()
+    assert coords.sum_inner.tobytes() == np.array([s.sum_inner for s in scalars]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the array ledger against per-step loops
+# ---------------------------------------------------------------------------
+
+
+class _LoopLedger:
+    """The ledger's totals as one sequential loop over its rounds: the reference."""
+
+    def __init__(self, alpha, M, curvature_scale, rounds):
+        c = curvature_scale
+        self.count, self.cumulative_loss, self.sum_inner, self.sum_sq = 0, 0.0, 0.0, 0.0
+        self.max_sq, second = 0.0, 0.0
+        for eta, b, a, ap in rounds:
+            self.count += 1
+            self.cumulative_loss += 0.5 * c * M * eta * eta * a - eta * b
+            self.sum_inner += b
+            self.sum_sq += a
+            self.max_sq = max(self.max_sq, a, ap)
+            slope = c * M * eta * a - b
+            second += slope * slope / (alpha + c * self.sum_sq)
+        self.bound_second_term = second / (2.0 * M)
+        self.max_grad_norm = float(np.sqrt(self.max_sq))
+
+
+@pytest.mark.parametrize("seed", [50, 51, 52, 53])
+def test_regret_ledger_matches_the_per_step_loops(seed):
+    gen = RngStream(seed).generator()
+    alpha = float(gen.choice(np.array([0.1, 1.0, 10.0])))
+    M = float(gen.choice(np.array([0.5, 1.0, 2.0])))
+    c = float(gen.choice(np.array([1.0, 2.0])))
+    T = int(gen.integers(1, 400))
+    state = FtrlState(alpha=alpha, M=M, curvature_scale=c)
+    rounds = []
+    for _ in range(T):
+        g, gp = gen.uniform(-2, 2, 3), gen.uniform(-2, 2, 3)
+        rounds.append((float(state.stepsize()), dot(g, gp), sq_norm(g), sq_norm(gp)))
+        state.observe_stats(dot(g, gp), sq_norm(g))
+    ref = _LoopLedger(alpha, M, c, rounds)
+    # One round at a time, as the lane engine records, and all at once, as a kernel does.
+    one_by_one, at_once = RegretLedger(alpha, M, c), RegretLedger(alpha, M, c)
+    for r in rounds:
+        one_by_one.record(*r)
+    at_once.record(*np.array(rounds).T)
+    for ledger in (one_by_one, at_once):
+        assert ledger.steps.tobytes() == np.array(rounds).T.tobytes()
+        assert ledger.count == ref.count == T
+        assert ledger.max_grad_norm() == ref.max_grad_norm
+        assert ledger.cumulative_loss == pytest.approx(ref.cumulative_loss, rel=1e-12)
+        assert ledger.bound_second_term() == pytest.approx(ref.bound_second_term, rel=1e-12)
+        for eta in (0.0, 1.0 / M, 2.0 / M):
+            comparator = 0.5 * c * M * eta * eta * ref.sum_sq - eta * ref.sum_inner
+            assert ledger.comparator_loss(eta) == pytest.approx(comparator, rel=1e-12)
