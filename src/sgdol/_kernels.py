@@ -2,10 +2,10 @@
 
 Each kernel executes a full T-step optimizer run on one of the built-in
 analytic objectives (0 = Rosenbrock, 1 = diagonal quadratic) with
-pre-generated Gaussian noise, recording the trajectory at a fixed stride.
+additive Gaussian noise, recording the trajectory at a fixed stride.
 Every kernel has the signature
 
-    kernel(oracle_id, diag, x, T, sigma, noise, k_index, stride, *params, *state)
+    kernel(oracle_id, diag, x, T, sigma, draw, k_index, stride, *params, *state)
 
 and returns
 
@@ -18,22 +18,23 @@ kernel can continue a run that generic steps started, and its final value
 goes out; array state and ``x`` are updated in place. ``stepsize_coords``
 has zero columns for global-stepsize kernels. The only extras are
 ``sgdol_global``'s per-step regret statistics, filled when ``keep_steps``.
-``noise`` holds raw standard normals of shape (T, 2, d), scaled inside by
-the per-coordinate sigma; drawn in bulk, it consumes the random stream
-exactly as the step-by-step oracle path does.
+``draw(n)`` returns the standard normals of the next n gradient pairs, shape
+(n, 2, d), scaled inside by the per-coordinate sigma. The kernels pull their
+noise from it a chunk at a time, so memory does not grow with T, and they
+consume the random stream exactly as the step-by-step oracle path does.
 
 The kernels run on Python floats, which CPython handles four to seven times
-faster than numpy scalars: inputs are unpacked once, the noise is converted a
-chunk at a time, records go to typed buffers that become arrays at the end,
-and the final iterate and array state are written back in place. On
-Rosenbrock (d = 2) coordinates and per-coordinate state are scalar locals
-with the objective inlined; quadratics run on lists through the helpers
-below. Sums start from 0.0 and run in index order (0.0 + -0.0 is 0.0), as
-loops because ``sum`` of floats compensates its rounding from Python 3.12 on.
-``tests/reference_kernels.py`` holds each kernel as an array loop that
-``tests/test_kernels.py`` requires it to match bit for bit; against the
-generic step path the match is exact up to d = 7 (numpy sums pairwise from
-8 elements up).
+faster than numpy scalars: inputs are unpacked once, the noise is drawn and
+converted a chunk at a time into one flat list, records go to typed buffers
+that become arrays at the end, and the final iterate and array state are
+written back in place. On Rosenbrock (d = 2) coordinates and per-coordinate
+state are scalar locals with the objective inlined; quadratics run on lists
+through the helpers below. Sums start from 0.0 and run in index order
+(0.0 + -0.0 is 0.0), as loops because ``sum`` of floats compensates its
+rounding from Python 3.12 on. ``tests/reference_kernels.py`` holds each
+kernel as an array loop that ``tests/test_kernels.py`` requires it to match
+bit for bit; against the generic step path the match is exact up to d = 7
+(numpy sums pairwise from 8 elements up).
 
 No divisor can be zero, where a Python float would raise ZeroDivisionError
 and a numpy scalar return inf or nan: alpha, M and eps are validated
@@ -52,17 +53,31 @@ import numpy as np
 ORACLE_ROSENBROCK = 0
 ORACLE_QUADRATIC = 1
 
-# Noise floats converted per chunk. Boxed into nested lists a float costs
-# 32-80 bytes, so the copy stays under 160 kB at any d; at 8192 the peak RSS
-# of a short Rosenbrock sweep rose by 1 MB, with no gain in speed.
+# Noise floats drawn and converted per chunk: 2048 floats are a 16 kB array and
+# a 64 kB flat list, whatever d is; at 8192 the peak RSS of a short Rosenbrock
+# sweep rose by 1 MB, with no gain in speed.
 _CHUNK_FLOATS = 2048
 
 
-def _noise_rows(noise, T):
-    """Iterate (t0, noise[t0].tolist()) for t0 < T, converting in chunks."""
-    rows = max(1, _CHUNK_FLOATS // noise[0].size)
+def _noise_steps(draw, T, d, pairs):
+    """Iterate (t0, *noise of step t0) for t0 < T, drawing a chunk at a time.
+
+    ``draw(n)`` returns the next n pairs' standard normals, shape (n, 2, d);
+    exactly T pairs are drawn in all. A step's noise is its first ``pairs``
+    rows, flat: g's d floats, then g''s d floats when ``pairs`` is 2. Each
+    chunk becomes one flat list that zip regroups step by step, so no
+    per-step list is built for the cyclic GC to track, and zip reuses the
+    tuple of a step that the loop unpacks.
+    """
+    rows = max(1, _CHUNK_FLOATS // (2 * d))
     return itertools.chain.from_iterable(
-        enumerate(noise[c0:c0 + rows].tolist(), c0) for c0 in range(0, T, rows))
+        _flat_steps(draw(min(rows, T - c0))[:, :pairs], c0, pairs * d)
+        for c0 in range(0, T, rows))
+
+
+def _flat_steps(chunk, c0, k):
+    """(c0 + i, *the k floats of row i) for every row i of the chunk."""
+    return zip(range(c0, c0 + len(chunk)), *[iter(chunk.ravel().tolist())] * k)
 
 
 def _grad_list(dg, xs):
@@ -107,7 +122,7 @@ def _series(rec_t, *bufs):
     return (np.frombuffer(rec_t, np.int64), *(np.frombuffer(buf) for buf in bufs))
 
 
-def _sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
+def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
                      M, alpha, curv, keep_steps, si, ss, t):
     """SGDOL with one global FTRL-learned stepsize.
 
@@ -126,7 +141,7 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
     if oracle_id == ORACLE_ROSENBROCK:
         x0, x1 = x.tolist()
         s0, s1 = sigma.tolist()
-        for t0, ((u0, u1), (v0, v1)) in _noise_rows(noise, T):
+        for t0, u0, u1, v0, v1 in _noise_steps(draw, T, d, 2):
             c = x1 - x0 * x0
             r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
             r1 = 200.0 * c
@@ -173,7 +188,8 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
         xs = x.tolist()
         sg = sigma.tolist()
         dg = diag.tolist()
-        for t0, (u, v) in _noise_rows(noise, T):
+        for row in _noise_steps(draw, T, d, 2):
+            t0, u, v = row[0], row[1:d + 1], row[d + 1:]
             grad = _grad_list(dg, xs)
             if t0 + 1 == k_index:
                 xk[:] = xs
@@ -213,7 +229,7 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
             np.empty((len(rec_t), 0)), xk, si, ss, t + T, *steps)
 
 
-def _sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, alpha, si, ss, t):
+def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, si, ss, t):
     """SGDOL with one FTRL learner per coordinate; state (si, ss, t) as above."""
     d = x.shape[0]
     xk = np.empty(d)
@@ -227,7 +243,7 @@ def _sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, alpha,
         s0, s1 = sigma.tolist()
         si0, si1 = si.tolist()
         ss0, ss1 = ss.tolist()
-        for t0, ((u0, u1), (v0, v1)) in _noise_rows(noise, T):
+        for t0, u0, u1, v0, v1 in _noise_steps(draw, T, d, 2):
             c = x1 - x0 * x0
             r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
             r1 = 200.0 * c
@@ -286,7 +302,8 @@ def _sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, alpha,
         dg = diag.tolist()
         sis = si.tolist()
         sss = ss.tolist()
-        for t0, (u, v) in _noise_rows(noise, T):
+        for row in _noise_steps(draw, T, d, 2):
+            t0, u, v = row[0], row[1:d + 1], row[d + 1:]
             grad = _grad_list(dg, xs)
             if t0 + 1 == k_index:
                 xk[:] = xs
@@ -322,7 +339,7 @@ def _sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, alpha,
             np.frombuffer(rec_eta).reshape(-1, d), xk, si, ss, t + T)
 
 
-def _sgd(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr):
+def _sgd(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr):
     """Constant-stepsize SGD (also the precomputed-stepsize variant); reads only g's noise."""
     d = x.shape[0]
     xk = np.empty(d)
@@ -330,7 +347,7 @@ def _sgd(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr):
     if oracle_id == ORACLE_ROSENBROCK:
         x0, x1 = x.tolist()
         s0, s1 = sigma.tolist()
-        for t0, (u0, u1) in _noise_rows(noise[:, 0], T):
+        for t0, u0, u1 in _noise_steps(draw, T, d, 1):
             c = x1 - x0 * x0
             r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
             r1 = 200.0 * c
@@ -350,7 +367,8 @@ def _sgd(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr):
         xs = x.tolist()
         sg = sigma.tolist()
         dg = diag.tolist()
-        for t0, u in _noise_rows(noise[:, 0], T):
+        for row in _noise_steps(draw, T, d, 1):
+            t0, u = row[0], row[1:]
             grad = _grad_list(dg, xs)
             if t0 + 1 == k_index:
                 xk[:] = xs
@@ -365,7 +383,7 @@ def _sgd(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr):
             np.zeros(n_rec), np.empty((n_rec, 0)), xk)
 
 
-def _adagrad_global(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, accum):
+def _adagrad_global(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, accum):
     """AdaGrad with one shared stepsize lr / sqrt(sum of squared grad norms)."""
     d = x.shape[0]
     xk = np.empty(d)
@@ -374,7 +392,7 @@ def _adagrad_global(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, ac
     if oracle_id == ORACLE_ROSENBROCK:
         x0, x1 = x.tolist()
         s0, s1 = sigma.tolist()
-        for t0, (u0, u1) in _noise_rows(noise[:, 0], T):
+        for t0, u0, u1 in _noise_steps(draw, T, d, 1):
             c = x1 - x0 * x0
             r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
             r1 = 200.0 * c
@@ -401,7 +419,8 @@ def _adagrad_global(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, ac
         xs = x.tolist()
         sg = sigma.tolist()
         dg = diag.tolist()
-        for t0, u in _noise_rows(noise[:, 0], T):
+        for row in _noise_steps(draw, T, d, 1):
+            t0, u = row[0], row[1:]
             grad = _grad_list(dg, xs)
             if t0 + 1 == k_index:
                 xk[:] = xs
@@ -422,7 +441,7 @@ def _adagrad_global(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, ac
             np.empty((n_rec, 0)), xk, accum)
 
 
-def _adagrad_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, accum):
+def _adagrad_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, accum):
     """AdaGrad with a per-coordinate accumulator."""
     d = x.shape[0]
     xk = np.empty(d)
@@ -433,7 +452,7 @@ def _adagrad_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, acc
         x0, x1 = x.tolist()
         s0, s1 = sigma.tolist()
         q0, q1 = accum.tolist()
-        for t0, (u0, u1) in _noise_rows(noise[:, 0], T):
+        for t0, u0, u1 in _noise_steps(draw, T, d, 1):
             c = x1 - x0 * x0
             r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
             r1 = 200.0 * c
@@ -467,7 +486,8 @@ def _adagrad_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, acc
         sg = sigma.tolist()
         dg = diag.tolist()
         qs = accum.tolist()
-        for t0, u in _noise_rows(noise[:, 0], T):
+        for row in _noise_steps(draw, T, d, 1):
+            t0, u = row[0], row[1:]
             grad = _grad_list(dg, xs)
             if t0 + 1 == k_index:
                 xk[:] = xs
@@ -490,7 +510,7 @@ def _adagrad_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, acc
             np.frombuffer(rec_eta).reshape(-1, d), xk, accum)
 
 
-def _adam(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, beta1, beta2, eps,
+def _adam(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, beta1, beta2, eps,
              m, v, p1, p2):
     """Adam with standard bias-corrected moment estimates; it records NaN stepsizes."""
     d = x.shape[0]
@@ -504,7 +524,7 @@ def _adam(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, beta1, beta2
         s0, s1 = sigma.tolist()
         m0, m1 = m.tolist()
         w0, w1 = v.tolist()
-        for t0, (u0, u1) in _noise_rows(noise[:, 0], T):
+        for t0, u0, u1 in _noise_steps(draw, T, d, 1):
             c = x1 - x0 * x0
             r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
             r1 = 200.0 * c
@@ -540,7 +560,8 @@ def _adam(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, beta1, beta2
         dg = diag.tolist()
         ms = m.tolist()
         ws = v.tolist()
-        for t0, u in _noise_rows(noise[:, 0], T):
+        for row in _noise_steps(draw, T, d, 1):
+            t0, u = row[0], row[1:]
             grad = _grad_list(dg, xs)
             if t0 + 1 == k_index:
                 xk[:] = xs

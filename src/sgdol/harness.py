@@ -356,11 +356,17 @@ def parse_config(path) -> ExperimentSpec:
     """Parse the INI-style experiment config documented in the README.
 
     Collects every problem it finds and raises one ConfigError naming all
-    offending fields. Missing file surfaces as an OSError.
+    offending fields; a file that is not UTF-8 or not INI syntax (duplicate
+    key or section, no section header) is one such problem. Missing file
+    surfaces as an OSError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    with open(path) as fh:
-        parser.read_file(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages span lines; a problem is reported on one.
+        raise ConfigError([f"{path}: {' '.join(str(exc).split())}"]) from exc
     problems: List[str] = []
     if "experiment" not in parser:
         raise ConfigError(["experiment: section missing"])

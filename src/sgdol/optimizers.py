@@ -31,6 +31,7 @@ optimizers in the same state.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from collections import defaultdict
@@ -511,7 +512,7 @@ def run(
         ledger = optimizer.ledger = RegretLedger(
             optimizer.alpha, optimizer.M, curvature_scale=optimizer.ftrl.curvature_scale)
     if takes_kernel(optimizer, oracle, force_generic):
-        return _run_kernel(optimizer, _analytic_params(oracle), T, rng, stride, k, ledger)
+        return _run_kernel(optimizer, oracle, T, rng, stride, k, ledger)
     [[result]] = run_lanes([[optimizer]], oracle, T, [rng], [[out_stream]], report_every)
     result.ledger = ledger
     return result
@@ -528,13 +529,14 @@ def _set_attr(obj, attr: str, value):
     setattr(attrgetter(owner)(obj) if owner else obj, leaf, value)
 
 
-def _run_kernel(optimizer, params, T, rng, stride, k, ledger):
-    oracle_id, diag, sigma = params
+def _run_kernel(optimizer, oracle, T, rng, stride, k, ledger):
+    oracle_id, diag, sigma = _analytic_params(oracle)
     name, args = _kernel_args(optimizer)
-    # One bulk draw consumes the stream exactly like T per-step pair draws.
-    noise = rng.generator().standard_normal((T, 2, optimizer.dim))
+    # The kernel draws its noise a chunk at a time; chunked draws consume the
+    # stream exactly like T per-step pair draws.
+    draw = functools.partial(oracle.draw, rng.generator())
     x = optimizer.x  # mutated in place by the kernel
-    out = _kernels.get_kernel(name)(oracle_id, diag, x, T, sigma, noise, k, stride, *args)
+    out = _kernels.get_kernel(name)(oracle_id, diag, x, T, sigma, draw, k, stride, *args)
     *series, coords, xk = out[:8]
     for attr, value in zip(optimizer.state, out[8:]):
         _set_attr(optimizer, attr, value)

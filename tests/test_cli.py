@@ -182,6 +182,26 @@ lr = 0.1
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[experiment]\noracle = rosenbrock\noracle = quadratic\n",
+     "option 'oracle' in section 'experiment' already exists"),
+    (b"[experiment]\noracle = rosenbrock\n[experiment]\nt = 5\n",
+     "section 'experiment' already exists"),
+    (b"oracle = rosenbrock\n[experiment]\n", "no section headers"),
+    (b"[experiment]\noracle = rosenbr\xf6ck\n", "can't decode byte 0xf6"),
+], ids=["duplicate-key", "duplicate-section", "no-section-header", "not-utf8"])
+def test_run_malformed_config_is_one_config_error(tmp_path, capsys, content, message):
+    config = tmp_path / "exp.ini"
+    config.write_bytes(content)
+    code = cli_main(["run", str(config)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {config}: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_run_missing_config_file(capsys):
     code = cli_main(["run", "/nope/missing.ini"])
     assert code == 2

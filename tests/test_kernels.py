@@ -11,6 +11,7 @@ states.
 """
 
 import copy
+import functools
 import tracemalloc
 
 import numpy as np
@@ -68,9 +69,8 @@ def test_kernel_matches_generic_on_quadratic_d5(make):
 def _chunk_crossing_T(d):
     """A horizon that crosses noise-chunk boundaries of the kernels.
 
-    They convert about ``_CHUNK_FLOATS`` noise floats at a time: rows of 2d
-    floats for the SGDOL kernels, of d floats for the others. The horizon is
-    a multiple of neither chunk.
+    They draw and convert about ``_CHUNK_FLOATS`` noise floats at a time, in
+    pairs of 2d floats. The horizon is not a multiple of the chunk.
     """
     return kernels._CHUNK_FLOATS // d + 77
 
@@ -143,36 +143,84 @@ def _bits(value):
     return a.dtype, a.shape, a.tobytes()
 
 
+def _slices(noise):
+    """A ``draw`` that serves the next n pairs of a pre-drawn noise array."""
+    served = 0
+
+    def draw(n):
+        nonlocal served
+        served += n
+        return noise[served - n:served]
+    return draw
+
+
+def _kernel_against_reference(name, oracle_id, d, x0, stride, T, noise, draw, rs):
+    """Run the kernel fed by ``draw`` and its reference fed ``noise``.
+
+    Returns the bits of everything each run returns or updates in place, the
+    n of each ``draw`` call, and the kernel's final iterate.
+    """
+    diag = np.arange(1, d + 1) / d
+    sigma = np.linspace(0.5, 5.0, d)
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (d,))
+    args = _kernel_args(name, d, rs)
+    assert kernels.get_kernel(name) is not REFERENCE_KERNELS[name]
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return draw(n)
+    runs = []
+    for kernel, feed in ((REFERENCE_KERNELS[name], noise), (kernels.get_kernel(name), counted)):
+        xi, argsi = x.copy(), copy.deepcopy(args)  # both are updated in place
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = kernel(oracle_id, diag, xi, T, sigma, feed, T // 2 + 1, stride, *argsi)
+        runs.append([_bits(v) for v in (*out, xi, *argsi)])
+    return runs, calls, xi
+
+
+_TWIN_CASES = [
+    pytest.param(kernels.ORACLE_ROSENBROCK, 2, (-1.2, 1.0), 1, _chunk_crossing_T(2),
+                 id="rosenbrock-stride1"),
+    pytest.param(kernels.ORACLE_ROSENBROCK, 2, (-1.2, 1.0), 7, _chunk_crossing_T(2),
+                 id="rosenbrock-stride7"),
+    pytest.param(kernels.ORACLE_QUADRATIC, 100, (1.0,), 1, _chunk_crossing_T(100),
+                 id="quadratic_d100-stride1"),
+    pytest.param(kernels.ORACLE_QUADRATIC, 100, (1.0,), 7, _chunk_crossing_T(100),
+                 id="quadratic_d100-stride7"),
+]
+
+
 @pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
 @pytest.mark.parametrize("oracle_id, d, x0, stride, T, diverges", [
-    pytest.param(kernels.ORACLE_ROSENBROCK, 2, (-1.2, 1.0), 1, _chunk_crossing_T(2), False,
-                 id="rosenbrock-stride1"),
-    pytest.param(kernels.ORACLE_ROSENBROCK, 2, (-1.2, 1.0), 7, _chunk_crossing_T(2), False,
-                 id="rosenbrock-stride7"),
-    pytest.param(kernels.ORACLE_QUADRATIC, 100, (1.0,), 1, _chunk_crossing_T(100), False,
-                 id="quadratic_d100-stride1"),
-    pytest.param(kernels.ORACLE_QUADRATIC, 100, (1.0,), 7, _chunk_crossing_T(100), False,
-                 id="quadratic_d100-stride7"),
+    *(pytest.param(*case.values, False, id=case.id) for case in _TWIN_CASES),
     # The gradient overflows at once, and every kernel's iterate turns inf or nan.
     pytest.param(kernels.ORACLE_ROSENBROCK, 2, (1e150, 1e150), 1, 60, True,
                  id="rosenbrock-diverging"),
 ])
 def test_python_twin_matches_array_source_bitwise(name, oracle_id, d, x0, stride, T, diverges):
     rs = np.random.default_rng(85)
-    diag = np.arange(1, d + 1) / d
-    sigma = np.linspace(0.5, 5.0, d)
     noise = rs.standard_normal((T, 2, d))
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (d,))
-    args = _kernel_args(name, d, rs)
-    assert kernels.get_kernel(name) is not REFERENCE_KERNELS[name]
-    runs = []
-    for kernel in (REFERENCE_KERNELS[name], kernels.get_kernel(name)):
-        xi, argsi = x.copy(), copy.deepcopy(args)  # both are updated in place
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = kernel(oracle_id, diag, xi, T, sigma, noise, T // 2 + 1, stride, *argsi)
-        runs.append([_bits(v) for v in (*out, xi, *argsi)])
+    runs, _, x = _kernel_against_reference(name, oracle_id, d, x0, stride, T, noise,
+                                           _slices(noise), rs)
     assert runs[0] == runs[1]
-    assert np.all(np.isfinite(xi)) != diverges
+    assert np.all(np.isfinite(x)) != diverges
+
+
+@pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
+@pytest.mark.parametrize("oracle_id, d, x0, stride, T", _TWIN_CASES)
+def test_kernel_draws_exactly_T_pairs_a_chunk_at_a_time(name, oracle_id, d, x0, stride, T):
+    # The kernel pulls from the oracle's draw on one stream; the reference gets
+    # one bulk draw of T pairs from an equal stream.
+    oracle = (RosenbrockOracle(sigma=5.0) if oracle_id == kernels.ORACLE_ROSENBROCK
+              else QuadraticOracle(np.ones(d), sigma=1.0))
+    noise = oracle.draw(RngStream(86).generator(), T)
+    draw = functools.partial(oracle.draw, RngStream(86).generator())
+    runs, calls, _ = _kernel_against_reference(name, oracle_id, d, x0, stride, T, noise, draw,
+                                               np.random.default_rng(87))
+    assert sum(calls) == T
+    assert 1 <= max(calls) <= max(1, kernels._CHUNK_FLOATS // (2 * d)) < T
+    assert runs[0] == runs[1]
 
 
 def test_kernel_restores_optimizer_state():
@@ -257,20 +305,35 @@ def test_attached_ledger_is_filled_on_both_paths():
     assert np.array_equal(ledgers[0].steps, ledgers[1].steps)
 
 
-def test_sgdol_global_keeps_no_per_step_arrays_unless_asked():
-    T = 20_000
-    noise_bytes = T * 2 * 2 * 8  # the bulk (T, 2, d) draw at d = 2
+def _peak_bytes(make, T):
+    """The tracemalloc peak of a kernel run on Rosenbrock that records one row."""
     tracemalloc.start()
     try:
-        run(Sgdol(np.zeros(2), M=1002.0), RosenbrockOracle(sigma=5.0), T=T, rng=RngStream(78),
-            report_every=T)
+        run(make(), RosenbrockOracle(sigma=5.0), T=T, rng=RngStream(78), report_every=T)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The noise is the only allocation that grows with T. The four per-step
-    # regret arrays would add 32 bytes a step; the bound allows 16, which
-    # covers the constant overhead (chunked noise conversion, about 170 kB).
-    assert peak < noise_bytes + 16 * T
+    return peak
+
+
+def test_sgdol_global_keeps_no_per_step_arrays_unless_asked():
+    T = 20_000
+    peak = _peak_bytes(lambda: Sgdol(np.zeros(2), M=1002.0), T)
+    # Nothing on the kernel path grows with T: the four per-step regret arrays
+    # would add 32 bytes a step; the bound allows 16, which covers the constant
+    # overhead (one noise chunk drawn and converted, about 85 kB).
+    assert peak < 16 * T
+
+
+@pytest.mark.parametrize("make", [lambda: Sgdol(np.zeros(2), M=1002.0),
+                                  lambda: Sgd(np.zeros(2), lr=1.0 / 1002.0)],
+                         ids=["sgdol_global", "sgd"])
+def test_kernel_memory_does_not_grow_with_T(make):
+    # The noise is drawn a chunk at a time, so ten times the steps may not
+    # raise the peak; one (T, 2, d) draw would add 5.8 MB between the two runs.
+    short, long = _peak_bytes(make, 20_000), _peak_bytes(make, 200_000)
+    assert abs(long - short) < 16 * 1024
+    assert max(short, long) < 256 * 1024
 
 
 def test_regret_arrays_match_between_paths():
