@@ -9,15 +9,14 @@ Every kernel has the signature
 
 and returns
 
-    (t, f, ||grad||^2, stepsize, surrogate, cumulative, stepsize_coords, x_k,
-     *state, *extras)
+    (t, f, ||grad||^2, stepsize, surrogate, cumulative, stepsize_coords, x_k, *state)
 
 ``state`` is the optimizer's mutable state (FTRL sums and round counter,
-AdaGrad accumulators, Adam moments and beta powers): it comes in, so a
+AdaGrad accumulators, Adam moments and beta powers, and the six running
+values of a regret ledger that an ``Sgdol`` carries): it comes in, so a
 kernel can continue a run that generic steps started, and its final value
 goes out; array state and ``x`` are updated in place. ``stepsize_coords``
-has zero columns for global-stepsize kernels. The only extras are
-``sgdol_global``'s per-step regret statistics, filled when ``keep_steps``.
+has zero columns for global-stepsize kernels.
 ``draw(n)`` returns the standard normals of the next n gradient pairs, shape
 (n, 2, d), scaled inside by the per-coordinate sigma. The kernels pull their
 noise from it a chunk at a time, so memory does not grow with T, and they
@@ -122,20 +121,38 @@ def _series(rec_t, *bufs):
     return (np.frombuffer(rec_t, np.int64), *(np.frombuffer(buf) for buf in bufs))
 
 
+def _fold_round(ledger, M, alpha, curv, eta, loss, b, a, ap):
+    """A regret ledger's running values after one more round, as ``RegretLedger.record``.
+
+    ``loss`` is the round's surrogate loss, ``b``, ``a`` and ``ap`` are
+    <g,g'>, ||g||^2 and ||g'||^2.
+    """
+    n, lc, li, lq, lm, l2 = ledger
+    lq += a
+    # A NaN, once seen, stays the maximum, as np.maximum keeps it.
+    if a > lm or a != a:
+        lm = a
+    if ap > lm or ap != ap:
+        lm = ap
+    slope = curv * M * eta * a - b
+    return n + 1, lc + loss, li + b, lq, lm, l2 + slope * slope / (alpha + curv * lq)
+
+
 def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
-                     M, alpha, curv, keep_steps, si, ss, t):
+                     M, alpha, curv, si, ss, t, *ledger):
     """SGDOL with one global FTRL-learned stepsize.
 
-    The learner state is (sum of <g,g'>, sum of ||g||^2, round counter).
-    With ``keep_steps`` the extras are the full per-step (eta, <g,g'>,
-    ||g||^2, ||g'||^2) arrays needed for regret bookkeeping; otherwise they
-    are empty.
+    The learner state is (sum of <g,g'>, sum of ||g||^2, round counter),
+    then a regret ledger's running values when the optimizer carries one:
+    (rounds, cumulative surrogate loss, sum of <g,g'>, sum of ||g||^2,
+    largest ||g||^2 or ||g'||^2, summed second bound term), as
+    ``online.RegretLedger.record`` folds them in.
     """
     d = x.shape[0]
     xk = np.empty(d)
     rec_t = array("q")
     rec_f, rec_gsq, rec_eta, rec_surr, rec_cum = (array("d") for _ in range(5))
-    etas, inners, sqs, sqps = (array("d") for _ in range(4))
+    led = bool(ledger)  # a bool tests faster than a tuple in the loops
     cum = 0.0
     hi = 2.0 / M
     if oracle_id == ORACLE_ROSENBROCK:
@@ -170,11 +187,9 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
             cum += loss
             si += b
             ss += a
-            if keep_steps:
-                etas.append(eta)
-                inners.append(b)
-                sqs.append(a)
-                sqps.append(0.0 + gp0 * gp0 + gp1 * gp1)
+            if led:
+                ledger = _fold_round(ledger, M, alpha, curv, eta, loss, b, a,
+                                     0.0 + gp0 * gp0 + gp1 * gp1)
             if rec_here:
                 rec_t.append(t0 + 1)
                 rec_f.append(fv)
@@ -211,11 +226,8 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
             cum += loss
             si += b
             ss += a
-            if keep_steps:
-                etas.append(eta)
-                inners.append(b)
-                sqs.append(a)
-                sqps.append(_sq_norm_list(gp))
+            if led:
+                ledger = _fold_round(ledger, M, alpha, curv, eta, loss, b, a, _sq_norm_list(gp))
             if rec_here:
                 rec_t.append(t0 + 1)
                 rec_f.append(fv)
@@ -224,9 +236,8 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
                 rec_surr.append(loss)
                 rec_cum.append(cum)
         x[:] = xs
-    steps = [np.frombuffer(buf) for buf in (etas, inners, sqs, sqps)]
     return (*_series(rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum),
-            np.empty((len(rec_t), 0)), xk, si, ss, t + T, *steps)
+            np.empty((len(rec_t), 0)), xk, si, ss, t + T, *ledger)
 
 
 def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, si, ss, t):

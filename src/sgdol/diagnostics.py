@@ -309,9 +309,9 @@ def _check_pl_rate(seed: int) -> CheckResult:
 
 def _check_regret_bound(seed: int) -> CheckResult:
     oracle = RosenbrockOracle(sigma=5.0)
-    opt = Sgdol(np.zeros(2), M=1002.0, alpha=DEFAULT_ALPHA)
-    res = run(opt, oracle, T=2000, rng=RngStream(seed, 10), record_regret=True)
-    ledger = res.ledger
+    opt = Sgdol(np.zeros(2), M=1002.0, alpha=DEFAULT_ALPHA, record_regret=True)
+    run(opt, oracle, T=2000, rng=RngStream(seed, 10))
+    ledger = opt.ledger
     L = ledger.max_grad_norm()
     grid = np.linspace(0.0, 2.0 / 1002.0, 32)
     margin = min(ledger.regret_bound_rhs(float(e), L) - ledger.regret_vs(float(e))

@@ -10,8 +10,8 @@ closed-form solution
 
 so the learner state is just the two running sums. One ``FtrlState`` holds
 them for every shape of learner: a global stepsize, one per coordinate, and
-either of those stacked over lanes. ``RegretLedger`` keeps a run's per-step
-record and checks the FTRL regret bound against it.
+either of those stacked over lanes. ``RegretLedger`` keeps a learner's
+running totals and checks the FTRL regret bound against them.
 """
 
 from __future__ import annotations
@@ -85,53 +85,50 @@ class FtrlState:
 
 
 class RegretLedger:
-    """Per-step record of a stepsize learner's rounds, and its regret.
+    """Running totals of a stepsize learner's rounds, and its regret.
 
-    ``record`` appends rounds; every total (the count, the learner's and a
-    comparator's cumulative loss, the largest gradient norm, the regret
-    bound) is computed from the record.
+    Six running values cover every quantity the ledger reports: the round
+    count, the learner's cumulative surrogate loss, the sums of <g, g'> and
+    ||g||^2, the largest ||g||^2 or ||g'||^2, and the running sum behind the
+    bound's second term. Each is a float for one learner, or an (L,) array
+    for L lanes. ``record`` folds in one round per lane and every query is
+    O(1), so a ledger's memory does not grow with the number of rounds.
     """
+
+    # The running values, in the order the sgdol_global kernel takes and returns them.
+    VALUES = ("count", "cumulative_loss", "sum_inner", "sum_sq", "max_sq", "second_sum")
 
     def __init__(self, alpha: float, M: float, curvature_scale: float = 1.0):
         check_fields(alpha=alpha, M=M)
         self.alpha = alpha
         self.M = M
         self.curvature_scale = curvature_scale
-        # (4, n) arrays in recording order, joined when read: a run without a
-        # kernel records one step at a time.
-        self._chunks = []
+        self.count = 0
+        self.cumulative_loss = 0.0
+        self.sum_inner = 0.0
+        self.sum_sq = 0.0
+        self.max_sq = 0.0
+        # sum_t slope_t^2 / (alpha + c * sum_{s<=t} ||g_s||^2); see bound_second_term
+        self.second_sum = 0.0
 
-    def record(self, etas, inners, g_sqs, g_prime_sqs):
-        """Log rounds: the played stepsizes and each pair's <g, g'>, ||g||^2 and ||g'||^2.
+    def record(self, eta, inner, g_sq, g_prime_sq):
+        """Fold in one round: the played stepsize and the pair's <g, g'>, ||g||^2 and ||g'||^2.
 
-        Each argument is a scalar for one round or an array of one entry per round.
+        Each argument is a float, or an (L,) array of one entry per lane.
         """
-        self._chunks.append(np.array([np.ravel(v) for v in (etas, inners, g_sqs, g_prime_sqs)],
-                                     dtype=np.float64))
-
-    @property
-    def steps(self) -> np.ndarray:
-        """The record, shape (4, count): rows eta, <g, g'>, ||g||^2 and ||g'||^2."""
-        if len(self._chunks) != 1:
-            self._chunks = [np.concatenate(self._chunks, axis=1) if self._chunks
-                            else np.empty((4, 0))]
-        return self._chunks[0]
-
-    @property
-    def count(self) -> int:
-        """Rounds recorded."""
-        return self.steps.shape[1]
-
-    @property
-    def cumulative_loss(self) -> float:
-        etas, inners, g_sqs, _ = self.steps
-        return float(np.sum(surrogate_loss(self.M, etas, g_sqs, inners, self.curvature_scale)))
+        c, M = self.curvature_scale, self.M
+        self.count += 1
+        self.cumulative_loss += surrogate_loss(M, eta, g_sq, inner, c)
+        self.sum_inner += inner
+        self.sum_sq += g_sq
+        # np.maximum keeps a NaN once seen, where a plain comparison would drop it.
+        self.max_sq = np.maximum(self.max_sq, np.maximum(g_sq, g_prime_sq))[()]
+        slope = c * M * eta * g_sq - inner
+        self.second_sum += slope * slope / (self.alpha + c * self.sum_sq)
 
     def comparator_loss(self, eta: float) -> float:
         """Cumulative loss of a fixed stepsize: (cM/2) eta^2 sum ||g||^2 - eta sum <g, g'>."""
-        _, inners, g_sqs, _ = self.steps
-        return float(surrogate_loss(self.M, eta, np.sum(g_sqs), np.sum(inners),
-                                    self.curvature_scale))
+        return surrogate_loss(self.M, eta, self.sum_sq, self.sum_inner, self.curvature_scale)
 
     def regret_vs(self, eta: float) -> float:
         """Regret against the fixed comparator eta."""
@@ -140,10 +137,8 @@ class RegretLedger:
         return self.cumulative_loss - self.comparator_loss(eta)
 
     def max_grad_norm(self) -> float:
-        """Largest observed ||g|| or ||g'|| across recorded rounds."""
-        if not self.count:
-            return 0.0
-        return float(np.sqrt(np.max(self.steps[2:])))
+        """Largest observed ||g|| or ||g'|| across recorded rounds; 0.0 before any."""
+        return np.sqrt(self.max_sq)[()]
 
     def bound_second_term(self) -> float:
         """(1/2M) * sum_t loss_slope_t^2 / (alpha + c * cumulative sum_sq up to t).
@@ -151,10 +146,7 @@ class RegretLedger:
         The denominator is the strong-convexity modulus of regularizer plus
         losses accumulated through round t, divided by M.
         """
-        etas, inners, g_sqs, _ = self.steps
-        c = self.curvature_scale
-        slopes = c * self.M * etas * g_sqs - inners
-        return float(np.sum(slopes * slopes / (self.alpha + c * np.cumsum(g_sqs)))) / (2.0 * self.M)
+        return self.second_sum / (2.0 * self.M)
 
     def regret_bound_rhs(self, eta: float, L: Optional[float] = None) -> float:
         """Exact FTRL regret bound at comparator eta in [0, 2/M].

@@ -9,9 +9,10 @@ Each optimizer's ``update`` is written once over an iterate of shape (d,)
 or (L, d), with its state shaped to match, and ``step(pair)`` applies it to
 one pair. Every learned stepsize comes from one ``online.FtrlState``: float
 sums for a global stepsize, (d,) sums for per-coordinate stepsizes, each
-with a leading lane axis when stacked. An ``Sgdol`` with a ``ledger``
-records each round's statistics into it, one step at a time here or all
-steps at once from its kernel.
+with a leading lane axis when stacked. An ``Sgdol`` built with
+``record_regret=True`` owns an ``online.RegretLedger`` of its own rounds,
+from its first: the ledger's running values are optimizer state, which its
+kernel carries and the lane engine stacks like the FTRL sums.
 
 ``run`` executes T steps and records the trajectory. On the
 built-in analytic oracles it dispatches to the fused kernels in
@@ -35,7 +36,7 @@ import functools
 import inspect
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import List, Optional, Sequence, Union
 
@@ -142,14 +143,17 @@ class Sgdol(Optimizer):
 
     kind = "sgdol_global"
     state = ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t")
-    kernel = ("sgdol_global", ("M", "alpha", "ftrl.curvature_scale", "logs_regret"))
+    kernel = ("sgdol_global", ("M", "alpha", "ftrl.curvature_scale"))
     g_pair_consumed = 2
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA,
-                 curvature_scale: float = 1.0, ledger: Optional[RegretLedger] = None):
+                 curvature_scale: float = 1.0, record_regret: bool = False):
         super().__init__(x0)
         self.ftrl = FtrlState(alpha=alpha, M=M, curvature_scale=curvature_scale)
-        self.ledger = ledger
+        self.ledger = None  # the regret ledger of every round, with record_regret
+        if record_regret:
+            self.ledger = RegretLedger(alpha, M, curvature_scale)
+            self.state = Sgdol.state + tuple(f"ledger.{v}" for v in RegretLedger.VALUES)
 
     @property
     def M(self) -> float:
@@ -158,11 +162,6 @@ class Sgdol(Optimizer):
     @property
     def alpha(self) -> float:
         return self.ftrl.alpha
-
-    @property
-    def logs_regret(self) -> bool:
-        """True when every step is recorded into ``ledger``."""
-        return self.ledger is not None
 
     def update(self, g, g_prime):
         eta = self.ftrl.stepsize()
@@ -449,7 +448,6 @@ class RunResult:
     k: int
     x_k: np.ndarray
     x_final: np.ndarray
-    ledger: Optional[RegretLedger] = field(default=None)
 
 
 def _analytic_params(oracle: StochasticOracle):
@@ -490,7 +488,6 @@ def run(
     T: int,
     rng: RngStream,
     report_every: Optional[int] = None,
-    record_regret: bool = False,
     output_rng: Optional[RngStream] = None,
     force_generic: bool = False,
 ) -> RunResult:
@@ -499,22 +496,12 @@ def run(
     ``rng`` feeds the oracle's noise; ``output_rng`` (derived from ``rng``
     when omitted) picks the uniformly sampled output iterate index k. Two
     calls with identical arguments produce bitwise-identical results.
-    ``record_regret`` attaches a new ledger to the optimizer and returns it
-    with the result.
     """
     out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
     stride, [[k]] = _schedule([[optimizer]], oracle, T, report_every, [[out_stream]])
-    if record_regret and optimizer.kind != "sgdol_global":
-        raise ValueError("record_regret is only supported for sgdol_global runs")
-
-    ledger = None
-    if record_regret:
-        ledger = optimizer.ledger = RegretLedger(
-            optimizer.alpha, optimizer.M, curvature_scale=optimizer.ftrl.curvature_scale)
     if takes_kernel(optimizer, oracle, force_generic):
-        return _run_kernel(optimizer, oracle, T, rng, stride, k, ledger)
+        return _run_kernel(optimizer, oracle, T, rng, stride, k)
     [[result]] = run_lanes([[optimizer]], oracle, T, [rng], [[out_stream]], report_every)
-    result.ledger = ledger
     return result
 
 
@@ -529,7 +516,7 @@ def _set_attr(obj, attr: str, value):
     setattr(attrgetter(owner)(obj) if owner else obj, leaf, value)
 
 
-def _run_kernel(optimizer, oracle, T, rng, stride, k, ledger):
+def _run_kernel(optimizer, oracle, T, rng, stride, k):
     oracle_id, diag, sigma = _analytic_params(oracle)
     name, args = _kernel_args(optimizer)
     # The kernel draws its noise a chunk at a time; chunked draws consume the
@@ -540,11 +527,8 @@ def _run_kernel(optimizer, oracle, T, rng, stride, k, ledger):
     *series, coords, xk = out[:8]
     for attr, value in zip(optimizer.state, out[8:]):
         _set_attr(optimizer, attr, value)
-    steps = out[8 + len(optimizer.state):]  # per-step regret statistics, sgdol_global only
-    if steps and optimizer.logs_regret:
-        optimizer.ledger.record(*steps)
     traj = Trajectory(*series, stepsize_coords=coords if coords.shape[1] else None)
-    return RunResult(traj, k, xk, x.copy(), ledger)
+    return RunResult(traj, k, xk, x.copy())
 
 
 # Pairs drawn ahead from each oracle stream at a time: 64 pairs of two
@@ -562,14 +546,12 @@ def _clone(obj):
 def _stack(optimizers: Sequence[Optimizer]) -> Optimizer:
     """One optimizer whose x and state stack those of ``optimizers`` on a lane axis.
 
-    Its parameters are the first optimizer's; so is its ledger, which can
-    only follow a single lane.
+    Its parameters are the first optimizer's. Every state attribute, a
+    regret ledger's running values included, gains the lane axis.
     """
     first = optimizers[0]
-    if any(type(o) is not type(first) for o in optimizers):
-        raise ValueError("the optimizers of one lane group must share a kind")
-    if len(optimizers) > 1 and any(getattr(o, "ledger", None) is not None for o in optimizers):
-        raise ValueError("a regret ledger follows a single run, not stacked lanes")
+    if any(type(o) is not type(first) or o.state != first.state for o in optimizers):
+        raise ValueError("the optimizers of one lane group must share a kind and state")
     lanes = _clone(first)
     for owner in {attr.rpartition(".")[0] for attr in first.state} - {""}:
         setattr(lanes, owner, _clone(getattr(first, owner)))

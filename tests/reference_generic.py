@@ -21,7 +21,6 @@ from sgdol import (
     Adam,
     GradientPair,
     QuadraticOracle,
-    RegretLedger,
     RosenbrockOracle,
     Sgd,
     SgdGhadimiLan,
@@ -259,22 +258,16 @@ def as_reference(obj):
 # ---------------------------------------------------------------------------
 
 
-def reference_run(optimizer, oracle, T, rng, report_every=None, record_regret=False,
-                  output_rng=None):
+def reference_run(optimizer, oracle, T, rng, report_every=None, output_rng=None):
     """``run(..., force_generic=True)`` on ``as_reference`` of optimizer and oracle."""
     optimizer, oracle = as_reference(optimizer), as_reference(oracle)
     stride = max(1, T // 500) if report_every is None else int(report_every)
     out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
     k = int(out_stream.generator().integers(1, T + 1))
-    ledger = None
-    if record_regret:
-        ledger = optimizer.ledger = RegretLedger(
-            optimizer.alpha, optimizer.M,
-            curvature_scale=optimizer.ftrl.curvature_scale)
-    return _run_generic(optimizer, oracle, T, rng, stride, k, ledger)
+    return _run_generic(optimizer, oracle, T, rng, stride, k)
 
 
-def _run_generic(optimizer, oracle, T, rng, stride, k, ledger):
+def _run_generic(optimizer, oracle, T, rng, stride, k):
     gen = rng.generator()
     n_rec = (T + stride - 1) // stride
     rec_t = np.empty(n_rec, np.int64)
@@ -315,4 +308,4 @@ def _run_generic(optimizer, oracle, T, rng, stride, k, ledger):
 
     traj = Trajectory(rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum,
                       stepsize_coords=rec_eta_coords)
-    return RunResult(traj, k, x_k, optimizer.x.copy(), ledger)
+    return RunResult(traj, k, x_k, optimizer.x.copy())

@@ -48,13 +48,11 @@ def _sq_norm(v):
 
 
 def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
-                      M, alpha, curv, keep_steps, si, ss, t):
+                      M, alpha, curv, si, ss, t, *ledger):
     """SGDOL with one global FTRL-learned stepsize.
 
-    The learner state is (sum of <g,g'>, sum of ||g||^2, round counter).
-    With ``keep_steps`` the extras are the full per-step (eta, <g,g'>,
-    ||g||^2, ||g'||^2) arrays needed for regret bookkeeping; otherwise they
-    are empty.
+    The learner state is (sum of <g,g'>, sum of ||g||^2, round counter),
+    then a regret ledger's six running values when one is carried.
     """
     d = x.shape[0]
     n_rec = (T + stride - 1) // stride
@@ -64,11 +62,8 @@ def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
     rec_eta = np.empty(n_rec)
     rec_surr = np.empty(n_rec)
     rec_cum = np.empty(n_rec)
-    n_steps = T if keep_steps else 0
-    etas = np.empty(n_steps)
-    inners = np.empty(n_steps)
-    sqs = np.empty(n_steps)
-    sqps = np.empty(n_steps)
+    led = bool(ledger)
+    n, lc, li, lq, lm, l2 = ledger if led else (0, 0.0, 0.0, 0.0, 0.0, 0.0)
     grad = np.empty(d)
     g = np.empty(d)
     gp = np.empty(d)
@@ -104,11 +99,18 @@ def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
         cum += loss
         si += b
         ss += a
-        if keep_steps:
-            etas[t0] = eta
-            inners[t0] = b
-            sqs[t0] = a
-            sqps[t0] = _sq_norm(gp)
+        if led:
+            lc += loss
+            li += b
+            lq += a
+            ap = _sq_norm(gp)
+            if a > lm or a != a:
+                lm = a
+            if ap > lm or ap != ap:
+                lm = ap
+            slope = curv * M * eta * a - b
+            l2 += slope * slope / (alpha + curv * lq)
+            n += 1
         if rec_here:
             rec_t[ri] = t0 + 1
             rec_f[ri] = fv
@@ -118,7 +120,7 @@ def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
             rec_cum[ri] = cum
             ri += 1
     return (rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum, np.empty((n_rec, 0)), xk,
-            si, ss, t + T, etas, inners, sqs, sqps)
+            si, ss, t + T, *((n, lc, li, lq, lm, l2) if led else ()))
 
 
 def _run_sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, alpha, si, ss, t):

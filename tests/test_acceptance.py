@@ -75,23 +75,23 @@ def _rosenbrock_noise_curves():
 
 
 def _stored_ledger_runs(synthetic500):
-    """Single-repetition runs retained with full regret records."""
+    """Single-repetition runs of learners that carry a regret ledger."""
     if "ledgers" not in _cache:
         runs = {}
         for sigma in (0.0, 0.2, 5.0):
-            res = run(Sgdol(np.zeros(2), M=M_ROSEN, alpha=ALPHA),
-                      RosenbrockOracle(sigma=sigma), T=20000,
-                      rng=RngStream(3001, int(sigma * 10)), record_regret=True)
-            runs[f"rosenbrock sigma={sigma}"] = (M_ROSEN, res.ledger)
-        res = run(Sgdol(np.ones(5), M=1.0, alpha=ALPHA),
-                  QuadraticOracle(np.linspace(0.1, 1.0, 5), sigma=0.0),
-                  T=200, rng=RngStream(3002), record_regret=True)
-        runs["pl quadratic"] = (1.0, res.ledger)
+            opt = Sgdol(np.zeros(2), M=M_ROSEN, alpha=ALPHA, record_regret=True)
+            run(opt, RosenbrockOracle(sigma=sigma), T=20000,
+                rng=RngStream(3001, int(sigma * 10)))
+            runs[f"rosenbrock sigma={sigma}"] = (M_ROSEN, opt.ledger)
+        opt = Sgdol(np.ones(5), M=1.0, alpha=ALPHA, record_regret=True)
+        run(opt, QuadraticOracle(np.linspace(0.1, 1.0, 5), sigma=0.0), T=200,
+            rng=RngStream(3002))
+        runs["pl quadratic"] = (1.0, opt.ledger)
         oracle = SigmoidLossOracle(synthetic500, batch_size=1)
-        res = run(Sgdol(np.zeros(synthetic500.n_features), M=oracle.smoothness,
-                        alpha=ALPHA),
-                  oracle, T=2000, rng=RngStream(3003), record_regret=True)
-        runs["sigmoid batch=1"] = (oracle.smoothness, res.ledger)
+        opt = Sgdol(np.zeros(synthetic500.n_features), M=oracle.smoothness, alpha=ALPHA,
+                    record_regret=True)
+        run(opt, oracle, T=2000, rng=RngStream(3003))
+        runs["sigmoid batch=1"] = (oracle.smoothness, opt.ledger)
         _cache["ledgers"] = runs
     return _cache["ledgers"]
 

@@ -123,8 +123,9 @@ def test_kernel_matches_generic_on_quadratic_d100_within_summation_order(make):
 
 def _kernel_args(name, d, rs):
     """Parameters, then non-zero incoming state, of the named kernel at dimension d."""
-    if name == "sgdol_global":  # keep_steps on, so the per-step extras are compared too
-        return [1002.0, 10.0, 1.0, True, rs.normal(), 40.0 * rs.random(), 7]
+    if name == "sgdol_global":  # with a regret ledger's running values, so they are compared too
+        return [1002.0, 10.0, 1.0, rs.normal(), 40.0 * rs.random(), 7,
+                6, rs.normal(), rs.normal(), 40.0 * rs.random(), 9.0 * rs.random(), rs.random()]
     if name == "sgdol_coord":
         return [1002.0, 10.0, rs.normal(size=d), 40.0 * rs.random(d), 7]
     if name == "sgd":
@@ -293,55 +294,95 @@ def test_kernel_matches_generic_after_any_warm_up(maker, rosenbrock, d, sigma, T
     assert _agree_after_warm_up(MAKERS[maker], oracle, steps, T, stride, seed)
 
 
+def _ledger_values(optimizer):
+    """Bits of each running value of an optimizer's regret ledger."""
+    return [_bits(getattr(optimizer.ledger, v)) for v in RegretLedger.VALUES]
+
+
+def _ledger_runs(make, oracle, T, seed):
+    """A ledger-carrying optimizer run on the kernel, and an equal one on the generic path."""
+    opts = [make(), make()]
+    for opt, generic in zip(opts, (False, True)):
+        run(opt, oracle, T=T, rng=RngStream(seed), force_generic=generic)
+    return opts
+
+
 def test_attached_ledger_is_filled_on_both_paths():
-    oracle = RosenbrockOracle(sigma=2.0)
-    ledgers = [RegretLedger(10.0, 1002.0) for _ in range(2)]
-    for ledger, generic in zip(ledgers, (False, True)):
-        opt = Sgdol(np.zeros(2), M=1002.0, ledger=ledger)
-        res = run(opt, oracle, T=150, rng=RngStream(79), force_generic=generic)
-        assert res.ledger is None
-    assert ledgers[0].count == ledgers[1].count == 150
-    assert ledgers[0].cumulative_loss == ledgers[1].cumulative_loss
-    assert np.array_equal(ledgers[0].steps, ledgers[1].steps)
+    kernel, generic = _ledger_runs(lambda: Sgdol(np.zeros(2), M=1002.0, record_regret=True),
+                                   RosenbrockOracle(sigma=2.0), 150, 79)
+    assert kernel.ledger.count == generic.ledger.count == kernel.ftrl.t - 1 == 150
+    assert _ledger_values(kernel) == _ledger_values(generic)
 
 
-def _peak_bytes(make, T):
-    """The tracemalloc peak of a kernel run on Rosenbrock that records one row."""
+def test_warm_learner_ledger_covers_every_round():
+    # Noisy rounds, then noiseless ones from a reset iterate. A ledger that
+    # started only at the second run reported a min slack of -5.72 here; the
+    # learner's own ledger covers all 2200 rounds and the bound holds.
+    for generic in (False, True):
+        opt = Sgdol(np.ones(2), M=1.0, record_regret=True)
+        run(opt, QuadraticOracle([1.0, 1.0], sigma=20.0), T=2000, rng=RngStream(1),
+            force_generic=generic)
+        opt.x = np.ones(2)
+        run(opt, QuadraticOracle([1.0, 1.0], sigma=0.0), T=200, rng=RngStream(2),
+            force_generic=generic)
+        ledger = opt.ledger
+        assert ledger.count == opt.ftrl.t - 1 == 2200
+        L = ledger.max_grad_norm()
+        slack = min(ledger.regret_bound_rhs(float(eta), L) - ledger.regret_vs(float(eta))
+                    for eta in np.linspace(0.0, 2.0, 32))
+        assert slack >= 0.0
+
+
+def test_kernel_ledger_keeps_nan_once_the_run_diverges():
+    opt = Sgdol(np.zeros(2), M=1.0, record_regret=True)
+    res = run(opt, RosenbrockOracle(sigma=5.0), T=200, rng=RngStream(3), report_every=1)
+    assert not np.isfinite(res.trajectory.f_value[-1])
+    assert opt.ledger.count == 200
+    assert np.isnan(opt.ledger.max_grad_norm())
+    assert np.isnan(opt.ledger.cumulative_loss)
+
+
+def _peak_bytes(make, T, force_generic=False):
+    """The tracemalloc peak of a run on Rosenbrock that records one row."""
     tracemalloc.start()
     try:
-        run(make(), RosenbrockOracle(sigma=5.0), T=T, rng=RngStream(78), report_every=T)
+        run(make(), RosenbrockOracle(sigma=5.0), T=T, rng=RngStream(78), report_every=T,
+            force_generic=force_generic)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return peak
 
 
-def test_sgdol_global_keeps_no_per_step_arrays_unless_asked():
-    T = 20_000
-    peak = _peak_bytes(lambda: Sgdol(np.zeros(2), M=1002.0), T)
-    # Nothing on the kernel path grows with T: the four per-step regret arrays
-    # would add 32 bytes a step; the bound allows 16, which covers the constant
-    # overhead (one noise chunk drawn and converted, about 85 kB).
-    assert peak < 16 * T
+def test_regret_ledger_memory_does_not_grow_with_T():
+    # On the engine; test_kernel_memory_does_not_grow_with_T checks the kernel.
+    # The ledger is six running values. A per-step record of its rounds would
+    # cost 169 bytes a step here, which is 2.5 MB between these horizons.
+    short, long = (_peak_bytes(lambda: Sgdol(np.zeros(2), M=1002.0, record_regret=True), T,
+                               force_generic=True) for T in (5_000, 20_000))
+    assert abs(long - short) < 16 * 1024
 
 
-@pytest.mark.parametrize("make", [lambda: Sgdol(np.zeros(2), M=1002.0),
+@pytest.mark.parametrize("make", [lambda: Sgdol(np.zeros(2), M=1002.0, record_regret=True),
                                   lambda: Sgd(np.zeros(2), lr=1.0 / 1002.0)],
                          ids=["sgdol_global", "sgd"])
 def test_kernel_memory_does_not_grow_with_T(make):
     # The noise is drawn a chunk at a time, so ten times the steps may not
     # raise the peak; one (T, 2, d) draw would add 5.8 MB between the two runs.
+    # The sgdol_global run carries a regret ledger, so its loop runs every
+    # line that a run without one does, and the ledger's too: six running
+    # values, where a per-step record of its rounds would add 65 bytes a step.
     short, long = _peak_bytes(make, 20_000), _peak_bytes(make, 200_000)
     assert abs(long - short) < 16 * 1024
     assert max(short, long) < 256 * 1024
 
 
 def test_regret_arrays_match_between_paths():
-    oracle = RosenbrockOracle(sigma=2.0)
-    r1 = run(Sgdol(np.zeros(2), M=1002.0), oracle, T=150, rng=RngStream(75),
-             record_regret=True)
-    r2 = run(Sgdol(np.zeros(2), M=1002.0), oracle, T=150, rng=RngStream(75),
-             record_regret=True, force_generic=True)
-    assert r1.ledger.cumulative_loss == r2.ledger.cumulative_loss
-    assert r1.ledger.steps.shape == (4, 150)
-    assert np.array_equal(r1.ledger.steps, r2.ledger.steps)
+    # A learner with doubled curvature, warmed by generic steps, then run on both paths.
+    def make():
+        opt = Sgdol(np.zeros(2), M=1002.0, curvature_scale=2.0, record_regret=True)
+        run(opt, RosenbrockOracle(sigma=2.0), T=9, rng=RngStream(74), force_generic=True)
+        return opt
+    kernel, generic = _ledger_runs(make, RosenbrockOracle(sigma=2.0), 150, 75)
+    assert kernel.ledger.count == 159
+    assert _ledger_values(kernel) == _ledger_values(generic)

@@ -106,16 +106,42 @@ def test_single_run_matches_the_reference_loop(synthetic500):
         assert trajectories_equal(run(opt, oracle, 150, RngStream(41), report_every=7), expected)
 
 
+def _ledger_bits(optimizer):
+    """Dtype and bytes of each running value of an optimizer's regret ledger."""
+    return [(np.asarray(v).dtype, np.asarray(v).tobytes())
+            for v in (getattr(optimizer.ledger, name) for name in RegretLedger.VALUES)]
+
+
 def test_regret_ledger_matches_the_reference_loop(synthetic500):
     oracle = SigmoidLossOracle(synthetic500, batch_size=1)
-    make = lambda: Sgdol(np.zeros(oracle.dim), M=oracle.smoothness)  # noqa: E731
-    got = run(make(), oracle, T, RngStream(42), record_regret=True)
-    expected = reference_run(make(), oracle, T, RngStream(42), record_regret=True)
-    assert trajectories_equal(got, expected)
-    a, b = got.ledger, expected.ledger
-    assert a.count == b.count == T
-    assert a.cumulative_loss == b.cumulative_loss
-    assert np.array_equal(a.steps, b.steps)
+    opt = Sgdol(np.zeros(oracle.dim), M=oracle.smoothness, record_regret=True)
+    ref = as_reference(opt)
+    got = run(opt, oracle, T, RngStream(42))
+    assert trajectories_equal(got, reference_run(ref, oracle, T, RngStream(42)))
+    assert opt.ledger.count == ref.ledger.count == T
+    assert _ledger_bits(opt) == _ledger_bits(ref)
+
+
+def test_stacked_ledgers_equal_single_runs():
+    # Three lanes of ledger-carrying learners, each warmed by a different
+    # number of rounds, so their running values differ when stacked.
+    oracle, T_ = RosenbrockOracle(sigma=5.0), 90
+    rngs = [RngStream(60 + r) for r in range(3)]
+    outs = [[RngStream(70 + r) for r in range(3)]]
+
+    def make(r):
+        opt = Sgdol(np.zeros(2), M=1002.0, record_regret=True)
+        if r:
+            run(opt, oracle, r, RngStream(80 + r), force_generic=True)
+        return opt
+    lanes = [make(r) for r in range(3)]
+    results = run_lanes([lanes], oracle, T_, rngs, outs)
+    for r, opt in enumerate(lanes):
+        single = make(r)
+        expected = run(single, oracle, T_, rngs[r], output_rng=outs[0][r], force_generic=True)
+        assert trajectories_equal(results[0][r], expected)
+        assert opt.ledger.count == T_ + r
+        assert _ledger_bits(opt) == _ledger_bits(single)
 
 
 class _FourMethodOracle(StochasticOracle):
@@ -161,8 +187,8 @@ def test_lane_groups_are_checked():
         run_lanes([[Sgd(np.zeros(2), lr=1e-3), Sgdol(np.zeros(2), M=1002.0)]], oracle, 10, rngs, outs)
     with pytest.raises(ValueError, match="one optimizer per oracle stream"):
         run_lanes([[Sgd(np.zeros(2), lr=1e-3)]], oracle, 10, rngs, outs)
-    with pytest.raises(ValueError, match="regret ledger"):
-        run_lanes([[Sgdol(np.zeros(2), M=1002.0, ledger=RegretLedger(10.0, 1002.0)),
+    with pytest.raises(ValueError, match="share a kind and state"):
+        run_lanes([[Sgdol(np.zeros(2), M=1002.0, record_regret=True),
                     Sgdol(np.zeros(2), M=1002.0)]], oracle, 10, rngs, outs)
 
 

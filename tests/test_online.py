@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,23 +170,30 @@ def test_coord_ftrl_coordinate_isolation():
 # ---------------------------------------------------------------------------
 
 
-def _random_ledger(seed, T, alpha=1.0, M=1.0, d=3):
+def _random_rounds(seed, T, alpha=1.0, M=1.0, d=3):
+    """A learner's T rounds on random pairs: (eta, <g, g'>, ||g||^2, ||g'||^2) each."""
     gen = RngStream(seed).generator()
-    ledger = RegretLedger(alpha, M)
     state = FtrlState(alpha=alpha, M=M)
+    rounds = []
     for _ in range(T):
-        eta = state.stepsize()
         g = gen.uniform(-1, 1, d)
         gp = gen.uniform(-1, 1, d)
-        ledger.record(eta, dot(g, gp), sq_norm(g), sq_norm(gp))
+        rounds.append((state.stepsize(), dot(g, gp), sq_norm(g), sq_norm(gp)))
         state.observe_stats(dot(g, gp), sq_norm(g))
+    return rounds
+
+
+def _random_ledger(seed, T, alpha=1.0, M=1.0, d=3):
+    ledger = RegretLedger(alpha, M)
+    for r in _random_rounds(seed, T, alpha, M, d):
+        ledger.record(*r)
     return ledger
 
 
 def test_ledger_cumulative_matches_recomputation():
     ledger = _random_ledger(seed=35, T=60)
-    etas, inners, g_sqs, _ = ledger.steps
-    total = sum(0.5 * ledger.M * e * e * a - e * b for e, b, a in zip(etas, inners, g_sqs))
+    rounds = _random_rounds(seed=35, T=60)
+    total = sum(0.5 * ledger.M * e * e * a - e * b for e, b, a, _ in rounds)
     assert ledger.cumulative_loss == pytest.approx(total, rel=1e-9)
 
 
@@ -209,8 +218,7 @@ def test_regret_vs_comparator_minimizer_is_largest():
     # The comparator minimizing the cumulative loss maximizes the regret
     # against it; no other fixed stepsize can have larger regret.
     ledger = _random_ledger(seed=36, T=40)
-    _, inners, g_sqs, _ = ledger.steps
-    best = np.sum(inners) / (ledger.M * np.sum(g_sqs))
+    best = ledger.sum_inner / (ledger.M * ledger.sum_sq)
     best = min(max(best, 0.0), 2.0 / ledger.M)
     base = ledger.regret_vs(best)
     for eta in np.linspace(0.0, 2.0 / ledger.M, 17):
@@ -245,6 +253,23 @@ def test_regret_second_term_log_cap():
 def test_ledger_empty_bound_at_one_over_m_is_zero():
     ledger = RegretLedger(1.0, 2.0)
     assert ledger.regret_bound_rhs(0.5) == 0.0
+    assert ledger.count == 0 and ledger.max_grad_norm() == 0.0
+
+
+def test_ledger_keeps_a_nan_round():
+    # A running max written as `if a > mx` would drop the NaN at once, and
+    # every later round would hide it further.
+    for nan_at in ("g_sq", "g_prime_sq"):
+        ledger = _random_ledger(seed=42, T=5)
+        nan_round = dict(eta=0.5, inner=0.1, g_sq=0.2, g_prime_sq=0.3)
+        nan_round[nan_at] = math.nan
+        ledger.record(**nan_round)
+        for r in _random_rounds(seed=43, T=5):
+            ledger.record(*r)
+        assert ledger.count == 11
+        assert math.isnan(ledger.max_grad_norm())
+        if nan_at == "g_sq":
+            assert math.isnan(ledger.cumulative_loss) and math.isnan(ledger.bound_second_term())
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +317,12 @@ def test_coordinate_sums_equal_one_scalar_learner_per_coordinate(history):
 
 
 # ---------------------------------------------------------------------------
-# the array ledger against per-step loops
+# the running ledger against a per-step loop
 # ---------------------------------------------------------------------------
 
 
 class _LoopLedger:
-    """The ledger's totals as one sequential loop over its rounds: the reference."""
+    """The ledger's totals as one loop over its kept rounds, in Python floats: the reference."""
 
     def __init__(self, alpha, M, curvature_scale, rounds):
         c = curvature_scale
@@ -329,17 +354,14 @@ def test_regret_ledger_matches_the_per_step_loops(seed):
         rounds.append((float(state.stepsize()), dot(g, gp), sq_norm(g), sq_norm(gp)))
         state.observe_stats(dot(g, gp), sq_norm(g))
     ref = _LoopLedger(alpha, M, c, rounds)
-    # One round at a time, as the lane engine records, and all at once, as a kernel does.
-    one_by_one, at_once = RegretLedger(alpha, M, c), RegretLedger(alpha, M, c)
+    ledger = RegretLedger(alpha, M, c)
     for r in rounds:
-        one_by_one.record(*r)
-    at_once.record(*np.array(rounds).T)
-    for ledger in (one_by_one, at_once):
-        assert ledger.steps.tobytes() == np.array(rounds).T.tobytes()
-        assert ledger.count == ref.count == T
-        assert ledger.max_grad_norm() == ref.max_grad_norm
-        assert ledger.cumulative_loss == pytest.approx(ref.cumulative_loss, rel=1e-12)
-        assert ledger.bound_second_term() == pytest.approx(ref.bound_second_term, rel=1e-12)
-        for eta in (0.0, 1.0 / M, 2.0 / M):
-            comparator = 0.5 * c * M * eta * eta * ref.sum_sq - eta * ref.sum_inner
-            assert ledger.comparator_loss(eta) == pytest.approx(comparator, rel=1e-12)
+        ledger.record(*r)
+    # The same operations in the same order, so the totals are equal exactly.
+    assert ledger.count == ref.count == T
+    assert ledger.max_grad_norm() == ref.max_grad_norm
+    assert ledger.cumulative_loss == ref.cumulative_loss
+    assert ledger.bound_second_term() == ref.bound_second_term
+    for eta in (0.0, 1.0 / M, 2.0 / M):
+        comparator = 0.5 * c * M * eta * eta * ref.sum_sq - eta * ref.sum_inner
+        assert ledger.comparator_loss(eta) == comparator

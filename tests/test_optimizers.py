@@ -229,9 +229,6 @@ def test_run_validates_arguments():
         run(Sgd(np.zeros(2), lr=0.1), RosenbrockOracle(), T=0, rng=RngStream(1))
     with pytest.raises(ValueError):
         run(Sgd(np.zeros(3), lr=0.1), RosenbrockOracle(), T=1, rng=RngStream(1))
-    with pytest.raises(ValueError):
-        run(Sgd(np.zeros(2), lr=0.1), RosenbrockOracle(), T=1, rng=RngStream(1),
-            record_regret=True)
 
 
 def test_run_cumulative_loss_consistency():
