@@ -18,28 +18,32 @@ kernel can continue a run that generic steps started, and its final value
 goes out; array state and ``x`` are updated in place. ``stepsize_coords``
 has zero columns for global-stepsize kernels.
 ``draw(n)`` returns the standard normals of the next n gradient pairs, shape
-(n, 2, d), scaled inside by the per-coordinate sigma. The kernels pull their
-noise from it a chunk at a time, so memory does not grow with T, and they
-consume the random stream exactly as the step-by-step oracle path does.
+(n, 2, d), which the kernel scales by the per-coordinate sigma. The kernels
+pull their noise from it a chunk at a time, so memory does not grow with T,
+and they consume the random stream exactly as the step-by-step oracle path
+does. Records go to typed buffers that become arrays at the end.
 
-The kernels run on Python floats, which CPython handles four to seven times
-faster than numpy scalars: inputs are unpacked once, the noise is drawn and
-converted a chunk at a time into one flat list, records go to typed buffers
-that become arrays at the end, and the final iterate and array state are
-written back in place. On Rosenbrock (d = 2) coordinates and per-coordinate
-state are scalar locals with the objective inlined; quadratics run on lists
-through the helpers below. Sums start from 0.0 and run in index order
-(0.0 + -0.0 is 0.0), as loops because ``sum`` of floats compensates its
-rounding from Python 3.12 on. ``tests/reference_kernels.py`` holds each
-kernel as an array loop that ``tests/test_kernels.py`` requires it to match
-bit for bit; against the generic step path the match is exact up to d = 7
-(numpy sums pairwise from 8 elements up).
+Each kernel has two branches. At d = 2 (Rosenbrock, and 2-D quadratics)
+coordinates and per-coordinate state are Python float locals, which CPython
+handles four to seven times faster than numpy scalars, with the objective
+inlined: an ``if`` on the oracle picks the gradient lines each step and the
+f lines on record steps. Each noise chunk is converted into one flat list.
+Quadratics of any other d run on (d,) numpy arrays, each noise chunk scaled
+by sigma at once, and elementwise steps keep the scalar operation order.
+Every sum runs in index order from 0.0 (0.0 + -0.0 is 0.0): written out on
+floats, and on arrays through ``_sum``, whose ``np.add.accumulate`` adds
+strictly in sequence, where ``np.sum`` adds pairwise from 8 elements up and
+the builtin ``sum`` of floats compensates its rounding from Python 3.12 on.
+``tests/reference_kernels.py`` holds each kernel as an array loop that
+``tests/test_kernels.py`` requires it to match bit for bit; against the
+generic step path the match is exact up to d = 7.
 
-No divisor can be zero, where a Python float would raise ZeroDivisionError
-and a numpy scalar return inf or nan: alpha, M and eps are validated
-positive and the betas in [0, 1), the curvature scale is 1 or 2, and AdaGrad
-divides only by the root of a positive accumulator. A diverging run ends in
-the same inf/nan as the reference.
+No float divisor can be zero, where a Python float would raise
+ZeroDivisionError: alpha, M and eps are validated positive and the betas in
+[0, 1), the curvature scale is 1 or 2, and AdaGrad divides only by the root
+of a positive accumulator. A diverging run ends in the same inf/nan as the
+reference; the array branch silences numpy's overflow and invalid warnings,
+as float arithmetic raises none.
 """
 
 import itertools
@@ -52,68 +56,53 @@ import numpy as np
 ORACLE_ROSENBROCK = 0
 ORACLE_QUADRATIC = 1
 
-# Noise floats drawn and converted per chunk: 2048 floats are a 16 kB array and
-# a 64 kB flat list, whatever d is; at 8192 the peak RSS of a short Rosenbrock
+# Noise floats drawn per chunk: 2048 floats are a 16 kB array and a 64 kB
+# flat list, whatever d is; at 8192 the peak RSS of a short Rosenbrock
 # sweep rose by 1 MB, with no gain in speed.
 _CHUNK_FLOATS = 2048
 
 
-def _noise_steps(draw, T, d, pairs):
-    """Iterate (t0, *noise of step t0) for t0 < T, drawing a chunk at a time.
+def _chunks(draw, T, d):
+    """Iterate (c0, draw of the pairs from c0 on), about ``_CHUNK_FLOATS`` floats a chunk.
 
-    ``draw(n)`` returns the next n pairs' standard normals, shape (n, 2, d);
-    exactly T pairs are drawn in all. A step's noise is its first ``pairs``
-    rows, flat: g's d floats, then g''s d floats when ``pairs`` is 2. Each
-    chunk becomes one flat list that zip regroups step by step, so no
-    per-step list is built for the cyclic GC to track, and zip reuses the
-    tuple of a step that the loop unpacks.
+    Exactly T pairs are drawn in all.
     """
     rows = max(1, _CHUNK_FLOATS // (2 * d))
+    return ((c0, draw(min(rows, T - c0))) for c0 in range(0, T, rows))
+
+
+def _noise_steps(draw, T, pairs):
+    """Iterate (t0, *noise of step t0) for t0 < T at d = 2, unscaled.
+
+    A step's noise is its first ``pairs`` rows, flat: g's two floats, then
+    g''s two when ``pairs`` is 2. Each chunk becomes one flat list that zip
+    regroups step by step, so no per-step list is built for the cyclic GC
+    to track, and zip reuses the tuple of a step that the loop unpacks.
+    """
+    k = 2 * pairs
     return itertools.chain.from_iterable(
-        _flat_steps(draw(min(rows, T - c0))[:, :pairs], c0, pairs * d)
-        for c0 in range(0, T, rows))
+        zip(range(c0, c0 + len(chunk)), *[iter(chunk[:, :pairs].ravel().tolist())] * k)
+        for c0, chunk in _chunks(draw, T, 2))
 
 
-def _flat_steps(chunk, c0, k):
-    """(c0 + i, *the k floats of row i) for every row i of the chunk."""
-    return zip(range(c0, c0 + len(chunk)), *[iter(chunk.ravel().tolist())] * k)
+def _noise_rows(draw, T, sigma, pairs):
+    """Iterate (t0, noise of step t0 scaled by sigma) for t0 < T, as arrays.
+
+    The noise is g's (d,) row, or with ``pairs`` 2 the (2, d) rows of g
+    and g'.
+    """
+    return itertools.chain.from_iterable(
+        zip(range(c0, c0 + len(chunk)), (chunk[:, 0] if pairs == 1 else chunk) * sigma)
+        for c0, chunk in _chunks(draw, T, sigma.shape[0]))
 
 
-def _grad_list(dg, xs):
-    """The quadratic's gradient diag * x."""
-    return [di * xi for di, xi in zip(dg, xs)]
+def _sum(v):
+    """The sum of an array in index order from 0.0, as a Python float.
 
-
-def _objective_list(dg, xs):
-    """The quadratic's value at x: 0.5 * sum of diag * x^2, in index order."""
-    acc = 0.0
-    for di, xi in zip(dg, xs):
-        acc += di * (xi * xi)
-    return 0.5 * acc
-
-
-def _sq_norm_list(v):
-    """Sum of squares, accumulated in index order from 0.0."""
-    acc = 0.0
-    for vi in v:
-        acc += vi * vi
-    return acc
-
-
-def _dot_list(u, v):
-    """Inner product, accumulated in index order from 0.0."""
-    acc = 0.0
-    for ui, vi in zip(u, v):
-        acc += ui * vi
-    return acc
-
-
-def _mean_list(v):
-    """Mean of the per-coordinate stepsizes, summed in index order from 0.0."""
-    acc = 0.0
-    for vi in v:
-        acc += vi
-    return acc / len(v)
+    ``accumulate`` adds strictly in sequence, and ``+ 0.0`` turns the -0.0
+    that an all-(-0.0) array leaves into the 0.0 that a 0.0 seed gives.
+    """
+    return np.add.accumulate(v)[-1].item() + 0.0
 
 
 def _series(rec_t, *bufs):
@@ -155,21 +144,29 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
     led = bool(ledger)  # a bool tests faster than a tuple in the loops
     cum = 0.0
     hi = 2.0 / M
-    if oracle_id == ORACLE_ROSENBROCK:
+    if d == 2:
+        rosen = oracle_id == ORACLE_ROSENBROCK
         x0, x1 = x.tolist()
         s0, s1 = sigma.tolist()
-        for t0, u0, u1, v0, v1 in _noise_steps(draw, T, d, 2):
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
+        dg0, dg1 = diag.tolist()
+        for t0, u0, u1, v0, v1 in _noise_steps(draw, T, 2):
+            if rosen:
+                c = x1 - x0 * x0
+                r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+                r1 = 200.0 * c
+            else:
+                r0 = dg0 * x0
+                r1 = dg1 * x1
             if t0 + 1 == k_index:
                 xk[0] = x0
                 xk[1] = x1
             rec_here = t0 % stride == 0
             if rec_here:
-                a1 = 1.0 - x0
-                fv = a1 * a1 + 100.0 * (c * c)
-                gsq = 0.0 + r0 * r0 + r1 * r1
+                if rosen:
+                    a1 = 1.0 - x0
+                    fv = a1 * a1 + 100.0 * (c * c)
+                else:
+                    fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
             eta = (alpha + si) / (alpha + curv * ss) / M
             if eta < 0.0:
                 eta = 0.0
@@ -193,49 +190,45 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
             if rec_here:
                 rec_t.append(t0 + 1)
                 rec_f.append(fv)
-                rec_gsq.append(gsq)
+                rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
                 rec_eta.append(eta)
                 rec_surr.append(loss)
                 rec_cum.append(cum)
         x[0] = x0
         x[1] = x1
     else:
-        xs = x.tolist()
-        sg = sigma.tolist()
-        dg = diag.tolist()
-        for row in _noise_steps(draw, T, d, 2):
-            t0, u, v = row[0], row[1:d + 1], row[d + 1:]
-            grad = _grad_list(dg, xs)
-            if t0 + 1 == k_index:
-                xk[:] = xs
-            rec_here = t0 % stride == 0
-            if rec_here:
-                fv = _objective_list(dg, xs)
-                gsq = _sq_norm_list(grad)
-            eta = (alpha + si) / (alpha + curv * ss) / M
-            if eta < 0.0:
-                eta = 0.0
-            elif eta > hi:
-                eta = hi
-            g = [ri + s * n for ri, s, n in zip(grad, sg, u)]
-            gp = [ri + s * n for ri, s, n in zip(grad, sg, v)]
-            xs = [xi - eta * gi for xi, gi in zip(xs, g)]
-            b = _dot_list(g, gp)
-            a = _sq_norm_list(g)
-            loss = 0.5 * curv * M * eta * eta * a - eta * b
-            cum += loss
-            si += b
-            ss += a
-            if led:
-                ledger = _fold_round(ledger, M, alpha, curv, eta, loss, b, a, _sq_norm_list(gp))
-            if rec_here:
-                rec_t.append(t0 + 1)
-                rec_f.append(fv)
-                rec_gsq.append(gsq)
-                rec_eta.append(eta)
-                rec_surr.append(loss)
-                rec_cum.append(cum)
-        x[:] = xs
+        with np.errstate(all="ignore"):
+            for t0, (u, v) in _noise_rows(draw, T, sigma, 2):
+                grad = diag * x
+                if t0 + 1 == k_index:
+                    xk[:] = x
+                rec_here = t0 % stride == 0
+                if rec_here:
+                    fv = 0.5 * _sum(diag * (x * x))
+                    gsq = _sum(grad * grad)
+                eta = (alpha + si) / (alpha + curv * ss) / M
+                if eta < 0.0:
+                    eta = 0.0
+                elif eta > hi:
+                    eta = hi
+                g = grad + u
+                gp = grad + v
+                x -= eta * g
+                b = _sum(g * gp)
+                a = _sum(g * g)
+                loss = 0.5 * curv * M * eta * eta * a - eta * b
+                cum += loss
+                si += b
+                ss += a
+                if led:
+                    ledger = _fold_round(ledger, M, alpha, curv, eta, loss, b, a, _sum(gp * gp))
+                if rec_here:
+                    rec_t.append(t0 + 1)
+                    rec_f.append(fv)
+                    rec_gsq.append(gsq)
+                    rec_eta.append(eta)
+                    rec_surr.append(loss)
+                    rec_cum.append(cum)
     return (*_series(rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum),
             np.empty((len(rec_t), 0)), xk, si, ss, t + T, *ledger)
 
@@ -249,23 +242,31 @@ def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, 
     cum = 0.0
     hi = 2.0 / M
     hm = 0.5 * M  # the first product of 0.5 * M * eta * eta * a
-    if oracle_id == ORACLE_ROSENBROCK:
+    if d == 2:
+        rosen = oracle_id == ORACLE_ROSENBROCK
         x0, x1 = x.tolist()
         s0, s1 = sigma.tolist()
+        dg0, dg1 = diag.tolist()
         si0, si1 = si.tolist()
         ss0, ss1 = ss.tolist()
-        for t0, u0, u1, v0, v1 in _noise_steps(draw, T, d, 2):
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
+        for t0, u0, u1, v0, v1 in _noise_steps(draw, T, 2):
+            if rosen:
+                c = x1 - x0 * x0
+                r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+                r1 = 200.0 * c
+            else:
+                r0 = dg0 * x0
+                r1 = dg1 * x1
             if t0 + 1 == k_index:
                 xk[0] = x0
                 xk[1] = x1
             rec_here = t0 % stride == 0
             if rec_here:
-                a1 = 1.0 - x0
-                fv = a1 * a1 + 100.0 * (c * c)
-                gsq = 0.0 + r0 * r0 + r1 * r1
+                if rosen:
+                    a1 = 1.0 - x0
+                    fv = a1 * a1 + 100.0 * (c * c)
+                else:
+                    fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
             e0 = (alpha + si0) / (alpha + ss0) / M
             if e0 < 0.0:
                 e0 = 0.0
@@ -295,7 +296,7 @@ def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, 
             if rec_here:
                 rec_t.append(t0 + 1)
                 rec_f.append(fv)
-                rec_gsq.append(gsq)
+                rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
                 rec_eta_mean.append((0.0 + e0 + e1) / d)
                 rec_eta.append(e0)
                 rec_eta.append(e1)
@@ -308,44 +309,34 @@ def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, 
         ss[0] = ss0
         ss[1] = ss1
     else:
-        xs = x.tolist()
-        sg = sigma.tolist()
-        dg = diag.tolist()
-        sis = si.tolist()
-        sss = ss.tolist()
-        for row in _noise_steps(draw, T, d, 2):
-            t0, u, v = row[0], row[1:d + 1], row[d + 1:]
-            grad = _grad_list(dg, xs)
-            if t0 + 1 == k_index:
-                xk[:] = xs
-            rec_here = t0 % stride == 0
-            if rec_here:
-                fv = _objective_list(dg, xs)
-                gsq = _sq_norm_list(grad)
-            raw = [(alpha + s) / (alpha + q) / M for s, q in zip(sis, sss)]
-            eta = [0.0 if e < 0.0 else hi if e > hi else e for e in raw]
-            g = [ri + s * n for ri, s, n in zip(grad, sg, u)]
-            gp = [ri + s * n for ri, s, n in zip(grad, sg, v)]
-            xs = [xi - e * gi for xi, e, gi in zip(xs, eta, g)]
-            bs = [gi * gpi for gi, gpi in zip(g, gp)]
-            qs = [gi * gi for gi in g]
-            loss = 0.0
-            for e, q, b in zip(eta, qs, bs):
-                loss += hm * e * e * q - e * b
-            cum += loss
-            sis = [s + b for s, b in zip(sis, bs)]
-            sss = [s + q for s, q in zip(sss, qs)]
-            if rec_here:
-                rec_t.append(t0 + 1)
-                rec_f.append(fv)
-                rec_gsq.append(gsq)
-                rec_eta_mean.append(_mean_list(eta))
-                rec_eta.extend(eta)
-                rec_surr.append(loss)
-                rec_cum.append(cum)
-        x[:] = xs
-        si[:] = sis
-        ss[:] = sss
+        with np.errstate(all="ignore"):
+            for t0, (u, v) in _noise_rows(draw, T, sigma, 2):
+                grad = diag * x
+                if t0 + 1 == k_index:
+                    xk[:] = x
+                rec_here = t0 % stride == 0
+                if rec_here:
+                    fv = 0.5 * _sum(diag * (x * x))
+                    gsq = _sum(grad * grad)
+                raw = (alpha + si) / (alpha + ss) / M
+                eta = np.where(raw < 0.0, 0.0, np.minimum(raw, hi))
+                g = grad + u
+                gp = grad + v
+                x -= eta * g
+                b = g * gp
+                q = g * g
+                loss = _sum(hm * eta * eta * q - eta * b)
+                cum += loss
+                si += b
+                ss += q
+                if rec_here:
+                    rec_t.append(t0 + 1)
+                    rec_f.append(fv)
+                    rec_gsq.append(gsq)
+                    rec_eta_mean.append(_sum(eta) / d)
+                    rec_eta.frombytes(eta.tobytes())
+                    rec_surr.append(loss)
+                    rec_cum.append(cum)
     return (*_series(rec_t, rec_f, rec_gsq, rec_eta_mean, rec_surr, rec_cum),
             np.frombuffer(rec_eta).reshape(-1, d), xk, si, ss, t + T)
 
@@ -355,40 +346,46 @@ def _sgd(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr):
     d = x.shape[0]
     xk = np.empty(d)
     rec_t, rec_f, rec_gsq = array("q"), array("d"), array("d")
-    if oracle_id == ORACLE_ROSENBROCK:
+    if d == 2:
+        rosen = oracle_id == ORACLE_ROSENBROCK
         x0, x1 = x.tolist()
         s0, s1 = sigma.tolist()
-        for t0, u0, u1 in _noise_steps(draw, T, d, 1):
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
+        dg0, dg1 = diag.tolist()
+        for t0, u0, u1 in _noise_steps(draw, T, 1):
+            if rosen:
+                c = x1 - x0 * x0
+                r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+                r1 = 200.0 * c
+            else:
+                r0 = dg0 * x0
+                r1 = dg1 * x1
             if t0 + 1 == k_index:
                 xk[0] = x0
                 xk[1] = x1
             if t0 % stride == 0:
-                a1 = 1.0 - x0
+                if rosen:
+                    a1 = 1.0 - x0
+                    fv = a1 * a1 + 100.0 * (c * c)
+                else:
+                    fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
                 rec_t.append(t0 + 1)
-                rec_f.append(a1 * a1 + 100.0 * (c * c))
+                rec_f.append(fv)
                 rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
             x0 = x0 - lr * (r0 + s0 * u0)
             x1 = x1 - lr * (r1 + s1 * u1)
         x[0] = x0
         x[1] = x1
     else:
-        xs = x.tolist()
-        sg = sigma.tolist()
-        dg = diag.tolist()
-        for row in _noise_steps(draw, T, d, 1):
-            t0, u = row[0], row[1:]
-            grad = _grad_list(dg, xs)
-            if t0 + 1 == k_index:
-                xk[:] = xs
-            if t0 % stride == 0:
-                rec_t.append(t0 + 1)
-                rec_f.append(_objective_list(dg, xs))
-                rec_gsq.append(_sq_norm_list(grad))
-            xs = [xi - lr * (ri + s * n) for xi, ri, s, n in zip(xs, grad, sg, u)]
-        x[:] = xs
+        with np.errstate(all="ignore"):
+            for t0, u in _noise_rows(draw, T, sigma, 1):
+                grad = diag * x
+                if t0 + 1 == k_index:
+                    xk[:] = x
+                if t0 % stride == 0:
+                    rec_t.append(t0 + 1)
+                    rec_f.append(0.5 * _sum(diag * (x * x)))
+                    rec_gsq.append(_sum(grad * grad))
+                x -= lr * (grad + u)
     n_rec = len(rec_t)
     return (*_series(rec_t, rec_f, rec_gsq), np.full(n_rec, lr), np.zeros(n_rec),
             np.zeros(n_rec), np.empty((n_rec, 0)), xk)
@@ -400,21 +397,31 @@ def _adagrad_global(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, acc
     xk = np.empty(d)
     rec_t, rec_f, rec_gsq, rec_eta = array("q"), array("d"), array("d"), array("d")
     sqrt = math.sqrt
-    if oracle_id == ORACLE_ROSENBROCK:
+    if d == 2:
+        rosen = oracle_id == ORACLE_ROSENBROCK
         x0, x1 = x.tolist()
         s0, s1 = sigma.tolist()
-        for t0, u0, u1 in _noise_steps(draw, T, d, 1):
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
+        dg0, dg1 = diag.tolist()
+        for t0, u0, u1 in _noise_steps(draw, T, 1):
+            if rosen:
+                c = x1 - x0 * x0
+                r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+                r1 = 200.0 * c
+            else:
+                r0 = dg0 * x0
+                r1 = dg1 * x1
             if t0 + 1 == k_index:
                 xk[0] = x0
                 xk[1] = x1
             rec_here = t0 % stride == 0
             if rec_here:
-                a1 = 1.0 - x0
+                if rosen:
+                    a1 = 1.0 - x0
+                    fv = a1 * a1 + 100.0 * (c * c)
+                else:
+                    fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
                 rec_t.append(t0 + 1)
-                rec_f.append(a1 * a1 + 100.0 * (c * c))
+                rec_f.append(fv)
                 rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
             g0 = r0 + s0 * u0
             g1 = r1 + s1 * u1
@@ -427,26 +434,22 @@ def _adagrad_global(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, acc
         x[0] = x0
         x[1] = x1
     else:
-        xs = x.tolist()
-        sg = sigma.tolist()
-        dg = diag.tolist()
-        for row in _noise_steps(draw, T, d, 1):
-            t0, u = row[0], row[1:]
-            grad = _grad_list(dg, xs)
-            if t0 + 1 == k_index:
-                xk[:] = xs
-            rec_here = t0 % stride == 0
-            if rec_here:
-                rec_t.append(t0 + 1)
-                rec_f.append(_objective_list(dg, xs))
-                rec_gsq.append(_sq_norm_list(grad))
-            g = [ri + s * n for ri, s, n in zip(grad, sg, u)]
-            accum += _sq_norm_list(g)
-            coef = lr / sqrt(accum) if accum > 0.0 else 0.0
-            xs = [xi - coef * gi for xi, gi in zip(xs, g)]
-            if rec_here:
-                rec_eta.append(coef)
-        x[:] = xs
+        with np.errstate(all="ignore"):
+            for t0, u in _noise_rows(draw, T, sigma, 1):
+                grad = diag * x
+                if t0 + 1 == k_index:
+                    xk[:] = x
+                rec_here = t0 % stride == 0
+                if rec_here:
+                    rec_t.append(t0 + 1)
+                    rec_f.append(0.5 * _sum(diag * (x * x)))
+                    rec_gsq.append(_sum(grad * grad))
+                g = grad + u
+                accum += _sum(g * g)
+                coef = lr / sqrt(accum) if accum > 0.0 else 0.0
+                x -= coef * g
+                if rec_here:
+                    rec_eta.append(coef)
     n_rec = len(rec_t)
     return (*_series(rec_t, rec_f, rec_gsq, rec_eta), np.zeros(n_rec), np.zeros(n_rec),
             np.empty((n_rec, 0)), xk, accum)
@@ -459,22 +462,32 @@ def _adagrad_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, accu
     rec_t = array("q")
     rec_f, rec_gsq, rec_eta_mean, rec_eta = (array("d") for _ in range(4))
     sqrt = math.sqrt
-    if oracle_id == ORACLE_ROSENBROCK:
+    if d == 2:
+        rosen = oracle_id == ORACLE_ROSENBROCK
         x0, x1 = x.tolist()
         s0, s1 = sigma.tolist()
+        dg0, dg1 = diag.tolist()
         q0, q1 = accum.tolist()
-        for t0, u0, u1 in _noise_steps(draw, T, d, 1):
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
+        for t0, u0, u1 in _noise_steps(draw, T, 1):
+            if rosen:
+                c = x1 - x0 * x0
+                r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+                r1 = 200.0 * c
+            else:
+                r0 = dg0 * x0
+                r1 = dg1 * x1
             if t0 + 1 == k_index:
                 xk[0] = x0
                 xk[1] = x1
             rec_here = t0 % stride == 0
             if rec_here:
-                a1 = 1.0 - x0
+                if rosen:
+                    a1 = 1.0 - x0
+                    fv = a1 * a1 + 100.0 * (c * c)
+                else:
+                    fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
                 rec_t.append(t0 + 1)
-                rec_f.append(a1 * a1 + 100.0 * (c * c))
+                rec_f.append(fv)
                 rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
             g0 = r0 + s0 * u0
             g1 = r1 + s1 * u1
@@ -493,29 +506,23 @@ def _adagrad_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, accu
         accum[0] = q0
         accum[1] = q1
     else:
-        xs = x.tolist()
-        sg = sigma.tolist()
-        dg = diag.tolist()
-        qs = accum.tolist()
-        for row in _noise_steps(draw, T, d, 1):
-            t0, u = row[0], row[1:]
-            grad = _grad_list(dg, xs)
-            if t0 + 1 == k_index:
-                xk[:] = xs
-            rec_here = t0 % stride == 0
-            if rec_here:
-                rec_t.append(t0 + 1)
-                rec_f.append(_objective_list(dg, xs))
-                rec_gsq.append(_sq_norm_list(grad))
-            g = [ri + s * n for ri, s, n in zip(grad, sg, u)]
-            qs = [q + gi * gi for q, gi in zip(qs, g)]
-            coef = [lr / sqrt(q) if q > 0.0 else 0.0 for q in qs]
-            xs = [xi - ci * gi for xi, ci, gi in zip(xs, coef, g)]
-            if rec_here:
-                rec_eta_mean.append(_mean_list(coef))
-                rec_eta.extend(coef)
-        x[:] = xs
-        accum[:] = qs
+        with np.errstate(all="ignore"):
+            for t0, u in _noise_rows(draw, T, sigma, 1):
+                grad = diag * x
+                if t0 + 1 == k_index:
+                    xk[:] = x
+                rec_here = t0 % stride == 0
+                if rec_here:
+                    rec_t.append(t0 + 1)
+                    rec_f.append(0.5 * _sum(diag * (x * x)))
+                    rec_gsq.append(_sum(grad * grad))
+                g = grad + u
+                accum += g * g
+                coef = np.divide(lr, np.sqrt(accum), out=np.zeros(d), where=accum > 0.0)
+                x -= coef * g
+                if rec_here:
+                    rec_eta_mean.append(_sum(coef) / d)
+                    rec_eta.frombytes(coef.tobytes())
     n_rec = len(rec_t)
     return (*_series(rec_t, rec_f, rec_gsq, rec_eta_mean), np.zeros(n_rec), np.zeros(n_rec),
             np.frombuffer(rec_eta).reshape(-1, d), xk, accum)
@@ -530,22 +537,32 @@ def _adam(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, beta1, beta2,
     sqrt = math.sqrt
     c1 = 1.0 - beta1
     c2 = 1.0 - beta2
-    if oracle_id == ORACLE_ROSENBROCK:
+    if d == 2:
+        rosen = oracle_id == ORACLE_ROSENBROCK
         x0, x1 = x.tolist()
         s0, s1 = sigma.tolist()
+        dg0, dg1 = diag.tolist()
         m0, m1 = m.tolist()
         w0, w1 = v.tolist()
-        for t0, u0, u1 in _noise_steps(draw, T, d, 1):
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
+        for t0, u0, u1 in _noise_steps(draw, T, 1):
+            if rosen:
+                c = x1 - x0 * x0
+                r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+                r1 = 200.0 * c
+            else:
+                r0 = dg0 * x0
+                r1 = dg1 * x1
             if t0 + 1 == k_index:
                 xk[0] = x0
                 xk[1] = x1
             if t0 % stride == 0:
-                a1 = 1.0 - x0
+                if rosen:
+                    a1 = 1.0 - x0
+                    fv = a1 * a1 + 100.0 * (c * c)
+                else:
+                    fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
                 rec_t.append(t0 + 1)
-                rec_f.append(a1 * a1 + 100.0 * (c * c))
+                rec_f.append(fv)
                 rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
             p1 *= beta1
             p2 *= beta2
@@ -566,31 +583,23 @@ def _adam(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, beta1, beta2,
         v[0] = w0
         v[1] = w1
     else:
-        xs = x.tolist()
-        sg = sigma.tolist()
-        dg = diag.tolist()
-        ms = m.tolist()
-        ws = v.tolist()
-        for row in _noise_steps(draw, T, d, 1):
-            t0, u = row[0], row[1:]
-            grad = _grad_list(dg, xs)
-            if t0 + 1 == k_index:
-                xk[:] = xs
-            if t0 % stride == 0:
-                rec_t.append(t0 + 1)
-                rec_f.append(_objective_list(dg, xs))
-                rec_gsq.append(_sq_norm_list(grad))
-            p1 *= beta1
-            p2 *= beta2
-            bc1 = 1.0 - p1
-            bc2 = 1.0 - p2
-            g = [ri + s * n for ri, s, n in zip(grad, sg, u)]
-            ms = [beta1 * mi + c1 * gi for mi, gi in zip(ms, g)]
-            ws = [beta2 * wi + c2 * (gi * gi) for wi, gi in zip(ws, g)]
-            xs = [xi - lr * (mi / bc1) / (sqrt(wi / bc2) + eps) for xi, mi, wi in zip(xs, ms, ws)]
-        x[:] = xs
-        m[:] = ms
-        v[:] = ws
+        with np.errstate(all="ignore"):
+            for t0, u in _noise_rows(draw, T, sigma, 1):
+                grad = diag * x
+                if t0 + 1 == k_index:
+                    xk[:] = x
+                if t0 % stride == 0:
+                    rec_t.append(t0 + 1)
+                    rec_f.append(0.5 * _sum(diag * (x * x)))
+                    rec_gsq.append(_sum(grad * grad))
+                p1 *= beta1
+                p2 *= beta2
+                bc1 = 1.0 - p1
+                bc2 = 1.0 - p2
+                g = grad + u
+                m[:] = beta1 * m + c1 * g
+                v[:] = beta2 * v + c2 * (g * g)
+                x -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     n_rec = len(rec_t)
     return (*_series(rec_t, rec_f, rec_gsq), np.full(n_rec, math.nan), np.zeros(n_rec),
             np.zeros(n_rec), np.empty((n_rec, 0)), xk, m, v, p1, p2)

@@ -288,14 +288,14 @@ def write_csv(table: ResultTable, out_dir):
             header.append("optimality_gap")
             columns.append(s.optimality_gap)
         # One numeric row at a time: the text of a whole table would
-        # take about ten times the memory of its floats.
+        # take about ten times the memory of its floats. No field needs
+        # quoting, so these are the bytes csv.writer would write.
         block = np.column_stack(columns)
         try:
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
+                fh.write(",".join(header) + "\r\n")
                 for t, row in zip(s.t.tolist(), block):
-                    writer.writerow([str(t), *map(repr, row.tolist())])
+                    fh.write(f"{t},{','.join(map(repr, row.tolist()))}\r\n")
         except OSError as exc:
             raise OSError(f"failed writing {path}: {exc}") from exc
 

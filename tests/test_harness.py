@@ -157,6 +157,22 @@ def test_csv_round_trip_is_bitwise_for_any_series(tmp_path_factory, series):
             want.dtype, want.shape, want.tobytes()), name
 
 
+def test_csv_bytes_are_those_of_csv_writer_with_repr(tmp_path):
+    inf, nan = math.inf, math.nan
+    write_csv(ResultTable(series={"s": OptimizerSeries(
+        name="s", kind="sgdol_coord", t=np.array([1, 2, 10**6]),
+        grad_sq_norm=np.array([nan, 0.1, 1e16]), f_value=np.array([inf, -inf, -0.0]),
+        stepsize_mean=np.array([5e-324, 1e-05, 0.1]),
+        stepsize_coords=np.array([[0.1, -0.0], [1e-05, nan], [inf, 5e-324]]),
+        optimality_gap=np.array([1e16, -inf, 0.0]))}), tmp_path)
+    # What csv.writer wrote for these rows as [str(t), *map(repr, row)].
+    assert (tmp_path / "s.csv").read_bytes() == (
+        b"t,grad_sq_norm,f_value,stepsize_mean,stepsize_1,stepsize_2,optimality_gap\r\n"
+        b"1,nan,inf,5e-324,0.1,-0.0,1e+16\r\n"
+        b"2,0.1,-inf,1e-05,1e-05,nan,-inf\r\n"
+        b"1000000,1e+16,-0.0,0.1,inf,5e-324,0.0\r\n")
+
+
 def test_read_csv_series_reads_empty_cells_as_nan(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("t,grad_sq_norm,f_value,stepsize_mean\n1,,0.5,0.25\n2,1.5,,0.125\n")
