@@ -9,14 +9,16 @@ Every kernel has the signature
 
 and returns
 
-    (t, f, ||grad||^2, stepsize, surrogate, cumulative, stepsize_coords, x_k, *state)
+    (t, f, ||grad||^2, stepsize, stepsize_coords, x_k, *state)
 
 ``state`` is the optimizer's mutable state (FTRL sums and round counter,
 AdaGrad accumulators, Adam moments and beta powers, and the six running
 values of a regret ledger that an ``Sgdol`` carries): it comes in, so a
 kernel can continue a run that generic steps started, and its final value
-goes out; array state and ``x`` are updated in place. ``stepsize_coords``
-has zero columns for global-stepsize kernels.
+goes out; array state and ``x`` are updated in place, so
+``optimizers.run`` hands a kernel copies. ``stepsize`` is the mean over
+coordinates for the per-coordinate kernels, and ``stepsize_coords`` holds
+each coordinate's; ``stepsize_coords`` has zero columns for the others.
 ``draw(n)`` returns the standard normals of the next n gradient pairs, shape
 (n, 2, d), which the kernel scales by the per-coordinate sigma. The kernels
 pull their noise from it a chunk at a time, so memory does not grow with T,
@@ -110,13 +112,13 @@ def _series(rec_t, *bufs):
     return (np.frombuffer(rec_t, np.int64), *(np.frombuffer(buf) for buf in bufs))
 
 
-def _fold_round(ledger, M, alpha, curv, eta, loss, b, a, ap):
+def _fold_round(ledger, M, alpha, curv, eta, b, a, ap):
     """A regret ledger's running values after one more round, as ``RegretLedger.record``.
 
-    ``loss`` is the round's surrogate loss, ``b``, ``a`` and ``ap`` are
-    <g,g'>, ||g||^2 and ||g'||^2.
+    ``b``, ``a`` and ``ap`` are <g,g'>, ||g||^2 and ||g'||^2.
     """
     n, lc, li, lq, lm, l2 = ledger
+    loss = 0.5 * curv * M * eta * eta * a - eta * b
     lq += a
     # A NaN, once seen, stays the maximum, as np.maximum keeps it.
     if a > lm or a != a:
@@ -140,9 +142,8 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
     d = x.shape[0]
     xk = np.empty(d)
     rec_t = array("q")
-    rec_f, rec_gsq, rec_eta, rec_surr, rec_cum = (array("d") for _ in range(5))
+    rec_f, rec_gsq, rec_eta = array("d"), array("d"), array("d")
     led = bool(ledger)  # a bool tests faster than a tuple in the loops
-    cum = 0.0
     hi = 2.0 / M
     if d == 2:
         rosen = oracle_id == ORACLE_ROSENBROCK
@@ -180,20 +181,16 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
             x1 = x1 - eta * g1
             b = 0.0 + g0 * gp0 + g1 * gp1
             a = 0.0 + g0 * g0 + g1 * g1
-            loss = 0.5 * curv * M * eta * eta * a - eta * b
-            cum += loss
             si += b
             ss += a
             if led:
-                ledger = _fold_round(ledger, M, alpha, curv, eta, loss, b, a,
+                ledger = _fold_round(ledger, M, alpha, curv, eta, b, a,
                                      0.0 + gp0 * gp0 + gp1 * gp1)
             if rec_here:
                 rec_t.append(t0 + 1)
                 rec_f.append(fv)
                 rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
                 rec_eta.append(eta)
-                rec_surr.append(loss)
-                rec_cum.append(cum)
         x[0] = x0
         x[1] = x1
     else:
@@ -216,21 +213,17 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
                 x -= eta * g
                 b = _sum(g * gp)
                 a = _sum(g * g)
-                loss = 0.5 * curv * M * eta * eta * a - eta * b
-                cum += loss
                 si += b
                 ss += a
                 if led:
-                    ledger = _fold_round(ledger, M, alpha, curv, eta, loss, b, a, _sum(gp * gp))
+                    ledger = _fold_round(ledger, M, alpha, curv, eta, b, a, _sum(gp * gp))
                 if rec_here:
                     rec_t.append(t0 + 1)
                     rec_f.append(fv)
                     rec_gsq.append(gsq)
                     rec_eta.append(eta)
-                    rec_surr.append(loss)
-                    rec_cum.append(cum)
-    return (*_series(rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum),
-            np.empty((len(rec_t), 0)), xk, si, ss, t + T, *ledger)
+    return (*_series(rec_t, rec_f, rec_gsq, rec_eta), np.empty((len(rec_t), 0)), xk,
+            si, ss, t + T, *ledger)
 
 
 def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, si, ss, t):
@@ -238,10 +231,8 @@ def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, 
     d = x.shape[0]
     xk = np.empty(d)
     rec_t = array("q")
-    rec_f, rec_gsq, rec_eta_mean, rec_surr, rec_cum, rec_eta = (array("d") for _ in range(6))
-    cum = 0.0
+    rec_f, rec_gsq, rec_eta_mean, rec_eta = (array("d") for _ in range(4))
     hi = 2.0 / M
-    hm = 0.5 * M  # the first product of 0.5 * M * eta * eta * a
     if d == 2:
         rosen = oracle_id == ORACLE_ROSENBROCK
         x0, x1 = x.tolist()
@@ -283,16 +274,10 @@ def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, 
             gp1 = r1 + s1 * v1
             x0 = x0 - e0 * g0
             x1 = x1 - e1 * g1
-            b0 = g0 * gp0
-            b1 = g1 * gp1
-            q0 = g0 * g0
-            q1 = g1 * g1
-            loss = 0.0 + (hm * e0 * e0 * q0 - e0 * b0) + (hm * e1 * e1 * q1 - e1 * b1)
-            cum += loss
-            si0 += b0
-            si1 += b1
-            ss0 += q0
-            ss1 += q1
+            si0 += g0 * gp0
+            si1 += g1 * gp1
+            ss0 += g0 * g0
+            ss1 += g1 * g1
             if rec_here:
                 rec_t.append(t0 + 1)
                 rec_f.append(fv)
@@ -300,8 +285,6 @@ def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, 
                 rec_eta_mean.append((0.0 + e0 + e1) / d)
                 rec_eta.append(e0)
                 rec_eta.append(e1)
-                rec_surr.append(loss)
-                rec_cum.append(cum)
         x[0] = x0
         x[1] = x1
         si[0] = si0
@@ -323,22 +306,16 @@ def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, 
                 g = grad + u
                 gp = grad + v
                 x -= eta * g
-                b = g * gp
-                q = g * g
-                loss = _sum(hm * eta * eta * q - eta * b)
-                cum += loss
-                si += b
-                ss += q
+                si += g * gp
+                ss += g * g
                 if rec_here:
                     rec_t.append(t0 + 1)
                     rec_f.append(fv)
                     rec_gsq.append(gsq)
                     rec_eta_mean.append(_sum(eta) / d)
                     rec_eta.frombytes(eta.tobytes())
-                    rec_surr.append(loss)
-                    rec_cum.append(cum)
-    return (*_series(rec_t, rec_f, rec_gsq, rec_eta_mean, rec_surr, rec_cum),
-            np.frombuffer(rec_eta).reshape(-1, d), xk, si, ss, t + T)
+    return (*_series(rec_t, rec_f, rec_gsq, rec_eta_mean), np.frombuffer(rec_eta).reshape(-1, d),
+            xk, si, ss, t + T)
 
 
 def _sgd(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr):
@@ -387,8 +364,7 @@ def _sgd(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr):
                     rec_gsq.append(_sum(grad * grad))
                 x -= lr * (grad + u)
     n_rec = len(rec_t)
-    return (*_series(rec_t, rec_f, rec_gsq), np.full(n_rec, lr), np.zeros(n_rec),
-            np.zeros(n_rec), np.empty((n_rec, 0)), xk)
+    return (*_series(rec_t, rec_f, rec_gsq), np.full(n_rec, lr), np.empty((n_rec, 0)), xk)
 
 
 def _adagrad_global(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, accum):
@@ -450,9 +426,7 @@ def _adagrad_global(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, acc
                 x -= coef * g
                 if rec_here:
                     rec_eta.append(coef)
-    n_rec = len(rec_t)
-    return (*_series(rec_t, rec_f, rec_gsq, rec_eta), np.zeros(n_rec), np.zeros(n_rec),
-            np.empty((n_rec, 0)), xk, accum)
+    return (*_series(rec_t, rec_f, rec_gsq, rec_eta), np.empty((len(rec_t), 0)), xk, accum)
 
 
 def _adagrad_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, accum):
@@ -523,9 +497,8 @@ def _adagrad_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, accu
                 if rec_here:
                     rec_eta_mean.append(_sum(coef) / d)
                     rec_eta.frombytes(coef.tobytes())
-    n_rec = len(rec_t)
-    return (*_series(rec_t, rec_f, rec_gsq, rec_eta_mean), np.zeros(n_rec), np.zeros(n_rec),
-            np.frombuffer(rec_eta).reshape(-1, d), xk, accum)
+    return (*_series(rec_t, rec_f, rec_gsq, rec_eta_mean), np.frombuffer(rec_eta).reshape(-1, d),
+            xk, accum)
 
 
 def _adam(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, beta1, beta2, eps,
@@ -601,8 +574,8 @@ def _adam(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, beta1, beta2,
                 v[:] = beta2 * v + c2 * (g * g)
                 x -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     n_rec = len(rec_t)
-    return (*_series(rec_t, rec_f, rec_gsq), np.full(n_rec, math.nan), np.zeros(n_rec),
-            np.zeros(n_rec), np.empty((n_rec, 0)), xk, m, v, p1, p2)
+    return (*_series(rec_t, rec_f, rec_gsq), np.full(n_rec, math.nan), np.empty((n_rec, 0)), xk,
+            m, v, p1, p2)
 
 
 _KERNELS = {fn.__name__[1:]: fn for fn in (_sgdol_global, _sgdol_coord, _sgd, _adagrad_global,

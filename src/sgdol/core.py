@@ -148,16 +148,18 @@ class RngStream:
 class Trajectory:
     """Column-oriented time series of the recorded iterations of one run.
 
-    Arrays all share length n (the number of recorded iterations);
-    ``stepsize_coords`` is present only for per-coordinate optimizers.
+    Arrays all share length n (the number of recorded iterations): the
+    iteration number t, f and ||grad f||^2 at the iterate before step t, and
+    the stepsize step t used (the mean over coordinates for per-coordinate
+    optimizers, NaN for Adam). ``stepsize_coords``, shape (n, d), is present
+    only for per-coordinate optimizers. A learner's surrogate losses and
+    regret are kept by its ``online.RegretLedger``, not here.
     """
 
     t: np.ndarray
     f_value: np.ndarray
     true_grad_sq_norm: np.ndarray
     stepsize: np.ndarray
-    surrogate_loss_value: np.ndarray
-    cumulative_regret_lhs: np.ndarray
     stepsize_coords: Optional[np.ndarray] = field(default=None)
 
     def __len__(self) -> int:

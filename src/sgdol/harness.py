@@ -76,7 +76,8 @@ class OracleSpec:
     """Which objective to run on, and its noise / data parameters.
 
     ``validate`` rejects a set field that the kind does not take; ``build``
-    gives an unset sigma 0.0, append_bias True and balance False.
+    gives an unset sigma 0.0, append_bias True and balance False, and raises
+    ConfigError for a dataset it cannot parse or balance.
     """
 
     kind: str  # rosenbrock | quadratic | sigmoid
@@ -118,11 +119,14 @@ class OracleSpec:
             return RosenbrockOracle(sigma=sigma)
         if self.kind == "quadratic":
             return QuadraticOracle(self.diag, sigma=sigma)
-        data = load_libsvm(self.dataset,
-                           append_bias=True if self.append_bias is None else self.append_bias)
-        if self.balance:
-            gen = RngStream(seed, derive_stream_id(_PURPOSE_BALANCE)).generator()
-            data = balance_subsample(data, gen)
+        try:
+            data = load_libsvm(self.dataset,
+                               append_bias=True if self.append_bias is None else self.append_bias)
+            if self.balance:
+                gen = RngStream(seed, derive_stream_id(_PURPOSE_BALANCE)).generator()
+                data = balance_subsample(data, gen)
+        except ValueError as exc:  # a malformed file, or one class to balance
+            raise ConfigError([f"dataset: {self.dataset}: {exc}"]) from exc
         if self.batch_size > len(data):
             raise ConfigError([f"batch_size: must be <= {len(data)} (the dataset's rows), "
                                f"got {self.batch_size}"])

@@ -6,13 +6,15 @@ stepsize) consume only the first gradient of each pair, so every optimizer
 sees identical oracle call counts and random streams under a shared seed.
 
 Each optimizer's ``update`` is written once over an iterate of shape (d,)
-or (L, d), with its state shaped to match, and ``step(pair)`` applies it to
-one pair. Every learned stepsize comes from one ``online.FtrlState``: float
-sums for a global stepsize, (d,) sums for per-coordinate stepsizes, each
-with a leading lane axis when stacked. An ``Sgdol`` built with
-``record_regret=True`` owns an ``online.RegretLedger`` of its own rounds,
-from its first: the ledger's running values are optimizer state, which its
-kernel carries and the lane engine stacks like the FTRL sums.
+or (L, d), with its state shaped to match, and returns the stepsize(s) it
+used; ``step(pair)`` applies it to one pair. Every learned stepsize comes
+from one ``online.FtrlState``: float sums for a global stepsize, (d,) sums
+for per-coordinate stepsizes, each with a leading lane axis when stacked.
+An ``Sgdol`` built with ``record_regret=True`` owns an
+``online.RegretLedger`` of its own rounds, from its first: the ledger's
+running values are optimizer state, which its kernel carries and the lane
+engine stacks like the FTRL sums. The ledger is the only record of the
+surrogate losses.
 
 ``run`` executes T steps and records the trajectory. On the
 built-in analytic oracles it dispatches to the fused kernels in
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import _kernels
 from .core import RngStream, Trajectory, check_fields, field_problems, row_dot, vector
-from .online import DEFAULT_ALPHA, FtrlState, RegretLedger, surrogate_loss
+from .online import DEFAULT_ALPHA, FtrlState, RegretLedger
 from .oracles import (
     GradientPair,
     QuadraticOracle,
@@ -73,12 +75,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StepReport:
-    """What one optimizer step did: stepsize(s) used and pair consumption."""
+    """What one optimizer step did: stepsize(s) used, pair consumption, momentum stepsize."""
 
     eta_used: Union[float, np.ndarray]
     g_pair_consumed: int
     beta_used: Optional[float] = None
-    surrogate_value: Optional[float] = None
 
 
 def _col(v):
@@ -119,14 +120,13 @@ class Optimizer:
         return self.x.shape[-1]
 
     def update(self, g: np.ndarray, g_prime: np.ndarray):
-        """Take one step on every lane; return (stepsize(s), surrogate loss or None)."""
+        """Take one step on every lane; return the stepsize(s) it used."""
         raise NotImplementedError
 
     def step(self, pair: GradientPair) -> StepReport:
         self._check_pair(pair)
-        eta, loss = self.update(pair.g, pair.g_prime)
-        return StepReport(eta_used=eta, g_pair_consumed=self.g_pair_consumed,
-                          surrogate_value=loss)
+        return StepReport(eta_used=self.update(pair.g, pair.g_prime),
+                          g_pair_consumed=self.g_pair_consumed)
 
     def _check_pair(self, pair: GradientPair):
         if pair.dim != self.dim:
@@ -168,11 +168,10 @@ class Sgdol(Optimizer):
         self.x = self.x - _col(eta) * g
         b = row_dot(g, g_prime)
         a = row_dot(g, g)
-        loss = surrogate_loss(self.M, eta, a, b, self.ftrl.curvature_scale)
         if self.ledger is not None:
             self.ledger.record(eta, b, a, row_dot(g_prime, g_prime))
         self.ftrl.observe_stats(b, a)
-        return eta, loss
+        return eta
 
 
 class SgdolCoord(Optimizer):
@@ -203,11 +202,8 @@ class SgdolCoord(Optimizer):
     def update(self, g, g_prime):
         eta = self.ftrl.stepsize()
         self.x = self.x - eta * g
-        b = g * g_prime
-        a = g * g
-        loss = np.sum(surrogate_loss(self.M, eta, a, b), axis=-1)
-        self.ftrl.observe_stats(b, a)
-        return eta, loss
+        self.ftrl.observe_stats(g * g_prime, g * g)
+        return eta
 
 
 class SgdolMomentum(Optimizer):
@@ -247,17 +243,11 @@ class SgdolMomentum(Optimizer):
         beta = 0.0 if self.clamp_beta else self.ftrl_beta.stepsize()
         z_old = self.z
         self.x = self.x - _col(eta) * g - _col(beta) * z_old
-        b_eta = row_dot(g, g_prime)
-        a_eta = row_dot(g, g)
-        b_beta = row_dot(z_old, g_prime)
-        a_beta = row_dot(z_old, z_old)
-        loss = (surrogate_loss(self.M, eta, a_eta, b_eta, 2.0)
-                + surrogate_loss(self.M, beta, a_beta, b_beta, 2.0))
         self.z = _col(_ratio(beta, eta)) * z_old + g
-        self.ftrl_eta.observe_stats(b_eta, a_eta)
-        self.ftrl_beta.observe_stats(b_beta, a_beta)
+        self.ftrl_eta.observe_stats(row_dot(g, g_prime), row_dot(g, g))
+        self.ftrl_beta.observe_stats(row_dot(z_old, g_prime), row_dot(z_old, z_old))
         self.beta = beta
-        return eta, loss
+        return eta
 
     def step(self, pair: GradientPair) -> StepReport:
         return replace(super().step(pair), beta_used=self.beta)
@@ -276,7 +266,7 @@ class Sgd(Optimizer):
 
     def update(self, g, g_prime):
         self.x = self.x - self.lr * g
-        return self.lr, None
+        return self.lr
 
 
 class AdaGradGlobal(Optimizer):
@@ -300,7 +290,7 @@ class AdaGradGlobal(Optimizer):
         self.accum = self.accum + row_dot(g, g)
         coef = _ratio(self.lr, np.sqrt(self.accum))
         self.x = self.x - _col(coef) * g
-        return coef, None
+        return coef
 
 
 class AdaGradCoord(Optimizer):
@@ -320,7 +310,7 @@ class AdaGradCoord(Optimizer):
         self.accum = self.accum + g * g
         coef = _ratio(self.lr, np.sqrt(self.accum))
         self.x = self.x - coef * g
-        return coef, None
+        return coef
 
 
 class Adam(Optimizer):
@@ -351,7 +341,7 @@ class Adam(Optimizer):
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
         self.x = self.x - self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
-        return math.nan, None
+        return math.nan
 
 
 class SgdGhadimiLan(Sgd):
@@ -506,9 +496,14 @@ def run(
 
 
 def _kernel_args(optimizer: Optimizer):
-    """The optimizer's kernel name, and its parameters then state in kernel order."""
+    """The optimizer's kernel name, and its parameters then state in kernel order.
+
+    Array state comes as copies: the kernel updates it in place, and the
+    caller may still hold the optimizer's arrays.
+    """
     name, inputs = optimizer.kernel
-    return name, [attrgetter(attr)(optimizer) for attr in inputs + optimizer.state]
+    values = (attrgetter(attr)(optimizer) for attr in inputs + optimizer.state)
+    return name, [v.copy() if isinstance(v, np.ndarray) else v for v in values]
 
 
 def _set_attr(obj, attr: str, value):
@@ -522,10 +517,11 @@ def _run_kernel(optimizer, oracle, T, rng, stride, k):
     # The kernel draws its noise a chunk at a time; chunked draws consume the
     # stream exactly like T per-step pair draws.
     draw = functools.partial(oracle.draw, rng.generator())
-    x = optimizer.x  # mutated in place by the kernel
+    x = optimizer.x.copy()  # updated in place by the kernel
     out = _kernels.get_kernel(name)(oracle_id, diag, x, T, sigma, draw, k, stride, *args)
-    *series, coords, xk = out[:8]
-    for attr, value in zip(optimizer.state, out[8:]):
+    *series, coords, xk = out[:6]
+    optimizer.x = x
+    for attr, value in zip(optimizer.state, out[6:]):
         _set_attr(optimizer, attr, value)
     traj = Trajectory(*series, stepsize_coords=coords if coords.shape[1] else None)
     return RunResult(traj, k, xk, x.copy())
@@ -606,9 +602,6 @@ def run_lanes(
     rec_gsq = np.empty(shape)
     rec_eta = np.empty(shape)
     rec_coords = [np.empty((n_rec, n_streams, oracle.dim)) if c else None for c in coord]
-    rec_surr = np.zeros(shape)
-    rec_cum = np.zeros(shape)
-    cum = np.zeros((n_groups, n_streams))
     captures = defaultdict(list)  # t -> lanes whose output iterate is x_t
     for i, row in enumerate(ks):
         for r, k in enumerate(row):
@@ -633,24 +626,19 @@ def run_lanes(
             if not np.isfinite(pairs).all():
                 raise ValueError("gradient pair entries must be finite")
             for i, lanes in enumerate(stacks):
-                eta, loss = lanes.update(pairs[i, :, 0], pairs[i, :, 1])
-                if loss is not None:
-                    cum[i] += loss
+                eta = lanes.update(pairs[i, :, 0], pairs[i, :, 1])
                 if record:
                     if coord[i]:
                         rec_coords[i][ri] = eta
                         eta = np.mean(eta, axis=-1)
                     rec_eta[ri, i] = eta
-                    if loss is not None:
-                        rec_surr[ri, i] = loss
-                        rec_cum[ri, i] = cum[i]
     finally:
         # Even when a lane diverges, each optimizer keeps the steps taken.
         for lanes, group in zip(stacks, groups):
             _unstack(lanes, group)
 
     rec_t = np.arange(1, T + 1, stride, dtype=np.int64)
-    series = (rec_f, rec_gsq, rec_eta, rec_surr, rec_cum)
+    series = (rec_f, rec_gsq, rec_eta)
     results = []
     for i, group in enumerate(groups):
         results.append([

@@ -386,9 +386,16 @@ def load_libsvm(
     rows = []
     labels = []
     max_index = 0
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+    with open(path, "rb") as fh:
+        # Lines split as in text mode (at \n, \r\n or \r), then decoded one
+        # by one, so an undecodable byte is reported with its line number.
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise LibsvmParseError(f"line {lineno}: not UTF-8, can't decode byte "
+                                       f"{raw[exc.start]:#04x}") from None
+            line = text.split("#", 1)[0].strip()
             if not line:
                 continue
             tokens = line.split()

@@ -45,8 +45,6 @@ def trajectories_equal(r1, r2):
             and np.array_equal(t1.f_value, t2.f_value)
             and np.array_equal(t1.true_grad_sq_norm, t2.true_grad_sq_norm)
             and np.array_equal(t1.stepsize, t2.stepsize, equal_nan=True)
-            and np.array_equal(t1.surrogate_loss_value, t2.surrogate_loss_value)
-            and np.array_equal(t1.cumulative_regret_lhs, t2.cumulative_regret_lhs)
             and np.array_equal(t1.stepsize_coords, t2.stepsize_coords))
 
 
@@ -148,11 +146,10 @@ class _SgdolReference(Sgdol):
         self.x = self.x - eta * pair.g
         b = dot(pair.g, pair.g_prime)
         a = sq_norm(pair.g)
-        loss = 0.5 * self.ftrl.curvature_scale * self.M * eta * eta * a - eta * b
         if self.ledger is not None:
             self.ledger.record(eta, b, a, sq_norm(pair.g_prime))
         self.ftrl.observe_stats(b, a)
-        return StepReport(eta_used=eta, g_pair_consumed=2, surrogate_value=loss)
+        return StepReport(eta_used=eta, g_pair_consumed=2)
 
 
 class _SgdolCoordReference(SgdolCoord):
@@ -160,11 +157,8 @@ class _SgdolCoordReference(SgdolCoord):
         self._check_pair(pair)
         eta = self.ftrl.stepsize()
         self.x = self.x - eta * pair.g
-        b = pair.g * pair.g_prime
-        a = pair.g * pair.g
-        loss = float(np.sum(0.5 * self.M * eta * eta * a - eta * b))
-        self.ftrl.observe_stats(b, a)
-        return StepReport(eta_used=eta, g_pair_consumed=2, surrogate_value=loss)
+        self.ftrl.observe_stats(pair.g * pair.g_prime, pair.g * pair.g)
+        return StepReport(eta_used=eta, g_pair_consumed=2)
 
 
 class _SgdolMomentumReference(SgdolMomentum):
@@ -174,17 +168,11 @@ class _SgdolMomentumReference(SgdolMomentum):
         beta = 0.0 if self.clamp_beta else _ftrl_stepsize(self.ftrl_beta)
         z_old = self.z
         self.x = self.x - eta * pair.g - beta * z_old
-        b_eta = dot(pair.g, pair.g_prime)
-        a_eta = sq_norm(pair.g)
-        b_beta = dot(z_old, pair.g_prime)
-        a_beta = sq_norm(z_old)
-        M = self.M
-        loss = (M * eta * eta * a_eta - eta * b_eta) + (M * beta * beta * a_beta - beta * b_beta)
         decay = beta / eta if eta > 0.0 else 0.0
         self.z = decay * z_old + pair.g
-        self.ftrl_eta.observe_stats(b_eta, a_eta)
-        self.ftrl_beta.observe_stats(b_beta, a_beta)
-        return StepReport(eta_used=eta, beta_used=beta, g_pair_consumed=2, surrogate_value=loss)
+        self.ftrl_eta.observe_stats(dot(pair.g, pair.g_prime), sq_norm(pair.g))
+        self.ftrl_beta.observe_stats(dot(z_old, pair.g_prime), sq_norm(z_old))
+        return StepReport(eta_used=eta, beta_used=beta, g_pair_consumed=2)
 
 
 def _sgd_step(self, pair):
@@ -276,10 +264,7 @@ def _run_generic(optimizer, oracle, T, rng, stride, k):
     rec_eta = np.empty(n_rec)
     coord = isinstance(optimizer, (SgdolCoord, AdaGradCoord))
     rec_eta_coords = np.empty((n_rec, optimizer.dim)) if coord else None
-    rec_surr = np.empty(n_rec)
-    rec_cum = np.empty(n_rec)
 
-    cum = 0.0
     ri = 0
     x_k = None
     for t in range(1, T + 1):
@@ -293,8 +278,6 @@ def _run_generic(optimizer, oracle, T, rng, stride, k):
                 rec_gsq[ri] = sq_norm(oracle.grad(optimizer.x))
         pair = oracle.sample_pair(optimizer.x, gen)
         report = optimizer.step(pair)
-        loss = report.surrogate_value if report.surrogate_value is not None else 0.0
-        cum += loss
         if rec_here:
             rec_t[ri] = t
             if coord:
@@ -302,10 +285,7 @@ def _run_generic(optimizer, oracle, T, rng, stride, k):
                 rec_eta[ri] = float(np.mean(report.eta_used))
             else:
                 rec_eta[ri] = report.eta_used
-            rec_surr[ri] = loss
-            rec_cum[ri] = cum
             ri += 1
 
-    traj = Trajectory(rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum,
-                      stepsize_coords=rec_eta_coords)
+    traj = Trajectory(rec_t, rec_f, rec_gsq, rec_eta, stepsize_coords=rec_eta_coords)
     return RunResult(traj, k, x_k, optimizer.x.copy())

@@ -60,15 +60,12 @@ def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
     rec_f = np.empty(n_rec)
     rec_gsq = np.empty(n_rec)
     rec_eta = np.empty(n_rec)
-    rec_surr = np.empty(n_rec)
-    rec_cum = np.empty(n_rec)
     led = bool(ledger)
     n, lc, li, lq, lm, l2 = ledger if led else (0, 0.0, 0.0, 0.0, 0.0, 0.0)
     grad = np.empty(d)
     g = np.empty(d)
     gp = np.empty(d)
     xk = np.empty(d)
-    cum = 0.0
     hi = 2.0 / M
     ri = 0
     for t0 in range(T):
@@ -95,12 +92,10 @@ def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
         for i in range(d):
             b += g[i] * gp[i]
             a += g[i] * g[i]
-        loss = 0.5 * curv * M * eta * eta * a - eta * b
-        cum += loss
         si += b
         ss += a
         if led:
-            lc += loss
+            lc += 0.5 * curv * M * eta * eta * a - eta * b
             li += b
             lq += a
             ap = _sq_norm(gp)
@@ -116,10 +111,8 @@ def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
             rec_f[ri] = fv
             rec_gsq[ri] = gsq
             rec_eta[ri] = eta
-            rec_surr[ri] = loss
-            rec_cum[ri] = cum
             ri += 1
-    return (rec_t, rec_f, rec_gsq, rec_eta, rec_surr, rec_cum, np.empty((n_rec, 0)), xk,
+    return (rec_t, rec_f, rec_gsq, rec_eta, np.empty((n_rec, 0)), xk,
             si, ss, t + T, *((n, lc, li, lq, lm, l2) if led else ()))
 
 
@@ -132,14 +125,11 @@ def _run_sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, al
     rec_gsq = np.empty(n_rec)
     rec_eta_mean = np.empty(n_rec)
     rec_eta = np.empty((n_rec, d))
-    rec_surr = np.empty(n_rec)
-    rec_cum = np.empty(n_rec)
     grad = np.empty(d)
     g = np.empty(d)
     gp = np.empty(d)
     eta = np.empty(d)
     xk = np.empty(d)
-    cum = 0.0
     hi = 2.0 / M
     ri = 0
     for t0 in range(T):
@@ -158,19 +148,14 @@ def _run_sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, al
             elif raw > hi:
                 raw = hi
             eta[i] = raw
-        loss = 0.0
         for i in range(d):
             g[i] = grad[i] + sigma[i] * noise[t0, 0, i]
             gp[i] = grad[i] + sigma[i] * noise[t0, 1, i]
         for i in range(d):
             x[i] = x[i] - eta[i] * g[i]
         for i in range(d):
-            b = g[i] * gp[i]
-            a = g[i] * g[i]
-            loss += 0.5 * M * eta[i] * eta[i] * a - eta[i] * b
-            si[i] += b
-            ss[i] += a
-        cum += loss
+            si[i] += g[i] * gp[i]
+            ss[i] += g[i] * g[i]
         if rec_here:
             rec_t[ri] = t0 + 1
             rec_f[ri] = fv
@@ -180,10 +165,8 @@ def _run_sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, al
                 rec_eta[ri, i] = eta[i]
                 mean_eta += eta[i]
             rec_eta_mean[ri] = mean_eta / d
-            rec_surr[ri] = loss
-            rec_cum[ri] = cum
             ri += 1
-    return rec_t, rec_f, rec_gsq, rec_eta_mean, rec_surr, rec_cum, rec_eta, xk, si, ss, t + T
+    return rec_t, rec_f, rec_gsq, rec_eta_mean, rec_eta, xk, si, ss, t + T
 
 
 def _run_sgd(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr):
@@ -211,7 +194,7 @@ def _run_sgd(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr):
         for i in range(d):
             gi = grad[i] + sigma[i] * noise[t0, 0, i]
             x[i] = x[i] - lr * gi
-    return rec_t, rec_f, rec_gsq, rec_eta, np.zeros(n_rec), np.zeros(n_rec), np.empty((n_rec, 0)), xk
+    return rec_t, rec_f, rec_gsq, rec_eta, np.empty((n_rec, 0)), xk
 
 
 def _run_adagrad_global(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, accum):
@@ -252,8 +235,7 @@ def _run_adagrad_global(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr
             rec_gsq[ri] = gsq
             rec_eta[ri] = coef
             ri += 1
-    return (rec_t, rec_f, rec_gsq, rec_eta, np.zeros(n_rec), np.zeros(n_rec), np.empty((n_rec, 0)),
-            xk, accum)
+    return rec_t, rec_f, rec_gsq, rec_eta, np.empty((n_rec, 0)), xk, accum
 
 
 def _run_adagrad_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, accum):
@@ -297,7 +279,7 @@ def _run_adagrad_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr,
                 mean_eta += coef[i]
             rec_eta_mean[ri] = mean_eta / d
             ri += 1
-    return rec_t, rec_f, rec_gsq, rec_eta_mean, np.zeros(n_rec), np.zeros(n_rec), rec_eta, xk, accum
+    return rec_t, rec_f, rec_gsq, rec_eta_mean, rec_eta, xk, accum
 
 
 def _run_adam(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, beta1, beta2, eps,
@@ -333,8 +315,7 @@ def _run_adam(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, beta1, b
             m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
             v[i] = beta2 * v[i] + (1.0 - beta2) * (g[i] * g[i])
             x[i] = x[i] - lr * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
-    return (rec_t, rec_f, rec_gsq, rec_eta, np.zeros(n_rec), np.zeros(n_rec), np.empty((n_rec, 0)),
-            xk, m, v, p1, p2)
+    return rec_t, rec_f, rec_gsq, rec_eta, np.empty((n_rec, 0)), xk, m, v, p1, p2
 
 
 REFERENCE_KERNELS = {

@@ -182,6 +182,45 @@ lr = 0.1
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("data, balance, message", [
+    (b"+1 1:0.5\n-1 2:x\n", "false", "line 2: bad feature token '2:x'"),
+    (b"+1 1:0.5\n-1 2:0.\xf6\n", "false", "line 2: not UTF-8, can't decode byte 0xf6"),
+    (b"+1 1:0.5\n+1 2:1.0\n", "true", "balance_subsample requires both label classes present"),
+], ids=["malformed", "not-utf8", "one-class-balanced"])
+def test_run_bad_dataset_is_one_config_error(tmp_path, capsys, data, balance, message):
+    dataset = tmp_path / "data.libsvm"
+    dataset.write_bytes(data)
+    config = tmp_path / "exp.ini"
+    config.write_text(f"""
+[experiment]
+oracle = sigmoid
+dataset = {dataset}
+batch_size = 1
+balance = {balance}
+t = 10
+repetitions = 1
+seed = 11
+
+[optimizer.sgd]
+kind = sgd
+lr = 0.1
+""")
+    code = cli_main(["run", str(config)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"config error: dataset: {dataset}: {message}\n"
+
+
+def test_parse_libsvm_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.libsvm"
+    path.write_bytes(b"+1 1:0.5\n-1 2:0.\xf6\n")
+    code = cli_main(["parse-libsvm", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "parse error: line 2: not UTF-8, can't decode byte 0xf6\n"
+
+
 @pytest.mark.parametrize("content, message", [
     (b"[experiment]\noracle = rosenbrock\noracle = quadratic\n",
      "option 'oracle' in section 'experiment' already exists"),

@@ -54,13 +54,6 @@ def test_sgdol_stepsize_before_observation():
     assert r2.eta_used == pytest.approx(1.0 / 10001.0)  # now it has been seen
 
 
-def test_sgdol_report_surrogate_value():
-    opt = Sgdol(np.zeros(2), M=2.0)
-    report = opt.step(_pair([1.0, 0.0]))
-    # eta=0.5: (M/2) eta^2 ||g||^2 - eta <g,g'> = 0.25 - 0.5
-    assert report.surrogate_value == pytest.approx(-0.25)
-
-
 def test_sgdol_coord_dim1_equals_global():
     gen = RngStream(50).generator()
     a = Sgdol(np.array([0.7]), M=1.5, alpha=2.0)
@@ -229,13 +222,6 @@ def test_run_validates_arguments():
         run(Sgd(np.zeros(2), lr=0.1), RosenbrockOracle(), T=0, rng=RngStream(1))
     with pytest.raises(ValueError):
         run(Sgd(np.zeros(3), lr=0.1), RosenbrockOracle(), T=1, rng=RngStream(1))
-
-
-def test_run_cumulative_loss_consistency():
-    res = run(Sgdol(np.zeros(2), M=1002.0), RosenbrockOracle(sigma=0.2),
-              T=300, rng=RngStream(57), report_every=1)
-    total = np.cumsum(res.trajectory.surrogate_loss_value)
-    assert np.allclose(total, res.trajectory.cumulative_regret_lhs, rtol=1e-9)
 
 
 def test_run_output_iterate_capture():
