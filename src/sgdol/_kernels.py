@@ -1,9 +1,9 @@
-"""Fused run loops for the analytic oracles, one per update rule.
+"""Fused run loops for the 2-D analytic problems, one per update rule.
 
 Each kernel executes a full T-step optimizer run on one of the built-in
-analytic objectives (0 = Rosenbrock, 1 = diagonal quadratic) with
-additive Gaussian noise, recording the trajectory at a fixed stride.
-Every kernel has the signature
+analytic objectives in two dimensions (0 = Rosenbrock, 1 = diagonal
+quadratic) with additive Gaussian noise, recording the trajectory at a
+fixed stride. Every kernel has the signature
 
     kernel(oracle_id, diag, x, T, sigma, draw, k_index, stride, *params, *state)
 
@@ -20,32 +20,27 @@ goes out; array state and ``x`` are updated in place, so
 coordinates for the per-coordinate kernels, and ``stepsize_coords`` holds
 each coordinate's; ``stepsize_coords`` has zero columns for the others.
 ``draw(n)`` returns the standard normals of the next n gradient pairs, shape
-(n, 2, d), which the kernel scales by the per-coordinate sigma. The kernels
+(n, 2, 2), which the kernel scales by the per-coordinate sigma. The kernels
 pull their noise from it a chunk at a time, so memory does not grow with T,
 and they consume the random stream exactly as the step-by-step oracle path
 does. Records go to typed buffers that become arrays at the end.
 
-Each kernel has two branches. At d = 2 (Rosenbrock, and 2-D quadratics)
-coordinates and per-coordinate state are Python float locals, which CPython
+Coordinates and per-coordinate state are Python float locals, which CPython
 handles four to seven times faster than numpy scalars, with the objective
 inlined: an ``if`` on the oracle picks the gradient lines each step and the
 f lines on record steps. Each noise chunk is converted into one flat list.
-Quadratics of any other d run on (d,) numpy arrays, each noise chunk scaled
-by sigma at once, and elementwise steps keep the scalar operation order.
-Every sum runs in index order from 0.0 (0.0 + -0.0 is 0.0): written out on
-floats, and on arrays through ``_sum``, whose ``np.add.accumulate`` adds
-strictly in sequence, where ``np.sum`` adds pairwise from 8 elements up and
-the builtin ``sum`` of floats compensates its rounding from Python 3.12 on.
+Every sum is written out in index order from 0.0 (0.0 + -0.0 is 0.0).
+Quadratics of any other dimension step through the optimizer's own
+``update`` in ``optimizers``; these kernels are the only other copy of each
+update rule.
 ``tests/reference_kernels.py`` holds each kernel as an array loop that
-``tests/test_kernels.py`` requires it to match bit for bit; against the
-generic step path the match is exact up to d = 7.
+``tests/test_kernels.py`` requires it to match bit for bit.
 
 No float divisor can be zero, where a Python float would raise
 ZeroDivisionError: alpha, M and eps are validated positive and the betas in
 [0, 1), the curvature scale is 1 or 2, and AdaGrad divides only by the root
 of a positive accumulator. A diverging run ends in the same inf/nan as the
-reference; the array branch silences numpy's overflow and invalid warnings,
-as float arithmetic raises none.
+reference, without a warning, as float arithmetic raises none.
 """
 
 import itertools
@@ -87,26 +82,6 @@ def _noise_steps(draw, T, pairs):
         for c0, chunk in _chunks(draw, T, 2))
 
 
-def _noise_rows(draw, T, sigma, pairs):
-    """Iterate (t0, noise of step t0 scaled by sigma) for t0 < T, as arrays.
-
-    The noise is g's (d,) row, or with ``pairs`` 2 the (2, d) rows of g
-    and g'.
-    """
-    return itertools.chain.from_iterable(
-        zip(range(c0, c0 + len(chunk)), (chunk[:, 0] if pairs == 1 else chunk) * sigma)
-        for c0, chunk in _chunks(draw, T, sigma.shape[0]))
-
-
-def _sum(v):
-    """The sum of an array in index order from 0.0, as a Python float.
-
-    ``accumulate`` adds strictly in sequence, and ``+ 0.0`` turns the -0.0
-    that an all-(-0.0) array leaves into the 0.0 that a 0.0 seed gives.
-    """
-    return np.add.accumulate(v)[-1].item() + 0.0
-
-
 def _series(rec_t, *bufs):
     """The record buffers as arrays: int64 iteration numbers, then float64 columns."""
     return (np.frombuffer(rec_t, np.int64), *(np.frombuffer(buf) for buf in bufs))
@@ -139,440 +114,312 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
     largest ||g||^2 or ||g'||^2, summed second bound term), as
     ``online.RegretLedger.record`` folds them in.
     """
-    d = x.shape[0]
-    xk = np.empty(d)
+    xk = np.empty(2)
     rec_t = array("q")
     rec_f, rec_gsq, rec_eta = array("d"), array("d"), array("d")
     led = bool(ledger)  # a bool tests faster than a tuple in the loops
     hi = 2.0 / M
-    if d == 2:
-        rosen = oracle_id == ORACLE_ROSENBROCK
-        x0, x1 = x.tolist()
-        s0, s1 = sigma.tolist()
-        dg0, dg1 = diag.tolist()
-        for t0, u0, u1, v0, v1 in _noise_steps(draw, T, 2):
+    rosen = oracle_id == ORACLE_ROSENBROCK
+    x0, x1 = x.tolist()
+    s0, s1 = sigma.tolist()
+    dg0, dg1 = diag.tolist()
+    for t0, u0, u1, v0, v1 in _noise_steps(draw, T, 2):
+        if rosen:
+            c = x1 - x0 * x0
+            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+            r1 = 200.0 * c
+        else:
+            r0 = dg0 * x0
+            r1 = dg1 * x1
+        if t0 + 1 == k_index:
+            xk[0] = x0
+            xk[1] = x1
+        rec_here = t0 % stride == 0
+        if rec_here:
             if rosen:
-                c = x1 - x0 * x0
-                r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-                r1 = 200.0 * c
+                a1 = 1.0 - x0
+                fv = a1 * a1 + 100.0 * (c * c)
             else:
-                r0 = dg0 * x0
-                r1 = dg1 * x1
-            if t0 + 1 == k_index:
-                xk[0] = x0
-                xk[1] = x1
-            rec_here = t0 % stride == 0
-            if rec_here:
-                if rosen:
-                    a1 = 1.0 - x0
-                    fv = a1 * a1 + 100.0 * (c * c)
-                else:
-                    fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
-            eta = (alpha + si) / (alpha + curv * ss) / M
-            if eta < 0.0:
-                eta = 0.0
-            elif eta > hi:
-                eta = hi
-            g0 = r0 + s0 * u0
-            g1 = r1 + s1 * u1
-            gp0 = r0 + s0 * v0
-            gp1 = r1 + s1 * v1
-            x0 = x0 - eta * g0
-            x1 = x1 - eta * g1
-            b = 0.0 + g0 * gp0 + g1 * gp1
-            a = 0.0 + g0 * g0 + g1 * g1
-            si += b
-            ss += a
-            if led:
-                ledger = _fold_round(ledger, M, alpha, curv, eta, b, a,
-                                     0.0 + gp0 * gp0 + gp1 * gp1)
-            if rec_here:
-                rec_t.append(t0 + 1)
-                rec_f.append(fv)
-                rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
-                rec_eta.append(eta)
-        x[0] = x0
-        x[1] = x1
-    else:
-        with np.errstate(all="ignore"):
-            for t0, (u, v) in _noise_rows(draw, T, sigma, 2):
-                grad = diag * x
-                if t0 + 1 == k_index:
-                    xk[:] = x
-                rec_here = t0 % stride == 0
-                if rec_here:
-                    fv = 0.5 * _sum(diag * (x * x))
-                    gsq = _sum(grad * grad)
-                eta = (alpha + si) / (alpha + curv * ss) / M
-                if eta < 0.0:
-                    eta = 0.0
-                elif eta > hi:
-                    eta = hi
-                g = grad + u
-                gp = grad + v
-                x -= eta * g
-                b = _sum(g * gp)
-                a = _sum(g * g)
-                si += b
-                ss += a
-                if led:
-                    ledger = _fold_round(ledger, M, alpha, curv, eta, b, a, _sum(gp * gp))
-                if rec_here:
-                    rec_t.append(t0 + 1)
-                    rec_f.append(fv)
-                    rec_gsq.append(gsq)
-                    rec_eta.append(eta)
+                fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
+        eta = (alpha + si) / (alpha + curv * ss) / M
+        if eta < 0.0:
+            eta = 0.0
+        elif eta > hi:
+            eta = hi
+        g0 = r0 + s0 * u0
+        g1 = r1 + s1 * u1
+        gp0 = r0 + s0 * v0
+        gp1 = r1 + s1 * v1
+        x0 = x0 - eta * g0
+        x1 = x1 - eta * g1
+        b = 0.0 + g0 * gp0 + g1 * gp1
+        a = 0.0 + g0 * g0 + g1 * g1
+        si += b
+        ss += a
+        if led:
+            ledger = _fold_round(ledger, M, alpha, curv, eta, b, a,
+                                 0.0 + gp0 * gp0 + gp1 * gp1)
+        if rec_here:
+            rec_t.append(t0 + 1)
+            rec_f.append(fv)
+            rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
+            rec_eta.append(eta)
+    x[0] = x0
+    x[1] = x1
     return (*_series(rec_t, rec_f, rec_gsq, rec_eta), np.empty((len(rec_t), 0)), xk,
             si, ss, t + T, *ledger)
 
 
 def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, si, ss, t):
     """SGDOL with one FTRL learner per coordinate; state (si, ss, t) as above."""
-    d = x.shape[0]
-    xk = np.empty(d)
+    xk = np.empty(2)
     rec_t = array("q")
     rec_f, rec_gsq, rec_eta_mean, rec_eta = (array("d") for _ in range(4))
     hi = 2.0 / M
-    if d == 2:
-        rosen = oracle_id == ORACLE_ROSENBROCK
-        x0, x1 = x.tolist()
-        s0, s1 = sigma.tolist()
-        dg0, dg1 = diag.tolist()
-        si0, si1 = si.tolist()
-        ss0, ss1 = ss.tolist()
-        for t0, u0, u1, v0, v1 in _noise_steps(draw, T, 2):
+    rosen = oracle_id == ORACLE_ROSENBROCK
+    x0, x1 = x.tolist()
+    s0, s1 = sigma.tolist()
+    dg0, dg1 = diag.tolist()
+    si0, si1 = si.tolist()
+    ss0, ss1 = ss.tolist()
+    for t0, u0, u1, v0, v1 in _noise_steps(draw, T, 2):
+        if rosen:
+            c = x1 - x0 * x0
+            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+            r1 = 200.0 * c
+        else:
+            r0 = dg0 * x0
+            r1 = dg1 * x1
+        if t0 + 1 == k_index:
+            xk[0] = x0
+            xk[1] = x1
+        rec_here = t0 % stride == 0
+        if rec_here:
             if rosen:
-                c = x1 - x0 * x0
-                r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-                r1 = 200.0 * c
+                a1 = 1.0 - x0
+                fv = a1 * a1 + 100.0 * (c * c)
             else:
-                r0 = dg0 * x0
-                r1 = dg1 * x1
-            if t0 + 1 == k_index:
-                xk[0] = x0
-                xk[1] = x1
-            rec_here = t0 % stride == 0
-            if rec_here:
-                if rosen:
-                    a1 = 1.0 - x0
-                    fv = a1 * a1 + 100.0 * (c * c)
-                else:
-                    fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
-            e0 = (alpha + si0) / (alpha + ss0) / M
-            if e0 < 0.0:
-                e0 = 0.0
-            elif e0 > hi:
-                e0 = hi
-            e1 = (alpha + si1) / (alpha + ss1) / M
-            if e1 < 0.0:
-                e1 = 0.0
-            elif e1 > hi:
-                e1 = hi
-            g0 = r0 + s0 * u0
-            g1 = r1 + s1 * u1
-            gp0 = r0 + s0 * v0
-            gp1 = r1 + s1 * v1
-            x0 = x0 - e0 * g0
-            x1 = x1 - e1 * g1
-            si0 += g0 * gp0
-            si1 += g1 * gp1
-            ss0 += g0 * g0
-            ss1 += g1 * g1
-            if rec_here:
-                rec_t.append(t0 + 1)
-                rec_f.append(fv)
-                rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
-                rec_eta_mean.append((0.0 + e0 + e1) / d)
-                rec_eta.append(e0)
-                rec_eta.append(e1)
-        x[0] = x0
-        x[1] = x1
-        si[0] = si0
-        si[1] = si1
-        ss[0] = ss0
-        ss[1] = ss1
-    else:
-        with np.errstate(all="ignore"):
-            for t0, (u, v) in _noise_rows(draw, T, sigma, 2):
-                grad = diag * x
-                if t0 + 1 == k_index:
-                    xk[:] = x
-                rec_here = t0 % stride == 0
-                if rec_here:
-                    fv = 0.5 * _sum(diag * (x * x))
-                    gsq = _sum(grad * grad)
-                raw = (alpha + si) / (alpha + ss) / M
-                eta = np.where(raw < 0.0, 0.0, np.minimum(raw, hi))
-                g = grad + u
-                gp = grad + v
-                x -= eta * g
-                si += g * gp
-                ss += g * g
-                if rec_here:
-                    rec_t.append(t0 + 1)
-                    rec_f.append(fv)
-                    rec_gsq.append(gsq)
-                    rec_eta_mean.append(_sum(eta) / d)
-                    rec_eta.frombytes(eta.tobytes())
-    return (*_series(rec_t, rec_f, rec_gsq, rec_eta_mean), np.frombuffer(rec_eta).reshape(-1, d),
+                fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
+        e0 = (alpha + si0) / (alpha + ss0) / M
+        if e0 < 0.0:
+            e0 = 0.0
+        elif e0 > hi:
+            e0 = hi
+        e1 = (alpha + si1) / (alpha + ss1) / M
+        if e1 < 0.0:
+            e1 = 0.0
+        elif e1 > hi:
+            e1 = hi
+        g0 = r0 + s0 * u0
+        g1 = r1 + s1 * u1
+        gp0 = r0 + s0 * v0
+        gp1 = r1 + s1 * v1
+        x0 = x0 - e0 * g0
+        x1 = x1 - e1 * g1
+        si0 += g0 * gp0
+        si1 += g1 * gp1
+        ss0 += g0 * g0
+        ss1 += g1 * g1
+        if rec_here:
+            rec_t.append(t0 + 1)
+            rec_f.append(fv)
+            rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
+            rec_eta_mean.append((0.0 + e0 + e1) / 2)
+            rec_eta.append(e0)
+            rec_eta.append(e1)
+    x[0] = x0
+    x[1] = x1
+    si[0] = si0
+    si[1] = si1
+    ss[0] = ss0
+    ss[1] = ss1
+    return (*_series(rec_t, rec_f, rec_gsq, rec_eta_mean), np.frombuffer(rec_eta).reshape(-1, 2),
             xk, si, ss, t + T)
 
 
 def _sgd(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr):
     """Constant-stepsize SGD (also the precomputed-stepsize variant); reads only g's noise."""
-    d = x.shape[0]
-    xk = np.empty(d)
+    xk = np.empty(2)
     rec_t, rec_f, rec_gsq = array("q"), array("d"), array("d")
-    if d == 2:
-        rosen = oracle_id == ORACLE_ROSENBROCK
-        x0, x1 = x.tolist()
-        s0, s1 = sigma.tolist()
-        dg0, dg1 = diag.tolist()
-        for t0, u0, u1 in _noise_steps(draw, T, 1):
+    rosen = oracle_id == ORACLE_ROSENBROCK
+    x0, x1 = x.tolist()
+    s0, s1 = sigma.tolist()
+    dg0, dg1 = diag.tolist()
+    for t0, u0, u1 in _noise_steps(draw, T, 1):
+        if rosen:
+            c = x1 - x0 * x0
+            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+            r1 = 200.0 * c
+        else:
+            r0 = dg0 * x0
+            r1 = dg1 * x1
+        if t0 + 1 == k_index:
+            xk[0] = x0
+            xk[1] = x1
+        if t0 % stride == 0:
             if rosen:
-                c = x1 - x0 * x0
-                r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-                r1 = 200.0 * c
+                a1 = 1.0 - x0
+                fv = a1 * a1 + 100.0 * (c * c)
             else:
-                r0 = dg0 * x0
-                r1 = dg1 * x1
-            if t0 + 1 == k_index:
-                xk[0] = x0
-                xk[1] = x1
-            if t0 % stride == 0:
-                if rosen:
-                    a1 = 1.0 - x0
-                    fv = a1 * a1 + 100.0 * (c * c)
-                else:
-                    fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
-                rec_t.append(t0 + 1)
-                rec_f.append(fv)
-                rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
-            x0 = x0 - lr * (r0 + s0 * u0)
-            x1 = x1 - lr * (r1 + s1 * u1)
-        x[0] = x0
-        x[1] = x1
-    else:
-        with np.errstate(all="ignore"):
-            for t0, u in _noise_rows(draw, T, sigma, 1):
-                grad = diag * x
-                if t0 + 1 == k_index:
-                    xk[:] = x
-                if t0 % stride == 0:
-                    rec_t.append(t0 + 1)
-                    rec_f.append(0.5 * _sum(diag * (x * x)))
-                    rec_gsq.append(_sum(grad * grad))
-                x -= lr * (grad + u)
+                fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
+            rec_t.append(t0 + 1)
+            rec_f.append(fv)
+            rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
+        x0 = x0 - lr * (r0 + s0 * u0)
+        x1 = x1 - lr * (r1 + s1 * u1)
+    x[0] = x0
+    x[1] = x1
     n_rec = len(rec_t)
     return (*_series(rec_t, rec_f, rec_gsq), np.full(n_rec, lr), np.empty((n_rec, 0)), xk)
 
 
 def _adagrad_global(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, accum):
     """AdaGrad with one shared stepsize lr / sqrt(sum of squared grad norms)."""
-    d = x.shape[0]
-    xk = np.empty(d)
+    xk = np.empty(2)
     rec_t, rec_f, rec_gsq, rec_eta = array("q"), array("d"), array("d"), array("d")
     sqrt = math.sqrt
-    if d == 2:
-        rosen = oracle_id == ORACLE_ROSENBROCK
-        x0, x1 = x.tolist()
-        s0, s1 = sigma.tolist()
-        dg0, dg1 = diag.tolist()
-        for t0, u0, u1 in _noise_steps(draw, T, 1):
+    rosen = oracle_id == ORACLE_ROSENBROCK
+    x0, x1 = x.tolist()
+    s0, s1 = sigma.tolist()
+    dg0, dg1 = diag.tolist()
+    for t0, u0, u1 in _noise_steps(draw, T, 1):
+        if rosen:
+            c = x1 - x0 * x0
+            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+            r1 = 200.0 * c
+        else:
+            r0 = dg0 * x0
+            r1 = dg1 * x1
+        if t0 + 1 == k_index:
+            xk[0] = x0
+            xk[1] = x1
+        rec_here = t0 % stride == 0
+        if rec_here:
             if rosen:
-                c = x1 - x0 * x0
-                r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-                r1 = 200.0 * c
+                a1 = 1.0 - x0
+                fv = a1 * a1 + 100.0 * (c * c)
             else:
-                r0 = dg0 * x0
-                r1 = dg1 * x1
-            if t0 + 1 == k_index:
-                xk[0] = x0
-                xk[1] = x1
-            rec_here = t0 % stride == 0
-            if rec_here:
-                if rosen:
-                    a1 = 1.0 - x0
-                    fv = a1 * a1 + 100.0 * (c * c)
-                else:
-                    fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
-                rec_t.append(t0 + 1)
-                rec_f.append(fv)
-                rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
-            g0 = r0 + s0 * u0
-            g1 = r1 + s1 * u1
-            accum += 0.0 + g0 * g0 + g1 * g1
-            coef = lr / sqrt(accum) if accum > 0.0 else 0.0
-            x0 = x0 - coef * g0
-            x1 = x1 - coef * g1
-            if rec_here:
-                rec_eta.append(coef)
-        x[0] = x0
-        x[1] = x1
-    else:
-        with np.errstate(all="ignore"):
-            for t0, u in _noise_rows(draw, T, sigma, 1):
-                grad = diag * x
-                if t0 + 1 == k_index:
-                    xk[:] = x
-                rec_here = t0 % stride == 0
-                if rec_here:
-                    rec_t.append(t0 + 1)
-                    rec_f.append(0.5 * _sum(diag * (x * x)))
-                    rec_gsq.append(_sum(grad * grad))
-                g = grad + u
-                accum += _sum(g * g)
-                coef = lr / sqrt(accum) if accum > 0.0 else 0.0
-                x -= coef * g
-                if rec_here:
-                    rec_eta.append(coef)
+                fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
+            rec_t.append(t0 + 1)
+            rec_f.append(fv)
+            rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
+        g0 = r0 + s0 * u0
+        g1 = r1 + s1 * u1
+        accum += 0.0 + g0 * g0 + g1 * g1
+        coef = lr / sqrt(accum) if accum > 0.0 else 0.0
+        x0 = x0 - coef * g0
+        x1 = x1 - coef * g1
+        if rec_here:
+            rec_eta.append(coef)
+    x[0] = x0
+    x[1] = x1
     return (*_series(rec_t, rec_f, rec_gsq, rec_eta), np.empty((len(rec_t), 0)), xk, accum)
 
 
 def _adagrad_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, accum):
     """AdaGrad with a per-coordinate accumulator."""
-    d = x.shape[0]
-    xk = np.empty(d)
+    xk = np.empty(2)
     rec_t = array("q")
     rec_f, rec_gsq, rec_eta_mean, rec_eta = (array("d") for _ in range(4))
     sqrt = math.sqrt
-    if d == 2:
-        rosen = oracle_id == ORACLE_ROSENBROCK
-        x0, x1 = x.tolist()
-        s0, s1 = sigma.tolist()
-        dg0, dg1 = diag.tolist()
-        q0, q1 = accum.tolist()
-        for t0, u0, u1 in _noise_steps(draw, T, 1):
+    rosen = oracle_id == ORACLE_ROSENBROCK
+    x0, x1 = x.tolist()
+    s0, s1 = sigma.tolist()
+    dg0, dg1 = diag.tolist()
+    q0, q1 = accum.tolist()
+    for t0, u0, u1 in _noise_steps(draw, T, 1):
+        if rosen:
+            c = x1 - x0 * x0
+            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+            r1 = 200.0 * c
+        else:
+            r0 = dg0 * x0
+            r1 = dg1 * x1
+        if t0 + 1 == k_index:
+            xk[0] = x0
+            xk[1] = x1
+        rec_here = t0 % stride == 0
+        if rec_here:
             if rosen:
-                c = x1 - x0 * x0
-                r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-                r1 = 200.0 * c
+                a1 = 1.0 - x0
+                fv = a1 * a1 + 100.0 * (c * c)
             else:
-                r0 = dg0 * x0
-                r1 = dg1 * x1
-            if t0 + 1 == k_index:
-                xk[0] = x0
-                xk[1] = x1
-            rec_here = t0 % stride == 0
-            if rec_here:
-                if rosen:
-                    a1 = 1.0 - x0
-                    fv = a1 * a1 + 100.0 * (c * c)
-                else:
-                    fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
-                rec_t.append(t0 + 1)
-                rec_f.append(fv)
-                rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
-            g0 = r0 + s0 * u0
-            g1 = r1 + s1 * u1
-            q0 += g0 * g0
-            q1 += g1 * g1
-            c0 = lr / sqrt(q0) if q0 > 0.0 else 0.0
-            c1 = lr / sqrt(q1) if q1 > 0.0 else 0.0
-            x0 = x0 - c0 * g0
-            x1 = x1 - c1 * g1
-            if rec_here:
-                rec_eta_mean.append((0.0 + c0 + c1) / d)
-                rec_eta.append(c0)
-                rec_eta.append(c1)
-        x[0] = x0
-        x[1] = x1
-        accum[0] = q0
-        accum[1] = q1
-    else:
-        with np.errstate(all="ignore"):
-            for t0, u in _noise_rows(draw, T, sigma, 1):
-                grad = diag * x
-                if t0 + 1 == k_index:
-                    xk[:] = x
-                rec_here = t0 % stride == 0
-                if rec_here:
-                    rec_t.append(t0 + 1)
-                    rec_f.append(0.5 * _sum(diag * (x * x)))
-                    rec_gsq.append(_sum(grad * grad))
-                g = grad + u
-                accum += g * g
-                coef = np.divide(lr, np.sqrt(accum), out=np.zeros(d), where=accum > 0.0)
-                x -= coef * g
-                if rec_here:
-                    rec_eta_mean.append(_sum(coef) / d)
-                    rec_eta.frombytes(coef.tobytes())
-    return (*_series(rec_t, rec_f, rec_gsq, rec_eta_mean), np.frombuffer(rec_eta).reshape(-1, d),
+                fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
+            rec_t.append(t0 + 1)
+            rec_f.append(fv)
+            rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
+        g0 = r0 + s0 * u0
+        g1 = r1 + s1 * u1
+        q0 += g0 * g0
+        q1 += g1 * g1
+        c0 = lr / sqrt(q0) if q0 > 0.0 else 0.0
+        c1 = lr / sqrt(q1) if q1 > 0.0 else 0.0
+        x0 = x0 - c0 * g0
+        x1 = x1 - c1 * g1
+        if rec_here:
+            rec_eta_mean.append((0.0 + c0 + c1) / 2)
+            rec_eta.append(c0)
+            rec_eta.append(c1)
+    x[0] = x0
+    x[1] = x1
+    accum[0] = q0
+    accum[1] = q1
+    return (*_series(rec_t, rec_f, rec_gsq, rec_eta_mean), np.frombuffer(rec_eta).reshape(-1, 2),
             xk, accum)
 
 
 def _adam(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, beta1, beta2, eps,
              m, v, p1, p2):
     """Adam with standard bias-corrected moment estimates; it records NaN stepsizes."""
-    d = x.shape[0]
-    xk = np.empty(d)
+    xk = np.empty(2)
     rec_t, rec_f, rec_gsq = array("q"), array("d"), array("d")
     sqrt = math.sqrt
     c1 = 1.0 - beta1
     c2 = 1.0 - beta2
-    if d == 2:
-        rosen = oracle_id == ORACLE_ROSENBROCK
-        x0, x1 = x.tolist()
-        s0, s1 = sigma.tolist()
-        dg0, dg1 = diag.tolist()
-        m0, m1 = m.tolist()
-        w0, w1 = v.tolist()
-        for t0, u0, u1 in _noise_steps(draw, T, 1):
+    rosen = oracle_id == ORACLE_ROSENBROCK
+    x0, x1 = x.tolist()
+    s0, s1 = sigma.tolist()
+    dg0, dg1 = diag.tolist()
+    m0, m1 = m.tolist()
+    w0, w1 = v.tolist()
+    for t0, u0, u1 in _noise_steps(draw, T, 1):
+        if rosen:
+            c = x1 - x0 * x0
+            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+            r1 = 200.0 * c
+        else:
+            r0 = dg0 * x0
+            r1 = dg1 * x1
+        if t0 + 1 == k_index:
+            xk[0] = x0
+            xk[1] = x1
+        if t0 % stride == 0:
             if rosen:
-                c = x1 - x0 * x0
-                r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-                r1 = 200.0 * c
+                a1 = 1.0 - x0
+                fv = a1 * a1 + 100.0 * (c * c)
             else:
-                r0 = dg0 * x0
-                r1 = dg1 * x1
-            if t0 + 1 == k_index:
-                xk[0] = x0
-                xk[1] = x1
-            if t0 % stride == 0:
-                if rosen:
-                    a1 = 1.0 - x0
-                    fv = a1 * a1 + 100.0 * (c * c)
-                else:
-                    fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
-                rec_t.append(t0 + 1)
-                rec_f.append(fv)
-                rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
-            p1 *= beta1
-            p2 *= beta2
-            bc1 = 1.0 - p1
-            bc2 = 1.0 - p2
-            g0 = r0 + s0 * u0
-            g1 = r1 + s1 * u1
-            m0 = beta1 * m0 + c1 * g0
-            m1 = beta1 * m1 + c1 * g1
-            w0 = beta2 * w0 + c2 * (g0 * g0)
-            w1 = beta2 * w1 + c2 * (g1 * g1)
-            x0 = x0 - lr * (m0 / bc1) / (sqrt(w0 / bc2) + eps)
-            x1 = x1 - lr * (m1 / bc1) / (sqrt(w1 / bc2) + eps)
-        x[0] = x0
-        x[1] = x1
-        m[0] = m0
-        m[1] = m1
-        v[0] = w0
-        v[1] = w1
-    else:
-        with np.errstate(all="ignore"):
-            for t0, u in _noise_rows(draw, T, sigma, 1):
-                grad = diag * x
-                if t0 + 1 == k_index:
-                    xk[:] = x
-                if t0 % stride == 0:
-                    rec_t.append(t0 + 1)
-                    rec_f.append(0.5 * _sum(diag * (x * x)))
-                    rec_gsq.append(_sum(grad * grad))
-                p1 *= beta1
-                p2 *= beta2
-                bc1 = 1.0 - p1
-                bc2 = 1.0 - p2
-                g = grad + u
-                m[:] = beta1 * m + c1 * g
-                v[:] = beta2 * v + c2 * (g * g)
-                x -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+                fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
+            rec_t.append(t0 + 1)
+            rec_f.append(fv)
+            rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
+        p1 *= beta1
+        p2 *= beta2
+        bc1 = 1.0 - p1
+        bc2 = 1.0 - p2
+        g0 = r0 + s0 * u0
+        g1 = r1 + s1 * u1
+        m0 = beta1 * m0 + c1 * g0
+        m1 = beta1 * m1 + c1 * g1
+        w0 = beta2 * w0 + c2 * (g0 * g0)
+        w1 = beta2 * w1 + c2 * (g1 * g1)
+        x0 = x0 - lr * (m0 / bc1) / (sqrt(w0 / bc2) + eps)
+        x1 = x1 - lr * (m1 / bc1) / (sqrt(w1 / bc2) + eps)
+    x[0] = x0
+    x[1] = x1
+    m[0] = m0
+    m[1] = m1
+    v[0] = w0
+    v[1] = w1
     n_rec = len(rec_t)
     return (*_series(rec_t, rec_f, rec_gsq), np.full(n_rec, math.nan), np.empty((n_rec, 0)), xk,
             m, v, p1, p2)

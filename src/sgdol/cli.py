@@ -51,6 +51,9 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a run that cannot go on, such as a diverging engine run
+        print(f"run error: {exc}", file=sys.stderr)
+        return 1
     for name, series in table.series.items():
         print(f"{name}: {len(series.t)} recorded points, "
               f"final grad_sq_norm {float(series.grad_sq_norm[-1])!r}")

@@ -3,6 +3,7 @@ and the range of every optimizer parameter."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -65,7 +66,7 @@ def row_dot(a: np.ndarray, b: np.ndarray):
 # Parameter name -> (test, requirement). The one statement of each range:
 # OptimizerConfig.validate reports every value that fails its test, and the
 # optimizer and stepsize-learner constructors raise on the first. NaN fails
-# every test.
+# every test, and field_problems refuses an infinite value of any float field.
 _FIELD_RANGES = {
     "M": (lambda v: v > 0, "must be > 0"),
     "alpha": (lambda v: v > 0, "must be > 0"),
@@ -86,6 +87,8 @@ def field_problems(**values) -> list:
         test, need = _FIELD_RANGES[name]
         if not test(value):
             problems.append(f"{name}: {need}, got {value}")
+        elif name != "T" and not math.isfinite(value):
+            problems.append(f"{name}: must be finite, got {value}")
     return problems
 
 

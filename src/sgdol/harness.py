@@ -4,8 +4,9 @@ An experiment is (oracle x optimizer list x T x repetitions x seed). Each
 repetition owns one oracle noise stream shared by every optimizer, so
 optimizers see identical gradient pairs and their series are directly
 comparable; the uniformly sampled output index gets its own stream per
-(optimizer, repetition). Optimizers that take a fused kernel (on the
-analytic oracles) run one ``run`` per repetition. Every other
+(optimizer, repetition). Optimizers of a kind with a fused kernel run one
+``run`` per repetition on the analytic oracles (on the kernel in two
+dimensions, through their own ``update`` in any other). Every other
 (optimizer x repetition) run, which is all of them on the dataset oracle
 and the momentum variant on the analytic ones, goes through a single
 ``run_lanes`` call that steps them together, each repetition's lanes on its
@@ -209,10 +210,10 @@ def _fill_sgd_gl(cfg: OptimizerConfig, oracle: StochasticOracle, x0, T: int) -> 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute repetitions x optimizers runs, average, and write CSV output.
 
-    The start point is all zeros for every oracle. Optimizers that take a
-    fused kernel run one ``run`` per repetition; all the others, over all
-    repetitions, go through one ``run_lanes`` call. Files are written only
-    when the spec names an output directory.
+    The start point is all zeros for every oracle. Optimizers that
+    ``takes_kernel`` names run one ``run`` per repetition; all the others,
+    over all repetitions, go through one ``run_lanes`` call. Files are
+    written only when the spec names an output directory.
     """
     problems = spec.validate()
     if problems:

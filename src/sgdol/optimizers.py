@@ -17,10 +17,14 @@ engine stacks like the FTRL sums. The ledger is the only record of the
 surrogate losses.
 
 ``run`` executes T steps and records the trajectory. On the
-built-in analytic oracles it dispatches to the fused kernels in
-``_kernels``, which continue from whatever state earlier steps left. Every
-other run (the momentum variant, the dataset oracle, user oracles and
-``force_generic`` runs) goes through the lane engine, ``run_lanes``: it
+built-in analytic oracles (the exact classes) it runs the kinds that have a
+fused kernel in ``_kernels`` off the lane engine, continuing from whatever
+state earlier steps left: a 2-D problem on the kernel, a quadratic of any
+other d through the optimizer's own ``update`` in one loop, which draws its
+noise in chunks and sums its records in index order as the kernels do.
+Every other run (the momentum variant, the dataset oracle, user oracles,
+subclasses of the built-in ones and ``force_generic`` runs) goes through
+the lane engine, ``run_lanes``: it
 stacks optimizers that share a kind and parameters along a lane axis and
 steps all lanes of all groups in one loop, so ``harness.run_experiment``
 hands it every (optimizer x repetition) run that takes no kernel at once.
@@ -29,14 +33,16 @@ requires of every oracle: ``draw`` (each repetition stream's randomness,
 taken in chunks and shared by the stream's lanes), ``pairs`` at the
 stacked iterates, and f and the exact gradient through ``record_lanes``.
 All paths consume the random streams identically and leave the
-optimizers in the same state.
+optimizers in the same state, bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -441,18 +447,21 @@ class RunResult:
 
 
 def _analytic_params(oracle: StochasticOracle):
-    if isinstance(oracle, RosenbrockOracle):
+    # The exact classes: a subclass may redefine the objective the kernels inline.
+    if type(oracle) is RosenbrockOracle:
         return _kernels.ORACLE_ROSENBROCK, np.ones(2), oracle.sigma
-    if isinstance(oracle, QuadraticOracle):
+    if type(oracle) is QuadraticOracle:
         return _kernels.ORACLE_QUADRATIC, oracle.diag, oracle.sigma
     return None
 
 
 def takes_kernel(optimizer: Optimizer, oracle: StochasticOracle,
                  force_generic: bool = False) -> bool:
-    """Whether ``run`` steps this optimizer on this oracle with a fused kernel.
+    """Whether ``run`` steps this optimizer on this oracle off the lane engine.
 
-    Every other run goes through the lane engine (``run_lanes``).
+    It does for a kind with a fused kernel on a built-in analytic oracle: on
+    the kernel at d = 2, through the optimizer's own ``update`` at any other
+    d. Every other run goes through the lane engine (``run_lanes``).
     """
     return (not force_generic and optimizer.kernel is not None
             and _analytic_params(oracle) is not None)
@@ -490,7 +499,8 @@ def run(
     out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
     stride, [[k]] = _schedule([[optimizer]], oracle, T, report_every, [[out_stream]])
     if takes_kernel(optimizer, oracle, force_generic):
-        return _run_kernel(optimizer, oracle, T, rng, stride, k)
+        run_loop = _run_kernel if oracle.dim == 2 else _run_updates
+        return run_loop(optimizer, oracle, T, rng, stride, k)
     [[result]] = run_lanes([[optimizer]], oracle, T, [rng], [[out_stream]], report_every)
     return result
 
@@ -525,6 +535,67 @@ def _run_kernel(optimizer, oracle, T, rng, stride, k):
         _set_attr(optimizer, attr, value)
     traj = Trajectory(*series, stepsize_coords=coords if coords.shape[1] else None)
     return RunResult(traj, k, xk, x.copy())
+
+
+def _noise_rows(draw, T, sigma, pairs):
+    """Iterate (t0, noise of step t0 scaled by sigma) for t0 < T, drawn as the kernels draw.
+
+    The noise is g's (d,) row, or with ``pairs`` 2 the (2, d) rows of g
+    and g'.
+    """
+    return itertools.chain.from_iterable(
+        zip(range(c0, c0 + len(chunk)), (chunk[:, 0] if pairs == 1 else chunk) * sigma)
+        for c0, chunk in _kernels._chunks(draw, T, sigma.shape[0]))
+
+
+def _sum(v):
+    """The sum of an array in index order from 0.0, as a Python float.
+
+    ``accumulate`` adds strictly in sequence, where ``np.sum`` adds pairwise
+    from 8 elements up, and ``+ 0.0`` turns the -0.0 that an all-(-0.0)
+    array leaves into the 0.0 that a 0.0 seed gives.
+    """
+    return np.add.accumulate(v)[-1].item() + 0.0
+
+
+def _run_updates(optimizer, oracle, T, rng, stride, k):
+    """A kernel kind's run on a quadratic of d != 2: its own ``update`` on (d,) arrays.
+
+    f, ||grad f||^2 and the mean of per-coordinate stepsizes are recorded in
+    index order, as the kernels sum them.
+    """
+    diag, sigma, d = oracle.diag, oracle.sigma, oracle.dim
+    for attr in optimizer.state:  # FtrlState adds into its array sums in place
+        value = attrgetter(attr)(optimizer)
+        if isinstance(value, np.ndarray):
+            _set_attr(optimizer, attr, value.copy())
+    coord = isinstance(optimizer, (SgdolCoord, AdaGradCoord))
+    both = optimizer.g_pair_consumed == 2
+    draw = functools.partial(oracle.draw, rng.generator())
+    rec_t = array("q")
+    rec_f, rec_gsq, rec_eta, rec_coords = (array("d") for _ in range(4))
+    # Float arithmetic overflows silently in the kernels, and so does this loop.
+    with np.errstate(all="ignore"):
+        for t0, u in _noise_rows(draw, T, sigma, optimizer.g_pair_consumed):
+            x = optimizer.x
+            grad = diag * x
+            if t0 + 1 == k:
+                x_k = x.copy()
+            record = t0 % stride == 0
+            if record:
+                rec_t.append(t0 + 1)
+                rec_f.append(0.5 * _sum(diag * (x * x)))
+                rec_gsq.append(_sum(grad * grad))
+            g = grad + u
+            eta = optimizer.update(g[0], g[1]) if both else optimizer.update(g, g)
+            if record:
+                if coord:
+                    rec_coords.frombytes(eta.tobytes())
+                    eta = _sum(eta) / d
+                rec_eta.append(eta)
+    coords = np.frombuffer(rec_coords).reshape(-1, d) if coord else None
+    traj = Trajectory(*_kernels._series(rec_t, rec_f, rec_gsq, rec_eta), stepsize_coords=coords)
+    return RunResult(traj, k, x_k, optimizer.x.copy())
 
 
 # Pairs drawn ahead from each oracle stream at a time: 64 pairs of two

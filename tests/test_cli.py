@@ -287,3 +287,48 @@ def test_parse_libsvm_rejects_fewer_than_one_feature(tiny3_path, capsys, n_featu
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: --n-features must be >= 1, got {n_features}\n"
+
+
+def test_run_infinite_noise_level_is_one_config_error(tmp_path, capsys):
+    # The run would be on the lane engine, which raised on the infinite pairs.
+    config = tmp_path / "exp.ini"
+    config.write_text("""
+[experiment]
+oracle = rosenbrock
+sigma = inf
+t = 50
+repetitions = 1
+seed = 11
+
+[optimizer.momentum]
+kind = sgdol_momentum
+m = 1
+""")
+    code = cli_main(["run", str(config)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "config error: sigma: must be finite, got inf\n"
+
+
+def test_run_diverging_engine_run_is_one_run_error(tmp_path, capsys):
+    # M = 1 is far below Rosenbrock's curvature; the momentum run on the
+    # lane engine overflows within 200 steps.
+    config = tmp_path / "exp.ini"
+    config.write_text("""
+[experiment]
+oracle = rosenbrock
+sigma = 5
+t = 200
+repetitions = 1
+seed = 1
+
+[optimizer.momentum]
+kind = sgdol_momentum
+m = 1
+""")
+    code = cli_main(["run", str(config)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "run error: gradient pair entries must be finite\n"

@@ -1,17 +1,20 @@
-"""Cross-checks between the fused kernels, their array-loop references and
-the generic step path.
+"""Cross-checks between the runs of the kinds that have a fused kernel,
+their array-loop references and the generic step path.
 
+``run`` steps such a kind on a fused kernel at d = 2 (Rosenbrock and 2-D
+quadratics), and on a quadratic of any other d through the optimizer's own
+``update``, with the records summed in index order as the kernels sum them.
 The comparisons are exact wherever the paths execute the same floating-point
-operations in the same order: every kernel against its reference in
-``reference_kernels``, and the kernels against the generic path up to d = 7.
-From 8 elements up numpy sums pairwise while the kernels sum in index order,
-so at larger d the kernels and the generic path agree only to the tolerance
-that ``test_kernel_matches_generic_on_quadratic_d100_within_summation_order``
-states.
+operations in the same order: each kind's run against the kernel's reference
+in ``reference_kernels`` (at d >= 8 only for the kinds whose update sums
+nothing across coordinates, as numpy sums 8 elements and more pairwise), and
+against the generic path on iterates, stepsizes and optimizer state at every
+d. At d >= 8 only the records that sum across coordinates, f, ||grad f||^2
+and the mean of per-coordinate stepsizes, differ from the generic path's;
+``test_kernel_matches_generic_on_quadratic_d100_within_summation_order``
+states by how much.
 """
 
-import copy
-import functools
 import tracemalloc
 import warnings
 from operator import attrgetter
@@ -38,6 +41,7 @@ from sgdol import (
     SgdolCoord,
     run,
 )
+from sgdol.optimizers import _analytic_params, _kernel_args, _set_attr, takes_kernel
 
 MAKERS = [
     lambda d: Sgdol(np.zeros(d), M=1002.0, alpha=10.0),
@@ -69,10 +73,10 @@ def test_kernel_matches_generic_on_quadratic_d5(make):
 
 
 def _chunk_crossing_T(d):
-    """A horizon that crosses noise-chunk boundaries of the kernels.
+    """A horizon that crosses noise-chunk boundaries of a kernel kind's run.
 
-    They draw and convert about ``_CHUNK_FLOATS`` noise floats at a time, in
-    pairs of 2d floats. The horizon is not a multiple of the chunk.
+    It draws about ``_CHUNK_FLOATS`` noise floats at a time, in pairs of 2d
+    floats. The horizon is not a multiple of the chunk.
     """
     return kernels._CHUNK_FLOATS // d + 77
 
@@ -97,137 +101,188 @@ def test_kernel_matches_generic_on_quadratic_d5_across_noise_chunks(make):
     assert _trajectories_equal(r1, r2)
 
 
-@pytest.mark.parametrize("make", MAKERS)
-def test_kernel_matches_generic_on_quadratic_d100_within_summation_order(make):
-    # The kernels sum in index order; core.dot, core.sq_norm and np.sum sum
-    # pairwise from 8 elements up. Each sum then differs by a few ulps of its
-    # terms, and cancellation in the FTRL numerator (alpha + sum <g, g'>) and
-    # iterates near the optimum magnify that in relative terms. The largest relative
-    # difference of any recorded value, final iterate or x_k was 4.6e-14 at
-    # this seed (adagrad_global's x_k) and 8.7e-13 over seeds 60-79 of this
-    # set-up (sgdol_global's stepsize, seed 78); the tolerance leaves two
-    # orders of magnitude above that, far below what a wrong update rule
-    # would produce.
-    oracle = QuadraticOracle(np.arange(1, 101) / 100, sigma=1.0)
-    r1 = run(make(100), oracle, T=200, rng=RngStream(84), report_every=1)
-    r2 = run(make(100), oracle, T=200, rng=RngStream(84), report_every=1, force_generic=True)
-    t1, t2 = r1.trajectory, r2.trajectory
-    assert np.array_equal(t1.t, t2.t) and r1.k == r2.k
-    for a, b in [(r1.x_final, r2.x_final), (r1.x_k, r2.x_k), (t1.f_value, t2.f_value),
-                 (t1.true_grad_sq_norm, t2.true_grad_sq_norm), (t1.stepsize, t2.stepsize),
-                 (t1.stepsize_coords, t2.stepsize_coords)]:
-        if b is None:
-            assert a is None
-        else:
-            np.testing.assert_allclose(a, b, rtol=1e-10, atol=0.0)
-
-
-def _kernel_args(name, d, rs):
-    """Parameters, then non-zero incoming state, of the named kernel at dimension d."""
-    if name == "sgdol_global":  # with a regret ledger's running values, so they are compared too
-        return [1002.0, 10.0, 1.0, rs.normal(), 40.0 * rs.random(), 7,
-                6, rs.normal(), rs.normal(), 40.0 * rs.random(), 9.0 * rs.random(), rs.random()]
-    if name == "sgdol_coord":
-        return [1002.0, 10.0, rs.normal(size=d), 40.0 * rs.random(d), 7]
-    if name == "sgd":
-        return [1e-3]
-    if name == "adagrad_global":
-        return [1e-2, 10.0 * rs.random()]
-    if name == "adagrad_coord":
-        return [1e-2, 10.0 * rs.random(d)]
-    assert name == "adam"
-    return [1e-3, 0.9, 0.999, 1e-8, rs.normal(size=d), rs.random(d), 0.9 ** 5, 0.999 ** 5]
-
-
 def _bits(value):
     """Dtype, shape and bytes of a value: equal means bitwise equal, NaNs included."""
     a = np.asarray(value)
     return a.dtype, a.shape, a.tobytes()
 
 
+def _state_bits(optimizer):
+    """Bits of each state attribute of an optimizer, a regret ledger's running values included."""
+    return [_bits(attrgetter(attr)(optimizer)) for attr in optimizer.state]
+
+
+@pytest.mark.parametrize("make", [
+    *MAKERS, lambda d: Sgdol(np.zeros(d), M=1002.0, alpha=10.0, record_regret=True)])
+def test_kernel_matches_generic_on_quadratic_d100_within_summation_order(make):
+    # Both paths step the optimizer's own update on the same pairs, so the
+    # iterates, every stepsize a step uses and the optimizer state agree bit
+    # for bit. The records that sum across coordinates do not: the run sums
+    # f, ||grad f||^2 and the mean of per-coordinate stepsizes in index order,
+    # as the kernels do, and the engine sums them pairwise from 8 elements up.
+    # Each such sum then differs by a few ulps of its terms. The largest
+    # relative difference of any of them was 1.3e-15 (sgdol_coord's mean
+    # stepsize), at this seed and over seeds 60-79 of this set-up alike; the
+    # tolerance leaves five orders of magnitude above that, far below what a
+    # wrong record would give.
+    oracle = QuadraticOracle(np.arange(1, 101) / 100, sigma=1.0)
+    o1, o2 = make(100), make(100)
+    r1 = run(o1, oracle, T=200, rng=RngStream(84), report_every=1)
+    r2 = run(o2, oracle, T=200, rng=RngStream(84), report_every=1, force_generic=True)
+    t1, t2 = r1.trajectory, r2.trajectory
+    assert np.array_equal(t1.t, t2.t) and r1.k == r2.k
+    coord = t2.stepsize_coords is not None
+    exact = [(r1.x_final, r2.x_final), (r1.x_k, r2.x_k),
+             (t1.stepsize_coords, t2.stepsize_coords)]
+    if not coord:
+        exact.append((t1.stepsize, t2.stepsize))
+    assert [_bits(a) for a, _ in exact] == [_bits(b) for _, b in exact]
+    assert _state_bits(o1) == _state_bits(o2)
+    close = [(t1.f_value, t2.f_value), (t1.true_grad_sq_norm, t2.true_grad_sq_norm)]
+    if coord:
+        close.append((t1.stepsize, t2.stepsize))
+    for a, b in close:
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=0.0)
+
+
+def _warm(kind, x, rs):
+    """An optimizer of ``kind`` at x with non-zero state drawn from rs.
+
+    The sgdol_global one carries a regret ledger, so its running values are
+    compared too.
+    """
+    d = x.shape[0]
+    if kind == "sgdol_global":
+        opt = Sgdol(x, M=1002.0, alpha=10.0, record_regret=True)
+        state = [rs.normal(), 40.0 * rs.random(), 7,
+                 6, rs.normal(), rs.normal(), 40.0 * rs.random(), 9.0 * rs.random(), rs.random()]
+    elif kind == "sgdol_coord":
+        opt = SgdolCoord(x, M=1002.0, alpha=10.0)
+        state = [rs.normal(size=d), 40.0 * rs.random(d), 7]
+    elif kind == "sgd":
+        opt, state = Sgd(x, lr=1e-3), []
+    elif kind == "sgd_gl":
+        opt, state = SgdGhadimiLan(x, M=1002.0, sigma=5.0, T=300, f_gap=1.0), []
+    elif kind == "adagrad_global":
+        opt, state = AdaGradGlobal(x, lr=1e-2), [10.0 * rs.random()]
+    elif kind == "adagrad_coord":
+        opt, state = AdaGradCoord(x, lr=1e-2), [10.0 * rs.random(d)]
+    else:
+        assert kind == "adam"
+        opt = Adam(x, lr=1e-3)
+        state = [rs.normal(size=d), rs.random(d), 0.9 ** 5, 0.999 ** 5]
+    for attr, value in zip(opt.state, state, strict=True):
+        _set_attr(opt, attr, value)
+    return opt
+
+
+def _oracle(oracle_id, d):
+    """Rosenbrock or a d-dimensional quadratic, with a different noise level per coordinate."""
+    sigma = np.linspace(0.5, 5.0, d)
+    if oracle_id == kernels.ORACLE_ROSENBROCK:
+        return RosenbrockOracle(sigma=sigma)
+    return QuadraticOracle(np.arange(1, d + 1) / d, sigma=sigma)
+
+
 def _slices(noise):
-    """A ``draw`` that serves the next n pairs of a pre-drawn noise array."""
+    """A ``draw`` that ignores its stream and serves the next n pairs of a pre-drawn noise array."""
     served = 0
 
-    def draw(n):
+    def draw(rng, n):
         nonlocal served
         served += n
         return noise[served - n:served]
     return draw
 
 
-def _kernel_against_reference(name, oracle_id, d, x0, stride, T, noise, draw, rs):
-    """Run the kernel fed by ``draw`` and its reference fed ``noise``.
+def _run_against_reference(kind, oracle, x0, stride, T, noise, draw, rs):
+    """``run`` of a warm optimizer of ``kind`` with ``draw`` as the oracle's, and its reference.
 
-    Returns the bits of everything each run returns or updates in place, the
-    n of each ``draw`` call, and the kernel's outputs and final iterate.
+    The reference kernel is fed ``noise``, the parameters and state that
+    the optimizer hands a kernel, and the output index run picked. Returns
+    the bits of everything each returns or leaves behind, in the same
+    order, then the n of each draw call and the run's result.
     """
-    diag = np.arange(1, d + 1) / d
-    sigma = np.linspace(0.5, 5.0, d)
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (d,))
-    args = _kernel_args(name, d, rs)
-    assert kernels.get_kernel(name) is not REFERENCE_KERNELS[name]
+    oracle_id, diag, sigma = _analytic_params(oracle)
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (oracle.dim,)).copy()
+    opt = _warm(kind, x, rs)
+    name, args = _kernel_args(opt)  # copies: the reference updates them in place
     calls = []
 
-    def counted(n):
+    def counted(rng, n):
         calls.append(n)
-        return draw(n)
-    runs = []
-    for kernel, feed in ((REFERENCE_KERNELS[name], noise), (kernels.get_kernel(name), counted)):
-        xi, argsi = x.copy(), copy.deepcopy(args)  # both are updated in place
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = kernel(oracle_id, diag, xi, T, sigma, feed, T // 2 + 1, stride, *argsi)
-        runs.append([_bits(v) for v in (*out, xi, *argsi)])
-    return runs, calls, out, xi
+        return draw(rng, n)
+    oracle.draw = counted  # on the instance: the oracle keeps its class, so its path
+    res = run(opt, oracle, T=T, rng=RngStream(86), report_every=stride)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = REFERENCE_KERNELS[name](oracle_id, diag, x, T, sigma, noise, res.k, stride, *args)
+    traj = res.trajectory
+    coords = traj.stepsize_coords
+    ran = [traj.t, traj.f_value, traj.true_grad_sq_norm, traj.stepsize,
+           np.empty((len(traj), 0)) if coords is None else coords, res.x_k,
+           *(attrgetter(attr)(opt) for attr in opt.state), res.x_final]
+    return [_bits(v) for v in ran], [_bits(v) for v in (*out, x)], calls, res
 
 
-# Rosenbrock and the 2-D quadratic run on float locals, the other quadratics on arrays.
+_KINDS = (*kernels.KERNEL_NAMES, "sgd_gl")
+# From 8 coordinates up numpy sums these kinds' <g, g'> and ||g||^2 pairwise,
+# and their references sum in index order; see
+# test_kernel_matches_generic_on_quadratic_d100_within_summation_order.
+_PAIRWISE_KINDS = ("sgdol_global", "adagrad_global")
+
+# Rosenbrock and the 2-D quadratic run on a kernel, the other quadratics
+# through the optimizer's own update.
 _TWIN_CASES = [
     pytest.param(kernels.ORACLE_ROSENBROCK, 2, (-1.2, 1.0), 1, _chunk_crossing_T(2),
                  id="rosenbrock-stride1"),
     pytest.param(kernels.ORACLE_ROSENBROCK, 2, (-1.2, 1.0), 7, _chunk_crossing_T(2),
                  id="rosenbrock-stride7"),
-    pytest.param(kernels.ORACLE_QUADRATIC, 2, (1.0,), 1, _chunk_crossing_T(2),
-                 id="quadratic_d2-stride1"),
-    pytest.param(kernels.ORACLE_QUADRATIC, 2, (1.0,), 7, _chunk_crossing_T(2),
-                 id="quadratic_d2-stride7"),
-    pytest.param(kernels.ORACLE_QUADRATIC, 5, (1.0,), 1, _chunk_crossing_T(5),
-                 id="quadratic_d5-stride1"),
-    pytest.param(kernels.ORACLE_QUADRATIC, 5, (1.0,), 7, _chunk_crossing_T(5),
-                 id="quadratic_d5-stride7"),
-    pytest.param(kernels.ORACLE_QUADRATIC, 100, (1.0,), 1, _chunk_crossing_T(100),
-                 id="quadratic_d100-stride1"),
-    pytest.param(kernels.ORACLE_QUADRATIC, 100, (1.0,), 7, _chunk_crossing_T(100),
-                 id="quadratic_d100-stride7"),
+    *(pytest.param(kernels.ORACLE_QUADRATIC, d, (1.0,), stride, _chunk_crossing_T(d),
+                   id=f"quadratic_d{d}-stride{stride}")
+      for d in (2, 3, 5, 7, 100) for stride in (1, 7)),
 ]
 
 
-@pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
-@pytest.mark.parametrize("oracle_id, d, x0, stride, T, diverges", [
-    *(pytest.param(*case.values, False, id=case.id) for case in _TWIN_CASES),
-    # The gradient overflows at once, and every kernel's iterate turns inf or nan.
-    pytest.param(kernels.ORACLE_ROSENBROCK, 2, (1e150, 1e150), 1, 60, True,
-                 id="rosenbrock-diverging"),
+def _with_kinds(cases, *extra, every_kind=False):
+    """Each case for each kind, with ``extra`` appended to its values.
+
+    Unless ``every_kind``, a case at d >= 8 leaves out the kinds that sum
+    pairwise there.
+    """
+    return [pytest.param(kind, *case.values, *extra, id=f"{case.id}-{kind}")
+            for case in cases for kind in _KINDS
+            if every_kind or case.values[1] < 8 or kind not in _PAIRWISE_KINDS]
+
+
+@pytest.mark.parametrize("kind, oracle_id, d, x0, stride, T, diverges", [
+    *_with_kinds(_TWIN_CASES, False),
+    # The gradient overflows at once, and every iterate turns inf or nan.
+    *_with_kinds([pytest.param(kernels.ORACLE_ROSENBROCK, 2, (1e150, 1e150), 1, 60,
+                               id="rosenbrock-diverging")], True, every_kind=True),
     # f and ||g||^2 overflow at once; only the SGDOL iterates turn nan (inf / inf
-    # stepsizes), the other kernels' steps shrink x.
-    pytest.param(kernels.ORACLE_QUADRATIC, 100, (1e155,), 1, 60, True,
-                 id="quadratic_d100-diverging"),
+    # stepsizes), the other kinds' steps shrink x. Every sum is inf or nan in
+    # any order, so the pairwise kinds match their references here too.
+    *_with_kinds([pytest.param(kernels.ORACLE_QUADRATIC, d, (1e155,), 1, 60,
+                               id=f"quadratic_d{d}-diverging") for d in (5, 100)], True,
+                 every_kind=True),
 ])
-def test_python_twin_matches_array_source_bitwise(name, oracle_id, d, x0, stride, T, diverges):
+def test_python_twin_matches_array_source_bitwise(kind, oracle_id, d, x0, stride, T, diverges):
+    # The twin of an array source is the package loop that runs its kind:
+    # the kernel at d = 2, the optimizer's own update at any other d.
     rs = np.random.default_rng(85)
     noise = rs.standard_normal((T, 2, d))
-    runs, _, out, x = _kernel_against_reference(name, oracle_id, d, x0, stride, T, noise,
-                                                _slices(noise), rs)
-    assert runs[0] == runs[1]
-    assert np.all(np.isfinite(out[1])) != diverges
+    ran, ref, _, res = _run_against_reference(kind, _oracle(oracle_id, d), x0, stride, T, noise,
+                                              _slices(noise), rs)
+    assert ran == ref
+    assert np.all(np.isfinite(res.trajectory.f_value)) != diverges
     if oracle_id == kernels.ORACLE_ROSENBROCK or not diverges:
-        assert np.all(np.isfinite(x)) != diverges
+        assert np.all(np.isfinite(res.x_final)) != diverges
 
 
 @pytest.mark.parametrize("make", MAKERS)
 @pytest.mark.parametrize("d", [2, 100])
 def test_diverging_quadratic_run_warns_nothing(make, d):
-    # Float arithmetic overflows silently; the array branch must too.
+    # Float arithmetic overflows silently; the update loop at d = 100 must too.
     opt = make(d)
     opt.x = np.full(d, 1e155)
     with warnings.catch_warnings():
@@ -237,20 +292,17 @@ def test_diverging_quadratic_run_warns_nothing(make, d):
     assert not np.any(np.isfinite(res.trajectory.f_value))
 
 
-@pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
-@pytest.mark.parametrize("oracle_id, d, x0, stride, T", _TWIN_CASES)
-def test_kernel_draws_exactly_T_pairs_a_chunk_at_a_time(name, oracle_id, d, x0, stride, T):
-    # The kernel pulls from the oracle's draw on one stream; the reference gets
+@pytest.mark.parametrize("kind, oracle_id, d, x0, stride, T", _with_kinds(_TWIN_CASES))
+def test_kernel_draws_exactly_T_pairs_a_chunk_at_a_time(kind, oracle_id, d, x0, stride, T):
+    # The run pulls from the oracle's draw on one stream; the reference gets
     # one bulk draw of T pairs from an equal stream.
-    oracle = (RosenbrockOracle(sigma=5.0) if oracle_id == kernels.ORACLE_ROSENBROCK
-              else QuadraticOracle(np.ones(d), sigma=1.0))
+    oracle = _oracle(oracle_id, d)
     noise = oracle.draw(RngStream(86).generator(), T)
-    draw = functools.partial(oracle.draw, RngStream(86).generator())
-    runs, calls, _, _ = _kernel_against_reference(name, oracle_id, d, x0, stride, T, noise, draw,
-                                                  np.random.default_rng(87))
+    ran, ref, calls, _ = _run_against_reference(kind, oracle, x0, stride, T, noise, oracle.draw,
+                                                np.random.default_rng(87))
     assert sum(calls) == T
     assert 1 <= max(calls) <= max(1, kernels._CHUNK_FLOATS // (2 * d)) < T
-    assert runs[0] == runs[1]
+    assert ran == ref
 
 
 def test_kernel_restores_optimizer_state():
@@ -291,6 +343,26 @@ def test_used_optimizer_falls_back_to_generic():
     res = run(opt, oracle, T=10, rng=RngStream(73))
     assert len(res.trajectory) >= 1
     assert opt.ftrl.t == 12
+
+
+def test_subclass_of_a_builtin_oracle_runs_on_its_own_objective():
+    class Shifted(QuadraticOracle):
+        """The quadratic with its optimum moved from 0 to 1."""
+
+        def f_lanes(self, X):
+            return super().f_lanes(X - 1.0)
+
+        def grad_lanes(self, X):
+            return super().grad_lanes(X - 1.0)
+
+    oracle = Shifted(np.ones(3))
+    opt = Sgd(np.zeros(3), lr=0.5)
+    assert not takes_kernel(opt, oracle)
+    res = run(opt, oracle, T=50, rng=RngStream(5), report_every=1)
+    assert res.trajectory.f_value[0] == 1.5
+    np.testing.assert_allclose(res.x_final, 1.0, rtol=0.0, atol=1e-12)  # 1 - 2**-50
+    assert _trajectories_equal(res, run(Sgd(np.zeros(3), lr=0.5), oracle, T=50, rng=RngStream(5),
+                                        report_every=1, force_generic=True))
 
 
 def _warmed_up(make, oracle, steps):

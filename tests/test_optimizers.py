@@ -248,6 +248,21 @@ def test_optimizer_config_validation_reports_fields():
     assert OptimizerConfig(kind="adam", lr=0.1, beta1=1.5).validate() != []
 
 
+@pytest.mark.parametrize("field, kind", [("M", "sgdol_global"), ("alpha", "sgdol_global"),
+                                         ("lr", "sgd"), ("eps", "adam"), ("sigma", "sgd_gl"),
+                                         ("f_gap", "sgd_gl")])
+def test_optimizer_config_reports_an_infinite_field(field, kind):
+    valid = {"sgdol_global": dict(M=1.0), "sgd": dict(lr=0.1), "adam": dict(lr=0.1),
+             "sgd_gl": dict(M=1.0, sigma=1.0, T=10, f_gap=1.0)}[kind]
+    problems = OptimizerConfig(kind=kind, **{**valid, field: math.inf}).validate()
+    assert problems == [f"{field}: must be finite, got inf"]
+
+
+def test_optimizer_refuses_an_infinite_stepsize():
+    with pytest.raises(ValueError, match="lr: must be finite"):
+        Sgd(np.zeros(2), lr=math.inf)
+
+
 @pytest.mark.parametrize("kind,kwargs,cls", [
     ("sgdol_global", dict(M=1.0), Sgdol),
     ("sgdol_coord", dict(M=1.0), SgdolCoord),
