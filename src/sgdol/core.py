@@ -46,12 +46,12 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     """
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
+    return float(np.add.reduce(a * b, axis=None))  # np.sum, minus its wrapper
 
 
 def sq_norm(a: np.ndarray) -> float:
     """Squared Euclidean norm ``dot(a, a)``."""
-    return float(np.sum(a * a))
+    return float(np.add.reduce(a * a, axis=None))
 
 
 def row_dot(a: np.ndarray, b: np.ndarray):

@@ -16,7 +16,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .core import RngStream, dot, row_dot, sq_norm
+from .core import RngStream, row_dot, sq_norm
 from .online import DEFAULT_ALPHA, FtrlState, surrogate_loss
 from .optimizers import Sgdol, run
 from .oracles import (
@@ -210,16 +210,16 @@ def _check_ftrl_closed_form(seed: int) -> CheckResult:
         d = int(gen.integers(1, 6))
         alpha = float(gen.choice(np.array([0.1, 1.0, 10.0])))
         M = float(gen.choice(np.array([0.5, 1.0, 2.0])))
-        history = []
+        # One draw of the T pairs yields the values that 2T draws of d would, in order.
+        draws = gen.uniform(-1.0, 1.0, size=(T, 2, d))
+        g, gp = draws[:, 0], draws[:, 1]
         state = FtrlState(alpha=alpha, M=M)
-        for _ in range(T):
-            g = gen.uniform(-1.0, 1.0, size=d)
-            gp = gen.uniform(-1.0, 1.0, size=d)
-            history.append(GradientPair(g, gp))
-            state.observe_stats(dot(g, gp), sq_norm(g))
+        for inner, g_sq in zip(row_dot(g, gp).tolist(), row_dot(g, g).tolist()):
+            state.observe_stats(inner, g_sq)
+        history = [GradientPair(*pair) for pair in draws]
         worst = max(worst, abs(state.stepsize() - ftrl_argmin_oracle(alpha, M, history)))
     return CheckResult("ftrl closed form vs numeric argmin",
-                       worst < 1e-8, f"max deviation {worst:.3e}")
+                       bool(worst < 1e-8), f"max deviation {worst:.3e}")
 
 
 def _check_gradients(seed: int) -> CheckResult:

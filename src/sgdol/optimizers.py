@@ -680,29 +680,32 @@ def run_lanes(
     x_k = {}
 
     try:
-        for t in range(1, T + 1):
-            j = (t - 1) % _DRAW_CHUNK
-            if j == 0:
-                n = min(_DRAW_CHUNK, T - t + 1)
-                draws = np.stack([oracle.draw(gen, n) for gen in gens], axis=1)
-            X = np.array([lanes.x for lanes in stacks])
-            for i, r in captures.get(t, ()):
-                x_k[i, r] = X[i, r].copy()
-            ri, off = divmod(t - 1, stride)
-            record = off == 0
-            if record:
-                rec_f[ri], grad = oracle.record_lanes(X)
-                rec_gsq[ri] = row_dot(grad, grad)
-            pairs = oracle.pairs(X, draws[j])
-            if not np.isfinite(pairs).all():
-                raise ValueError("gradient pair entries must be finite")
-            for i, lanes in enumerate(stacks):
-                eta = lanes.update(pairs[i, :, 0], pairs[i, :, 1])
+        # Overflow is silent, as in the kernels and _run_updates; a
+        # non-finite pair still raises below.
+        with np.errstate(all="ignore"):
+            for t in range(1, T + 1):
+                j = (t - 1) % _DRAW_CHUNK
+                if j == 0:
+                    n = min(_DRAW_CHUNK, T - t + 1)
+                    draws = np.stack([oracle.draw(gen, n) for gen in gens], axis=1)
+                X = np.array([lanes.x for lanes in stacks])
+                for i, r in captures.get(t, ()):
+                    x_k[i, r] = X[i, r].copy()
+                ri, off = divmod(t - 1, stride)
+                record = off == 0
                 if record:
-                    if coord[i]:
-                        rec_coords[i][ri] = eta
-                        eta = np.mean(eta, axis=-1)
-                    rec_eta[ri, i] = eta
+                    rec_f[ri], grad = oracle.record_lanes(X)
+                    rec_gsq[ri] = row_dot(grad, grad)
+                pairs = oracle.pairs(X, draws[j])
+                if not np.isfinite(pairs).all():
+                    raise ValueError("gradient pair entries must be finite")
+                for i, lanes in enumerate(stacks):
+                    eta = lanes.update(pairs[i, :, 0], pairs[i, :, 1])
+                    if record:
+                        if coord[i]:
+                            rec_coords[i][ri] = eta
+                            eta = np.add.reduce(eta, axis=-1) / oracle.dim  # np.mean
+                        rec_eta[ri, i] = eta
     finally:
         # Even when a lane diverges, each optimizer keeps the steps taken.
         for lanes, group in zip(stacks, groups):

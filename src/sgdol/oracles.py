@@ -51,7 +51,7 @@ class GradientPair:
             raise ValueError(
                 f"gradient pair dims differ: {self.g.shape} vs {self.g_prime.shape}"
             )
-        if not (np.all(np.isfinite(self.g)) and np.all(np.isfinite(self.g_prime))):
+        if not (np.isfinite(self.g).all() and np.isfinite(self.g_prime).all()):
             raise ValueError("gradient pair entries must be finite")
 
     @property
@@ -223,7 +223,7 @@ class QuadraticOracle(_AnalyticNoiseOracle):
         self.pl_constant = float(np.min(diag))
 
     def f_lanes(self, X: np.ndarray) -> np.ndarray:
-        return 0.5 * np.sum(self.diag * (X * X), axis=-1)
+        return 0.5 * np.add.reduce(self.diag * (X * X), axis=-1)
 
     def grad_lanes(self, X: np.ndarray) -> np.ndarray:
         return self.diag * X
@@ -237,6 +237,8 @@ class QuadraticOracle(_AnalyticNoiseOracle):
 def sigmoid_phi(theta):
     """phi(t) = t^2 / (1 + t^2): bounded, nonconvex, 1-Lipschitz, 2-smooth."""
     t2 = theta * theta
+    if isinstance(t2, np.ndarray) and t2.dtype == np.float64:
+        return np.divide(t2, 1.0 + t2, out=t2)  # into the square's own buffer
     return t2 / (1.0 + t2)
 
 
@@ -281,14 +283,17 @@ class Dataset:
 def _residuals(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     # A stacked matmul is one gemv per query point, so each row's residuals
     # equal features @ x for that row bit for bit (a single gemm would not).
-    return np.matmul(features, x[..., None])[..., 0] - labels
+    # Its output already has the broadcast shape, so the labels go in place.
+    r = np.matmul(features, x[..., None])[..., 0]
+    return np.subtract(r, labels, out=r)
 
 
 def sigmoid_loss_f(x: np.ndarray, data: Dataset) -> float:
     """Mean of phi(a_i . x - y_i) over all rows, at x or at every row of (..., d)."""
     if x.shape[-1:] != (data.n_features,):
         raise ValueError(f"x has shape {x.shape}, dataset has {data.n_features} features")
-    return np.mean(sigmoid_phi(_residuals(x, data.features, data.labels)), axis=-1)
+    # np.mean's sum and division, minus its wrapper
+    return np.add.reduce(sigmoid_phi(_residuals(x, data.features, data.labels)), axis=-1) / len(data)
 
 
 def sigmoid_loss_grad(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -300,11 +305,11 @@ def sigmoid_loss_grad(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -
     """
     if features.shape[-2] == 0:
         raise ValueError("gradient over an empty row subset")
-    return _grad_from_residuals(_residuals(x, features, labels), features)
+    return _grad_from_weights(sigmoid_phi_prime(_residuals(x, features, labels)), features)
 
 
-def _grad_from_residuals(r: np.ndarray, features: np.ndarray) -> np.ndarray:
-    w = sigmoid_phi_prime(r)
+def _grad_from_weights(w: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """The mean of the rows of ``features`` weighted by phi'(r), ``w``."""
     return np.matmul(w[..., None, :], features)[..., 0, :] / features.shape[-2]
 
 
@@ -341,9 +346,13 @@ class SigmoidLossOracle(StochasticOracle):
         return sigmoid_loss_grad(X, self.data.features, self.data.labels)
 
     def record_lanes(self, X: np.ndarray):
-        # f and grad share the residuals, which both would compute alike.
+        # f and grad share the residuals r and 1 + r^2, which both would
+        # compute alike: phi(r) = r^2 / (1 + r^2), phi'(r) = 2r / (1 + r^2)^2.
         r = _residuals(X, self.data.features, self.data.labels)
-        return np.mean(sigmoid_phi(r), axis=-1), _grad_from_residuals(r, self.data.features)
+        t2 = r * r
+        den = 1.0 + t2
+        f = np.add.reduce(np.divide(t2, den, out=t2), axis=-1) / len(self.data)
+        return f, _grad_from_weights(2.0 * r / (den * den), self.data.features)
 
     def draw(self, rng: Generator, n: int) -> np.ndarray:
         """Row indices of both minibatches of each pair, shape (n, 2, batch_size)."""

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import pytest
 
 from sgdol.cli import cli_main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_parse_libsvm_fixture(tiny3_path, capsys):
@@ -332,3 +339,23 @@ m = 1
     assert code == 1
     assert captured.out == ""
     assert captured.err == "run error: gradient pair entries must be finite\n"
+
+
+def test_diverging_engine_run_warns_nothing(tmp_path, capsys):
+    # The same run with every warning an error: the engine overflows as
+    # silently as the kernels, and the non-finite pair is still one run error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        test_run_diverging_engine_run_is_one_run_error(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["--help"], "usage: sgdol"),
+    (["verify", "--samples", "200"], "8/8 checks passed"),
+], ids=["help", "verify"])
+def test_python_dash_m_sgdol_runs_the_cli(args, expected):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "sgdol", *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert expected in proc.stdout

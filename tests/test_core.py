@@ -93,3 +93,29 @@ def test_stream_child_deterministic():
     s = RngStream(9)
     assert s.child(1, 2) == s.child(1, 2)
     assert s.child(1, 2) != s.child(2, 1)
+
+
+def _bytes(v):
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("d", range(21))
+def test_dot_and_sq_norm_equal_np_sum_bitwise(d):
+    # Both reduce with np.add.reduce, np.sum's reduction without its wrapper:
+    # the same pairwise order, the same -0.0, inf and NaN (sign included).
+    gen = RngStream(90, d).generator()
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e308, -1e-320])
+    for trial in range(40):
+        a = gen.uniform(-3.0, 3.0, size=d)
+        b = gen.uniform(-3.0, 3.0, size=d)
+        if d and trial % 2:
+            hits = gen.integers(0, d, size=int(gen.integers(1, d + 1)))
+            a[hits] = gen.choice(specials, size=hits.size)
+            b[hits[::-1]] = gen.choice(specials, size=hits.size)
+        if trial % 5 == 0:
+            a[:] = -0.0
+            b[:] = 1.0
+        with np.errstate(all="ignore"):
+            assert _bytes(dot(a, b)) == _bytes(float(np.sum(a * b)))
+            assert _bytes(sq_norm(a)) == _bytes(float(np.sum(a * a)))
+            assert type(dot(a, b)) is float and type(sq_norm(a)) is float

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -190,3 +192,83 @@ def test_run_verification_passes_and_is_deterministic():
     second = run_verification(seed=5150, mc_samples=8000)
     assert all(r.passed for r in first), [r for r in first if not r.passed]
     assert [(r.name, r.detail) for r in first] == [(r.name, r.detail) for r in second]
+
+
+def test_run_verification_results_are_json_serializable():
+    results = run_verification(seed=5150, mc_samples=200)
+    assert [type(r.passed) for r in results] == [bool] * len(results)
+    rows = json.loads(json.dumps([dataclasses.asdict(r) for r in results]))
+    assert [row["passed"] for row in rows] == [r.passed for r in results]
+
+
+def _ftrl_trial(alpha, M, history, observed, state, eta, argmin):
+    """One FTRL-check trial, every float by its hex and every pair by its bytes."""
+    return (alpha.hex(), M.hex(),
+            [(p.g.dtype.str, p.g.shape, p.g.tobytes(), p.g_prime.shape, p.g_prime.tobytes())
+             for p in history],
+            [(type(a).__name__, a.hex(), type(b).__name__, b.hex()) for a, b in observed],
+            type(state.sum_inner).__name__, float(state.sum_inner).hex(),
+            type(state.sum_sq).__name__, float(state.sum_sq).hex(), state.t,
+            float(eta).hex(), float(argmin).hex())
+
+
+def _per_pair_ftrl_check(seed):
+    """The FTRL check as a loop of two size-d draws per pair, its trials logged."""
+    gen = RngStream(seed, 1).generator()
+    trials = []
+    for _ in range(60):
+        T = int(gen.integers(0, 31))
+        d = int(gen.integers(1, 6))
+        alpha = float(gen.choice(np.array([0.1, 1.0, 10.0])))
+        M = float(gen.choice(np.array([0.5, 1.0, 2.0])))
+        history, observed = [], []
+        state = FtrlState(alpha=alpha, M=M)
+        for _ in range(T):
+            g = gen.uniform(-1.0, 1.0, size=d)
+            gp = gen.uniform(-1.0, 1.0, size=d)
+            history.append(GradientPair(g, gp))
+            observed.append((float(np.sum(g * gp)), float(np.sum(g * g))))
+            state.observe_stats(*observed[-1])
+        eta = state.stepsize()
+        trials.append(_ftrl_trial(alpha, M, history, observed, state, eta,
+                                  ftrl_argmin_oracle(alpha, M, history)))
+    return trials
+
+
+@pytest.mark.parametrize("seed", [20190901, 7] + list(range(20)))
+def test_ftrl_check_feeds_the_learner_and_argmin_what_a_per_pair_loop_does(seed, monkeypatch):
+    from sgdol import diagnostics
+
+    learners, argmins = [], []
+
+    class SpyFtrl(FtrlState):
+        def __post_init__(self):
+            super().__post_init__()
+            self.observed, self.played = [], []
+            learners.append(self)
+
+        def observe_stats(self, inner, g_sq):
+            self.observed.append((inner, g_sq))
+            super().observe_stats(inner, g_sq)
+
+        def stepsize(self):
+            self.played.append(super().stepsize())
+            return self.played[-1]
+
+    def spy_argmin(alpha, M, history, *args, **kwargs):
+        argmins.append((list(history), ftrl_argmin_oracle(alpha, M, history, *args, **kwargs)))
+        return argmins[-1][1]
+
+    monkeypatch.setattr(diagnostics, "FtrlState", SpyFtrl)
+    monkeypatch.setattr(diagnostics, "ftrl_argmin_oracle", spy_argmin)
+    result = diagnostics._check_ftrl_closed_form(seed)
+    assert len(learners) == len(argmins) == 60
+    assert all(len(s.played) == 1 for s in learners)
+    got = [_ftrl_trial(s.alpha, s.M, history, s.observed, s, s.played[0], argmin)
+           for s, (history, argmin) in zip(learners, argmins)]
+    want = _per_pair_ftrl_check(seed)
+    for trial, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"seed {seed}, trial {trial}"
+    worst = max(abs(float.fromhex(w[-2]) - float.fromhex(w[-1])) for w in want)
+    assert result.passed is (worst < 1e-8)
+    assert result.detail == f"max deviation {worst:.3e}"

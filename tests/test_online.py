@@ -365,3 +365,45 @@ def test_regret_ledger_matches_the_per_step_loops(seed):
     for eta in (0.0, 1.0 / M, 2.0 / M):
         comparator = 0.5 * c * M * eta * eta * ref.sum_sq - eta * ref.sum_inner
         assert ledger.comparator_loss(eta) == comparator
+
+
+# Raw closed-form values that the clip must map exactly as the scalar
+# reference does: (sum_inner, sum_sq) at alpha = 1, M = 2 (so 2/M = 1).
+_RAW_CASES = {
+    "in_range": (0.5, 1.0),           # 0.375
+    "minus_zero": (-5.0, np.inf),     # -4 / inf = -0.0, kept as -0.0
+    "nan": (np.nan, 1.0),
+    "plus_inf": (np.inf, 1.0),
+    "minus_inf": (-np.inf, 1.0),
+    "below_zero": (-5.0, 1.0),
+    "above_two_over_m": (100.0, 0.0),
+    "zero": (-1.0, 3.0),              # +0.0
+}
+
+
+@pytest.mark.parametrize("shape", [(), (8,), (3, 8)], ids=["float", "d", "lanes_d"])
+def test_ftrl_stepsize_clip_matches_the_scalar_reference_bitwise(shape):
+    # np.array_equal cannot tell -0.0 from 0.0, so compare bytes: a max/min
+    # clip would turn the reference's -0.0 into 0.0.
+    from types import SimpleNamespace
+
+    from reference_generic import _ftrl_stepsize
+
+    cases = np.array(list(_RAW_CASES.values()))
+    n = int(np.prod(shape, dtype=int))
+    for shift in range(len(cases)):
+        rows = cases[(np.arange(n) + shift) % len(cases)]
+        inner, sq = rows[:, 0].reshape(shape), rows[:, 1].reshape(shape)
+        if shape == ():
+            inner, sq = float(inner), float(sq)
+        for c in (1.0, 2.0):
+            with np.errstate(all="ignore"):
+                got = FtrlState(alpha=1.0, M=2.0, sum_inner=inner, sum_sq=sq,
+                                curvature_scale=c).stepsize()
+                want = [_ftrl_stepsize(SimpleNamespace(alpha=1.0, M=2.0, curvature_scale=c,
+                                                       sum_inner=i, sum_sq=s))
+                        for i, s in zip(np.ravel(inner).tolist(), np.ravel(sq).tolist())]
+            assert np.shape(got) == shape
+            assert np.asarray(got, np.float64).tobytes() == np.array(want).reshape(shape).tobytes()
+    minus_zero = FtrlState(alpha=1.0, M=2.0, sum_inner=-5.0, sum_sq=np.inf).stepsize()
+    assert np.float64(minus_zero).tobytes() == np.float64(-0.0).tobytes()

@@ -270,3 +270,69 @@ def test_balance_subsample_already_balanced_keeps_rows():
     original = sorted(map(tuple, np.column_stack([data.features, data.labels])))
     shuffled = sorted(map(tuple, np.column_stack([balanced.features, balanced.labels])))
     assert original == shuffled
+
+
+# The allocating forms that _residuals, sigmoid_phi and record_lanes replace
+# with in-place ones; the outputs must not change in a single bit.
+def _residuals_allocating(x, features, labels):
+    return np.matmul(features, x[..., None])[..., 0] - labels
+
+
+def _phi_allocating(theta):
+    t2 = theta * theta
+    return t2 / (1.0 + t2)
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _residual_cases(gen):
+    """(x, features, labels) for one point, stacked points and stacked minibatches."""
+    feats = gen.uniform(-1.0, 1.0, size=(30, 6))
+    labels = np.where(gen.uniform(size=30) < 0.5, -1.0, 1.0)
+    idx = gen.integers(0, 30, size=(4, 2, 5))
+    yield gen.uniform(-3.0, 3.0, size=6), feats, labels
+    yield gen.uniform(-3.0, 3.0, size=(7, 6)), feats, labels
+    yield gen.uniform(-3.0, 3.0, size=(2, 4, 6)), feats, labels
+    # pairs(): (G, R, 1, d) points against (R, 2, B, d) gathered rows
+    yield gen.uniform(-3.0, 3.0, size=(3, 4, 1, 6)), feats[idx], labels[idx]
+
+
+def test_residuals_and_phi_equal_their_allocating_forms_bitwise():
+    from sgdol.oracles import _residuals, sigmoid_phi
+
+    gen = RngStream(91).generator()
+    for _ in range(5):
+        for x, feats, labels in _residual_cases(gen):
+            before = [a.copy() for a in (x, feats, labels)]
+            r = _residuals(x, feats, labels)
+            assert _same(r, _residuals_allocating(x, feats, labels))
+            assert all(_same(a, b) for a, b in zip((x, feats, labels), before))
+            r_before = r.copy()
+            assert _same(sigmoid_phi(r), _phi_allocating(r_before))
+            assert _same(r, r_before)  # phi leaves its argument alone
+    for theta in (0.7, -2.5, np.float64(1e200), np.float64(-0.0), np.inf):
+        with np.errstate(all="ignore"):
+            got, want = sigmoid_phi(theta), _phi_allocating(theta)
+        assert type(got) is type(want) and _same(got, want)
+    assert _same(sigmoid_phi(np.arange(-3, 4)), _phi_allocating(np.arange(-3, 4)))
+
+
+def test_sigmoid_record_lanes_equals_the_allocating_f_and_gradient(synthetic500):
+    from sgdol.oracles import _residuals, sigmoid_phi_prime
+
+    gen = RngStream(92).generator()
+    data = synthetic500
+    oracle = SigmoidLossOracle(data, batch_size=50)
+    for shape in ((data.n_features,), (3, data.n_features), (2, 3, data.n_features)):
+        X = gen.uniform(-2.0, 2.0, size=shape)
+        r = _residuals_allocating(X, data.features, data.labels)
+        f_want = np.mean(_phi_allocating(r), axis=-1)
+        w = sigmoid_phi_prime(r)
+        g_want = np.matmul(w[..., None, :], data.features)[..., 0, :] / len(data)
+        f, g = oracle.record_lanes(X)
+        assert _same(f, f_want) and _same(g, g_want)
+        assert _same(oracle.f_lanes(X), f_want) and _same(oracle.grad_lanes(X), g_want)
+        assert _same(_residuals(X, data.features, data.labels), r)
