@@ -1,11 +1,10 @@
-"""Fused run loops for the 2-D analytic problems, one per update rule.
+"""Fused run loops for noisy 2-D Rosenbrock, one per update rule.
 
-Each kernel executes a full T-step optimizer run on one of the built-in
-analytic objectives in two dimensions (0 = Rosenbrock, 1 = diagonal
-quadratic) with additive Gaussian noise, recording the trajectory at a
+Each kernel executes a full T-step optimizer run on the built-in Rosenbrock
+objective with additive Gaussian noise, recording the trajectory at a
 fixed stride. Every kernel has the signature
 
-    kernel(oracle_id, diag, x, T, sigma, draw, k_index, stride, *params, *state)
+    kernel(sigma, draw, x, T, k_index, stride, *params, *state)
 
 and returns
 
@@ -27,12 +26,11 @@ does. Records go to typed buffers that become arrays at the end.
 
 Coordinates and per-coordinate state are Python float locals, which CPython
 handles four to seven times faster than numpy scalars, with the objective
-inlined: an ``if`` on the oracle picks the gradient lines each step and the
-f lines on record steps. Each noise chunk is converted into one flat list.
-Every sum is written out in index order from 0.0 (0.0 + -0.0 is 0.0).
-Quadratics of any other dimension step through the optimizer's own
-``update`` in ``optimizers``; these kernels are the only other copy of each
-update rule.
+inlined: the gradient lines run each step, the f lines on record steps.
+Each noise chunk is converted into one flat list. Every sum is written out
+in index order from 0.0 (0.0 + -0.0 is 0.0). Quadratics of every dimension
+step through the optimizer's own ``update`` in ``optimizers``; these
+kernels are the only other copy of each update rule.
 ``tests/reference_kernels.py`` holds each kernel as an array loop that
 ``tests/test_kernels.py`` requires it to match bit for bit.
 
@@ -48,10 +46,6 @@ import math
 from array import array
 
 import numpy as np
-
-# Oracle ids, passed in by optimizers.run
-ORACLE_ROSENBROCK = 0
-ORACLE_QUADRATIC = 1
 
 # Noise floats drawn per chunk: 2048 floats are a 16 kB array and a 64 kB
 # flat list, whatever d is; at 8192 the peak RSS of a short Rosenbrock
@@ -104,8 +98,7 @@ def _fold_round(ledger, M, alpha, curv, eta, b, a, ap):
     return n + 1, lc + loss, li + b, lq, lm, l2 + slope * slope / (alpha + curv * lq)
 
 
-def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
-                     M, alpha, curv, si, ss, t, *ledger):
+def _sgdol_global(sigma, draw, x, T, k_index, stride, M, alpha, curv, si, ss, t, *ledger):
     """SGDOL with one global FTRL-learned stepsize.
 
     The learner state is (sum of <g,g'>, sum of ||g||^2, round counter),
@@ -119,28 +112,19 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
     rec_f, rec_gsq, rec_eta = array("d"), array("d"), array("d")
     led = bool(ledger)  # a bool tests faster than a tuple in the loops
     hi = 2.0 / M
-    rosen = oracle_id == ORACLE_ROSENBROCK
     x0, x1 = x.tolist()
     s0, s1 = sigma.tolist()
-    dg0, dg1 = diag.tolist()
     for t0, u0, u1, v0, v1 in _noise_steps(draw, T, 2):
-        if rosen:
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
-        else:
-            r0 = dg0 * x0
-            r1 = dg1 * x1
+        c = x1 - x0 * x0
+        r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+        r1 = 200.0 * c
         if t0 + 1 == k_index:
             xk[0] = x0
             xk[1] = x1
         rec_here = t0 % stride == 0
         if rec_here:
-            if rosen:
-                a1 = 1.0 - x0
-                fv = a1 * a1 + 100.0 * (c * c)
-            else:
-                fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
+            a1 = 1.0 - x0
+            fv = a1 * a1 + 100.0 * (c * c)
         eta = (alpha + si) / (alpha + curv * ss) / M
         if eta < 0.0:
             eta = 0.0
@@ -170,36 +154,27 @@ def _sgdol_global(oracle_id, diag, x, T, sigma, draw, k_index, stride,
             si, ss, t + T, *ledger)
 
 
-def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, si, ss, t):
+def _sgdol_coord(sigma, draw, x, T, k_index, stride, M, alpha, si, ss, t):
     """SGDOL with one FTRL learner per coordinate; state (si, ss, t) as above."""
     xk = np.empty(2)
     rec_t = array("q")
     rec_f, rec_gsq, rec_eta_mean, rec_eta = (array("d") for _ in range(4))
     hi = 2.0 / M
-    rosen = oracle_id == ORACLE_ROSENBROCK
     x0, x1 = x.tolist()
     s0, s1 = sigma.tolist()
-    dg0, dg1 = diag.tolist()
     si0, si1 = si.tolist()
     ss0, ss1 = ss.tolist()
     for t0, u0, u1, v0, v1 in _noise_steps(draw, T, 2):
-        if rosen:
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
-        else:
-            r0 = dg0 * x0
-            r1 = dg1 * x1
+        c = x1 - x0 * x0
+        r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+        r1 = 200.0 * c
         if t0 + 1 == k_index:
             xk[0] = x0
             xk[1] = x1
         rec_here = t0 % stride == 0
         if rec_here:
-            if rosen:
-                a1 = 1.0 - x0
-                fv = a1 * a1 + 100.0 * (c * c)
-            else:
-                fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
+            a1 = 1.0 - x0
+            fv = a1 * a1 + 100.0 * (c * c)
         e0 = (alpha + si0) / (alpha + ss0) / M
         if e0 < 0.0:
             e0 = 0.0
@@ -237,31 +212,22 @@ def _sgdol_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, M, alpha, 
             xk, si, ss, t + T)
 
 
-def _sgd(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr):
+def _sgd(sigma, draw, x, T, k_index, stride, lr):
     """Constant-stepsize SGD (also the precomputed-stepsize variant); reads only g's noise."""
     xk = np.empty(2)
     rec_t, rec_f, rec_gsq = array("q"), array("d"), array("d")
-    rosen = oracle_id == ORACLE_ROSENBROCK
     x0, x1 = x.tolist()
     s0, s1 = sigma.tolist()
-    dg0, dg1 = diag.tolist()
     for t0, u0, u1 in _noise_steps(draw, T, 1):
-        if rosen:
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
-        else:
-            r0 = dg0 * x0
-            r1 = dg1 * x1
+        c = x1 - x0 * x0
+        r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+        r1 = 200.0 * c
         if t0 + 1 == k_index:
             xk[0] = x0
             xk[1] = x1
         if t0 % stride == 0:
-            if rosen:
-                a1 = 1.0 - x0
-                fv = a1 * a1 + 100.0 * (c * c)
-            else:
-                fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
+            a1 = 1.0 - x0
+            fv = a1 * a1 + 100.0 * (c * c)
             rec_t.append(t0 + 1)
             rec_f.append(fv)
             rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
@@ -273,33 +239,24 @@ def _sgd(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr):
     return (*_series(rec_t, rec_f, rec_gsq), np.full(n_rec, lr), np.empty((n_rec, 0)), xk)
 
 
-def _adagrad_global(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, accum):
+def _adagrad_global(sigma, draw, x, T, k_index, stride, lr, accum):
     """AdaGrad with one shared stepsize lr / sqrt(sum of squared grad norms)."""
     xk = np.empty(2)
     rec_t, rec_f, rec_gsq, rec_eta = array("q"), array("d"), array("d"), array("d")
     sqrt = math.sqrt
-    rosen = oracle_id == ORACLE_ROSENBROCK
     x0, x1 = x.tolist()
     s0, s1 = sigma.tolist()
-    dg0, dg1 = diag.tolist()
     for t0, u0, u1 in _noise_steps(draw, T, 1):
-        if rosen:
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
-        else:
-            r0 = dg0 * x0
-            r1 = dg1 * x1
+        c = x1 - x0 * x0
+        r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+        r1 = 200.0 * c
         if t0 + 1 == k_index:
             xk[0] = x0
             xk[1] = x1
         rec_here = t0 % stride == 0
         if rec_here:
-            if rosen:
-                a1 = 1.0 - x0
-                fv = a1 * a1 + 100.0 * (c * c)
-            else:
-                fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
+            a1 = 1.0 - x0
+            fv = a1 * a1 + 100.0 * (c * c)
             rec_t.append(t0 + 1)
             rec_f.append(fv)
             rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
@@ -316,35 +273,26 @@ def _adagrad_global(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, acc
     return (*_series(rec_t, rec_f, rec_gsq, rec_eta), np.empty((len(rec_t), 0)), xk, accum)
 
 
-def _adagrad_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, accum):
+def _adagrad_coord(sigma, draw, x, T, k_index, stride, lr, accum):
     """AdaGrad with a per-coordinate accumulator."""
     xk = np.empty(2)
     rec_t = array("q")
     rec_f, rec_gsq, rec_eta_mean, rec_eta = (array("d") for _ in range(4))
     sqrt = math.sqrt
-    rosen = oracle_id == ORACLE_ROSENBROCK
     x0, x1 = x.tolist()
     s0, s1 = sigma.tolist()
-    dg0, dg1 = diag.tolist()
     q0, q1 = accum.tolist()
     for t0, u0, u1 in _noise_steps(draw, T, 1):
-        if rosen:
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
-        else:
-            r0 = dg0 * x0
-            r1 = dg1 * x1
+        c = x1 - x0 * x0
+        r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+        r1 = 200.0 * c
         if t0 + 1 == k_index:
             xk[0] = x0
             xk[1] = x1
         rec_here = t0 % stride == 0
         if rec_here:
-            if rosen:
-                a1 = 1.0 - x0
-                fv = a1 * a1 + 100.0 * (c * c)
-            else:
-                fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
+            a1 = 1.0 - x0
+            fv = a1 * a1 + 100.0 * (c * c)
             rec_t.append(t0 + 1)
             rec_f.append(fv)
             rec_gsq.append(0.0 + r0 * r0 + r1 * r1)
@@ -368,37 +316,27 @@ def _adagrad_coord(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, accu
             xk, accum)
 
 
-def _adam(oracle_id, diag, x, T, sigma, draw, k_index, stride, lr, beta1, beta2, eps,
-             m, v, p1, p2):
+def _adam(sigma, draw, x, T, k_index, stride, lr, beta1, beta2, eps, m, v, p1, p2):
     """Adam with standard bias-corrected moment estimates; it records NaN stepsizes."""
     xk = np.empty(2)
     rec_t, rec_f, rec_gsq = array("q"), array("d"), array("d")
     sqrt = math.sqrt
     c1 = 1.0 - beta1
     c2 = 1.0 - beta2
-    rosen = oracle_id == ORACLE_ROSENBROCK
     x0, x1 = x.tolist()
     s0, s1 = sigma.tolist()
-    dg0, dg1 = diag.tolist()
     m0, m1 = m.tolist()
     w0, w1 = v.tolist()
     for t0, u0, u1 in _noise_steps(draw, T, 1):
-        if rosen:
-            c = x1 - x0 * x0
-            r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
-            r1 = 200.0 * c
-        else:
-            r0 = dg0 * x0
-            r1 = dg1 * x1
+        c = x1 - x0 * x0
+        r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
+        r1 = 200.0 * c
         if t0 + 1 == k_index:
             xk[0] = x0
             xk[1] = x1
         if t0 % stride == 0:
-            if rosen:
-                a1 = 1.0 - x0
-                fv = a1 * a1 + 100.0 * (c * c)
-            else:
-                fv = 0.5 * (0.0 + dg0 * (x0 * x0) + dg1 * (x1 * x1))
+            a1 = 1.0 - x0
+            fv = a1 * a1 + 100.0 * (c * c)
             rec_t.append(t0 + 1)
             rec_f.append(fv)
             rec_gsq.append(0.0 + r0 * r0 + r1 * r1)

@@ -5,8 +5,8 @@ repetition owns one oracle noise stream shared by every optimizer, so
 optimizers see identical gradient pairs and their series are directly
 comparable; the uniformly sampled output index gets its own stream per
 (optimizer, repetition). Optimizers of a kind with a fused kernel run one
-``run`` per repetition on the analytic oracles (on the kernel in two
-dimensions, through their own ``update`` in any other). Every other
+``run`` per repetition on the analytic oracles (on the kernel on
+Rosenbrock, through their own ``update`` on a quadratic). Every other
 (optimizer x repetition) run, which is all of them on the dataset oracle
 and the momentum variant on the analytic ones, goes through a single
 ``run_lanes`` call that steps them together, each repetition's lanes on its

@@ -19,9 +19,9 @@ surrogate losses.
 ``run`` executes T steps and records the trajectory. On the
 built-in analytic oracles (the exact classes) it runs the kinds that have a
 fused kernel in ``_kernels`` off the lane engine, continuing from whatever
-state earlier steps left: a 2-D problem on the kernel, a quadratic of any
-other d through the optimizer's own ``update`` in one loop, which draws its
-noise in chunks and sums its records in index order as the kernels do.
+state earlier steps left: Rosenbrock on the kernel, a quadratic of any d
+through the optimizer's own ``update`` in one loop, which draws its noise
+in chunks and sums its records in index order as the kernels do.
 Every other run (the momentum variant, the dataset oracle, user oracles,
 subclasses of the built-in ones and ``force_generic`` runs) goes through
 the lane engine, ``run_lanes``: it
@@ -446,25 +446,18 @@ class RunResult:
     x_final: np.ndarray
 
 
-def _analytic_params(oracle: StochasticOracle):
-    # The exact classes: a subclass may redefine the objective the kernels inline.
-    if type(oracle) is RosenbrockOracle:
-        return _kernels.ORACLE_ROSENBROCK, np.ones(2), oracle.sigma
-    if type(oracle) is QuadraticOracle:
-        return _kernels.ORACLE_QUADRATIC, oracle.diag, oracle.sigma
-    return None
-
-
 def takes_kernel(optimizer: Optimizer, oracle: StochasticOracle,
                  force_generic: bool = False) -> bool:
     """Whether ``run`` steps this optimizer on this oracle off the lane engine.
 
-    It does for a kind with a fused kernel on a built-in analytic oracle: on
-    the kernel at d = 2, through the optimizer's own ``update`` at any other
-    d. Every other run goes through the lane engine (``run_lanes``).
+    It does for a kind with a fused kernel on a built-in analytic oracle
+    (the exact classes, as a subclass may redefine the objective): on the
+    kernel on Rosenbrock, through the optimizer's own ``update`` on a
+    quadratic of any d. Every other run goes through the lane engine
+    (``run_lanes``).
     """
     return (not force_generic and optimizer.kernel is not None
-            and _analytic_params(oracle) is not None)
+            and type(oracle) in (RosenbrockOracle, QuadraticOracle))
 
 
 def _schedule(groups, oracle, T, report_every, output_rngs):
@@ -499,7 +492,7 @@ def run(
     out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
     stride, [[k]] = _schedule([[optimizer]], oracle, T, report_every, [[out_stream]])
     if takes_kernel(optimizer, oracle, force_generic):
-        run_loop = _run_kernel if oracle.dim == 2 else _run_updates
+        run_loop = _run_kernel if type(oracle) is RosenbrockOracle else _run_updates
         return run_loop(optimizer, oracle, T, rng, stride, k)
     [[result]] = run_lanes([[optimizer]], oracle, T, [rng], [[out_stream]], report_every)
     return result
@@ -522,13 +515,12 @@ def _set_attr(obj, attr: str, value):
 
 
 def _run_kernel(optimizer, oracle, T, rng, stride, k):
-    oracle_id, diag, sigma = _analytic_params(oracle)
     name, args = _kernel_args(optimizer)
     # The kernel draws its noise a chunk at a time; chunked draws consume the
     # stream exactly like T per-step pair draws.
     draw = functools.partial(oracle.draw, rng.generator())
     x = optimizer.x.copy()  # updated in place by the kernel
-    out = _kernels.get_kernel(name)(oracle_id, diag, x, T, sigma, draw, k, stride, *args)
+    out = _kernels.get_kernel(name)(oracle.sigma, draw, x, T, k, stride, *args)
     *series, coords, xk = out[:6]
     optimizer.x = x
     for attr, value in zip(optimizer.state, out[6:]):
@@ -559,7 +551,7 @@ def _sum(v):
 
 
 def _run_updates(optimizer, oracle, T, rng, stride, k):
-    """A kernel kind's run on a quadratic of d != 2: its own ``update`` on (d,) arrays.
+    """A kernel kind's run on a quadratic of any d: its own ``update`` on (d,) arrays.
 
     f, ||grad f||^2 and the mean of per-coordinate stepsizes are recorded in
     index order, as the kernels sum them.

@@ -173,8 +173,8 @@ class _AnalyticNoiseOracle(StochasticOracle):
             sig = np.full(dim, float(sig))
         if sig.shape != (dim,):
             raise ValueError(f"sigma must be scalar or length-{dim}, got shape {sig.shape}")
-        if np.any(sig < 0):
-            raise ValueError("noise levels must be >= 0")
+        if not np.all(np.isfinite(sig) & (sig >= 0)):
+            raise ValueError("noise levels must be finite and >= 0")
         self.sigma = sig
 
     def draw(self, rng: Generator, n: int) -> np.ndarray:

@@ -1,19 +1,33 @@
-"""The array sources of the fused kernels in ``sgdol._kernels``: the bitwise reference.
+"""The array sources of each kernel kind's run: the bitwise reference.
 
-Each ``_run_<name>`` takes the same arguments and returns the same values as
-``sgdol._kernels.get_kernel(name)``, written as an array loop with the
-objective in three shared helpers (``_grad_into``, ``_objective``,
-``_sq_norm``) instead of on Python floats and lists. Both execute the same
-IEEE operations in the same order, so ``tests/test_kernels.py`` requires
-their outputs to be bitwise equal. These sources are test code only: under
-CPython they run four to seven times slower than the package's kernels.
+Each ``_run_<name>`` returns the same values as a ``sgdol.run`` of that
+kind on an analytic oracle: ``sgdol._kernels.get_kernel(name)`` on
+Rosenbrock, the optimizer's own ``update`` on a quadratic of any d. It is
+written as an array loop with the objective in three shared helpers
+(``_grad_into``, ``_objective``, ``_sq_norm``), picked by an oracle id that
+``reference_params`` gives, instead of on Python floats and lists. Both
+execute the same IEEE operations in the same order, so
+``tests/test_kernels.py`` requires their outputs to be bitwise equal. These
+sources are test code only: under CPython they run four to seven times
+slower than the package's kernels.
 """
 
 import math
 
 import numpy as np
 
-from sgdol._kernels import ORACLE_ROSENBROCK
+from sgdol import QuadraticOracle, RosenbrockOracle
+
+ORACLE_ROSENBROCK = 0
+ORACLE_QUADRATIC = 1
+
+
+def reference_params(oracle):
+    """The (oracle_id, diag, sigma) that the reference loops take for an analytic oracle."""
+    if type(oracle) is RosenbrockOracle:
+        return ORACLE_ROSENBROCK, np.ones(2), oracle.sigma
+    assert type(oracle) is QuadraticOracle
+    return ORACLE_QUADRATIC, oracle.diag, oracle.sigma
 
 
 def _grad_into(oracle_id, diag, x, grad):

@@ -1,11 +1,11 @@
 """Cross-checks between the runs of the kinds that have a fused kernel,
 their array-loop references and the generic step path.
 
-``run`` steps such a kind on a fused kernel at d = 2 (Rosenbrock and 2-D
-quadratics), and on a quadratic of any other d through the optimizer's own
-``update``, with the records summed in index order as the kernels sum them.
+``run`` steps such a kind on a fused kernel on Rosenbrock, and on a
+quadratic of any d, d = 2 included, through the optimizer's own ``update``,
+with the records summed in index order as the kernels sum them.
 The comparisons are exact wherever the paths execute the same floating-point
-operations in the same order: each kind's run against the kernel's reference
+operations in the same order: each kind's run against its reference
 in ``reference_kernels`` (at d >= 8 only for the kinds whose update sums
 nothing across coordinates, as numpy sums 8 elements and more pairwise), and
 against the generic path on iterates, stepsizes and optimizer state at every
@@ -15,6 +15,7 @@ and the mean of per-coordinate stepsizes, differ from the generic path's;
 states by how much.
 """
 
+import inspect
 import tracemalloc
 import warnings
 from operator import attrgetter
@@ -26,7 +27,12 @@ from hypothesis import strategies as st
 
 import sgdol._kernels as kernels
 from reference_generic import trajectories_equal as _trajectories_equal
-from reference_kernels import REFERENCE_KERNELS
+from reference_kernels import (
+    ORACLE_QUADRATIC,
+    ORACLE_ROSENBROCK,
+    REFERENCE_KERNELS,
+    reference_params,
+)
 from sgdol import (
     AdaGradCoord,
     AdaGradGlobal,
@@ -41,7 +47,7 @@ from sgdol import (
     SgdolCoord,
     run,
 )
-from sgdol.optimizers import _analytic_params, _kernel_args, _set_attr, takes_kernel
+from sgdol.optimizers import _kernel_args, _set_attr, takes_kernel
 
 MAKERS = [
     lambda d: Sgdol(np.zeros(d), M=1002.0, alpha=10.0),
@@ -179,7 +185,7 @@ def _warm(kind, x, rs):
 def _oracle(oracle_id, d):
     """Rosenbrock or a d-dimensional quadratic, with a different noise level per coordinate."""
     sigma = np.linspace(0.5, 5.0, d)
-    if oracle_id == kernels.ORACLE_ROSENBROCK:
+    if oracle_id == ORACLE_ROSENBROCK:
         return RosenbrockOracle(sigma=sigma)
     return QuadraticOracle(np.arange(1, d + 1) / d, sigma=sigma)
 
@@ -203,7 +209,7 @@ def _run_against_reference(kind, oracle, x0, stride, T, noise, draw, rs):
     the bits of everything each returns or leaves behind, in the same
     order, then the n of each draw call and the run's result.
     """
-    oracle_id, diag, sigma = _analytic_params(oracle)
+    oracle_id, diag, sigma = reference_params(oracle)
     x = np.broadcast_to(np.asarray(x0, dtype=float), (oracle.dim,)).copy()
     opt = _warm(kind, x, rs)
     name, args = _kernel_args(opt)  # copies: the reference updates them in place
@@ -230,14 +236,14 @@ _KINDS = (*kernels.KERNEL_NAMES, "sgd_gl")
 # test_kernel_matches_generic_on_quadratic_d100_within_summation_order.
 _PAIRWISE_KINDS = ("sgdol_global", "adagrad_global")
 
-# Rosenbrock and the 2-D quadratic run on a kernel, the other quadratics
-# through the optimizer's own update.
+# Rosenbrock runs on a kernel, the quadratics of every d through the
+# optimizer's own update.
 _TWIN_CASES = [
-    pytest.param(kernels.ORACLE_ROSENBROCK, 2, (-1.2, 1.0), 1, _chunk_crossing_T(2),
+    pytest.param(ORACLE_ROSENBROCK, 2, (-1.2, 1.0), 1, _chunk_crossing_T(2),
                  id="rosenbrock-stride1"),
-    pytest.param(kernels.ORACLE_ROSENBROCK, 2, (-1.2, 1.0), 7, _chunk_crossing_T(2),
+    pytest.param(ORACLE_ROSENBROCK, 2, (-1.2, 1.0), 7, _chunk_crossing_T(2),
                  id="rosenbrock-stride7"),
-    *(pytest.param(kernels.ORACLE_QUADRATIC, d, (1.0,), stride, _chunk_crossing_T(d),
+    *(pytest.param(ORACLE_QUADRATIC, d, (1.0,), stride, _chunk_crossing_T(d),
                    id=f"quadratic_d{d}-stride{stride}")
       for d in (2, 3, 5, 7, 100) for stride in (1, 7)),
 ]
@@ -257,32 +263,32 @@ def _with_kinds(cases, *extra, every_kind=False):
 @pytest.mark.parametrize("kind, oracle_id, d, x0, stride, T, diverges", [
     *_with_kinds(_TWIN_CASES, False),
     # The gradient overflows at once, and every iterate turns inf or nan.
-    *_with_kinds([pytest.param(kernels.ORACLE_ROSENBROCK, 2, (1e150, 1e150), 1, 60,
+    *_with_kinds([pytest.param(ORACLE_ROSENBROCK, 2, (1e150, 1e150), 1, 60,
                                id="rosenbrock-diverging")], True, every_kind=True),
     # f and ||g||^2 overflow at once; only the SGDOL iterates turn nan (inf / inf
     # stepsizes), the other kinds' steps shrink x. Every sum is inf or nan in
     # any order, so the pairwise kinds match their references here too.
-    *_with_kinds([pytest.param(kernels.ORACLE_QUADRATIC, d, (1e155,), 1, 60,
+    *_with_kinds([pytest.param(ORACLE_QUADRATIC, d, (1e155,), 1, 60,
                                id=f"quadratic_d{d}-diverging") for d in (5, 100)], True,
                  every_kind=True),
 ])
 def test_python_twin_matches_array_source_bitwise(kind, oracle_id, d, x0, stride, T, diverges):
     # The twin of an array source is the package loop that runs its kind:
-    # the kernel at d = 2, the optimizer's own update at any other d.
+    # the kernel on Rosenbrock, the optimizer's own update on a quadratic.
     rs = np.random.default_rng(85)
     noise = rs.standard_normal((T, 2, d))
     ran, ref, _, res = _run_against_reference(kind, _oracle(oracle_id, d), x0, stride, T, noise,
                                               _slices(noise), rs)
     assert ran == ref
     assert np.all(np.isfinite(res.trajectory.f_value)) != diverges
-    if oracle_id == kernels.ORACLE_ROSENBROCK or not diverges:
+    if oracle_id == ORACLE_ROSENBROCK or not diverges:
         assert np.all(np.isfinite(res.x_final)) != diverges
 
 
 @pytest.mark.parametrize("make", MAKERS)
 @pytest.mark.parametrize("d", [2, 100])
 def test_diverging_quadratic_run_warns_nothing(make, d):
-    # Float arithmetic overflows silently; the update loop at d = 100 must too.
+    # Float arithmetic overflows silently; the update loop must too.
     opt = make(d)
     opt.x = np.full(d, 1e155)
     with warnings.catch_warnings():
@@ -303,6 +309,14 @@ def test_kernel_draws_exactly_T_pairs_a_chunk_at_a_time(kind, oracle_id, d, x0, 
     assert sum(calls) == T
     assert 1 <= max(calls) <= max(1, kernels._CHUNK_FLOATS // (2 * d)) < T
     assert ran == ref
+
+
+@pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
+def test_kernel_takes_T_as_its_fourth_positional_argument(name):
+    # perfbench/layers.py reads the T of a traced kernel call as a[3].
+    params = list(inspect.signature(kernels.get_kernel(name)).parameters.values())
+    assert params[3].name == "T"
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[:4])
 
 
 def test_kernel_restores_optimizer_state():
@@ -461,12 +475,11 @@ def test_kernel_ledger_keeps_nan_once_the_run_diverges():
     assert np.isnan(opt.ledger.cumulative_loss)
 
 
-def _peak_bytes(make, T, force_generic=False):
-    """The tracemalloc peak of a run on Rosenbrock that records one row."""
+def _peak_bytes(make, oracle, T, force_generic=False):
+    """The tracemalloc peak of a run on ``oracle`` that records one row."""
     tracemalloc.start()
     try:
-        run(make(), RosenbrockOracle(sigma=5.0), T=T, rng=RngStream(78), report_every=T,
-            force_generic=force_generic)
+        run(make(), oracle, T=T, rng=RngStream(78), report_every=T, force_generic=force_generic)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -478,8 +491,9 @@ def test_regret_ledger_memory_does_not_grow_with_T():
     # The ledger is six running values. A per-step record of its rounds would
     # cost 169 bytes a step here, which is 507 kB between these horizons, 31
     # times the tolerance.
-    short, long = (_peak_bytes(lambda: Sgdol(np.zeros(2), M=1002.0, record_regret=True), T,
-                               force_generic=True) for T in (1_000, 4_000))
+    short, long = (_peak_bytes(lambda: Sgdol(np.zeros(2), M=1002.0, record_regret=True),
+                               RosenbrockOracle(sigma=5.0), T, force_generic=True)
+                   for T in (1_000, 4_000))
     assert abs(long - short) < 16 * 1024
 
 
@@ -493,9 +507,22 @@ def test_kernel_memory_does_not_grow_with_T(make):
     # carries a regret ledger, so its loop runs every line that a run without
     # one does, and the ledger's too: six running values, where a per-step
     # record of its rounds would add 65 bytes a step, 780 kB here.
-    short, long = _peak_bytes(make, 4_000), _peak_bytes(make, 16_000)
+    short, long = (_peak_bytes(make, RosenbrockOracle(sigma=5.0), T) for T in (4_000, 16_000))
     assert abs(long - short) < 16 * 1024
     assert max(short, long) < 256 * 1024
+
+
+@pytest.mark.parametrize("d", [2, 100])
+@pytest.mark.parametrize("make", [
+    lambda d: Sgdol(np.zeros(d), M=1002.0, record_regret=True),
+    lambda d: SgdolCoord(np.zeros(d), M=1002.0)], ids=["sgdol_global", "sgdol_coord"])
+def test_update_loop_memory_does_not_grow_with_T(make, d):
+    # Quadratics of every d step through the optimizer's own update, which
+    # draws its noise in the kernels' chunks; a (T, 2, d) draw would add
+    # 384 kB between these horizons at d = 2 and 19 MB at d = 100.
+    oracle = QuadraticOracle(np.arange(1, d + 1) / d, sigma=1.0)
+    short, long = (_peak_bytes(lambda: make(d), oracle, T) for T in (4_000, 16_000))
+    assert abs(long - short) < 16 * 1024
 
 
 def test_regret_arrays_match_between_paths():

@@ -96,6 +96,17 @@ def test_quadratic_oracle_metadata():
     assert np.array_equal(oracle.grad(np.array([2.0, 3.0])), np.array([0.2, 3.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("per_coord", [False, True], ids=["scalar", "per_coord"])
+@pytest.mark.parametrize("make", [lambda sigma: RosenbrockOracle(sigma=sigma),
+                                  lambda sigma: QuadraticOracle(np.ones(2), sigma=sigma)],
+                         ids=["rosenbrock", "quadratic"])
+def test_non_finite_noise_level_is_rejected(make, per_coord, bad):
+    # Such a run would return NaN iterates without a word; refuse the oracle.
+    with pytest.raises(ValueError, match="noise levels must be finite and >= 0"):
+        make(np.array([1.0, bad]) if per_coord else bad)
+
+
 # ---------------------------------------------------------------------------
 # sigmoid-type classification loss
 # ---------------------------------------------------------------------------
