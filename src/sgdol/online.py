@@ -61,7 +61,6 @@ class FtrlState:
     M: float
     sum_inner: Union[float, np.ndarray] = 0.0
     sum_sq: Union[float, np.ndarray] = 0.0
-    t: int = 1
     curvature_scale: float = 1.0
 
     def __post_init__(self):
@@ -81,7 +80,6 @@ class FtrlState:
         """Fold one loss into the sums: its <g, g'> and ||g||^2, or their products."""
         self.sum_inner += inner
         self.sum_sq += g_sq
-        self.t += 1
 
 
 class RegretLedger:

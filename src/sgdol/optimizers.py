@@ -19,15 +19,17 @@ surrogate losses.
 ``run`` executes T steps and records the trajectory. On the
 built-in analytic oracles (the exact classes) it runs the kinds that have a
 fused kernel in ``_kernels`` off the lane engine, continuing from whatever
-state earlier steps left: Rosenbrock on the kernel, a quadratic of any d
-through the optimizer's own ``update`` in one loop, which draws its noise
-in chunks and sums its records in index order as the kernels do.
-Every other run (the momentum variant, the dataset oracle, user oracles,
-subclasses of the built-in ones and ``force_generic`` runs) goes through
-the lane engine, ``run_lanes``: it
-stacks optimizers that share a kind and parameters along a lane axis and
-steps all lanes of all groups in one loop, so ``harness.run_experiment``
-hands it every (optimizer x repetition) run that takes no kernel at once.
+state earlier steps left: Rosenbrock on the kernel, which stores x and its
+stepsizes at record steps, a quadratic of any d through the optimizer's
+own ``update`` in one loop, which draws its noise in chunks and sums its
+records in index order, the order that ``tests/reference_kernels.py`` and
+the ``quad_d100_dense`` benchmark digests pin. Every other run (the
+momentum variant, the dataset oracle, user oracles, subclasses of the
+built-in ones and ``force_generic`` runs) goes through the lane engine,
+``run_lanes``: it stacks optimizers that share a kind and parameters along
+a lane axis and steps all lanes of all groups in one loop, so
+``harness.run_experiment`` hands it every (optimizer x repetition) run that
+takes no kernel at once.
 The engine asks the oracle only for what ``oracles.StochasticOracle``
 requires of every oracle: ``draw`` (each repetition stream's randomness,
 taken in chunks and shared by the stream's lanes), ``pairs`` at the
@@ -148,7 +150,7 @@ class Sgdol(Optimizer):
     """
 
     kind = "sgdol_global"
-    state = ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t")
+    state = ("ftrl.sum_inner", "ftrl.sum_sq")
     kernel = ("sgdol_global", ("M", "alpha", "ftrl.curvature_scale"))
     g_pair_consumed = 2
 
@@ -188,7 +190,7 @@ class SgdolCoord(Optimizer):
     """
 
     kind = "sgdol_coord"
-    state = ("ftrl.sum_inner", "ftrl.sum_sq", "ftrl.t")
+    state = ("ftrl.sum_inner", "ftrl.sum_sq")
     kernel = ("sgdol_coord", ("M", "alpha"))
     g_pair_consumed = 2
 
@@ -224,8 +226,8 @@ class SgdolMomentum(Optimizer):
     """
 
     kind = "sgdol_momentum"
-    state = ("ftrl_eta.sum_inner", "ftrl_eta.sum_sq", "ftrl_eta.t",
-             "ftrl_beta.sum_inner", "ftrl_beta.sum_sq", "ftrl_beta.t", "z")
+    state = ("ftrl_eta.sum_inner", "ftrl_eta.sum_sq", "ftrl_beta.sum_inner",
+             "ftrl_beta.sum_sq", "z")
     g_pair_consumed = 2
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA, clamp_beta: bool = False):
@@ -520,12 +522,18 @@ def _run_kernel(optimizer, oracle, T, rng, stride, k):
     # stream exactly like T per-step pair draws.
     draw = functools.partial(oracle.draw, rng.generator())
     x = optimizer.x.copy()  # updated in place by the kernel
-    out = _kernels.get_kernel(name)(oracle.sigma, draw, x, T, k, stride, *args)
-    *series, coords, xk = out[:6]
+    rows, xk, *state = _kernels.get_kernel(name)(oracle.sigma, draw, x, T, k, stride, *args)
     optimizer.x = x
-    for attr, value in zip(optimizer.state, out[6:]):
+    for attr, value in zip(optimizer.state, state):
         _set_attr(optimizer, attr, value)
-    traj = Trajectory(*series, stepsize_coords=coords if coords.shape[1] else None)
+    # The records from the stored x_t and stepsizes, as the lane engine makes them.
+    eta = rows[:, 2:]
+    w = eta.shape[1]
+    with np.errstate(all="ignore"):
+        f, grad = oracle.record_lanes(rows[:, :2])
+        traj = Trajectory(np.arange(1, T + 1, stride, dtype=np.int64), f, row_dot(grad, grad),
+                          np.add.reduce(eta, axis=-1) / w,
+                          stepsize_coords=eta.copy() if w > 1 else None)
     return RunResult(traj, k, xk, x.copy())
 
 
@@ -553,8 +561,9 @@ def _sum(v):
 def _run_updates(optimizer, oracle, T, rng, stride, k):
     """A kernel kind's run on a quadratic of any d: its own ``update`` on (d,) arrays.
 
-    f, ||grad f||^2 and the mean of per-coordinate stepsizes are recorded in
-    index order, as the kernels sum them.
+    f, ||grad f||^2 and the mean of per-coordinate stepsizes are summed in
+    index order: ``tests/reference_kernels.py`` and the ``quad_d100_dense``
+    benchmark digests pin that order.
     """
     diag, sigma, d = oracle.diag, oracle.sigma, oracle.dim
     for attr in optimizer.state:  # FtrlState adds into its array sums in place
@@ -564,7 +573,6 @@ def _run_updates(optimizer, oracle, T, rng, stride, k):
     coord = isinstance(optimizer, (SgdolCoord, AdaGradCoord))
     both = optimizer.g_pair_consumed == 2
     draw = functools.partial(oracle.draw, rng.generator())
-    rec_t = array("q")
     rec_f, rec_gsq, rec_eta, rec_coords = (array("d") for _ in range(4))
     # Float arithmetic overflows silently in the kernels, and so does this loop.
     with np.errstate(all="ignore"):
@@ -575,7 +583,6 @@ def _run_updates(optimizer, oracle, T, rng, stride, k):
                 x_k = x.copy()
             record = t0 % stride == 0
             if record:
-                rec_t.append(t0 + 1)
                 rec_f.append(0.5 * _sum(diag * (x * x)))
                 rec_gsq.append(_sum(grad * grad))
             g = grad + u
@@ -586,7 +593,9 @@ def _run_updates(optimizer, oracle, T, rng, stride, k):
                     eta = _sum(eta) / d
                 rec_eta.append(eta)
     coords = np.frombuffer(rec_coords).reshape(-1, d) if coord else None
-    traj = Trajectory(*_kernels._series(rec_t, rec_f, rec_gsq, rec_eta), stepsize_coords=coords)
+    traj = Trajectory(np.arange(1, T + 1, stride, dtype=np.int64),
+                      *(np.frombuffer(rec) for rec in (rec_f, rec_gsq, rec_eta)),
+                      stepsize_coords=coords)
     return RunResult(traj, k, x_k, optimizer.x.copy())
 
 

@@ -62,11 +62,11 @@ def _sq_norm(v):
 
 
 def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
-                      M, alpha, curv, si, ss, t, *ledger):
+                      M, alpha, curv, si, ss, *ledger):
     """SGDOL with one global FTRL-learned stepsize.
 
-    The learner state is (sum of <g,g'>, sum of ||g||^2, round counter),
-    then a regret ledger's six running values when one is carried.
+    The learner state is (sum of <g,g'>, sum of ||g||^2), then a regret
+    ledger's six running values when one is carried.
     """
     d = x.shape[0]
     n_rec = (T + stride - 1) // stride
@@ -127,11 +127,11 @@ def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
             rec_eta[ri] = eta
             ri += 1
     return (rec_t, rec_f, rec_gsq, rec_eta, np.empty((n_rec, 0)), xk,
-            si, ss, t + T, *((n, lc, li, lq, lm, l2) if led else ()))
+            si, ss, *((n, lc, li, lq, lm, l2) if led else ()))
 
 
-def _run_sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, alpha, si, ss, t):
-    """SGDOL with one FTRL learner per coordinate; state (si, ss, t) as above."""
+def _run_sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, alpha, si, ss):
+    """SGDOL with one FTRL learner per coordinate; state (si, ss) as above."""
     d = x.shape[0]
     n_rec = (T + stride - 1) // stride
     rec_t = np.empty(n_rec, np.int64)
@@ -180,7 +180,7 @@ def _run_sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, al
                 mean_eta += eta[i]
             rec_eta_mean[ri] = mean_eta / d
             ri += 1
-    return rec_t, rec_f, rec_gsq, rec_eta_mean, rec_eta, xk, si, ss, t + T
+    return rec_t, rec_f, rec_gsq, rec_eta_mean, rec_eta, xk, si, ss
 
 
 def _run_sgd(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr):

@@ -208,7 +208,7 @@ def _ftrl_trial(alpha, M, history, observed, state, eta, argmin):
              for p in history],
             [(type(a).__name__, a.hex(), type(b).__name__, b.hex()) for a, b in observed],
             type(state.sum_inner).__name__, float(state.sum_inner).hex(),
-            type(state.sum_sq).__name__, float(state.sum_sq).hex(), state.t,
+            type(state.sum_sq).__name__, float(state.sum_sq).hex(),
             float(eta).hex(), float(argmin).hex())
 
 
