@@ -8,24 +8,26 @@ Every kernel has the signature
 
 and returns
 
-    (rows, x_k, *state)
+    (rows, x_k, x, *state)
 
-``rows`` has one row per recorded step t: the iterate x_t (two columns),
-then the stepsize(s) step t used, one column for the global-stepsize
-kernels, SGD (its lr) and Adam (NaN) and one per coordinate for the
-per-coordinate kernels. ``optimizers`` computes t, f, ||grad f||^2 and the
-mean stepsize from the rows after the loop, with the oracle's and the lane
-engine's own code. ``state`` is the optimizer's mutable state (FTRL sums,
-AdaGrad accumulators, Adam moments and beta powers, and the six running
-values of a regret ledger that an ``Sgdol`` carries): it comes in, so a
-kernel can continue a run that generic steps started, and its final value
-goes out; array state and ``x`` are updated in place, so
-``optimizers.run`` hands a kernel copies. ``draw(n)`` returns the standard
-normals of the next n gradient pairs, shape (n, 2, 2), which the kernel
-scales by the per-coordinate sigma. The kernels pull their noise from it a
-chunk at a time, so memory does not grow with T, and they consume the
-random stream exactly as the step-by-step oracle path does. Rows go to one
-typed buffer that becomes an array at the end.
+A kernel is a pure function of its arguments: ``x`` and every array of
+``state`` come in as tuples of floats and their final values go out as new
+tuples, and nothing it was handed is written to. ``state`` is the
+optimizer's mutable state (FTRL sums, AdaGrad accumulators, Adam moments
+and beta powers, and the six running values of a regret ledger that an
+``Sgdol`` carries): it comes in, so a kernel can continue a run that
+generic steps started. ``x_k`` is the iterate x_t at t = k_index, which
+lies in [1, T]. ``rows`` is one flat typed buffer with a row per recorded
+step t: the iterate x_t (two columns), then the stepsize(s) step t used,
+one column for the global-stepsize kernels, SGD (its lr) and Adam (NaN)
+and one per coordinate for the per-coordinate kernels. ``optimizers``
+turns the returned values into arrays and computes t, f, ||grad f||^2 and
+the mean stepsize from the rows after the loop, with the oracle's and the
+lane engine's own code. ``draw(n)`` returns the standard normals of the
+next n gradient pairs, shape (n, 2, 2), which the kernel scales by the
+per-coordinate sigma. The kernels pull their noise from it a chunk at a
+time, so memory does not grow with T, and they consume the random stream
+exactly as the step-by-step oracle path does.
 
 Coordinates and per-coordinate state are Python float locals, which CPython
 handles four to seven times faster than numpy scalars, with the Rosenbrock
@@ -38,17 +40,15 @@ kernel as an array loop that ``tests/test_kernels.py`` requires it to match
 bit for bit.
 
 No float divisor can be zero, where a Python float would raise
-ZeroDivisionError: alpha, M and eps are validated positive and the betas in
-[0, 1), the curvature scale is 1 or 2, and AdaGrad divides only by the root
-of a positive accumulator. A diverging run ends in the same inf/nan as the
+ZeroDivisionError: alpha, M, eps and the curvature scale are validated
+positive and the betas in [0, 1), and AdaGrad divides only by the root of
+a positive accumulator. A diverging run ends in the same inf/nan as the
 reference, without a warning, as float arithmetic raises none.
 """
 
 import itertools
 import math
 from array import array
-
-import numpy as np
 
 # Noise floats drawn per chunk: 2048 floats are a 16 kB array and a 64 kB
 # flat list, whatever d is; at 8192 the peak RSS of a short Rosenbrock
@@ -105,19 +105,17 @@ def _sgdol_global(sigma, draw, x, T, k_index, stride, M, alpha, curv, si, ss, *l
     ||g||^2 or ||g'||^2, summed second bound term), as
     ``online.RegretLedger.record`` folds them in.
     """
-    xk = np.empty(2)
     rec = array("d")
     led = bool(ledger)  # a bool tests faster than a tuple in the loops
     hi = 2.0 / M
-    x0, x1 = x.tolist()
+    x0, x1 = x
     s0, s1 = sigma.tolist()
     for t0, u0, u1, v0, v1 in _noise_steps(draw, T, 2):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
         if t0 + 1 == k_index:
-            xk[0] = x0
-            xk[1] = x1
+            xk = x0, x1
         eta = (alpha + si) / (alpha + curv * ss) / M
         if eta < 0.0:
             eta = 0.0
@@ -138,27 +136,23 @@ def _sgdol_global(sigma, draw, x, T, k_index, stride, M, alpha, curv, si, ss, *l
         if led:
             ledger = _fold_round(ledger, M, alpha, curv, eta, b, a,
                                  0.0 + gp0 * gp0 + gp1 * gp1)
-    x[0] = x0
-    x[1] = x1
-    return np.frombuffer(rec).reshape(-1, 3), xk, si, ss, *ledger
+    return rec, xk, (x0, x1), si, ss, *ledger
 
 
 def _sgdol_coord(sigma, draw, x, T, k_index, stride, M, alpha, si, ss):
     """SGDOL with one FTRL learner per coordinate; state (si, ss) as above."""
-    xk = np.empty(2)
     rec = array("d")
     hi = 2.0 / M
-    x0, x1 = x.tolist()
+    x0, x1 = x
     s0, s1 = sigma.tolist()
-    si0, si1 = si.tolist()
-    ss0, ss1 = ss.tolist()
+    si0, si1 = si
+    ss0, ss1 = ss
     for t0, u0, u1, v0, v1 in _noise_steps(draw, T, 2):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
         if t0 + 1 == k_index:
-            xk[0] = x0
-            xk[1] = x1
+            xk = x0, x1
         e0 = (alpha + si0) / (alpha + ss0) / M
         if e0 < 0.0:
             e0 = 0.0
@@ -181,51 +175,39 @@ def _sgdol_coord(sigma, draw, x, T, k_index, stride, M, alpha, si, ss):
         si1 += g1 * gp1
         ss0 += g0 * g0
         ss1 += g1 * g1
-    x[0] = x0
-    x[1] = x1
-    si[0] = si0
-    si[1] = si1
-    ss[0] = ss0
-    ss[1] = ss1
-    return np.frombuffer(rec).reshape(-1, 4), xk, si, ss
+    return rec, xk, (x0, x1), (si0, si1), (ss0, ss1)
 
 
 def _sgd(sigma, draw, x, T, k_index, stride, lr):
     """Constant-stepsize SGD (also the precomputed-stepsize variant); reads only g's noise."""
-    xk = np.empty(2)
     rec = array("d")
-    x0, x1 = x.tolist()
+    x0, x1 = x
     s0, s1 = sigma.tolist()
     for t0, u0, u1 in _noise_steps(draw, T, 1):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
         if t0 + 1 == k_index:
-            xk[0] = x0
-            xk[1] = x1
+            xk = x0, x1
         if t0 % stride == 0:
             rec.extend((x0, x1, lr))
         x0 = x0 - lr * (r0 + s0 * u0)
         x1 = x1 - lr * (r1 + s1 * u1)
-    x[0] = x0
-    x[1] = x1
-    return np.frombuffer(rec).reshape(-1, 3), xk
+    return rec, xk, (x0, x1)
 
 
 def _adagrad_global(sigma, draw, x, T, k_index, stride, lr, accum):
     """AdaGrad with one shared stepsize lr / sqrt(sum of squared grad norms)."""
-    xk = np.empty(2)
     rec = array("d")
     sqrt = math.sqrt
-    x0, x1 = x.tolist()
+    x0, x1 = x
     s0, s1 = sigma.tolist()
     for t0, u0, u1 in _noise_steps(draw, T, 1):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
         if t0 + 1 == k_index:
-            xk[0] = x0
-            xk[1] = x1
+            xk = x0, x1
         g0 = r0 + s0 * u0
         g1 = r1 + s1 * u1
         accum += 0.0 + g0 * g0 + g1 * g1
@@ -234,26 +216,22 @@ def _adagrad_global(sigma, draw, x, T, k_index, stride, lr, accum):
             rec.extend((x0, x1, coef))
         x0 = x0 - coef * g0
         x1 = x1 - coef * g1
-    x[0] = x0
-    x[1] = x1
-    return np.frombuffer(rec).reshape(-1, 3), xk, accum
+    return rec, xk, (x0, x1), accum
 
 
 def _adagrad_coord(sigma, draw, x, T, k_index, stride, lr, accum):
     """AdaGrad with a per-coordinate accumulator."""
-    xk = np.empty(2)
     rec = array("d")
     sqrt = math.sqrt
-    x0, x1 = x.tolist()
+    x0, x1 = x
     s0, s1 = sigma.tolist()
-    q0, q1 = accum.tolist()
+    q0, q1 = accum
     for t0, u0, u1 in _noise_steps(draw, T, 1):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
         if t0 + 1 == k_index:
-            xk[0] = x0
-            xk[1] = x1
+            xk = x0, x1
         g0 = r0 + s0 * u0
         g1 = r1 + s1 * u1
         q0 += g0 * g0
@@ -264,32 +242,26 @@ def _adagrad_coord(sigma, draw, x, T, k_index, stride, lr, accum):
             rec.extend((x0, x1, c0, c1))
         x0 = x0 - c0 * g0
         x1 = x1 - c1 * g1
-    x[0] = x0
-    x[1] = x1
-    accum[0] = q0
-    accum[1] = q1
-    return np.frombuffer(rec).reshape(-1, 4), xk, accum
+    return rec, xk, (x0, x1), (q0, q1)
 
 
 def _adam(sigma, draw, x, T, k_index, stride, lr, beta1, beta2, eps, m, v, p1, p2):
     """Adam with standard bias-corrected moment estimates; it records NaN stepsizes."""
-    xk = np.empty(2)
     rec = array("d")
     sqrt = math.sqrt
     nan = math.nan
     c1 = 1.0 - beta1
     c2 = 1.0 - beta2
-    x0, x1 = x.tolist()
+    x0, x1 = x
     s0, s1 = sigma.tolist()
-    m0, m1 = m.tolist()
-    w0, w1 = v.tolist()
+    m0, m1 = m
+    w0, w1 = v
     for t0, u0, u1 in _noise_steps(draw, T, 1):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
         if t0 + 1 == k_index:
-            xk[0] = x0
-            xk[1] = x1
+            xk = x0, x1
         if t0 % stride == 0:
             rec.extend((x0, x1, nan))
         p1 *= beta1
@@ -304,13 +276,7 @@ def _adam(sigma, draw, x, T, k_index, stride, lr, beta1, beta2, eps, m, v, p1, p
         w1 = beta2 * w1 + c2 * (g1 * g1)
         x0 = x0 - lr * (m0 / bc1) / (sqrt(w0 / bc2) + eps)
         x1 = x1 - lr * (m1 / bc1) / (sqrt(w1 / bc2) + eps)
-    x[0] = x0
-    x[1] = x1
-    m[0] = m0
-    m[1] = m1
-    v[0] = w0
-    v[1] = w1
-    return np.frombuffer(rec).reshape(-1, 3), xk, m, v, p1, p2
+    return rec, xk, (x0, x1), (m0, m1), (w0, w1), p1, p2
 
 
 _KERNELS = {fn.__name__[1:]: fn for fn in (_sgdol_global, _sgdol_coord, _sgd, _adagrad_global,

@@ -74,6 +74,7 @@ _FIELD_RANGES = {
     "beta1": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     "beta2": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     "eps": (lambda v: v > 0, "must be > 0"),
+    "curvature_scale": (lambda v: v > 0, "must be > 0"),
     "sigma": (lambda v: v >= 0, "must be >= 0"),
     "T": (lambda v: v >= 1, "must be >= 1"),
     "f_gap": (lambda v: v >= 0, "must be >= 0"),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, get_args, get_type_hints
@@ -149,6 +150,10 @@ class ExperimentSpec:
 
     def validate(self) -> List[str]:
         problems = self.oracle.validate() + field_problems(T=self.T)
+        problems += [f"{name}: must be an integer, got {value!r}"
+                     for name, value in (("T", self.T), ("repetitions", self.repetitions),
+                                         ("report_every", self.report_every))
+                     if value is not None and not isinstance(value, numbers.Integral)]
         if self.repetitions < 1:
             problems.append(f"repetitions: must be >= 1, got {self.repetitions}")
         if not 0 <= self.seed < 2**64:

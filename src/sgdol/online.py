@@ -64,7 +64,7 @@ class FtrlState:
     curvature_scale: float = 1.0
 
     def __post_init__(self):
-        check_fields(alpha=self.alpha, M=self.M)
+        check_fields(alpha=self.alpha, M=self.M, curvature_scale=self.curvature_scale)
 
     def stepsize(self):
         """Closed-form FTRL play, clipped to [0, 2/M], shaped like the sums.
@@ -77,9 +77,13 @@ class FtrlState:
         return np.where(raw < 0.0, 0.0, np.minimum(raw, 2.0 / self.M))[()]
 
     def observe_stats(self, inner, g_sq):
-        """Fold one loss into the sums: its <g, g'> and ||g||^2, or their products."""
-        self.sum_inner += inner
-        self.sum_sq += g_sq
+        """Fold one loss into the sums: its <g, g'> and ||g||^2, or their products.
+
+        The sums are rebound, never added into, so an array of sums that a
+        caller holds keeps its values.
+        """
+        self.sum_inner = self.sum_inner + inner
+        self.sum_sq = self.sum_sq + g_sq
 
 
 class RegretLedger:
@@ -97,7 +101,7 @@ class RegretLedger:
     VALUES = ("count", "cumulative_loss", "sum_inner", "sum_sq", "max_sq", "second_sum")
 
     def __init__(self, alpha: float, M: float, curvature_scale: float = 1.0):
-        check_fields(alpha=alpha, M=M)
+        check_fields(alpha=alpha, M=M, curvature_scale=curvature_scale)
         self.alpha = alpha
         self.M = M
         self.curvature_scale = curvature_scale

@@ -19,11 +19,13 @@ surrogate losses.
 ``run`` executes T steps and records the trajectory. On the
 built-in analytic oracles (the exact classes) it runs the kinds that have a
 fused kernel in ``_kernels`` off the lane engine, continuing from whatever
-state earlier steps left: Rosenbrock on the kernel, which stores x and its
-stepsizes at record steps, a quadratic of any d through the optimizer's
-own ``update`` in one loop, which draws its noise in chunks and sums its
-records in index order, the order that ``tests/reference_kernels.py`` and
-the ``quad_d100_dense`` benchmark digests pin. Every other run (the
+state earlier steps left: Rosenbrock on the kernel, a quadratic of any d
+through the optimizer's own ``update`` in one loop that draws its noise in
+chunks. Both loops only step: they keep x_t and the stepsize(s) of each
+record step, and the records are computed from those rows after the loop,
+the quadratic's sums in index order, the order that
+``tests/reference_kernels.py`` and the ``quad_d100_dense`` benchmark
+digests pin. Every other run (the
 momentum variant, the dataset oracle, user oracles, subclasses of the
 built-in ones and ``force_generic`` runs) goes through the lane engine,
 ``run_lanes``: it stacks optimizers that share a kind and parameters along
@@ -42,9 +44,8 @@ from __future__ import annotations
 
 import functools
 import inspect
-import itertools
 import math
-from array import array
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -110,13 +111,16 @@ class Optimizer:
     """
 
     kind: str
+    # Attributes that ``update`` reads and never changes; the optimizers of
+    # one lane group must agree on each.
+    params: tuple = ()
     # Attributes, besides x, that stepping changes (dotted for nested ones).
     state: tuple = ()
-    # (kernel name, parameter attributes), or None when the kind has no
-    # fused kernel. The kernel takes the parameters, then the state
-    # attributes, and its final values of them are written back, so a
-    # kernel continues from whatever state earlier steps left.
-    kernel: Optional[tuple] = None
+    # The name of the kind's fused kernel, or None. The kernel takes the
+    # parameters, then the state attributes, and its final values of them
+    # are written back, so a kernel continues from whatever state earlier
+    # steps left.
+    kernel: Optional[str] = None
     # Gradients of each pair the update uses: g only (1) or g and g' (2).
     g_pair_consumed = 1
 
@@ -150,8 +154,9 @@ class Sgdol(Optimizer):
     """
 
     kind = "sgdol_global"
+    params = ("M", "alpha", "ftrl.curvature_scale")
     state = ("ftrl.sum_inner", "ftrl.sum_sq")
-    kernel = ("sgdol_global", ("M", "alpha", "ftrl.curvature_scale"))
+    kernel = "sgdol_global"
     g_pair_consumed = 2
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA,
@@ -190,8 +195,9 @@ class SgdolCoord(Optimizer):
     """
 
     kind = "sgdol_coord"
+    params = ("M", "alpha")
     state = ("ftrl.sum_inner", "ftrl.sum_sq")
-    kernel = ("sgdol_coord", ("M", "alpha"))
+    kernel = "sgdol_coord"
     g_pair_consumed = 2
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA):
@@ -226,6 +232,7 @@ class SgdolMomentum(Optimizer):
     """
 
     kind = "sgdol_momentum"
+    params = ("M", "alpha", "clamp_beta")
     state = ("ftrl_eta.sum_inner", "ftrl_eta.sum_sq", "ftrl_beta.sum_inner",
              "ftrl_beta.sum_sq", "z")
     g_pair_consumed = 2
@@ -265,7 +272,8 @@ class Sgd(Optimizer):
     """Plain SGD with a constant stepsize; uses only g from each pair."""
 
     kind = "sgd"
-    kernel = ("sgd", ("lr",))
+    params = ("lr",)
+    kernel = "sgd"
 
     def __init__(self, x0, lr: float):
         super().__init__(x0)
@@ -285,8 +293,9 @@ class AdaGradGlobal(Optimizer):
     """
 
     kind = "adagrad_global"
+    params = ("lr",)
     state = ("accum",)
-    kernel = ("adagrad_global", ("lr",))
+    kernel = "adagrad_global"
 
     def __init__(self, x0, lr: float):
         super().__init__(x0)
@@ -305,8 +314,9 @@ class AdaGradCoord(Optimizer):
     """AdaGrad with per-coordinate accumulators."""
 
     kind = "adagrad_coord"
+    params = ("lr",)
     state = ("accum",)
-    kernel = ("adagrad_coord", ("lr",))
+    kernel = "adagrad_coord"
 
     def __init__(self, x0, lr: float):
         super().__init__(x0)
@@ -325,8 +335,9 @@ class Adam(Optimizer):
     """Adam with standard bias-corrected first and second moments."""
 
     kind = "adam"
+    params = ("lr", "beta1", "beta2", "eps")
     state = ("m", "v", "_p1", "_p2")
-    kernel = ("adam", ("lr", "beta1", "beta2", "eps"))
+    kernel = "adam"
 
     def __init__(self, x0, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -454,9 +465,9 @@ def takes_kernel(optimizer: Optimizer, oracle: StochasticOracle,
 
     It does for a kind with a fused kernel on a built-in analytic oracle
     (the exact classes, as a subclass may redefine the objective): on the
-    kernel on Rosenbrock, through the optimizer's own ``update`` on a
-    quadratic of any d. Every other run goes through the lane engine
-    (``run_lanes``).
+    kernel, a pure function of the optimizer's parameters and state, on
+    Rosenbrock, and through the optimizer's own ``update`` on a quadratic of
+    any d. Every other run goes through the lane engine (``run_lanes``).
     """
     return (not force_generic and optimizer.kernel is not None
             and type(oracle) in (RosenbrockOracle, QuadraticOracle))
@@ -464,12 +475,15 @@ def takes_kernel(optimizer: Optimizer, oracle: StochasticOracle,
 
 def _schedule(groups, oracle, T, report_every, output_rngs):
     """Check a run's arguments; return the record stride and each run's output index k."""
+    for name, value in (("T", T), ("report_every", report_every)):
+        if value is not None and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     for optimizer in (opt for group in groups for opt in group):
         if optimizer.dim != oracle.dim:
             raise ValueError(f"optimizer dim {optimizer.dim} != oracle dim {oracle.dim}")
-    stride = max(1, T // 500) if report_every is None else int(report_every)
+    stride = max(1, T // 500) if report_every is None else report_every
     if stride < 1:
         raise ValueError(f"report_every must be >= 1, got {report_every}")
     ks = [[int(stream.generator().integers(1, T + 1)) for stream in row] for row in output_rngs]
@@ -501,14 +515,9 @@ def run(
 
 
 def _kernel_args(optimizer: Optimizer):
-    """The optimizer's kernel name, and its parameters then state in kernel order.
-
-    Array state comes as copies: the kernel updates it in place, and the
-    caller may still hold the optimizer's arrays.
-    """
-    name, inputs = optimizer.kernel
-    values = (attrgetter(attr)(optimizer) for attr in inputs + optimizer.state)
-    return name, [v.copy() if isinstance(v, np.ndarray) else v for v in values]
+    """The optimizer's parameters then state, in kernel order, arrays as tuples of floats."""
+    values = (attrgetter(attr)(optimizer) for attr in optimizer.params + optimizer.state)
+    return [tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in values]
 
 
 def _set_attr(obj, attr: str, value):
@@ -517,16 +526,16 @@ def _set_attr(obj, attr: str, value):
 
 
 def _run_kernel(optimizer, oracle, T, rng, stride, k):
-    name, args = _kernel_args(optimizer)
     # The kernel draws its noise a chunk at a time; chunked draws consume the
     # stream exactly like T per-step pair draws.
     draw = functools.partial(oracle.draw, rng.generator())
-    x = optimizer.x.copy()  # updated in place by the kernel
-    rows, xk, *state = _kernels.get_kernel(name)(oracle.sigma, draw, x, T, k, stride, *args)
-    optimizer.x = x
+    rows, x_k, x, *state = _kernels.get_kernel(optimizer.kernel)(
+        oracle.sigma, draw, tuple(optimizer.x.tolist()), T, k, stride, *_kernel_args(optimizer))
+    optimizer.x = np.array(x)
     for attr, value in zip(optimizer.state, state):
-        _set_attr(optimizer, attr, value)
+        _set_attr(optimizer, attr, np.array(value) if isinstance(value, tuple) else value)
     # The records from the stored x_t and stepsizes, as the lane engine makes them.
+    rows = np.frombuffer(rows).reshape(len(range(0, T, stride)), -1)
     eta = rows[:, 2:]
     w = eta.shape[1]
     with np.errstate(all="ignore"):
@@ -534,68 +543,49 @@ def _run_kernel(optimizer, oracle, T, rng, stride, k):
         traj = Trajectory(np.arange(1, T + 1, stride, dtype=np.int64), f, row_dot(grad, grad),
                           np.add.reduce(eta, axis=-1) / w,
                           stepsize_coords=eta.copy() if w > 1 else None)
-    return RunResult(traj, k, xk, x.copy())
-
-
-def _noise_rows(draw, T, sigma, pairs):
-    """Iterate (t0, noise of step t0 scaled by sigma) for t0 < T, drawn as the kernels draw.
-
-    The noise is g's (d,) row, or with ``pairs`` 2 the (2, d) rows of g
-    and g'.
-    """
-    return itertools.chain.from_iterable(
-        zip(range(c0, c0 + len(chunk)), (chunk[:, 0] if pairs == 1 else chunk) * sigma)
-        for c0, chunk in _kernels._chunks(draw, T, sigma.shape[0]))
-
-
-def _sum(v):
-    """The sum of an array in index order from 0.0, as a Python float.
-
-    ``accumulate`` adds strictly in sequence, where ``np.sum`` adds pairwise
-    from 8 elements up, and ``+ 0.0`` turns the -0.0 that an all-(-0.0)
-    array leaves into the 0.0 that a 0.0 seed gives.
-    """
-    return np.add.accumulate(v)[-1].item() + 0.0
+    return RunResult(traj, k, np.array(x_k), np.array(x))
 
 
 def _run_updates(optimizer, oracle, T, rng, stride, k):
     """A kernel kind's run on a quadratic of any d: its own ``update`` on (d,) arrays.
 
-    f, ||grad f||^2 and the mean of per-coordinate stepsizes are summed in
-    index order: ``tests/reference_kernels.py`` and the ``quad_d100_dense``
-    benchmark digests pin that order.
+    The loop only steps, keeping x_t and the stepsize(s) of each record
+    step. f, ||grad f||^2 and the mean of per-coordinate stepsizes are
+    summed after it, in index order: ``tests/reference_kernels.py`` and the
+    ``quad_d100_dense`` benchmark digests pin that order.
     """
     diag, sigma, d = oracle.diag, oracle.sigma, oracle.dim
-    for attr in optimizer.state:  # FtrlState adds into its array sums in place
-        value = attrgetter(attr)(optimizer)
-        if isinstance(value, np.ndarray):
-            _set_attr(optimizer, attr, value.copy())
     coord = isinstance(optimizer, (SgdolCoord, AdaGradCoord))
     both = optimizer.g_pair_consumed == 2
     draw = functools.partial(oracle.draw, rng.generator())
-    rec_f, rec_gsq, rec_eta, rec_coords = (array("d") for _ in range(4))
+    n_rec = len(range(0, T, stride))
+    xs = np.empty((n_rec, d))
+    etas = np.empty((n_rec, d) if coord else n_rec)
     # Float arithmetic overflows silently in the kernels, and so does this loop.
     with np.errstate(all="ignore"):
-        for t0, u in _noise_rows(draw, T, sigma, optimizer.g_pair_consumed):
-            x = optimizer.x
-            grad = diag * x
-            if t0 + 1 == k:
-                x_k = x.copy()
-            record = t0 % stride == 0
-            if record:
-                rec_f.append(0.5 * _sum(diag * (x * x)))
-                rec_gsq.append(_sum(grad * grad))
-            g = grad + u
-            eta = optimizer.update(g[0], g[1]) if both else optimizer.update(g, g)
-            if record:
-                if coord:
-                    rec_coords.frombytes(eta.tobytes())
-                    eta = _sum(eta) / d
-                rec_eta.append(eta)
-    coords = np.frombuffer(rec_coords).reshape(-1, d) if coord else None
-    traj = Trajectory(np.arange(1, T + 1, stride, dtype=np.int64),
-                      *(np.frombuffer(rec) for rec in (rec_f, rec_gsq, rec_eta)),
-                      stepsize_coords=coords)
+        for c0, chunk in _kernels._chunks(draw, T, d):
+            for t0, u in enumerate((chunk if both else chunk[:, 0]) * sigma, c0):
+                x = optimizer.x
+                if t0 + 1 == k:
+                    x_k = x.copy()
+                g = diag * x + u
+                eta = optimizer.update(g[0], g[1]) if both else optimizer.update(g, g)
+                if t0 % stride == 0:
+                    xs[t0 // stride] = x
+                    etas[t0 // stride] = eta
+        # Each row summed in index order, in place (the mean in xs once f is
+        # taken): accumulate adds strictly in sequence, where np.sum adds
+        # pairwise from 8 elements up, and + 0.0 turns the -0.0 of an
+        # all-(-0.0) row into the 0.0 that a 0.0 seed gives.
+        gsq = diag * xs
+        gsq *= gsq
+        gsq = np.add.accumulate(gsq, axis=-1, out=gsq)[:, -1] + 0.0
+        xs *= xs
+        xs *= diag
+        f = 0.5 * (np.add.accumulate(xs, axis=-1, out=xs)[:, -1] + 0.0)
+        mean = (np.add.accumulate(etas, axis=-1, out=xs)[:, -1] + 0.0) / d if coord else etas
+    traj = Trajectory(np.arange(1, T + 1, stride, dtype=np.int64), f, gsq, mean,
+                      stepsize_coords=etas if coord else None)
     return RunResult(traj, k, x_k, optimizer.x.copy())
 
 
@@ -614,12 +604,17 @@ def _clone(obj):
 def _stack(optimizers: Sequence[Optimizer]) -> Optimizer:
     """One optimizer whose x and state stack those of ``optimizers`` on a lane axis.
 
-    Its parameters are the first optimizer's. Every state attribute, a
+    The optimizers must agree on every parameter. Every state attribute, a
     regret ledger's running values included, gains the lane axis.
     """
     first = optimizers[0]
     if any(type(o) is not type(first) or o.state != first.state for o in optimizers):
         raise ValueError("the optimizers of one lane group must share a kind and state")
+    for attr in first.params:
+        values = [attrgetter(attr)(o) for o in optimizers]
+        if any(v != values[0] for v in values):
+            raise ValueError(f"the optimizers of one lane group differ in {attr}: "
+                             f"{sorted(set(values))}")
     lanes = _clone(first)
     for owner in {attr.rpartition(".")[0] for attr in first.state} - {""}:
         setattr(lanes, owner, _clone(getattr(first, owner)))
@@ -648,7 +643,8 @@ def run_lanes(
     ``groups[i][r]`` draws its pairs from the oracle stream ``rngs[r]``,
     shared with the r-th optimizer of every other group, and its output
     index from ``output_rngs[i][r]``. The optimizers of one group share a
-    kind and parameters; their iterates and state may differ. Returns
+    kind and parameters (``ValueError`` otherwise); their iterates and state
+    may differ. Returns
     ``results[i][r]``, equal bit for bit to ``run(groups[i][r], oracle, T,
     rngs[r], report_every, output_rng=output_rngs[i][r],
     force_generic=True)``, and leaves each optimizer in the state that run

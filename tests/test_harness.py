@@ -216,6 +216,14 @@ def test_validation_reports_offending_fields():
     assert any("optimizer.x.M" in p for p in info.value.problems)
 
 
+def test_validation_requires_integer_counts():
+    problems = _spec(T=400.0, repetitions=3.0, report_every=2.5).validate()
+    for name in ("T", "repetitions", "report_every"):
+        assert any(p.startswith(f"{name}: must be an integer") for p in problems), problems
+    with pytest.raises(ConfigError):
+        run_experiment(_spec(report_every=2.5))
+
+
 def test_missing_dataset_is_io_error():
     spec = _spec()
     spec.oracle = OracleSpec(kind="sigmoid", dataset="/definitely/not/here.libsvm",

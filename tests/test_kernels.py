@@ -215,7 +215,8 @@ def _run_against_reference(kind, oracle, x0, stride, T, noise, draw, rs):
     oracle_id, diag, sigma = reference_params(oracle)
     x = np.broadcast_to(np.asarray(x0, dtype=float), (oracle.dim,)).copy()
     opt = _warm(kind, x, rs)
-    name, args = _kernel_args(opt)  # copies: the reference updates them in place
+    # Arrays, not the kernel's tuples: the reference updates them in place.
+    args = [np.array(v) if isinstance(v, tuple) else v for v in _kernel_args(opt)]
     calls = []
 
     def counted(rng, n):
@@ -224,7 +225,7 @@ def _run_against_reference(kind, oracle, x0, stride, T, noise, draw, rs):
     oracle.draw = counted  # on the instance: the oracle keeps its class, so its path
     res = run(opt, oracle, T=T, rng=RngStream(86), report_every=stride)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = REFERENCE_KERNELS[name](oracle_id, diag, x, T, sigma, noise, res.k, stride, *args)
+        out = REFERENCE_KERNELS[opt.kernel](oracle_id, diag, x, T, sigma, noise, res.k, stride, *args)
     traj = res.trajectory
     coords = traj.stepsize_coords
     ran = [traj.t, traj.f_value, traj.true_grad_sq_norm, traj.stepsize,

@@ -14,6 +14,7 @@ import pytest
 
 from reference_generic import as_reference, reference_run, trajectories_equal
 from sgdol import (
+    Adam,
     OptimizerConfig,
     QuadraticOracle,
     RegretLedger,
@@ -21,6 +22,7 @@ from sgdol import (
     RosenbrockOracle,
     Sgd,
     Sgdol,
+    SgdolMomentum,
     SigmoidLossOracle,
     StochasticOracle,
     run,
@@ -190,6 +192,22 @@ def test_lane_groups_are_checked():
     with pytest.raises(ValueError, match="share a kind and state"):
         run_lanes([[Sgdol(np.zeros(2), M=1002.0, record_regret=True),
                     Sgdol(np.zeros(2), M=1002.0)]], oracle, 10, rngs, outs)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: Sgd(np.zeros(2), lr=v), "lr"),
+    (lambda v: Sgdol(np.zeros(2), M=1002.0 * v), "M"),
+    (lambda v: Sgdol(np.zeros(2), M=1002.0, curvature_scale=v), "ftrl.curvature_scale"),
+    (lambda v: SgdolMomentum(np.zeros(2), M=1002.0, clamp_beta=v == 1.0), "clamp_beta"),
+    (lambda v: Adam(np.zeros(2), lr=1e-3, eps=v), "eps"),
+], ids=["sgd", "sgdol_global", "curvature_scale", "sgdol_momentum", "adam"])
+def test_lane_group_refuses_optimizers_that_differ_in_a_parameter(make, name):
+    # A group steps every lane with its first optimizer's parameters, so a
+    # second lane of another stepsize would silently run at the first's.
+    oracle, rngs = RosenbrockOracle(sigma=1.0), [RngStream(1), RngStream(2)]
+    outs = [[RngStream(3), RngStream(4)]]
+    with pytest.raises(ValueError, match=f"differ in {name}"):
+        run_lanes([[make(1.0), make(0.5)]], oracle, 10, rngs, outs)
 
 
 DIVERGING = dict(oracle=RosenbrockOracle(sigma=5.0), T=1000, rng=RngStream(44))

@@ -11,6 +11,7 @@ from sgdol import (
     GradientPair,
     RegretLedger,
     RngStream,
+    Sgdol,
     dot,
     ftrl_argmin_oracle,
     sq_norm,
@@ -113,6 +114,27 @@ def test_ftrl_rejects_nonpositive_alpha():
         FtrlState(alpha=0.0, M=1.0)
     with pytest.raises(ValueError):
         FtrlState(alpha=-1.0, M=1.0)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+def test_curvature_scale_must_be_positive_and_finite(value):
+    # A scale of -1 raised ZeroDivisionError on the kernel and played
+    # stepsizes on the engine.
+    with pytest.raises(ValueError, match="curvature_scale"):
+        FtrlState(alpha=1.0, M=1.0, curvature_scale=value)
+    with pytest.raises(ValueError, match="curvature_scale"):
+        RegretLedger(1.0, 1.0, value)
+    with pytest.raises(ValueError, match="curvature_scale"):
+        Sgdol(np.zeros(2), M=1002.0, alpha=4.0, curvature_scale=value)
+
+
+def test_ftrl_observe_leaves_the_sums_the_caller_holds_unchanged():
+    sums = np.zeros(3), np.ones(3)
+    state = FtrlState(alpha=1.0, M=1.0, sum_inner=sums[0], sum_sq=sums[1])
+    state.observe_stats(np.full(3, 2.0), np.full(3, 3.0))
+    assert np.array_equal(sums[0], np.zeros(3)) and np.array_equal(sums[1], np.ones(3))
+    assert np.array_equal(state.sum_inner, np.full(3, 2.0))
+    assert np.array_equal(state.sum_sq, np.full(3, 4.0))
 
 
 def test_ftrl_stepsize_domain_randomized():

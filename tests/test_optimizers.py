@@ -21,7 +21,7 @@ from sgdol import (
     SgdolMomentum,
     run,
 )
-from sgdol.optimizers import OPTIMIZER_KINDS
+from sgdol.optimizers import OPTIMIZER_KINDS, run_lanes
 
 
 def _pair(g, gp=None):
@@ -222,6 +222,28 @@ def test_run_validates_arguments():
         run(Sgd(np.zeros(2), lr=0.1), RosenbrockOracle(), T=0, rng=RngStream(1))
     with pytest.raises(ValueError):
         run(Sgd(np.zeros(3), lr=0.1), RosenbrockOracle(), T=1, rng=RngStream(1))
+
+
+@pytest.mark.parametrize("make", [lambda: Sgd(np.zeros(2), lr=0.1),
+                                  lambda: SgdolMomentum(np.zeros(2), M=1002.0)],
+                         ids=["kernel", "engine"])
+@pytest.mark.parametrize("name, kwargs", [("T", dict(T=10.0)),
+                                          ("report_every", dict(T=10, report_every=2.5))])
+def test_run_refuses_a_non_integer_horizon_or_stride(make, name, kwargs):
+    # report_every=2.5 recorded t = 1, 3, 5, ... and T=10.0 failed inside a loop.
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run(make(), RosenbrockOracle(), rng=RngStream(1), **kwargs)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run_lanes([[make()]], RosenbrockOracle(), rngs=[RngStream(1)],
+                  output_rngs=[[RngStream(2)]], **kwargs)
+
+
+def test_sgdol_coord_step_leaves_the_sums_the_caller_holds_unchanged():
+    opt = SgdolCoord(np.zeros(3), M=2.0)
+    held = (opt.ftrl.sum_inner, opt.ftrl.sum_sq)
+    opt.step(GradientPair(np.ones(3), np.full(3, 2.0)))
+    assert all(np.array_equal(a, np.zeros(3)) for a in held)
+    assert np.array_equal(opt.ftrl.sum_inner, np.full(3, 2.0))
 
 
 def test_run_output_iterate_capture():
