@@ -4,6 +4,7 @@ and the range of every optimizer parameter."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -66,7 +67,8 @@ def row_dot(a: np.ndarray, b: np.ndarray):
 # Parameter name -> (test, requirement). The one statement of each range:
 # OptimizerConfig.validate reports every value that fails its test, and the
 # optimizer and stepsize-learner constructors raise on the first. NaN fails
-# every test, and field_problems refuses an infinite value of any float field.
+# every test, and field_problems refuses an infinite value of any float field;
+# T, a step count, must be an int (a bool is not one).
 _FIELD_RANGES = {
     "M": (lambda v: v > 0, "must be > 0"),
     "alpha": (lambda v: v > 0, "must be > 0"),
@@ -76,7 +78,8 @@ _FIELD_RANGES = {
     "eps": (lambda v: v > 0, "must be > 0"),
     "curvature_scale": (lambda v: v > 0, "must be > 0"),
     "sigma": (lambda v: v >= 0, "must be >= 0"),
-    "T": (lambda v: v >= 1, "must be >= 1"),
+    "T": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
+          "must be an integer >= 1"),
     "f_gap": (lambda v: v >= 0, "must be >= 0"),
 }
 

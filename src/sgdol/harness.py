@@ -4,13 +4,14 @@ An experiment is (oracle x optimizer list x T x repetitions x seed). Each
 repetition owns one oracle noise stream shared by every optimizer, so
 optimizers see identical gradient pairs and their series are directly
 comparable; the uniformly sampled output index gets its own stream per
-(optimizer, repetition). Optimizers of a kind with a fused kernel run one
-``run`` per repetition on the analytic oracles (on the kernel on
-Rosenbrock, through their own ``update`` on a quadratic). Every other
-(optimizer x repetition) run, which is all of them on the dataset oracle
-and the momentum variant on the analytic ones, goes through a single
-``run_lanes`` call that steps them together, each repetition's lanes on its
-stream. Averages over repetitions are plain arithmetic means, taken in
+(optimizer, repetition). On the exact quadratic every (optimizer x
+repetition) run steps in one ``optimizers._run_updates`` loop, which draws
+each repetition's noise once for all optimizers. Elsewhere an optimizer of
+a kind with a fused kernel runs one ``run`` per repetition on Rosenbrock,
+on its kernel, and every other run, which is all of them on the dataset
+oracle and the momentum variant on Rosenbrock, goes through a single
+``run_lanes`` call that steps them together, each repetition's lanes on
+its stream. Averages over repetitions are plain arithmetic means, taken in
 repetition order. CSV output uses shortest round-trip decimals, so
 identical specs produce byte-identical files.
 """
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Tuple, get_args, get_type_hints
 import numpy as np
 
 from .core import RngStream, derive_stream_id, field_problems
-from .optimizers import OptimizerConfig, RunResult, run, run_lanes, takes_kernel
+from .optimizers import OptimizerConfig, RunResult, _run_updates, run, run_lanes, takes_kernel
 from .oracles import (
     QuadraticOracle,
     RosenbrockOracle,
@@ -151,7 +152,7 @@ class ExperimentSpec:
     def validate(self) -> List[str]:
         problems = self.oracle.validate() + field_problems(T=self.T)
         problems += [f"{name}: must be an integer, got {value!r}"
-                     for name, value in (("T", self.T), ("repetitions", self.repetitions),
+                     for name, value in (("repetitions", self.repetitions),
                                          ("report_every", self.report_every))
                      if value is not None and not isinstance(value, numbers.Integral)]
         if self.repetitions < 1:
@@ -215,10 +216,11 @@ def _fill_sgd_gl(cfg: OptimizerConfig, oracle: StochasticOracle, x0, T: int) -> 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute repetitions x optimizers runs, average, and write CSV output.
 
-    The start point is all zeros for every oracle. Optimizers that
-    ``takes_kernel`` names run one ``run`` per repetition; all the others,
-    over all repetitions, go through one ``run_lanes`` call. Files are
-    written only when the spec names an output directory.
+    The start point is all zeros for every oracle. On the exact quadratic
+    all runs go through one ``_run_updates`` call. Elsewhere the
+    optimizers that ``takes_kernel`` names run one ``run`` per repetition,
+    and all the others, over all repetitions, go through one ``run_lanes``
+    call. Files are written only when the spec names an output directory.
     """
     problems = spec.validate()
     if problems:
@@ -238,10 +240,14 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     output_rngs = [[RngStream(spec.seed, derive_stream_id(_PURPOSE_OUTPUT, opt_idx, rep))
                     for rep in range(reps)] for opt_idx in range(len(configs))]
     groups = [[cfg.build(x0) for _ in range(reps)] for cfg in configs]
-    on_lanes = [i for i, group in enumerate(groups) if not takes_kernel(group[0], oracle)]
-    lane_results = run_lanes([groups[i] for i in on_lanes], oracle, spec.T, oracle_rngs,
-                             [output_rngs[i] for i in on_lanes], spec.report_every)
-    results = dict(zip(on_lanes, lane_results))
+    if type(oracle) is QuadraticOracle:
+        together, run_loop = range(len(groups)), _run_updates
+    else:
+        together = [i for i, group in enumerate(groups) if not takes_kernel(group[0], oracle)]
+        run_loop = run_lanes
+    results = dict(zip(together, run_loop([groups[i] for i in together], oracle, spec.T,
+                                          oracle_rngs, [output_rngs[i] for i in together],
+                                          spec.report_every)))
 
     table = ResultTable(f_star=oracle.f_star)
     for opt_idx, ((name, _), cfg) in enumerate(zip(spec.optimizers, configs)):
@@ -262,7 +268,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
                     sums[attr] = series.astype(np.float64)  # a copy
             if spec.keep_raw:
                 raws.append(result)
-        mean = {attr: total / reps for attr, total in sums.items()}
+        mean = {attr: np.divide(total, reps, out=total) for attr, total in sums.items()}
         table.series[name] = OptimizerSeries(
             name=name,
             kind=cfg.kind,

@@ -16,22 +16,30 @@ running values are optimizer state, which its kernel carries and the lane
 engine stacks like the FTRL sums. The ledger is the only record of the
 surrogate losses.
 
-``run`` executes T steps and records the trajectory. On the
-built-in analytic oracles (the exact classes) it runs the kinds that have a
-fused kernel in ``_kernels`` off the lane engine, continuing from whatever
-state earlier steps left: Rosenbrock on the kernel, a quadratic of any d
-through the optimizer's own ``update`` in one loop that draws its noise in
-chunks. Both loops only step: they keep x_t and the stepsize(s) of each
-record step, and the records are computed from those rows after the loop,
-the quadratic's sums in index order, the order that
-``tests/reference_kernels.py`` and the ``quad_d100_dense`` benchmark
-digests pin. Every other run (the
-momentum variant, the dataset oracle, user oracles, subclasses of the
-built-in ones and ``force_generic`` runs) goes through the lane engine,
-``run_lanes``: it stacks optimizers that share a kind and parameters along
-a lane axis and steps all lanes of all groups in one loop, so
-``harness.run_experiment`` hands it every (optimizer x repetition) run that
-takes no kernel at once.
+``run`` executes T steps and records the trajectory on one of three
+loops, continuing from whatever state earlier steps left. On the built-in
+analytic oracles (the exact classes) it steps off the lane engine: a kind
+with a fused kernel in ``_kernels`` runs on its kernel on Rosenbrock, and
+every kind steps through its own ``update`` in ``_run_updates`` on a
+quadratic of any d. Both only step: they keep x_t and the stepsize(s) of
+each record step, and compute the records from those rows, after the
+kernel's loop or at the end of each noise chunk. Every other run (the
+momentum variant on Rosenbrock, the dataset oracle, user oracles,
+subclasses of the built-in ones and ``force_generic`` runs) goes through
+the lane engine, ``run_lanes``: it stacks optimizers that share a kind and
+parameters along a lane axis and steps all lanes of all groups in one
+loop. ``_run_updates`` takes the engine's arguments and stacks lanes
+alike, so ``harness.run_experiment`` hands all (optimizer x repetition)
+runs of a quadratic experiment to it at once, and those of any other
+experiment that take no kernel to the engine at once.
+
+Two record orders coexist on a quadratic. A kind with a kernel sums f,
+||grad f||^2 and the mean of per-coordinate stepsizes in index order, as
+``tests/reference_kernels.py`` does; the momentum variant has no kernel
+and keeps the engine's records, which numpy sums pairwise from 8
+coordinates up. The ``quad_d100_dense`` benchmark digests pin both orders
+on one d=100 oracle.
+
 The engine asks the oracle only for what ``oracles.StochasticOracle``
 requires of every oracle: ``draw`` (each repetition stream's randomness,
 taken in chunks and shared by the stream's lanes), ``pairs`` at the
@@ -463,14 +471,15 @@ def takes_kernel(optimizer: Optimizer, oracle: StochasticOracle,
                  force_generic: bool = False) -> bool:
     """Whether ``run`` steps this optimizer on this oracle off the lane engine.
 
-    It does for a kind with a fused kernel on a built-in analytic oracle
-    (the exact classes, as a subclass may redefine the objective): on the
-    kernel, a pure function of the optimizer's parameters and state, on
-    Rosenbrock, and through the optimizer's own ``update`` on a quadratic of
-    any d. Every other run goes through the lane engine (``run_lanes``).
+    It does on a built-in analytic oracle (the exact class, as a subclass
+    may redefine the objective): every kind on a quadratic, through its own
+    ``update`` in ``_run_updates``, and a kind with a fused kernel on
+    Rosenbrock, on the kernel, a pure function of the optimizer's
+    parameters and state. Every other run goes through the lane engine
+    (``run_lanes``).
     """
-    return (not force_generic and optimizer.kernel is not None
-            and type(oracle) in (RosenbrockOracle, QuadraticOracle))
+    return not force_generic and (type(oracle) is QuadraticOracle or (
+        optimizer.kernel is not None and type(oracle) is RosenbrockOracle))
 
 
 def _schedule(groups, oracle, T, report_every, output_rngs):
@@ -506,11 +515,13 @@ def run(
     calls with identical arguments produce bitwise-identical results.
     """
     out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
-    stride, [[k]] = _schedule([[optimizer]], oracle, T, report_every, [[out_stream]])
+    run_loop = run_lanes
     if takes_kernel(optimizer, oracle, force_generic):
-        run_loop = _run_kernel if type(oracle) is RosenbrockOracle else _run_updates
-        return run_loop(optimizer, oracle, T, rng, stride, k)
-    [[result]] = run_lanes([[optimizer]], oracle, T, [rng], [[out_stream]], report_every)
+        if type(oracle) is RosenbrockOracle:
+            stride, [[k]] = _schedule([[optimizer]], oracle, T, report_every, [[out_stream]])
+            return _run_kernel(optimizer, oracle, T, rng, stride, k)
+        run_loop = _run_updates
+    [[result]] = run_loop([[optimizer]], oracle, T, [rng], [[out_stream]], report_every)
     return result
 
 
@@ -546,47 +557,104 @@ def _run_kernel(optimizer, oracle, T, rng, stride, k):
     return RunResult(traj, k, np.array(x_k), np.array(x))
 
 
-def _run_updates(optimizer, oracle, T, rng, stride, k):
-    """A kernel kind's run on a quadratic of any d: its own ``update`` on (d,) arrays.
+def _index_sum(rows):
+    """Each row of ``rows`` summed in index order, in place.
 
-    The loop only steps, keeping x_t and the stepsize(s) of each record
-    step. f, ||grad f||^2 and the mean of per-coordinate stepsizes are
-    summed after it, in index order: ``tests/reference_kernels.py`` and the
-    ``quad_d100_dense`` benchmark digests pin that order.
+    accumulate adds strictly in sequence, where np.sum adds pairwise from 8
+    elements up, and + 0.0 turns the -0.0 of an all-(-0.0) row into the 0.0
+    that a 0.0 seed gives.
     """
+    return np.add.accumulate(rows, axis=-1, out=rows)[..., -1] + 0.0
+
+
+def _run_updates(groups, oracle, T, rngs, output_rngs, report_every=None):
+    """``run_lanes`` on an exact ``QuadraticOracle``, off the engine.
+
+    Takes ``run_lanes``' arguments and returns its results. Each stream's
+    noise is drawn a chunk at a time, once for all groups, and each group
+    steps its stacked lanes through its own ``update`` on g = diag * x +
+    sigma * noise. At the end of each chunk the records of its record steps
+    are computed from the x_t kept, into per-group arrays that each
+    ``Trajectory`` views. A kind with a kernel sums its records in index
+    order and overflows silently; a kind without one records, and raises on
+    a non-finite pair, as the engine does (see the module docstring).
+    """
+    if any(len(group) != len(rngs) for group in groups):
+        raise ValueError("every group needs one optimizer per oracle stream")
+    stride, ks = _schedule(groups, oracle, T, report_every, output_rngs)
+    if not groups:
+        return []
     diag, sigma, d = oracle.diag, oracle.sigma, oracle.dim
-    coord = isinstance(optimizer, (SgdolCoord, AdaGradCoord))
-    both = optimizer.g_pair_consumed == 2
-    draw = functools.partial(oracle.draw, rng.generator())
-    n_rec = len(range(0, T, stride))
-    xs = np.empty((n_rec, d))
-    etas = np.empty((n_rec, d) if coord else n_rec)
-    # Float arithmetic overflows silently in the kernels, and so does this loop.
-    with np.errstate(all="ignore"):
-        for c0, chunk in _kernels._chunks(draw, T, d):
-            for t0, u in enumerate((chunk if both else chunk[:, 0]) * sigma, c0):
-                x = optimizer.x
-                if t0 + 1 == k:
-                    x_k = x.copy()
-                g = diag * x + u
-                eta = optimizer.update(g[0], g[1]) if both else optimizer.update(g, g)
-                if t0 % stride == 0:
-                    xs[t0 // stride] = x
-                    etas[t0 // stride] = eta
-        # Each row summed in index order, in place (the mean in xs once f is
-        # taken): accumulate adds strictly in sequence, where np.sum adds
-        # pairwise from 8 elements up, and + 0.0 turns the -0.0 of an
-        # all-(-0.0) row into the 0.0 that a 0.0 seed gives.
-        gsq = diag * xs
-        gsq *= gsq
-        gsq = np.add.accumulate(gsq, axis=-1, out=gsq)[:, -1] + 0.0
-        xs *= xs
-        xs *= diag
-        f = 0.5 * (np.add.accumulate(xs, axis=-1, out=xs)[:, -1] + 0.0)
-        mean = (np.add.accumulate(etas, axis=-1, out=xs)[:, -1] + 0.0) / d if coord else etas
-    traj = Trajectory(np.arange(1, T + 1, stride, dtype=np.int64), f, gsq, mean,
-                      stepsize_coords=etas if coord else None)
-    return RunResult(traj, k, x_k, optimizer.x.copy())
+    gens = [rng.generator() for rng in rngs]
+    # One lane steps unstacked, on (d,) arrays, where numpy's calls cost less.
+    stacks = [_stack(group) if len(group) > 1 else group[0] for group in groups]
+    n_rec, R = len(range(0, T, stride)), len(rngs)
+    # Per group: f, ||grad f||^2, the (mean) stepsize and the per-coordinate stepsizes.
+    recs = [(np.empty((R, n_rec)), np.empty((R, n_rec)), np.empty((R, n_rec)),
+             np.empty((R, n_rec, d)) if isinstance(lanes, (SgdolCoord, AdaGradCoord)) else None)
+            for lanes in stacks]
+    loops = [(lanes, lanes.kernel is None, [], []) for lanes in stacks]
+    captures = defaultdict(list)  # t -> lanes whose output iterate is x_t
+    for i, row in enumerate(ks):
+        for r, k in enumerate(row):
+            captures[k].append((i, r))
+    x_k = {}
+
+    def draw(n):  # (n, 2, R, d) by step, pair entry, stream; (n, 2, d) for one stream
+        noise = [oracle.draw(gen, n) for gen in gens]
+        return np.stack(noise, axis=2) if len(noise) > 1 else noise[0]
+    try:
+        # Overflow is silent, as in the kernels and the engine.
+        with np.errstate(all="ignore"):
+            for c0, chunk in _kernels._chunks(draw, T, d):
+                for t0, u in enumerate(chunk * sigma, c0):
+                    for i, r in captures.get(t0 + 1, ()):
+                        x_k[i, r] = stacks[i].x.reshape(-1, d)[r].copy()
+                    record = t0 % stride == 0
+                    for lanes, engine, x_rows, eta_rows in loops:
+                        x = lanes.x
+                        g = diag * x + u  # g, then g', of each lane
+                        if engine and not np.isfinite(g).all():
+                            raise ValueError("gradient pair entries must be finite")
+                        eta = lanes.update(g[0], g[1])
+                        if record:  # update rebinds lanes.x, so x keeps x_t
+                            x_rows.append(x)
+                            eta_rows.append(eta)
+                r0 = -(-c0 // stride)  # the chunk's first record
+                for (_, engine, x_rows, eta_rows), (f, gsq, mean, coords) in zip(loops, recs):
+                    if not x_rows:
+                        continue
+                    cut = slice(r0, r0 + len(x_rows))
+                    xs = np.concatenate(x_rows).reshape(len(x_rows), -1, d)
+                    etas = np.array(eta_rows)
+                    x_rows.clear()
+                    eta_rows.clear()
+                    if engine:
+                        f_rows, grad = oracle.record_lanes(xs)
+                        gsq[:, cut] = row_dot(grad, grad).T
+                    else:
+                        grad = diag * xs
+                        grad *= grad
+                        gsq[:, cut] = _index_sum(grad).T
+                        xs *= xs
+                        xs *= diag
+                        f_rows = 0.5 * _index_sum(xs)
+                    f[:, cut] = f_rows.T
+                    if coords is not None:
+                        etas = etas.reshape(xs.shape)
+                        coords[:, cut] = etas.swapaxes(0, 1)
+                        etas = _index_sum(etas) / d
+                    mean[:, cut] = etas.T
+    finally:
+        for lanes, group in zip(stacks, groups):
+            if lanes is not group[0]:
+                _unstack(lanes, group)
+    rec_t = np.arange(1, T + 1, stride, dtype=np.int64)
+    return [[RunResult(Trajectory(rec_t.copy(), f[r], gsq[r], mean[r],
+                                  stepsize_coords=None if coords is None else coords[r]),
+                       ks[i][r], x_k[i, r], optimizer.x.copy())
+             for r, optimizer in enumerate(group)]
+            for i, (group, (f, gsq, mean, coords)) in enumerate(zip(groups, recs))]
 
 
 # Pairs drawn ahead from each oracle stream at a time: 64 pairs of two

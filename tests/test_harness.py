@@ -224,6 +224,12 @@ def test_validation_requires_integer_counts():
         run_experiment(_spec(report_every=2.5))
 
 
+@pytest.mark.parametrize("T", [10.5, True])
+def test_a_non_integer_horizon_is_reported_once(T):
+    problems = [p for p in _spec(T=T).validate() if p.startswith("T:")]
+    assert problems == [f"T: must be an integer >= 1, got {T}"]
+
+
 def test_missing_dataset_is_io_error():
     spec = _spec()
     spec.oracle = OracleSpec(kind="sigmoid", dataset="/definitely/not/here.libsvm",

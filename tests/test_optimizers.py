@@ -280,6 +280,15 @@ def test_optimizer_config_reports_an_infinite_field(field, kind):
     assert problems == [f"{field}: must be finite, got inf"]
 
 
+@pytest.mark.parametrize("T", [10.5, True, math.inf])
+def test_sgd_gl_horizon_must_be_an_integer(T):
+    valid = dict(M=1.0, sigma=1.0, f_gap=1.0)
+    problem = f"T: must be an integer >= 1, got {T}"
+    assert OptimizerConfig(kind="sgd_gl", T=T, **valid).validate() == [problem]
+    with pytest.raises(ValueError, match=problem):
+        SgdGhadimiLan(np.zeros(2), T=T, **valid)
+
+
 def test_optimizer_refuses_an_infinite_stepsize():
     with pytest.raises(ValueError, match="lr: must be finite"):
         Sgd(np.zeros(2), lr=math.inf)
@@ -322,7 +331,7 @@ _PROBES = {
     "beta1": (0.0, 0.999, 1.0, -1e-9, math.nan),
     "beta2": (0.0, 0.999, 1.0, -1e-9, math.nan),
     "sigma": (0.0, 2.0, -1e-9, math.nan),
-    "T": (1, 0, -3),
+    "T": (1, 0, -3, 10.5, True, math.inf),
     "f_gap": (0.0, 1.0, -1e-9, math.nan),
 }
 
