@@ -1,42 +1,33 @@
-"""Fused run loops for noisy 2-D Rosenbrock, one per update rule.
+"""Fused step loops for noisy 2-D Rosenbrock, one per update rule.
 
-Each kernel executes a full T-step optimizer run on the built-in Rosenbrock
-objective with additive Gaussian noise, storing the run at a fixed stride.
 Every kernel has the signature
 
-    kernel(sigma, draw, x, T, k_index, stride, *params, *state)
+    kernel(sigma, noise, x, T, c0, stride, *params, *state) -> (rows, x, *state)
 
-and returns
+and takes steps t0 = c0, ..., c0 + T - 1 (0-based) of a run on the
+built-in Rosenbrock objective with additive Gaussian noise. ``noise``
+iterates their standard normals as flat floats, g's two a step, then g''s
+two for the SGDOL kernels (``g_pair_consumed`` pairs a step), and the
+kernel takes exactly T steps' floats from it; ``sigma`` holds the
+per-coordinate noise levels. ``rows`` is a flat typed buffer with a row
+per step with t0 % stride == 0: x_t, then the stepsize(s) step t used (one
+column for the global-stepsize kernels, SGD's lr and Adam's NaN, one per
+coordinate for the per-coordinate kernels). ``optimizers._run_kernels``
+feeds each run's kernel a noise chunk at a time, shared by every run on
+the stream, and derives the records from the rows.
 
-    (rows, x_k, x, *state)
+A kernel is a pure function: ``sigma``, ``x`` and every array of
+``state`` (FTRL sums, AdaGrad accumulators, Adam moments and beta powers,
+the six running values of an ``Sgdol``'s regret ledger) come in as tuples
+of floats and go out as new tuples, so a kernel continues a run from
+wherever the previous chunk, or generic steps, left it.
 
-A kernel is a pure function of its arguments: ``x`` and every array of
-``state`` come in as tuples of floats and their final values go out as new
-tuples, and nothing it was handed is written to. ``state`` is the
-optimizer's mutable state (FTRL sums, AdaGrad accumulators, Adam moments
-and beta powers, and the six running values of a regret ledger that an
-``Sgdol`` carries): it comes in, so a kernel can continue a run that
-generic steps started. ``x_k`` is the iterate x_t at t = k_index, which
-lies in [1, T]. ``rows`` is one flat typed buffer with a row per recorded
-step t: the iterate x_t (two columns), then the stepsize(s) step t used,
-one column for the global-stepsize kernels, SGD (its lr) and Adam (NaN)
-and one per coordinate for the per-coordinate kernels. ``optimizers``
-turns the returned values into arrays and computes t, f, ||grad f||^2 and
-the mean stepsize from the rows after the loop, with the oracle's and the
-lane engine's own code. ``draw(n)`` returns the standard normals of the
-next n gradient pairs, shape (n, 2, 2), which the kernel scales by the
-per-coordinate sigma. The kernels pull their noise from it a chunk at a
-time, so memory does not grow with T, and they consume the random stream
-exactly as the step-by-step oracle path does.
-
-Coordinates and per-coordinate state are Python float locals, which CPython
-handles four to seven times faster than numpy scalars, with the Rosenbrock
-gradient inlined; f is never computed here. Each noise chunk is converted
-into one flat list. Every sum is written out in index order from 0.0
-(0.0 + -0.0 is 0.0). Quadratics of every dimension step through the
-optimizer's own ``update`` in ``optimizers``; these kernels are the only
-other copy of each update rule. ``tests/reference_kernels.py`` holds each
-kernel as an array loop that ``tests/test_kernels.py`` requires it to match
+Coordinates and state are Python float locals, four to seven times faster
+than numpy scalars under CPython, with the Rosenbrock gradient inlined; f
+is never computed here. Every sum is written out in index order from 0.0
+(0.0 + -0.0 is 0.0). These kernels are the only copy of each update rule
+besides the optimizers' ``update``; ``tests/reference_kernels.py`` holds
+each as an array loop that ``tests/test_kernels.py`` requires it to match
 bit for bit.
 
 No float divisor can be zero, where a Python float would raise
@@ -46,13 +37,12 @@ a positive accumulator. A diverging run ends in the same inf/nan as the
 reference, without a warning, as float arithmetic raises none.
 """
 
-import itertools
 import math
 from array import array
 
 # Noise floats drawn per chunk: 2048 floats are a 16 kB array and a 64 kB
-# flat list, whatever d is; at 8192 the peak RSS of a short Rosenbrock
-# sweep rose by 1 MB, with no gain in speed.
+# flat list, whatever d is (512 steps at d = 2); at 8192 the peak RSS of
+# a short Rosenbrock sweep rose by 1 MB, with no gain in speed.
 _CHUNK_FLOATS = 2048
 
 
@@ -65,18 +55,15 @@ def _chunks(draw, T, d):
     return ((c0, draw(min(rows, T - c0))) for c0 in range(0, T, rows))
 
 
-def _noise_steps(draw, T, pairs):
-    """Iterate (t0, *noise of step t0) for t0 < T at d = 2, unscaled.
+def _steps(noise, c0, T, width):
+    """Iterate (t0, *noise of step t0) for the T steps from c0, ``width`` floats a step.
 
-    A step's noise is its first ``pairs`` rows, flat: g's two floats, then
-    g''s two when ``pairs`` is 2. Each chunk becomes one flat list that zip
-    regroups step by step, so no per-step list is built for the cyclic GC
-    to track, and zip reuses the tuple of a step that the loop unpacks.
+    zip regroups the floats step by step, so no per-step list is built for
+    the cyclic GC to track, and reuses the tuple of a step that the loop
+    unpacks. It stops at the range's end, before it takes a float of step
+    c0 + T.
     """
-    k = 2 * pairs
-    return itertools.chain.from_iterable(
-        zip(range(c0, c0 + len(chunk)), *[iter(chunk[:, :pairs].ravel().tolist())] * k)
-        for c0, chunk in _chunks(draw, T, 2))
+    return zip(range(c0, c0 + T), *[iter(noise)] * width)
 
 
 def _fold_round(ledger, M, alpha, curv, eta, b, a, ap):
@@ -96,7 +83,7 @@ def _fold_round(ledger, M, alpha, curv, eta, b, a, ap):
     return n + 1, lc + loss, li + b, lq, lm, l2 + slope * slope / (alpha + curv * lq)
 
 
-def _sgdol_global(sigma, draw, x, T, k_index, stride, M, alpha, curv, si, ss, *ledger):
+def _sgdol_global(sigma, noise, x, T, c0, stride, M, alpha, curv, si, ss, *ledger):
     """SGDOL with one global FTRL-learned stepsize.
 
     The learner state is (sum of <g,g'>, sum of ||g||^2), then a regret
@@ -109,13 +96,11 @@ def _sgdol_global(sigma, draw, x, T, k_index, stride, M, alpha, curv, si, ss, *l
     led = bool(ledger)  # a bool tests faster than a tuple in the loops
     hi = 2.0 / M
     x0, x1 = x
-    s0, s1 = sigma.tolist()
-    for t0, u0, u1, v0, v1 in _noise_steps(draw, T, 2):
+    s0, s1 = sigma
+    for t0, u0, u1, v0, v1 in _steps(noise, c0, T, 4):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
-        if t0 + 1 == k_index:
-            xk = x0, x1
         eta = (alpha + si) / (alpha + curv * ss) / M
         if eta < 0.0:
             eta = 0.0
@@ -136,23 +121,21 @@ def _sgdol_global(sigma, draw, x, T, k_index, stride, M, alpha, curv, si, ss, *l
         if led:
             ledger = _fold_round(ledger, M, alpha, curv, eta, b, a,
                                  0.0 + gp0 * gp0 + gp1 * gp1)
-    return rec, xk, (x0, x1), si, ss, *ledger
+    return rec, (x0, x1), si, ss, *ledger
 
 
-def _sgdol_coord(sigma, draw, x, T, k_index, stride, M, alpha, si, ss):
+def _sgdol_coord(sigma, noise, x, T, c0, stride, M, alpha, si, ss):
     """SGDOL with one FTRL learner per coordinate; state (si, ss) as above."""
     rec = array("d")
     hi = 2.0 / M
     x0, x1 = x
-    s0, s1 = sigma.tolist()
+    s0, s1 = sigma
     si0, si1 = si
     ss0, ss1 = ss
-    for t0, u0, u1, v0, v1 in _noise_steps(draw, T, 2):
+    for t0, u0, u1, v0, v1 in _steps(noise, c0, T, 4):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
-        if t0 + 1 == k_index:
-            xk = x0, x1
         e0 = (alpha + si0) / (alpha + ss0) / M
         if e0 < 0.0:
             e0 = 0.0
@@ -175,39 +158,35 @@ def _sgdol_coord(sigma, draw, x, T, k_index, stride, M, alpha, si, ss):
         si1 += g1 * gp1
         ss0 += g0 * g0
         ss1 += g1 * g1
-    return rec, xk, (x0, x1), (si0, si1), (ss0, ss1)
+    return rec, (x0, x1), (si0, si1), (ss0, ss1)
 
 
-def _sgd(sigma, draw, x, T, k_index, stride, lr):
+def _sgd(sigma, noise, x, T, c0, stride, lr):
     """Constant-stepsize SGD (also the precomputed-stepsize variant); reads only g's noise."""
     rec = array("d")
     x0, x1 = x
-    s0, s1 = sigma.tolist()
-    for t0, u0, u1 in _noise_steps(draw, T, 1):
+    s0, s1 = sigma
+    for t0, u0, u1 in _steps(noise, c0, T, 2):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
-        if t0 + 1 == k_index:
-            xk = x0, x1
         if t0 % stride == 0:
             rec.extend((x0, x1, lr))
         x0 = x0 - lr * (r0 + s0 * u0)
         x1 = x1 - lr * (r1 + s1 * u1)
-    return rec, xk, (x0, x1)
+    return rec, (x0, x1)
 
 
-def _adagrad_global(sigma, draw, x, T, k_index, stride, lr, accum):
+def _adagrad_global(sigma, noise, x, T, c0, stride, lr, accum):
     """AdaGrad with one shared stepsize lr / sqrt(sum of squared grad norms)."""
     rec = array("d")
     sqrt = math.sqrt
     x0, x1 = x
-    s0, s1 = sigma.tolist()
-    for t0, u0, u1 in _noise_steps(draw, T, 1):
+    s0, s1 = sigma
+    for t0, u0, u1 in _steps(noise, c0, T, 2):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
-        if t0 + 1 == k_index:
-            xk = x0, x1
         g0 = r0 + s0 * u0
         g1 = r1 + s1 * u1
         accum += 0.0 + g0 * g0 + g1 * g1
@@ -216,22 +195,20 @@ def _adagrad_global(sigma, draw, x, T, k_index, stride, lr, accum):
             rec.extend((x0, x1, coef))
         x0 = x0 - coef * g0
         x1 = x1 - coef * g1
-    return rec, xk, (x0, x1), accum
+    return rec, (x0, x1), accum
 
 
-def _adagrad_coord(sigma, draw, x, T, k_index, stride, lr, accum):
+def _adagrad_coord(sigma, noise, x, T, c0, stride, lr, accum):
     """AdaGrad with a per-coordinate accumulator."""
     rec = array("d")
     sqrt = math.sqrt
     x0, x1 = x
-    s0, s1 = sigma.tolist()
+    s0, s1 = sigma
     q0, q1 = accum
-    for t0, u0, u1 in _noise_steps(draw, T, 1):
+    for t0, u0, u1 in _steps(noise, c0, T, 2):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
-        if t0 + 1 == k_index:
-            xk = x0, x1
         g0 = r0 + s0 * u0
         g1 = r1 + s1 * u1
         q0 += g0 * g0
@@ -242,10 +219,10 @@ def _adagrad_coord(sigma, draw, x, T, k_index, stride, lr, accum):
             rec.extend((x0, x1, c0, c1))
         x0 = x0 - c0 * g0
         x1 = x1 - c1 * g1
-    return rec, xk, (x0, x1), (q0, q1)
+    return rec, (x0, x1), (q0, q1)
 
 
-def _adam(sigma, draw, x, T, k_index, stride, lr, beta1, beta2, eps, m, v, p1, p2):
+def _adam(sigma, noise, x, T, c0, stride, lr, beta1, beta2, eps, m, v, p1, p2):
     """Adam with standard bias-corrected moment estimates; it records NaN stepsizes."""
     rec = array("d")
     sqrt = math.sqrt
@@ -253,15 +230,13 @@ def _adam(sigma, draw, x, T, k_index, stride, lr, beta1, beta2, eps, m, v, p1, p
     c1 = 1.0 - beta1
     c2 = 1.0 - beta2
     x0, x1 = x
-    s0, s1 = sigma.tolist()
+    s0, s1 = sigma
     m0, m1 = m
     w0, w1 = v
-    for t0, u0, u1 in _noise_steps(draw, T, 1):
+    for t0, u0, u1 in _steps(noise, c0, T, 2):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
-        if t0 + 1 == k_index:
-            xk = x0, x1
         if t0 % stride == 0:
             rec.extend((x0, x1, nan))
         p1 *= beta1
@@ -276,7 +251,7 @@ def _adam(sigma, draw, x, T, k_index, stride, lr, beta1, beta2, eps, m, v, p1, p
         w1 = beta2 * w1 + c2 * (g1 * g1)
         x0 = x0 - lr * (m0 / bc1) / (sqrt(w0 / bc2) + eps)
         x1 = x1 - lr * (m1 / bc1) / (sqrt(w1 / bc2) + eps)
-    return rec, xk, (x0, x1), (m0, m1), (w0, w1), p1, p2
+    return rec, (x0, x1), (m0, m1), (w0, w1), p1, p2
 
 
 _KERNELS = {fn.__name__[1:]: fn for fn in (_sgdol_global, _sgdol_coord, _sgd, _adagrad_global,

@@ -4,13 +4,12 @@ An experiment is (oracle x optimizer list x T x repetitions x seed). Each
 repetition owns one oracle noise stream shared by every optimizer, so
 optimizers see identical gradient pairs and their series are directly
 comparable; the uniformly sampled output index gets its own stream per
-(optimizer, repetition). On the exact quadratic every (optimizer x
-repetition) run steps in one ``optimizers._run_updates`` loop, which draws
-each repetition's noise once for all optimizers. Elsewhere an optimizer of
-a kind with a fused kernel runs one ``run`` per repetition on Rosenbrock,
-on its kernel, and every other run, which is all of them on the dataset
-oracle and the momentum variant on Rosenbrock, goes through a single
-``run_lanes`` call that steps them together, each repetition's lanes on
+(optimizer, repetition). Each of the three step loops in ``optimizers``
+steps all of its (optimizer x repetition) runs in one call and draws each
+repetition's noise once for all of them: on the exact quadratic every run
+steps through its own ``update`` in ``_run_updates``; on the exact
+Rosenbrock every kind with a fused kernel runs on it in ``_run_kernels``;
+every other run goes through ``run_lanes``, each repetition's lanes on
 its stream. Averages over repetitions are plain arithmetic means, taken in
 repetition order. CSV output uses shortest round-trip decimals, so
 identical specs produce byte-identical files.
@@ -22,13 +21,21 @@ import configparser
 import csv
 import numbers
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, get_args, get_type_hints
 
 import numpy as np
 
 from .core import RngStream, derive_stream_id, field_problems
-from .optimizers import OptimizerConfig, RunResult, _run_updates, run, run_lanes, takes_kernel
+from .optimizers import (
+    OptimizerConfig,
+    RunResult,
+    _run_kernels,
+    _run_updates,
+    run_lanes,
+    takes_kernel,
+)
 from .oracles import (
     QuadraticOracle,
     RosenbrockOracle,
@@ -216,11 +223,12 @@ def _fill_sgd_gl(cfg: OptimizerConfig, oracle: StochasticOracle, x0, T: int) -> 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute repetitions x optimizers runs, average, and write CSV output.
 
-    The start point is all zeros for every oracle. On the exact quadratic
-    all runs go through one ``_run_updates`` call. Elsewhere the
-    optimizers that ``takes_kernel`` names run one ``run`` per repetition,
-    and all the others, over all repetitions, go through one ``run_lanes``
-    call. Files are written only when the spec names an output directory.
+    The start point is all zeros for every oracle. The optimizers that
+    ``takes_kernel`` names go through one ``_run_updates`` call on the
+    exact quadratic and one ``_run_kernels`` call on the exact Rosenbrock,
+    and all the others through one ``run_lanes`` call, each call with all
+    repetitions. Files are written only when the spec names an output
+    directory.
     """
     problems = spec.validate()
     if problems:
@@ -240,34 +248,26 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     output_rngs = [[RngStream(spec.seed, derive_stream_id(_PURPOSE_OUTPUT, opt_idx, rep))
                     for rep in range(reps)] for opt_idx in range(len(configs))]
     groups = [[cfg.build(x0) for _ in range(reps)] for cfg in configs]
-    if type(oracle) is QuadraticOracle:
-        together, run_loop = range(len(groups)), _run_updates
-    else:
-        together = [i for i, group in enumerate(groups) if not takes_kernel(group[0], oracle)]
-        run_loop = run_lanes
-    results = dict(zip(together, run_loop([groups[i] for i in together], oracle, spec.T,
-                                          oracle_rngs, [output_rngs[i] for i in together],
-                                          spec.report_every)))
+    off_engine = _run_updates if type(oracle) is QuadraticOracle else _run_kernels
+    loops = defaultdict(list)  # loop -> the optimizers it steps
+    for i, group in enumerate(groups):
+        loops[off_engine if takes_kernel(group[0], oracle) else run_lanes].append(i)
+    results = {}
+    for run_loop, together in loops.items():
+        results.update(zip(together, run_loop([groups[i] for i in together], oracle, spec.T,
+                                              oracle_rngs, [output_rngs[i] for i in together],
+                                              spec.report_every)))
 
     table = ResultTable(f_star=oracle.f_star)
     for opt_idx, ((name, _), cfg) in enumerate(zip(spec.optimizers, configs)):
         sums = {}
-        raws: List[RunResult] = []
-        for rep in range(reps):
-            if opt_idx in results:
-                result = results[opt_idx][rep]
-            else:
-                result = run(groups[opt_idx][rep], oracle, spec.T, oracle_rngs[rep],
-                             report_every=spec.report_every,
-                             output_rng=output_rngs[opt_idx][rep])
+        for result in results[opt_idx]:
             for attr in ("true_grad_sq_norm", "f_value", "stepsize", "stepsize_coords"):
                 series = getattr(result.trajectory, attr)
                 if attr in sums:
                     sums[attr] += series
                 elif series is not None:
                     sums[attr] = series.astype(np.float64)  # a copy
-            if spec.keep_raw:
-                raws.append(result)
         mean = {attr: np.divide(total, reps, out=total) for attr, total in sums.items()}
         table.series[name] = OptimizerSeries(
             name=name,
@@ -278,7 +278,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
             stepsize_mean=mean["stepsize"],
             stepsize_coords=mean.get("stepsize_coords"),
             optimality_gap=None if oracle.f_star is None else mean["f_value"] - oracle.f_star,
-            raw=raws if spec.keep_raw else None,
+            raw=results[opt_idx] if spec.keep_raw else None,
         )
     if spec.output_dir is not None:
         write_csv(table, spec.output_dir)

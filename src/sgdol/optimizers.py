@@ -17,21 +17,20 @@ engine stacks like the FTRL sums. The ledger is the only record of the
 surrogate losses.
 
 ``run`` executes T steps and records the trajectory on one of three
-loops, continuing from whatever state earlier steps left. On the built-in
-analytic oracles (the exact classes) it steps off the lane engine: a kind
-with a fused kernel in ``_kernels`` runs on its kernel on Rosenbrock, and
-every kind steps through its own ``update`` in ``_run_updates`` on a
-quadratic of any d. Both only step: they keep x_t and the stepsize(s) of
-each record step, and compute the records from those rows, after the
-kernel's loop or at the end of each noise chunk. Every other run (the
-momentum variant on Rosenbrock, the dataset oracle, user oracles,
-subclasses of the built-in ones and ``force_generic`` runs) goes through
-the lane engine, ``run_lanes``: it stacks optimizers that share a kind and
-parameters along a lane axis and steps all lanes of all groups in one
-loop. ``_run_updates`` takes the engine's arguments and stacks lanes
-alike, so ``harness.run_experiment`` hands all (optimizer x repetition)
-runs of a quadratic experiment to it at once, and those of any other
-experiment that take no kernel to the engine at once.
+loops, continuing from whatever state earlier steps left. The loops take
+the same arguments, groups of optimizers with one per oracle stream, so
+``run`` hands a loop one lane and ``harness.run_experiment`` all the
+(optimizer x repetition) runs it takes, each stream's noise drawn once for
+all of them. On the built-in analytic oracles (the exact classes) runs
+step off the lane engine, keeping x_t and the stepsize(s) of each record
+step to compute the records from: on Rosenbrock a kind with a fused
+kernel in ``_kernels`` runs on it in ``_run_kernels``, and on a quadratic
+of any d every kind steps through its own ``update`` in ``_run_updates``.
+Every other run (the momentum variant on Rosenbrock, the dataset oracle,
+user oracles, subclasses of the built-in ones and ``force_generic`` runs)
+goes through the lane engine, ``run_lanes``: it stacks optimizers that
+share a kind and parameters along a lane axis and steps all lanes of all
+groups in one loop.
 
 Two record orders coexist on a quadratic. A kind with a kernel sums f,
 ||grad f||^2 and the mean of per-coordinate stepsizes in index order, as
@@ -54,6 +53,7 @@ import functools
 import inspect
 import math
 import numbers
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -251,7 +251,6 @@ class SgdolMomentum(Optimizer):
         self.ftrl_beta = FtrlState(alpha=alpha, M=M, curvature_scale=2.0)
         self.z = np.zeros(self.dim)
         self.clamp_beta = clamp_beta
-        self.beta = None  # the momentum stepsize of the last step
 
     @property
     def M(self) -> float:
@@ -269,11 +268,11 @@ class SgdolMomentum(Optimizer):
         self.z = _col(_ratio(beta, eta)) * z_old + g
         self.ftrl_eta.observe_stats(row_dot(g, g_prime), row_dot(g, g))
         self.ftrl_beta.observe_stats(row_dot(z_old, g_prime), row_dot(z_old, z_old))
-        self.beta = beta
         return eta
 
     def step(self, pair: GradientPair) -> StepReport:
-        return replace(super().step(pair), beta_used=self.beta)
+        beta = 0.0 if self.clamp_beta else self.ftrl_beta.stepsize()  # as update plays it
+        return replace(super().step(pair), beta_used=beta)
 
 
 class Sgd(Optimizer):
@@ -472,18 +471,18 @@ def takes_kernel(optimizer: Optimizer, oracle: StochasticOracle,
     """Whether ``run`` steps this optimizer on this oracle off the lane engine.
 
     It does on a built-in analytic oracle (the exact class, as a subclass
-    may redefine the objective): every kind on a quadratic, through its own
-    ``update`` in ``_run_updates``, and a kind with a fused kernel on
-    Rosenbrock, on the kernel, a pure function of the optimizer's
-    parameters and state. Every other run goes through the lane engine
-    (``run_lanes``).
+    may redefine the objective): every kind on a quadratic, in
+    ``_run_updates``, and a kind with a fused kernel on Rosenbrock, in
+    ``_run_kernels``. Every other run goes through ``run_lanes``.
     """
     return not force_generic and (type(oracle) is QuadraticOracle or (
         optimizer.kernel is not None and type(oracle) is RosenbrockOracle))
 
 
-def _schedule(groups, oracle, T, report_every, output_rngs):
-    """Check a run's arguments; return the record stride and each run's output index k."""
+def _schedule(groups, oracle, T, rngs, output_rngs, report_every):
+    """Check a loop's arguments; return the stride, ``ks[i][r]`` and ``{k: [(i, r), ...]}``."""
+    if any(len(group) != len(rngs) for group in groups):
+        raise ValueError("every group needs one optimizer per oracle stream")
     for name, value in (("T", T), ("report_every", report_every)):
         if value is not None and not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -496,7 +495,11 @@ def _schedule(groups, oracle, T, report_every, output_rngs):
     if stride < 1:
         raise ValueError(f"report_every must be >= 1, got {report_every}")
     ks = [[int(stream.generator().integers(1, T + 1)) for stream in row] for row in output_rngs]
-    return stride, ks
+    captures = defaultdict(list)
+    for i, row in enumerate(ks):
+        for r, k in enumerate(row):
+            captures[k].append((i, r))
+    return stride, ks, captures
 
 
 def run(
@@ -517,10 +520,7 @@ def run(
     out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
     run_loop = run_lanes
     if takes_kernel(optimizer, oracle, force_generic):
-        if type(oracle) is RosenbrockOracle:
-            stride, [[k]] = _schedule([[optimizer]], oracle, T, report_every, [[out_stream]])
-            return _run_kernel(optimizer, oracle, T, rng, stride, k)
-        run_loop = _run_updates
+        run_loop = _run_kernels if type(oracle) is RosenbrockOracle else _run_updates
     [[result]] = run_loop([[optimizer]], oracle, T, [rng], [[out_stream]], report_every)
     return result
 
@@ -536,25 +536,60 @@ def _set_attr(obj, attr: str, value):
     setattr(attrgetter(owner)(obj) if owner else obj, leaf, value)
 
 
-def _run_kernel(optimizer, oracle, T, rng, stride, k):
-    # The kernel draws its noise a chunk at a time; chunked draws consume the
-    # stream exactly like T per-step pair draws.
-    draw = functools.partial(oracle.draw, rng.generator())
-    rows, x_k, x, *state = _kernels.get_kernel(optimizer.kernel)(
-        oracle.sigma, draw, tuple(optimizer.x.tolist()), T, k, stride, *_kernel_args(optimizer))
-    optimizer.x = np.array(x)
-    for attr, value in zip(optimizer.state, state):
-        _set_attr(optimizer, attr, np.array(value) if isinstance(value, tuple) else value)
-    # The records from the stored x_t and stepsizes, as the lane engine makes them.
-    rows = np.frombuffer(rows).reshape(len(range(0, T, stride)), -1)
-    eta = rows[:, 2:]
-    w = eta.shape[1]
-    with np.errstate(all="ignore"):
-        f, grad = oracle.record_lanes(rows[:, :2])
-        traj = Trajectory(np.arange(1, T + 1, stride, dtype=np.int64), f, row_dot(grad, grad),
-                          np.add.reduce(eta, axis=-1) / w,
-                          stepsize_coords=eta.copy() if w > 1 else None)
-    return RunResult(traj, k, np.array(x_k), np.array(x))
+def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
+    """``run_lanes`` on an exact ``RosenbrockOracle``, on each kind's fused kernel.
+
+    Takes ``run_lanes``' arguments and returns its results. Each stream's
+    noise is drawn a chunk at a time and turned into a flat list of floats
+    once per noise width, which every run of the stream that reads that
+    width steps through on its kernel; x and state go from chunk to chunk
+    as tuples.
+    """
+    stride, ks, _ = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
+    if not groups:
+        return []
+    sigma = tuple(oracle.sigma.tolist())
+    t = np.arange(1, T + 1, stride, dtype=np.int64)
+    results = [[None] * len(rngs) for _ in groups]
+    for r, rng in enumerate(rngs):
+        opts = [group[r] for group in groups]
+        kernels = [_kernels.get_kernel(opt.kernel) for opt in opts]
+        # Each run's x, and its parameters then state, as the last chunk left them.
+        xs = [tuple(opt.x.tolist()) for opt in opts]
+        args = [_kernel_args(opt) for opt in opts]
+        rows, x_ks = [array("d") for _ in opts], [None] * len(opts)
+        # The runs by the pairs of a step's noise that they read: g's, or g's and g''s.
+        by_width = {w: [j for j, opt in enumerate(opts) if opt.g_pair_consumed == w]
+                    for w in {opt.g_pair_consumed for opt in opts}}
+        for c0, chunk in _kernels._chunks(functools.partial(oracle.draw, rng.generator()), T, 2):
+            n = len(chunk)
+            for w, runs in by_width.items():
+                noise = chunk[:, :w].ravel().tolist()
+                for j in runs:
+                    steps, p = iter(noise), len(opts[j].params)
+                    k = ks[j][r] - 1 - c0  # x_k is the x that the chunk's first k steps leave
+                    for lo, hi in ((0, k), (k, n)) if 0 <= k < n else ((0, n),):
+                        chunk_rows, xs[j], *args[j][p:] = kernels[j](
+                            sigma, steps, xs[j], hi - lo, c0 + lo, stride, *args[j])
+                        rows[j] += chunk_rows
+                        if hi == k:
+                            x_ks[j] = xs[j]
+                del noise, steps  # so one flat list of floats is alive at a time
+        for j, opt in enumerate(opts):
+            opt.x = np.array(xs[j])
+            for attr, value in zip(opt.state, args[j][len(opt.params):]):
+                _set_attr(opt, attr, np.array(value) if isinstance(value, tuple) else value)
+            # The records from the stored x_t and stepsizes, as the lane engine makes them.
+            rec = np.frombuffer(rows[j]).reshape(len(t), -1)
+            eta = rec[:, 2:]
+            w = eta.shape[1]
+            with np.errstate(all="ignore"):
+                f, grad = oracle.record_lanes(rec[:, :2])
+                traj = Trajectory(t.copy(), f, row_dot(grad, grad),
+                                  np.add.reduce(eta, axis=-1) / w,
+                                  stepsize_coords=eta.copy() if w > 1 else None)
+            results[j][r] = RunResult(traj, ks[j][r], np.array(x_ks[j]), opt.x.copy())
+    return results
 
 
 def _index_sum(rows):
@@ -579,9 +614,7 @@ def _run_updates(groups, oracle, T, rngs, output_rngs, report_every=None):
     order and overflows silently; a kind without one records, and raises on
     a non-finite pair, as the engine does (see the module docstring).
     """
-    if any(len(group) != len(rngs) for group in groups):
-        raise ValueError("every group needs one optimizer per oracle stream")
-    stride, ks = _schedule(groups, oracle, T, report_every, output_rngs)
+    stride, ks, captures = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
     if not groups:
         return []
     diag, sigma, d = oracle.diag, oracle.sigma, oracle.dim
@@ -594,10 +627,6 @@ def _run_updates(groups, oracle, T, rngs, output_rngs, report_every=None):
              np.empty((R, n_rec, d)) if isinstance(lanes, (SgdolCoord, AdaGradCoord)) else None)
             for lanes in stacks]
     loops = [(lanes, lanes.kernel is None, [], []) for lanes in stacks]
-    captures = defaultdict(list)  # t -> lanes whose output iterate is x_t
-    for i, row in enumerate(ks):
-        for r, k in enumerate(row):
-            captures[k].append((i, r))
     x_k = {}
 
     def draw(n):  # (n, 2, R, d) by step, pair entry, stream; (n, 2, d) for one stream
@@ -723,9 +752,7 @@ def run_lanes(
     pair from one ``oracle.pairs`` call and applies each group's ``update``
     to its lanes.
     """
-    if any(len(group) != len(rngs) for group in groups):
-        raise ValueError("every group needs one optimizer per oracle stream")
-    stride, ks = _schedule(groups, oracle, T, report_every, output_rngs)
+    stride, ks, captures = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
     if not groups:
         return []
     gens = [rng.generator() for rng in rngs]
@@ -738,10 +765,6 @@ def run_lanes(
     rec_gsq = np.empty(shape)
     rec_eta = np.empty(shape)
     rec_coords = [np.empty((n_rec, n_streams, oracle.dim)) if c else None for c in coord]
-    captures = defaultdict(list)  # t -> lanes whose output iterate is x_t
-    for i, row in enumerate(ks):
-        for r, k in enumerate(row):
-            captures[k].append((i, r))
     x_k = {}
 
     try:

@@ -2,7 +2,9 @@
 
 Each ``_run_<name>`` returns the same values as a ``sgdol.run`` of that
 kind on an analytic oracle: ``sgdol._kernels.get_kernel(name)`` on
-Rosenbrock, the optimizer's own ``update`` on a quadratic of any d. It is
+Rosenbrock, called a noise chunk at a time and split at the output step k,
+the optimizer's own ``update`` on a quadratic of any d. Each is one loop
+over all T steps that captures x_k itself, so it checks the chunking. It is
 written as an array loop with the objective in three shared helpers
 (``_grad_into``, ``_objective``, ``_sq_norm``), picked by an oracle id that
 ``reference_params`` gives, instead of on Python floats and lists. Both
