@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 validation/verification failure, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 from typing import Optional, Sequence
 
@@ -30,6 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=20190901)
     p_verify.add_argument("--samples", type=int, default=20000,
                           help="Monte Carlo sample count for statistical checks")
+    p_verify.add_argument("--json", action="store_true",
+                          help="print one JSON object instead of one line per check")
 
     p_parse = sub.add_parser("parse-libsvm", help="validate a LibSVM file and print counts")
     p_parse.add_argument("path")
@@ -70,13 +74,16 @@ def _cmd_verify(args) -> int:
         print(f"error: --seed must be a 64-bit unsigned integer, got {args.seed}", file=sys.stderr)
         return 1
     results = run_verification(seed=args.seed, mc_samples=args.samples)
-    failures = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name}: {r.detail}")
-        failures += 0 if r.passed else 1
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return 0 if failures == 0 else 1
+    passed = sum(r.passed for r in results)
+    if args.json:
+        print(json.dumps({"seed": args.seed, "samples": args.samples, "passed": passed,
+                          "total": len(results),
+                          "checks": [dataclasses.asdict(r) for r in results]}))
+    else:
+        for r in results:
+            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
+        print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def _cmd_parse_libsvm(args) -> int:

@@ -16,7 +16,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .core import RngStream, row_dot, sq_norm
+from .core import RngStream, check_fields, row_dot, sq_norm
 from .online import DEFAULT_ALPHA, FtrlState, surrogate_loss
 from .optimizers import Sgdol, run
 from .oracles import (
@@ -26,7 +26,9 @@ from .oracles import (
     RosenbrockOracle,
     SigmoidLossOracle,
     StochasticOracle,
+    rosenbrock_f,
     rosenbrock_grad,
+    sigmoid_loss_f,
     sigmoid_loss_grad,
 )
 
@@ -47,30 +49,43 @@ def ftrl_argmin_oracle(alpha: float, M: float, history: Sequence[GradientPair],
                        curvature_scale: float = 1.0, tol: float = 1e-10) -> float:
     """Numerically minimize regularizer + past surrogate losses over [0, 2/M].
 
-    Golden-section search down to an interval of width ``tol``, followed by
-    one parabola fit through wide-spaced probes (the losses are quadratics,
-    so the vertex refines away the flat-basin rounding noise that limits pure
-    golden-section to roughly sqrt(machine epsilon)). Serves as the
-    independent reference for the closed-form FTRL stepsize; an empty history
-    returns the regularizer's own minimizer 1/M.
+    The past losses sum to one quadratic in eta, (c M / 2) eta^2 A - eta B,
+    with A = sum ||g_j||^2 and B = sum <g_j, g'_j> taken as correctly rounded
+    sums, so each probe scores three terms whatever the history's length.
+    Golden-section search down to an interval of width ``tol`` (or a few ulps
+    of 2/M, where that is wider and the search can shrink no further),
+    followed by one parabola fit through wide-spaced probes (the losses are
+    quadratics, so the vertex refines away the flat-basin rounding noise that
+    limits pure golden-section to roughly sqrt(machine epsilon)). Serves as
+    the independent reference for the closed-form FTRL stepsize; an empty
+    history returns the regularizer's own minimizer 1/M.
     """
-    if alpha <= 0 or M <= 0:
-        raise ValueError("alpha and M must be > 0")
-    stats = [(sq_norm(p.g), float(np.dot(p.g, p.g_prime))) for p in history]
+    check_fields(alpha=alpha, M=M, curvature_scale=curvature_scale)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    sum_sq = sum_inner = 0.0
+    if history:
+        dims = {p.g.shape for p in history}
+        if len(dims) > 1:
+            raise ValueError(f"history pairs must share one shape, got {sorted(dims)}")
+        g = np.array([p.g for p in history])
+        g_prime = np.array([p.g_prime for p in history])
+        sum_sq = math.fsum(row_dot(g, g).tolist())
+        sum_inner = math.fsum(row_dot(g, g_prime).tolist())
     half_curv = 0.5 * curvature_scale * M
 
     def objective(eta: float) -> float:
         diff = eta - 1.0 / M
-        terms = [0.5 * M * alpha * diff * diff]
-        for a_j, b_j in stats:
-            terms.append(half_curv * eta * eta * a_j - eta * b_j)
-        return math.fsum(terms)
+        return math.fsum((0.5 * M * alpha * diff * diff,
+                          half_curv * eta * eta * sum_sq, -eta * sum_inner))
 
-    lo, hi = 0.0, 2.0 / M
+    span = 2.0 / M
+    lo, hi = 0.0, span
+    stop = max(tol, 8.0 * math.ulp(span))
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = objective(c), objective(d)
-    while hi - lo > tol:
+    while hi - lo > stop:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
@@ -85,12 +100,9 @@ def ftrl_argmin_oracle(alpha: float, M: float, history: Sequence[GradientPair],
         # objective(x) - objective(y) in factored form: every term carries the
         # common factor (x - y), so the difference avoids the cancellation
         # that limits direct subtraction of nearby objective values.
-        terms = [0.5 * M * alpha * (x + y - 2.0 / M)]
-        for a_j, b_j in stats:
-            terms.append(half_curv * (x + y) * a_j - b_j)
-        return math.fsum(terms) * (x - y)
+        return math.fsum((0.5 * M * alpha * (x + y - 2.0 / M),
+                          half_curv * (x + y) * sum_sq, -sum_inner)) * (x - y)
 
-    span = 2.0 / M
     h = 0.45 * span
     x1, x3 = max(0.0, guess - h), min(span, guess + h)
     x2 = guess
@@ -225,8 +237,6 @@ def _check_ftrl_closed_form(seed: int) -> CheckResult:
 def _check_gradients(seed: int) -> CheckResult:
     gen = RngStream(seed, 2).generator()
     worst = 0.0
-    from .oracles import rosenbrock_f
-
     for _ in range(100):
         x = gen.uniform(-2.0, 2.0, size=2)
         fd = finite_diff_grad(rosenbrock_f, x, 1e-6)
@@ -234,8 +244,6 @@ def _check_gradients(seed: int) -> CheckResult:
     feats = gen.uniform(-1.0, 1.0, size=(5, 4))
     labels = np.where(gen.uniform(size=5) < 0.5, -1.0, 1.0)
     data = Dataset(feats, labels)
-    from .oracles import sigmoid_loss_f
-
     for _ in range(20):
         x = gen.uniform(-1.0, 1.0, size=4)
         fd = finite_diff_grad(lambda v: sigmoid_loss_f(v, data), x, 1e-6)

@@ -51,7 +51,7 @@ class GradientPair:
             raise ValueError(
                 f"gradient pair dims differ: {self.g.shape} vs {self.g_prime.shape}"
             )
-        if not (np.isfinite(self.g).all() and np.isfinite(self.g_prime).all()):
+        if not np.logical_and.reduce(np.isfinite(self.g) & np.isfinite(self.g_prime), axis=None):
             raise ValueError("gradient pair entries must be finite")
 
     @property

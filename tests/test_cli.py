@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import warnings
 import pytest
 
 from sgdol.cli import cli_main
+from sgdol.diagnostics import run_verification
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -269,6 +272,25 @@ def test_verify_subcommand(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_json_prints_one_object_with_every_check(capsys):
+    code = cli_main(["verify", "--samples", "200", "--seed", "4242", "--json"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    expected = run_verification(seed=4242, mc_samples=200)
+    assert report == {"seed": 4242, "samples": 200, "passed": len(expected),
+                      "total": len(expected),
+                      "checks": [dataclasses.asdict(r) for r in expected]}
+
+
+def test_verify_text_output_is_unchanged_by_the_json_option(capsys):
+    assert cli_main(["verify", "--samples", "200", "--seed", "4242"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    results = run_verification(seed=4242, mc_samples=200)
+    assert lines == [f"PASS  {r.name}: {r.detail}" for r in results] + ["8/8 checks passed"]
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     code = cli_main(["verify", "--samples", samples])
@@ -285,6 +307,18 @@ def test_verify_rejects_a_seed_outside_64_bits(capsys, seed):
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: --seed must be a 64-bit unsigned integer, got {seed}\n"
+
+
+@pytest.mark.parametrize("args, err", [
+    (["--samples", "0"], "error: --samples must be >= 1, got 0\n"),
+    (["--seed", "-1"], "error: --seed must be a 64-bit unsigned integer, got -1\n"),
+], ids=["samples", "seed"])
+def test_verify_json_rejects_bad_arguments_as_text_mode_does(capsys, args, err):
+    code = cli_main(["verify", "--json", *args])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == err
 
 
 @pytest.mark.parametrize("n_features", ["0", "-3"])

@@ -50,20 +50,48 @@ def test_argmin_oracle_matches_closed_form():
 
 def test_argmin_oracle_output_beats_reference_points():
     gen = RngStream(81).generator()
-    for _ in range(20):
-        alpha, M = 1.0, 1.0
+    for curvature_scale in [1.0, 2.0] * 20:
+        alpha = float(gen.choice(np.array([0.1, 1.0, 10.0])))
+        M = float(gen.choice(np.array([0.5, 1.0, 2.0])))
         history = [GradientPair(gen.uniform(-1, 1, 2), gen.uniform(-1, 1, 2))
-                   for _ in range(10)]
+                   for _ in range(int(gen.integers(1, 30)))]
 
         def objective(eta):
-            val = 0.5 * M * alpha * (eta - 1.0 / M) ** 2
+            # One term per past loss, independent of the oracle's summed form.
+            terms = [0.5 * M * alpha * (eta - 1.0 / M) ** 2]
             for p in history:
-                val += 0.5 * M * eta * eta * np.sum(p.g * p.g) - eta * np.sum(p.g * p.g_prime)
-            return val
+                terms.append(0.5 * curvature_scale * M * eta * eta * float(np.sum(p.g * p.g))
+                             - eta * float(np.sum(p.g * p.g_prime)))
+            return math.fsum(terms)
 
-        out = ftrl_argmin_oracle(alpha, M, history)
-        for ref in (0.0, 2.0 / M, 1.0 / M):
-            assert objective(out) <= objective(ref) + 1e-9
+        best = objective(ftrl_argmin_oracle(alpha, M, history, curvature_scale=curvature_scale))
+        for ref in np.linspace(0.0, 2.0 / M, 65).tolist():
+            assert best <= objective(ref) + 1e-12 * abs(objective(ref))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_argmin_oracle_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # With tol=0.0 the search would never end: the interval stalls at one ulp.
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        ftrl_argmin_oracle(1.0, 1.0, [], tol=tol)
+
+
+@pytest.mark.parametrize("curvature_scale", [0.0, -1.0, math.nan, math.inf])
+def test_argmin_oracle_rejects_a_bad_curvature_scale(curvature_scale):
+    with pytest.raises(ValueError, match="curvature_scale: must be"):
+        ftrl_argmin_oracle(1.0, 1.0, [], curvature_scale=curvature_scale)
+
+
+def test_argmin_oracle_rejects_pairs_of_different_dimensions():
+    history = [GradientPair(np.ones(2), np.ones(2)), GradientPair(np.ones(3), np.ones(3))]
+    with pytest.raises(ValueError, match="history pairs must share one shape"):
+        ftrl_argmin_oracle(1.0, 1.0, history)
+
+
+def test_argmin_oracle_ends_where_one_ulp_exceeds_tol():
+    # Near 1/M = 1e6 one ulp is wider than the default tol, so a search
+    # down to tol alone would never end.
+    assert ftrl_argmin_oracle(1.0, 1e-6, []) == pytest.approx(1e6, rel=1e-12)
 
 
 def test_finite_diff_exact_for_affine():

@@ -84,8 +84,21 @@ def test_h1_unbiasedness_and_independence(make_oracle, x):
 def test_gradient_pair_validation():
     with pytest.raises(ValueError):
         GradientPair(np.ones(2), np.ones(3))
-    with pytest.raises(ValueError):
-        GradientPair(np.array([np.nan, 1.0]), np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["g", "g_prime"])
+def test_gradient_pair_rejects_every_non_finite_entry(field, bad):
+    entries = {"g": np.ones(3), "g_prime": np.ones(3)}
+    entries[field][2] = bad
+    with pytest.raises(ValueError, match="gradient pair entries must be finite"):
+        GradientPair(**entries)
+
+
+def test_gradient_pair_accepts_extreme_finite_entries():
+    big = np.finfo(np.float64).max
+    pair = GradientPair(np.array([big, -0.0, 5e-324]), np.array([-big, 0.0, -5e-324]))
+    assert pair.dim == 3
 
 
 def test_quadratic_oracle_metadata():

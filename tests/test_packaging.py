@@ -65,3 +65,14 @@ def _unused_imports(path):
 def test_module_uses_every_name_it_imports(path):
     # The project runs no linter; a dead import is code to read for nothing.
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_module_imports_only_at_top_level(path):
+    # _unused_imports reads the top-level imports alone; one inside a
+    # function would escape it and hide what the module depends on.
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    nested = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+    assert nested == []
