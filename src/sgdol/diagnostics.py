@@ -110,10 +110,14 @@ def ftrl_argmin_oracle(alpha: float, M: float, history: Sequence[GradientPair],
         x2 = 0.5 * (x1 + x3)
     d23 = diff(x2, x3)
     d21 = diff(x2, x1)
-    num = (x2 - x1) ** 2 * d23 - (x2 - x3) ** 2 * d21
-    den = (x2 - x1) * d23 - (x2 - x3) * d21
+    # The offsets in units of a power of two near span, so their squares
+    # cannot overflow at a tiny M; the scaling is exact, so it moves no bit.
+    scale = math.ldexp(1.0, math.frexp(span)[1])
+    a, b = (x2 - x1) / scale, (x2 - x3) / scale
+    num = a * a * d23 - b * b * d21
+    den = a * d23 - b * d21
     if den != 0.0:
-        vertex = min(max(x2 - 0.5 * num / den, 0.0), span)
+        vertex = min(max(x2 - 0.5 * num / den * scale, 0.0), span)
         if diff(vertex, guess) <= 0.0:
             return vertex
     return guess
@@ -121,8 +125,8 @@ def ftrl_argmin_oracle(alpha: float, M: float, history: Sequence[GradientPair],
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
     """Central-difference gradient estimate, one coordinate at a time."""
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and > 0, got {h}")
     grad = np.empty_like(x, dtype=np.float64)
     for i in range(x.shape[0]):
         xp = x.astype(np.float64).copy()

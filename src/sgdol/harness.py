@@ -4,13 +4,14 @@ An experiment is (oracle x optimizer list x T x repetitions x seed). Each
 repetition owns one oracle noise stream shared by every optimizer, so
 optimizers see identical gradient pairs and their series are directly
 comparable; the uniformly sampled output index gets its own stream per
-(optimizer, repetition). Each of the three step loops in ``optimizers``
-steps all of its (optimizer x repetition) runs in one call and draws each
-repetition's noise once for all of them: on the exact quadratic every run
-steps through its own ``update`` in ``_run_updates``; on the exact
-Rosenbrock every kind with a fused kernel runs on it in ``_run_kernels``;
-every other run goes through ``run_lanes``, each repetition's lanes on
-its stream. Averages over repetitions are plain arithmetic means, taken in
+(optimizer, repetition). Each step loop in ``optimizers`` steps all of
+the (optimizer x repetition) runs it takes in one call and draws each
+repetition's noise once for all of them: on the exact Rosenbrock every
+kind with a fused kernel runs on it in ``_run_kernels``, and every other
+run steps through its own ``update`` in the lane loop, each repetition's
+lanes on its stream; on the exact quadratic that loop is called as
+``_run_updates``, which sums a kernel kind's records in index order.
+Averages over repetitions are plain arithmetic means, taken in
 repetition order. CSV output uses shortest round-trip decimals, so
 identical specs produce byte-identical files.
 """
@@ -161,7 +162,8 @@ class ExperimentSpec:
         problems += [f"{name}: must be an integer, got {value!r}"
                      for name, value in (("repetitions", self.repetitions),
                                          ("report_every", self.report_every))
-                     if value is not None and not isinstance(value, numbers.Integral)]
+                     if value is not None and (isinstance(value, bool)
+                                               or not isinstance(value, numbers.Integral))]
         if self.repetitions < 1:
             problems.append(f"repetitions: must be >= 1, got {self.repetitions}")
         if not 0 <= self.seed < 2**64:
@@ -225,9 +227,9 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 
     The start point is all zeros for every oracle. The optimizers that
     ``takes_kernel`` names go through one ``_run_updates`` call on the
-    exact quadratic and one ``_run_kernels`` call on the exact Rosenbrock,
-    and all the others through one ``run_lanes`` call, each call with all
-    repetitions. Files are written only when the spec names an output
+    exact quadratic (the lane loop with the kernels' record sums) and one
+    ``_run_kernels`` call on the exact Rosenbrock, and all the others
+    through one ``run_lanes`` call, each call with all repetitions. Files are written only when the spec names an output
     directory.
     """
     problems = spec.validate()

@@ -73,7 +73,9 @@ class FtrlState:
         keeps numerator and denominator bitwise equal and the result is
         exactly 1/M. A NaN sum gives a NaN stepsize.
         """
-        raw = (self.alpha + self.sum_inner) / (self.alpha + self.curvature_scale * self.sum_sq) / self.M
+        c = self.curvature_scale
+        sq = self.sum_sq if c == 1.0 else c * self.sum_sq  # 1.0 * s is s, bit for bit
+        raw = (self.alpha + self.sum_inner) / (self.alpha + sq) / self.M
         return np.where(raw < 0.0, 0.0, np.minimum(raw, 2.0 / self.M))[()]
 
     def observe_stats(self, inner, g_sq):

@@ -13,38 +13,23 @@ for per-coordinate stepsizes, each with a leading lane axis when stacked.
 An ``Sgdol`` built with ``record_regret=True`` owns an
 ``online.RegretLedger`` of its own rounds, from its first: the ledger's
 running values are optimizer state, which its kernel carries and the lane
-engine stacks like the FTRL sums. The ledger is the only record of the
+loop stacks like the FTRL sums. The ledger is the only record of the
 surrogate losses.
 
-``run`` executes T steps and records the trajectory on one of three
-loops, continuing from whatever state earlier steps left. The loops take
-the same arguments, groups of optimizers with one per oracle stream, so
-``run`` hands a loop one lane and ``harness.run_experiment`` all the
-(optimizer x repetition) runs it takes, each stream's noise drawn once for
-all of them. On the built-in analytic oracles (the exact classes) runs
-step off the lane engine, keeping x_t and the stepsize(s) of each record
-step to compute the records from: on Rosenbrock a kind with a fused
-kernel in ``_kernels`` runs on it in ``_run_kernels``, and on a quadratic
-of any d every kind steps through its own ``update`` in ``_run_updates``.
-Every other run (the momentum variant on Rosenbrock, the dataset oracle,
-user oracles, subclasses of the built-in ones and ``force_generic`` runs)
-goes through the lane engine, ``run_lanes``: it stacks optimizers that
-share a kind and parameters along a lane axis and steps all lanes of all
-groups in one loop.
-
-Two record orders coexist on a quadratic. A kind with a kernel sums f,
-||grad f||^2 and the mean of per-coordinate stepsizes in index order, as
-``tests/reference_kernels.py`` does; the momentum variant has no kernel
-and keeps the engine's records, which numpy sums pairwise from 8
-coordinates up. The ``quad_d100_dense`` benchmark digests pin both orders
-on one d=100 oracle.
-
-The engine asks the oracle only for what ``oracles.StochasticOracle``
-requires of every oracle: ``draw`` (each repetition stream's randomness,
-taken in chunks and shared by the stream's lanes), ``pairs`` at the
-stacked iterates, and f and the exact gradient through ``record_lanes``.
-All paths consume the random streams identically and leave the
-optimizers in the same state, bit for bit.
+``run`` executes T steps and records the trajectory on one of two loops,
+continuing from whatever state earlier steps left. Both take groups of
+optimizers with one per oracle stream, so ``run`` hands a loop one lane
+and ``harness.run_experiment`` all the (optimizer x repetition) runs it
+takes, each stream's noise drawn once for all of them. On the exact
+Rosenbrock class a kind with a fused kernel in ``_kernels`` runs on it in
+``_run_kernels``. Every other run steps through its own ``update`` in the
+numpy lane loop, ``run_lanes``, which asks the oracle only for what
+``oracles.StochasticOracle`` requires of every oracle: ``draw``,
+``pairs`` and ``record_lanes``. On the exact quadratic class the loop runs
+as ``_run_updates``, where a kind with a kernel sums its records in index
+order, as the kernels' reference does. All paths consume the random
+streams identically and leave the optimizers in the same state, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -468,12 +453,13 @@ class RunResult:
 
 def takes_kernel(optimizer: Optimizer, oracle: StochasticOracle,
                  force_generic: bool = False) -> bool:
-    """Whether ``run`` steps this optimizer on this oracle off the lane engine.
+    """Whether ``run`` steps this optimizer on this oracle with the kernels' sums.
 
     It does on a built-in analytic oracle (the exact class, as a subclass
-    may redefine the objective): every kind on a quadratic, in
-    ``_run_updates``, and a kind with a fused kernel on Rosenbrock, in
-    ``_run_kernels``. Every other run goes through ``run_lanes``.
+    may redefine the objective): a kind with a fused kernel on Rosenbrock,
+    in ``_run_kernels``, and every kind on a quadratic, in ``_run_updates``,
+    the lane loop with index-order records. Every other run goes through
+    ``run_lanes``.
     """
     return not force_generic and (type(oracle) is QuadraticOracle or (
         optimizer.kernel is not None and type(oracle) is RosenbrockOracle))
@@ -484,7 +470,8 @@ def _schedule(groups, oracle, T, rngs, output_rngs, report_every):
     if any(len(group) != len(rngs) for group in groups):
         raise ValueError("every group needs one optimizer per oracle stream")
     for name, value in (("T", T), ("report_every", report_every)):
-        if value is not None and not isinstance(value, numbers.Integral):
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Integral)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -579,7 +566,7 @@ def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
             opt.x = np.array(xs[j])
             for attr, value in zip(opt.state, args[j][len(opt.params):]):
                 _set_attr(opt, attr, np.array(value) if isinstance(value, tuple) else value)
-            # The records from the stored x_t and stepsizes, as the lane engine makes them.
+            # The records from the stored x_t and stepsizes, as the lane loop makes them.
             rec = np.frombuffer(rows[j]).reshape(len(t), -1)
             eta = rec[:, 2:]
             w = eta.shape[1]
@@ -590,105 +577,6 @@ def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
                                   stepsize_coords=eta.copy() if w > 1 else None)
             results[j][r] = RunResult(traj, ks[j][r], np.array(x_ks[j]), opt.x.copy())
     return results
-
-
-def _index_sum(rows):
-    """Each row of ``rows`` summed in index order, in place.
-
-    accumulate adds strictly in sequence, where np.sum adds pairwise from 8
-    elements up, and + 0.0 turns the -0.0 of an all-(-0.0) row into the 0.0
-    that a 0.0 seed gives.
-    """
-    return np.add.accumulate(rows, axis=-1, out=rows)[..., -1] + 0.0
-
-
-def _run_updates(groups, oracle, T, rngs, output_rngs, report_every=None):
-    """``run_lanes`` on an exact ``QuadraticOracle``, off the engine.
-
-    Takes ``run_lanes``' arguments and returns its results. Each stream's
-    noise is drawn a chunk at a time, once for all groups, and each group
-    steps its stacked lanes through its own ``update`` on g = diag * x +
-    sigma * noise. At the end of each chunk the records of its record steps
-    are computed from the x_t kept, into per-group arrays that each
-    ``Trajectory`` views. A kind with a kernel sums its records in index
-    order and overflows silently; a kind without one records, and raises on
-    a non-finite pair, as the engine does (see the module docstring).
-    """
-    stride, ks, captures = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
-    if not groups:
-        return []
-    diag, sigma, d = oracle.diag, oracle.sigma, oracle.dim
-    gens = [rng.generator() for rng in rngs]
-    # One lane steps unstacked, on (d,) arrays, where numpy's calls cost less.
-    stacks = [_stack(group) if len(group) > 1 else group[0] for group in groups]
-    n_rec, R = len(range(0, T, stride)), len(rngs)
-    # Per group: f, ||grad f||^2, the (mean) stepsize and the per-coordinate stepsizes.
-    recs = [(np.empty((R, n_rec)), np.empty((R, n_rec)), np.empty((R, n_rec)),
-             np.empty((R, n_rec, d)) if isinstance(lanes, (SgdolCoord, AdaGradCoord)) else None)
-            for lanes in stacks]
-    loops = [(lanes, lanes.kernel is None, [], []) for lanes in stacks]
-    x_k = {}
-
-    def draw(n):  # (n, 2, R, d) by step, pair entry, stream; (n, 2, d) for one stream
-        noise = [oracle.draw(gen, n) for gen in gens]
-        return np.stack(noise, axis=2) if len(noise) > 1 else noise[0]
-    try:
-        # Overflow is silent, as in the kernels and the engine.
-        with np.errstate(all="ignore"):
-            for c0, chunk in _kernels._chunks(draw, T, d):
-                for t0, u in enumerate(chunk * sigma, c0):
-                    for i, r in captures.get(t0 + 1, ()):
-                        x_k[i, r] = stacks[i].x.reshape(-1, d)[r].copy()
-                    record = t0 % stride == 0
-                    for lanes, engine, x_rows, eta_rows in loops:
-                        x = lanes.x
-                        g = diag * x + u  # g, then g', of each lane
-                        if engine and not np.isfinite(g).all():
-                            raise ValueError("gradient pair entries must be finite")
-                        eta = lanes.update(g[0], g[1])
-                        if record:  # update rebinds lanes.x, so x keeps x_t
-                            x_rows.append(x)
-                            eta_rows.append(eta)
-                r0 = -(-c0 // stride)  # the chunk's first record
-                for (_, engine, x_rows, eta_rows), (f, gsq, mean, coords) in zip(loops, recs):
-                    if not x_rows:
-                        continue
-                    cut = slice(r0, r0 + len(x_rows))
-                    xs = np.concatenate(x_rows).reshape(len(x_rows), -1, d)
-                    etas = np.array(eta_rows)
-                    x_rows.clear()
-                    eta_rows.clear()
-                    if engine:
-                        f_rows, grad = oracle.record_lanes(xs)
-                        gsq[:, cut] = row_dot(grad, grad).T
-                    else:
-                        grad = diag * xs
-                        grad *= grad
-                        gsq[:, cut] = _index_sum(grad).T
-                        xs *= xs
-                        xs *= diag
-                        f_rows = 0.5 * _index_sum(xs)
-                    f[:, cut] = f_rows.T
-                    if coords is not None:
-                        etas = etas.reshape(xs.shape)
-                        coords[:, cut] = etas.swapaxes(0, 1)
-                        etas = _index_sum(etas) / d
-                    mean[:, cut] = etas.T
-    finally:
-        for lanes, group in zip(stacks, groups):
-            if lanes is not group[0]:
-                _unstack(lanes, group)
-    rec_t = np.arange(1, T + 1, stride, dtype=np.int64)
-    return [[RunResult(Trajectory(rec_t.copy(), f[r], gsq[r], mean[r],
-                                  stepsize_coords=None if coords is None else coords[r]),
-                       ks[i][r], x_k[i, r], optimizer.x.copy())
-             for r, optimizer in enumerate(group)]
-            for i, (group, (f, gsq, mean, coords)) in enumerate(zip(groups, recs))]
-
-
-# Pairs drawn ahead from each oracle stream at a time: 64 pairs of two
-# 50-row minibatches are 51 kB of indices, of d=100 Gaussian noise 102 kB.
-_DRAW_CHUNK = 64
 
 
 def _clone(obj):
@@ -727,6 +615,115 @@ def _unstack(lanes: Optimizer, optimizers: Sequence[Optimizer]):
             _set_attr(optimizer, attr, value.copy() if value.ndim else value.item())
 
 
+def _index_sum(rows):
+    """Each row of ``rows`` summed in index order, in place.
+
+    accumulate adds strictly in sequence, where np.sum adds pairwise from 8
+    elements up, and + 0.0 turns the -0.0 of an all-(-0.0) row into the 0.0
+    that a 0.0 seed gives.
+    """
+    return np.add.accumulate(rows, axis=-1, out=rows)[..., -1] + 0.0
+
+
+def _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order):
+    """``run_lanes``; with ``index_order``, ``_run_updates``."""
+    stride, ks, captures = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
+    if not groups:
+        return []
+    gens = [rng.generator() for rng in rngs]
+    R, d = len(rngs), oracle.dim
+    # A lone lane steps unstacked, on (d,) arrays, where numpy's calls cost less.
+    stacks = [_stack(group) if R > 1 else group[0] for group in groups]
+    in_order = [index_order and lanes.kernel is not None for lanes in stacks]
+    # The part of each step's pairs checked for finiteness: all, some groups'
+    # or none; one group's by its index, so the check reads a view.
+    checked = [i for i, ordered in enumerate(in_order) if not ordered]
+    check = (... if len(checked) == len(stacks) else None if not checked
+             else checked[0] if len(checked) == 1 else checked)
+    n_rec = len(range(0, T, stride))
+    # Per group: f, ||grad f||^2, the (mean) stepsize and the per-coordinate stepsizes.
+    recs = [(np.empty((R, n_rec)), np.empty((R, n_rec)), np.empty((R, n_rec)),
+             np.empty((R, n_rec, d)) if isinstance(lanes, (SgdolCoord, AdaGradCoord)) else None)
+            for lanes in stacks]
+    loops = [(lanes, [], []) for lanes in stacks]
+    one = len(stacks) == 1
+    x_k = {}
+
+    def draw(n):
+        # (n, R, *entry), laid out by step, pair entry, then stream: numpy
+        # keeps that layout in pairs made by adding noise, whose g and g'
+        # rows are then contiguous. One stream's draw as it comes.
+        noise = [oracle.draw(gen, n) for gen in gens]
+        if R == 1:
+            return noise[0]
+        axis = min(2, noise[0].ndim)
+        return np.stack(noise, axis=axis).swapaxes(1, axis)
+    try:
+        # Overflow is silent, as in the kernels; a checked non-finite pair raises.
+        with np.errstate(all="ignore"):
+            for c0, chunk in _kernels._chunks(draw, T, d):
+                for t0, noise in enumerate(chunk, c0):
+                    for i, r in captures.get(t0 + 1, ()):
+                        x_k[i, r] = stacks[i].x.reshape(-1, d)[r].copy()
+                    X = stacks[0].x if one else np.array([lanes.x for lanes in stacks])
+                    pairs = oracle.pairs(X, noise)
+                    if check is not None and not np.isfinite(pairs[check]).all():
+                        raise ValueError("gradient pair entries must be finite")
+                    if R > 1:  # each group's g, then g', as contiguous (R, d) rows
+                        pairs = np.ascontiguousarray(pairs.swapaxes(-3, -2))
+                    record = t0 % stride == 0
+                    for (lanes, x_rows, eta_rows), p in zip(loops, (pairs,) if one else pairs):
+                        x = lanes.x
+                        eta = lanes.update(p[0], p[1])
+                        if record:  # update rebinds lanes.x, so x keeps x_t
+                            x_rows.append(x)
+                            eta_rows.append(eta)
+                r0 = -(-c0 // stride)  # the chunk's first record
+                for (_, x_rows, eta_rows), ordered, (f, gsq, mean, coords) in zip(
+                        loops, in_order, recs):
+                    if not x_rows:
+                        continue
+                    cut = slice(r0, r0 + len(x_rows))
+                    xs = np.concatenate(x_rows).reshape(len(x_rows), -1, d)
+                    etas = np.array(eta_rows)
+                    x_rows.clear()
+                    eta_rows.clear()
+                    total = _index_sum if ordered else functools.partial(np.add.reduce, axis=-1)
+                    if ordered:  # f = 0.5 * sum(diag * x^2) in index order
+                        grad = oracle.grad_lanes(xs)
+                        f_rows = 0.5 * _index_sum(oracle.diag * (xs * xs))
+                    else:
+                        f_rows, grad = oracle.record_lanes(xs)
+                    f[:, cut] = f_rows.T
+                    gsq[:, cut] = total(grad * grad).T
+                    if coords is not None:
+                        etas = etas.reshape(xs.shape)
+                        coords[:, cut] = etas.swapaxes(0, 1)
+                        etas = total(etas) / d
+                    mean[:, cut] = etas.T
+    finally:
+        # Even when a lane diverges, each optimizer keeps the steps taken.
+        for lanes, group in zip(stacks, groups):
+            if lanes is not group[0]:
+                _unstack(lanes, group)
+    rec_t = np.arange(1, T + 1, stride, dtype=np.int64)
+    return [[RunResult(Trajectory(rec_t.copy(), f[r], gsq[r], mean[r],
+                                  stepsize_coords=None if coords is None else coords[r]),
+                       ks[i][r], x_k[i, r], optimizer.x.copy())
+             for r, optimizer in enumerate(group)]
+            for i, (group, (f, gsq, mean, coords)) in enumerate(zip(groups, recs))]
+
+
+def _run_updates(groups, oracle, T, rngs, output_rngs, report_every=None):
+    """``run_lanes`` on an exact ``QuadraticOracle``, with the kernels' record sums.
+
+    A kind with a kernel sums f, ||grad f||^2 and its mean per-coordinate
+    stepsize in index order and overflows silently; the momentum variant
+    records, and raises on a non-finite pair, as ``run_lanes`` does.
+    """
+    return _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order=True)
+
+
 def run_lanes(
     groups: Sequence[Sequence[Optimizer]],
     oracle: StochasticOracle,
@@ -741,72 +738,14 @@ def run_lanes(
     shared with the r-th optimizer of every other group, and its output
     index from ``output_rngs[i][r]``. The optimizers of one group share a
     kind and parameters (``ValueError`` otherwise); their iterates and state
-    may differ. Returns
-    ``results[i][r]``, equal bit for bit to ``run(groups[i][r], oracle, T,
-    rngs[r], report_every, output_rng=output_rngs[i][r],
-    force_generic=True)``, and leaves each optimizer in the state that run
-    would.
+    may differ. Returns ``results[i][r]``, equal bit for bit to
+    ``run(groups[i][r], oracle, T, rngs[r], report_every,
+    output_rng=output_rngs[i][r], force_generic=True)``, and leaves each
+    optimizer in the state that run would.
 
-    Each step stacks the iterates of the G groups of R lanes as X of shape
-    (G, R, d), records f and ||grad f||^2 at X on record steps, gets every
-    pair from one ``oracle.pairs`` call and applies each group's ``update``
-    to its lanes.
+    Noise is drawn a chunk at a time (``_kernels._chunks``). Each step takes
+    every lane's pair from one ``oracle.pairs`` call, raises on a non-finite
+    one and applies each group's ``update`` (on (d,) arrays for one stream);
+    ``oracle.record_lanes`` turns each chunk's kept x_t into records.
     """
-    stride, ks, captures = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
-    if not groups:
-        return []
-    gens = [rng.generator() for rng in rngs]
-    stacks = [_stack(group) for group in groups]
-    coord = [isinstance(s, (SgdolCoord, AdaGradCoord)) for s in stacks]
-    n_groups, n_streams = len(groups), len(rngs)
-    n_rec = (T + stride - 1) // stride
-    shape = (n_rec, n_groups, n_streams)
-    rec_f = np.empty(shape)
-    rec_gsq = np.empty(shape)
-    rec_eta = np.empty(shape)
-    rec_coords = [np.empty((n_rec, n_streams, oracle.dim)) if c else None for c in coord]
-    x_k = {}
-
-    try:
-        # Overflow is silent, as in the kernels and _run_updates; a
-        # non-finite pair still raises below.
-        with np.errstate(all="ignore"):
-            for t in range(1, T + 1):
-                j = (t - 1) % _DRAW_CHUNK
-                if j == 0:
-                    n = min(_DRAW_CHUNK, T - t + 1)
-                    draws = np.stack([oracle.draw(gen, n) for gen in gens], axis=1)
-                X = np.array([lanes.x for lanes in stacks])
-                for i, r in captures.get(t, ()):
-                    x_k[i, r] = X[i, r].copy()
-                ri, off = divmod(t - 1, stride)
-                record = off == 0
-                if record:
-                    rec_f[ri], grad = oracle.record_lanes(X)
-                    rec_gsq[ri] = row_dot(grad, grad)
-                pairs = oracle.pairs(X, draws[j])
-                if not np.isfinite(pairs).all():
-                    raise ValueError("gradient pair entries must be finite")
-                for i, lanes in enumerate(stacks):
-                    eta = lanes.update(pairs[i, :, 0], pairs[i, :, 1])
-                    if record:
-                        if coord[i]:
-                            rec_coords[i][ri] = eta
-                            eta = np.add.reduce(eta, axis=-1) / oracle.dim  # np.mean
-                        rec_eta[ri, i] = eta
-    finally:
-        # Even when a lane diverges, each optimizer keeps the steps taken.
-        for lanes, group in zip(stacks, groups):
-            _unstack(lanes, group)
-
-    rec_t = np.arange(1, T + 1, stride, dtype=np.int64)
-    series = (rec_f, rec_gsq, rec_eta)
-    results = []
-    for i, group in enumerate(groups):
-        results.append([
-            RunResult(Trajectory(rec_t.copy(), *(s[:, i, r].copy() for s in series),
-                                 stepsize_coords=None if rec_coords[i] is None
-                                 else rec_coords[i][:, r].copy()),
-                      ks[i][r], x_k[i, r], optimizer.x.copy())
-            for r, optimizer in enumerate(group)])
-    return results
+    return _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order=False)

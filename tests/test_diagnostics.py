@@ -90,8 +90,16 @@ def test_argmin_oracle_rejects_pairs_of_different_dimensions():
 
 def test_argmin_oracle_ends_where_one_ulp_exceeds_tol():
     # Near 1/M = 1e6 one ulp is wider than the default tol, so a search
-    # down to tol alone would never end.
-    assert ftrl_argmin_oracle(1.0, 1e-6, []) == pytest.approx(1e6, rel=1e-12)
+    # down to tol alone would never end. From M = 1e-160 on, the parabola
+    # step's squared offsets would overflow unless scaled.
+    for M in (1e-6, 1e-160, 1e-300):
+        assert ftrl_argmin_oracle(1.0, M, []) == pytest.approx(1.0 / M, rel=1e-12), M
+    g = np.array([1.0, 2.0])
+    history = [GradientPair(g, 0.5 * g)] * 3
+    ftrl = FtrlState(alpha=1.0, M=1e-160)
+    for pair in history:
+        ftrl.observe_stats(float(pair.g @ pair.g_prime), float(pair.g @ pair.g))
+    assert ftrl_argmin_oracle(1.0, 1e-160, history) == pytest.approx(ftrl.stepsize(), rel=1e-12)
 
 
 def test_finite_diff_exact_for_affine():
@@ -111,8 +119,9 @@ def test_finite_diff_quadratic_near_exact():
 
 
 def test_finite_diff_rejects_bad_h():
-    with pytest.raises(ValueError):
-        finite_diff_grad(rosenbrock_f, np.zeros(2), 0.0)
+    for h in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            finite_diff_grad(rosenbrock_f, np.zeros(2), h)
 
 
 def test_surrogate_bound_zero_noise_deterministic_pass():

@@ -222,6 +222,10 @@ def test_validation_requires_integer_counts():
         assert any(p.startswith(f"{name}: must be an integer") for p in problems), problems
     with pytest.raises(ConfigError):
         run_experiment(_spec(report_every=2.5))
+    # A bool is not a count, as field_problems already holds for T.
+    problems = _spec(repetitions=True, report_every=True).validate()
+    for name in ("repetitions", "report_every"):
+        assert any(p.startswith(f"{name}: must be an integer") for p in problems), problems
 
 
 @pytest.mark.parametrize("T", [10.5, True])

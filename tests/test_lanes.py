@@ -27,9 +27,12 @@ from sgdol import (
     StochasticOracle,
     run,
 )
-from sgdol.optimizers import _DRAW_CHUNK, OPTIMIZER_KINDS, run_lanes
+from sgdol._kernels import _CHUNK_FLOATS
+from sgdol.optimizers import OPTIMIZER_KINDS, run_lanes
 
-T = _DRAW_CHUNK + 77  # one chunk boundary, and a last chunk that is cut short
+# The steps of one 2-D noise chunk, plus 77: a chunk boundary in every case,
+# and a last chunk that is cut short.
+T = _CHUNK_FLOATS // (2 * 2) + 77
 STREAMS = 2
 
 
@@ -101,11 +104,14 @@ def test_engine_leaves_each_optimizer_in_the_reference_state(kind, synthetic500)
 
 
 def test_single_run_matches_the_reference_loop(synthetic500):
-    oracle = SigmoidLossOracle(synthetic500, batch_size=50)
-    for cfg in _configs(oracle.smoothness, 1.0 / oracle.smoothness).values():
-        opt = cfg.build(np.zeros(oracle.dim))
-        expected = reference_run(opt, oracle, 150, RngStream(41), report_every=7)
-        assert trajectories_equal(run(opt, oracle, 150, RngStream(41), report_every=7), expected)
+    # One lane steps unstacked, so the full batch's pairs get a lone (d,) point.
+    for batch in (50, 1, None):
+        oracle = _sigmoid(batch)(synthetic500)
+        for cfg in _configs(oracle.smoothness, 1.0 / oracle.smoothness).values():
+            opt = cfg.build(np.zeros(oracle.dim))
+            expected = reference_run(opt, oracle, 150, RngStream(41), report_every=7)
+            got = run(opt, oracle, 150, RngStream(41), report_every=7)
+            assert trajectories_equal(got, expected), (batch, cfg.kind)
 
 
 def _ledger_bits(optimizer):

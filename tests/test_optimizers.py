@@ -228,9 +228,12 @@ def test_run_validates_arguments():
                                   lambda: SgdolMomentum(np.zeros(2), M=1002.0)],
                          ids=["kernel", "engine"])
 @pytest.mark.parametrize("name, kwargs", [("T", dict(T=10.0)),
-                                          ("report_every", dict(T=10, report_every=2.5))])
+                                          ("report_every", dict(T=10, report_every=2.5)),
+                                          ("T", dict(T=True)),
+                                          ("report_every", dict(T=10, report_every=True))])
 def test_run_refuses_a_non_integer_horizon_or_stride(make, name, kwargs):
-    # report_every=2.5 recorded t = 1, 3, 5, ... and T=10.0 failed inside a loop.
+    # report_every=2.5 recorded t = 1, 3, 5, ... and T=10.0 failed inside a
+    # loop; T=True ran one step.
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         run(make(), RosenbrockOracle(), rng=RngStream(1), **kwargs)
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
