@@ -11,6 +11,7 @@ rate on PL quadratics. All checks are deterministic given their seeds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
@@ -148,9 +149,18 @@ class SurrogateBoundVerdict:
     passed: bool
 
 
-# Pairs drawn and evaluated at a time: 1024 pairs of two 50-row minibatches
-# over 21 features gather 17 MB of rows.
+# Pairs drawn and evaluated at a time. The dataset oracle evaluates them in
+# blocks of its own, so a chunk's temporaries stay small: on the 500-row
+# fixture the whole check peaks at 1.1-3.2 MB for B = 1, 50 and 500.
 _MC_CHUNK = 1024
+
+
+def _check_count(name: str, value):
+    """Raise ValueError unless ``value`` is an integer >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def surrogate_bound_check(oracle: StochasticOracle, x: np.ndarray, eta: float,
@@ -165,8 +175,9 @@ def surrogate_bound_check(oracle: StochasticOracle, x: np.ndarray, eta: float,
     """
     if oracle.smoothness is None:
         raise ValueError("surrogate_bound_check needs the oracle's smoothness constant")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
+    _check_count("N", N)
     gen = rng.generator()
     M = oracle.smoothness
     f0 = oracle.f(x)
@@ -191,8 +202,7 @@ def smoothness_probe(grad: Callable[[np.ndarray], np.ndarray],
                      sample_point: Callable[[np.random.Generator], np.ndarray],
                      pairs: int, rng: RngStream) -> float:
     """Max gradient-difference ratio over sampled pairs: a lower bound on M."""
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
+    _check_count("pairs", pairs)
     gen = rng.generator()
     best = 0.0
     for _ in range(pairs):

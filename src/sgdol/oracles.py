@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator
 
-from .core import vector
+from .core import check_fields, vector
 
 __all__ = [
     "GradientPair",
@@ -201,6 +201,7 @@ class RosenbrockOracle(_AnalyticNoiseOracle):
 
     def __init__(self, sigma: float = 0.0, smoothness: float = 1002.0):
         super().__init__(2, sigma)
+        check_fields(M=smoothness)
         self.smoothness = smoothness
 
     def f_lanes(self, X: np.ndarray) -> np.ndarray:
@@ -319,11 +320,33 @@ def _grad_from_weights(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     return np.matmul(w[..., None, :], features)[..., 0, :] / features.shape[-2]
 
 
-# Residuals per block of ``SigmoidLossOracle.record_lanes``. On the 500-row
-# fixture, a lane loop's records took as long in blocks of 16 points (64 kB
-# temporaries) as one call per record step, and 13-21% longer in blocks of
-# 32 or 2 points.
+# The dataset oracle evaluates stacked query points a block at a time
+# (``_blockwise``), so its temporaries stay small however many points come:
+# f, the gradient and the records take ``_RECORD_RESIDUALS // rows`` points
+# a block (16 on the 500-row fixture, 64 kB of residuals); ``pairs`` takes as
+# many streams as gather at most ``_PAIR_FLOATS`` floats of minibatch rows
+# (62 at B=50 over 21 features). On the 500-row fixture a lane loop's
+# records took as long in blocks of 16 points as one call per record step,
+# and 13-21% longer in blocks of 32 or 2 points. The Monte Carlo check took
+# 1.3-2.7 times as long when it evaluated its 1024-pair chunks whole.
 _RECORD_RESIDUALS = 8192
+_PAIR_FLOATS = 1 << 17
+
+
+def _blockwise(block, n, size, shapes, axis=0):
+    """The arrays of ``shapes`` from ``block(lo, hi)``, their items lo:hi, ``size`` at a time.
+
+    The n items lie on ``axis`` of every array. One block is
+    ``block(0, n)`` as it comes, with no copy.
+    """
+    if n <= size:
+        return block(0, n)
+    outs = tuple(np.empty(shape) for shape in shapes)
+    for lo in range(0, n, size):
+        items = (slice(None),) * axis + (slice(lo, lo + size),)
+        for out, part in zip(outs, block(lo, lo + size)):
+            out[items] = part
+    return outs
 
 
 class SigmoidLossOracle(StochasticOracle):
@@ -333,7 +356,9 @@ class SigmoidLossOracle(StochasticOracle):
     i.i.d. with replacement, so the two halves are independent and unbiased.
     batch_size equal to the dataset size short-circuits to the deterministic
     full-batch gradient for both halves (zero sampling noise) and draws
-    nothing.
+    nothing. Every stacked method evaluates its points in blocks
+    (``_blockwise``), each row by the same stacked gemv, so the blocks move
+    no bit.
     """
 
     def __init__(self, data: Dataset, batch_size: int, smoothness: Optional[float] = None):
@@ -346,32 +371,45 @@ class SigmoidLossOracle(StochasticOracle):
             # Global Hessian bound: |phi''| <= 2 and Hessian = mean of
             # phi''(r_i) * a_i a_i^T over rows.
             smoothness = 2.0 * float(np.mean(np.sum(data.features**2, axis=1)))
+        check_fields(M=smoothness)
         self.smoothness = smoothness
+        self._block_points = max(1, _RECORD_RESIDUALS // len(data))
+        self._block_streams = max(1, _PAIR_FLOATS // (2 * batch_size * self.dim))
 
     @property
     def full_batch(self) -> bool:
         return self.batch_size == len(self.data)
 
+    def _by_points(self, X: np.ndarray, block, *tails):
+        """``block`` over the rows of X, shape (..., dim), a block of points at a time.
+
+        ``block`` maps stacked points (n, dim) to one array per tail, shaped
+        (n, *tail); each comes back shaped (..., *tail).
+        """
+        points = X.reshape(-1, self.dim)
+        n = len(points)
+        outs = _blockwise(lambda lo, hi: block(points[lo:hi]), n, self._block_points,
+                          [(n,) + tail for tail in tails])
+        return [out.reshape(X.shape[:-1] + tail)[()] for out, tail in zip(outs, tails)]
+
     def f_lanes(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid_loss_f(X, self.data)
+        return self._by_points(X, lambda P: (sigmoid_loss_f(P, self.data),), ())[0]
 
     def grad_lanes(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid_loss_grad(X, self.data.features, self.data.labels)
+        return self._by_points(
+            X, lambda P: (sigmoid_loss_grad(P, self.data.features, self.data.labels),),
+            (self.dim,))[0]
 
     def record_lanes(self, X: np.ndarray):
         # f and grad share the residuals r and 1 + r^2, which both would
         # compute alike: phi(r) = r^2 / (1 + r^2), phi'(r) = 2r / (1 + r^2)^2.
-        # They are taken a block of points at a time (``_RECORD_RESIDUALS``).
-        points = X.reshape(-1, self.dim)
-        f, grad = np.empty(len(points)), np.empty(points.shape)
-        n = max(1, _RECORD_RESIDUALS // len(self.data))
-        for lo in range(0, len(points), n):
-            r = _residuals(points[lo:lo + n], self.data.features, self.data.labels)
+        def block(P):
+            r = _residuals(P, self.data.features, self.data.labels)
             t2 = r * r
             den = 1.0 + t2
-            f[lo:lo + n] = np.add.reduce(np.divide(t2, den, out=t2), axis=-1) / len(self.data)
-            grad[lo:lo + n] = _grad_from_weights(2.0 * r / (den * den), self.data.features)
-        return f.reshape(X.shape[:-1])[()], grad.reshape(X.shape)
+            return (np.add.reduce(np.divide(t2, den, out=t2), axis=-1) / len(self.data),
+                    _grad_from_weights(2.0 * r / (den * den), self.data.features))
+        return tuple(self._by_points(X, block, (), (self.dim,)))
 
     def draw(self, rng: Generator, n: int) -> np.ndarray:
         """Row indices of both minibatches of each pair, shape (n, 2, batch_size)."""
@@ -384,10 +422,22 @@ class SigmoidLossOracle(StochasticOracle):
             g = self.grad_lanes(X)[..., None, :]
             lanes = np.broadcast_shapes(g.shape[:-2], noise.shape[:-1])
             return np.broadcast_to(g, lanes + (2, self.dim)).copy()
+        # One entry alone, read by every row of X, or few enough streams
+        # for one block: the lane loop's every step.
+        if noise.ndim < 3 or len(noise) <= self._block_streams:
+            return self._minibatch_grads(X, noise)
+        # Blocks of streams, on the stream axis of X unless one point is shared.
+        lanes = X.shape[:-1] if X.ndim > 1 else noise.shape[:1]
+        return _blockwise(
+            lambda lo, hi: (self._minibatch_grads(X if X.ndim == 1 else X[..., lo:hi, :],
+                                                  noise[lo:hi]),),
+            len(noise), self._block_streams, [lanes + (2, self.dim)], axis=len(lanes) - 1)[0]
+
+    def _minibatch_grads(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # Rows are gathered once per stream and broadcast over its lanes;
         # take gathers them in about 60% of the time of fancy indexing.
-        return sigmoid_loss_grad(X[..., None, :], self.data.features.take(noise, axis=0),
-                                 self.data.labels.take(noise))
+        return sigmoid_loss_grad(X[..., None, :], self.data.features.take(rows, axis=0),
+                                 self.data.labels.take(rows))
 
 
 # ----------------------------------------------------------------------------

@@ -175,9 +175,11 @@ def test_chunked_surrogate_bound_equals_one_draw(case, synthetic500):
     assert v.n == N and v.passed
 
 
-def test_surrogate_bound_memory_does_not_grow_with_N(synthetic500):
-    # Every pair's two 50-row minibatches held at once took 141 MB here.
-    oracle = SigmoidLossOracle(synthetic500, batch_size=50)
+@pytest.mark.parametrize("batch", [1, 50, 500])  # 500: the full batch
+def test_surrogate_bound_memory_does_not_grow_with_N(batch, synthetic500):
+    # Every pair's two 50-row minibatches held at once took 141 MB here, and
+    # a chunk's 1024 points evaluated at once 13-23 MB; in blocks, 1-3.2 MB.
+    oracle = SigmoidLossOracle(synthetic500, batch_size=batch)
     x = np.zeros(synthetic500.n_features)
     tracemalloc.start()
     try:
@@ -185,13 +187,38 @@ def test_surrogate_bound_memory_does_not_grow_with_N(synthetic500):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32e6
+    assert peak <= 8e6
 
 
 @pytest.mark.parametrize("N", [0, -5])
 def test_surrogate_bound_requires_a_sample(N):
     with pytest.raises(ValueError, match="N must be >= 1"):
         surrogate_bound_check(RosenbrockOracle(sigma=1.0), np.zeros(2), 1e-3, N, RngStream(84))
+
+
+@pytest.mark.parametrize("N", [10.0, 2.5, True, "10"])
+def test_surrogate_bound_requires_an_integer_sample_count(N):
+    with pytest.raises(ValueError, match="N must be an integer"):
+        surrogate_bound_check(RosenbrockOracle(sigma=1.0), np.zeros(2), 1e-3, N, RngStream(84))
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+def test_surrogate_bound_requires_a_finite_stepsize(eta):
+    with pytest.raises(ValueError, match="eta must be finite"):
+        surrogate_bound_check(RosenbrockOracle(sigma=1.0), np.zeros(2), eta, 10, RngStream(84))
+
+
+def test_surrogate_bound_takes_a_numpy_integer_count():
+    v = surrogate_bound_check(RosenbrockOracle(sigma=1.0), np.zeros(2), 1e-3, np.int64(10),
+                              RngStream(84))
+    assert v.n == 10
+
+
+@pytest.mark.parametrize("pairs, message", [(2.5, "an integer"), (True, "an integer"),
+                                            (0, ">= 1")])
+def test_smoothness_probe_requires_a_positive_integer_pair_count(pairs, message):
+    with pytest.raises(ValueError, match=f"pairs must be {message}"):
+        smoothness_probe(lambda x: x, lambda gen: gen.uniform(size=2), pairs, RngStream(85))
 
 
 def test_smoothness_probe_linear_field_exact():

@@ -120,6 +120,22 @@ def test_non_finite_noise_level_is_rejected(make, per_coord, bad):
         make(np.array([1.0, bad]) if per_coord else bad)
 
 
+@pytest.mark.parametrize("M", [0.0, -1.0, np.nan, np.inf], ids=["zero", "neg", "nan", "inf"])
+@pytest.mark.parametrize("make", [lambda M: RosenbrockOracle(smoothness=M),
+                                  lambda M: SigmoidLossOracle(
+                                      Dataset(np.eye(2), np.ones(2)), 1, smoothness=M)],
+                         ids=["rosenbrock", "sigmoid"])
+def test_bad_smoothness_is_rejected(make, M):
+    # With M = 0 the surrogate bound check passed whatever the oracle did.
+    with pytest.raises(ValueError, match="M: must be"):
+        make(M)
+
+
+def test_sigmoid_default_smoothness_needs_a_nonzero_feature():
+    with pytest.raises(ValueError, match="M: must be > 0"):
+        SigmoidLossOracle(Dataset(np.zeros((2, 2)), np.ones(2)), 1)
+
+
 # ---------------------------------------------------------------------------
 # sigmoid-type classification loss
 # ---------------------------------------------------------------------------
