@@ -14,13 +14,11 @@ from .optimizers import (
     Sgdol,
     SgdolCoord,
     SgdolMomentum,
-    StepReport,
     run,
     run_lanes,
 )
 from .oracles import (
     Dataset,
-    GradientPair,
     LibsvmParseError,
     QuadraticOracle,
     RosenbrockOracle,

@@ -21,9 +21,15 @@ __all__ = [
     "Trajectory",
     "field_problems",
     "check_fields",
+    "is_integer",
 ]
 
 _U64 = np.uint64
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def vector(entries) -> np.ndarray:
@@ -78,8 +84,7 @@ _FIELD_RANGES = {
     "eps": (lambda v: v > 0, "must be > 0"),
     "curvature_scale": (lambda v: v > 0, "must be > 0"),
     "sigma": (lambda v: v >= 0, "must be >= 0"),
-    "T": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
-          "must be an integer >= 1"),
+    "T": (lambda v: is_integer(v) and v >= 1, "must be an integer >= 1"),
     "f_gap": (lambda v: v >= 0, "must be >= 0"),
 }
 
@@ -138,7 +143,9 @@ class RngStream:
     def __post_init__(self):
         for name in ("seed", "stream_id"):
             v = getattr(self, name)
-            if not 0 <= int(v) < 2**64:
+            if not is_integer(v):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if not 0 <= v < 2**64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v}")
 
     def generator(self) -> Generator:

@@ -11,18 +11,16 @@ rate on PL quadratics. All checks are deterministic given their seeds.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 
-from .core import RngStream, check_fields, row_dot, sq_norm
+from .core import RngStream, check_fields, is_integer, row_dot, sq_norm
 from .online import DEFAULT_ALPHA, FtrlState, surrogate_loss
 from .optimizers import Sgdol, run
 from .oracles import (
     Dataset,
-    GradientPair,
     QuadraticOracle,
     RosenbrockOracle,
     SigmoidLossOracle,
@@ -46,13 +44,16 @@ __all__ = [
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def ftrl_argmin_oracle(alpha: float, M: float, history: Sequence[GradientPair],
-                       curvature_scale: float = 1.0, tol: float = 1e-10) -> float:
+def ftrl_argmin_oracle(alpha: float, M: float, history, curvature_scale: float = 1.0,
+                       tol: float = 1e-10) -> float:
     """Numerically minimize regularizer + past surrogate losses over [0, 2/M].
 
-    The past losses sum to one quadratic in eta, (c M / 2) eta^2 A - eta B,
-    with A = sum ||g_j||^2 and B = sum <g_j, g'_j> taken as correctly rounded
-    sums, so each probe scores three terms whatever the history's length.
+    ``history`` holds the past pairs as ``oracle.pairs`` lays them out, an
+    array of shape (T, 2, d) with g at index 0 and g' at index 1 of each
+    pair; its entries must be finite. The past losses sum to one quadratic
+    in eta, (c M / 2) eta^2 A - eta B, with A = sum ||g_j||^2 and
+    B = sum <g_j, g'_j> taken as correctly rounded sums, so each probe
+    scores three terms whatever the history's length.
     Golden-section search down to an interval of width ``tol`` (or a few ulps
     of 2/M, where that is wider and the search can shrink no further),
     followed by one parabola fit through wide-spaced probes (the losses are
@@ -64,13 +65,14 @@ def ftrl_argmin_oracle(alpha: float, M: float, history: Sequence[GradientPair],
     check_fields(alpha=alpha, M=M, curvature_scale=curvature_scale)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    history = np.asarray(history, dtype=np.float64)
     sum_sq = sum_inner = 0.0
-    if history:
-        dims = {p.g.shape for p in history}
-        if len(dims) > 1:
-            raise ValueError(f"history pairs must share one shape, got {sorted(dims)}")
-        g = np.array([p.g for p in history])
-        g_prime = np.array([p.g_prime for p in history])
+    if history.shape != (0,):  # that of [], the empty history
+        if history.ndim != 3 or history.shape[1] != 2:
+            raise ValueError(f"history must have shape (T, 2, d), got {history.shape}")
+        if not np.isfinite(history).all():
+            raise ValueError("gradient pair entries must be finite")
+        g, g_prime = history[:, 0], history[:, 1]
         sum_sq = math.fsum(row_dot(g, g).tolist())
         sum_inner = math.fsum(row_dot(g, g_prime).tolist())
     half_curv = 0.5 * curvature_scale * M
@@ -157,7 +159,7 @@ _MC_CHUNK = 1024
 
 def _check_count(name: str, value):
     """Raise ValueError unless ``value`` is an integer >= 1 (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
@@ -242,8 +244,7 @@ def _check_ftrl_closed_form(seed: int) -> CheckResult:
         state = FtrlState(alpha=alpha, M=M)
         for inner, g_sq in zip(row_dot(g, gp).tolist(), row_dot(g, g).tolist()):
             state.observe_stats(inner, g_sq)
-        history = [GradientPair(*pair) for pair in draws]
-        worst = max(worst, abs(state.stepsize() - ftrl_argmin_oracle(alpha, M, history)))
+        worst = max(worst, abs(state.stepsize() - ftrl_argmin_oracle(alpha, M, draws)))
     return CheckResult("ftrl closed form vs numeric argmin",
                        bool(worst < 1e-8), f"max deviation {worst:.3e}")
 
@@ -273,9 +274,9 @@ def _check_zero_noise(seed: int) -> CheckResult:
     ok = True
     for _ in range(10):
         x = gen.uniform(-2.0, 2.0, size=2)
-        pair = oracle.sample_pair(x, gen)
+        g, g_prime = oracle.pairs(x, oracle.draw(gen, 1))[0]
         exact = oracle.grad(x)
-        ok = ok and np.array_equal(pair.g, exact) and np.array_equal(pair.g_prime, exact)
+        ok = ok and np.array_equal(g, exact) and np.array_equal(g_prime, exact)
     return CheckResult("zero-noise oracle returns exact gradients", ok,
                        "g == g' == grad f" if ok else "mismatch found")
 

@@ -4,39 +4,27 @@ An experiment is (oracle x optimizer list x T x repetitions x seed). Each
 repetition owns one oracle noise stream shared by every optimizer, so
 optimizers see identical gradient pairs and their series are directly
 comparable; the uniformly sampled output index gets its own stream per
-(optimizer, repetition). Each step loop in ``optimizers`` steps all of
-the (optimizer x repetition) runs it takes in one call and draws each
-repetition's noise once for all of them: on the exact Rosenbrock every
-kind with a fused kernel runs on it in ``_run_kernels``, and every other
-run steps through its own ``update`` in the lane loop, each repetition's
-lanes on its stream; on the exact quadratic that loop is called as
-``_run_updates``, which sums a kernel kind's records in index order.
-Averages over repetitions are plain arithmetic means, taken in
-repetition order. CSV output uses shortest round-trip decimals, so
-identical specs produce byte-identical files.
+(optimizer, repetition). All the (optimizer x repetition) runs go to
+``optimizers._run_groups`` in one call, which picks each optimizer's step
+loop and calls each loop once with all the runs it takes, drawing each
+repetition's noise once for all of them. Averages over repetitions are
+plain arithmetic means, taken in repetition order. CSV output uses
+shortest round-trip decimals, so identical specs produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
-import numbers
 import os
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, get_args, get_type_hints
 
 import numpy as np
 
-from .core import RngStream, derive_stream_id, field_problems
-from .optimizers import (
-    OptimizerConfig,
-    RunResult,
-    _run_kernels,
-    _run_updates,
-    run_lanes,
-    takes_kernel,
-)
+from .core import RngStream, derive_stream_id, field_problems, is_integer
+from .optimizers import OptimizerConfig, RunResult, _run_groups
 from .oracles import (
     QuadraticOracle,
     RosenbrockOracle,
@@ -120,6 +108,8 @@ class OracleSpec:
                 problems.append("dataset: required for the sigmoid oracle")
             if self.batch_size is None:
                 problems.append("batch_size: required for the sigmoid oracle")
+            elif not is_integer(self.batch_size):
+                problems.append(f"batch_size: must be an integer, got {self.batch_size!r}")
             elif self.batch_size < 1:
                 problems.append(f"batch_size: must be >= 1, got {self.batch_size}")
         return problems
@@ -162,11 +152,12 @@ class ExperimentSpec:
         problems += [f"{name}: must be an integer, got {value!r}"
                      for name, value in (("repetitions", self.repetitions),
                                          ("report_every", self.report_every))
-                     if value is not None and (isinstance(value, bool)
-                                               or not isinstance(value, numbers.Integral))]
+                     if value is not None and not is_integer(value)]
         if self.repetitions < 1:
             problems.append(f"repetitions: must be >= 1, got {self.repetitions}")
-        if not 0 <= self.seed < 2**64:
+        if not is_integer(self.seed):
+            problems.append(f"seed: must be an integer, got {self.seed!r}")
+        elif not 0 <= self.seed < 2**64:
             problems.append(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
         if self.report_every is not None and self.report_every < 1:
             problems.append(f"report_every: must be >= 1, got {self.report_every}")
@@ -225,12 +216,10 @@ def _fill_sgd_gl(cfg: OptimizerConfig, oracle: StochasticOracle, x0, T: int) -> 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute repetitions x optimizers runs, average, and write CSV output.
 
-    The start point is all zeros for every oracle. The optimizers that
-    ``takes_kernel`` names go through one ``_run_updates`` call on the
-    exact quadratic (the lane loop with the kernels' record sums) and one
-    ``_run_kernels`` call on the exact Rosenbrock, and all the others
-    through one ``run_lanes`` call, each call with all repetitions. Files are written only when the spec names an output
-    directory.
+    The start point is all zeros for every oracle. Every run goes to one
+    ``_run_groups`` call, which steps each loop's runs, all repetitions of
+    each optimizer, in one call of that loop. Files are written only when
+    the spec names an output directory.
     """
     problems = spec.validate()
     if problems:
@@ -250,15 +239,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     output_rngs = [[RngStream(spec.seed, derive_stream_id(_PURPOSE_OUTPUT, opt_idx, rep))
                     for rep in range(reps)] for opt_idx in range(len(configs))]
     groups = [[cfg.build(x0) for _ in range(reps)] for cfg in configs]
-    off_engine = _run_updates if type(oracle) is QuadraticOracle else _run_kernels
-    loops = defaultdict(list)  # loop -> the optimizers it steps
-    for i, group in enumerate(groups):
-        loops[off_engine if takes_kernel(group[0], oracle) else run_lanes].append(i)
-    results = {}
-    for run_loop, together in loops.items():
-        results.update(zip(together, run_loop([groups[i] for i in together], oracle, spec.T,
-                                              oracle_rngs, [output_rngs[i] for i in together],
-                                              spec.report_every)))
+    results = _run_groups(groups, oracle, spec.T, oracle_rngs, output_rngs, spec.report_every)
 
     table = ResultTable(f_star=oracle.f_star)
     for opt_idx, ((name, _), cfg) in enumerate(zip(spec.optimizers, configs)):

@@ -5,9 +5,10 @@ baselines (SGD, AdaGrad, Adam, and the constant theoretically-tuned
 stepsize) consume only the first gradient of each pair, so every optimizer
 sees identical oracle call counts and random streams under a shared seed.
 
-Each optimizer's ``update`` is written once over an iterate of shape (d,)
-or (L, d), with its state shaped to match, and returns the stepsize(s) it
-used; ``step(pair)`` applies it to one pair. Every learned stepsize comes
+Each optimizer's ``update(g, g_prime)`` is written once over an iterate of
+shape (d,) or (L, d), with its state shaped to match, and returns the
+stepsize(s) it used; it is the one way to take a step, by hand on one pair
+(g and g' from ``oracle.pairs``) or in a loop. Every learned stepsize comes
 from one ``online.FtrlState``: float sums for a global stepsize, (d,) sums
 for per-coordinate stepsizes, each with a leading lane axis when stacked.
 An ``Sgdol`` built with ``record_regret=True`` owns an
@@ -18,9 +19,10 @@ surrogate losses.
 
 ``run`` executes T steps and records the trajectory on one of two loops,
 continuing from whatever state earlier steps left. Both take groups of
-optimizers with one per oracle stream, so ``run`` hands a loop one lane
-and ``harness.run_experiment`` all the (optimizer x repetition) runs it
-takes, each stream's noise drawn once for all of them. On the exact
+optimizers with one per oracle stream, and ``_run_groups`` alone picks the
+loop of each group: ``run`` hands it one lane and
+``harness.run_experiment`` all the (optimizer x repetition) runs, each
+stream's noise drawn once for all the runs of a loop. On the exact
 Rosenbrock class a kind with a fused kernel in ``_kernels`` runs on it in
 ``_run_kernels``. Every other run steps through its own ``update`` in the
 numpy lane loop, ``run_lanes``, which asks the oracle only for what
@@ -37,27 +39,20 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-import numbers
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .core import RngStream, Trajectory, check_fields, field_problems, row_dot, vector
+from .core import RngStream, Trajectory, check_fields, field_problems, is_integer, row_dot, vector
 from .online import DEFAULT_ALPHA, FtrlState, RegretLedger
-from .oracles import (
-    GradientPair,
-    QuadraticOracle,
-    RosenbrockOracle,
-    StochasticOracle,
-)
+from .oracles import QuadraticOracle, RosenbrockOracle, StochasticOracle
 
 __all__ = [
-    "StepReport",
     "Optimizer",
     "Sgdol",
     "SgdolCoord",
@@ -72,16 +67,7 @@ __all__ = [
     "RunResult",
     "run",
     "run_lanes",
-    "takes_kernel",
 ]
-
-@dataclass(frozen=True)
-class StepReport:
-    """What one optimizer step did: stepsize(s) used, pair consumption, momentum stepsize."""
-
-    eta_used: Union[float, np.ndarray]
-    g_pair_consumed: int
-    beta_used: Optional[float] = None
 
 
 def _col(v):
@@ -127,15 +113,6 @@ class Optimizer:
     def update(self, g: np.ndarray, g_prime: np.ndarray):
         """Take one step on every lane; return the stepsize(s) it used."""
         raise NotImplementedError
-
-    def step(self, pair: GradientPair) -> StepReport:
-        self._check_pair(pair)
-        return StepReport(eta_used=self.update(pair.g, pair.g_prime),
-                          g_pair_consumed=self.g_pair_consumed)
-
-    def _check_pair(self, pair: GradientPair):
-        if pair.dim != self.dim:
-            raise ValueError(f"gradient pair dim {pair.dim} != iterate dim {self.dim}")
 
 
 class Sgdol(Optimizer):
@@ -254,10 +231,6 @@ class SgdolMomentum(Optimizer):
         self.ftrl_eta.observe_stats(row_dot(g, g_prime), row_dot(g, g))
         self.ftrl_beta.observe_stats(row_dot(z_old, g_prime), row_dot(z_old, z_old))
         return eta
-
-    def step(self, pair: GradientPair) -> StepReport:
-        beta = 0.0 if self.clamp_beta else self.ftrl_beta.stepsize()  # as update plays it
-        return replace(super().step(pair), beta_used=beta)
 
 
 class Sgd(Optimizer):
@@ -451,27 +424,12 @@ class RunResult:
     x_final: np.ndarray
 
 
-def takes_kernel(optimizer: Optimizer, oracle: StochasticOracle,
-                 force_generic: bool = False) -> bool:
-    """Whether ``run`` steps this optimizer on this oracle with the kernels' sums.
-
-    It does on a built-in analytic oracle (the exact class, as a subclass
-    may redefine the objective): a kind with a fused kernel on Rosenbrock,
-    in ``_run_kernels``, and every kind on a quadratic, in ``_run_updates``,
-    the lane loop with index-order records. Every other run goes through
-    ``run_lanes``.
-    """
-    return not force_generic and (type(oracle) is QuadraticOracle or (
-        optimizer.kernel is not None and type(oracle) is RosenbrockOracle))
-
-
 def _schedule(groups, oracle, T, rngs, output_rngs, report_every):
     """Check a loop's arguments; return the stride, ``ks[i][r]`` and ``{k: [(i, r), ...]}``."""
     if any(len(group) != len(rngs) for group in groups):
         raise ValueError("every group needs one optimizer per oracle stream")
     for name, value in (("T", T), ("report_every", report_every)):
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, numbers.Integral)):
+        if value is not None and not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -505,11 +463,33 @@ def run(
     calls with identical arguments produce bitwise-identical results.
     """
     out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
-    run_loop = run_lanes
-    if takes_kernel(optimizer, oracle, force_generic):
-        run_loop = _run_kernels if type(oracle) is RosenbrockOracle else _run_updates
-    [[result]] = run_loop([[optimizer]], oracle, T, [rng], [[out_stream]], report_every)
+    [[result]] = _run_groups([[optimizer]], oracle, T, [rng], [[out_stream]], report_every,
+                             force_generic)
     return result
+
+
+def _run_groups(groups, oracle, T, rngs, output_rngs, report_every=None, force_generic=False):
+    """Step every group on the loop that suits it; ``run_lanes``' arguments and results.
+
+    On an exact ``QuadraticOracle`` every group goes to ``_run_updates``; on
+    an exact ``RosenbrockOracle`` a kind with a fused kernel goes to
+    ``_run_kernels`` and the others to ``run_lanes``. Every other oracle (a
+    subclass of a built-in one included, as it may redefine the objective)
+    and every call with ``force_generic`` goes to ``run_lanes``. Each loop
+    is called once, with all its groups, in the order of its first group.
+    """
+    exact = None if force_generic else type(oracle)
+    together = defaultdict(list)  # loop -> the indices of the groups it steps
+    for i, group in enumerate(groups):
+        together[_run_updates if exact is QuadraticOracle
+                 else _run_kernels if exact is RosenbrockOracle and group[0].kernel is not None
+                 else run_lanes].append(i)
+    results = [None] * len(groups)
+    for loop, indices in together.items():
+        for i, result in zip(indices, loop([groups[i] for i in indices], oracle, T, rngs,
+                                           [output_rngs[i] for i in indices], report_every)):
+            results[i] = result
+    return results
 
 
 def _kernel_args(optimizer: Optimizer):

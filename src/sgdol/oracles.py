@@ -17,10 +17,9 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator
 
-from .core import check_fields, vector
+from .core import check_fields, is_integer, vector
 
 __all__ = [
-    "GradientPair",
     "StochasticOracle",
     "RosenbrockOracle",
     "QuadraticOracle",
@@ -39,26 +38,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GradientPair:
-    """Two independent stochastic gradients taken at the same query point."""
-
-    g: np.ndarray
-    g_prime: np.ndarray
-
-    def __post_init__(self):
-        if self.g.shape != self.g_prime.shape:
-            raise ValueError(
-                f"gradient pair dims differ: {self.g.shape} vs {self.g_prime.shape}"
-            )
-        if not np.logical_and.reduce(np.isfinite(self.g) & np.isfinite(self.g_prime), axis=None):
-            raise ValueError("gradient pair entries must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.g.shape[0]
-
-
 class StochasticOracle:
     """The oracle contract: exact f and gradient, and two-sample gradient pairs.
 
@@ -67,10 +46,11 @@ class StochasticOracle:
     gradient at every row of an array of shape (..., dim)), ``draw`` (the
     randomness of the next pairs from a stream, drawn ahead) and ``pairs``
     (the pairs at stacked query points from drawn randomness). The step
-    engine in ``optimizers`` and the Monte Carlo check in ``diagnostics``
-    call them directly. The one-point methods here derive from them, so a
-    pair from ``sample_pair`` equals that lane's pair in the engine bit for
-    bit, and consumes the stream alike.
+    loops in ``optimizers`` and the Monte Carlo check in ``diagnostics``
+    call them directly; ``pairs(x, draw(rng, 1))[0]`` is one pair at one
+    point, g and g' stacked as (2, dim), and equals that lane's pair in the
+    loops bit for bit. ``f`` and ``grad`` at one point derive from the
+    stacked methods.
 
     Metadata read by diagnostics and the tuned SGD baseline: ``smoothness``
     (gradient Lipschitz constant), ``f_star`` (known infimum),
@@ -118,11 +98,6 @@ class StochasticOracle:
     def grad(self, x: np.ndarray) -> np.ndarray:
         self._check_dim(x)
         return self.grad_lanes(x)
-
-    def sample_pair(self, x: np.ndarray, rng: Generator) -> GradientPair:
-        self._check_dim(x)
-        pair = self.pairs(x[None], self.draw(rng, 1))[0]
-        return GradientPair(pair[0], pair[1])
 
     def record_lanes(self, X: np.ndarray):
         """(f, exact gradient) at every row of X, shape (..., dim)."""
@@ -362,6 +337,8 @@ class SigmoidLossOracle(StochasticOracle):
     """
 
     def __init__(self, data: Dataset, batch_size: int, smoothness: Optional[float] = None):
+        if not is_integer(batch_size):
+            raise ValueError(f"batch_size must be an integer, got {batch_size!r}")
         if not 1 <= batch_size <= len(data):
             raise ValueError(f"batch_size must be in [1, {len(data)}], got {batch_size}")
         self.data = data

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+import sgdol.optimizers as optimizers
 from sgdol import load_libsvm
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -25,3 +26,17 @@ def synthetic500_path():
 @pytest.fixture(scope="session")
 def synthetic500(synthetic500_path):
     return load_libsvm(synthetic500_path)
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """The groups ``optimizers._run_groups`` hands each step loop, a list per loop name."""
+    calls = {}
+    for name in ("_run_kernels", "_run_updates", "run_lanes"):
+        real, seen = getattr(optimizers, name), calls.setdefault(name, [])
+
+        def spy(groups, *args, real=real, seen=seen):
+            seen.append(groups)
+            return real(groups, *args)
+        monkeypatch.setattr(optimizers, name, spy)
+    return calls

@@ -5,13 +5,16 @@ before the engine in ``sgdol.optimizers`` replaced it: ``_run_generic``
 below is that loop, unchanged, and it drives reference subclasses whose
 ``step``, ``f``, ``grad`` and ``sample_pair`` are the single-point code of
 that time (one ``GradientPair`` and one ``StepReport`` per step, Python
-float state, per-step index and noise draws). ``tests/test_lanes.py``
-requires every lane of an engine run to equal this loop bit for bit. This
-is test code only.
+float state, per-step index and noise draws). The package steps through
+``update`` alone now, so the pair and report types, and the pair checks,
+are kept here as they were. ``tests/test_lanes.py`` requires every lane of
+an engine run to equal this loop bit for bit. This is test code only.
 """
 
 import copy
 import math
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -19,7 +22,6 @@ from sgdol import (
     AdaGradCoord,
     AdaGradGlobal,
     Adam,
-    GradientPair,
     QuadraticOracle,
     RosenbrockOracle,
     Sgd,
@@ -28,11 +30,44 @@ from sgdol import (
     SgdolCoord,
     SgdolMomentum,
     SigmoidLossOracle,
-    StepReport,
 )
 from sgdol.core import Trajectory, dot, sq_norm
 from sgdol.optimizers import RunResult
 from sgdol.oracles import sigmoid_phi, sigmoid_phi_prime
+
+
+@dataclass(frozen=True)
+class GradientPair:
+    """Two independent stochastic gradients taken at the same query point."""
+
+    g: np.ndarray
+    g_prime: np.ndarray
+
+    def __post_init__(self):
+        if self.g.shape != self.g_prime.shape:
+            raise ValueError(
+                f"gradient pair dims differ: {self.g.shape} vs {self.g_prime.shape}"
+            )
+        if not np.logical_and.reduce(np.isfinite(self.g) & np.isfinite(self.g_prime), axis=None):
+            raise ValueError("gradient pair entries must be finite")
+
+    @property
+    def dim(self) -> int:
+        return self.g.shape[0]
+
+
+@dataclass(frozen=True)
+class StepReport:
+    """What one optimizer step did: stepsize(s) used, pair consumption, momentum stepsize."""
+
+    eta_used: Union[float, np.ndarray]
+    g_pair_consumed: int
+    beta_used: Optional[float] = None
+
+
+def _check_pair(optimizer, pair):
+    if pair.dim != optimizer.dim:
+        raise ValueError(f"gradient pair dim {pair.dim} != iterate dim {optimizer.dim}")
 
 
 def trajectories_equal(r1, r2):
@@ -141,7 +176,7 @@ def _ftrl_stepsize(ftrl):
 
 class _SgdolReference(Sgdol):
     def step(self, pair):
-        self._check_pair(pair)
+        _check_pair(self, pair)
         eta = _ftrl_stepsize(self.ftrl)
         self.x = self.x - eta * pair.g
         b = dot(pair.g, pair.g_prime)
@@ -154,7 +189,7 @@ class _SgdolReference(Sgdol):
 
 class _SgdolCoordReference(SgdolCoord):
     def step(self, pair):
-        self._check_pair(pair)
+        _check_pair(self, pair)
         eta = self.ftrl.stepsize()
         self.x = self.x - eta * pair.g
         self.ftrl.observe_stats(pair.g * pair.g_prime, pair.g * pair.g)
@@ -163,7 +198,7 @@ class _SgdolCoordReference(SgdolCoord):
 
 class _SgdolMomentumReference(SgdolMomentum):
     def step(self, pair):
-        self._check_pair(pair)
+        _check_pair(self, pair)
         eta = _ftrl_stepsize(self.ftrl_eta)
         beta = 0.0 if self.clamp_beta else _ftrl_stepsize(self.ftrl_beta)
         z_old = self.z
@@ -176,7 +211,7 @@ class _SgdolMomentumReference(SgdolMomentum):
 
 
 def _sgd_step(self, pair):
-    self._check_pair(pair)
+    _check_pair(self, pair)
     self.x = self.x - self.lr * pair.g
     return StepReport(eta_used=self.lr, g_pair_consumed=1)
 
@@ -191,7 +226,7 @@ class _SgdGhadimiLanReference(SgdGhadimiLan):
 
 class _AdaGradGlobalReference(AdaGradGlobal):
     def step(self, pair):
-        self._check_pair(pair)
+        _check_pair(self, pair)
         self.accum += sq_norm(pair.g)
         coef = self.lr / math.sqrt(self.accum) if self.accum > 0.0 else 0.0
         self.x = self.x - coef * pair.g
@@ -200,7 +235,7 @@ class _AdaGradGlobalReference(AdaGradGlobal):
 
 class _AdaGradCoordReference(AdaGradCoord):
     def step(self, pair):
-        self._check_pair(pair)
+        _check_pair(self, pair)
         self.accum += pair.g * pair.g
         coef = np.zeros(self.dim)
         nz = self.accum > 0.0
@@ -211,7 +246,7 @@ class _AdaGradCoordReference(AdaGradCoord):
 
 class _AdamReference(Adam):
     def step(self, pair):
-        self._check_pair(pair)
+        _check_pair(self, pair)
         g = pair.g
         self._p1 *= self.beta1
         self._p2 *= self.beta2

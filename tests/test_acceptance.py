@@ -13,7 +13,6 @@ import numpy as np
 from sgdol import (
     ExperimentSpec,
     FtrlState,
-    GradientPair,
     OptimizerConfig,
     OracleSpec,
     QuadraticOracle,
@@ -110,8 +109,9 @@ def test_c01_ftrl_closed_form_equivalence():
         for _ in range(T):
             g = gen.uniform(-1.0, 1.0, d)
             gp = gen.uniform(-1.0, 1.0, d)
-            history.append(GradientPair(g, gp))
+            history.append((g, gp))
             state.observe_stats(dot(g, gp), sq_norm(g))
+        history = np.reshape(history, (T, 2, d))
         worst = max(worst, abs(state.stepsize() - ftrl_argmin_oracle(alpha, M, history)))
     elapsed = time.perf_counter() - t0
     _report("C1 ftrl closed-form equivalence",

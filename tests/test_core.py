@@ -83,6 +83,20 @@ def test_rng_stream_validates_range():
         RngStream(0, 2**64)
 
 
+@pytest.mark.parametrize("value", [1.5, 1.0, True, float("nan"), "1"])
+def test_rng_stream_refuses_a_seed_or_stream_id_that_is_not_an_integer(value):
+    # RngStream(1.5) ran as seed 1, and RngStream(nan) failed converting to int.
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {value!r}"):
+        RngStream(value)
+    with pytest.raises(ValueError, match=f"stream_id must be an integer, got {value!r}"):
+        RngStream(1, value)
+
+
+def test_rng_stream_takes_numpy_integers():
+    a = RngStream(np.uint64(7), np.int64(3)).generator().standard_normal(4)
+    assert np.array_equal(a, RngStream(7, 3).generator().standard_normal(4))
+
+
 def test_derive_stream_id_distinct():
     ids = {derive_stream_id(i, j) for i in range(20) for j in range(20)}
     assert len(ids) == 400

@@ -8,7 +8,6 @@ import pytest
 
 from sgdol import (
     FtrlState,
-    GradientPair,
     RngStream,
     RosenbrockOracle,
     SigmoidLossOracle,
@@ -28,9 +27,13 @@ def test_argmin_oracle_empty_history():
     assert ftrl_argmin_oracle(1.0, 2.0, []) == pytest.approx(0.5, abs=1e-9)
 
 
+def test_argmin_oracle_empty_pairs_array():
+    assert ftrl_argmin_oracle(1.0, 2.0, np.empty((0, 2, 3))) == pytest.approx(0.5, abs=1e-9)
+
+
 def test_argmin_oracle_negative_history_hits_lower_boundary():
-    pair = GradientPair(np.array([1.0]), np.array([-10.0]))
-    assert ftrl_argmin_oracle(1.0, 1.0, [pair] * 3) == pytest.approx(0.0, abs=1e-9)
+    history = np.array([[[1.0], [-10.0]]] * 3)  # (T, 2, d): g = 1, g' = -10
+    assert ftrl_argmin_oracle(1.0, 1.0, history) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_argmin_oracle_matches_closed_form():
@@ -39,11 +42,9 @@ def test_argmin_oracle_matches_closed_form():
         alpha = float(gen.choice(np.array([0.1, 1.0, 10.0])))
         M = float(gen.choice(np.array([0.5, 1.0, 2.0])))
         state = FtrlState(alpha=alpha, M=M)
-        history = []
-        for _ in range(int(gen.integers(0, 30))):
-            g = gen.uniform(-1, 1, 3)
-            gp = gen.uniform(-1, 1, 3)
-            history.append(GradientPair(g, gp))
+        T = int(gen.integers(0, 30))
+        history = gen.uniform(-1, 1, size=(T, 2, 3))
+        for g, gp in history:
             state.observe_stats(dot(g, gp), sq_norm(g))
         assert abs(state.stepsize() - ftrl_argmin_oracle(alpha, M, history)) < 1e-8
 
@@ -53,15 +54,14 @@ def test_argmin_oracle_output_beats_reference_points():
     for curvature_scale in [1.0, 2.0] * 20:
         alpha = float(gen.choice(np.array([0.1, 1.0, 10.0])))
         M = float(gen.choice(np.array([0.5, 1.0, 2.0])))
-        history = [GradientPair(gen.uniform(-1, 1, 2), gen.uniform(-1, 1, 2))
-                   for _ in range(int(gen.integers(1, 30)))]
+        history = gen.uniform(-1, 1, size=(int(gen.integers(1, 30)), 2, 2))
 
         def objective(eta):
             # One term per past loss, independent of the oracle's summed form.
             terms = [0.5 * M * alpha * (eta - 1.0 / M) ** 2]
-            for p in history:
-                terms.append(0.5 * curvature_scale * M * eta * eta * float(np.sum(p.g * p.g))
-                             - eta * float(np.sum(p.g * p.g_prime)))
+            for g, gp in history:
+                terms.append(0.5 * curvature_scale * M * eta * eta * float(np.sum(g * g))
+                             - eta * float(np.sum(g * gp)))
             return math.fsum(terms)
 
         best = objective(ftrl_argmin_oracle(alpha, M, history, curvature_scale=curvature_scale))
@@ -82,10 +82,29 @@ def test_argmin_oracle_rejects_a_bad_curvature_scale(curvature_scale):
         ftrl_argmin_oracle(1.0, 1.0, [], curvature_scale=curvature_scale)
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 2), (3, 2), (2,), (), (3, 2, 2, 1)])
+def test_argmin_oracle_rejects_a_history_not_shaped_like_pairs(shape):
+    with pytest.raises(ValueError, match=r"history must have shape \(T, 2, d\)"):
+        ftrl_argmin_oracle(1.0, 1.0, np.ones(shape))
+
+
 def test_argmin_oracle_rejects_pairs_of_different_dimensions():
-    history = [GradientPair(np.ones(2), np.ones(2)), GradientPair(np.ones(3), np.ones(3))]
-    with pytest.raises(ValueError, match="history pairs must share one shape"):
+    with pytest.raises(ValueError):
+        ftrl_argmin_oracle(1.0, 1.0, [(np.ones(2), np.ones(2)), (np.ones(3), np.ones(3))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [0, 1], ids=["g", "g_prime"])
+def test_argmin_oracle_rejects_every_non_finite_entry(entry, bad):
+    history = np.ones((4, 2, 3))
+    history[2, entry, 1] = bad
+    with pytest.raises(ValueError, match="gradient pair entries must be finite"):
         ftrl_argmin_oracle(1.0, 1.0, history)
+
+
+def test_argmin_oracle_accepts_signed_zeros_and_subnormals():
+    history = np.array([[[1e150, -0.0, 5e-324], [-1e150, 0.0, -5e-324]]])
+    assert ftrl_argmin_oracle(1.0, 1.0, history) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_argmin_oracle_ends_where_one_ulp_exceeds_tol():
@@ -95,10 +114,10 @@ def test_argmin_oracle_ends_where_one_ulp_exceeds_tol():
     for M in (1e-6, 1e-160, 1e-300):
         assert ftrl_argmin_oracle(1.0, M, []) == pytest.approx(1.0 / M, rel=1e-12), M
     g = np.array([1.0, 2.0])
-    history = [GradientPair(g, 0.5 * g)] * 3
+    history = np.array([[g, 0.5 * g]] * 3)
     ftrl = FtrlState(alpha=1.0, M=1e-160)
-    for pair in history:
-        ftrl.observe_stats(float(pair.g @ pair.g_prime), float(pair.g @ pair.g))
+    for g, gp in history:
+        ftrl.observe_stats(float(g @ gp), float(g @ g))
     assert ftrl_argmin_oracle(1.0, 1e-160, history) == pytest.approx(ftrl.stepsize(), rel=1e-12)
 
 
@@ -268,8 +287,7 @@ def test_run_verification_results_are_json_serializable():
 def _ftrl_trial(alpha, M, history, observed, state, eta, argmin):
     """One FTRL-check trial, every float by its hex and every pair by its bytes."""
     return (alpha.hex(), M.hex(),
-            [(p.g.dtype.str, p.g.shape, p.g.tobytes(), p.g_prime.shape, p.g_prime.tobytes())
-             for p in history],
+            [(g.dtype.str, g.shape, g.tobytes(), gp.shape, gp.tobytes()) for g, gp in history],
             [(type(a).__name__, a.hex(), type(b).__name__, b.hex()) for a, b in observed],
             type(state.sum_inner).__name__, float(state.sum_inner).hex(),
             type(state.sum_sq).__name__, float(state.sum_sq).hex(),
@@ -290,12 +308,12 @@ def _per_pair_ftrl_check(seed):
         for _ in range(T):
             g = gen.uniform(-1.0, 1.0, size=d)
             gp = gen.uniform(-1.0, 1.0, size=d)
-            history.append(GradientPair(g, gp))
+            history.append((g, gp))
             observed.append((float(np.sum(g * gp)), float(np.sum(g * g))))
             state.observe_stats(*observed[-1])
         eta = state.stepsize()
         trials.append(_ftrl_trial(alpha, M, history, observed, state, eta,
-                                  ftrl_argmin_oracle(alpha, M, history)))
+                                  ftrl_argmin_oracle(alpha, M, np.reshape(history, (T, 2, d)))))
     return trials
 
 

@@ -228,6 +228,24 @@ def test_validation_requires_integer_counts():
         assert any(p.startswith(f"{name}: must be an integer") for p in problems), problems
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, math.nan, None])
+def test_a_non_integer_seed_is_reported_once(seed):
+    # seed=1.5 and seed=True passed validation and ran as seed 1.
+    problems = [p for p in _spec(seed=seed).validate() if p.startswith("seed:")]
+    assert problems == [f"seed: must be an integer, got {seed!r}"]
+    with pytest.raises(ConfigError):
+        run_experiment(_spec(seed=seed))
+
+
+@pytest.mark.parametrize("batch_size", [2.5, 2.0, True])
+def test_a_non_integer_batch_size_is_reported(synthetic500_path, batch_size):
+    # Both passed validation, and run_experiment died inside numpy with a TypeError.
+    oracle = OracleSpec(kind="sigmoid", dataset=synthetic500_path, batch_size=batch_size)
+    assert oracle.validate() == [f"batch_size: must be an integer, got {batch_size!r}"]
+    with pytest.raises(ConfigError, match="batch_size: must be an integer"):
+        run_experiment(_spec(oracle=oracle))
+
+
 @pytest.mark.parametrize("T", [10.5, True])
 def test_a_non_integer_horizon_is_reported_once(T):
     problems = [p for p in _spec(T=T).validate() if p.startswith("T:")]

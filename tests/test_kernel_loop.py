@@ -36,7 +36,7 @@ from sgdol import (
     run_lanes,
 )
 from sgdol._kernels import _CHUNK_FLOATS
-from sgdol.optimizers import _CLASSES, _run_kernels, _run_updates
+from sgdol.optimizers import _CLASSES, _run_groups, _run_kernels, _run_updates
 
 REPS = 2
 ROWS = _CHUNK_FLOATS // 4  # steps per noise chunk at d = 2
@@ -74,31 +74,18 @@ def draw_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def spied_groups(monkeypatch):
-    """The optimizer groups that ``run_experiment`` hands the kernel loop."""
-    seen = []
-    real = harness._run_kernels
-
-    def spy(groups, *args):
-        seen.append(groups)
-        return real(groups, *args)
-    monkeypatch.setattr(harness, "_run_kernels", spy)
-    return seen
-
-
 def test_every_kernel_kind_is_configured():
     assert set(KERNEL_CONFIGS) == {kind for kind, cls in _CLASSES.items() if cls.kernel}
 
 
 @pytest.mark.parametrize("report_every", [1, 3, 7])
 def test_each_experiment_kernel_run_equals_its_single_run(report_every, draw_calls,
-                                                          spied_groups):
+                                                          loop_calls):
     spec = _spec(KERNEL_CONFIGS, report_every)
     table = run_experiment(spec)
     # One draw per noise chunk per repetition, shared by all seven runs.
     assert draw_calls == [ROWS, ROWS, 77] * REPS
-    [groups] = spied_groups
+    [groups] = loop_calls["_run_kernels"]
     oracle = spec.oracle.build(spec.seed)
     for i, name in enumerate(KERNEL_CONFIGS):
         cfg = harness._fill_sgd_gl(KERNEL_CONFIGS[name], oracle, np.zeros(2), T)
@@ -251,18 +238,37 @@ def test_every_loop_leaves_the_same_attributes(make, oracle_kind):
     assert "beta" not in vars(single[0])
 
 
+def test_the_router_sends_each_group_to_its_loop_and_keeps_its_place(loop_calls):
+    # On the exact Rosenbrock the momentum variant, which has no kernel,
+    # takes the lane loop; each loop gets all its groups in one call.
+    oracle = RosenbrockOracle(sigma=1.0)
+    rngs = [RngStream(1), RngStream(2)]
+    makers = [lambda: SgdolMomentum(np.zeros(2), M=1002.0),
+              lambda: Sgd(np.zeros(2), lr=1e-3),
+              lambda: SgdolMomentum(np.zeros(2), M=1002.0, clamp_beta=True),
+              lambda: Sgdol(np.zeros(2), M=1002.0)]
+    groups = [[make() for _ in rngs] for make in makers]
+    outs = [[RngStream(10 + i), RngStream(20 + i)] for i in range(len(makers))]
+    results = _run_groups(groups, oracle, 50, rngs, outs, report_every=3)
+    assert loop_calls["run_lanes"] == [[groups[0], groups[2]]]
+    assert loop_calls["_run_kernels"] == [[groups[1], groups[3]]]
+    assert loop_calls["_run_updates"] == []
+    for i, make in enumerate(makers):
+        for r, rng in enumerate(rngs):
+            expected = run(make(), oracle, 50, rng, report_every=3, output_rng=outs[i][r])
+            assert _result_bits(results[i][r]) == _result_bits(expected), (i, r)
+
+
 @pytest.mark.parametrize("clamp_beta", [False, True])
-def test_momentum_step_reports_the_beta_its_update_plays(clamp_beta):
+def test_momentum_update_plays_the_learned_beta(clamp_beta):
     oracle = QuadraticOracle(np.ones(3), sigma=1.0)
     opt = SgdolMomentum(np.zeros(3), M=1.0, clamp_beta=clamp_beta)
     run(opt, oracle, 5, RngStream(1))
-    beta = 0.0 if clamp_beta else opt.ftrl_beta.stepsize()
+    beta = 0.0 if clamp_beta else opt.ftrl_beta.stepsize()  # read before the update
     x, z = opt.x, opt.z
-    pair = oracle.sample_pair(opt.x, RngStream(2).generator())
+    g, g_prime = oracle.pairs(opt.x, oracle.draw(RngStream(2).generator(), 1))[0]
     eta = opt.ftrl_eta.stepsize()
-    report = opt.step(pair)
-    assert report.beta_used == beta
+    assert opt.update(g, g_prime) == eta
     assert clamp_beta or beta != 1.0  # warm: not the learner's first play, 1/M
-    assert report.eta_used == eta
-    assert _bits(opt.x) == _bits(x - eta * pair.g - beta * z)
+    assert _bits(opt.x) == _bits(x - eta * g - beta * z)
     assert "beta" not in vars(opt)

@@ -50,7 +50,7 @@ from sgdol import (
     SgdolCoord,
     run,
 )
-from sgdol.optimizers import _kernel_args, _set_attr, takes_kernel
+from sgdol.optimizers import _kernel_args, _set_attr
 
 MAKERS = [
     lambda d: Sgdol(np.zeros(d), M=1002.0, alpha=10.0),
@@ -363,18 +363,16 @@ def test_run_leaves_arrays_the_caller_holds_unchanged(make, d, force_generic):
     assert not np.array_equal(opt.x, before[0])
 
 
-def test_used_optimizer_still_takes_the_kernel():
-    from sgdol import GradientPair
-
+def test_used_optimizer_still_takes_the_kernel(loop_calls):
     oracle = RosenbrockOracle(sigma=1.0)
     opt = Sgdol(np.zeros(2), M=1002.0)
-    opt.step(GradientPair(np.ones(2), np.ones(2)))  # state no longer fresh
+    opt.update(np.ones(2), np.ones(2))  # state no longer fresh
     res = run(opt, oracle, T=10, rng=RngStream(73))
     assert len(res.trajectory) >= 1
-    assert takes_kernel(opt, oracle)
+    assert loop_calls["_run_kernels"] == [[[opt]]]
 
 
-def test_subclass_of_a_builtin_oracle_runs_on_its_own_objective():
+def test_subclass_of_a_builtin_oracle_runs_on_its_own_objective(loop_calls):
     class Shifted(QuadraticOracle):
         """The quadratic with its optimum moved from 0 to 1."""
 
@@ -386,8 +384,8 @@ def test_subclass_of_a_builtin_oracle_runs_on_its_own_objective():
 
     oracle = Shifted(np.ones(3))
     opt = Sgd(np.zeros(3), lr=0.5)
-    assert not takes_kernel(opt, oracle)
     res = run(opt, oracle, T=50, rng=RngStream(5), report_every=1)
+    assert loop_calls["run_lanes"] == [[[opt]]]
     assert res.trajectory.f_value[0] == 1.5
     np.testing.assert_allclose(res.x_final, 1.0, rtol=0.0, atol=1e-12)  # 1 - 2**-50
     assert _trajectories_equal(res, run(Sgd(np.zeros(3), lr=0.5), oracle, T=50, rng=RngStream(5),
@@ -399,7 +397,7 @@ def _warmed_up(make, oracle, steps):
     opt = make(oracle.dim)
     gen = RngStream(90).generator()
     for _ in range(steps):
-        opt.step(oracle.sample_pair(opt.x, gen))
+        opt.update(*oracle.pairs(opt.x, oracle.draw(gen, 1))[0])
     return opt
 
 

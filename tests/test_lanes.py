@@ -219,9 +219,13 @@ def test_lane_group_refuses_optimizers_that_differ_in_a_parameter(make, name):
 DIVERGING = dict(oracle=RosenbrockOracle(sigma=5.0), T=1000, rng=RngStream(44))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_raises_like_the_reference_loop():
     ref, opt = as_reference(Sgd(np.zeros(2), lr=0.05)), Sgd(np.zeros(2), lr=0.05)
-    with pytest.raises(ValueError, match="gradient pair entries must be finite"):
+    # The reference overflows as it diverges; the loop under test runs
+    # under np.errstate(all="ignore").
+    with pytest.raises(ValueError, match="gradient pair entries must be finite"), \
+            np.errstate(over="ignore", invalid="ignore"):
         reference_run(ref, **DIVERGING)
     with pytest.raises(ValueError, match="gradient pair entries must be finite"):
         run(opt, **DIVERGING, force_generic=True)
@@ -229,6 +233,7 @@ def test_divergence_raises_like_the_reference_loop():
     assert np.array_equal(opt.x, ref.x, equal_nan=True)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_diverging_lane_stops_the_engine():
     oracle, T_, rng = DIVERGING.values()
     # The stable lane alone runs to the end.

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from sgdol import (
     FtrlState,
-    GradientPair,
     RegretLedger,
     RngStream,
     Sgdol,
@@ -316,8 +315,7 @@ def test_ftrl_stepsize_is_the_regularized_argmin(history, curvature_scale):
     state = FtrlState(alpha=alpha, M=M, curvature_scale=curvature_scale)
     for g, gp in pairs:
         state.observe_stats(dot(g, gp), sq_norm(g))
-    expected = ftrl_argmin_oracle(alpha, M, [GradientPair(g, gp) for g, gp in pairs],
-                                  curvature_scale=curvature_scale)
+    expected = ftrl_argmin_oracle(alpha, M, np.array(pairs), curvature_scale=curvature_scale)
     assert abs(state.stepsize() - expected) <= 1e-8 * 2.0 / M
 
 

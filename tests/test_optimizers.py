@@ -9,7 +9,6 @@ from sgdol import (
     AdaGradCoord,
     AdaGradGlobal,
     Adam,
-    GradientPair,
     OptimizerConfig,
     QuadraticOracle,
     RngStream,
@@ -25,22 +24,22 @@ from sgdol.optimizers import OPTIMIZER_KINDS, run_lanes
 
 
 def _pair(g, gp=None):
+    """(g, g') as ``update`` takes them; g' defaults to a copy of g."""
     g = np.asarray(g, dtype=float)
-    return GradientPair(g, g.copy() if gp is None else np.asarray(gp, dtype=float))
+    return g, g.copy() if gp is None else np.asarray(gp, dtype=float)
 
 
 def test_sgdol_first_step_takes_one_over_m():
     opt = Sgdol(np.zeros(2), M=2.0, alpha=10.0)
-    report = opt.step(_pair([-2.0, 0.0]))
-    assert report.eta_used == 0.5
+    assert opt.update(*_pair([-2.0, 0.0])) == 0.5
     assert np.array_equal(opt.x, np.array([1.0, 0.0]))
-    assert report.g_pair_consumed == 2
+    assert Sgdol.g_pair_consumed == 2
 
 
 def test_sgdol_zero_gradient_is_noop():
     opt = Sgdol(np.zeros(2), M=2.0)
     before = (opt.ftrl.sum_inner, opt.ftrl.sum_sq)
-    opt.step(_pair([0.0, 0.0]))
+    opt.update(*_pair([0.0, 0.0]))
     assert np.array_equal(opt.x, np.zeros(2))
     assert (opt.ftrl.sum_inner, opt.ftrl.sum_sq) == before
 
@@ -48,10 +47,10 @@ def test_sgdol_zero_gradient_is_noop():
 def test_sgdol_stepsize_before_observation():
     # The stepsize for round t must not depend on round t's pair.
     opt = Sgdol(np.zeros(1), M=1.0, alpha=1.0)
-    r1 = opt.step(_pair([100.0], [0.0]))  # wildly disagreeing pair
-    assert r1.eta_used == 1.0  # fresh state, unaffected by this round's pair
-    r2 = opt.step(_pair([1.0], [1.0]))
-    assert r2.eta_used == pytest.approx(1.0 / 10001.0)  # now it has been seen
+    eta1 = opt.update(*_pair([100.0], [0.0]))  # wildly disagreeing pair
+    assert eta1 == 1.0  # fresh state, unaffected by this round's pair
+    eta2 = opt.update(*_pair([1.0], [1.0]))
+    assert eta2 == pytest.approx(1.0 / 10001.0)  # now it has been seen
 
 
 def test_sgdol_coord_dim1_equals_global():
@@ -61,23 +60,23 @@ def test_sgdol_coord_dim1_equals_global():
     for _ in range(40):
         g = gen.uniform(-1, 1, 1)
         gp = gen.uniform(-1, 1, 1)
-        ra = a.step(_pair(g, gp))
-        rb = b.step(_pair(g, gp))
-        assert rb.eta_used[0] == ra.eta_used
+        eta_a = a.update(*_pair(g, gp))
+        eta_b = b.update(*_pair(g, gp))
+        assert eta_b[0] == eta_a
         assert np.array_equal(a.x, b.x)
 
 
 def test_sgdol_coord_all_zero_pair_is_noop():
     opt = SgdolCoord(np.ones(3), M=1.0)
-    opt.step(_pair(np.zeros(3)))
+    opt.update(*_pair(np.zeros(3)))
     assert np.array_equal(opt.x, np.ones(3))
     assert np.array_equal(opt.ftrl.stepsize(), np.ones(3))
 
 
 def test_momentum_first_step_buffer_contributes_nothing():
     opt = SgdolMomentum(np.zeros(2), M=2.0, alpha=1.0)
-    report = opt.step(_pair([-2.0, 0.0]))
-    assert report.beta_used == 0.5  # 1/M from the empty history
+    assert opt.ftrl_beta.stepsize() == 0.5  # 1/M from the empty history
+    opt.update(*_pair([-2.0, 0.0]))
     assert np.array_equal(opt.x, np.array([1.0, 0.0]))  # z1 = 0
     assert np.array_equal(opt.z, np.array([-2.0, 0.0]))
 
@@ -91,7 +90,7 @@ def test_momentum_beta_loss_at_zero_is_zero():
         gp = gen.uniform(-1, 1, 2)
         beta_loss_at_zero = 1.0 * 0.0 * 0.0 * np.sum(z * z) - 0.0 * np.sum(z * gp)
         assert beta_loss_at_zero == 0.0
-        opt.step(_pair(gen.uniform(-1, 1, 2), gp))
+        opt.update(*_pair(gen.uniform(-1, 1, 2), gp))
 
 
 def test_momentum_clamped_equals_doubled_curvature_sgdol():
@@ -112,35 +111,34 @@ def test_momentum_zero_stepsize_resets_buffer_decay():
     opt.ftrl_eta.sum_inner = -100.0
     opt.ftrl_eta.sum_sq = 1.0
     opt.z = np.array([5.0])
-    opt.step(_pair([2.0], [2.0]))
+    opt.update(*_pair([2.0], [2.0]))
     assert np.array_equal(opt.z, np.array([2.0]))  # decay 0, buffer restarts at g
 
 
 def test_sgd_step_example():
     opt = Sgd(np.zeros(2), lr=0.5)
-    report = opt.step(_pair([-2.0, 0.0], [99.0, 99.0]))
+    opt.update(*_pair([-2.0, 0.0], [99.0, 99.0]))
     assert np.array_equal(opt.x, np.array([1.0, 0.0]))
-    assert report.g_pair_consumed == 1
+    assert Sgd.g_pair_consumed == 1
 
 
 def test_adagrad_global_first_step():
     opt = AdaGradGlobal(np.zeros(2), lr=1.0)
-    opt.step(_pair([3.0, 4.0]))
+    opt.update(*_pair([3.0, 4.0]))
     assert np.allclose(opt.x, -np.array([3.0, 4.0]) / 5.0, rtol=1e-15)
 
 
 def test_adagrad_zero_gradient_start():
     opt = AdaGradGlobal(np.ones(2), lr=1.0)
-    report = opt.step(_pair([0.0, 0.0]))
-    assert report.eta_used == 0.0
+    assert opt.update(*_pair([0.0, 0.0])) == 0.0
     assert np.array_equal(opt.x, np.ones(2))
-    opt.step(_pair([1.0, 0.0]))
+    opt.update(*_pair([1.0, 0.0]))
     assert not np.array_equal(opt.x, np.ones(2))
 
 
 def test_adagrad_coord_masks_silent_coordinates():
     opt = AdaGradCoord(np.zeros(2), lr=1.0)
-    opt.step(_pair([2.0, 0.0]))
+    opt.update(*_pair([2.0, 0.0]))
     assert opt.x[1] == 0.0
     assert opt.x[0] == pytest.approx(-1.0)
 
@@ -148,7 +146,7 @@ def test_adagrad_coord_masks_silent_coordinates():
 def test_adam_single_step_matches_formula():
     g = np.array([0.3, -0.8])
     opt = Adam(np.zeros(2), lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
-    opt.step(_pair(g))
+    opt.update(*_pair(g))
     m_hat = (0.1 * g) / (1.0 - 0.9)
     v_hat = (0.001 * g * g) / (1.0 - 0.999)
     expected = -0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -164,7 +162,7 @@ def test_sgd_gl_stepsize_selection():
 
 def test_step_dimension_mismatch():
     with pytest.raises(ValueError):
-        Sgd(np.zeros(2), lr=0.1).step(_pair([1.0, 2.0, 3.0]))
+        Sgd(np.zeros(2), lr=0.1).update(*_pair([1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +242,7 @@ def test_run_refuses_a_non_integer_horizon_or_stride(make, name, kwargs):
 def test_sgdol_coord_step_leaves_the_sums_the_caller_holds_unchanged():
     opt = SgdolCoord(np.zeros(3), M=2.0)
     held = (opt.ftrl.sum_inner, opt.ftrl.sum_sq)
-    opt.step(GradientPair(np.ones(3), np.full(3, 2.0)))
+    opt.update(np.ones(3), np.full(3, 2.0))
     assert all(np.array_equal(a, np.zeros(3)) for a in held)
     assert np.array_equal(opt.ftrl.sum_inner, np.full(3, 2.0))
 

@@ -3,7 +3,6 @@ import pytest
 
 from sgdol import (
     Dataset,
-    GradientPair,
     LibsvmParseError,
     QuadraticOracle,
     RngStream,
@@ -40,19 +39,14 @@ def test_rosenbrock_grad_matches_finite_differences():
         assert np.max(np.abs(fd - rosenbrock_grad(x))) < 1e-5
 
 
-def test_sample_pair_zero_noise_exact():
+def test_one_pair_zero_noise_exact():
     oracle = RosenbrockOracle(sigma=0.0)
     gen = RngStream(12).generator()
     x = np.array([0.4, -0.3])
-    pair = oracle.sample_pair(x, gen)
+    g, g_prime = oracle.pairs(x, oracle.draw(gen, 1))[0]
     exact = rosenbrock_grad(x)
-    assert np.array_equal(pair.g, exact)
-    assert np.array_equal(pair.g_prime, exact)
-
-
-def test_sample_pair_dim_mismatch():
-    with pytest.raises(ValueError):
-        RosenbrockOracle().sample_pair(np.zeros(3), RngStream(1).generator())
+    assert np.array_equal(g, exact)
+    assert np.array_equal(g_prime, exact)
 
 
 def test_rosenbrock_noisy_unbiased_at_origin():
@@ -79,26 +73,6 @@ def test_h1_unbiasedness_and_independence(make_oracle, x):
     inner = np.sum(gs * gps, axis=1)
     tol = 4.0 * inner.std(ddof=1) / np.sqrt(n)
     assert abs(inner.mean() - np.sum(exact * exact)) <= tol
-
-
-def test_gradient_pair_validation():
-    with pytest.raises(ValueError):
-        GradientPair(np.ones(2), np.ones(3))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("field", ["g", "g_prime"])
-def test_gradient_pair_rejects_every_non_finite_entry(field, bad):
-    entries = {"g": np.ones(3), "g_prime": np.ones(3)}
-    entries[field][2] = bad
-    with pytest.raises(ValueError, match="gradient pair entries must be finite"):
-        GradientPair(**entries)
-
-
-def test_gradient_pair_accepts_extreme_finite_entries():
-    big = np.finfo(np.float64).max
-    pair = GradientPair(np.array([big, -0.0, 5e-324]), np.array([-big, 0.0, -5e-324]))
-    assert pair.dim == 3
 
 
 def test_quadratic_oracle_metadata():
@@ -187,13 +161,20 @@ def test_sigmoid_loss_empty_dataset_rejected():
         sigmoid_loss_grad(np.zeros(2), np.zeros((0, 2)), np.zeros(0))
 
 
+@pytest.mark.parametrize("batch_size", [2.5, 2.0, True])
+def test_minibatch_oracle_refuses_a_batch_size_that_is_not_an_integer(synthetic500,
+                                                                      batch_size):
+    with pytest.raises(ValueError, match=f"batch_size must be an integer, got {batch_size!r}"):
+        SigmoidLossOracle(synthetic500, batch_size=batch_size)
+
+
 def test_minibatch_full_batch_is_exact(synthetic500):
     oracle = SigmoidLossOracle(synthetic500, batch_size=len(synthetic500))
     x = np.zeros(synthetic500.n_features)
-    pair = oracle.sample_pair(x, RngStream(17).generator())
+    g, g_prime = oracle.pairs(x, oracle.draw(RngStream(17).generator(), 1))[0]
     full = oracle.grad(x)
-    assert np.array_equal(pair.g, full)
-    assert np.array_equal(pair.g_prime, full)
+    assert np.array_equal(g, full)
+    assert np.array_equal(g_prime, full)
 
 
 def test_minibatch_batch1_unbiased(synthetic500):

@@ -30,7 +30,7 @@ from sgdol import (
 )
 from sgdol._kernels import _CHUNK_FLOATS
 from sgdol.cli import cli_main
-from sgdol.optimizers import OPTIMIZER_KINDS, takes_kernel
+from sgdol.optimizers import OPTIMIZER_KINDS
 
 REPS = 2
 
@@ -85,29 +85,16 @@ def _state_bits(optimizer):
                                    for attr in optimizer.state]
 
 
-@pytest.fixture
-def spied_groups(monkeypatch):
-    """The optimizer groups that ``run_experiment`` hands the update loop."""
-    seen = []
-    real = harness._run_updates
-
-    def spy(groups, *args):
-        seen.append(groups)
-        return real(groups, *args)
-    monkeypatch.setattr(harness, "_run_updates", spy)
-    return seen
-
-
 @pytest.mark.parametrize("report_every", [1, 3, 7])
 @pytest.mark.parametrize("d", [2, 5, 100])
-def test_each_experiment_lane_equals_its_single_run(d, report_every, spied_groups):
+def test_each_experiment_lane_equals_its_single_run(d, report_every, loop_calls):
     # A horizon past one noise chunk and not a multiple of its rows, so the
     # record steps straddle chunk edges.
     T = _chunk_rows(d) + 77
     configs = _configs(d)
     spec = _spec(d, T, report_every, configs)
     table = run_experiment(spec)
-    [groups] = spied_groups
+    [groups] = loop_calls["_run_updates"]
     oracle = spec.oracle.build(spec.seed)
     x0 = np.zeros(d)
     for i, (name, cfg) in enumerate(configs.items()):
@@ -122,22 +109,25 @@ def test_each_experiment_lane_equals_its_single_run(d, report_every, spied_group
 
 @pytest.mark.parametrize("report_every", [1, 3, 7])
 @pytest.mark.parametrize("d", [2, 5, 100])
-def test_momentum_on_a_quadratic_equals_its_engine_run(d, report_every):
+def test_momentum_on_a_quadratic_equals_its_engine_run(d, report_every, loop_calls):
     oracle = QuadraticOracle(np.arange(1, d + 1) / d, sigma=0.7)
     T = _chunk_rows(d) + 77
     o1, o2 = SgdolMomentum(np.zeros(d), M=1.0), SgdolMomentum(np.zeros(d), M=1.0)
-    assert takes_kernel(o1, oracle) and not takes_kernel(o1, oracle, force_generic=True)
     r1 = run(o1, oracle, T, RngStream(32), report_every=report_every)
     r2 = run(o2, oracle, T, RngStream(32), report_every=report_every, force_generic=True)
+    assert loop_calls["_run_updates"] == [[[o1]]] and loop_calls["run_lanes"] == [[[o2]]]
     assert _result_bits(r1) == _result_bits(r2)
     assert _state_bits(o1) == _state_bits(o2)
 
 
-def test_every_kind_takes_the_update_loop_on_the_exact_quadratic():
+def test_every_kind_takes_the_update_loop_on_the_exact_quadratic(loop_calls):
     assert set(_configs(3)) == set(OPTIMIZER_KINDS)
     oracle = QuadraticOracle(np.ones(3))
-    for cfg in _configs(3).values():
-        assert takes_kernel(cfg.build(np.zeros(3)), oracle)
+    optimizers = [cfg.build(np.zeros(3)) for cfg in _configs(3).values()]
+    for opt in optimizers:
+        run(opt, oracle, 1, RngStream(1))
+    assert loop_calls["_run_updates"] == [[[opt]] for opt in optimizers]
+    assert loop_calls["_run_kernels"] == loop_calls["run_lanes"] == []
 
 
 # M = 1 is far below the curvature 100: every iterate overflows within 200 steps.
