@@ -2,25 +2,26 @@
 
 Every kernel has the signature
 
-    kernel(sigma, noise, x, T, c0, stride, *params, *state) -> (rows, x, *state)
+    kernel(noise, x, c0, T, stride, *params, *state) -> (rows, x, *state)
 
 and takes steps t0 = c0, ..., c0 + T - 1 (0-based) of a run on the
 built-in Rosenbrock objective with additive Gaussian noise. ``noise``
-iterates their standard normals as flat floats, g's two a step, then g''s
-two for the SGDOL kernels (``g_pair_consumed`` pairs a step), and the
-kernel takes exactly T steps' floats from it; ``sigma`` holds the
-per-coordinate noise levels. ``rows`` is a flat typed buffer with a row
-per step with t0 % stride == 0: x_t, then the stepsize(s) step t used (one
-column for the global-stepsize kernels, SGD's lr and Adam's NaN, one per
-coordinate for the per-coordinate kernels). ``optimizers._run_kernels``
-feeds each run's kernel a noise chunk at a time, shared by every run on
+iterates that noise, already scaled by sigma, as flat floats, g's two a
+step, then g''s two for the SGDOL kernels (``g_pair_consumed`` pairs a
+step); a gradient is the exact one plus them, and the kernel takes
+exactly T steps' floats. ``rows`` is a flat typed buffer with a row per
+step with t0 % stride == 0, which a kernel finds by comparing t0 with the
+next such step: x_t, then the stepsize(s) step t used (one column for the
+global-stepsize kernels, SGD's lr and Adam's NaN, one per coordinate for
+the per-coordinate kernels). ``optimizers._run_kernels`` feeds each run's
+kernel a noise chunk at a time, scaled once and shared by every run on
 the stream, and derives the records from the rows.
 
-A kernel is a pure function: ``sigma``, ``x`` and every array of
-``state`` (FTRL sums, AdaGrad accumulators, Adam moments and beta powers,
-the six running values of an ``Sgdol``'s regret ledger) come in as tuples
-of floats and go out as new tuples, so a kernel continues a run from
-wherever the previous chunk, or generic steps, left it.
+A kernel is a pure function: ``x`` and every array of ``state`` (FTRL
+sums, AdaGrad accumulators, Adam moments and beta powers, the six running
+values of an ``Sgdol``'s regret ledger) come in as tuples of floats and go
+out as new tuples, so a kernel continues a run from wherever the previous
+chunk, or generic steps, left it.
 
 Coordinates and state are Python float locals, four to seven times faster
 than numpy scalars under CPython, with the Rosenbrock gradient inlined; f
@@ -83,7 +84,7 @@ def _fold_round(ledger, M, alpha, curv, eta, b, a, ap):
     return n + 1, lc + loss, li + b, lq, lm, l2 + slope * slope / (alpha + curv * lq)
 
 
-def _sgdol_global(sigma, noise, x, T, c0, stride, M, alpha, curv, si, ss, *ledger):
+def _sgdol_global(noise, x, c0, T, stride, M, alpha, curv, si, ss, *ledger):
     """SGDOL with one global FTRL-learned stepsize.
 
     The learner state is (sum of <g,g'>, sum of ||g||^2), then a regret
@@ -96,7 +97,7 @@ def _sgdol_global(sigma, noise, x, T, c0, stride, M, alpha, curv, si, ss, *ledge
     led = bool(ledger)  # a bool tests faster than a tuple in the loops
     hi = 2.0 / M
     x0, x1 = x
-    s0, s1 = sigma
+    nxt = -(-c0 // stride) * stride
     for t0, u0, u1, v0, v1 in _steps(noise, c0, T, 4):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
@@ -106,12 +107,13 @@ def _sgdol_global(sigma, noise, x, T, c0, stride, M, alpha, curv, si, ss, *ledge
             eta = 0.0
         elif eta > hi:
             eta = hi
-        if t0 % stride == 0:
+        if t0 == nxt:
+            nxt += stride
             rec.extend((x0, x1, eta))
-        g0 = r0 + s0 * u0
-        g1 = r1 + s1 * u1
-        gp0 = r0 + s0 * v0
-        gp1 = r1 + s1 * v1
+        g0 = r0 + u0
+        g1 = r1 + u1
+        gp0 = r0 + v0
+        gp1 = r1 + v1
         x0 = x0 - eta * g0
         x1 = x1 - eta * g1
         b = 0.0 + g0 * gp0 + g1 * gp1
@@ -124,12 +126,12 @@ def _sgdol_global(sigma, noise, x, T, c0, stride, M, alpha, curv, si, ss, *ledge
     return rec, (x0, x1), si, ss, *ledger
 
 
-def _sgdol_coord(sigma, noise, x, T, c0, stride, M, alpha, si, ss):
+def _sgdol_coord(noise, x, c0, T, stride, M, alpha, si, ss):
     """SGDOL with one FTRL learner per coordinate; state (si, ss) as above."""
     rec = array("d")
     hi = 2.0 / M
     x0, x1 = x
-    s0, s1 = sigma
+    nxt = -(-c0 // stride) * stride
     si0, si1 = si
     ss0, ss1 = ss
     for t0, u0, u1, v0, v1 in _steps(noise, c0, T, 4):
@@ -146,12 +148,13 @@ def _sgdol_coord(sigma, noise, x, T, c0, stride, M, alpha, si, ss):
             e1 = 0.0
         elif e1 > hi:
             e1 = hi
-        if t0 % stride == 0:
+        if t0 == nxt:
+            nxt += stride
             rec.extend((x0, x1, e0, e1))
-        g0 = r0 + s0 * u0
-        g1 = r1 + s1 * u1
-        gp0 = r0 + s0 * v0
-        gp1 = r1 + s1 * v1
+        g0 = r0 + u0
+        g1 = r1 + u1
+        gp0 = r0 + v0
+        gp1 = r1 + v1
         x0 = x0 - e0 * g0
         x1 = x1 - e1 * g1
         si0 += g0 * gp0
@@ -161,68 +164,71 @@ def _sgdol_coord(sigma, noise, x, T, c0, stride, M, alpha, si, ss):
     return rec, (x0, x1), (si0, si1), (ss0, ss1)
 
 
-def _sgd(sigma, noise, x, T, c0, stride, lr):
+def _sgd(noise, x, c0, T, stride, lr):
     """Constant-stepsize SGD (also the precomputed-stepsize variant); reads only g's noise."""
     rec = array("d")
     x0, x1 = x
-    s0, s1 = sigma
+    nxt = -(-c0 // stride) * stride
     for t0, u0, u1 in _steps(noise, c0, T, 2):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
-        if t0 % stride == 0:
+        if t0 == nxt:
+            nxt += stride
             rec.extend((x0, x1, lr))
-        x0 = x0 - lr * (r0 + s0 * u0)
-        x1 = x1 - lr * (r1 + s1 * u1)
+        x0 = x0 - lr * (r0 + u0)
+        x1 = x1 - lr * (r1 + u1)
     return rec, (x0, x1)
 
 
-def _adagrad_global(sigma, noise, x, T, c0, stride, lr, accum):
+def _adagrad_global(noise, x, c0, T, stride, lr, accum):
     """AdaGrad with one shared stepsize lr / sqrt(sum of squared grad norms)."""
     rec = array("d")
     sqrt = math.sqrt
     x0, x1 = x
-    s0, s1 = sigma
+    nxt = -(-c0 // stride) * stride
     for t0, u0, u1 in _steps(noise, c0, T, 2):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
-        g0 = r0 + s0 * u0
-        g1 = r1 + s1 * u1
+        g0 = r0 + u0
+        g1 = r1 + u1
         accum += 0.0 + g0 * g0 + g1 * g1
         coef = lr / sqrt(accum) if accum > 0.0 else 0.0
-        if t0 % stride == 0:
+        if t0 == nxt:
+            nxt += stride
             rec.extend((x0, x1, coef))
         x0 = x0 - coef * g0
         x1 = x1 - coef * g1
     return rec, (x0, x1), accum
 
 
-def _adagrad_coord(sigma, noise, x, T, c0, stride, lr, accum):
+def _adagrad_coord(noise, x, c0, T, stride, lr, accum):
     """AdaGrad with a per-coordinate accumulator."""
     rec = array("d")
     sqrt = math.sqrt
     x0, x1 = x
-    s0, s1 = sigma
+    nxt = -(-c0 // stride) * stride
     q0, q1 = accum
     for t0, u0, u1 in _steps(noise, c0, T, 2):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
-        g0 = r0 + s0 * u0
-        g1 = r1 + s1 * u1
+        g0 = r0 + u0
+        g1 = r1 + u1
         q0 += g0 * g0
         q1 += g1 * g1
-        c0 = lr / sqrt(q0) if q0 > 0.0 else 0.0
-        c1 = lr / sqrt(q1) if q1 > 0.0 else 0.0
-        if t0 % stride == 0:
-            rec.extend((x0, x1, c0, c1))
-        x0 = x0 - c0 * g0
-        x1 = x1 - c1 * g1
+        k0 = lr / sqrt(q0) if q0 > 0.0 else 0.0
+        k1 = lr / sqrt(q1) if q1 > 0.0 else 0.0
+        if t0 == nxt:
+            nxt += stride
+            rec.extend((x0, x1, k0, k1))
+        x0 = x0 - k0 * g0
+        x1 = x1 - k1 * g1
     return rec, (x0, x1), (q0, q1)
 
 
-def _adam(sigma, noise, x, T, c0, stride, lr, beta1, beta2, eps, m, v, p1, p2):
+def _adam(noise, x, c0, T, stride, lr, beta1, beta2, eps, m, v, p1, p2):
     """Adam with standard bias-corrected moment estimates; it records NaN stepsizes."""
     rec = array("d")
     sqrt = math.sqrt
@@ -230,21 +236,22 @@ def _adam(sigma, noise, x, T, c0, stride, lr, beta1, beta2, eps, m, v, p1, p2):
     c1 = 1.0 - beta1
     c2 = 1.0 - beta2
     x0, x1 = x
-    s0, s1 = sigma
+    nxt = -(-c0 // stride) * stride
     m0, m1 = m
     w0, w1 = v
     for t0, u0, u1 in _steps(noise, c0, T, 2):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
-        if t0 % stride == 0:
+        if t0 == nxt:
+            nxt += stride
             rec.extend((x0, x1, nan))
         p1 *= beta1
         p2 *= beta2
         bc1 = 1.0 - p1
         bc2 = 1.0 - p2
-        g0 = r0 + s0 * u0
-        g1 = r1 + s1 * u1
+        g0 = r0 + u0
+        g1 = r1 + u1
         m0 = beta1 * m0 + c1 * g0
         m1 = beta1 * m1 + c1 * g1
         w0 = beta2 * w0 + c2 * (g0 * g0)

@@ -149,18 +149,19 @@ class ExperimentSpec:
 
     def validate(self) -> List[str]:
         problems = self.oracle.validate() + field_problems(T=self.T)
-        problems += [f"{name}: must be an integer, got {value!r}"
-                     for name, value in (("repetitions", self.repetitions),
-                                         ("report_every", self.report_every))
-                     if value is not None and not is_integer(value)]
-        if self.repetitions < 1:
-            problems.append(f"repetitions: must be >= 1, got {self.repetitions}")
+        # A count is compared with 1 only once it is known to be an integer.
+        for name, value in (("repetitions", self.repetitions),
+                            ("report_every", self.report_every)):
+            if value is None and name == "report_every":
+                continue
+            if not is_integer(value):
+                problems.append(f"{name}: must be an integer, got {value!r}")
+            elif value < 1:
+                problems.append(f"{name}: must be >= 1, got {value}")
         if not is_integer(self.seed):
             problems.append(f"seed: must be an integer, got {self.seed!r}")
         elif not 0 <= self.seed < 2**64:
             problems.append(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
-        if self.report_every is not None and self.report_every < 1:
-            problems.append(f"report_every: must be >= 1, got {self.report_every}")
         if not self.optimizers:
             problems.append("optimizers: at least one optimizer section is required")
         names = [name for name, _ in self.optimizers]

@@ -507,15 +507,14 @@ def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
     """``run_lanes`` on an exact ``RosenbrockOracle``, on each kind's fused kernel.
 
     Takes ``run_lanes``' arguments and returns its results. Each stream's
-    noise is drawn a chunk at a time and turned into a flat list of floats
-    once per noise width, which every run of the stream that reads that
-    width steps through on its kernel; x and state go from chunk to chunk
-    as tuples.
+    noise is drawn a chunk at a time, scaled by sigma, and turned into a
+    flat list of floats once per noise width, which every run of the
+    stream that reads that width steps through on its kernel; x and state
+    go from chunk to chunk as tuples.
     """
     stride, ks, _ = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
     if not groups:
         return []
-    sigma = tuple(oracle.sigma.tolist())
     t = np.arange(1, T + 1, stride, dtype=np.int64)
     results = [[None] * len(rngs) for _ in groups]
     for r, rng in enumerate(rngs):
@@ -530,6 +529,7 @@ def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
                     for w in {opt.g_pair_consumed for opt in opts}}
         for c0, chunk in _kernels._chunks(functools.partial(oracle.draw, rng.generator()), T, 2):
             n = len(chunk)
+            chunk = oracle.sigma * chunk  # the products sigma * z that pairs forms
             for w, runs in by_width.items():
                 noise = chunk[:, :w].ravel().tolist()
                 for j in runs:
@@ -537,7 +537,7 @@ def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
                     k = ks[j][r] - 1 - c0  # x_k is the x that the chunk's first k steps leave
                     for lo, hi in ((0, k), (k, n)) if 0 <= k < n else ((0, n),):
                         chunk_rows, xs[j], *args[j][p:] = kernels[j](
-                            sigma, steps, xs[j], hi - lo, c0 + lo, stride, *args[j])
+                            steps, xs[j], c0 + lo, hi - lo, stride, *args[j])
                         rows[j] += chunk_rows
                         if hi == k:
                             x_ks[j] = xs[j]

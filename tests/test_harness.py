@@ -228,6 +228,18 @@ def test_validation_requires_integer_counts():
         assert any(p.startswith(f"{name}: must be an integer") for p in problems), problems
 
 
+@pytest.mark.parametrize("name, value", [
+    ("repetitions", None), ("repetitions", "3"), ("repetitions", True),
+    ("report_every", "2"), ("report_every", True),
+])
+def test_a_non_integer_count_is_reported_once(name, value):
+    # None and the strings raised TypeError from the range check < 1.
+    problems = [p for p in _spec(**{name: value}).validate() if p.startswith(f"{name}:")]
+    assert problems == [f"{name}: must be an integer, got {value!r}"]
+    with pytest.raises(ConfigError):
+        run_experiment(_spec(**{name: value}))
+
+
 @pytest.mark.parametrize("seed", [1.5, 1.0, True, math.nan, None])
 def test_a_non_integer_seed_is_reported_once(seed):
     # seed=1.5 and seed=True passed validation and ran as seed 1.

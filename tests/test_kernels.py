@@ -121,6 +121,14 @@ def _state_bits(optimizer):
     return [_bits(attrgetter(attr)(optimizer)) for attr in optimizer.state]
 
 
+def _result_bits(res):
+    """k, then the bits of a run's iterates and every series it recorded."""
+    traj = res.trajectory
+    values = (res.x_final, res.x_k, traj.t, traj.f_value, traj.true_grad_sq_norm, traj.stepsize,
+              traj.stepsize_coords)
+    return [res.k] + [_bits(v) for v in values if v is not None]
+
+
 @pytest.mark.parametrize("make", [
     *MAKERS, lambda d: Sgdol(np.zeros(d), M=1002.0, alpha=10.0, record_regret=True)])
 def test_kernel_matches_generic_on_quadratic_d100_within_summation_order(make):
@@ -152,6 +160,21 @@ def test_kernel_matches_generic_on_quadratic_d100_within_summation_order(make):
         close.append((t1.stepsize, t2.stepsize))
     for a, b in close:
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, (0.0, 5.0)], ids=["sigma0", "sigma0-5"])
+@pytest.mark.parametrize("make", MAKERS)
+def test_kernel_matches_generic_on_rosenbrock_with_zero_noise_bitwise(make, sigma):
+    # A kernel adds the pre-scaled noise sigma * z, which is -0.0 for a
+    # negative z at sigma 0; r + -0.0 must leave every bit as the engine's
+    # r + sigma * z does, signed zeros included.
+    oracle = RosenbrockOracle(sigma=sigma)
+    o1, o2 = make(2), make(2)
+    r1 = run(o1, oracle, T=_chunk_crossing_T(2), rng=RngStream(78), report_every=1)
+    r2 = run(o2, oracle, T=_chunk_crossing_T(2), rng=RngStream(78), report_every=1,
+             force_generic=True)
+    assert _result_bits(r1) == _result_bits(r2)
+    assert _state_bits(o1) == _state_bits(o2)
 
 
 def _warm(kind, x, rs):
@@ -240,6 +263,11 @@ _KINDS = (*kernels.KERNEL_NAMES, "sgd_gl")
 # test_kernel_matches_generic_on_quadratic_d100_within_summation_order.
 _PAIRWISE_KINDS = ("sgdol_global", "adagrad_global")
 
+# Steps per Rosenbrock noise chunk, and a horizon at which the seventh
+# chunk, steps 3072-3583, holds no multiple of 600.
+_CHUNK_STEPS = kernels._CHUNK_FLOATS // 4
+_RECORDLESS_CHUNK_T = 7 * _CHUNK_STEPS + 77
+
 # Rosenbrock runs on a kernel, the quadratics of every d through the
 # optimizer's own update.
 _TWIN_CASES = [
@@ -247,6 +275,10 @@ _TWIN_CASES = [
                  id="rosenbrock-stride1"),
     pytest.param(ORACLE_ROSENBROCK, 2, (-1.2, 1.0), 7, _chunk_crossing_T(2),
                  id="rosenbrock-stride7"),
+    # The shipped config's stride, and one longer than a chunk, at a horizon
+    # where some chunk holds no record step.
+    *(pytest.param(ORACLE_ROSENBROCK, 2, (-1.2, 1.0), stride, _RECORDLESS_CHUNK_T,
+                   id=f"rosenbrock-stride{stride}") for stride in (200, 600)),
     *(pytest.param(ORACLE_QUADRATIC, d, (1.0,), stride, _chunk_crossing_T(d),
                    id=f"quadratic_d{d}-stride{stride}")
       for d in (2, 3, 5, 7, 100) for stride in (1, 7)),
@@ -325,6 +357,18 @@ def test_kernel_draws_exactly_T_pairs_a_chunk_at_a_time(kind, oracle_id, d, x0, 
     assert sum(calls) == T
     assert 1 <= max(calls) <= max(1, kernels._CHUNK_FLOATS // (2 * d)) < T
     assert ran == ref
+
+
+def test_long_stride_twin_cases_skip_a_chunk_and_split_one_at_k():
+    # The record test of a kernel call must find the next record step when
+    # the call holds none, and when it starts mid-chunk after x_k.
+    T = _RECORDLESS_CHUNK_T
+    starts = range(0, T, _CHUNK_STEPS)
+    assert any(-(-c0 // 600) * 600 >= min(c0 + _CHUNK_STEPS, T) for c0 in starts)
+    # The output index of the twin runs, which depends on T and the stream only.
+    res = run(Sgd(np.zeros(2), lr=1e-3), RosenbrockOracle(), T=T, rng=RngStream(86),
+              report_every=600)
+    assert (res.k - 1) % _CHUNK_STEPS != 0
 
 
 @pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
