@@ -55,7 +55,7 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # a run that cannot go on, such as a diverging engine run
+    except ValueError as exc:  # a run that cannot go on; a diverging run goes on, to NaN
         print(f"run error: {exc}", file=sys.stderr)
         return 1
     for name, series in table.series.items():

@@ -245,13 +245,14 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     table = ResultTable(f_star=oracle.f_star)
     for opt_idx, ((name, _), cfg) in enumerate(zip(spec.optimizers, configs)):
         sums = {}
-        for result in results[opt_idx]:
-            for attr in ("true_grad_sq_norm", "f_value", "stepsize", "stepsize_coords"):
-                series = getattr(result.trajectory, attr)
-                if attr in sums:
-                    sums[attr] += series
-                elif series is not None:
-                    sums[attr] = series.astype(np.float64)  # a copy
+        with np.errstate(over="ignore", invalid="ignore"):  # diverged runs add up silently
+            for result in results[opt_idx]:
+                for attr in ("true_grad_sq_norm", "f_value", "stepsize", "stepsize_coords"):
+                    series = getattr(result.trajectory, attr)
+                    if attr in sums:
+                        sums[attr] += series
+                    elif series is not None:
+                        sums[attr] = series.astype(np.float64)  # a copy
         mean = {attr: np.divide(total, reps, out=total) for attr, total in sums.items()}
         table.series[name] = OptimizerSeries(
             name=name,

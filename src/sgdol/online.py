@@ -158,13 +158,13 @@ class RegretLedger:
         ``L`` is only a hypothesis check and does not enter the value: when
         supplied it must dominate every recorded gradient norm (the
         hypothesis under which the closed-form logarithmic cap on the second
-        term is valid), else ValueError.
+        term is valid), else ValueError; a NaN L or maximum fails the check.
         """
         if not 0.0 <= eta <= 2.0 / self.M:
             raise ValueError(f"comparator must lie in [0, {2.0 / self.M}], got {eta}")
-        if L is not None and L < self.max_grad_norm():
+        if L is not None and not L >= self.max_grad_norm():
             raise ValueError(
-                f"L={L} is below the largest recorded gradient norm {self.max_grad_norm()}"
+                f"L={L} does not bound the largest recorded gradient norm {self.max_grad_norm()}"
             )
         diff = eta - 1.0 / self.M
         first = 0.5 * self.M * self.alpha * diff * diff

@@ -24,14 +24,13 @@ loop of each group: ``run`` hands it one lane and
 ``harness.run_experiment`` all the (optimizer x repetition) runs, each
 stream's noise drawn once for all the runs of a loop. On the exact
 Rosenbrock class a kind with a fused kernel in ``_kernels`` runs on it in
-``_run_kernels``. Every other run steps through its own ``update`` in the
-numpy lane loop, ``run_lanes``, which asks the oracle only for what
-``oracles.StochasticOracle`` requires of every oracle: ``draw``,
-``pairs`` and ``record_lanes``. On the exact quadratic class the loop runs
-as ``_run_updates``, where a kind with a kernel sums its records in index
-order, as the kernels' reference does. All paths consume the random
-streams identically and leave the optimizers in the same state, bit for
-bit.
+``_run_kernels``; every other run steps through its own ``update`` in the
+numpy lane loop, ``run_lanes``, which needs only the ``draw``, ``pairs``
+and ``record_lanes`` of ``oracles.StochasticOracle``. On the exact
+quadratic class that loop runs as ``_run_updates``, where a kind with a
+kernel sums its records in index order, as the kernels' reference does.
+Every path records in ``_record`` and leaves the same results and state,
+bit for bit, a diverging run's inf and NaN included: no loop checks a pair.
 """
 
 from __future__ import annotations
@@ -423,9 +422,17 @@ class RunResult:
     x_k: np.ndarray
     x_final: np.ndarray
 
+    @property
+    def diverged_at(self) -> Optional[int]:
+        """The first recorded t whose f or ||grad f||^2 is not finite; None if none is."""
+        traj = self.trajectory
+        bad = ~np.isfinite([traj.f_value, traj.true_grad_sq_norm]).all(axis=0)
+        return int(traj.t[bad.argmax()]) if bad.any() else None
+
 
 def _schedule(groups, oracle, T, rngs, output_rngs, report_every):
-    """Check a loop's arguments; return the stride, ``ks[i][r]`` and ``{k: [(i, r), ...]}``."""
+    """Check a loop's arguments; return the stride, ``ks[i][r]``, ``{k: [(i, r), ...]}``
+    and each group's empty records."""
     if any(len(group) != len(rngs) for group in groups):
         raise ValueError("every group needs one optimizer per oracle stream")
     for name, value in (("T", T), ("report_every", report_every)):
@@ -444,7 +451,40 @@ def _schedule(groups, oracle, T, rngs, output_rngs, report_every):
     for i, row in enumerate(ks):
         for r, k in enumerate(row):
             captures[k].append((i, r))
-    return stride, ks, captures
+    shape = (len(rngs), len(range(0, T, stride)))
+    # Per group: f, ||grad f||^2, the (mean) stepsize and the per-coordinate stepsizes.
+    recs = [(np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape + (oracle.dim,))
+             if isinstance(group[0], (SgdolCoord, AdaGradCoord)) else None) for group in groups]
+    return stride, ks, captures, recs
+
+
+def _record(oracle, xs, etas, rec, where, index_order=False):
+    """Write the records of steps with x_t ``xs`` (n, lanes, d) and stepsize(s) ``etas``
+    into the (lanes, steps) block ``where`` of a group's records ``rec``. With
+    ``index_order`` (an exact ``QuadraticOracle``) f, ||grad f||^2 and the mean
+    stepsize sum in index order, as the kernels' references do, in place in ``etas``."""
+    f, gsq, mean, coords = (a if a is None else a[where].swapaxes(0, 1) for a in rec)
+    total = _index_sum if index_order else functools.partial(np.add.reduce, axis=-1)
+    with np.errstate(all="ignore"):
+        if index_order:  # f = 0.5 * sum(diag * x^2) in index order
+            grad = oracle.grad_lanes(xs)
+            f[...] = 0.5 * _index_sum(oracle.diag * (xs * xs))
+        else:
+            f[...], grad = oracle.record_lanes(xs)
+        gsq[...] = total(grad * grad)
+        if coords is not None:
+            coords[...] = etas = etas.reshape(coords.shape)
+            etas = total(etas) / xs.shape[-1]
+        mean[...] = etas.reshape(len(etas), -1)  # a step's one stepsize for all lanes broadcasts
+
+
+def _results(groups, recs, ks, x_k, T, stride):
+    """``results[i][r]``: each run's records, output iterate and final iterate."""
+    return [[RunResult(Trajectory(np.arange(1, T + 1, stride, dtype=np.int64), f[r], gsq[r],
+                                  mean[r], None if coords is None else coords[r]),
+                       ks[i][r], x_k[i, r], optimizer.x.copy())
+             for r, optimizer in enumerate(group)]
+            for i, (group, (f, gsq, mean, coords)) in enumerate(zip(groups, recs))]
 
 
 def run(
@@ -512,18 +552,17 @@ def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
     stream that reads that width steps through on its kernel; x and state
     go from chunk to chunk as tuples.
     """
-    stride, ks, _ = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
+    stride, ks, _, recs = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
     if not groups:
         return []
-    t = np.arange(1, T + 1, stride, dtype=np.int64)
-    results = [[None] * len(rngs) for _ in groups]
+    d, x_k = oracle.dim, {}
     for r, rng in enumerate(rngs):
         opts = [group[r] for group in groups]
         kernels = [_kernels.get_kernel(opt.kernel) for opt in opts]
         # Each run's x, and its parameters then state, as the last chunk left them.
         xs = [tuple(opt.x.tolist()) for opt in opts]
         args = [_kernel_args(opt) for opt in opts]
-        rows, x_ks = [array("d") for _ in opts], [None] * len(opts)
+        rows = [array("d") for _ in opts]
         # The runs by the pairs of a step's noise that they read: g's, or g's and g''s.
         by_width = {w: [j for j, opt in enumerate(opts) if opt.g_pair_consumed == w]
                     for w in {opt.g_pair_consumed for opt in opts}}
@@ -540,23 +579,15 @@ def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
                             steps, xs[j], c0 + lo, hi - lo, stride, *args[j])
                         rows[j] += chunk_rows
                         if hi == k:
-                            x_ks[j] = xs[j]
+                            x_k[j, r] = np.array(xs[j])
                 del noise, steps  # so one flat list of floats is alive at a time
         for j, opt in enumerate(opts):
-            opt.x = np.array(xs[j])
-            for attr, value in zip(opt.state, args[j][len(opt.params):]):
+            for attr, value in zip(("x",) + opt.state, [xs[j], *args[j][len(opt.params):]]):
                 _set_attr(opt, attr, np.array(value) if isinstance(value, tuple) else value)
-            # The records from the stored x_t and stepsizes, as the lane loop makes them.
-            rec = np.frombuffer(rows[j]).reshape(len(t), -1)
-            eta = rec[:, 2:]
-            w = eta.shape[1]
-            with np.errstate(all="ignore"):
-                f, grad = oracle.record_lanes(rec[:, :2])
-                traj = Trajectory(t.copy(), f, row_dot(grad, grad),
-                                  np.add.reduce(eta, axis=-1) / w,
-                                  stepsize_coords=eta.copy() if w > 1 else None)
-            results[j][r] = RunResult(traj, ks[j][r], np.array(x_ks[j]), opt.x.copy())
-    return results
+            # Each row is x_t, then the stepsize(s) step t used.
+            rec = np.frombuffer(rows[j]).reshape(recs[j][0].shape[1], -1)
+            _record(oracle, rec[:, None, :d], rec[:, d:], recs[j], np.s_[r:r + 1])
+    return _results(groups, recs, ks, x_k, T, stride)
 
 
 def _clone(obj):
@@ -607,24 +638,13 @@ def _index_sum(rows):
 
 def _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order):
     """``run_lanes``; with ``index_order``, ``_run_updates``."""
-    stride, ks, captures = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
+    stride, ks, captures, recs = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
     if not groups:
         return []
     gens = [rng.generator() for rng in rngs]
     R, d = len(rngs), oracle.dim
     # A lone lane steps unstacked, on (d,) arrays, where numpy's calls cost less.
     stacks = [_stack(group) if R > 1 else group[0] for group in groups]
-    in_order = [index_order and lanes.kernel is not None for lanes in stacks]
-    # The part of each step's pairs checked for finiteness: all, some groups'
-    # or none; one group's by its index, so the check reads a view.
-    checked = [i for i, ordered in enumerate(in_order) if not ordered]
-    check = (... if len(checked) == len(stacks) else None if not checked
-             else checked[0] if len(checked) == 1 else checked)
-    n_rec = len(range(0, T, stride))
-    # Per group: f, ||grad f||^2, the (mean) stepsize and the per-coordinate stepsizes.
-    recs = [(np.empty((R, n_rec)), np.empty((R, n_rec)), np.empty((R, n_rec)),
-             np.empty((R, n_rec, d)) if isinstance(lanes, (SgdolCoord, AdaGradCoord)) else None)
-            for lanes in stacks]
     loops = [(lanes, [], []) for lanes in stacks]
     one = len(stacks) == 1
     x_k = {}
@@ -639,16 +659,13 @@ def _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order)
         axis = min(2, noise[0].ndim)
         return np.stack(noise, axis=axis).swapaxes(1, axis)
     try:
-        # Overflow is silent, as in the kernels; a checked non-finite pair raises.
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # overflow is silent, as in the kernels
             for c0, chunk in _kernels._chunks(draw, T, d):
                 for t0, noise in enumerate(chunk, c0):
                     for i, r in captures.get(t0 + 1, ()):
                         x_k[i, r] = stacks[i].x.reshape(-1, d)[r].copy()
                     X = stacks[0].x if one else np.array([lanes.x for lanes in stacks])
                     pairs = oracle.pairs(X, noise)
-                    if check is not None and not np.isfinite(pairs[check]).all():
-                        raise ValueError("gradient pair entries must be finite")
                     if R > 1:  # each group's g, then g', as contiguous (R, d) rows
                         pairs = np.ascontiguousarray(pairs.swapaxes(-3, -2))
                     record = t0 % stride == 0
@@ -659,47 +676,27 @@ def _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order)
                             x_rows.append(x)
                             eta_rows.append(eta)
                 r0 = -(-c0 // stride)  # the chunk's first record
-                for (_, x_rows, eta_rows), ordered, (f, gsq, mean, coords) in zip(
-                        loops, in_order, recs):
+                for (lanes, x_rows, eta_rows), rec in zip(loops, recs):
                     if not x_rows:
                         continue
-                    cut = slice(r0, r0 + len(x_rows))
                     xs = np.concatenate(x_rows).reshape(len(x_rows), -1, d)
                     etas = np.array(eta_rows)
-                    x_rows.clear()
-                    eta_rows.clear()
-                    total = _index_sum if ordered else functools.partial(np.add.reduce, axis=-1)
-                    if ordered:  # f = 0.5 * sum(diag * x^2) in index order
-                        grad = oracle.grad_lanes(xs)
-                        f_rows = 0.5 * _index_sum(oracle.diag * (xs * xs))
-                    else:
-                        f_rows, grad = oracle.record_lanes(xs)
-                    f[:, cut] = f_rows.T
-                    gsq[:, cut] = total(grad * grad).T
-                    if coords is not None:
-                        etas = etas.reshape(xs.shape)
-                        coords[:, cut] = etas.swapaxes(0, 1)
-                        etas = total(etas) / d
-                    mean[:, cut] = etas.T
+                    del x_rows[:], eta_rows[:]
+                    _record(oracle, xs, etas, rec, np.s_[:, r0:r0 + len(xs)],
+                            index_order and lanes.kernel is not None)
     finally:
-        # Even when a lane diverges, each optimizer keeps the steps taken.
+        # Each optimizer keeps the steps taken, even when a call raises.
         for lanes, group in zip(stacks, groups):
             if lanes is not group[0]:
                 _unstack(lanes, group)
-    rec_t = np.arange(1, T + 1, stride, dtype=np.int64)
-    return [[RunResult(Trajectory(rec_t.copy(), f[r], gsq[r], mean[r],
-                                  stepsize_coords=None if coords is None else coords[r]),
-                       ks[i][r], x_k[i, r], optimizer.x.copy())
-             for r, optimizer in enumerate(group)]
-            for i, (group, (f, gsq, mean, coords)) in enumerate(zip(groups, recs))]
+    return _results(groups, recs, ks, x_k, T, stride)
 
 
 def _run_updates(groups, oracle, T, rngs, output_rngs, report_every=None):
     """``run_lanes`` on an exact ``QuadraticOracle``, with the kernels' record sums.
 
     A kind with a kernel sums f, ||grad f||^2 and its mean per-coordinate
-    stepsize in index order and overflows silently; the momentum variant
-    records, and raises on a non-finite pair, as ``run_lanes`` does.
+    stepsize in index order, the momentum variant as ``run_lanes`` does.
     """
     return _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order=True)
 
@@ -724,8 +721,9 @@ def run_lanes(
     optimizer in the state that run would.
 
     Noise is drawn a chunk at a time (``_kernels._chunks``). Each step takes
-    every lane's pair from one ``oracle.pairs`` call, raises on a non-finite
-    one and applies each group's ``update`` (on (d,) arrays for one stream);
-    ``oracle.record_lanes`` turns each chunk's kept x_t into records.
+    every lane's pair from one ``oracle.pairs`` call and applies each
+    group's ``update`` (on (d,) arrays for one stream); ``oracle.record_lanes``
+    turns each chunk's kept x_t into records. No pair is checked: a lane
+    that diverges goes on to inf or NaN, silently, and moves no other lane.
     """
     return _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order=False)

@@ -6,9 +6,11 @@ below is that loop, unchanged, and it drives reference subclasses whose
 ``step``, ``f``, ``grad`` and ``sample_pair`` are the single-point code of
 that time (one ``GradientPair`` and one ``StepReport`` per step, Python
 float state, per-step index and noise draws). The package steps through
-``update`` alone now, so the pair and report types, and the pair checks,
-are kept here as they were. ``tests/test_lanes.py`` requires every lane of
-an engine run to equal this loop bit for bit. This is test code only.
+``update`` alone now, so the pair and report types, and the pair's shape
+checks, are kept here as they were. A non-finite pair is not refused: like
+every loop of the package, this one carries inf and NaN on, silently.
+``tests/test_lanes.py`` requires every lane of an engine run to equal this
+loop bit for bit. This is test code only.
 """
 
 import copy
@@ -48,8 +50,6 @@ class GradientPair:
             raise ValueError(
                 f"gradient pair dims differ: {self.g.shape} vs {self.g_prime.shape}"
             )
-        if not np.logical_and.reduce(np.isfinite(self.g) & np.isfinite(self.g_prime), axis=None):
-            raise ValueError("gradient pair entries must be finite")
 
     @property
     def dim(self) -> int:
@@ -70,17 +70,21 @@ def _check_pair(optimizer, pair):
         raise ValueError(f"gradient pair dim {pair.dim} != iterate dim {optimizer.dim}")
 
 
+def _equal(a, b):
+    """Equal arrays, NaN equal to NaN, or both None."""
+    return a is b is None or (a is not None and b is not None
+                              and np.array_equal(a, b, equal_nan=True))
+
+
 def trajectories_equal(r1, r2):
-    """Bitwise equality of two RunResults: iterates, k and every recorded series."""
+    """Bitwise equality of two RunResults: iterates, k, every recorded series and
+    ``diverged_at``, a NaN equal to a NaN."""
     t1, t2 = r1.trajectory, r2.trajectory
-    return (np.array_equal(r1.x_final, r2.x_final)
-            and np.array_equal(r1.x_k, r2.x_k)
-            and r1.k == r2.k
-            and np.array_equal(t1.t, t2.t)
-            and np.array_equal(t1.f_value, t2.f_value)
-            and np.array_equal(t1.true_grad_sq_norm, t2.true_grad_sq_norm)
-            and np.array_equal(t1.stepsize, t2.stepsize, equal_nan=True)
-            and np.array_equal(t1.stepsize_coords, t2.stepsize_coords))
+    return (r1.k == r2.k and r1.diverged_at == r2.diverged_at
+            and all(_equal(a, b) for a, b in (
+                (r1.x_final, r2.x_final), (r1.x_k, r2.x_k), (t1.t, t2.t),
+                (t1.f_value, t2.f_value), (t1.true_grad_sq_norm, t2.true_grad_sq_norm),
+                (t1.stepsize, t2.stepsize), (t1.stepsize_coords, t2.stepsize_coords))))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +291,8 @@ def reference_run(optimizer, oracle, T, rng, report_every=None, output_rng=None)
     stride = max(1, T // 500) if report_every is None else int(report_every)
     out_stream = output_rng if output_rng is not None else rng.child(0xD1CE)
     k = int(out_stream.generator().integers(1, T + 1))
-    return _run_generic(optimizer, oracle, T, rng, stride, k)
+    with np.errstate(all="ignore"):  # a diverging run overflows silently, as in the package
+        return _run_generic(optimizer, oracle, T, rng, stride, k)
 
 
 def _run_generic(optimizer, oracle, T, rng, stride, k):

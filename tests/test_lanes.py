@@ -7,7 +7,9 @@ streams, so lanes of different kinds share each stream's draws, and its
 horizon crosses a draw-chunk boundary.
 """
 
+import functools
 import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -216,31 +218,75 @@ def test_lane_group_refuses_optimizers_that_differ_in_a_parameter(make, name):
         run_lanes([[make(1.0), make(0.5)]], oracle, 10, rngs, outs)
 
 
-DIVERGING = dict(oracle=RosenbrockOracle(sigma=5.0), T=1000, rng=RngStream(44))
+# Every kind diverges on noisy Rosenbrock from these parameters: the learned
+# stepsizes from a tiny M, SGD at lr = 0.05, sgd_gl at the lr = 0.82 that its
+# large f_gap gives, and the adaptive kinds from a first step of about
+# lr = 1e100, after which f overflows.
+_DIVERGE_T = 600
+DIVERGING = {
+    "sgdol_global": OptimizerConfig(kind="sgdol_global", M=0.01),
+    "sgdol_coord": OptimizerConfig(kind="sgdol_coord", M=0.01),
+    "sgdol_momentum": OptimizerConfig(kind="sgdol_momentum", M=0.01),
+    "sgd": OptimizerConfig(kind="sgd", lr=0.05),
+    "adagrad_global": OptimizerConfig(kind="adagrad_global", lr=1e100),
+    "adagrad_coord": OptimizerConfig(kind="adagrad_coord", lr=1e100),
+    "adam": OptimizerConfig(kind="adam", lr=1e100),
+    "sgd_gl": OptimizerConfig(kind="sgd_gl", M=0.01, sigma=5.0, T=_DIVERGE_T, f_gap=1e4),
+}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_divergence_raises_like_the_reference_loop():
-    ref, opt = as_reference(Sgd(np.zeros(2), lr=0.05)), Sgd(np.zeros(2), lr=0.05)
-    # The reference overflows as it diverges; the loop under test runs
-    # under np.errstate(all="ignore").
-    with pytest.raises(ValueError, match="gradient pair entries must be finite"), \
-            np.errstate(over="ignore", invalid="ignore"):
-        reference_run(ref, **DIVERGING)
-    with pytest.raises(ValueError, match="gradient pair entries must be finite"):
-        run(opt, **DIVERGING, force_generic=True)
-    # Both stop before the step whose pair is not finite.
-    assert np.array_equal(opt.x, ref.x, equal_nan=True)
+def _state_equal(a, b):
+    """Whether two optimizers hold equal x and state, a NaN equal to a NaN."""
+    return all(np.array_equal(attrgetter(attr)(a), attrgetter(attr)(b), equal_nan=True)
+               for attr in ("x",) + a.state)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_one_diverging_lane_stops_the_engine():
-    oracle, T_, rng = DIVERGING.values()
-    # The stable lane alone runs to the end.
-    run_lanes([[Sgd(np.zeros(2), lr=1e-4)]], oracle, T_, [rng], [[RngStream(45)]])
-    with pytest.raises(ValueError, match="gradient pair entries must be finite"):
-        run_lanes([[Sgd(np.zeros(2), lr=1e-4)], [Sgd(np.zeros(2), lr=0.05)]], oracle, T_,
-                  [rng], [[RngStream(45)], [RngStream(46)]])
+@pytest.mark.parametrize("ledger", [False, True], ids=["every_kind", "sgdol_ledger"])
+def test_divergence_is_data_alike_on_every_loop(ledger):
+    # Each run of every kind diverges, and no loop refuses its non-finite
+    # pairs: the kernel (for a kind with one), the lanes and the reference
+    # loop carry the same inf and NaN through records, iterates and state.
+    assert set(DIVERGING) == set(OPTIMIZER_KINDS)
+    oracle = RosenbrockOracle(sigma=5.0)
+    rngs = [RngStream(44), RngStream(45)]
+    makers = [functools.partial(cfg.build, np.zeros(2)) for cfg in DIVERGING.values()]
+    if ledger:  # the ledger's running values are stacked state too
+        makers = [lambda: Sgdol(np.zeros(2), M=0.01, record_regret=True)]
+    outs = [[RngStream(46, i * len(rngs) + r) for r in range(len(rngs))]
+            for i in range(len(makers))]
+    groups = [[make() for _ in rngs] for make in makers]
+    results = run_lanes(groups, oracle, _DIVERGE_T, rngs, outs, report_every=1)
+    for i, (make, group) in enumerate(zip(makers, groups)):
+        for r, (rng, lane) in enumerate(zip(rngs, group)):
+            ref, single = as_reference(make()), make()
+            expected = reference_run(ref, oracle, _DIVERGE_T, rng, report_every=1,
+                                     output_rng=outs[i][r])
+            got = run(single, oracle, _DIVERGE_T, rng, report_every=1, output_rng=outs[i][r])
+            assert expected.diverged_at is not None, lane.kind
+            assert trajectories_equal(results[i][r], expected), (lane.kind, r)
+            assert trajectories_equal(got, expected), (lane.kind, r)
+            assert _state_equal(lane, ref) and _state_equal(single, ref), (lane.kind, r)
+
+
+def test_one_diverging_lane_leaves_the_others_bit_identical():
+    oracle, T_ = RosenbrockOracle(sigma=5.0), 300
+    rngs = [RngStream(44), RngStream(45), RngStream(46)]
+    outs = [[RngStream(47, r) for r in range(3)], [RngStream(48, r) for r in range(3)]]
+
+    def stable():
+        return [Sgd(np.zeros(2), lr=1e-4) for _ in rngs]
+    alone = run_lanes([stable()], oracle, T_, rngs, outs[:1])
+    # A second group of one kind on the same streams diverges, and the
+    # middle lane of the first starts where it diverges too.
+    lanes = stable()
+    lanes[1].x = np.full(2, 1e150)
+    with_them = run_lanes([lanes, [Sgd(np.zeros(2), lr=0.05) for _ in rngs]], oracle, T_,
+                          rngs, outs)
+    assert with_them[0][1].diverged_at == 1
+    assert all(result.diverged_at is not None for result in with_them[1])
+    for r in (0, 2):
+        assert with_them[0][r].diverged_at is None
+        assert trajectories_equal(with_them[0][r], alone[0][r])
 
 
 def _peak_bytes(synthetic500, T_):

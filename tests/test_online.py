@@ -263,6 +263,26 @@ def test_regret_bound_domain_and_record_requirements():
         ledger.regret_bound_rhs(0.5, L=ledger.max_grad_norm() * 0.5)
 
 
+@pytest.mark.parametrize("rounds", [0, 10], ids=["fresh", "recorded"])
+def test_regret_bound_refuses_a_nan_L(rounds):
+    # NaN < max_grad_norm() is False, so a check for L below the maximum
+    # passed a NaN L.
+    ledger = _random_ledger(seed=40, T=rounds)
+    with pytest.raises(ValueError, match="does not bound"):
+        ledger.regret_bound_rhs(0.5, L=math.nan)
+
+
+def test_regret_bound_refuses_any_L_once_the_ledger_saw_a_nan():
+    # A diverged run's ledger keeps NaN as its largest gradient norm, which
+    # no L bounds: the check used to accept L = 1e-9 and return NaN.
+    ledger = _random_ledger(seed=40, T=10)
+    ledger.record(0.1, math.nan, math.nan, math.nan)
+    assert math.isnan(ledger.max_grad_norm())
+    for L in (1e-9, 1e300, math.inf):
+        with pytest.raises(ValueError, match="does not bound"):
+            ledger.regret_bound_rhs(0.5, L=L)
+
+
 def test_regret_second_term_log_cap():
     ledger = _random_ledger(seed=41, T=50)
     L = ledger.max_grad_norm()

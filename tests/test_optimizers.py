@@ -389,3 +389,57 @@ def test_config_names_every_set_field_its_kind_does_not_take(kind):
         assert config.validate() == [problem]
         with pytest.raises(ValueError, match=problem):
             config.build(np.zeros(2))
+
+
+# Every kind, the SGDOL learner with a regret ledger too, on two coordinates.
+_EVERY_KIND = {
+    "sgdol_global": lambda x: Sgdol(x, M=2.0),
+    "sgdol_global_ledger": lambda x: Sgdol(x, M=2.0, record_regret=True),
+    "sgdol_coord": lambda x: SgdolCoord(x, M=2.0),
+    "sgdol_momentum": lambda x: SgdolMomentum(x, M=2.0),
+    "sgd": lambda x: Sgd(x, lr=0.1),
+    "adagrad_global": lambda x: AdaGradGlobal(x, lr=0.1),
+    "adagrad_coord": lambda x: AdaGradCoord(x, lr=0.1),
+    "adam": lambda x: Adam(x, lr=0.1),
+    "sgd_gl": lambda x: SgdGhadimiLan(x, M=2.0, sigma=1.0, T=10, f_gap=1.0),
+}
+
+
+def _learners(opt):
+    """The optimizer's FTRL stepsize learners."""
+    return [getattr(opt, a) for a in ("ftrl", "ftrl_eta", "ftrl_beta") if hasattr(opt, a)]
+
+
+def test_every_kind_is_checked_with_a_non_finite_iterate():
+    assert {name.removesuffix("_ledger") for name in _EVERY_KIND} == set(OPTIMIZER_KINDS)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", list(_EVERY_KIND))
+def test_a_non_finite_iterate_stays_non_finite(name, bad):
+    # Divergence is data: no update rule or loop refuses a non-finite value,
+    # and none turns one back into a finite iterate or stepsize.
+    make = _EVERY_KIND[name]
+    opt = make(np.zeros(2))
+    opt.x = np.array([bad, 1.0])
+    with np.errstate(all="ignore"):  # as every loop steps
+        opt.update(*_pair([1.0, -1.0]))
+        assert not np.isfinite(opt.x[0])
+        # The FTRL play keeps a NaN: once a round's pair holds one, every
+        # later stepsize of the learner does too.
+        opt.update(*_pair([math.nan, 1.0]))
+        opt.update(*_pair([1.0, -1.0]))
+    for ftrl in _learners(opt):
+        assert np.isnan(ftrl.stepsize()).any()
+    if getattr(opt, "ledger", None) is not None:
+        assert np.isnan(opt.ledger.max_grad_norm())
+    # Each loop carries the iterate to the end: the kernel, when the kind has one.
+    for generic in (False, True):
+        single = make(np.zeros(2))
+        single.x = np.array([bad, 1.0])
+        res = run(single, RosenbrockOracle(sigma=1.0), T=5, rng=RngStream(3), report_every=1,
+                  force_generic=generic)
+        assert res.diverged_at == 1
+        assert not np.isfinite(res.x_final).all()
+        for ftrl in _learners(single):
+            assert np.isnan(ftrl.stepsize()).any()

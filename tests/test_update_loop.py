@@ -6,7 +6,8 @@ repetition) run of a quadratic experiment at once, each repetition's noise
 drawn once for all of them. Each lane of such an experiment must equal a
 single ``run`` of that optimizer on that repetition's streams bit for bit,
 and the momentum variant, which has no kernel, must equal its run on the
-lane engine. The loop's failure behaviour and memory are pinned here too.
+lane engine. How the loop carries a diverging run, and its memory, are
+pinned here too.
 """
 
 import tracemalloc
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import sgdol.harness as harness
+from reference_generic import reference_run, trajectories_equal
 from sgdol import (
     ExperimentSpec,
     OptimizerConfig,
@@ -135,20 +137,37 @@ _DIVERGING = dict(oracle=OracleSpec(kind="quadratic", diag=np.full(3, 100.0), si
                   T=300, repetitions=2, seed=1, report_every=1)
 
 
-def test_diverging_momentum_run_raises_the_engines_error():
+def test_diverging_momentum_run_is_data_on_both_loops():
+    # The momentum variant has no kernel: on _run_updates, on run_lanes and
+    # on the reference loop it overflows to the same records and iterates.
+    oracle = QuadraticOracle(np.full(3, 100.0), sigma=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        oracle = QuadraticOracle(np.full(3, 100.0), sigma=1.0)
-        with pytest.raises(ValueError, match="^gradient pair entries must be finite$"):
-            run(SgdolMomentum(np.zeros(3), M=1.0), oracle, 300, RngStream(1))
-        spec = ExperimentSpec(optimizers=[
-            ("sgd", OptimizerConfig(kind="sgd", lr=1.0)),
-            ("momentum", OptimizerConfig(kind="sgdol_momentum", M=1.0))], **_DIVERGING)
-        with pytest.raises(ValueError, match="^gradient pair entries must be finite$"):
-            run_experiment(spec)
+        got = [run(SgdolMomentum(np.zeros(3), M=1.0), oracle, 300, RngStream(1), report_every=1,
+                   force_generic=generic) for generic in (False, True)]
+        expected = reference_run(SgdolMomentum(np.zeros(3), M=1.0), oracle, 300, RngStream(1),
+                                 report_every=1)
+    assert expected.diverged_at is not None
+    assert not np.isfinite(expected.x_final).any()
+    for result in got:
+        assert trajectories_equal(result, expected)
 
 
-def test_diverging_momentum_experiment_is_one_run_error(tmp_path, capsys):
+def test_diverging_momentum_run_leaves_the_other_runs_bit_identical():
+    stable = ("sgd", OptimizerConfig(kind="sgd", lr=1e-3))
+    momentum = ("momentum", OptimizerConfig(kind="sgdol_momentum", M=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        both, alone = (run_experiment(ExperimentSpec(optimizers=optimizers, keep_raw=True,
+                                                     **_DIVERGING))
+                       for optimizers in ([stable, momentum], [stable]))
+    assert all(result.diverged_at is not None for result in both.series["momentum"].raw)
+    for with_it, without in zip(both.series["sgd"].raw, alone.series["sgd"].raw):
+        assert with_it.diverged_at is None
+        assert trajectories_equal(with_it, without)
+
+
+def test_diverging_momentum_experiment_prints_nan(tmp_path, capsys):
     config = tmp_path / "exp.ini"
     config.write_text("""
 [experiment]
@@ -167,9 +186,9 @@ m = 1
         warnings.simplefilter("error")
         code = cli_main(["run", str(config)])
     captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == "run error: gradient pair entries must be finite\n"
+    assert code == 0
+    assert captured.out == "momentum: 300 recorded points, final grad_sq_norm nan\n"
+    assert captured.err == ""
 
 
 def test_diverging_kernel_kinds_overflow_silently():
@@ -182,6 +201,18 @@ def test_diverging_kernel_kinds_overflow_silently():
         table = run_experiment(spec)
     for name in kinds:
         assert not np.isfinite(table.series[name].f_value[-1]), name
+
+
+def test_averaging_diverged_repetitions_warns_nothing():
+    # Three repetitions of SGD at lr = 1 against the curvature 100 hold huge
+    # finite values before they overflow; their sum overflows silently.
+    spec = ExperimentSpec(optimizers=[("sgd", OptimizerConfig(kind="sgd", lr=1.0))],
+                          **{**_DIVERGING, "repetitions": 3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = run_experiment(spec)
+    f_value = table.series["sgd"].f_value
+    assert np.isfinite(f_value[0]) and not np.isfinite(f_value[-1])
 
 
 def _peak_and_output_bytes(T):
