@@ -11,6 +11,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from .core import field_problems
 from .diagnostics import run_verification
 from .harness import ConfigError, parse_config, run_experiment
 from .oracles import LibsvmParseError, load_libsvm
@@ -66,12 +67,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _refused(flag: str, name: str, value) -> bool:
+    """Print the range problem of a flag's value, that of the library parameter
+    ``name`` it sets, under the flag's name; whether there was one."""
+    problems = field_problems(**{name: value})
+    if problems:
+        print(f"error: --{flag}{problems[0][len(name):]}", file=sys.stderr)
+    return bool(problems)
+
+
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
-        return 1
-    if not 0 <= args.seed < 2**64:
-        print(f"error: --seed must be a 64-bit unsigned integer, got {args.seed}", file=sys.stderr)
+    if _refused("samples", "mc_samples", args.samples) or _refused("seed", "seed", args.seed):
         return 1
     results = run_verification(seed=args.seed, mc_samples=args.samples)
     passed = sum(r.passed for r in results)
@@ -87,8 +93,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_parse_libsvm(args) -> int:
-    if args.n_features is not None and args.n_features < 1:
-        print(f"error: --n-features must be >= 1, got {args.n_features}", file=sys.stderr)
+    if args.n_features is not None and _refused("n-features", "n_features", args.n_features):
         return 1
     append_bias = not args.no_bias
     try:

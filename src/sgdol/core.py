@@ -1,5 +1,5 @@
 """Dense float64 vectors, the seeded randomness contract, shared record types,
-and the range of every optimizer parameter."""
+and the range of every single input parameter."""
 
 from __future__ import annotations
 
@@ -70,23 +70,38 @@ def row_dot(a: np.ndarray, b: np.ndarray):
     return np.add.reduce(a * b, axis=-1)  # np.sum's reduction, minus its wrapper
 
 
+def _positive_vector(v) -> bool:
+    a = np.asarray(v, float)
+    return a.ndim == 1 and a.size > 0 and bool((a > 0).all())
+
+
 # Parameter name -> (test, requirement). The one statement of each range:
-# OptimizerConfig.validate reports every value that fails its test, and the
-# optimizer and stepsize-learner constructors raise on the first. NaN fails
-# every test, and field_problems refuses an infinite value of any float field;
-# T, a step count, must be an int (a bool is not one).
+# validate methods report every value that fails its test, and constructors,
+# loops and checks raise on the first. NaN fails every test, and
+# field_problems refuses a value with an infinite entry unless it is an
+# integer; a count or a seed must be an int (a bool is not one).
 _FIELD_RANGES = {
-    "M": (lambda v: v > 0, "must be > 0"),
-    "alpha": (lambda v: v > 0, "must be > 0"),
-    "lr": (lambda v: v > 0, "must be > 0"),
-    "beta1": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
-    "beta2": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
-    "eps": (lambda v: v > 0, "must be > 0"),
-    "curvature_scale": (lambda v: v > 0, "must be > 0"),
-    "sigma": (lambda v: v >= 0, "must be >= 0"),
-    "T": (lambda v: is_integer(v) and v >= 1, "must be an integer >= 1"),
+    **dict.fromkeys(("M", "alpha", "lr", "eps", "curvature_scale", "tol", "h"),
+                    (lambda v: v > 0, "must be > 0")),
+    **dict.fromkeys(("beta1", "beta2"), (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")),
     "f_gap": (lambda v: v >= 0, "must be >= 0"),
+    # A noise level is a scalar, or one level per coordinate; a stepsize is a scalar.
+    "sigma": (lambda v: bool((np.asarray(v, float) >= 0).all()), "must be >= 0"),
+    "diag": (_positive_vector, "must be 1-D with one or more entries, each > 0"),
+    "eta": (lambda v: bool(np.isfinite(np.asarray(v, float))), "must be finite"),
+    **dict.fromkeys(("T", "repetitions", "report_every", "batch_size", "n_features", "N",
+                     "pairs", "mc_samples"),
+                    (lambda v: is_integer(v) and v >= 1, "must be an integer >= 1")),
+    **dict.fromkeys(("seed", "stream_id"), (lambda v: is_integer(v) and 0 <= v < 2**64,
+                                            "must be a 64-bit unsigned integer")),
 }
+
+
+def _finite(value) -> bool:
+    """Whether every entry of ``value`` is finite; an integer is, however large."""
+    if isinstance(value, float):  # numpy's float64 too; math is ten times faster than numpy
+        return math.isfinite(value)
+    return isinstance(value, numbers.Integral) or bool(np.isfinite(np.asarray(value, float)).all())
 
 
 def field_problems(**values) -> list:
@@ -94,10 +109,12 @@ def field_problems(**values) -> list:
     problems = []
     for name, value in values.items():
         test, need = _FIELD_RANGES[name]
-        if not test(value):
-            problems.append(f"{name}: {need}, got {value}")
-        elif name != "T" and not math.isfinite(value):
-            problems.append(f"{name}: must be finite, got {value}")
+        if test(value):
+            if _finite(value):
+                continue
+            need = "must be finite"
+        shown = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+        problems.append(f"{name}: {need}, got {shown!r}")
     return problems
 
 
@@ -141,12 +158,7 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not is_integer(v):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if not 0 <= v < 2**64:
-                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v}")
+        check_fields(seed=self.seed, stream_id=self.stream_id)
 
     def generator(self) -> Generator:
         """Materialize a fresh generator positioned at the stream's start."""

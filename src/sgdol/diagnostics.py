@@ -16,7 +16,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .core import RngStream, check_fields, is_integer, row_dot, sq_norm
+from .core import RngStream, check_fields, row_dot, sq_norm
 from .online import DEFAULT_ALPHA, FtrlState, surrogate_loss
 from .optimizers import Sgdol, run
 from .oracles import (
@@ -62,9 +62,7 @@ def ftrl_argmin_oracle(alpha: float, M: float, history, curvature_scale: float =
     the independent reference for the closed-form FTRL stepsize; an empty
     history returns the regularizer's own minimizer 1/M.
     """
-    check_fields(alpha=alpha, M=M, curvature_scale=curvature_scale)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    check_fields(alpha=alpha, M=M, curvature_scale=curvature_scale, tol=tol)
     history = np.asarray(history, dtype=np.float64)
     sum_sq = sum_inner = 0.0
     if history.shape != (0,):  # that of [], the empty history
@@ -128,8 +126,7 @@ def ftrl_argmin_oracle(alpha: float, M: float, history, curvature_scale: float =
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
     """Central-difference gradient estimate, one coordinate at a time."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be finite and > 0, got {h}")
+    check_fields(h=h)
     grad = np.empty_like(x, dtype=np.float64)
     for i in range(x.shape[0]):
         xp = x.astype(np.float64).copy()
@@ -157,14 +154,6 @@ class SurrogateBoundVerdict:
 _MC_CHUNK = 1024
 
 
-def _check_count(name: str, value):
-    """Raise ValueError unless ``value`` is an integer >= 1 (a bool is not one)."""
-    if not is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def surrogate_bound_check(oracle: StochasticOracle, x: np.ndarray, eta: float,
                           N: int, rng: RngStream) -> SurrogateBoundVerdict:
     """Check E[f(x - eta*g) - f(x)] <= E[surrogate(eta)] at 3 standard errors.
@@ -177,9 +166,7 @@ def surrogate_bound_check(oracle: StochasticOracle, x: np.ndarray, eta: float,
     """
     if oracle.smoothness is None:
         raise ValueError("surrogate_bound_check needs the oracle's smoothness constant")
-    if not math.isfinite(eta):
-        raise ValueError(f"eta must be finite, got {eta}")
-    _check_count("N", N)
+    check_fields(eta=eta, N=N)
     gen = rng.generator()
     M = oracle.smoothness
     f0 = oracle.f(x)
@@ -204,7 +191,7 @@ def smoothness_probe(grad: Callable[[np.ndarray], np.ndarray],
                      sample_point: Callable[[np.random.Generator], np.ndarray],
                      pairs: int, rng: RngStream) -> float:
     """Max gradient-difference ratio over sampled pairs: a lower bound on M."""
-    _check_count("pairs", pairs)
+    check_fields(pairs=pairs)
     gen = rng.generator()
     best = 0.0
     for _ in range(pairs):
@@ -345,6 +332,7 @@ def _check_regret_bound(seed: int) -> CheckResult:
 
 def run_verification(seed: int = 20190901, mc_samples: int = 20000) -> List[CheckResult]:
     """Run the full diagnostic suite; deterministic for a fixed seed."""
+    check_fields(seed=seed, mc_samples=mc_samples)
     return [
         _check_ftrl_closed_form(seed),
         _check_gradients(seed),

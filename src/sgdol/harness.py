@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple, get_args, get_type_hints
 
 import numpy as np
 
-from .core import RngStream, derive_stream_id, field_problems, is_integer
+from .core import RngStream, derive_stream_id, field_problems
 from .optimizers import OptimizerConfig, RunResult, _run_groups
 from .oracles import (
     QuadraticOracle,
@@ -76,11 +76,11 @@ class OracleSpec:
 
     ``validate`` rejects a set field that the kind does not take; ``build``
     gives an unset sigma 0.0, append_bias True and balance False, and raises
-    ConfigError for a dataset it cannot parse or balance.
+    ConfigError for a dataset it cannot parse, balance or take a batch from.
     """
 
     kind: str  # rosenbrock | quadratic | sigmoid
-    sigma: Optional[float] = None
+    sigma: Optional[float] = None  # or one level per coordinate
     diag: Optional[np.ndarray] = None
     dataset: Optional[str] = None
     batch_size: Optional[int] = None
@@ -94,24 +94,16 @@ class OracleSpec:
         problems = [f"{name}: not taken by oracle {self.kind!r}"
                     for name, value in vars(self).items()
                     if name != "kind" and value is not None and name not in keys]
-        if "sigma" in keys and self.sigma is not None:
-            problems += field_problems(sigma=self.sigma)
+        problems += field_problems(**{name: value for name, value in vars(self).items()
+                                      if name in ("sigma", "diag", "batch_size")
+                                      and name in keys and value is not None})
         if self.kind == "quadratic" and self.diag is None:
             problems.append("diag: required for the quadratic oracle")
-        elif self.kind == "quadratic":
-            diag = np.asarray(self.diag, dtype=np.float64)
-            if diag.size == 0 or not np.all(np.isfinite(diag) & (diag > 0)):
-                problems.append(f"diag: must hold one or more finite entries > 0, "
-                                f"got {diag.tolist()}")
         if self.kind == "sigmoid":
             if self.dataset is None:
                 problems.append("dataset: required for the sigmoid oracle")
             if self.batch_size is None:
                 problems.append("batch_size: required for the sigmoid oracle")
-            elif not is_integer(self.batch_size):
-                problems.append(f"batch_size: must be an integer, got {self.batch_size!r}")
-            elif self.batch_size < 1:
-                problems.append(f"batch_size: must be >= 1, got {self.batch_size}")
         return problems
 
     def build(self, seed: int) -> StochasticOracle:
@@ -128,10 +120,10 @@ class OracleSpec:
                 data = balance_subsample(data, gen)
         except ValueError as exc:  # a malformed file, or one class to balance
             raise ConfigError([f"dataset: {self.dataset}: {exc}"]) from exc
-        if self.batch_size > len(data):
-            raise ConfigError([f"batch_size: must be <= {len(data)} (the dataset's rows), "
-                               f"got {self.batch_size}"])
-        return SigmoidLossOracle(data, batch_size=self.batch_size)
+        try:
+            return SigmoidLossOracle(data, batch_size=self.batch_size)
+        except ValueError as exc:  # a batch larger than the dataset, or M = 0 from zero features
+            raise ConfigError([str(exc)]) from exc
 
 
 @dataclass
@@ -148,20 +140,10 @@ class ExperimentSpec:
     keep_raw: bool = False
 
     def validate(self) -> List[str]:
-        problems = self.oracle.validate() + field_problems(T=self.T)
-        # A count is compared with 1 only once it is known to be an integer.
-        for name, value in (("repetitions", self.repetitions),
-                            ("report_every", self.report_every)):
-            if value is None and name == "report_every":
-                continue
-            if not is_integer(value):
-                problems.append(f"{name}: must be an integer, got {value!r}")
-            elif value < 1:
-                problems.append(f"{name}: must be >= 1, got {value}")
-        if not is_integer(self.seed):
-            problems.append(f"seed: must be an integer, got {self.seed!r}")
-        elif not 0 <= self.seed < 2**64:
-            problems.append(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
+        counts = dict(T=self.T, repetitions=self.repetitions, seed=self.seed)
+        if self.report_every is not None:
+            counts["report_every"] = self.report_every
+        problems = self.oracle.validate() + field_problems(**counts)
         if not self.optimizers:
             problems.append("optimizers: at least one optimizer section is required")
         names = [name for name, _ in self.optimizers]

@@ -136,8 +136,7 @@ class RegretLedger:
 
     def regret_vs(self, eta: float) -> float:
         """Regret against the fixed comparator eta."""
-        if not np.isfinite(eta):
-            raise ValueError("comparator stepsize must be finite")
+        check_fields(eta=eta)
         return self.cumulative_loss - self.comparator_loss(eta)
 
     def max_grad_norm(self) -> float:

@@ -47,7 +47,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import RngStream, Trajectory, check_fields, field_problems, is_integer, row_dot, vector
+from .core import RngStream, Trajectory, check_fields, field_problems, row_dot, vector
 from .online import DEFAULT_ALPHA, FtrlState, RegretLedger
 from .oracles import QuadraticOracle, RosenbrockOracle, StochasticOracle
 
@@ -435,17 +435,12 @@ def _schedule(groups, oracle, T, rngs, output_rngs, report_every):
     and each group's empty records."""
     if any(len(group) != len(rngs) for group in groups):
         raise ValueError("every group needs one optimizer per oracle stream")
-    for name, value in (("T", T), ("report_every", report_every)):
-        if value is not None and not is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    check_fields(T=T)
+    stride = max(1, T // 500) if report_every is None else report_every
+    check_fields(report_every=stride)
     for optimizer in (opt for group in groups for opt in group):
         if optimizer.dim != oracle.dim:
             raise ValueError(f"optimizer dim {optimizer.dim} != oracle dim {oracle.dim}")
-    stride = max(1, T // 500) if report_every is None else report_every
-    if stride < 1:
-        raise ValueError(f"report_every must be >= 1, got {report_every}")
     ks = [[int(stream.generator().integers(1, T + 1)) for stream in row] for row in output_rngs]
     captures = defaultdict(list)
     for i, row in enumerate(ks):

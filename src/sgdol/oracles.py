@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator
 
-from .core import check_fields, is_integer, vector
+from .core import check_fields
 
 __all__ = [
     "StochasticOracle",
@@ -145,14 +145,13 @@ class _AnalyticNoiseOracle(StochasticOracle):
     """
 
     def __init__(self, dim: int, sigma):
+        check_fields(sigma=sigma)
         self.dim = dim
         sig = np.asarray(sigma, dtype=np.float64)
         if sig.ndim == 0:
             sig = np.full(dim, float(sig))
         if sig.shape != (dim,):
             raise ValueError(f"sigma must be scalar or length-{dim}, got shape {sig.shape}")
-        if not np.all(np.isfinite(sig) & (sig >= 0)):
-            raise ValueError("noise levels must be finite and >= 0")
         self.sigma = sig
         # sigma for both halves of a pair: numpy multiplies one lane's (2, dim)
         # draw by it without broadcasting, in about half the time.
@@ -196,9 +195,8 @@ class QuadraticOracle(_AnalyticNoiseOracle):
     f_star = 0.0
 
     def __init__(self, diag, sigma=0.0):
-        diag = vector(diag)
-        if np.any(diag <= 0):
-            raise ValueError("diagonal entries must be positive")
+        check_fields(diag=diag)
+        diag = np.asarray(diag, dtype=np.float64)
         super().__init__(len(diag), sigma)
         self.diag = diag
         self.smoothness = float(np.max(diag))
@@ -337,10 +335,10 @@ class SigmoidLossOracle(StochasticOracle):
     """
 
     def __init__(self, data: Dataset, batch_size: int, smoothness: Optional[float] = None):
-        if not is_integer(batch_size):
-            raise ValueError(f"batch_size must be an integer, got {batch_size!r}")
-        if not 1 <= batch_size <= len(data):
-            raise ValueError(f"batch_size must be in [1, {len(data)}], got {batch_size}")
+        check_fields(batch_size=batch_size)
+        if batch_size > len(data):
+            raise ValueError(f"batch_size: must be <= {len(data)} (the dataset's rows), "
+                             f"got {batch_size}")
         self.data = data
         self.batch_size = batch_size
         self.dim = data.n_features
@@ -437,8 +435,8 @@ def load_libsvm(
     increasing indices. ``#`` starts a comment; blank lines are skipped.
     When ``append_bias`` a constant 1.0 feature is added to every row.
     """
-    if n_features is not None and n_features < 1:
-        raise ValueError(f"n_features must be >= 1, got {n_features}")
+    if n_features is not None:
+        check_fields(n_features=n_features)
     rows = []
     labels = []
     max_index = 0

@@ -297,7 +297,7 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == f"error: --samples must be >= 1, got {samples}\n"
+    assert captured.err == f"error: --samples: must be an integer >= 1, got {samples}\n"
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -306,12 +306,12 @@ def test_verify_rejects_a_seed_outside_64_bits(capsys, seed):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == f"error: --seed must be a 64-bit unsigned integer, got {seed}\n"
+    assert captured.err == f"error: --seed: must be a 64-bit unsigned integer, got {seed}\n"
 
 
 @pytest.mark.parametrize("args, err", [
-    (["--samples", "0"], "error: --samples must be >= 1, got 0\n"),
-    (["--seed", "-1"], "error: --seed must be a 64-bit unsigned integer, got -1\n"),
+    (["--samples", "0"], "error: --samples: must be an integer >= 1, got 0\n"),
+    (["--seed", "-1"], "error: --seed: must be a 64-bit unsigned integer, got -1\n"),
 ], ids=["samples", "seed"])
 def test_verify_json_rejects_bad_arguments_as_text_mode_does(capsys, args, err):
     code = cli_main(["verify", "--json", *args])
@@ -327,7 +327,7 @@ def test_parse_libsvm_rejects_fewer_than_one_feature(tiny3_path, capsys, n_featu
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == f"error: --n-features must be >= 1, got {n_features}\n"
+    assert captured.err == f"error: --n-features: must be an integer >= 1, got {n_features}\n"
 
 
 def test_run_infinite_noise_level_is_one_config_error(tmp_path, capsys):

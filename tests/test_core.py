@@ -1,8 +1,11 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from sgdol import RngStream, dot, sq_norm, vector
-from sgdol.core import derive_stream_id
+from sgdol.core import _FIELD_RANGES, check_fields, derive_stream_id, field_problems
 
 
 def test_dot_examples():
@@ -86,9 +89,10 @@ def test_rng_stream_validates_range():
 @pytest.mark.parametrize("value", [1.5, 1.0, True, float("nan"), "1"])
 def test_rng_stream_refuses_a_seed_or_stream_id_that_is_not_an_integer(value):
     # RngStream(1.5) ran as seed 1, and RngStream(nan) failed converting to int.
-    with pytest.raises(ValueError, match=f"seed must be an integer, got {value!r}"):
+    need = f"must be a 64-bit unsigned integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"seed: {need}"):
         RngStream(value)
-    with pytest.raises(ValueError, match=f"stream_id must be an integer, got {value!r}"):
+    with pytest.raises(ValueError, match=f"stream_id: {need}"):
         RngStream(1, value)
 
 
@@ -133,3 +137,64 @@ def test_dot_and_sq_norm_equal_np_sum_bitwise(d):
             assert _bytes(dot(a, b)) == _bytes(float(np.sum(a * b)))
             assert _bytes(sq_norm(a)) == _bytes(float(np.sum(a * a)))
             assert type(dot(a, b)) is float and type(sq_norm(a)) is float
+
+
+# Each range of core._FIELD_RANGES: (names, accepted values, [(refused value,
+# the problem it raises, minus the name)]). Float ranges refuse NaN and inf,
+# count ranges a bool and a non-integer float.
+_RANGE_CASES = [
+    (("M", "alpha", "lr", "eps", "curvature_scale", "tol", "h"), [0.5, 2, np.float64(1e-300)],
+     [(0.0, "must be > 0, got 0.0"), (-1.0, "must be > 0, got -1.0"),
+      (math.nan, "must be > 0, got nan"), (math.inf, "must be finite, got inf")]),
+    (("beta1", "beta2"), [0.0, 0.999],
+     [(1.0, "must lie in [0, 1), got 1.0"), (-0.1, "must lie in [0, 1), got -0.1"),
+      (math.nan, "must lie in [0, 1), got nan"), (math.inf, "must lie in [0, 1), got inf")]),
+    (("f_gap",), [0.0, 3.5],
+     [(-1.0, "must be >= 0, got -1.0"), (math.nan, "must be >= 0, got nan"),
+      (math.inf, "must be finite, got inf")]),
+    (("sigma",), [0.0, 0.5, [0.5, 1.0], np.array([0.0, 2.0])],
+     [(-1.0, "must be >= 0, got -1.0"), ([-1.0, 1.0], "must be >= 0, got [-1.0, 1.0]"),
+      (math.nan, "must be >= 0, got nan"),
+      (np.array([1.0, np.nan]), "must be >= 0, got [1.0, nan]"),
+      (math.inf, "must be finite, got inf"), ([1.0, math.inf], "must be finite, got [1.0, inf]")]),
+    (("diag",), [[1.0], [1, 2], np.linspace(0.1, 1.0, 5)],
+     [([1.0, 0.0], "must be 1-D with one or more entries, each > 0, got [1.0, 0.0]"),
+      ([], "must be 1-D with one or more entries, each > 0, got []"),
+      ([[1.0, 2.0]], "must be 1-D with one or more entries, each > 0, got [[1.0, 2.0]]"),
+      ([1.0, math.nan], "must be 1-D with one or more entries, each > 0, got [1.0, nan]"),
+      (np.array([math.inf]), "must be finite, got [inf]")]),
+    (("eta",), [0.0, -0.5, 1e-3],
+     [(math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf"),
+      (-math.inf, "must be finite, got -inf")]),
+    (("T", "repetitions", "report_every", "batch_size", "n_features", "N", "pairs",
+      "mc_samples"), [1, 20000, np.int64(3), 10**400],
+     [(0, "must be an integer >= 1, got 0"), (-5, "must be an integer >= 1, got -5"),
+      (True, "must be an integer >= 1, got True"), (2.5, "must be an integer >= 1, got 2.5"),
+      (2.0, "must be an integer >= 1, got 2.0"), ("3", "must be an integer >= 1, got '3'"),
+      (None, "must be an integer >= 1, got None")]),
+    (("seed", "stream_id"), [0, 2**64 - 1, np.uint64(7)],
+     [(-1, "must be a 64-bit unsigned integer, got -1"),
+      (2**64, "must be a 64-bit unsigned integer, got 18446744073709551616"),
+      (True, "must be a 64-bit unsigned integer, got True"),
+      (1.5, "must be a 64-bit unsigned integer, got 1.5"),
+      (math.nan, "must be a 64-bit unsigned integer, got nan")]),
+]
+
+
+def test_the_range_cases_cover_every_field():
+    names = [name for names, _, _ in _RANGE_CASES for name in names]
+    assert sorted(names) == sorted(_FIELD_RANGES)
+
+
+@pytest.mark.parametrize("name, value, problem", [
+    pytest.param(name, value, problem, id=f"{name}-{i}")
+    for names, accepted, refused in _RANGE_CASES for name in names
+    for i, (value, problem) in enumerate([(v, None) for v in accepted] + refused)])
+def test_field_ranges_report_and_raise_the_same_problem(name, value, problem):
+    if problem is None:
+        assert field_problems(**{name: value}) == []
+        check_fields(**{name: value})
+    else:
+        assert field_problems(**{name: value}) == [f"{name}: {problem}"]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name}: {problem}')}$"):
+            check_fields(**{name: value})

@@ -72,7 +72,7 @@ def test_argmin_oracle_output_beats_reference_points():
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
 def test_argmin_oracle_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     # With tol=0.0 the search would never end: the interval stalls at one ulp.
-    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+    with pytest.raises(ValueError, match="tol: must be"):
         ftrl_argmin_oracle(1.0, 1.0, [], tol=tol)
 
 
@@ -139,7 +139,7 @@ def test_finite_diff_quadratic_near_exact():
 
 def test_finite_diff_rejects_bad_h():
     for h in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="h must be finite and > 0"):
+        with pytest.raises(ValueError, match="h: must be"):
             finite_diff_grad(rosenbrock_f, np.zeros(2), h)
 
 
@@ -211,19 +211,19 @@ def test_surrogate_bound_memory_does_not_grow_with_N(batch, synthetic500):
 
 @pytest.mark.parametrize("N", [0, -5])
 def test_surrogate_bound_requires_a_sample(N):
-    with pytest.raises(ValueError, match="N must be >= 1"):
+    with pytest.raises(ValueError, match="N: must be an integer >= 1"):
         surrogate_bound_check(RosenbrockOracle(sigma=1.0), np.zeros(2), 1e-3, N, RngStream(84))
 
 
 @pytest.mark.parametrize("N", [10.0, 2.5, True, "10"])
 def test_surrogate_bound_requires_an_integer_sample_count(N):
-    with pytest.raises(ValueError, match="N must be an integer"):
+    with pytest.raises(ValueError, match="N: must be an integer >= 1"):
         surrogate_bound_check(RosenbrockOracle(sigma=1.0), np.zeros(2), 1e-3, N, RngStream(84))
 
 
 @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
 def test_surrogate_bound_requires_a_finite_stepsize(eta):
-    with pytest.raises(ValueError, match="eta must be finite"):
+    with pytest.raises(ValueError, match="eta: must be finite"):
         surrogate_bound_check(RosenbrockOracle(sigma=1.0), np.zeros(2), eta, 10, RngStream(84))
 
 
@@ -233,10 +233,9 @@ def test_surrogate_bound_takes_a_numpy_integer_count():
     assert v.n == 10
 
 
-@pytest.mark.parametrize("pairs, message", [(2.5, "an integer"), (True, "an integer"),
-                                            (0, ">= 1")])
-def test_smoothness_probe_requires_a_positive_integer_pair_count(pairs, message):
-    with pytest.raises(ValueError, match=f"pairs must be {message}"):
+@pytest.mark.parametrize("pairs", [2.5, True, 0])
+def test_smoothness_probe_requires_a_positive_integer_pair_count(pairs):
+    with pytest.raises(ValueError, match="pairs: must be an integer >= 1"):
         smoothness_probe(lambda x: x, lambda gen: gen.uniform(size=2), pairs, RngStream(85))
 
 
@@ -275,6 +274,19 @@ def test_run_verification_passes_and_is_deterministic():
     second = run_verification(seed=5150, mc_samples=8000)
     assert all(r.passed for r in first), [r for r in first if not r.passed]
     assert [(r.name, r.detail) for r in first] == [(r.name, r.detail) for r in second]
+
+
+@pytest.mark.parametrize("kwargs, problem", [
+    (dict(mc_samples=0), "mc_samples: must be an integer >= 1, got 0"),
+    (dict(mc_samples=2.5), "mc_samples: must be an integer >= 1, got 2.5"),
+    (dict(seed=-1), "seed: must be a 64-bit unsigned integer, got -1"),
+], ids=["no-samples", "fractional-samples", "negative-seed"])
+def test_run_verification_checks_its_arguments_before_any_check(monkeypatch, kwargs, problem):
+    # mc_samples=0 ran three checks before the fourth raised.
+    monkeypatch.setattr("sgdol.diagnostics._check_ftrl_closed_form",
+                        lambda seed: pytest.fail("a check ran"))
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        run_verification(**kwargs)
 
 
 def test_run_verification_results_are_json_serializable():

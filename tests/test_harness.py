@@ -235,7 +235,7 @@ def test_validation_requires_integer_counts():
 def test_a_non_integer_count_is_reported_once(name, value):
     # None and the strings raised TypeError from the range check < 1.
     problems = [p for p in _spec(**{name: value}).validate() if p.startswith(f"{name}:")]
-    assert problems == [f"{name}: must be an integer, got {value!r}"]
+    assert problems == [f"{name}: must be an integer >= 1, got {value!r}"]
     with pytest.raises(ConfigError):
         run_experiment(_spec(**{name: value}))
 
@@ -244,7 +244,7 @@ def test_a_non_integer_count_is_reported_once(name, value):
 def test_a_non_integer_seed_is_reported_once(seed):
     # seed=1.5 and seed=True passed validation and ran as seed 1.
     problems = [p for p in _spec(seed=seed).validate() if p.startswith("seed:")]
-    assert problems == [f"seed: must be an integer, got {seed!r}"]
+    assert problems == [f"seed: must be a 64-bit unsigned integer, got {seed!r}"]
     with pytest.raises(ConfigError):
         run_experiment(_spec(seed=seed))
 
@@ -253,7 +253,7 @@ def test_a_non_integer_seed_is_reported_once(seed):
 def test_a_non_integer_batch_size_is_reported(synthetic500_path, batch_size):
     # Both passed validation, and run_experiment died inside numpy with a TypeError.
     oracle = OracleSpec(kind="sigmoid", dataset=synthetic500_path, batch_size=batch_size)
-    assert oracle.validate() == [f"batch_size: must be an integer, got {batch_size!r}"]
+    assert oracle.validate() == [f"batch_size: must be an integer >= 1, got {batch_size!r}"]
     with pytest.raises(ConfigError, match="batch_size: must be an integer"):
         run_experiment(_spec(oracle=oracle))
 
@@ -335,6 +335,26 @@ def test_unset_oracle_keys_take_their_defaults(synthetic500_path):
     assert np.array_equal(OracleSpec(kind="rosenbrock").build(0).sigma, np.zeros(2))
     oracle = OracleSpec(kind="sigmoid", dataset=synthetic500_path, batch_size=5).build(0)
     assert oracle.dim == 21 and len(oracle.data) == 500  # bias appended, not balanced
+
+
+@pytest.mark.parametrize("sigma", [[0.5, 1.0], np.array([0.5, 1.0])], ids=["list", "ndarray"])
+def test_a_per_coordinate_noise_level_runs(sigma):
+    # validate raised TypeError on the list and numpy's "truth value of an
+    # array ... is ambiguous" ValueError on the array.
+    oracle = OracleSpec(kind="quadratic", diag=[1, 2], sigma=sigma)
+    assert oracle.validate() == []
+    assert np.array_equal(oracle.build(0).sigma, [0.5, 1.0])
+    table = run_experiment(_spec(oracle=oracle, T=50, repetitions=2, optimizers=[
+        ("sgdol", OptimizerConfig(kind="sgdol_global", M=2.0)),
+        ("gl", OptimizerConfig(kind="sgd_gl"))]))
+    assert all(np.isfinite(s.f_value).all() for s in table.series.values())
+
+
+def test_a_negative_per_coordinate_noise_level_is_reported():
+    oracle = OracleSpec(kind="quadratic", diag=[1, 2], sigma=[-1.0, 1.0])
+    assert oracle.validate() == ["sigma: must be >= 0, got [-1.0, 1.0]"]
+    with pytest.raises(ConfigError, match=r"sigma: must be >= 0, got \[-1.0, 1.0\]"):
+        run_experiment(_spec(oracle=oracle))
 
 
 # ---------------------------------------------------------------------------

@@ -232,9 +232,9 @@ def test_run_validates_arguments():
 def test_run_refuses_a_non_integer_horizon_or_stride(make, name, kwargs):
     # report_every=2.5 recorded t = 1, 3, 5, ... and T=10.0 failed inside a
     # loop; T=True ran one step.
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+    with pytest.raises(ValueError, match=f"{name}: must be an integer"):
         run(make(), RosenbrockOracle(), rng=RngStream(1), **kwargs)
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+    with pytest.raises(ValueError, match=f"{name}: must be an integer"):
         run_lanes([[make()]], RosenbrockOracle(), rngs=[RngStream(1)],
                   output_rngs=[[RngStream(2)]], **kwargs)
 

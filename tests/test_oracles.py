@@ -90,7 +90,7 @@ def test_quadratic_oracle_metadata():
                          ids=["rosenbrock", "quadratic"])
 def test_non_finite_noise_level_is_rejected(make, per_coord, bad):
     # Such a run would return NaN iterates without a word; refuse the oracle.
-    with pytest.raises(ValueError, match="noise levels must be finite and >= 0"):
+    with pytest.raises(ValueError, match="sigma: must be"):
         make(np.array([1.0, bad]) if per_coord else bad)
 
 
@@ -164,7 +164,8 @@ def test_sigmoid_loss_empty_dataset_rejected():
 @pytest.mark.parametrize("batch_size", [2.5, 2.0, True])
 def test_minibatch_oracle_refuses_a_batch_size_that_is_not_an_integer(synthetic500,
                                                                       batch_size):
-    with pytest.raises(ValueError, match=f"batch_size must be an integer, got {batch_size!r}"):
+    with pytest.raises(ValueError,
+                       match=f"batch_size: must be an integer >= 1, got {batch_size!r}"):
         SigmoidLossOracle(synthetic500, batch_size=batch_size)
 
 
@@ -240,7 +241,14 @@ def test_load_libsvm_decreasing_indices(tmp_path):
 
 @pytest.mark.parametrize("n_features", [0, -3])
 def test_load_libsvm_rejects_fewer_than_one_feature(tiny3_path, n_features):
-    with pytest.raises(ValueError, match=f"n_features must be >= 1, got {n_features}"):
+    with pytest.raises(ValueError, match=f"n_features: must be an integer >= 1, got {n_features}"):
+        load_libsvm(tiny3_path, n_features=n_features)
+
+
+@pytest.mark.parametrize("n_features", [2.5, True])
+def test_load_libsvm_refuses_a_feature_count_that_is_not_an_integer(tiny3_path, n_features):
+    # 2.5 failed as "line 1: index 3 exceeds n_features=2.5"; True was taken as 1.
+    with pytest.raises(ValueError, match=f"n_features: must be an integer >= 1, got {n_features}"):
         load_libsvm(tiny3_path, n_features=n_features)
 
 
