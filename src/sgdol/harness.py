@@ -99,6 +99,11 @@ class OracleSpec:
                                       and name in keys and value is not None})
         if self.kind == "quadratic" and self.diag is None:
             problems.append("diag: required for the quadratic oracle")
+        if "sigma" in keys and np.ndim(self.sigma) and not problems:  # so diag is well-formed
+            dim = 2 if self.kind == "rosenbrock" else len(self.diag)
+            if np.shape(self.sigma) != (dim,):
+                problems.append(f"sigma: must be a scalar or {dim} levels, one per coordinate, "
+                                f"got shape {np.shape(self.sigma)}")
         if self.kind == "sigmoid":
             if self.dataset is None:
                 problems.append("dataset: required for the sigmoid oracle")
@@ -149,6 +154,9 @@ class ExperimentSpec:
         names = [name for name, _ in self.optimizers]
         if len(set(names)) != len(names):
             problems.append("optimizers: names must be unique")
+        problems += [f"optimizers: name {name!r} must be a file name: non-empty, "
+                     "with no path separator or NUL"
+                     for name in names if not name or {os.sep, os.altsep, "\0"} & set(name)]
         for name, cfg in self.optimizers:
             problems.extend(
                 f"optimizer.{name}.{p}" for p in cfg.validate(deferred_ok=True))

@@ -8,9 +8,10 @@ sees identical oracle call counts and random streams under a shared seed.
 Each optimizer's ``update(g, g_prime)`` is written once over an iterate of
 shape (d,) or (L, d), with its state shaped to match, and returns the
 stepsize(s) it used; it is the one way to take a step, by hand on one pair
-(g and g' from ``oracle.pairs``) or in a loop. Every learned stepsize comes
-from one ``online.FtrlState``: float sums for a global stepsize, (d,) sums
-for per-coordinate stepsizes, each with a leading lane axis when stacked.
+(g and g' from ``oracle.pairs``) or in a loop. Each SGDOL kind learns its
+stepsizes with one ``online.FtrlState``, ``ftrl``: float sums for a global
+stepsize, (d,) sums for per-coordinate stepsizes, (2,) sums for the momentum
+variant's eta and beta, each with a leading lane axis when stacked.
 An ``Sgdol`` built with ``record_regret=True`` owns an
 ``online.RegretLedger`` of its own rounds, from its first: the ledger's
 running values are optimizer state, which its kernel carries and the lane
@@ -75,10 +76,9 @@ def _col(v):
 
 
 def _ratio(num, den):
-    """num / den where den > 0, else 0.0 (a NaN den included), elementwise."""
+    """num / den where den > 0, else 0.0 (a NaN den too); num is a scalar or den-shaped."""
     den = np.asarray(den)
-    out = np.zeros(np.broadcast(num, den).shape)
-    return np.divide(num, den, out=out, where=den > 0.0)[()]
+    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)[()]
 
 
 class Optimizer:
@@ -114,7 +114,21 @@ class Optimizer:
         raise NotImplementedError
 
 
-class Sgdol(Optimizer):
+class _SgdolBase(Optimizer):
+    """An SGDOL kind: every stepsize it plays comes from its one ``FtrlState``, ``ftrl``."""
+
+    g_pair_consumed = 2
+
+    @property
+    def M(self) -> float:
+        return self.ftrl.M
+
+    @property
+    def alpha(self) -> float:
+        return self.ftrl.alpha
+
+
+class Sgdol(_SgdolBase):
     """SGD whose single global stepsize is learned by FTRL on surrogate losses.
 
     The stepsize for round t is computed from rounds 1..t-1 only, before the
@@ -126,7 +140,6 @@ class Sgdol(Optimizer):
     params = ("M", "alpha", "ftrl.curvature_scale")
     state = ("ftrl.sum_inner", "ftrl.sum_sq")
     kernel = "sgdol_global"
-    g_pair_consumed = 2
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA,
                  curvature_scale: float = 1.0, record_regret: bool = False):
@@ -136,14 +149,6 @@ class Sgdol(Optimizer):
         if record_regret:
             self.ledger = RegretLedger(alpha, M, curvature_scale)
             self.state = Sgdol.state + tuple(f"ledger.{v}" for v in RegretLedger.VALUES)
-
-    @property
-    def M(self) -> float:
-        return self.ftrl.M
-
-    @property
-    def alpha(self) -> float:
-        return self.ftrl.alpha
 
     def update(self, g, g_prime):
         eta = self.ftrl.stepsize()
@@ -156,7 +161,7 @@ class Sgdol(Optimizer):
         return eta
 
 
-class SgdolCoord(Optimizer):
+class SgdolCoord(_SgdolBase):
     """SGDOL with one independent FTRL stepsize learner per coordinate.
 
     The learners are one ``FtrlState`` with (d,) sums, fed the
@@ -167,20 +172,11 @@ class SgdolCoord(Optimizer):
     params = ("M", "alpha")
     state = ("ftrl.sum_inner", "ftrl.sum_sq")
     kernel = "sgdol_coord"
-    g_pair_consumed = 2
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA):
         super().__init__(x0)
         self.ftrl = FtrlState(alpha=alpha, M=M, sum_inner=np.zeros(self.dim),
                               sum_sq=np.zeros(self.dim))
-
-    @property
-    def M(self) -> float:
-        return self.ftrl.M
-
-    @property
-    def alpha(self) -> float:
-        return self.ftrl.alpha
 
     def update(self, g, g_prime):
         eta = self.ftrl.stepsize()
@@ -189,46 +185,36 @@ class SgdolCoord(Optimizer):
         return eta
 
 
-class SgdolMomentum(Optimizer):
+class SgdolMomentum(_SgdolBase):
     """Two-stepsize SGDOL: x <- x - eta*g - beta*z with both learned online.
 
-    Both learners run on the doubled-curvature surrogates
-    M*eta^2*||g||^2 - eta*<g, g'> and M*beta^2*||z||^2 - beta*<z, g'>,
-    each with the regularizer centered at 1/M over [0, 2/M]. The buffer
-    follows z_{t+1} = (beta_t/eta_t) * z_t + g_t, degrading to z_{t+1} = g_t
-    when eta_t = 0. ``clamp_beta`` forces beta_t = 0 every round, which
+    Entries 0 and 1 of one ``FtrlState`` learn them on the doubled-curvature
+    surrogates M*eta^2*||g||^2 - eta*<g, g'> and M*beta^2*||z||^2 - beta*<z, g'>,
+    each with the regularizer centered at 1/M over [0, 2/M]. The buffer follows
+    z_{t+1} = (beta_t/eta_t) * z_t + g_t, degrading to z_{t+1} = g_t when
+    eta_t = 0. ``clamp_beta`` forces beta_t = 0 every round, which
     reproduces plain SGDOL under the doubled-curvature convention.
     """
 
     kind = "sgdol_momentum"
     params = ("M", "alpha", "clamp_beta")
-    state = ("ftrl_eta.sum_inner", "ftrl_eta.sum_sq", "ftrl_beta.sum_inner",
-             "ftrl_beta.sum_sq", "z")
-    g_pair_consumed = 2
+    state = ("ftrl.sum_inner", "ftrl.sum_sq", "z")
 
     def __init__(self, x0, M: float, alpha: float = DEFAULT_ALPHA, clamp_beta: bool = False):
         super().__init__(x0)
-        self.ftrl_eta = FtrlState(alpha=alpha, M=M, curvature_scale=2.0)
-        self.ftrl_beta = FtrlState(alpha=alpha, M=M, curvature_scale=2.0)
+        self.ftrl = FtrlState(alpha=alpha, M=M, sum_inner=np.zeros(2), sum_sq=np.zeros(2),
+                              curvature_scale=2.0)
         self.z = np.zeros(self.dim)
         self.clamp_beta = clamp_beta
 
-    @property
-    def M(self) -> float:
-        return self.ftrl_eta.M
-
-    @property
-    def alpha(self) -> float:
-        return self.ftrl_eta.alpha
-
     def update(self, g, g_prime):
-        eta = self.ftrl_eta.stepsize()
-        beta = 0.0 if self.clamp_beta else self.ftrl_beta.stepsize()
+        eta, beta = self.ftrl.stepsize().T  # entries 0 and 1, with the lane axis if stacked
+        beta = 0.0 if self.clamp_beta else beta
         z_old = self.z
         self.x = self.x - _col(eta) * g - _col(beta) * z_old
         self.z = _col(_ratio(beta, eta)) * z_old + g
-        self.ftrl_eta.observe_stats(row_dot(g, g_prime), row_dot(g, g))
-        self.ftrl_beta.observe_stats(row_dot(z_old, g_prime), row_dot(z_old, z_old))
+        rows = np.stack([g, z_old], axis=-2)  # each row reduces as it would alone
+        self.ftrl.observe_stats(row_dot(rows, g_prime[..., None, :]), row_dot(rows, rows))
         return eta
 
 
@@ -327,11 +313,14 @@ class Adam(Optimizer):
         return math.nan
 
 
+_SCALAR_SIGMA = "sigma: must be a scalar for kind 'sgd_gl'"
+
+
 class SgdGhadimiLan(Sgd):
     """SGD with the constant stepsize min(1/M, sqrt(f_gap) / (sigma * sqrt(T))).
 
-    Requires knowing the noise level and the initial optimality gap, so it is
-    only usable on synthetic problems. sigma = 0 degenerates to 1/M.
+    Requires knowing the noise level, one scalar, and the initial optimality
+    gap, so it is only usable on synthetic problems. sigma = 0 degenerates to 1/M.
     """
 
     kind = "sgd_gl"
@@ -340,10 +329,9 @@ class SgdGhadimiLan(Sgd):
         # Skips Sgd.__init__: f_gap = 0 gives lr = 0, which its range check refuses.
         Optimizer.__init__(self, x0)
         check_fields(M=M, sigma=sigma, T=T, f_gap=f_gap)
-        if sigma == 0.0:
-            self.lr = 1.0 / M
-        else:
-            self.lr = min(1.0 / M, math.sqrt(f_gap) / (sigma * math.sqrt(T)))
+        if np.ndim(sigma):
+            raise ValueError(_SCALAR_SIGMA)
+        self.lr = min(1.0 / M, math.sqrt(f_gap) / (sigma * math.sqrt(T)) if sigma else math.inf)
         self.M = M
 
 
@@ -398,7 +386,10 @@ class OptimizerConfig:
                       if name != "kind" and value is not None}
         problems += [f"{name}: not taken by kind {self.kind!r}"
                      for name in set_fields if name not in _PARAMETERS[self.kind]]
-        return problems + field_problems(**set_fields)
+        problems += field_problems(**set_fields)
+        if cls is SgdGhadimiLan and np.ndim(set_fields.get("sigma", 0.0)):
+            problems.append(_SCALAR_SIGMA)
+        return problems
 
     def build(self, x0) -> Optimizer:
         problems = self.validate()

@@ -15,7 +15,7 @@ loop bit for bit. This is test code only.
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -200,17 +200,26 @@ class _SgdolCoordReference(SgdolCoord):
         return StepReport(eta_used=eta, g_pair_consumed=2)
 
 
+def _ftrl_entry(ftrl, i):
+    """Entry i of a learner with array sums, as a scalar learner of its own."""
+    return replace(ftrl, sum_inner=float(ftrl.sum_inner[i]), sum_sq=float(ftrl.sum_sq[i]))
+
+
 class _SgdolMomentumReference(SgdolMomentum):
+    # The eta learner is entry 0 of self.ftrl and the beta learner entry 1.
     def step(self, pair):
         _check_pair(self, pair)
-        eta = _ftrl_stepsize(self.ftrl_eta)
-        beta = 0.0 if self.clamp_beta else _ftrl_stepsize(self.ftrl_beta)
+        eta_ftrl, beta_ftrl = _ftrl_entry(self.ftrl, 0), _ftrl_entry(self.ftrl, 1)
+        eta = _ftrl_stepsize(eta_ftrl)
+        beta = 0.0 if self.clamp_beta else _ftrl_stepsize(beta_ftrl)
         z_old = self.z
         self.x = self.x - eta * pair.g - beta * z_old
         decay = beta / eta if eta > 0.0 else 0.0
         self.z = decay * z_old + pair.g
-        self.ftrl_eta.observe_stats(dot(pair.g, pair.g_prime), sq_norm(pair.g))
-        self.ftrl_beta.observe_stats(dot(z_old, pair.g_prime), sq_norm(z_old))
+        eta_ftrl.observe_stats(dot(pair.g, pair.g_prime), sq_norm(pair.g))
+        beta_ftrl.observe_stats(dot(z_old, pair.g_prime), sq_norm(z_old))
+        self.ftrl.sum_inner = np.array([eta_ftrl.sum_inner, beta_ftrl.sum_inner])
+        self.ftrl.sum_sq = np.array([eta_ftrl.sum_sq, beta_ftrl.sum_sq])
         return StepReport(eta_used=eta, beta_used=beta, g_pair_consumed=2)
 
 

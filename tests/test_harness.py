@@ -357,6 +357,34 @@ def test_a_negative_per_coordinate_noise_level_is_reported():
         run_experiment(_spec(oracle=oracle))
 
 
+@pytest.mark.parametrize("oracle, dim, shape", [
+    (OracleSpec(kind="quadratic", diag=[1, 2], sigma=[1.0, 2.0, 3.0]), 2, (3,)),
+    (OracleSpec(kind="quadratic", diag=[1, 2, 3], sigma=np.ones((1, 3))), 3, (1, 3)),
+    (OracleSpec(kind="rosenbrock", sigma=[]), 2, (0,)),
+], ids=["quadratic", "quadratic-2d", "rosenbrock-empty"])
+def test_a_noise_level_per_coordinate_needs_one_per_coordinate(oracle, dim, shape):
+    # These validated clean; building the oracle then raised a plain ValueError.
+    problem = f"sigma: must be a scalar or {dim} levels, one per coordinate, got shape {shape}"
+    assert oracle.validate() == [problem]
+    with pytest.raises(ConfigError) as info:
+        run_experiment(_spec(oracle=oracle))
+    assert info.value.problems == [problem]
+
+
+def test_a_malformed_diag_is_reported_without_a_sigma_length_check():
+    # The length check runs once diag is well-formed: len(5.0) would raise.
+    oracle = OracleSpec(kind="quadratic", diag=5.0, sigma=[1.0])
+    assert oracle.validate() == ["diag: must be 1-D with one or more entries, each > 0, "
+                                 "got 5.0"]
+
+
+@pytest.mark.parametrize("name", ["", "a/b", "../escaped", ".../escaped", "a\0b"])
+def test_an_optimizer_name_must_be_a_file_name(name):
+    spec = _spec(optimizers=[(name, OptimizerConfig(kind="sgd", lr=1e-3))])
+    assert spec.validate() == [f"optimizers: name {name!r} must be a file name: non-empty, "
+                               "with no path separator or NUL"]
+
+
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------
@@ -434,6 +462,18 @@ def test_shipped_configs_parse(path):
     # The benchmark builds its inputs from these files.
     spec = parse_config(os.path.join(ROOT, path))
     assert spec.validate() == []
+
+
+@pytest.mark.parametrize("name", ["a/b", ".../escaped", ""])
+def test_a_config_with_a_path_as_optimizer_name_writes_nothing(tmp_path, name):
+    # '.../escaped' wrote escaped.csv beside output_dir, and 'a/b' ran every
+    # step before write_csv failed; each is now refused as the file is parsed.
+    path = tmp_path / "exp.ini"
+    path.write_text(GOOD_CONFIG.replace("[optimizer.sgd]", f"[optimizer.{name}]").replace(
+        "report_every = 25", f"report_every = 25\noutput_dir = {tmp_path / 'out'}"))
+    with pytest.raises(ConfigError, match="must be a file name"):
+        parse_config(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.ini"]
 
 
 def test_parse_config_missing_file():

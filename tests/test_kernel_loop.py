@@ -264,10 +264,10 @@ def test_momentum_update_plays_the_learned_beta(clamp_beta):
     oracle = QuadraticOracle(np.ones(3), sigma=1.0)
     opt = SgdolMomentum(np.zeros(3), M=1.0, clamp_beta=clamp_beta)
     run(opt, oracle, 5, RngStream(1))
-    beta = 0.0 if clamp_beta else opt.ftrl_beta.stepsize()  # read before the update
+    eta, beta = opt.ftrl.stepsize()  # read before the update
+    beta = 0.0 if clamp_beta else beta
     x, z = opt.x, opt.z
     g, g_prime = oracle.pairs(opt.x, oracle.draw(RngStream(2).generator(), 1))[0]
-    eta = opt.ftrl_eta.stepsize()
     assert opt.update(g, g_prime) == eta
     assert clamp_beta or beta != 1.0  # warm: not the learner's first play, 1/M
     assert _bits(opt.x) == _bits(x - eta * g - beta * z)

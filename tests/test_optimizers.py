@@ -20,6 +20,8 @@ from sgdol import (
     SgdolMomentum,
     run,
 )
+from sgdol.core import dot, sq_norm
+from sgdol.online import FtrlState
 from sgdol.optimizers import OPTIMIZER_KINDS, run_lanes
 
 
@@ -75,7 +77,7 @@ def test_sgdol_coord_all_zero_pair_is_noop():
 
 def test_momentum_first_step_buffer_contributes_nothing():
     opt = SgdolMomentum(np.zeros(2), M=2.0, alpha=1.0)
-    assert opt.ftrl_beta.stepsize() == 0.5  # 1/M from the empty history
+    assert opt.ftrl.stepsize()[1] == 0.5  # beta: 1/M from the empty history
     opt.update(*_pair([-2.0, 0.0]))
     assert np.array_equal(opt.x, np.array([1.0, 0.0]))  # z1 = 0
     assert np.array_equal(opt.z, np.array([-2.0, 0.0]))
@@ -107,12 +109,36 @@ def test_momentum_clamped_equals_doubled_curvature_sgdol():
 
 def test_momentum_zero_stepsize_resets_buffer_decay():
     opt = SgdolMomentum(np.zeros(1), M=1.0, alpha=1.0)
-    # Force the eta learner into the clipped-to-zero regime.
-    opt.ftrl_eta.sum_inner = -100.0
-    opt.ftrl_eta.sum_sq = 1.0
+    # Force the eta learner, entry 0, into the clipped-to-zero regime.
+    opt.ftrl.sum_inner = np.array([-100.0, 0.0])
+    opt.ftrl.sum_sq = np.array([1.0, 0.0])
     opt.z = np.array([5.0])
     opt.update(*_pair([2.0], [2.0]))
     assert np.array_equal(opt.z, np.array([2.0]))  # decay 0, buffer restarts at g
+
+
+@pytest.mark.parametrize("clamp_beta", [False, True])
+def test_momentum_learner_entries_are_two_scalar_learners(clamp_beta):
+    # Entry 0 learns eta on (<g, g'>, ||g||^2) and entry 1 beta on
+    # (<z, g'>, ||z||^2): each is a scalar learner fed its own losses, bit
+    # for bit. Under clamp_beta the beta learner still learns; it is not played.
+    d = 300  # long enough for numpy's pairwise sums
+    opt = SgdolMomentum(np.zeros(d), M=2.0, alpha=1.0, clamp_beta=clamp_beta)
+    eta_ftrl, beta_ftrl = (FtrlState(alpha=1.0, M=2.0, curvature_scale=2.0) for _ in range(2))
+    gen = RngStream(77).generator()
+    for _ in range(30):
+        g, gp = gen.normal(1.0, 1.0, size=(2, d))  # a shared mean: <z, g'> > 0
+        x, z = opt.x, opt.z
+        eta = eta_ftrl.stepsize()
+        beta = 0.0 if clamp_beta else beta_ftrl.stepsize()
+        assert opt.update(g, gp) == eta
+        assert np.array_equal(opt.x, x - eta * g - beta * z)
+        eta_ftrl.observe_stats(dot(g, gp), sq_norm(g))
+        beta_ftrl.observe_stats(dot(z, gp), sq_norm(z))
+        assert opt.ftrl.sum_inner.tolist() == [eta_ftrl.sum_inner, beta_ftrl.sum_inner]
+        assert opt.ftrl.sum_sq.tolist() == [eta_ftrl.sum_sq, beta_ftrl.sum_sq]
+    assert opt.ftrl.stepsize().tolist() == [eta_ftrl.stepsize(), beta_ftrl.stepsize()]
+    assert beta_ftrl.stepsize() not in (0.0, 0.5, 1.0)  # moved off 1/M, inside the clip
 
 
 def test_sgd_step_example():
@@ -290,6 +316,19 @@ def test_sgd_gl_horizon_must_be_an_integer(T):
         SgdGhadimiLan(np.zeros(2), T=T, **valid)
 
 
+@pytest.mark.parametrize("sigma", [[0.5, 1.0], np.array([0.5, 1.0])], ids=["list", "ndarray"])
+def test_sgd_gl_sigma_must_be_a_scalar(sigma):
+    # A per-coordinate level validated clean, then build raised TypeError on
+    # the list and numpy's ambiguous-truth ValueError on the array.
+    valid = dict(M=1.0, T=10, f_gap=1.0)
+    problem = "sigma: must be a scalar for kind 'sgd_gl'"
+    assert OptimizerConfig(kind="sgd_gl", sigma=sigma, **valid).validate() == [problem]
+    with pytest.raises(ValueError, match=problem):
+        OptimizerConfig(kind="sgd_gl", sigma=sigma, **valid).build(np.zeros(2))
+    with pytest.raises(ValueError, match=problem):
+        SgdGhadimiLan(np.zeros(2), sigma=sigma, **valid)
+
+
 def test_optimizer_refuses_an_infinite_stepsize():
     with pytest.raises(ValueError, match="lr: must be finite"):
         Sgd(np.zeros(2), lr=math.inf)
@@ -405,9 +444,14 @@ _EVERY_KIND = {
 }
 
 
-def _learners(opt):
-    """The optimizer's FTRL stepsize learners."""
-    return [getattr(opt, a) for a in ("ftrl", "ftrl_eta", "ftrl_beta") if hasattr(opt, a)]
+def _plays_nan(opt):
+    """Whether the next FTRL play is NaN: for both of the momentum variant's
+    learners, for some coordinate's learner of sgdol_coord. True for a kind
+    with no learner."""
+    if not hasattr(opt, "ftrl"):
+        return True
+    nan = np.isnan(opt.ftrl.stepsize())
+    return bool(nan.all() if isinstance(opt, SgdolMomentum) else nan.any())
 
 
 def test_every_kind_is_checked_with_a_non_finite_iterate():
@@ -429,8 +473,7 @@ def test_a_non_finite_iterate_stays_non_finite(name, bad):
         # later stepsize of the learner does too.
         opt.update(*_pair([math.nan, 1.0]))
         opt.update(*_pair([1.0, -1.0]))
-    for ftrl in _learners(opt):
-        assert np.isnan(ftrl.stepsize()).any()
+    assert _plays_nan(opt)
     if getattr(opt, "ledger", None) is not None:
         assert np.isnan(opt.ledger.max_grad_norm())
     # Each loop carries the iterate to the end: the kernel, when the kind has one.
@@ -441,5 +484,4 @@ def test_a_non_finite_iterate_stays_non_finite(name, bad):
                   force_generic=generic)
         assert res.diverged_at == 1
         assert not np.isfinite(res.x_final).all()
-        for ftrl in _learners(single):
-            assert np.isnan(ftrl.stepsize()).any()
+        assert _plays_nan(single)
