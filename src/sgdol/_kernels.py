@@ -15,13 +15,14 @@ next such step: x_t, then the stepsize(s) step t used (one column for the
 global-stepsize kernels, SGD's lr and Adam's NaN, one per coordinate for
 the per-coordinate kernels). ``optimizers._run_kernels`` feeds each run's
 kernel a noise chunk at a time, scaled once and shared by every run on
-the stream, and derives the records from the rows.
+the stream, and derives the records, and all else a run keeps, from the
+rows.
 
-A kernel is a pure function: ``x`` and every array of ``state`` (FTRL
-sums, AdaGrad accumulators, Adam moments and beta powers, the six running
-values of an ``Sgdol``'s regret ledger) come in as tuples of floats and go
-out as new tuples, so a kernel continues a run from wherever the previous
-chunk, or generic steps, left it.
+A kernel is a pure function: ``x`` and every array of the ``state`` its
+optimizer class declares (FTRL sums, AdaGrad accumulators, Adam moments
+and beta powers) come in as tuples of floats and go out as new tuples, so
+a kernel continues a run from wherever the previous chunk, or generic
+steps, left it.
 
 Coordinates and state are Python float locals, four to seven times faster
 than numpy scalars under CPython, with the Rosenbrock gradient inlined; f
@@ -67,34 +68,9 @@ def _steps(noise, c0, T, width):
     return zip(range(c0, c0 + T), *[iter(noise)] * width)
 
 
-def _fold_round(ledger, M, alpha, curv, eta, b, a, ap):
-    """A regret ledger's running values after one more round, as ``RegretLedger.record``.
-
-    ``b``, ``a`` and ``ap`` are <g,g'>, ||g||^2 and ||g'||^2.
-    """
-    n, lc, li, lq, lm, l2 = ledger
-    loss = 0.5 * curv * M * eta * eta * a - eta * b
-    lq += a
-    # A NaN, once seen, stays the maximum, as np.maximum keeps it.
-    if a > lm or a != a:
-        lm = a
-    if ap > lm or ap != ap:
-        lm = ap
-    slope = curv * M * eta * a - b
-    return n + 1, lc + loss, li + b, lq, lm, l2 + slope * slope / (alpha + curv * lq)
-
-
-def _sgdol_global(noise, x, c0, T, stride, M, alpha, curv, si, ss, *ledger):
-    """SGDOL with one global FTRL-learned stepsize.
-
-    The learner state is (sum of <g,g'>, sum of ||g||^2), then a regret
-    ledger's running values when the optimizer carries one: (rounds,
-    cumulative surrogate loss, sum of <g,g'>, sum of ||g||^2, largest
-    ||g||^2 or ||g'||^2, summed second bound term), as
-    ``online.RegretLedger.record`` folds them in.
-    """
+def _sgdol_global(noise, x, c0, T, stride, M, alpha, curv, si, ss):
+    """SGDOL with one global FTRL-learned stepsize; state (sum of <g,g'>, sum of ||g||^2)."""
     rec = array("d")
-    led = bool(ledger)  # a bool tests faster than a tuple in the loops
     hi = 2.0 / M
     x0, x1 = x
     nxt = -(-c0 // stride) * stride
@@ -116,14 +92,9 @@ def _sgdol_global(noise, x, c0, T, stride, M, alpha, curv, si, ss, *ledger):
         gp1 = r1 + v1
         x0 = x0 - eta * g0
         x1 = x1 - eta * g1
-        b = 0.0 + g0 * gp0 + g1 * gp1
-        a = 0.0 + g0 * g0 + g1 * g1
-        si += b
-        ss += a
-        if led:
-            ledger = _fold_round(ledger, M, alpha, curv, eta, b, a,
-                                 0.0 + gp0 * gp0 + gp1 * gp1)
-    return rec, (x0, x1), si, ss, *ledger
+        si += 0.0 + g0 * gp0 + g1 * gp1
+        ss += 0.0 + g0 * g0 + g1 * g1
+    return rec, (x0, x1), si, ss
 
 
 def _sgdol_coord(noise, x, c0, T, stride, M, alpha, si, ss):

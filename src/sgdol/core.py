@@ -75,24 +75,33 @@ def _positive_vector(v) -> bool:
     return a.ndim == 1 and a.size > 0 and bool((a > 0).all())
 
 
-# Parameter name -> (test, requirement). The one statement of each range:
-# validate methods report every value that fails its test, and constructors,
-# loops and checks raise on the first. NaN fails every test, and
-# field_problems refuses a value with an infinite entry unless it is an
-# integer; a count or a seed must be an int (a bool is not one).
+def _reals(value, scalar: bool) -> bool:
+    """Whether ``value`` is a real number, or without ``scalar`` an array of them too."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting of sequences
+        return False
+    return a.dtype.kind in "biuf" and not (scalar and a.ndim)
+
+
+_REAL, _REALS = "a real number", "real numbers"
+# Parameter name -> (type, test, requirement). The one statement of each
+# range: validate methods report every value that fails its type or test,
+# and constructors, loops and checks raise on the first. NaN fails every
+# test, and field_problems refuses a value with an infinite entry unless it
+# is an integer; a count or a seed must be an int (a bool is not one).
 _FIELD_RANGES = {
     **dict.fromkeys(("M", "alpha", "lr", "eps", "curvature_scale", "tol", "h"),
-                    (lambda v: v > 0, "must be > 0")),
-    **dict.fromkeys(("beta1", "beta2"), (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")),
-    "f_gap": (lambda v: v >= 0, "must be >= 0"),
-    # A noise level is a scalar, or one level per coordinate; a stepsize is a scalar.
-    "sigma": (lambda v: bool((np.asarray(v, float) >= 0).all()), "must be >= 0"),
-    "diag": (_positive_vector, "must be 1-D with one or more entries, each > 0"),
-    "eta": (lambda v: bool(np.isfinite(np.asarray(v, float))), "must be finite"),
+                    (_REAL, lambda v: v > 0, "must be > 0")),
+    **dict.fromkeys(("beta1", "beta2"), (_REAL, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")),
+    "f_gap": (_REAL, lambda v: v >= 0, "must be >= 0"),
+    "sigma": (_REALS, lambda v: bool((np.asarray(v, float) >= 0).all()), "must be >= 0"),
+    "diag": (_REALS, _positive_vector, "must be 1-D with one or more entries, each > 0"),
+    "eta": (_REAL, lambda v: bool(np.isfinite(np.asarray(v, float))), "must be finite"),
     **dict.fromkeys(("T", "repetitions", "report_every", "batch_size", "n_features", "N",
                      "pairs", "mc_samples"),
-                    (lambda v: is_integer(v) and v >= 1, "must be an integer >= 1")),
-    **dict.fromkeys(("seed", "stream_id"), (lambda v: is_integer(v) and 0 <= v < 2**64,
+                    (None, lambda v: is_integer(v) and v >= 1, "must be an integer >= 1")),
+    **dict.fromkeys(("seed", "stream_id"), (None, lambda v: is_integer(v) and 0 <= v < 2**64,
                                             "must be a 64-bit unsigned integer")),
 }
 
@@ -108,8 +117,10 @@ def field_problems(**values) -> list:
     """'<name>: <requirement>, got <value>' for each value out of its range."""
     problems = []
     for name, value in values.items():
-        test, need = _FIELD_RANGES[name]
-        if test(value):
+        kind, test, need = _FIELD_RANGES[name]
+        if kind is not None and not _reals(value, kind is _REAL):
+            need = f"must be {kind}"
+        elif test(value):
             if _finite(value):
                 continue
             need = "must be finite"

@@ -327,7 +327,7 @@ def _check_regret_bound(seed: int) -> CheckResult:
     margin = min(ledger.regret_bound_rhs(float(e), L) - ledger.regret_vs(float(e))
                  for e in grid)
     return CheckResult("regret bound inequality on recorded run",
-                       margin >= 0.0, f"min slack {margin:.3e}")
+                       bool(margin >= 0.0), f"min slack {margin:.3e}")
 
 
 def run_verification(seed: int = 20190901, mc_samples: int = 20000) -> List[CheckResult]:

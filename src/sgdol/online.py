@@ -95,11 +95,11 @@ class RegretLedger:
     count, the learner's cumulative surrogate loss, the sums of <g, g'> and
     ||g||^2, the largest ||g||^2 or ||g'||^2, and the running sum behind the
     bound's second term. Each is a float for one learner, or an (L,) array
-    for L lanes. ``record`` folds in one round per lane and every query is
+    for L lanes. ``record`` folds in rounds by the chunk and every query is
     O(1), so a ledger's memory does not grow with the number of rounds.
     """
 
-    # The running values, in the order the sgdol_global kernel takes and returns them.
+    # The running values, in the order that ``optimizers._stack`` stacks them.
     VALUES = ("count", "cumulative_loss", "sum_inner", "sum_sq", "max_sq", "second_sum")
 
     def __init__(self, alpha: float, M: float, curvature_scale: float = 1.0):
@@ -116,19 +116,27 @@ class RegretLedger:
         self.second_sum = 0.0
 
     def record(self, eta, inner, g_sq, g_prime_sq):
-        """Fold in one round: the played stepsize and the pair's <g, g'>, ||g||^2 and ||g'||^2.
+        """Fold in rounds: played stepsizes and their pairs' <g, g'>, ||g||^2 and ||g'||^2.
 
-        Each argument is a float, or an (L,) array of one entry per lane.
+        Rounds lie on a leading axis, (n,) for one learner, (n, L) for L lanes;
+        a float or an (L,) row is one. They fold strictly in turn (accumulate),
+        to the bits of n one-round calls; a NaN, once seen, stays the maximum.
+        A reduce would sum pairwise, and np.maximum's can turn -NaN into +NaN.
         """
         c, M = self.curvature_scale, self.M
-        self.count += 1
-        self.cumulative_loss += surrogate_loss(M, eta, g_sq, inner, c)
-        self.sum_inner += inner
-        self.sum_sq += g_sq
-        # np.maximum keeps a NaN once seen, where a plain comparison would drop it.
-        self.max_sq = np.maximum(self.max_sq, np.maximum(g_sq, g_prime_sq))[()]
+        shape = (-1,) + np.asarray(self.sum_sq).shape  # np.reshape is four times slower
+        eta, inner, g_sq, g_prime_sq = (np.asarray(v).reshape(shape)
+                                        for v in (eta, inner, g_sq, g_prime_sq))
+        sq = np.add.accumulate(np.concatenate(([self.sum_sq], g_sq)))[1:]  # after each round
         slope = c * M * eta * g_sq - inner
-        self.second_sum += slope * slope / (self.alpha + c * self.sum_sq)
+        self.count = self.count + len(eta)
+        for name, ufunc, rounds in (
+                ("cumulative_loss", np.add, surrogate_loss(M, eta, g_sq, inner, c)),
+                ("sum_inner", np.add, inner), ("sum_sq", np.add, g_sq),
+                ("max_sq", np.maximum, np.maximum(g_sq, g_prime_sq)),
+                ("second_sum", np.add, slope * slope / (self.alpha + c * sq))):
+            values = ufunc.accumulate(np.concatenate(([getattr(self, name)], rounds)))
+            setattr(self, name, values[-1] if values.ndim > 1 else values[-1].item())
 
     def comparator_loss(self, eta: float) -> float:
         """Cumulative loss of a fixed stepsize: (cM/2) eta^2 sum ||g||^2 - eta sum <g, g'>."""

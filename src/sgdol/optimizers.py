@@ -13,10 +13,10 @@ stepsizes with one ``online.FtrlState``, ``ftrl``: float sums for a global
 stepsize, (d,) sums for per-coordinate stepsizes, (2,) sums for the momentum
 variant's eta and beta, each with a leading lane axis when stacked.
 An ``Sgdol`` built with ``record_regret=True`` owns an
-``online.RegretLedger`` of its own rounds, from its first: the ledger's
-running values are optimizer state, which its kernel carries and the lane
-loop stacks like the FTRL sums. The ledger is the only record of the
-surrogate losses.
+``online.RegretLedger`` of its own rounds, from its first, the only
+record of the surrogate losses: ``update`` records each round, the lane
+loop stacks its running values as state, and a kernel run records each
+noise chunk's rounds at once.
 
 ``run`` executes T steps and records the trajectory on one of two loops,
 continuing from whatever state earlier steps left. Both take groups of
@@ -94,10 +94,9 @@ class Optimizer:
     params: tuple = ()
     # Attributes, besides x, that stepping changes (dotted for nested ones).
     state: tuple = ()
-    # The name of the kind's fused kernel, or None. The kernel takes the
-    # parameters, then the state attributes, and its final values of them
-    # are written back, so a kernel continues from whatever state earlier
-    # steps left.
+    # The name of the kind's fused kernel, or None. It takes the parameters,
+    # then the class's state attributes, and its final values of them are
+    # written back, so a kernel continues from whatever state earlier steps left.
     kernel: Optional[str] = None
     # Gradients of each pair the update uses: g only (1) or g and g' (2).
     g_pair_consumed = 1
@@ -519,8 +518,8 @@ def _run_groups(groups, oracle, T, rngs, output_rngs, report_every=None, force_g
 
 
 def _kernel_args(optimizer: Optimizer):
-    """The optimizer's parameters then state, in kernel order, arrays as tuples of floats."""
-    values = (attrgetter(attr)(optimizer) for attr in optimizer.params + optimizer.state)
+    """The optimizer's parameters then its class's state, arrays as tuples of floats."""
+    values = (attrgetter(attr)(optimizer) for attr in optimizer.params + type(optimizer).state)
     return [tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in values]
 
 
@@ -536,7 +535,8 @@ def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
     noise is drawn a chunk at a time, scaled by sigma, and turned into a
     flat list of floats once per noise width, which every run of the
     stream that reads that width steps through on its kernel; x and state
-    go from chunk to chunk as tuples.
+    go from chunk to chunk as tuples. A run with a regret ledger steps at
+    stride 1 and records each chunk's rounds at once.
     """
     stride, ks, _, recs = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
     if not groups:
@@ -549,26 +549,35 @@ def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
         xs = [tuple(opt.x.tolist()) for opt in opts]
         args = [_kernel_args(opt) for opt in opts]
         rows = [array("d") for _ in opts]
+        ledgers = [getattr(opt, "ledger", None) for opt in opts]
         # The runs by the pairs of a step's noise that they read: g's, or g's and g''s.
         by_width = {w: [j for j, opt in enumerate(opts) if opt.g_pair_consumed == w]
                     for w in {opt.g_pair_consumed for opt in opts}}
-        for c0, chunk in _kernels._chunks(functools.partial(oracle.draw, rng.generator()), T, 2):
-            n = len(chunk)
-            chunk = oracle.sigma * chunk  # the products sigma * z that pairs forms
+        for c0, draw in _kernels._chunks(functools.partial(oracle.draw, rng.generator()), T, 2):
+            n = len(draw)
+            chunk = oracle.sigma * draw  # the products sigma * z that pairs forms
             for w, runs in by_width.items():
                 noise = chunk[:, :w].ravel().tolist()
                 for j in runs:
                     steps, p = iter(noise), len(opts[j].params)
                     k = ks[j][r] - 1 - c0  # x_k is the x that the chunk's first k steps leave
+                    start, every = len(rows[j]), stride if ledgers[j] is None else 1
                     for lo, hi in ((0, k), (k, n)) if 0 <= k < n else ((0, n),):
                         chunk_rows, xs[j], *args[j][p:] = kernels[j](
-                            steps, xs[j], c0 + lo, hi - lo, stride, *args[j])
+                            steps, xs[j], c0 + lo, hi - lo, every, *args[j])
                         rows[j] += chunk_rows
                         if hi == k:
                             x_k[j, r] = np.array(xs[j])
+                    if ledgers[j] is not None:  # record the chunk, keep its record steps' rows
+                        taken = np.frombuffer(rows[j][start:]).reshape(n, -1)
+                        with np.errstate(all="ignore"):  # pairs bit for bit the kernel's g, g'
+                            g, g_prime = oracle.pairs(taken[:, :d], draw).swapaxes(0, 1)
+                            ledgers[j].record(taken[:, d], row_dot(g, g_prime), row_dot(g, g),
+                                              row_dot(g_prime, g_prime))
+                        rows[j][start:] = array("d", taken[-c0 % stride::stride].tobytes())
                 del noise, steps  # so one flat list of floats is alive at a time
         for j, opt in enumerate(opts):
-            for attr, value in zip(("x",) + opt.state, [xs[j], *args[j][len(opt.params):]]):
+            for attr, value in zip(("x",) + type(opt).state, [xs[j], *args[j][len(opt.params):]]):
                 _set_attr(opt, attr, np.array(value) if isinstance(value, tuple) else value)
             # Each row is x_t, then the stepsize(s) step t used.
             rec = np.frombuffer(rows[j]).reshape(recs[j][0].shape[1], -1)

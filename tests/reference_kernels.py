@@ -11,7 +11,8 @@ written as an array loop with the objective in three shared helpers
 execute the same IEEE operations in the same order, so
 ``tests/test_kernels.py`` requires their outputs to be bitwise equal. These
 sources are test code only: under CPython they run four to seven times
-slower than the package's kernels.
+slower than the package's kernels. ``fold_round`` is the per-round fold of
+a regret ledger, which ``RegretLedger.record`` must match bit for bit.
 """
 
 import math
@@ -64,11 +65,10 @@ def _sq_norm(v):
 
 
 def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
-                      M, alpha, curv, si, ss, *ledger):
+                      M, alpha, curv, si, ss):
     """SGDOL with one global FTRL-learned stepsize.
 
-    The learner state is (sum of <g,g'>, sum of ||g||^2), then a regret
-    ledger's six running values when one is carried.
+    The learner state is (sum of <g,g'>, sum of ||g||^2).
     """
     d = x.shape[0]
     n_rec = (T + stride - 1) // stride
@@ -76,8 +76,6 @@ def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
     rec_f = np.empty(n_rec)
     rec_gsq = np.empty(n_rec)
     rec_eta = np.empty(n_rec)
-    led = bool(ledger)
-    n, lc, li, lq, lm, l2 = ledger if led else (0, 0.0, 0.0, 0.0, 0.0, 0.0)
     grad = np.empty(d)
     g = np.empty(d)
     gp = np.empty(d)
@@ -110,26 +108,13 @@ def _run_sgdol_global(oracle_id, diag, x, T, sigma, noise, k_index, stride,
             a += g[i] * g[i]
         si += b
         ss += a
-        if led:
-            lc += 0.5 * curv * M * eta * eta * a - eta * b
-            li += b
-            lq += a
-            ap = _sq_norm(gp)
-            if a > lm or a != a:
-                lm = a
-            if ap > lm or ap != ap:
-                lm = ap
-            slope = curv * M * eta * a - b
-            l2 += slope * slope / (alpha + curv * lq)
-            n += 1
         if rec_here:
             rec_t[ri] = t0 + 1
             rec_f[ri] = fv
             rec_gsq[ri] = gsq
             rec_eta[ri] = eta
             ri += 1
-    return (rec_t, rec_f, rec_gsq, rec_eta, np.empty((n_rec, 0)), xk,
-            si, ss, *((n, lc, li, lq, lm, l2) if led else ()))
+    return rec_t, rec_f, rec_gsq, rec_eta, np.empty((n_rec, 0)), xk, si, ss
 
 
 def _run_sgdol_coord(oracle_id, diag, x, T, sigma, noise, k_index, stride, M, alpha, si, ss):
@@ -332,6 +317,28 @@ def _run_adam(oracle_id, diag, x, T, sigma, noise, k_index, stride, lr, beta1, b
             v[i] = beta2 * v[i] + (1.0 - beta2) * (g[i] * g[i])
             x[i] = x[i] - lr * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
     return rec_t, rec_f, rec_gsq, rec_eta, np.empty((n_rec, 0)), xk, m, v, p1, p2
+
+
+def fold_round(values, M, alpha, curv, eta, b, a, ap):
+    """A regret ledger's six running values after one more round, folded on floats.
+
+    ``values`` are in ``RegretLedger.VALUES`` order: rounds, cumulative
+    surrogate loss, sum of <g,g'>, sum of ||g||^2, largest ||g||^2 or
+    ||g'||^2, summed second bound term; ``eta``, ``b``, ``a`` and ``ap`` are
+    the round's stepsize, <g,g'>, ||g||^2 and ||g'||^2. The per-round
+    reference for ``RegretLedger.record``: a NaN, once met, stays the
+    maximum.
+    """
+    n, lc, li, lq, lm, l2 = values
+    lq += a
+    slope = curv * M * eta * a - b
+    return (n + 1, lc + (0.5 * curv * M * eta * eta * a - eta * b), li + b, lq,
+            _maximum(lm, _maximum(a, ap)), l2 + slope * slope / (alpha + curv * lq))
+
+
+def _maximum(p, q):
+    """np.maximum of two floats, written as numpy's loop: p if p >= q or p is NaN, else q."""
+    return p if p >= q or p != p else q
 
 
 REFERENCE_KERNELS = {

@@ -141,31 +141,42 @@ def test_dot_and_sq_norm_equal_np_sum_bitwise(d):
 
 # Each range of core._FIELD_RANGES: (names, accepted values, [(refused value,
 # the problem it raises, minus the name)]). Float ranges refuse NaN and inf,
-# count ranges a bool and a non-integer float.
+# and a value that is not a real number (real numbers for sigma and diag)
+# before its range is tested; count ranges a bool and a non-integer float.
+_NOT_A_REAL = [("0.1", "must be a real number, got '0.1'"),
+               (np.array([0.1, 0.2]), "must be a real number, got [0.1, 0.2]"),
+               ([0.1], "must be a real number, got [0.1]"), (1j, "must be a real number, got 1j"),
+               (None, "must be a real number, got None")]
+_NOT_REALS = [("abc", "must be real numbers, got 'abc'"),
+              (["a"], "must be real numbers, got ['a']"),
+              ([[1.0], [1.0, 2.0]], "must be real numbers, got [[1.0], [1.0, 2.0]]"),
+              (None, "must be real numbers, got None")]
 _RANGE_CASES = [
     (("M", "alpha", "lr", "eps", "curvature_scale", "tol", "h"), [0.5, 2, np.float64(1e-300)],
      [(0.0, "must be > 0, got 0.0"), (-1.0, "must be > 0, got -1.0"),
-      (math.nan, "must be > 0, got nan"), (math.inf, "must be finite, got inf")]),
+      (math.nan, "must be > 0, got nan"), (math.inf, "must be finite, got inf"), *_NOT_A_REAL]),
     (("beta1", "beta2"), [0.0, 0.999],
      [(1.0, "must lie in [0, 1), got 1.0"), (-0.1, "must lie in [0, 1), got -0.1"),
-      (math.nan, "must lie in [0, 1), got nan"), (math.inf, "must lie in [0, 1), got inf")]),
+      (math.nan, "must lie in [0, 1), got nan"), (math.inf, "must lie in [0, 1), got inf"),
+      *_NOT_A_REAL]),
     (("f_gap",), [0.0, 3.5],
      [(-1.0, "must be >= 0, got -1.0"), (math.nan, "must be >= 0, got nan"),
-      (math.inf, "must be finite, got inf")]),
+      (math.inf, "must be finite, got inf"), *_NOT_A_REAL]),
     (("sigma",), [0.0, 0.5, [0.5, 1.0], np.array([0.0, 2.0])],
      [(-1.0, "must be >= 0, got -1.0"), ([-1.0, 1.0], "must be >= 0, got [-1.0, 1.0]"),
       (math.nan, "must be >= 0, got nan"),
       (np.array([1.0, np.nan]), "must be >= 0, got [1.0, nan]"),
-      (math.inf, "must be finite, got inf"), ([1.0, math.inf], "must be finite, got [1.0, inf]")]),
+      (math.inf, "must be finite, got inf"), ([1.0, math.inf], "must be finite, got [1.0, inf]"),
+      *_NOT_REALS]),
     (("diag",), [[1.0], [1, 2], np.linspace(0.1, 1.0, 5)],
      [([1.0, 0.0], "must be 1-D with one or more entries, each > 0, got [1.0, 0.0]"),
       ([], "must be 1-D with one or more entries, each > 0, got []"),
       ([[1.0, 2.0]], "must be 1-D with one or more entries, each > 0, got [[1.0, 2.0]]"),
       ([1.0, math.nan], "must be 1-D with one or more entries, each > 0, got [1.0, nan]"),
-      (np.array([math.inf]), "must be finite, got [inf]")]),
+      (np.array([math.inf]), "must be finite, got [inf]"), *_NOT_REALS]),
     (("eta",), [0.0, -0.5, 1e-3],
      [(math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf"),
-      (-math.inf, "must be finite, got -inf")]),
+      (-math.inf, "must be finite, got -inf"), *_NOT_A_REAL]),
     (("T", "repetitions", "report_every", "batch_size", "n_features", "N", "pairs",
       "mc_samples"), [1, 20000, np.int64(3), 10**400],
      [(0, "must be an integer >= 1, got 0"), (-5, "must be an integer >= 1, got -5"),

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -329,6 +330,22 @@ def test_oracle_rejects_a_key_its_kind_does_not_take(oracle, key):
     assert oracle.validate() == [f"{key}: not taken by oracle {oracle.kind!r}"]
     with pytest.raises(ConfigError, match=f"{key}: not taken by oracle"):
         run_experiment(_spec(oracle=oracle))
+
+
+@pytest.mark.parametrize("spec, problem", [
+    (OptimizerConfig(kind="sgd", lr="0.1"), "lr: must be a real number, got '0.1'"),
+    (OptimizerConfig(kind="sgd", lr=np.array([0.1, 0.2])),
+     "lr: must be a real number, got [0.1, 0.2]"),
+    (OracleSpec(kind="rosenbrock", sigma="abc"), "sigma: must be real numbers, got 'abc'"),
+    (OracleSpec(kind="quadratic", diag=["a"]), "diag: must be real numbers, got ['a']"),
+], ids=["lr_str", "lr_array", "sigma_str", "diag_str"])
+def test_a_value_that_is_not_a_real_number_is_reported(spec, problem):
+    # validate used to raise TypeError, numpy's ambiguous-truth ValueError or
+    # a float conversion error on these; it reports them, and building raises
+    # the same problem.
+    assert spec.validate() == [problem]
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        spec.build(np.zeros(2)) if isinstance(spec, OptimizerConfig) else spec.build(0)
 
 
 def test_unset_oracle_keys_take_their_defaults(synthetic500_path):

@@ -34,6 +34,7 @@ from reference_kernels import (
     ORACLE_QUADRATIC,
     ORACLE_ROSENBROCK,
     REFERENCE_KERNELS,
+    fold_round,
     reference_params,
 )
 from sgdol import (
@@ -48,7 +49,10 @@ from sgdol import (
     SgdGhadimiLan,
     Sgdol,
     SgdolCoord,
+    dot,
     run,
+    run_lanes,
+    sq_norm,
 )
 from sgdol.optimizers import _kernel_args, _set_attr
 
@@ -227,17 +231,39 @@ def _slices(noise):
     return draw
 
 
+def _folded_ledger(opt, oracle, noise):
+    """The running values of ``opt``'s regret ledger once it has stepped on ``noise``,
+    folded a round at a time by ``fold_round``.
+
+    A twin without a ledger takes the steps by hand on ``oracle.pairs``.
+    """
+    twin = Sgdol(opt.x, M=opt.M, alpha=opt.alpha, curvature_scale=opt.ftrl.curvature_scale)
+    twin.ftrl.sum_inner, twin.ftrl.sum_sq = opt.ftrl.sum_inner, opt.ftrl.sum_sq
+    values = tuple(getattr(opt.ledger, v) for v in RegretLedger.VALUES)
+    with np.errstate(all="ignore"):
+        for entry in noise:
+            g, g_prime = oracle.pairs(twin.x, entry)
+            eta = twin.update(g, g_prime)
+            values = fold_round(values, opt.M, opt.alpha, twin.ftrl.curvature_scale, eta,
+                                dot(g, g_prime), sq_norm(g), sq_norm(g_prime))
+    return values
+
+
 def _run_against_reference(kind, oracle, x0, stride, T, noise, draw, rs):
     """``run`` of a warm optimizer of ``kind`` with ``draw`` as the oracle's, and its reference.
 
     The reference kernel is fed ``noise``, the parameters and state that
     the optimizer hands a kernel, and the output index run picked. Returns
     the bits of everything each returns or leaves behind, in the same
-    order, then the n of each draw call and the run's result.
+    order, a regret ledger's running values last and folded a round at a
+    time for the reference, then the n of each draw call and the run's
+    result.
     """
     oracle_id, diag, sigma = reference_params(oracle)
     x = np.broadcast_to(np.asarray(x0, dtype=float), (oracle.dim,)).copy()
     opt = _warm(kind, x, rs)
+    ledger = getattr(opt, "ledger", None)
+    folded = () if ledger is None else _folded_ledger(opt, oracle, noise)
     # Arrays, not the kernel's tuples: the reference updates them in place.
     args = [np.array(v) if isinstance(v, tuple) else v for v in _kernel_args(opt)]
     calls = []
@@ -253,8 +279,9 @@ def _run_against_reference(kind, oracle, x0, stride, T, noise, draw, rs):
     coords = traj.stepsize_coords
     ran = [traj.t, traj.f_value, traj.true_grad_sq_norm, traj.stepsize,
            np.empty((len(traj), 0)) if coords is None else coords, res.x_k,
-           *(attrgetter(attr)(opt) for attr in opt.state), res.x_final]
-    return [_bits(v) for v in ran], [_bits(v) for v in (*out, x)], calls, res
+           *(attrgetter(attr)(opt) for attr in type(opt).state), res.x_final,
+           *(() if ledger is None else (getattr(ledger, v) for v in RegretLedger.VALUES))]
+    return [_bits(v) for v in ran], [_bits(v) for v in (*out, x, *folded)], calls, res
 
 
 _KINDS = (*kernels.KERNEL_NAMES, "sgd_gl")
@@ -369,6 +396,18 @@ def test_long_stride_twin_cases_skip_a_chunk_and_split_one_at_k():
     res = run(Sgd(np.zeros(2), lr=1e-3), RosenbrockOracle(), T=T, rng=RngStream(86),
               report_every=600)
     assert (res.k - 1) % _CHUNK_STEPS != 0
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_kernel_takes_the_parameters_then_the_class_state(kind):
+    # After stride a kernel takes the optimizer's parameters and the state
+    # its class declares, and no more: state that an instance adds, such as
+    # a regret ledger's running values, never reaches a kernel.
+    opt = _warm(kind, np.zeros(2), np.random.default_rng(0))
+    params = list(inspect.signature(kernels.get_kernel(opt.kernel)).parameters.values())
+    assert [p.name for p in params[:5]] == ["noise", "x", "c0", "T", "stride"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert len(params) - 5 == len(opt.params) + len(type(opt).state) == len(_kernel_args(opt))
 
 
 @pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
@@ -495,6 +534,55 @@ def _ledger_runs(make, oracle, T, seed):
     for opt, generic in zip(opts, (False, True)):
         run(opt, oracle, T=T, rng=RngStream(seed), force_generic=generic)
     return opts
+
+
+def _output_stream_with_k(T, offset):
+    """An output stream whose step k is the ``offset``-th of a Rosenbrock noise chunk."""
+    return next(s for s in (RngStream(94, i) for i in range(100_000))
+                if (int(s.generator().integers(1, T + 1)) - 1) % _CHUNK_STEPS == offset)
+
+
+@pytest.mark.parametrize("offset", [0, _CHUNK_STEPS - 1], ids=["k_opens_a_chunk",
+                                                              "k_closes_a_chunk"])
+@pytest.mark.parametrize("stride", [1, 7, 600])
+def test_kernel_ledger_equals_a_per_round_fold_at_chunk_edges(stride, offset):
+    # The kernel run folds each chunk's rounds into the ledger at once,
+    # after its calls on either side of k, and keeps the rows of record
+    # steps alone. Its ledger must equal a fold a round at a time and the
+    # lane loop's, in type and bytes, whichever step of a chunk k is.
+    T = _RECORDLESS_CHUNK_T
+    oracle = RosenbrockOracle(sigma=2.0)
+    out = _output_stream_with_k(T, offset)
+    noise = oracle.draw(RngStream(92).generator(), T)
+    kernel, lanes = (_warm("sgdol_global", np.array([-1.2, 1.0]), np.random.default_rng(93))
+                     for _ in range(2))
+    folded = _folded_ledger(kernel, oracle, noise)
+    res = run(kernel, oracle, T=T, rng=RngStream(92), report_every=stride, output_rng=out)
+    ref = run(lanes, oracle, T=T, rng=RngStream(92), report_every=stride, output_rng=out,
+              force_generic=True)
+    assert (res.k - 1) % _CHUNK_STEPS == offset
+    assert _result_bits(res) == _result_bits(ref)
+    assert _ledger_values(kernel) == _ledger_values(lanes) == [_bits(v) for v in folded]
+    assert [type(getattr(kernel.ledger, v)) for v in RegretLedger.VALUES] == [int] + [float] * 5
+
+
+def test_a_ledger_holds_one_type_on_every_path():
+    # A kernel's chunk folds, the lane loop on one lane or on stacked lanes,
+    # and a step taken by hand all leave an int count and Python floats, so
+    # a check built on the ledger gives a plain bool.
+    oracle = RosenbrockOracle(sigma=2.0)
+
+    def make():
+        return Sgdol(np.zeros(2), M=1002.0, record_regret=True)
+    kernel, lane, by_hand, stacked = make(), make(), make(), [make(), make()]
+    run(kernel, oracle, T=50, rng=RngStream(95))
+    run(lane, oracle, T=50, rng=RngStream(95), force_generic=True)
+    run_lanes([stacked], oracle, 50, [RngStream(95), RngStream(96)],
+              [[RngStream(97), RngStream(98)]])
+    by_hand.update(*oracle.pairs(by_hand.x, oracle.draw(RngStream(95).generator(), 1)[0]))
+    for opt in (kernel, lane, *stacked, by_hand):
+        assert [type(getattr(opt.ledger, v)) for v in RegretLedger.VALUES] == [int] + [float] * 5
+    assert _ledger_values(kernel) == _ledger_values(lane)
 
 
 def test_attached_ledger_is_filled_on_both_paths():
