@@ -76,12 +76,12 @@ def _positive_vector(v) -> bool:
 
 
 def _reals(value, scalar: bool) -> bool:
-    """Whether ``value`` is a real number, or without ``scalar`` an array of them too."""
+    """Whether ``value`` is a real number, or without ``scalar`` an array of them (no bool)."""
     try:
         a = np.asarray(value)
     except ValueError:  # a ragged nesting of sequences
         return False
-    return a.dtype.kind in "biuf" and not (scalar and a.ndim)
+    return a.dtype.kind in "iuf" and not (scalar and a.ndim)
 
 
 _REAL, _REALS = "a real number", "real numbers"
@@ -89,7 +89,7 @@ _REAL, _REALS = "a real number", "real numbers"
 # range: validate methods report every value that fails its type or test,
 # and constructors, loops and checks raise on the first. NaN fails every
 # test, and field_problems refuses a value with an infinite entry unless it
-# is an integer; a count or a seed must be an int (a bool is not one).
+# is an integer; a count or a seed must be an int. A bool is neither.
 _FIELD_RANGES = {
     **dict.fromkeys(("M", "alpha", "lr", "eps", "curvature_scale", "tol", "h"),
                     (_REAL, lambda v: v > 0, "must be > 0")),

@@ -94,12 +94,12 @@ class RegretLedger:
     Six running values cover every quantity the ledger reports: the round
     count, the learner's cumulative surrogate loss, the sums of <g, g'> and
     ||g||^2, the largest ||g||^2 or ||g'||^2, and the running sum behind the
-    bound's second term. Each is a float for one learner, or an (L,) array
-    for L lanes. ``record`` folds in rounds by the chunk and every query is
-    O(1), so a ledger's memory does not grow with the number of rounds.
+    bound's second term: an int, then Python floats. ``record`` folds in
+    rounds by the chunk and every query is O(1), so a ledger's memory does
+    not grow with the number of rounds.
     """
 
-    # The running values, in the order that ``optimizers._stack`` stacks them.
+    # The six running values, the whole of a ledger's state.
     VALUES = ("count", "cumulative_loss", "sum_inner", "sum_sq", "max_sq", "second_sum")
 
     def __init__(self, alpha: float, M: float, curvature_scale: float = 1.0):
@@ -118,14 +118,13 @@ class RegretLedger:
     def record(self, eta, inner, g_sq, g_prime_sq):
         """Fold in rounds: played stepsizes and their pairs' <g, g'>, ||g||^2 and ||g'||^2.
 
-        Rounds lie on a leading axis, (n,) for one learner, (n, L) for L lanes;
-        a float or an (L,) row is one. They fold strictly in turn (accumulate),
-        to the bits of n one-round calls; a NaN, once seen, stays the maximum.
-        A reduce would sum pairwise, and np.maximum's can turn -NaN into +NaN.
+        Each is (n,) for n rounds, or a float for one. They fold strictly in
+        turn (accumulate), to the bits of n one-round calls; a NaN, once seen,
+        stays the maximum. A reduce would sum pairwise, and np.maximum's can
+        turn -NaN into +NaN.
         """
         c, M = self.curvature_scale, self.M
-        shape = (-1,) + np.asarray(self.sum_sq).shape  # np.reshape is four times slower
-        eta, inner, g_sq, g_prime_sq = (np.asarray(v).reshape(shape)
+        eta, inner, g_sq, g_prime_sq = (np.asarray(v).reshape(-1)  # np.reshape is slower
                                         for v in (eta, inner, g_sq, g_prime_sq))
         sq = np.add.accumulate(np.concatenate(([self.sum_sq], g_sq)))[1:]  # after each round
         slope = c * M * eta * g_sq - inner
@@ -136,7 +135,7 @@ class RegretLedger:
                 ("max_sq", np.maximum, np.maximum(g_sq, g_prime_sq)),
                 ("second_sum", np.add, slope * slope / (self.alpha + c * sq))):
             values = ufunc.accumulate(np.concatenate(([getattr(self, name)], rounds)))
-            setattr(self, name, values[-1] if values.ndim > 1 else values[-1].item())
+            setattr(self, name, values[-1].item())
 
     def comparator_loss(self, eta: float) -> float:
         """Cumulative loss of a fixed stepsize: (cM/2) eta^2 sum ||g||^2 - eta sum <g, g'>."""

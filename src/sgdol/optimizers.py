@@ -12,11 +12,9 @@ stepsize(s) it used; it is the one way to take a step, by hand on one pair
 stepsizes with one ``online.FtrlState``, ``ftrl``: float sums for a global
 stepsize, (d,) sums for per-coordinate stepsizes, (2,) sums for the momentum
 variant's eta and beta, each with a leading lane axis when stacked.
-An ``Sgdol`` built with ``record_regret=True`` owns an
-``online.RegretLedger`` of its own rounds, from its first, the only
-record of the surrogate losses: ``update`` records each round, the lane
-loop stacks its running values as state, and a kernel run records each
-noise chunk's rounds at once.
+An ``Sgdol`` built with ``record_regret=True`` owns an ``online.RegretLedger``,
+the only record of its surrogate losses: both loops fold it a noise chunk at
+a time, in ``_fold``, and ``update`` records no round.
 
 ``run`` executes T steps and records the trajectory on one of two loops,
 continuing from whatever state earlier steps left. Both take groups of
@@ -92,11 +90,11 @@ class Optimizer:
     # Attributes that ``update`` reads and never changes; the optimizers of
     # one lane group must agree on each.
     params: tuple = ()
-    # Attributes, besides x, that stepping changes (dotted for nested ones).
+    # The class's attributes, besides x, that stepping changes (dotted if nested).
     state: tuple = ()
     # The name of the kind's fused kernel, or None. It takes the parameters,
-    # then the class's state attributes, and its final values of them are
-    # written back, so a kernel continues from whatever state earlier steps left.
+    # then the state attributes, and its final values of them are written
+    # back, so a kernel continues from whatever state earlier steps left.
     kernel: Optional[str] = None
     # Gradients of each pair the update uses: g only (1) or g and g' (2).
     g_pair_consumed = 1
@@ -132,7 +130,8 @@ class Sgdol(_SgdolBase):
 
     The stepsize for round t is computed from rounds 1..t-1 only, before the
     round's pair is seen. ``curvature_scale=2.0`` selects the doubled-curvature
-    surrogate family used by the momentum variant.
+    surrogate family used by the momentum variant. With ``record_regret`` it
+    owns a ``RegretLedger``, which the loops fill and ``update`` does not.
     """
 
     kind = "sgdol_global"
@@ -144,19 +143,12 @@ class Sgdol(_SgdolBase):
                  curvature_scale: float = 1.0, record_regret: bool = False):
         super().__init__(x0)
         self.ftrl = FtrlState(alpha=alpha, M=M, curvature_scale=curvature_scale)
-        self.ledger = None  # the regret ledger of every round, with record_regret
-        if record_regret:
-            self.ledger = RegretLedger(alpha, M, curvature_scale)
-            self.state = Sgdol.state + tuple(f"ledger.{v}" for v in RegretLedger.VALUES)
+        self.ledger = RegretLedger(alpha, M, curvature_scale) if record_regret else None
 
     def update(self, g, g_prime):
         eta = self.ftrl.stepsize()
         self.x = self.x - _col(eta) * g
-        b = row_dot(g, g_prime)
-        a = row_dot(g, g)
-        if self.ledger is not None:
-            self.ledger.record(eta, b, a, row_dot(g_prime, g_prime))
-        self.ftrl.observe_stats(b, a)
+        self.ftrl.observe_stats(row_dot(g, g_prime), row_dot(g, g))
         return eta
 
 
@@ -518,14 +510,21 @@ def _run_groups(groups, oracle, T, rngs, output_rngs, report_every=None, force_g
 
 
 def _kernel_args(optimizer: Optimizer):
-    """The optimizer's parameters then its class's state, arrays as tuples of floats."""
-    values = (attrgetter(attr)(optimizer) for attr in optimizer.params + type(optimizer).state)
+    """The optimizer's parameters then its state, arrays as tuples of floats."""
+    values = (attrgetter(attr)(optimizer) for attr in optimizer.params + optimizer.state)
     return [tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in values]
 
 
 def _set_attr(obj, attr: str, value):
     owner, _, leaf = attr.rpartition(".")
     setattr(attrgetter(owner)(obj) if owner else obj, leaf, value)
+
+
+def _fold(oracle, ledger, xs, etas, draw):
+    """Record in ``ledger`` the steps from x_t ``xs`` (n, d) at ``etas`` (n,) on ``draw``."""
+    with np.errstate(all="ignore"):
+        g, g_prime = oracle.pairs(xs, draw).swapaxes(0, 1)  # bit for bit the loops' pairs
+        ledger.record(etas, row_dot(g, g_prime), row_dot(g, g), row_dot(g_prime, g_prime))
 
 
 def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
@@ -536,7 +535,7 @@ def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
     flat list of floats once per noise width, which every run of the
     stream that reads that width steps through on its kernel; x and state
     go from chunk to chunk as tuples. A run with a regret ledger steps at
-    stride 1 and records each chunk's rounds at once.
+    stride 1 and folds each chunk's rounds at once.
     """
     stride, ks, _, recs = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
     if not groups:
@@ -568,16 +567,13 @@ def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
                         rows[j] += chunk_rows
                         if hi == k:
                             x_k[j, r] = np.array(xs[j])
-                    if ledgers[j] is not None:  # record the chunk, keep its record steps' rows
+                    if ledgers[j] is not None:  # fold the chunk, keep its record steps' rows
                         taken = np.frombuffer(rows[j][start:]).reshape(n, -1)
-                        with np.errstate(all="ignore"):  # pairs bit for bit the kernel's g, g'
-                            g, g_prime = oracle.pairs(taken[:, :d], draw).swapaxes(0, 1)
-                            ledgers[j].record(taken[:, d], row_dot(g, g_prime), row_dot(g, g),
-                                              row_dot(g_prime, g_prime))
+                        _fold(oracle, ledgers[j], taken[:, :d], taken[:, d], draw)
                         rows[j][start:] = array("d", taken[-c0 % stride::stride].tobytes())
                 del noise, steps  # so one flat list of floats is alive at a time
         for j, opt in enumerate(opts):
-            for attr, value in zip(("x",) + type(opt).state, [xs[j], *args[j][len(opt.params):]]):
+            for attr, value in zip(("x",) + opt.state, [xs[j], *args[j][len(opt.params):]]):
                 _set_attr(opt, attr, np.array(value) if isinstance(value, tuple) else value)
             # Each row is x_t, then the stepsize(s) step t used.
             rec = np.frombuffer(rows[j]).reshape(recs[j][0].shape[1], -1)
@@ -595,12 +591,12 @@ def _clone(obj):
 def _stack(optimizers: Sequence[Optimizer]) -> Optimizer:
     """One optimizer whose x and state stack those of ``optimizers`` on a lane axis.
 
-    The optimizers must agree on every parameter. Every state attribute, a
-    regret ledger's running values included, gains the lane axis.
+    The optimizers must share a kind and agree on every parameter. Every
+    state attribute gains the lane axis; a regret ledger is not state.
     """
     first = optimizers[0]
-    if any(type(o) is not type(first) or o.state != first.state for o in optimizers):
-        raise ValueError("the optimizers of one lane group must share a kind and state")
+    if any(type(o) is not type(first) for o in optimizers):
+        raise ValueError("the optimizers of one lane group must share a kind")
     for attr in first.params:
         values = [attrgetter(attr)(o) for o in optimizers]
         if any(v != values[0] for v in values):
@@ -640,7 +636,11 @@ def _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order)
     R, d = len(rngs), oracle.dim
     # A lone lane steps unstacked, on (d,) arrays, where numpy's calls cost less.
     stacks = [_stack(group) if R > 1 else group[0] for group in groups]
-    loops = [(lanes, [], []) for lanes in stacks]
+    # Per group: its lanes, the (x_t, stepsizes) kept this chunk, and the (stream,
+    # ledger) of each run with a regret ledger, for which the group keeps every step.
+    loops = [(lanes, [], [(r, opt.ledger) for r, opt in enumerate(group)
+                          if getattr(opt, "ledger", None) is not None])
+             for lanes, group in zip(stacks, groups)]
     one = len(stacks) == 1
     x_k = {}
 
@@ -653,6 +653,16 @@ def _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order)
             return noise[0]
         axis = min(2, noise[0].ndim)
         return np.stack(noise, axis=axis).swapaxes(1, axis)
+
+    def taken(rows, folds, chunk):
+        """A group's kept x_t (n, R, d) and stepsizes, cleared, each ledger's rounds folded."""
+        xs, etas = (np.array(kept) for kept in zip(*rows))
+        del rows[:]
+        xs = xs.reshape(len(xs), -1, d)
+        for r, ledger in folds:  # lane r reads stream r's draw
+            _fold(oracle, ledger, xs[:, r], etas.reshape(len(xs), -1)[:, r],
+                  (chunk if R == 1 else chunk[:, r])[:len(xs)])
+        return xs, etas
     try:
         with np.errstate(all="ignore"):  # overflow is silent, as in the kernels
             for c0, chunk in _kernels._chunks(draw, T, d):
@@ -664,26 +674,29 @@ def _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order)
                     if R > 1:  # each group's g, then g', as contiguous (R, d) rows
                         pairs = np.ascontiguousarray(pairs.swapaxes(-3, -2))
                     record = t0 % stride == 0
-                    for (lanes, x_rows, eta_rows), p in zip(loops, (pairs,) if one else pairs):
+                    for (lanes, rows, folds), p in zip(loops, (pairs,) if one else pairs):
                         x = lanes.x
                         eta = lanes.update(p[0], p[1])
-                        if record:  # update rebinds lanes.x, so x keeps x_t
-                            x_rows.append(x)
-                            eta_rows.append(eta)
+                        if record or folds:  # update rebinds lanes.x, so x keeps x_t
+                            rows.append((x, eta))
                 r0 = -(-c0 // stride)  # the chunk's first record
-                for (lanes, x_rows, eta_rows), rec in zip(loops, recs):
-                    if not x_rows:
+                for (lanes, rows, folds), rec in zip(loops, recs):
+                    if not rows:
                         continue
-                    xs = np.concatenate(x_rows).reshape(len(x_rows), -1, d)
-                    etas = np.array(eta_rows)
-                    del x_rows[:], eta_rows[:]
-                    _record(oracle, xs, etas, rec, np.s_[:, r0:r0 + len(xs)],
-                            index_order and lanes.kernel is not None)
+                    xs, etas = taken(rows, folds, chunk)
+                    if folds:  # every step was kept: record those of the stride
+                        xs, etas = xs[-c0 % stride::stride], etas[-c0 % stride::stride]
+                    if len(xs):
+                        _record(oracle, xs, etas, rec, np.s_[:, r0:r0 + len(xs)],
+                                index_order and lanes.kernel is not None)
     finally:
-        # Each optimizer keeps the steps taken, even when a call raises.
+        # Each optimizer, and its ledger, keeps the steps taken, even when a call raises.
         for lanes, group in zip(stacks, groups):
             if lanes is not group[0]:
                 _unstack(lanes, group)
+        for lanes, rows, folds in loops:
+            if folds and rows:  # steps of the chunk that the call cut short
+                taken(rows, folds, chunk)
     return _results(groups, recs, ks, x_k, T, stride)
 
 

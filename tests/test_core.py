@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from sgdol import RngStream, dot, sq_norm, vector
+from sgdol import (FtrlState, OptimizerConfig, OracleSpec, RegretLedger, RngStream,
+                   RosenbrockOracle, Sgd, dot, sq_norm, vector)
 from sgdol.core import _FIELD_RANGES, check_fields, derive_stream_id, field_problems
 
 
@@ -142,15 +143,21 @@ def test_dot_and_sq_norm_equal_np_sum_bitwise(d):
 # Each range of core._FIELD_RANGES: (names, accepted values, [(refused value,
 # the problem it raises, minus the name)]). Float ranges refuse NaN and inf,
 # and a value that is not a real number (real numbers for sigma and diag)
-# before its range is tested; count ranges a bool and a non-integer float.
+# before its range is tested, a bool among them; count ranges a bool and a
+# non-integer float.
 _NOT_A_REAL = [("0.1", "must be a real number, got '0.1'"),
                (np.array([0.1, 0.2]), "must be a real number, got [0.1, 0.2]"),
                ([0.1], "must be a real number, got [0.1]"), (1j, "must be a real number, got 1j"),
-               (None, "must be a real number, got None")]
+               (None, "must be a real number, got None"),
+               (True, "must be a real number, got True"),
+               (np.False_, "must be a real number, got False"),
+               (np.array(True), "must be a real number, got True")]
 _NOT_REALS = [("abc", "must be real numbers, got 'abc'"),
               (["a"], "must be real numbers, got ['a']"),
               ([[1.0], [1.0, 2.0]], "must be real numbers, got [[1.0], [1.0, 2.0]]"),
-              (None, "must be real numbers, got None")]
+              (None, "must be real numbers, got None"),
+              (True, "must be real numbers, got True"),
+              (np.array([True, False]), "must be real numbers, got [True, False]")]
 _RANGE_CASES = [
     (("M", "alpha", "lr", "eps", "curvature_scale", "tol", "h"), [0.5, 2, np.float64(1e-300)],
      [(0.0, "must be > 0, got 0.0"), (-1.0, "must be > 0, got -1.0"),
@@ -209,3 +216,26 @@ def test_field_ranges_report_and_raise_the_same_problem(name, value, problem):
         assert field_problems(**{name: value}) == [f"{name}: {problem}"]
         with pytest.raises(ValueError, match=f"^{re.escape(f'{name}: {problem}')}$"):
             check_fields(**{name: value})
+
+
+@pytest.mark.parametrize("value", [True, np.True_, np.array(True)],
+                         ids=["bool", "numpy_bool", "bool_array"])
+@pytest.mark.parametrize("name, spec, make", [
+    ("lr", lambda v: OptimizerConfig(kind="sgd", lr=v), lambda v: Sgd(np.zeros(2), lr=v)),
+    ("M", lambda v: OptimizerConfig(kind="sgdol_global", M=v), lambda v: FtrlState(1.0, M=v)),
+    ("alpha", lambda v: OptimizerConfig(kind="sgdol_coord", M=1.0, alpha=v),
+     lambda v: RegretLedger(alpha=v, M=1.0)),
+    ("sigma", lambda v: OracleSpec(kind="rosenbrock", sigma=v),
+     lambda v: RosenbrockOracle(sigma=v)),
+], ids=["lr", "M", "alpha", "sigma"])
+def test_a_bool_is_not_a_real_number(name, spec, make, value):
+    # True passed every real range as 1.0, and an optimizer then kept True
+    # as its stepsize; validate reports it and the constructors refuse it.
+    need = "must be real numbers" if name == "sigma" else "must be a real number"
+    problem = f"{name}: {need}, got True"
+    assert spec(value).validate() == [problem]
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        make(value)
+    if isinstance(spec(value), OptimizerConfig):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            spec(value).build(np.zeros(2))

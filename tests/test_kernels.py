@@ -121,8 +121,10 @@ def _bits(value):
 
 
 def _state_bits(optimizer):
-    """Bits of each state attribute of an optimizer, a regret ledger's running values included."""
-    return [_bits(attrgetter(attr)(optimizer)) for attr in optimizer.state]
+    """Bits of each state attribute of an optimizer, then of its regret ledger's running values."""
+    ledger = getattr(optimizer, "ledger", None)
+    return [_bits(attrgetter(attr)(optimizer)) for attr in optimizer.state] + (
+        [] if ledger is None else [_bits(getattr(ledger, v)) for v in RegretLedger.VALUES])
 
 
 def _result_bits(res):
@@ -184,14 +186,17 @@ def test_kernel_matches_generic_on_rosenbrock_with_zero_noise_bitwise(make, sigm
 def _warm(kind, x, rs):
     """An optimizer of ``kind`` at x with non-zero state drawn from rs.
 
-    The sgdol_global one carries a regret ledger, so its running values are
-    compared too.
+    The sgdol_global one carries a regret ledger, warm too, so its running
+    values are compared too.
     """
     d = x.shape[0]
     if kind == "sgdol_global":
         opt = Sgdol(x, M=1002.0, alpha=10.0, record_regret=True)
         state = [rs.normal(), 40.0 * rs.random(),
                  6, rs.normal(), rs.normal(), 40.0 * rs.random(), 9.0 * rs.random(), rs.random()]
+        for name, value in zip(RegretLedger.VALUES, state[2:], strict=True):
+            setattr(opt.ledger, name, value)
+        del state[2:]
     elif kind == "sgdol_coord":
         opt = SgdolCoord(x, M=1002.0, alpha=10.0)
         state = [rs.normal(size=d), 40.0 * rs.random(d)]
@@ -279,7 +284,7 @@ def _run_against_reference(kind, oracle, x0, stride, T, noise, draw, rs):
     coords = traj.stepsize_coords
     ran = [traj.t, traj.f_value, traj.true_grad_sq_norm, traj.stepsize,
            np.empty((len(traj), 0)) if coords is None else coords, res.x_k,
-           *(attrgetter(attr)(opt) for attr in type(opt).state), res.x_final,
+           *(attrgetter(attr)(opt) for attr in opt.state), res.x_final,
            *(() if ledger is None else (getattr(ledger, v) for v in RegretLedger.VALUES))]
     return [_bits(v) for v in ran], [_bits(v) for v in (*out, x, *folded)], calls, res
 
@@ -401,13 +406,13 @@ def test_long_stride_twin_cases_skip_a_chunk_and_split_one_at_k():
 @pytest.mark.parametrize("kind", _KINDS)
 def test_kernel_takes_the_parameters_then_the_class_state(kind):
     # After stride a kernel takes the optimizer's parameters and the state
-    # its class declares, and no more: state that an instance adds, such as
-    # a regret ledger's running values, never reaches a kernel.
+    # its class declares, and no more: a regret ledger's running values are
+    # not state, and never reach a kernel.
     opt = _warm(kind, np.zeros(2), np.random.default_rng(0))
     params = list(inspect.signature(kernels.get_kernel(opt.kernel)).parameters.values())
     assert [p.name for p in params[:5]] == ["noise", "x", "c0", "T", "stride"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
-    assert len(params) - 5 == len(opt.params) + len(type(opt).state) == len(_kernel_args(opt))
+    assert len(params) - 5 == len(opt.params) + len(opt.state) == len(_kernel_args(opt))
 
 
 @pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
@@ -567,20 +572,19 @@ def test_kernel_ledger_equals_a_per_round_fold_at_chunk_edges(stride, offset):
 
 
 def test_a_ledger_holds_one_type_on_every_path():
-    # A kernel's chunk folds, the lane loop on one lane or on stacked lanes,
-    # and a step taken by hand all leave an int count and Python floats, so
-    # a check built on the ledger gives a plain bool.
+    # A kernel's chunk folds and the lane loop's, on one lane or on stacked
+    # lanes, all leave an int count and Python floats, so a check built on
+    # the ledger gives a plain bool.
     oracle = RosenbrockOracle(sigma=2.0)
 
     def make():
         return Sgdol(np.zeros(2), M=1002.0, record_regret=True)
-    kernel, lane, by_hand, stacked = make(), make(), make(), [make(), make()]
+    kernel, lane, stacked = make(), make(), [make(), make()]
     run(kernel, oracle, T=50, rng=RngStream(95))
     run(lane, oracle, T=50, rng=RngStream(95), force_generic=True)
     run_lanes([stacked], oracle, 50, [RngStream(95), RngStream(96)],
               [[RngStream(97), RngStream(98)]])
-    by_hand.update(*oracle.pairs(by_hand.x, oracle.draw(RngStream(95).generator(), 1)[0]))
-    for opt in (kernel, lane, *stacked, by_hand):
+    for opt in (kernel, lane, *stacked):
         assert [type(getattr(opt.ledger, v)) for v in RegretLedger.VALUES] == [int] + [float] * 5
     assert _ledger_values(kernel) == _ledger_values(lane)
 

@@ -132,23 +132,28 @@ def test_regret_ledger_matches_the_reference_loop(synthetic500):
     assert _ledger_bits(opt) == _ledger_bits(ref)
 
 
-def test_stacked_ledgers_equal_single_runs():
+@pytest.mark.parametrize("make_oracle", [lambda data: RosenbrockOracle(sigma=5.0),
+                                         _sigmoid(1), _sigmoid(None)],
+                         ids=["rosenbrock", "sigmoid-b1", "sigmoid-full"])
+def test_stacked_ledgers_equal_single_runs(make_oracle, synthetic500):
     # Three lanes of ledger-carrying learners, each warmed by a different
-    # number of rounds, so their running values differ when stacked.
-    oracle, T_ = RosenbrockOracle(sigma=5.0), 90
+    # number of rounds, so their running values differ. Each lane's ledger
+    # folds its chunks' rounds from its own stream's draw.
+    oracle, T_ = make_oracle(synthetic500), 90
     rngs = [RngStream(60 + r) for r in range(3)]
     outs = [[RngStream(70 + r) for r in range(3)]]
 
     def make(r):
-        opt = Sgdol(np.zeros(2), M=1002.0, record_regret=True)
+        opt = Sgdol(np.zeros(oracle.dim), M=oracle.smoothness, record_regret=True)
         if r:
             run(opt, oracle, r, RngStream(80 + r), force_generic=True)
         return opt
     lanes = [make(r) for r in range(3)]
-    results = run_lanes([lanes], oracle, T_, rngs, outs)
+    results = run_lanes([lanes], oracle, T_, rngs, outs, report_every=7)
     for r, opt in enumerate(lanes):
         single = make(r)
-        expected = run(single, oracle, T_, rngs[r], output_rng=outs[0][r], force_generic=True)
+        expected = run(single, oracle, T_, rngs[r], report_every=7, output_rng=outs[0][r],
+                       force_generic=True)
         assert trajectories_equal(results[0][r], expected)
         assert opt.ledger.count == T_ + r
         assert _ledger_bits(opt) == _ledger_bits(single)
@@ -197,9 +202,51 @@ def test_lane_groups_are_checked():
         run_lanes([[Sgd(np.zeros(2), lr=1e-3), Sgdol(np.zeros(2), M=1002.0)]], oracle, 10, rngs, outs)
     with pytest.raises(ValueError, match="one optimizer per oracle stream"):
         run_lanes([[Sgd(np.zeros(2), lr=1e-3)]], oracle, 10, rngs, outs)
-    with pytest.raises(ValueError, match="share a kind and state"):
-        run_lanes([[Sgdol(np.zeros(2), M=1002.0, record_regret=True),
-                    Sgdol(np.zeros(2), M=1002.0)]], oracle, 10, rngs, outs)
+    # A regret ledger is not state: a group may mix runs with and without one.
+    group = [Sgdol(np.zeros(2), M=1002.0, record_regret=ledger) for ledger in (True, False)]
+    [results] = run_lanes([group], oracle, 10, rngs, outs, report_every=3)
+    singles = [Sgdol(np.zeros(2), M=1002.0, record_regret=ledger) for ledger in (True, False)]
+    for r, (rng, opt, single) in enumerate(zip(rngs, group, singles)):
+        expected = run(single, oracle, 10, rng, report_every=3, output_rng=outs[0][r],
+                       force_generic=True)
+        assert trajectories_equal(results[r], expected) and _state_equal(opt, single)
+    assert group[0].ledger.count == 10 and _ledger_bits(group[0]) == _ledger_bits(singles[0])
+
+
+class _FailingOracle(_FourMethodOracle):
+    """A user oracle whose ``pairs`` raises at the lane loop's step ``fail``.
+
+    A step asks for the pairs at its lanes' points, shape (lanes, 2) or, for
+    one lane, (2,); a ledger's fold of a chunk asks at (steps, 2).
+    """
+
+    def __init__(self, lanes, fail):
+        super().__init__()
+        self.step_shape, self.fail, self.steps = (lanes, 2) if lanes > 1 else (2,), fail, 0
+
+    def pairs(self, X, noise):
+        self.steps += X.shape == self.step_shape
+        if self.steps == self.fail and X.shape == self.step_shape:
+            raise RuntimeError("pairs failed")
+        return super().pairs(X, noise)
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_a_ledger_keeps_the_rounds_taken_when_pairs_raises(lanes):
+    # pairs raises partway through the second noise chunk. Each ledger still
+    # holds every round that its learner took, as a clean run of that many
+    # steps leaves it, and each optimizer its steps.
+    taken = _CHUNK_FLOATS // (2 * 2) + 40
+    rngs = [RngStream(110 + r) for r in range(lanes)]
+    outs = [[RngStream(120 + r) for r in range(lanes)]]
+    group = [Sgdol(np.zeros(2), M=1002.0, record_regret=True) for _ in rngs]
+    with pytest.raises(RuntimeError, match="pairs failed"):
+        run_lanes([group], _FailingOracle(lanes, taken + 1), 2 * taken, rngs, outs)
+    for rng, opt in zip(rngs, group):
+        clean = Sgdol(np.zeros(2), M=1002.0, record_regret=True)
+        run(clean, RosenbrockOracle(sigma=1.0), taken, rng, force_generic=True)
+        assert opt.ledger.count == taken
+        assert _ledger_bits(opt) == _ledger_bits(clean) and _state_equal(opt, clean)
 
 
 @pytest.mark.parametrize("make, name", [
@@ -236,9 +283,12 @@ DIVERGING = {
 
 
 def _state_equal(a, b):
-    """Whether two optimizers hold equal x and state, a NaN equal to a NaN."""
+    """Whether two optimizers hold equal x, state and regret ledger, a NaN equal to a NaN."""
+    attrs = ("x",) + a.state
+    if getattr(a, "ledger", None) is not None:
+        attrs += tuple(f"ledger.{v}" for v in RegretLedger.VALUES)
     return all(np.array_equal(attrgetter(attr)(a), attrgetter(attr)(b), equal_nan=True)
-               for attr in ("x",) + a.state)
+               for attr in attrs)
 
 
 @pytest.mark.parametrize("ledger", [False, True], ids=["every_kind", "sgdol_ledger"])
@@ -250,7 +300,7 @@ def test_divergence_is_data_alike_on_every_loop(ledger):
     oracle = RosenbrockOracle(sigma=5.0)
     rngs = [RngStream(44), RngStream(45)]
     makers = [functools.partial(cfg.build, np.zeros(2)) for cfg in DIVERGING.values()]
-    if ledger:  # the ledger's running values are stacked state too
+    if ledger:  # each run's ledger holds its own rounds
         makers = [lambda: Sgdol(np.zeros(2), M=0.01, record_regret=True)]
     outs = [[RngStream(46, i * len(rngs) + r) for r in range(len(rngs))]
             for i in range(len(makers))]

@@ -312,15 +312,14 @@ def test_ledger_keeps_a_nan_round():
             assert math.isnan(ledger.cumulative_loss) and math.isnan(ledger.bound_second_term())
 
 
-def _warm_ledger(lanes):
-    """A doubled-curvature ledger with rounds behind it: floats, or (lanes,) arrays."""
+def _warm_ledger():
+    """A doubled-curvature ledger with rounds behind it."""
     gen = RngStream(44).generator()
     ledger = RegretLedger(2.0, 3.0, curvature_scale=2.0)
-    shape = () if lanes is None else (lanes,)
-    starts = (np.full(shape, 5), gen.normal(size=shape), gen.normal(size=shape),
-              gen.uniform(1.0, 9.0, shape), gen.uniform(1.0, 2.0, shape), gen.uniform(0, 1, shape))
+    starts = (5, gen.normal(), gen.normal(), gen.uniform(1.0, 9.0), gen.uniform(1.0, 2.0),
+              gen.uniform(0, 1))
     for name, value in zip(RegretLedger.VALUES, starts):
-        setattr(ledger, name, value if lanes else value.item())
+        setattr(ledger, name, value)
     return ledger
 
 
@@ -329,43 +328,33 @@ def _bits(values):
     return [(type(v), np.asarray(v).dtype, np.asarray(v).tobytes()) for v in values]
 
 
-def _lane(ledger, lane):
-    """One lane's running values, as an int and Python floats."""
-    return [np.reshape(getattr(ledger, v), -1)[lane].item() for v in RegretLedger.VALUES]
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513])
-@pytest.mark.parametrize("lanes", [None, 3], ids=["float", "lanes"])
-def test_record_of_a_chunk_equals_a_per_round_fold(lanes, n):
+def test_record_of_a_chunk_equals_a_per_round_fold(n):
     # n rounds in one call fold as n one-round calls do, and as the float
-    # reference folds each lane's rounds one at a time, bit for bit; a -NaN
-    # met in a round stays the maximum, with its sign.
+    # reference folds them one at a time, bit for bit; a -NaN met in a
+    # round stays the maximum, with its sign.
     from reference_kernels import fold_round
 
     gen = RngStream(45 + n).generator()
-    shape = (n,) if lanes is None else (n, lanes)
-    eta = gen.uniform(0.0, 0.6, shape)
-    inner, g_sq, g_prime_sq = (gen.normal(size=shape), gen.uniform(0, 4, shape),
-                               gen.uniform(0, 4, shape))
+    eta = gen.uniform(0.0, 0.6, n)
+    inner, g_sq, g_prime_sq = gen.normal(size=n), gen.uniform(0, 4, n), gen.uniform(0, 4, n)
     if n:
         g_sq[n // 2] = -math.nan
         g_prime_sq[-1] = math.nan
-    chunk, rounds = _warm_ledger(lanes), _warm_ledger(lanes)
+    chunk, rounds = _warm_ledger(), _warm_ledger()
     with np.errstate(invalid="ignore"):
         chunk.record(eta, inner, g_sq, g_prime_sq)
         for r in zip(eta, inner, g_sq, g_prime_sq):
             rounds.record(*r)
-    assert _bits(getattr(chunk, v) for v in RegretLedger.VALUES) == \
-        _bits(getattr(rounds, v) for v in RegretLedger.VALUES)
-    for lane in range(lanes or 1):
-        values = _lane(_warm_ledger(lanes), lane)
-        for r in zip(*(np.reshape(a, (n, lanes or 1))[:, lane].tolist()
-                       for a in (eta, inner, g_sq, g_prime_sq))):
-            values = fold_round(values, chunk.M, chunk.alpha, chunk.curvature_scale, *r)
-        assert _bits(_lane(chunk, lane)) == _bits(values)
-        assert values[0] == 5 + n
-        if n:
-            assert np.float64(values[4]).tobytes() == np.float64(-math.nan).tobytes()
+    got = [getattr(chunk, v) for v in RegretLedger.VALUES]
+    assert _bits(got) == _bits(getattr(rounds, v) for v in RegretLedger.VALUES)
+    values = [getattr(_warm_ledger(), v) for v in RegretLedger.VALUES]
+    for r in zip(eta.tolist(), inner.tolist(), g_sq.tolist(), g_prime_sq.tolist()):
+        values = fold_round(values, chunk.M, chunk.alpha, chunk.curvature_scale, *r)
+    assert _bits(got) == _bits(values)
+    assert values[0] == 5 + n
+    if n:
+        assert np.float64(values[4]).tobytes() == np.float64(-math.nan).tobytes()
 
 
 # ---------------------------------------------------------------------------

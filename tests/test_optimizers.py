@@ -458,6 +458,15 @@ def test_every_kind_is_checked_with_a_non_finite_iterate():
     assert {name.removesuffix("_ledger") for name in _EVERY_KIND} == set(OPTIMIZER_KINDS)
 
 
+@pytest.mark.parametrize("name", list(_EVERY_KIND))
+def test_state_is_the_class_constant(name):
+    # A kernel takes the state and the loops stack it, by the class's list:
+    # no instance, one with a regret ledger included, names state of its own.
+    opt = _EVERY_KIND[name](np.zeros(2))
+    run(opt, RosenbrockOracle(sigma=1.0), T=5, rng=RngStream(3))
+    assert "state" not in vars(opt) and opt.state is type(opt).state
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("name", list(_EVERY_KIND))
 def test_a_non_finite_iterate_stays_non_finite(name, bad):
@@ -474,9 +483,8 @@ def test_a_non_finite_iterate_stays_non_finite(name, bad):
         opt.update(*_pair([math.nan, 1.0]))
         opt.update(*_pair([1.0, -1.0]))
     assert _plays_nan(opt)
-    if getattr(opt, "ledger", None) is not None:
-        assert np.isnan(opt.ledger.max_grad_norm())
-    # Each loop carries the iterate to the end: the kernel, when the kind has one.
+    # Each loop carries the iterate to the end: the kernel, when the kind has
+    # one. A ledger, which only the loops fill, keeps a NaN as its maximum.
     for generic in (False, True):
         single = make(np.zeros(2))
         single.x = np.array([bad, 1.0])
@@ -485,3 +493,5 @@ def test_a_non_finite_iterate_stays_non_finite(name, bad):
         assert res.diverged_at == 1
         assert not np.isfinite(res.x_final).all()
         assert _plays_nan(single)
+        if getattr(single, "ledger", None) is not None:
+            assert single.ledger.count == 5 and np.isnan(single.ledger.max_grad_norm())
