@@ -13,10 +13,10 @@ exactly T steps' floats. ``rows`` is a flat typed buffer with a row per
 step with t0 % stride == 0, which a kernel finds by comparing t0 with the
 next such step: x_t, then the stepsize(s) step t used (one column for the
 global-stepsize kernels, SGD's lr and Adam's NaN, one per coordinate for
-the per-coordinate kernels). ``optimizers._run_kernels`` feeds each run's
-kernel a noise chunk at a time, scaled once and shared by every run on
-the stream, and derives the records, and all else a run keeps, from the
-rows.
+the per-coordinate kernels). The step loop, ``optimizers._run_groups``,
+feeds each run's kernel a noise chunk at a time, scaled once and shared
+by every run on the stream, and derives the records, and all else a run
+keeps, from the rows.
 
 A kernel is a pure function: ``x`` and every array of the ``state`` its
 optimizer class declares (FTRL sums, AdaGrad accumulators, Adam moments

@@ -5,10 +5,10 @@ repetition owns one oracle noise stream shared by every optimizer, so
 optimizers see identical gradient pairs and their series are directly
 comparable; the uniformly sampled output index gets its own stream per
 (optimizer, repetition). All the (optimizer x repetition) runs go to
-``optimizers._run_groups`` in one call, which picks each optimizer's step
-loop and calls each loop once with all the runs it takes, drawing each
-repetition's noise once for all of them. Averages over repetitions are
-plain arithmetic means, taken in repetition order. CSV output uses
+one call of the step loop, ``optimizers._run_groups``, which draws each
+repetition's noise once for all of them and steps each optimizer's runs
+on its fused kernel or through its ``update``. Averages over repetitions
+are plain arithmetic means, taken in repetition order. CSV output uses
 shortest round-trip decimals, so identical specs produce byte-identical
 files.
 """
@@ -208,9 +208,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute repetitions x optimizers runs, average, and write CSV output.
 
     The start point is all zeros for every oracle. Every run goes to one
-    ``_run_groups`` call, which steps each loop's runs, all repetitions of
-    each optimizer, in one call of that loop. Files are written only when
-    the spec names an output directory.
+    ``_run_groups`` call, with all repetitions of each optimizer as one
+    group. Files are written only when the spec names an output directory.
     """
     problems = spec.validate()
     if problems:
@@ -292,12 +291,20 @@ def write_csv(table: ResultTable, out_dir):
 
 
 def read_csv_series(path) -> Dict[str, np.ndarray]:
-    """Parse back a written CSV into named float columns (t as int64)."""
+    """Parse back a written CSV into named float columns (t as int64).
+
+    A file with no header, or a row of another length, is a ``ValueError``.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: line 1: no header")
         cols: Dict[str, list] = {h: [] for h in header}
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: {len(row)} fields, "
+                                 f"the header has {len(header)}")
             for h, v in zip(header, row):
                 cols[h].append(v)
     out: Dict[str, np.ndarray] = {}

@@ -1,4 +1,4 @@
-"""Optimizers behind one update rule each, and the seeded run loops.
+"""Optimizers behind one update rule each, and the seeded step loop.
 
 The SGDOL family learns its stepsizes online from surrogate losses; the
 baselines (SGD, AdaGrad, Adam, and the constant theoretically-tuned
@@ -13,23 +13,22 @@ stepsizes with one ``online.FtrlState``, ``ftrl``: float sums for a global
 stepsize, (d,) sums for per-coordinate stepsizes, (2,) sums for the momentum
 variant's eta and beta, each with a leading lane axis when stacked.
 An ``Sgdol`` built with ``record_regret=True`` owns an ``online.RegretLedger``,
-the only record of its surrogate losses: both loops fold it a noise chunk at
+the only record of its surrogate losses: the loop folds it a noise chunk at
 a time, in ``_fold``, and ``update`` records no round.
 
-``run`` executes T steps and records the trajectory on one of two loops,
-continuing from whatever state earlier steps left. Both take groups of
-optimizers with one per oracle stream, and ``_run_groups`` alone picks the
-loop of each group: ``run`` hands it one lane and
-``harness.run_experiment`` all the (optimizer x repetition) runs, each
-stream's noise drawn once for all the runs of a loop. On the exact
-Rosenbrock class a kind with a fused kernel in ``_kernels`` runs on it in
-``_run_kernels``; every other run steps through its own ``update`` in the
-numpy lane loop, ``run_lanes``, which needs only the ``draw``, ``pairs``
-and ``record_lanes`` of ``oracles.StochasticOracle``. On the exact
-quadratic class that loop runs as ``_run_updates``, where a kind with a
-kernel sums its records in index order, as the kernels' reference does.
-Every path records in ``_record`` and leaves the same results and state,
-bit for bit, a diverging run's inf and NaN included: no loop checks a pair.
+``run`` executes T steps and records the trajectory, continuing from
+whatever state earlier steps left. Every run goes through one step loop,
+``_run_groups``: ``run`` hands it one lane, ``run_lanes`` and
+``harness.run_experiment`` groups of optimizers with one per oracle
+stream, and each stream's noise is drawn a chunk at a time, once for all
+of them. Each group takes a chunk's steps in one of two ways: on the exact
+Rosenbrock class a kind with a fused kernel in ``_kernels`` steps on it;
+every other group steps through its own ``update``, which needs only the
+``draw``, ``pairs`` and ``record_lanes`` of ``oracles.StochasticOracle``.
+On the exact quadratic class a kind with a kernel sums its records in
+index order, as the kernels' reference does. Every group records in
+``_record`` and leaves the same results and state either way, bit for
+bit, a diverging run's inf and NaN included: no step checks a pair.
 """
 
 from __future__ import annotations
@@ -413,10 +412,14 @@ class RunResult:
 
 
 def _schedule(groups, oracle, T, rngs, output_rngs, report_every):
-    """Check a loop's arguments; return the stride, ``ks[i][r]``, ``{k: [(i, r), ...]}``
-    and each group's empty records."""
+    """Check the loop's arguments; return the stride, ``ks[i][r]`` and each group's
+    empty records."""
     if any(len(group) != len(rngs) for group in groups):
         raise ValueError("every group needs one optimizer per oracle stream")
+    if len(output_rngs) != len(groups) or any(len(row) != len(rngs) for row in output_rngs):
+        raise ValueError("output_rngs needs one row per group, one stream per oracle stream")
+    if groups and not rngs:
+        raise ValueError("the groups need at least one oracle stream")
     check_fields(T=T)
     stride = max(1, T // 500) if report_every is None else report_every
     check_fields(report_every=stride)
@@ -424,15 +427,11 @@ def _schedule(groups, oracle, T, rngs, output_rngs, report_every):
         if optimizer.dim != oracle.dim:
             raise ValueError(f"optimizer dim {optimizer.dim} != oracle dim {oracle.dim}")
     ks = [[int(stream.generator().integers(1, T + 1)) for stream in row] for row in output_rngs]
-    captures = defaultdict(list)
-    for i, row in enumerate(ks):
-        for r, k in enumerate(row):
-            captures[k].append((i, r))
     shape = (len(rngs), len(range(0, T, stride)))
     # Per group: f, ||grad f||^2, the (mean) stepsize and the per-coordinate stepsizes.
     recs = [(np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape + (oracle.dim,))
              if isinstance(group[0], (SgdolCoord, AdaGradCoord)) else None) for group in groups]
-    return stride, ks, captures, recs
+    return stride, ks, recs
 
 
 def _record(oracle, xs, etas, rec, where, index_order=False):
@@ -485,30 +484,6 @@ def run(
     return result
 
 
-def _run_groups(groups, oracle, T, rngs, output_rngs, report_every=None, force_generic=False):
-    """Step every group on the loop that suits it; ``run_lanes``' arguments and results.
-
-    On an exact ``QuadraticOracle`` every group goes to ``_run_updates``; on
-    an exact ``RosenbrockOracle`` a kind with a fused kernel goes to
-    ``_run_kernels`` and the others to ``run_lanes``. Every other oracle (a
-    subclass of a built-in one included, as it may redefine the objective)
-    and every call with ``force_generic`` goes to ``run_lanes``. Each loop
-    is called once, with all its groups, in the order of its first group.
-    """
-    exact = None if force_generic else type(oracle)
-    together = defaultdict(list)  # loop -> the indices of the groups it steps
-    for i, group in enumerate(groups):
-        together[_run_updates if exact is QuadraticOracle
-                 else _run_kernels if exact is RosenbrockOracle and group[0].kernel is not None
-                 else run_lanes].append(i)
-    results = [None] * len(groups)
-    for loop, indices in together.items():
-        for i, result in zip(indices, loop([groups[i] for i in indices], oracle, T, rngs,
-                                           [output_rngs[i] for i in indices], report_every)):
-            results[i] = result
-    return results
-
-
 def _kernel_args(optimizer: Optimizer):
     """The optimizer's parameters then its state, arrays as tuples of floats."""
     values = (attrgetter(attr)(optimizer) for attr in optimizer.params + optimizer.state)
@@ -525,60 +500,6 @@ def _fold(oracle, ledger, xs, etas, draw):
     with np.errstate(all="ignore"):
         g, g_prime = oracle.pairs(xs, draw).swapaxes(0, 1)  # bit for bit the loops' pairs
         ledger.record(etas, row_dot(g, g_prime), row_dot(g, g), row_dot(g_prime, g_prime))
-
-
-def _run_kernels(groups, oracle, T, rngs, output_rngs, report_every=None):
-    """``run_lanes`` on an exact ``RosenbrockOracle``, on each kind's fused kernel.
-
-    Takes ``run_lanes``' arguments and returns its results. Each stream's
-    noise is drawn a chunk at a time, scaled by sigma, and turned into a
-    flat list of floats once per noise width, which every run of the
-    stream that reads that width steps through on its kernel; x and state
-    go from chunk to chunk as tuples. A run with a regret ledger steps at
-    stride 1 and folds each chunk's rounds at once.
-    """
-    stride, ks, _, recs = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
-    if not groups:
-        return []
-    d, x_k = oracle.dim, {}
-    for r, rng in enumerate(rngs):
-        opts = [group[r] for group in groups]
-        kernels = [_kernels.get_kernel(opt.kernel) for opt in opts]
-        # Each run's x, and its parameters then state, as the last chunk left them.
-        xs = [tuple(opt.x.tolist()) for opt in opts]
-        args = [_kernel_args(opt) for opt in opts]
-        rows = [array("d") for _ in opts]
-        ledgers = [getattr(opt, "ledger", None) for opt in opts]
-        # The runs by the pairs of a step's noise that they read: g's, or g's and g''s.
-        by_width = {w: [j for j, opt in enumerate(opts) if opt.g_pair_consumed == w]
-                    for w in {opt.g_pair_consumed for opt in opts}}
-        for c0, draw in _kernels._chunks(functools.partial(oracle.draw, rng.generator()), T, 2):
-            n = len(draw)
-            chunk = oracle.sigma * draw  # the products sigma * z that pairs forms
-            for w, runs in by_width.items():
-                noise = chunk[:, :w].ravel().tolist()
-                for j in runs:
-                    steps, p = iter(noise), len(opts[j].params)
-                    k = ks[j][r] - 1 - c0  # x_k is the x that the chunk's first k steps leave
-                    start, every = len(rows[j]), stride if ledgers[j] is None else 1
-                    for lo, hi in ((0, k), (k, n)) if 0 <= k < n else ((0, n),):
-                        chunk_rows, xs[j], *args[j][p:] = kernels[j](
-                            steps, xs[j], c0 + lo, hi - lo, every, *args[j])
-                        rows[j] += chunk_rows
-                        if hi == k:
-                            x_k[j, r] = np.array(xs[j])
-                    if ledgers[j] is not None:  # fold the chunk, keep its record steps' rows
-                        taken = np.frombuffer(rows[j][start:]).reshape(n, -1)
-                        _fold(oracle, ledgers[j], taken[:, :d], taken[:, d], draw)
-                        rows[j][start:] = array("d", taken[-c0 % stride::stride].tobytes())
-                del noise, steps  # so one flat list of floats is alive at a time
-        for j, opt in enumerate(opts):
-            for attr, value in zip(("x",) + opt.state, [xs[j], *args[j][len(opt.params):]]):
-                _set_attr(opt, attr, np.array(value) if isinstance(value, tuple) else value)
-            # Each row is x_t, then the stepsize(s) step t used.
-            rec = np.frombuffer(rows[j]).reshape(recs[j][0].shape[1], -1)
-            _record(oracle, rec[:, None, :d], rec[:, d:], recs[j], np.s_[r:r + 1])
-    return _results(groups, recs, ks, x_k, T, stride)
 
 
 def _clone(obj):
@@ -627,86 +548,159 @@ def _index_sum(rows):
     return np.add.accumulate(rows, axis=-1, out=rows)[..., -1] + 0.0
 
 
-def _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order):
-    """``run_lanes``; with ``index_order``, ``_run_updates``."""
-    stride, ks, captures, recs = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
+def _run_groups(groups, oracle, T, rngs, output_rngs, report_every=None, force_generic=False):
+    """Step every group in one chunk loop; ``run_lanes``' arguments and results.
+
+    Each stream's noise is drawn a chunk at a time (``_kernels._chunks``),
+    once for all the groups, and each group takes the chunk's steps in one
+    of two ways. On an exact ``RosenbrockOracle`` a kind with a fused kernel
+    steps on it: the chunk, scaled by sigma, becomes a flat list of floats
+    once per stream and noise width, and each run's x and state go from
+    chunk to chunk as tuples. Every other group stacks its runs on the lane
+    axis of ``update`` and takes every lane's pair from one ``oracle.pairs``
+    call a step; on an exact ``QuadraticOracle`` a kind with a kernel sums
+    its records in index order, as the kernels' reference does. Any other
+    oracle (a subclass of a built-in one included, as it may redefine the
+    objective) and ``force_generic`` take neither kernel nor index order.
+
+    Then one path folds each regret ledger over the chunk (a group with one
+    keeps every step) and keeps the record steps: a lane group records them
+    at once, a kernel group holds its compact rows until the loop ends.
+    Every optimizer, and its ledger, keeps the steps taken, even when a
+    call raises.
+    """
+    stride, ks, recs = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
     if not groups:
         return []
+    exact = None if force_generic else type(oracle)
     gens = [rng.generator() for rng in rngs]
     R, d = len(rngs), oracle.dim
-    # A lone lane steps unstacked, on (d,) arrays, where numpy's calls cost less.
-    stacks = [_stack(group) if R > 1 else group[0] for group in groups]
-    # Per group: its lanes, the (x_t, stepsizes) kept this chunk, and the (stream,
-    # ledger) of each run with a regret ledger, for which the group keeps every step.
-    loops = [(lanes, [], [(r, opt.ledger) for r, opt in enumerate(group)
-                          if getattr(opt, "ledger", None) is not None])
-             for lanes, group in zip(stacks, groups)]
-    one = len(stacks) == 1
-    x_k = {}
+    # Per kernel group: its kernel, and each run's x, and its parameters then
+    # state, as the last chunk left them. Per lane group: its lanes, where a
+    # lone lane steps unstacked, on (d,) arrays, where numpy's calls cost less.
+    fused, lanes, index_order, x_k = {}, {}, [], {}
+    for i, group in enumerate(groups):
+        kernel = group[0].kernel
+        if kernel is not None and exact is RosenbrockOracle:
+            fused[i] = (_kernels.get_kernel(kernel), [tuple(opt.x.tolist()) for opt in group],
+                        [_kernel_args(opt) for opt in group])
+        else:
+            lanes[i] = _stack(group) if R > 1 else group[0]
+        index_order.append(kernel is not None and exact is QuadraticOracle)
+    # Per group: the (stream, ledger) of each run with a regret ledger, for which
+    # it keeps every step, and the steps it kept this chunk: (x_t, stepsizes) on
+    # update, rows per stream on a kernel. A kernel group's rows of record steps.
+    folds = [[(r, opt.ledger) for r, opt in enumerate(group)
+              if getattr(opt, "ledger", None) is not None] for group in groups]
+    kept = [[] if i in lanes else [array("d") for _ in rngs] for i in range(len(groups))]
+    rows = {i: [array("d") for _ in rngs] for i in fused}
+    # The kernel groups by the pairs of a step's noise they read: g's, or g's and g''s.
+    widths = defaultdict(list)
+    for i in fused:
+        widths[groups[i][0].g_pair_consumed].append(i)
+    captures = defaultdict(list)  # k -> the (group, stream) of each lane run with that x_k
+    for i, r in ((i, r) for i in lanes for r in range(R)):
+        captures[ks[i][r]].append((i, r))
+    stepping = [(lanes[i], kept[i], folds[i]) for i in lanes]
+    one = len(stepping) == 1
 
     def draw(n):
+        return [oracle.draw(gen, n) for gen in gens]
+
+    def lane_noise(noise):
         # (n, R, *entry), laid out by step, pair entry, then stream: numpy
         # keeps that layout in pairs made by adding noise, whose g and g'
         # rows are then contiguous. One stream's draw as it comes.
-        noise = [oracle.draw(gen, n) for gen in gens]
         if R == 1:
             return noise[0]
         axis = min(2, noise[0].ndim)
         return np.stack(noise, axis=axis).swapaxes(1, axis)
 
-    def taken(rows, folds, chunk):
-        """A group's kept x_t (n, R, d) and stepsizes, cleared, each ledger's rounds folded."""
-        xs, etas = (np.array(kept) for kept in zip(*rows))
-        del rows[:]
-        xs = xs.reshape(len(xs), -1, d)
-        for r, ledger in folds:  # lane r reads stream r's draw
-            _fold(oracle, ledger, xs[:, r], etas.reshape(len(xs), -1)[:, r],
-                  (chunk if R == 1 else chunk[:, r])[:len(xs)])
-        return xs, etas
+    def taken(i, noise):
+        """Group i's steps kept this chunk, cleared, each ledger's rounds folded: a
+        lane group's x_t (n, R, d) and stepsizes, a kernel group's rows per stream."""
+        if i in lanes:
+            xs, etas = (np.array(steps) for steps in zip(*kept[i]))
+            del kept[i][:]
+            xs = xs.reshape(len(xs), -1, d)
+            out = xs, etas
+            runs = [(xs[:, r], etas.reshape(len(xs), -1)[:, r]) for r, _ in folds[i]]
+        else:
+            # A row is x_t, then the one stepsize or d of them.
+            width = d + (1 if recs[i][3] is None else d)
+            out = [np.frombuffer(steps).reshape(-1, width) for steps in kept[i]]
+            kept[i][:] = [array("d") for _ in rngs]
+            runs = [(out[r][:, :d], out[r][:, d]) for r, _ in folds[i]]
+        for (r, ledger), (xs, etas) in zip(folds[i], runs):  # run r reads stream r's draw
+            _fold(oracle, ledger, xs, etas, noise[r][:len(xs)])
+        return out
+
     try:
         with np.errstate(all="ignore"):  # overflow is silent, as in the kernels
-            for c0, chunk in _kernels._chunks(draw, T, d):
-                for t0, noise in enumerate(chunk, c0):
+            for c0, noise in _kernels._chunks(draw, T, d):
+                n = len(noise[0])
+                for r in range(R) if fused else ():
+                    chunk = oracle.sigma * noise[r]  # the products sigma * z that pairs forms
+                    for w, members in widths.items():
+                        flat = chunk[:, :w].ravel().tolist()
+                        for i in members:
+                            kernel, xs, args = fused[i]
+                            steps, p = iter(flat), len(groups[i][0].params)
+                            every = 1 if folds[i] else stride
+                            k = ks[i][r] - 1 - c0  # x_k is the x the chunk's first k steps leave
+                            for lo, hi in ((0, k), (k, n)) if 0 <= k < n else ((0, n),):
+                                part, xs[r], *args[r][p:] = kernel(
+                                    steps, xs[r], c0 + lo, hi - lo, every, *args[r])
+                                # A ledger group's steps wait in kept for the fold.
+                                (kept if folds[i] else rows)[i][r] += part
+                                if hi == k:
+                                    x_k[i, r] = np.array(xs[r])
+                        del flat, steps  # so one flat list of floats is alive at a time
+                for t0, step in enumerate(lane_noise(noise) if stepping else (), c0):
                     for i, r in captures.get(t0 + 1, ()):
-                        x_k[i, r] = stacks[i].x.reshape(-1, d)[r].copy()
-                    X = stacks[0].x if one else np.array([lanes.x for lanes in stacks])
-                    pairs = oracle.pairs(X, noise)
+                        x_k[i, r] = lanes[i].x.reshape(-1, d)[r].copy()
+                    X = stepping[0][0].x if one else np.array([s[0].x for s in stepping])
+                    pairs = oracle.pairs(X, step)
                     if R > 1:  # each group's g, then g', as contiguous (R, d) rows
                         pairs = np.ascontiguousarray(pairs.swapaxes(-3, -2))
                     record = t0 % stride == 0
-                    for (lanes, rows, folds), p in zip(loops, (pairs,) if one else pairs):
-                        x = lanes.x
-                        eta = lanes.update(p[0], p[1])
-                        if record or folds:  # update rebinds lanes.x, so x keeps x_t
-                            rows.append((x, eta))
-                r0 = -(-c0 // stride)  # the chunk's first record
-                for (lanes, rows, folds), rec in zip(loops, recs):
-                    if not rows:
-                        continue
-                    xs, etas = taken(rows, folds, chunk)
-                    if folds:  # every step was kept: record those of the stride
-                        xs, etas = xs[-c0 % stride::stride], etas[-c0 % stride::stride]
-                    if len(xs):
-                        _record(oracle, xs, etas, rec, np.s_[:, r0:r0 + len(xs)],
-                                index_order and lanes.kernel is not None)
+                    for (group_lanes, steps, ledgers), p in zip(stepping,
+                                                                (pairs,) if one else pairs):
+                        x = group_lanes.x
+                        eta = group_lanes.update(p[0], p[1])
+                        if record or ledgers:  # update rebinds group_lanes.x, so x keeps x_t
+                            steps.append((x, eta))
+                # Each group's record steps among those it kept: every step, with a ledger.
+                r0, keep = -(-c0 // stride), np.s_[-c0 % stride::stride]
+                for i in range(len(groups)):
+                    if i in fused and folds[i]:
+                        for run_rows, steps in zip(rows[i], taken(i, noise)):
+                            run_rows.frombytes(steps[keep].tobytes())
+                    elif i in lanes and kept[i]:
+                        xs, etas = taken(i, noise)
+                        if folds[i]:
+                            xs, etas = xs[keep], etas[keep]
+                        if len(xs):
+                            _record(oracle, xs, etas, recs[i], np.s_[:, r0:r0 + len(xs)],
+                                    index_order[i])
+        # Each kernel group's runs recorded at once: every run has a row per record step.
+        for i in fused:
+            table = np.stack([np.frombuffer(run_rows).reshape(recs[i][0].shape[1], -1)
+                              for run_rows in rows[i]], axis=1)
+            _record(oracle, table[..., :d], table[..., d:], recs[i], np.s_[:, :])
     finally:
         # Each optimizer, and its ledger, keeps the steps taken, even when a call raises.
-        for lanes, group in zip(stacks, groups):
-            if lanes is not group[0]:
-                _unstack(lanes, group)
-        for lanes, rows, folds in loops:
-            if folds and rows:  # steps of the chunk that the call cut short
-                taken(rows, folds, chunk)
+        for i, (_, xs, args) in fused.items():
+            for opt, x, values in zip(groups[i], xs, args):
+                for attr, value in zip(("x",) + opt.state, [x, *values[len(opt.params):]]):
+                    _set_attr(opt, attr, np.array(value) if isinstance(value, tuple) else value)
+        for i, group_lanes in lanes.items():
+            if group_lanes is not groups[i][0]:
+                _unstack(group_lanes, groups[i])
+        for i in range(len(groups)):
+            if folds[i] and any(kept[i]):  # steps of the chunk that the call cut short
+                taken(i, noise)
     return _results(groups, recs, ks, x_k, T, stride)
-
-
-def _run_updates(groups, oracle, T, rngs, output_rngs, report_every=None):
-    """``run_lanes`` on an exact ``QuadraticOracle``, with the kernels' record sums.
-
-    A kind with a kernel sums f, ||grad f||^2 and its mean per-coordinate
-    stepsize in index order, the momentum variant as ``run_lanes`` does.
-    """
-    return _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order=True)
 
 
 def run_lanes(
@@ -728,10 +722,8 @@ def run_lanes(
     output_rng=output_rngs[i][r], force_generic=True)``, and leaves each
     optimizer in the state that run would.
 
-    Noise is drawn a chunk at a time (``_kernels._chunks``). Each step takes
-    every lane's pair from one ``oracle.pairs`` call and applies each
-    group's ``update`` (on (d,) arrays for one stream); ``oracle.record_lanes``
-    turns each chunk's kept x_t into records. No pair is checked: a lane
-    that diverges goes on to inf or NaN, silently, and moves no other lane.
+    This is ``_run_groups`` with ``force_generic``: every group steps
+    through ``update``. No pair is checked: a lane that diverges goes on to
+    inf or NaN, silently, and moves no other lane.
     """
-    return _step_lanes(groups, oracle, T, rngs, output_rngs, report_every, index_order=False)
+    return _run_groups(groups, oracle, T, rngs, output_rngs, report_every, force_generic=True)

@@ -184,6 +184,20 @@ def test_read_csv_series_reads_empty_cells_as_nan(tmp_path):
     assert back["stepsize_mean"].tolist() == [0.25, 0.125]
 
 
+def test_read_csv_series_refuses_a_short_row(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("t,f_value\n1,0.5\n2\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}.*line 3"):
+        read_csv_series(path)
+
+
+def test_read_csv_series_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}.*line 1"):
+        read_csv_series(path)
+
+
 def test_csv_header_prefix_contract(tmp_path):
     run_experiment(_spec(tmp=tmp_path))
     header = (tmp_path / "sgd.csv").read_text().splitlines()[0]

@@ -1,18 +1,19 @@
-"""The kernel loop that steps every kernel-kind run on the exact Rosenbrock.
+"""Every kernel-kind run on the exact Rosenbrock steps on its fused kernel.
 
-``optimizers._run_kernels`` takes the lane engine's arguments: ``run``
-hands it one lane, and ``harness.run_experiment`` every (optimizer x
-repetition) run of a Rosenbrock experiment whose kind has a fused kernel,
-at once. Each repetition's noise is drawn a chunk at a time, once for all
-of them, and each run's kernel takes the chunk's steps. Each run must
-equal a single ``run`` of that optimizer on that repetition's streams bit
-for bit, wherever its output step k falls in a chunk. The loop's draws,
-memory and failure behaviour are pinned here too, as is the state that
-each of the three loops leaves on an optimizer.
+``optimizers._run_groups`` is the one step loop: ``run`` hands it one lane,
+and ``harness.run_experiment`` every (optimizer x repetition) run of an
+experiment at once. Each stream's noise is drawn a chunk at a time, once
+for all the groups, and each kernel group's kernel takes the chunk's steps
+while every other group steps through ``update``. Each run must equal a
+single ``run`` of that optimizer on that repetition's streams bit for bit,
+wherever its output step k falls in a chunk. The loop's draws, memory and
+failure behaviour are pinned here too, as is the state that a kernel run
+and an ``update`` run leave on an optimizer.
 """
 
 import tracemalloc
 import warnings
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from sgdol import (
     run_lanes,
 )
 from sgdol._kernels import _CHUNK_FLOATS
-from sgdol.optimizers import _CLASSES, _run_groups, _run_kernels, _run_updates
+from sgdol.optimizers import _CLASSES, _run_groups
 
 REPS = 2
 ROWS = _CHUNK_FLOATS // 4  # steps per noise chunk at d = 2
@@ -63,12 +64,12 @@ def _spec(configs, report_every, T=T, sigma=5.0, output_dir=None):
 
 @pytest.fixture
 def draw_calls(monkeypatch):
-    """The n of every ``RosenbrockOracle.draw`` call."""
-    calls = []
+    """The n of every ``RosenbrockOracle.draw`` call, a list per generator drawn from."""
+    calls = defaultdict(list)
     real = RosenbrockOracle.draw
 
     def spy(self, rng, n):
-        calls.append(n)
+        calls[rng].append(n)
         return real(self, rng, n)
     monkeypatch.setattr(RosenbrockOracle, "draw", spy)
     return calls
@@ -79,13 +80,16 @@ def test_every_kernel_kind_is_configured():
 
 
 @pytest.mark.parametrize("report_every", [1, 3, 7])
-def test_each_experiment_kernel_run_equals_its_single_run(report_every, draw_calls,
-                                                          loop_calls):
+def test_each_experiment_kernel_run_equals_its_single_run(report_every, draw_calls, routes):
     spec = _spec(KERNEL_CONFIGS, report_every)
     table = run_experiment(spec)
     # One draw per noise chunk per repetition, shared by all seven runs.
-    assert draw_calls == [ROWS, ROWS, 77] * REPS
-    [groups] = loop_calls["_run_kernels"]
+    assert list(draw_calls.values()) == [[ROWS, ROWS, 77]] * REPS
+    [groups] = routes.groups
+    # Every step of every run on its kind's kernel; sgd_gl's is sgd's.
+    kernels = [_CLASSES[name].kernel for name in KERNEL_CONFIGS]
+    assert routes.kernels == kernels
+    assert routes.kernel_steps == {name: kernels.count(name) * T * REPS for name in kernels}
     oracle = spec.oracle.build(spec.seed)
     for i, name in enumerate(KERNEL_CONFIGS):
         cfg = harness._fill_sgd_gl(KERNEL_CONFIGS[name], oracle, np.zeros(2), T)
@@ -127,12 +131,12 @@ def test_kernel_group_run_equals_single_runs_wherever_k_falls(k, report_every, d
     makers = _makers()
     outs = [[_output_stream(k, T), RngStream(60 + i)] for i in range(len(makers))]
     groups = [[make() for _ in rngs] for make in makers]
-    results = _run_kernels(groups, oracle, T, rngs, outs, report_every)
-    assert draw_calls == [ROWS, ROWS, 77] * len(rngs)
+    results = _run_groups(groups, oracle, T, rngs, outs, report_every)
+    assert list(draw_calls.values()) == [[ROWS, ROWS, 77]] * len(rngs)
     for i, make in enumerate(makers):
         for r, rng in enumerate(rngs):
-            # A single run on the kernel loop, and one on the lane engine,
-            # which captures x_k by its own code.
+            # A single run on its kernel, and one through update, which
+            # captures x_k by its own code.
             for force_generic in (False, True):
                 single = make()
                 expected = run(single, oracle, T, rng, report_every=report_every,
@@ -143,14 +147,45 @@ def test_kernel_group_run_equals_single_runs_wherever_k_falls(k, report_every, d
     assert all(row[0].k == k for row in results)
 
 
+def test_each_stream_is_drawn_once_per_chunk_for_kernel_and_update_groups(draw_calls, routes):
+    # sgdol_global steps on its kernel and sgdol_momentum through update,
+    # both on each repetition's one draw of each chunk.
+    configs = {"sgdol": KERNEL_CONFIGS["sgdol_global"],
+               "momentum": OptimizerConfig(kind="sgdol_momentum", M=1002.0)}
+    run_experiment(_spec(configs, 1, T=2 * ROWS + 76))
+    assert list(draw_calls.values()) == [[ROWS, ROWS, 76]] * REPS
+    assert routes.kernels == ["sgdol_global"]
+
+
+def test_a_run_cut_short_leaves_one_state_on_both_paths(monkeypatch):
+    # The second draw raises. On its kernel and through update the run
+    # keeps the first chunk's steps, and its ledger their rounds, bit for bit.
+    real, left = RosenbrockOracle.draw, []
+    for force_generic in (False, True):
+        calls = []
+
+        def draw(self, rng, n, calls=calls):
+            calls.append(n)
+            if len(calls) == 2:
+                raise RuntimeError("draw failed")
+            return real(self, rng, n)
+        monkeypatch.setattr(RosenbrockOracle, "draw", draw)
+        opt = Sgdol(np.zeros(2), M=1002.0, record_regret=True)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run(opt, RosenbrockOracle(sigma=1.0), 2000, RngStream(5), force_generic=force_generic)
+        assert opt.ledger.count == ROWS and opt.ftrl.sum_sq > 0.0 and opt.x.any()
+        left.append((_state_bits(opt), _ledger_bits(opt)))
+    assert left[0] == left[1]
+
+
 def _kernel_group_peak(T):
-    """The tracemalloc peak of a two-stream ``_run_kernels`` call of four groups."""
+    """The tracemalloc peak of a two-stream ``_run_groups`` call of four kernel groups."""
     rngs = [RngStream(52), RngStream(53)]
     groups = [[make() for _ in rngs] for make in _makers()]
     outs = [[RngStream(70 + 2 * i + r) for r in range(len(rngs))] for i in range(len(groups))]
     tracemalloc.start()
     try:
-        _run_kernels(groups, RosenbrockOracle(sigma=5.0), T, rngs, outs, report_every=T)
+        _run_groups(groups, RosenbrockOracle(sigma=5.0), T, rngs, outs, report_every=T)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -216,31 +251,35 @@ _LOOP_CASES = [
 
 
 @pytest.mark.parametrize("make, oracle_kind", _LOOP_CASES)
-def test_every_loop_leaves_the_same_attributes(make, oracle_kind):
-    # A single run off the engine (one lane), a two-lane group off the
-    # engine and a two-lane group on the engine leave each optimizer with
-    # the same attributes, bit for bit.
-    if oracle_kind == "quadratic":
-        oracle, off_engine = QuadraticOracle(np.ones(2), sigma=1.0), _run_updates
-    else:
-        oracle, off_engine = RosenbrockOracle(sigma=1.0), _run_kernels
+def test_every_loop_leaves_the_same_attributes(make, oracle_kind, routes):
+    # A single run (one lane), a two-lane group and a two-lane group with
+    # force_generic leave each optimizer with the same attributes, bit for
+    # bit. Without force_generic a kind with a kernel steps on it on the
+    # Rosenbrock and sums its records in index order on the quadratic.
+    oracle = (QuadraticOracle(np.ones(2), sigma=1.0) if oracle_kind == "quadratic"
+              else RosenbrockOracle(sigma=1.0))
     rngs, outs = [RngStream(1), RngStream(2)], [[RngStream(3), RngStream(4)]]
     single = [make(2) for _ in rngs]
     for opt, rng, out in zip(single, rngs, outs[0]):
         run(opt, oracle, 5, rng, output_rng=out)
-    runs = {loop: [make(2) for _ in rngs] for loop in (off_engine, run_lanes)}
+    runs = {loop: [make(2) for _ in rngs] for loop in (run_lanes, _run_groups)}
     for loop, group in runs.items():
+        steps, index_sums = sum(routes.kernel_steps.values()), routes.index_sums
         loop([group], oracle, 5, rngs, outs)
+        kernel = group[0].kernel is not None and loop is _run_groups
+        assert (sum(routes.kernel_steps.values()) - steps
+                == (10 if kernel and oracle_kind == "rosenbrock" else 0)), loop
+        assert (routes.index_sums > index_sums) == (kernel and oracle_kind == "quadratic"), loop
     for r in range(len(rngs)):
         expected = _attributes(single[r])
-        assert _attributes(runs[off_engine][r]) == expected
+        assert _attributes(runs[_run_groups][r]) == expected
         assert _attributes(runs[run_lanes][r]) == expected
     assert "beta" not in vars(single[0])
 
 
-def test_the_router_sends_each_group_to_its_loop_and_keeps_its_place(loop_calls):
+def test_the_router_sends_each_group_to_its_loop_and_keeps_its_place(routes):
     # On the exact Rosenbrock the momentum variant, which has no kernel,
-    # takes the lane loop; each loop gets all its groups in one call.
+    # steps through update, and the others on their kernels, all in one call.
     oracle = RosenbrockOracle(sigma=1.0)
     rngs = [RngStream(1), RngStream(2)]
     makers = [lambda: SgdolMomentum(np.zeros(2), M=1002.0),
@@ -250,9 +289,8 @@ def test_the_router_sends_each_group_to_its_loop_and_keeps_its_place(loop_calls)
     groups = [[make() for _ in rngs] for make in makers]
     outs = [[RngStream(10 + i), RngStream(20 + i)] for i in range(len(makers))]
     results = _run_groups(groups, oracle, 50, rngs, outs, report_every=3)
-    assert loop_calls["run_lanes"] == [[groups[0], groups[2]]]
-    assert loop_calls["_run_kernels"] == [[groups[1], groups[3]]]
-    assert loop_calls["_run_updates"] == []
+    assert routes.kernels == ["sgd", "sgdol_global"]
+    assert routes.kernel_steps == {"sgd": 100, "sgdol_global": 100} and routes.index_sums == 0
     for i, make in enumerate(makers):
         for r, rng in enumerate(rngs):
             expected = run(make(), oracle, 50, rng, report_every=3, output_rng=outs[i][r])

@@ -451,16 +451,17 @@ def test_run_leaves_arrays_the_caller_holds_unchanged(make, d, force_generic):
     assert not np.array_equal(opt.x, before[0])
 
 
-def test_used_optimizer_still_takes_the_kernel(loop_calls):
+def test_used_optimizer_still_takes_the_kernel(routes):
     oracle = RosenbrockOracle(sigma=1.0)
     opt = Sgdol(np.zeros(2), M=1002.0)
     opt.update(np.ones(2), np.ones(2))  # state no longer fresh
     res = run(opt, oracle, T=10, rng=RngStream(73))
     assert len(res.trajectory) >= 1
-    assert loop_calls["_run_kernels"] == [[[opt]]]
+    assert routes.groups == [[[opt]]]
+    assert routes.kernels == ["sgdol_global"] and routes.kernel_steps == {"sgdol_global": 10}
 
 
-def test_subclass_of_a_builtin_oracle_runs_on_its_own_objective(loop_calls):
+def test_subclass_of_a_builtin_oracle_runs_on_its_own_objective(routes):
     class Shifted(QuadraticOracle):
         """The quadratic with its optimum moved from 0 to 1."""
 
@@ -473,7 +474,9 @@ def test_subclass_of_a_builtin_oracle_runs_on_its_own_objective(loop_calls):
     oracle = Shifted(np.ones(3))
     opt = Sgd(np.zeros(3), lr=0.5)
     res = run(opt, oracle, T=50, rng=RngStream(5), report_every=1)
-    assert loop_calls["run_lanes"] == [[[opt]]]
+    # Stepped through update, with the records summed as on any oracle.
+    assert routes.groups == [[[opt]]]
+    assert routes.kernels == [] and routes.index_sums == 0
     assert res.trajectory.f_value[0] == 1.5
     np.testing.assert_allclose(res.x_final, 1.0, rtol=0.0, atol=1e-12)  # 1 - 2**-50
     assert _trajectories_equal(res, run(Sgd(np.zeros(3), lr=0.5), oracle, T=50, rng=RngStream(5),

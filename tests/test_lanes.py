@@ -213,6 +213,20 @@ def test_lane_groups_are_checked():
     assert group[0].ledger.count == 10 and _ledger_bits(group[0]) == _ledger_bits(singles[0])
 
 
+@pytest.mark.parametrize("groups, rngs, output_rngs", [
+    pytest.param(lambda: [[Sgd(np.zeros(2), lr=1e-3)]], [RngStream(1)], [], id="no-row"),
+    pytest.param(lambda: [[Sgd(np.zeros(2), lr=1e-3)]], [RngStream(1)], [[]], id="short-row"),
+    pytest.param(lambda: [[Sgd(np.zeros(2), lr=1e-3)]], [RngStream(1)],
+                 [[RngStream(2), RngStream(3)]], id="long-row"),
+    pytest.param(lambda: [[]], [], [[]], id="no-stream"),
+])
+def test_the_loop_refuses_streams_that_do_not_fit_its_groups(groups, rngs, output_rngs):
+    # One output row per group, one output stream per oracle stream, and
+    # at least one oracle stream under any group.
+    with pytest.raises(ValueError, match="stream"):
+        run_lanes(groups(), RosenbrockOracle(), 10, rngs, output_rngs)
+
+
 class _FailingOracle(_FourMethodOracle):
     """A user oracle whose ``pairs`` raises at the lane loop's step ``fail``.
 

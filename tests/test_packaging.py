@@ -1,6 +1,7 @@
 """The declared install requirements hold in the environment the suite runs in,
 the package's modules import nothing they do not use, every name they export
-is bound, and so is every name the benchmark in ``perfbench/`` reads."""
+is bound, and so is every name the benchmark in ``perfbench/`` reads and
+every private name the docs cite."""
 
 import ast
 import glob
@@ -9,6 +10,7 @@ import importlib.util
 import inspect
 import os
 import re
+from operator import attrgetter
 
 import pytest
 
@@ -124,3 +126,36 @@ def test_module_imports_only_at_top_level(path):
     nested = [node.lineno for node in ast.walk(tree)
               if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
     assert nested == []
+
+
+# A backticked private name: `_name`, or `owner._name` with dotted owners.
+_PRIVATE_NAME = re.compile(r"`+((?:\w+\.)*_\w+)`+")
+
+
+def _doc_text(path):
+    """README.md whole, or a module's docstring."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return text if path.endswith(".md") else ast.get_docstring(ast.parse(text)) or ""
+
+
+def _resolves(name):
+    """Whether ``name`` is an attribute path from the package, one of its modules or a class."""
+    modules = [sgdol] + [importlib.import_module("sgdol." + os.path.basename(p)[:-3])
+                         for p in MODULES]
+    owners = modules + [v for m in modules for v in vars(m).values() if inspect.isclass(v)]
+    for owner in owners:
+        try:
+            attrgetter(name.removeprefix("sgdol."))(owner)
+            return True
+        except AttributeError:
+            pass
+    return False
+
+
+@pytest.mark.parametrize("path", [os.path.join(ROOT, "README.md")] + MODULES,
+                         ids=os.path.basename)
+def test_every_private_name_the_docs_cite_exists(path):
+    # A rename or deletion leaves the prose behind; this names what it left.
+    cited = sorted(set(_PRIVATE_NAME.findall(_doc_text(path))))
+    assert [name for name in cited if not _resolves(name)] == []

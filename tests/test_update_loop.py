@@ -1,13 +1,14 @@
-"""The update loop that steps every run on an exact quadratic.
+"""Every run on an exact quadratic steps through ``update``.
 
-``optimizers._run_updates`` takes the lane engine's arguments: ``run``
+``optimizers._run_groups`` takes the lane engine's arguments: ``run``
 hands it one lane, and ``harness.run_experiment`` every (optimizer x
 repetition) run of a quadratic experiment at once, each repetition's noise
-drawn once for all of them. Each lane of such an experiment must equal a
-single ``run`` of that optimizer on that repetition's streams bit for bit,
-and the momentum variant, which has no kernel, must equal its run on the
-lane engine. How the loop carries a diverging run, and its memory, are
-pinned here too.
+drawn once for all of them. No run there steps on a kernel; a kind with a
+kernel sums its records in index order, as the kernels' reference does.
+Each lane of such an experiment must equal a single ``run`` of that
+optimizer on that repetition's streams bit for bit, and the momentum
+variant, which has no kernel, must equal its ``force_generic`` run. How the
+loop carries a diverging run, and its memory, are pinned here too.
 """
 
 import tracemalloc
@@ -89,14 +90,15 @@ def _state_bits(optimizer):
 
 @pytest.mark.parametrize("report_every", [1, 3, 7])
 @pytest.mark.parametrize("d", [2, 5, 100])
-def test_each_experiment_lane_equals_its_single_run(d, report_every, loop_calls):
+def test_each_experiment_lane_equals_its_single_run(d, report_every, routes):
     # A horizon past one noise chunk and not a multiple of its rows, so the
     # record steps straddle chunk edges.
     T = _chunk_rows(d) + 77
     configs = _configs(d)
     spec = _spec(d, T, report_every, configs)
     table = run_experiment(spec)
-    [groups] = loop_calls["_run_updates"]
+    [groups] = routes.groups
+    assert routes.kernels == [] and routes.index_sums > 0
     oracle = spec.oracle.build(spec.seed)
     x0 = np.zeros(d)
     for i, (name, cfg) in enumerate(configs.items()):
@@ -111,25 +113,30 @@ def test_each_experiment_lane_equals_its_single_run(d, report_every, loop_calls)
 
 @pytest.mark.parametrize("report_every", [1, 3, 7])
 @pytest.mark.parametrize("d", [2, 5, 100])
-def test_momentum_on_a_quadratic_equals_its_engine_run(d, report_every, loop_calls):
+def test_momentum_on_a_quadratic_equals_its_engine_run(d, report_every, routes):
     oracle = QuadraticOracle(np.arange(1, d + 1) / d, sigma=0.7)
     T = _chunk_rows(d) + 77
     o1, o2 = SgdolMomentum(np.zeros(d), M=1.0), SgdolMomentum(np.zeros(d), M=1.0)
     r1 = run(o1, oracle, T, RngStream(32), report_every=report_every)
     r2 = run(o2, oracle, T, RngStream(32), report_every=report_every, force_generic=True)
-    assert loop_calls["_run_updates"] == [[[o1]]] and loop_calls["run_lanes"] == [[[o2]]]
+    # The momentum variant has no kernel: it sums no record in index order.
+    assert routes.groups == [[[o1]], [[o2]]]
+    assert routes.kernels == [] and routes.index_sums == 0
     assert _result_bits(r1) == _result_bits(r2)
     assert _state_bits(o1) == _state_bits(o2)
 
 
-def test_every_kind_takes_the_update_loop_on_the_exact_quadratic(loop_calls):
+def test_every_kind_steps_through_update_on_the_exact_quadratic(routes):
+    # No kind takes a kernel, and exactly the kinds with one sum in index order.
     assert set(_configs(3)) == set(OPTIMIZER_KINDS)
     oracle = QuadraticOracle(np.ones(3))
     optimizers = [cfg.build(np.zeros(3)) for cfg in _configs(3).values()]
     for opt in optimizers:
+        index_sums = routes.index_sums
         run(opt, oracle, 1, RngStream(1))
-    assert loop_calls["_run_updates"] == [[[opt]] for opt in optimizers]
-    assert loop_calls["_run_kernels"] == loop_calls["run_lanes"] == []
+        assert (routes.index_sums > index_sums) == (opt.kernel is not None), opt.kind
+    assert routes.groups == [[[opt]] for opt in optimizers]
+    assert routes.kernels == []
 
 
 # M = 1 is far below the curvature 100: every iterate overflows within 200 steps.
@@ -138,8 +145,9 @@ _DIVERGING = dict(oracle=OracleSpec(kind="quadratic", diag=np.full(3, 100.0), si
 
 
 def test_diverging_momentum_run_is_data_on_both_loops():
-    # The momentum variant has no kernel: on _run_updates, on run_lanes and
-    # on the reference loop it overflows to the same records and iterates.
+    # The momentum variant has no kernel: on the exact quadratic, with
+    # force_generic and on the reference loop it overflows to the same
+    # records and iterates.
     oracle = QuadraticOracle(np.full(3, 100.0), sigma=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
