@@ -4,8 +4,10 @@ Everything here checks the main implementation from the outside: the FTRL
 closed form against a numeric argmin search, analytic gradients against
 central finite differences, the per-step surrogate bound by Monte Carlo
 (on the pairs the step engine steps on, from the oracle's ``draw`` and
-``pairs``), the regret-bound inequality on recorded runs, and the linear
-rate on PL quadratics. All checks are deterministic given their seeds.
+``pairs``; at minibatch size 1 each distinct drawn row of a chunk is
+evaluated once), the regret-bound inequality on recorded runs, and the
+linear rate on PL quadratics. All checks are deterministic given their
+seeds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .core import RngStream, check_fields, row_dot, sq_norm
+from .core import RngStream, check_fields, row_dot, sq_norm, vector
 from .online import DEFAULT_ALPHA, FtrlState, surrogate_loss
 from .optimizers import Sgdol, run
 from .oracles import (
@@ -150,33 +152,55 @@ class SurrogateBoundVerdict:
 
 # Pairs drawn and evaluated at a time. The dataset oracle evaluates them in
 # blocks of its own, so a chunk's temporaries stay small: on the 500-row
-# fixture the whole check peaks at 1.1-3.2 MB for B = 1, 50 and 500.
+# fixture the whole check peaks at 1.1-3.2 MB for B = 1, 50 and 500. At
+# B = 1 a chunk's 2048 row indices hold at most that many distinct rows, so
+# its per-row tables stay as small as the chunk.
 _MC_CHUNK = 1024
 
 
-def surrogate_bound_check(oracle: StochasticOracle, x: np.ndarray, eta: float,
+def surrogate_bound_check(oracle: StochasticOracle, x, eta: float,
                           N: int, rng: RngStream) -> SurrogateBoundVerdict:
     """Check E[f(x - eta*g) - f(x)] <= E[surrogate(eta)] at 3 standard errors.
 
     Draws N fresh pairs at a fixed x with eta chosen before sampling, as the
     bound requires, through the oracle's ``draw`` and ``pairs`` like the
-    step engine, ``_MC_CHUNK`` pairs at a time. The standard error pools
-    both sample variances, so the zero-noise case degenerates to a
-    deterministic comparison with SE = 0.
+    step engine, ``_MC_CHUNK`` pairs at a time. ``x`` is taken as
+    ``core.vector`` takes it, so it must be finite and 1-D. Where each half
+    of a pair is one drawn row of a dataset (``SigmoidLossOracle`` at
+    batch size 1), a chunk evaluates each distinct row's gradient and
+    f(x - eta*g) once and gathers them by row: a row's values do not
+    depend on the rows evaluated with it, so the verdict holds the bits of
+    one evaluation per draw. The standard error pools both sample
+    variances, so in the zero-noise case it is zero up to the rounding of
+    the variances.
     """
     if oracle.smoothness is None:
         raise ValueError("surrogate_bound_check needs the oracle's smoothness constant")
     check_fields(eta=eta, N=N)
+    x = vector(x)
     gen = rng.generator()
     M = oracle.smoothness
     f0 = oracle.f(x)
     decreases = np.empty(N)
     surrogates = np.empty(N)
+    # Only the dataset oracle's (n, 2, 1) draw is one row a half: a 1-D
+    # quadratic draws normals of that shape.
+    by_row = isinstance(oracle, SigmoidLossOracle)
     for lo in range(0, N, _MC_CHUNK):
         hi = min(lo + _MC_CHUNK, N)
-        pairs = oracle.pairs(x, oracle.draw(gen, hi - lo))
-        g, g_prime = pairs[:, 0], pairs[:, 1]
-        decreases[lo:hi] = oracle.f_lanes(x - eta * g) - f0
+        drawn = oracle.draw(gen, hi - lo)
+        if by_row and drawn.shape[1:] == (2, 1):
+            rows, at = np.unique(drawn.ravel(), return_inverse=True)
+            # pairs() takes rows two to a draw entry; an odd count repeats one.
+            grads = oracle.pairs(x, np.append(rows, rows[:len(rows) % 2]).reshape(-1, 2, 1))
+            grads = grads.reshape(-1, len(x))[:len(rows)]
+            at = at.reshape(-1, 2)
+            g, g_prime = grads[at[:, 0]], grads[at[:, 1]]
+            decreases[lo:hi] = (oracle.f_lanes(x - eta * grads) - f0)[at[:, 0]]
+        else:
+            pairs = oracle.pairs(x, drawn)
+            g, g_prime = pairs[:, 0], pairs[:, 1]
+            decreases[lo:hi] = oracle.f_lanes(x - eta * g) - f0
         surrogates[lo:hi] = surrogate_loss(M, eta, row_dot(g, g), row_dot(g, g_prime))
     mean_d = float(np.mean(decreases))
     mean_s = float(np.mean(surrogates))
@@ -190,7 +214,11 @@ def surrogate_bound_check(oracle: StochasticOracle, x: np.ndarray, eta: float,
 def smoothness_probe(grad: Callable[[np.ndarray], np.ndarray],
                      sample_point: Callable[[np.random.Generator], np.ndarray],
                      pairs: int, rng: RngStream) -> float:
-    """Max gradient-difference ratio over sampled pairs: a lower bound on M."""
+    """Max gradient-difference ratio over sampled pairs: a lower bound on M.
+
+    NaN once any sampled ratio is NaN, from a NaN gradient or point: such a
+    sample bounds nothing, and ``max`` would drop it.
+    """
     check_fields(pairs=pairs)
     gen = rng.generator()
     best = 0.0
@@ -200,8 +228,10 @@ def smoothness_probe(grad: Callable[[np.ndarray], np.ndarray],
         den = math.sqrt(sq_norm(x1 - x2))
         if den == 0.0:
             continue
-        num = math.sqrt(sq_norm(grad(x1) - grad(x2)))
-        best = max(best, num / den)
+        ratio = math.sqrt(sq_norm(grad(x1) - grad(x2))) / den
+        if math.isnan(ratio):
+            return math.nan
+        best = max(best, ratio)
     return best
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sgdol import (
+    Dataset,
     FtrlState,
     RngStream,
     RosenbrockOracle,
@@ -178,20 +179,77 @@ def _one_shot_verdict(oracle, x, eta, N, rng):
     return float(np.mean(decreases)), float(np.mean(surrogates)), se
 
 
-@pytest.mark.parametrize("case", ["rosenbrock-sigma5", "sigmoid-b1", "sigmoid-b50",
-                                  "sigmoid-b500"])  # b500: the full batch
-def test_chunked_surrogate_bound_equals_one_draw(case, synthetic500):
+def _verify_data(rows):
+    """A dataset drawn as ``run_verification``'s sigmoid case draws its 50x8 one."""
+    gen = RngStream(20190901, 5).generator()
+    feats = gen.uniform(-1.0, 1.0, size=(rows, 8))
+    return Dataset(feats, np.where(gen.uniform(size=rows) < 0.5, -1.0, 1.0))
+
+
+def _check_case(case, synthetic500):
+    """(oracle, x) of a named surrogate-bound case."""
     if case == "rosenbrock-sigma5":
-        oracle, x = RosenbrockOracle(sigma=5.0), np.array([0.3, -0.2])
-    else:
-        oracle = SigmoidLossOracle(synthetic500, batch_size=int(case[len("sigmoid-b"):]))
-        x = RngStream(87).generator().uniform(-0.5, 0.5, synthetic500.n_features)
+        return RosenbrockOracle(sigma=5.0), np.array([0.3, -0.2])
+    if case.startswith("verify"):  # 50x8, or 1x8: one row, so every draw is that row
+        data = _verify_data(int(case.split("-")[1].split("x")[0]))
+        return SigmoidLossOracle(data, batch_size=1), np.zeros(8)
+    oracle = SigmoidLossOracle(synthetic500, batch_size=int(case[len("sigmoid-b"):]))
+    return oracle, RngStream(87).generator().uniform(-0.5, 0.5, synthetic500.n_features)
+
+
+@pytest.mark.parametrize("case", ["rosenbrock-sigma5", "sigmoid-b1", "sigmoid-b50",
+                                  "sigmoid-b500",  # b500: the full batch
+                                  "verify-50x8-b1", "verify-1x8-b1"])
+def test_chunked_surrogate_bound_equals_one_draw(case, synthetic500):
+    oracle, x = _check_case(case, synthetic500)
     N = 2 * _MC_CHUNK + 17  # two whole chunks and a short one
     eta = 1.0 / oracle.smoothness
     v = surrogate_bound_check(oracle, x, eta, N, RngStream(88))
     assert (v.mean_decrease, v.mean_surrogate, v.std_err) == \
         _one_shot_verdict(oracle, x, eta, N, RngStream(88))
     assert v.n == N and v.passed
+
+
+@pytest.mark.parametrize("case", ["verify-50x8-b1", "rosenbrock-sigma5", "sigmoid-b50"])
+def test_surrogate_bound_evaluates_each_distinct_row_once(case, synthetic500, monkeypatch):
+    # Per chunk: the points f_lanes takes, the pairs' rows (two a draw
+    # entry) and the distinct rows drawn, or the chunk's pairs where a draw
+    # is not one row a half.
+    oracle, x = _check_case(case, synthetic500)
+    chunks = []
+    draw, pairs, f_lanes = type(oracle).draw, type(oracle).pairs, type(oracle).f_lanes
+
+    def spied_draw(self, gen, n):
+        drawn = draw(self, gen, n)
+        by_row = drawn.shape[1:] == (2, 1)
+        chunks.append({"draws": len(np.unique(drawn)) if by_row else n, "pairs": 0, "f": 0})
+        return drawn
+
+    def spied_pairs(self, X, noise):
+        if chunks:  # not the x0 checks before the first draw
+            chunks[-1]["pairs"] += noise.shape[0] * (2 if noise.shape[1:] == (2, 1) else 1)
+        return pairs(self, X, noise)
+
+    def spied_f_lanes(self, X):
+        if chunks:
+            chunks[-1]["f"] += X.size // X.shape[-1]
+        return f_lanes(self, X)
+
+    monkeypatch.setattr(type(oracle), "draw", spied_draw)
+    monkeypatch.setattr(type(oracle), "pairs", spied_pairs)
+    monkeypatch.setattr(type(oracle), "f_lanes", spied_f_lanes)
+    N = 2 * _MC_CHUNK + 17
+    surrogate_bound_check(oracle, x, 1.0 / oracle.smoothness, N, RngStream(88))
+    assert len(chunks) == 3
+    for chunk, n in zip(chunks, [_MC_CHUNK, _MC_CHUNK, 17]):
+        if case.startswith("verify"):
+            # At most 50 of the 2048 rows of a whole chunk; an odd count
+            # takes one row more in pairs, which take rows two at a time.
+            assert chunk["draws"] <= 50
+            assert chunk["f"] == chunk["draws"]
+            assert chunk["pairs"] == chunk["draws"] + chunk["draws"] % 2
+        else:
+            assert chunk == {"draws": n, "pairs": n, "f": n}
 
 
 @pytest.mark.parametrize("batch", [1, 50, 500])  # 500: the full batch
@@ -227,6 +285,23 @@ def test_surrogate_bound_requires_a_finite_stepsize(eta):
         surrogate_bound_check(RosenbrockOracle(sigma=1.0), np.zeros(2), eta, 10, RngStream(84))
 
 
+@pytest.mark.parametrize("x, problem", [
+    ([np.nan, 0.0], "vector entries must be finite"),
+    ([0.0, np.inf], "vector entries must be finite"),
+    ([[0.3, -0.2]], "vector must be 1-D"),
+    ([0.3, -0.2], None),
+], ids=["nan", "inf", "2-d", "list"])
+def test_surrogate_bound_takes_its_point_as_a_vector(x, problem):
+    # A list raised AttributeError, and a NaN or inf point gave a NaN verdict.
+    oracle = RosenbrockOracle(sigma=1.0)
+    if problem is not None:
+        with pytest.raises(ValueError, match=problem):
+            surrogate_bound_check(oracle, x, 1e-3, 10, RngStream(84))
+    else:
+        assert surrogate_bound_check(oracle, x, 1e-3, 10, RngStream(84)) == \
+            surrogate_bound_check(oracle, np.array(x), 1e-3, 10, RngStream(84))
+
+
 def test_surrogate_bound_takes_a_numpy_integer_count():
     v = surrogate_bound_check(RosenbrockOracle(sigma=1.0), np.zeros(2), 1e-3, np.int64(10),
                               RngStream(84))
@@ -244,6 +319,22 @@ def test_smoothness_probe_linear_field_exact():
                              lambda gen: gen.uniform(-1, 1, 3),
                              pairs=25, rng=RngStream(85))
     assert probe == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("grad, sample_point", [
+    (lambda x: np.full(3, np.nan), lambda gen: gen.uniform(-1, 1, 3)),
+    (lambda x: np.where(x[0] > 0.5, np.nan, 2.0 * x), lambda gen: gen.uniform(-1, 1, 3)),
+    (lambda x: 2.0 * x, lambda gen: np.where(gen.uniform() < 0.2, np.nan, gen.uniform(-1, 1, 3))),
+], ids=["nan-gradient", "nan-gradient-at-some-points", "nan-points"])
+def test_smoothness_probe_reports_a_nan_ratio(grad, sample_point):
+    # max(0.0, nan) is 0.0: a NaN gradient everywhere read as a bound of 0.0.
+    assert math.isnan(smoothness_probe(grad, sample_point, pairs=25, rng=RngStream(85)))
+
+
+def test_smoothness_probe_on_verify_linear_field_still_reads_two():
+    probe = smoothness_probe(lambda x: 2.0 * x, lambda gen: gen.uniform(-1.0, 1.0, size=3),
+                             pairs=50, rng=RngStream(20190901, 7))
+    assert abs(probe - 2.0) < 1e-12
 
 
 def test_smoothness_probe_rosenbrock_near_optimum():

@@ -1,13 +1,14 @@
 """The declared install requirements hold in the environment the suite runs in,
 the package's modules import nothing they do not use, every name they export
 is bound, and so is every name the benchmark in ``perfbench/`` reads and
-every private name the docs cite."""
+every private name the docs cite; every BENCH file the docs cite exists."""
 
 import ast
 import glob
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import re
 from operator import attrgetter
@@ -159,3 +160,25 @@ def test_every_private_name_the_docs_cite_exists(path):
     # A rename or deletion leaves the prose behind; this names what it left.
     cited = sorted(set(_PRIVATE_NAME.findall(_doc_text(path))))
     assert [name for name in cited if not _resolves(name)] == []
+
+
+# A cited benchmark file: `BENCH_25.json`, BENCH_25's, or BENCH_7 in a list.
+_BENCH_CITE = re.compile(r"\bBENCH_(\d+)\b")
+
+
+def _bench_files():
+    """Every BENCH file the README or ROADMAP cites, and every one in the tree."""
+    cited = set()
+    for doc in ("README.md", "ROADMAP.md"):
+        with open(os.path.join(ROOT, doc), encoding="utf-8") as fh:
+            cited.update(f"BENCH_{n}.json" for n in _BENCH_CITE.findall(fh.read()))
+    present = {os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "BENCH_*.json"))}
+    return sorted(cited | present, key=lambda name: int(name[len("BENCH_"):-len(".json")]))
+
+
+@pytest.mark.parametrize("name", _bench_files())
+def test_every_bench_file_exists_and_parses(name):
+    # A number that is not in a BENCH file does not count; a cited file
+    # that is missing or truncated is such a number.
+    with open(os.path.join(ROOT, name), encoding="utf-8") as fh:
+        assert isinstance(json.load(fh), dict)
