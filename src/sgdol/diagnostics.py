@@ -2,12 +2,13 @@
 
 Everything here checks the main implementation from the outside: the FTRL
 closed form against a numeric argmin search, analytic gradients against
-central finite differences, the per-step surrogate bound by Monte Carlo
-(on the pairs the step engine steps on, from the oracle's ``draw`` and
-``pairs``; at minibatch size 1 each distinct drawn row of a chunk is
-evaluated once), the regret-bound inequality on recorded runs, and the
-linear rate on PL quadratics. All checks are deterministic given their
-seeds.
+central finite differences (all points of an objective at once), the
+per-step surrogate bound by Monte Carlo (on the pairs the step engine
+steps on, from the oracle's ``draw`` and ``pairs``; at minibatch size 1
+each distinct drawn row is evaluated once per check), the regret-bound
+inequality on recorded runs, and the linear rate on PL quadratics. Each
+check evaluates each distinct input once, and all are deterministic given
+their seeds.
 """
 
 from __future__ import annotations
@@ -126,16 +127,29 @@ def ftrl_argmin_oracle(alpha: float, M: float, history, curvature_scale: float =
     return guess
 
 
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient estimate, one coordinate at a time."""
+def finite_diff_grad(f: Callable[[np.ndarray], np.ndarray], x, h: float) -> np.ndarray:
+    """Central-difference gradient estimate at x, shape (d,), or at every row of (..., d).
+
+    ``x`` is taken as a float64 array; its last axis must be non-empty and
+    its entries finite. ``f`` maps points (..., d) to values (...), and is
+    called twice per coordinate on all the points at once, so 2 d calls
+    whatever the stack's size. Where ``f`` evaluates a stacked point bit
+    for bit as it evaluates that point alone, each row of the estimate is
+    the bits of a call on that row alone.
+    """
     check_fields(h=h)
-    grad = np.empty_like(x, dtype=np.float64)
-    for i in range(x.shape[0]):
-        xp = x.astype(np.float64).copy()
-        xm = xp.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (f(xp) - f(xm)) / (2.0 * h)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError(f"x must have shape (..., d) with d >= 1, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x entries must be finite")
+    grad = np.empty(x.shape)
+    for i in range(x.shape[-1]):
+        xp = x.copy()
+        xm = x.copy()
+        xp[..., i] += h
+        xm[..., i] -= h
+        grad[..., i] = (f(xp) - f(xm)) / (2.0 * h)
     return grad
 
 
@@ -153,8 +167,8 @@ class SurrogateBoundVerdict:
 # Pairs drawn and evaluated at a time. The dataset oracle evaluates them in
 # blocks of its own, so a chunk's temporaries stay small: on the 500-row
 # fixture the whole check peaks at 1.1-3.2 MB for B = 1, 50 and 500. At
-# B = 1 a chunk's 2048 row indices hold at most that many distinct rows, so
-# its per-row tables stay as small as the chunk.
+# B = 1 the check's row table is sized by the dataset, one gradient and
+# one decrease per row (as large as its features), not by the chunk.
 _MC_CHUNK = 1024
 
 
@@ -166,13 +180,15 @@ def surrogate_bound_check(oracle: StochasticOracle, x, eta: float,
     bound requires, through the oracle's ``draw`` and ``pairs`` like the
     step engine, ``_MC_CHUNK`` pairs at a time. ``x`` is taken as
     ``core.vector`` takes it, so it must be finite and 1-D. Where each half
-    of a pair is one drawn row of a dataset (``SigmoidLossOracle`` at
-    batch size 1), a chunk evaluates each distinct row's gradient and
-    f(x - eta*g) once and gathers them by row: a row's values do not
-    depend on the rows evaluated with it, so the verdict holds the bits of
-    one evaluation per draw. The standard error pools both sample
-    variances, so in the zero-noise case it is zero up to the rounding of
-    the variances.
+    of a pair is one drawn row of a dataset (the exact class
+    ``SigmoidLossOracle`` at batch size 1, not the full batch), the check
+    keeps one table of each row's gradient and f(x - eta*g) - f(x): a chunk
+    evaluates only the rows first drawn in it and gathers every pair from
+    the table. A row's values do not depend on the rows evaluated with it,
+    so the verdict holds the bits of one evaluation per draw; a subclass may
+    redefine ``pairs`` or ``f_lanes``, so it takes the whole-chunk path.
+    The standard error pools both sample variances, so in the zero-noise
+    case it is zero up to the rounding of the variances.
     """
     if oracle.smoothness is None:
         raise ValueError("surrogate_bound_check needs the oracle's smoothness constant")
@@ -183,20 +199,29 @@ def surrogate_bound_check(oracle: StochasticOracle, x, eta: float,
     f0 = oracle.f(x)
     decreases = np.empty(N)
     surrogates = np.empty(N)
-    # Only the dataset oracle's (n, 2, 1) draw is one row a half: a 1-D
-    # quadratic draws normals of that shape.
-    by_row = isinstance(oracle, SigmoidLossOracle)
+    # The exact class, as optimizers._run_groups picks kernels: a subclass
+    # may make a row's values depend on the draw entry that holds it.
+    by_row = (type(oracle) is SigmoidLossOracle and oracle.batch_size == 1
+              and not oracle.full_batch)
+    if by_row:
+        row_grad = np.empty((len(oracle.data), len(x)))
+        row_decrease = np.empty(len(oracle.data))
+        seen = np.zeros(len(oracle.data), bool)
     for lo in range(0, N, _MC_CHUNK):
         hi = min(lo + _MC_CHUNK, N)
         drawn = oracle.draw(gen, hi - lo)
-        if by_row and drawn.shape[1:] == (2, 1):
-            rows, at = np.unique(drawn.ravel(), return_inverse=True)
-            # pairs() takes rows two to a draw entry; an odd count repeats one.
-            grads = oracle.pairs(x, np.append(rows, rows[:len(rows) % 2]).reshape(-1, 2, 1))
-            grads = grads.reshape(-1, len(x))[:len(rows)]
-            at = at.reshape(-1, 2)
-            g, g_prime = grads[at[:, 0]], grads[at[:, 1]]
-            decreases[lo:hi] = (oracle.f_lanes(x - eta * grads) - f0)[at[:, 0]]
+        if by_row:
+            new = np.unique(drawn[~seen[drawn]])  # the rows first drawn in this chunk
+            seen[new] = True
+            if len(new):
+                # pairs() takes rows two to a draw entry; an odd count repeats one.
+                grads = oracle.pairs(x, np.append(new, new[:len(new) % 2]).reshape(-1, 2, 1))
+                grads = grads.reshape(-1, len(x))[:len(new)]
+                row_grad[new] = grads
+                row_decrease[new] = oracle.f_lanes(x - eta * grads) - f0
+            at = drawn.reshape(-1, 2)
+            g, g_prime = row_grad[at[:, 0]], row_grad[at[:, 1]]
+            decreases[lo:hi] = row_decrease[at[:, 0]]
         else:
             pairs = oracle.pairs(x, drawn)
             g, g_prime = pairs[:, 0], pairs[:, 1]
@@ -253,8 +278,9 @@ def _check_ftrl_closed_form(seed: int) -> CheckResult:
     for _ in range(60):
         T = int(gen.integers(0, 31))
         d = int(gen.integers(1, 6))
-        alpha = float(gen.choice(np.array([0.1, 1.0, 10.0])))
-        M = float(gen.choice(np.array([0.5, 1.0, 2.0])))
+        # An index draw takes the stream's values as Generator.choice does.
+        alpha = (0.1, 1.0, 10.0)[gen.integers(0, 3)]
+        M = (0.5, 1.0, 2.0)[gen.integers(0, 3)]
         # One draw of the T pairs yields the values that 2T draws of d would, in order.
         draws = gen.uniform(-1.0, 1.0, size=(T, 2, d))
         g, gp = draws[:, 0], draws[:, 1]
@@ -268,19 +294,15 @@ def _check_ftrl_closed_form(seed: int) -> CheckResult:
 
 def _check_gradients(seed: int) -> CheckResult:
     gen = RngStream(seed, 2).generator()
-    worst = 0.0
-    for _ in range(100):
-        x = gen.uniform(-2.0, 2.0, size=2)
-        fd = finite_diff_grad(rosenbrock_f, x, 1e-6)
-        worst = max(worst, float(np.max(np.abs(fd - rosenbrock_grad(x)))))
+    # One draw of the stacked points yields the values that one draw per point would, in order.
+    x = gen.uniform(-2.0, 2.0, size=(100, 2))
+    worst = float(np.max(np.abs(finite_diff_grad(rosenbrock_f, x, 1e-6) - rosenbrock_grad(x))))
     feats = gen.uniform(-1.0, 1.0, size=(5, 4))
     labels = np.where(gen.uniform(size=5) < 0.5, -1.0, 1.0)
     data = Dataset(feats, labels)
-    for _ in range(20):
-        x = gen.uniform(-1.0, 1.0, size=4)
-        fd = finite_diff_grad(lambda v: sigmoid_loss_f(v, data), x, 1e-6)
-        an = sigmoid_loss_grad(x, feats, labels)
-        worst = max(worst, float(np.max(np.abs(fd - an))))
+    x = gen.uniform(-1.0, 1.0, size=(20, 4))
+    fd = finite_diff_grad(lambda v: sigmoid_loss_f(v, data), x, 1e-6)
+    worst = max(worst, float(np.max(np.abs(fd - sigmoid_loss_grad(x, feats, labels)))))
     return CheckResult("analytic gradients vs finite differences",
                        worst < 1e-5, f"max abs deviation {worst:.3e}")
 

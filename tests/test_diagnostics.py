@@ -16,8 +16,11 @@ from sgdol import (
     finite_diff_grad,
     ftrl_argmin_oracle,
     rosenbrock_f,
+    rosenbrock_grad,
     run_verification,
     smoothness_probe,
+    sigmoid_loss_f,
+    sigmoid_loss_grad,
     sq_norm,
     surrogate_bound_check,
 )
@@ -144,6 +147,83 @@ def test_finite_diff_rejects_bad_h():
             finite_diff_grad(rosenbrock_f, np.zeros(2), h)
 
 
+def test_finite_diff_takes_a_list():
+    # A list raised AttributeError: 'list' object has no attribute 'shape'.
+    fd = finite_diff_grad(rosenbrock_f, [0.0, 1.0], 1e-6)
+    assert fd.tobytes() == finite_diff_grad(rosenbrock_f, np.array([0.0, 1.0]), 1e-6).tobytes()
+
+
+@pytest.mark.parametrize("x, problem", [
+    ([], r"x must have shape \(\.\.\., d\) with d >= 1, got \(0,\)"),
+    (np.empty((3, 0)), r"x must have shape \(\.\.\., d\) with d >= 1, got \(3, 0\)"),
+    (0.5, r"x must have shape \(\.\.\., d\) with d >= 1, got \(\)"),
+    ([0.0, np.nan], "x entries must be finite"),
+    ([[0.0, 1.0], [np.inf, 0.0]], "x entries must be finite"),
+], ids=["empty", "empty-last-axis", "scalar", "nan", "inf-in-a-stack"])
+def test_finite_diff_rejects_an_empty_or_non_finite_point(x, problem):
+    def f(v):
+        pytest.fail("f was called")
+    with pytest.raises(ValueError, match=problem):
+        finite_diff_grad(f, x, 1e-6)
+
+
+def _small_sigmoid_f():
+    gen = RngStream(3).generator()
+    data = Dataset(gen.uniform(-1.0, 1.0, size=(5, 4)),
+                   np.where(gen.uniform(size=5) < 0.5, -1.0, 1.0))
+    return lambda v: sigmoid_loss_f(v, data)
+
+
+@pytest.mark.parametrize("objective, shape", [
+    ("rosenbrock", (100, 2)), ("sigmoid", (20, 4)), ("rosenbrock", (3, 4, 2)),
+])
+def test_stacked_finite_diff_equals_one_call_per_point(objective, shape):
+    f = rosenbrock_f if objective == "rosenbrock" else _small_sigmoid_f()
+    calls = []
+
+    def counted(v):
+        calls.append(v.shape)
+        return f(v)
+    x = RngStream(90).generator().uniform(-1.5, 1.5, size=shape)
+    stacked = finite_diff_grad(counted, x, 1e-6)
+    assert calls == [shape] * (2 * shape[-1])  # 2 d calls, each on the whole stack
+    points = x.reshape(-1, shape[-1])
+    per_point = np.array([finite_diff_grad(f, p, 1e-6) for p in points]).reshape(shape)
+    assert stacked.shape == shape and stacked.tobytes() == per_point.tobytes()
+
+
+@pytest.mark.parametrize("seed", [20190901, 4242, 1])
+def test_gradient_check_stacks_the_points_a_per_point_loop_draws(seed, monkeypatch):
+    # The loop the check replaced: one draw and one finite_diff_grad call a point.
+    from sgdol import diagnostics
+    calls = []
+
+    def spy(f, x, h):
+        calls.append((x, finite_diff_grad(f, x, h)))
+        return calls[-1][1]
+    monkeypatch.setattr(diagnostics, "finite_diff_grad", spy)
+    result = diagnostics._check_gradients(seed)
+    gen = RngStream(seed, 2).generator()
+    want = []
+    for _ in range(100):
+        x = gen.uniform(-2.0, 2.0, size=2)
+        want.append((x, finite_diff_grad(rosenbrock_f, x, 1e-6), rosenbrock_grad(x)))
+    feats = gen.uniform(-1.0, 1.0, size=(5, 4))
+    labels = np.where(gen.uniform(size=5) < 0.5, -1.0, 1.0)
+    data = Dataset(feats, labels)
+    for _ in range(20):
+        x = gen.uniform(-1.0, 1.0, size=4)
+        want.append((x, finite_diff_grad(lambda v: sigmoid_loss_f(v, data), x, 1e-6),
+                     sigmoid_loss_grad(x, feats, labels)))
+    assert [x.shape for x, _ in calls] == [(100, 2), (20, 4)]
+    for (x, fd), part in zip(calls, (want[:100], want[100:])):
+        assert x.tobytes() == np.array([w[0] for w in part]).tobytes()
+        assert fd.tobytes() == np.array([w[1] for w in part]).tobytes()
+    worst = max(float(np.max(np.abs(fd - an))) for _, fd, an in want)
+    assert result.passed is (worst < 1e-5)
+    assert result.detail == f"max abs deviation {worst:.3e}"
+
+
 def test_surrogate_bound_zero_noise_deterministic_pass():
     oracle = RosenbrockOracle(sigma=0.0)
     v = surrogate_bound_check(oracle, np.array([0.2, 0.1]), 1.0 / 1002.0, 200, RngStream(82))
@@ -210,24 +290,25 @@ def test_chunked_surrogate_bound_equals_one_draw(case, synthetic500):
     assert v.n == N and v.passed
 
 
-@pytest.mark.parametrize("case", ["verify-50x8-b1", "rosenbrock-sigma5", "sigmoid-b50"])
-def test_surrogate_bound_evaluates_each_distinct_row_once(case, synthetic500, monkeypatch):
-    # Per chunk: the points f_lanes takes, the pairs' rows (two a draw
-    # entry) and the distinct rows drawn, or the chunk's pairs where a draw
-    # is not one row a half.
-    oracle, x = _check_case(case, synthetic500)
+def _spy_evaluations(monkeypatch, cls):
+    """Per chunk of a check on an oracle of class ``cls``: its draw, the rows
+    or pairs ``pairs`` takes (a (2, 1) entry is two rows) and the points
+    ``f_lanes`` takes. ``rows`` holds the distinct rows of each ``pairs``
+    call on one-row halves."""
     chunks = []
-    draw, pairs, f_lanes = type(oracle).draw, type(oracle).pairs, type(oracle).f_lanes
+    draw, pairs, f_lanes = cls.draw, cls.pairs, cls.f_lanes
 
     def spied_draw(self, gen, n):
         drawn = draw(self, gen, n)
-        by_row = drawn.shape[1:] == (2, 1)
-        chunks.append({"draws": len(np.unique(drawn)) if by_row else n, "pairs": 0, "f": 0})
+        chunks.append({"drawn": drawn, "n": n, "pairs": 0, "rows": [], "f": 0})
         return drawn
 
     def spied_pairs(self, X, noise):
         if chunks:  # not the x0 checks before the first draw
-            chunks[-1]["pairs"] += noise.shape[0] * (2 if noise.shape[1:] == (2, 1) else 1)
+            by_row = noise.shape[1:] == (2, 1)
+            chunks[-1]["pairs"] += noise.shape[0] * (2 if by_row else 1)
+            if by_row:
+                chunks[-1]["rows"].append(set(noise.ravel().tolist()))
         return pairs(self, X, noise)
 
     def spied_f_lanes(self, X):
@@ -235,21 +316,86 @@ def test_surrogate_bound_evaluates_each_distinct_row_once(case, synthetic500, mo
             chunks[-1]["f"] += X.size // X.shape[-1]
         return f_lanes(self, X)
 
-    monkeypatch.setattr(type(oracle), "draw", spied_draw)
-    monkeypatch.setattr(type(oracle), "pairs", spied_pairs)
-    monkeypatch.setattr(type(oracle), "f_lanes", spied_f_lanes)
+    monkeypatch.setattr(cls, "draw", spied_draw)
+    monkeypatch.setattr(cls, "pairs", spied_pairs)
+    monkeypatch.setattr(cls, "f_lanes", spied_f_lanes)
+    return chunks
+
+
+@pytest.mark.parametrize("case", ["verify-50x8-b1", "rosenbrock-sigma5", "sigmoid-b50"])
+def test_surrogate_bound_evaluates_each_distinct_row_once(case, synthetic500, monkeypatch):
+    # Where a draw is one row a half, each chunk evaluates only the rows
+    # first drawn in it, so the check evaluates each distinct row once;
+    # elsewhere each chunk evaluates its pairs.
+    oracle, x = _check_case(case, synthetic500)
+    chunks = _spy_evaluations(monkeypatch, type(oracle))
     N = 2 * _MC_CHUNK + 17
     surrogate_bound_check(oracle, x, 1.0 / oracle.smoothness, N, RngStream(88))
-    assert len(chunks) == 3
-    for chunk, n in zip(chunks, [_MC_CHUNK, _MC_CHUNK, 17]):
-        if case.startswith("verify"):
-            # At most 50 of the 2048 rows of a whole chunk; an odd count
-            # takes one row more in pairs, which take rows two at a time.
-            assert chunk["draws"] <= 50
-            assert chunk["f"] == chunk["draws"]
-            assert chunk["pairs"] == chunk["draws"] + chunk["draws"] % 2
-        else:
-            assert chunk == {"draws": n, "pairs": n, "f": n}
+    assert [c["n"] for c in chunks] == [_MC_CHUNK, _MC_CHUNK, 17]
+    if not case.startswith("verify"):
+        assert all((c["pairs"], c["f"], c["rows"]) == (c["n"], c["n"], []) for c in chunks)
+        return
+    seen = set()
+    for chunk in chunks:
+        new = set(chunk["drawn"].ravel().tolist()) - seen
+        seen |= new
+        # One pairs call on the new rows, none without any; an odd count
+        # takes one row more, as pairs take rows two at a time.
+        assert chunk["rows"] == ([new] if new else [])
+        assert chunk["f"] == len(new)
+        assert chunk["pairs"] == len(new) + len(new) % 2
+    assert sum(c["f"] for c in chunks) == len(seen) <= 50
+    assert chunks[0]["f"] == len(seen)  # 2048 draws of 50 rows take every row at once
+
+
+def test_surrogate_bound_row_table_evaluates_late_and_repeated_rows_once(monkeypatch):
+    # Row 49 is first drawn in the short last chunk and row 0 in every
+    # chunk: each is evaluated once, and the verdict is the one-draw one.
+    oracle = SigmoidLossOracle(_verify_data(50), batch_size=1)
+
+    def draw(gen, n):
+        drawn = gen.integers(0, 48, size=(n, 2, 1))
+        drawn[0, 0, 0] = 0
+        if n < _MC_CHUNK:
+            drawn[-1, 1, 0] = 49
+        return drawn
+    monkeypatch.setattr(SigmoidLossOracle, "draw", lambda self, gen, n: draw(gen, n))
+    chunks = _spy_evaluations(monkeypatch, SigmoidLossOracle)
+    N = 2 * _MC_CHUNK + 17
+    x, eta = np.zeros(8), 1.0 / oracle.smoothness
+    v = surrogate_bound_check(oracle, x, eta, N, RngStream(91))
+    assert all(0 in c["drawn"] for c in chunks) and 49 in chunks[2]["drawn"]
+    assert [c["rows"] for c in chunks] == [[set(range(48))], [], [{49}]]
+    assert [c["f"] for c in chunks] == [48, 0, 1]
+    monkeypatch.undo()
+    gen = RngStream(91).generator()
+    whole = np.concatenate([draw(gen, n) for n in (_MC_CHUNK, _MC_CHUNK, 17)])
+    oracle.draw = lambda gen, n: whole
+    assert (v.mean_decrease, v.mean_surrogate, v.std_err) == \
+        _one_shot_verdict(oracle, x, eta, N, RngStream(91))
+
+
+class _EntryBatchOracle(SigmoidLossOracle):
+    """Both halves of a pair are the gradient over the entry's two rows, so
+    at batch size 1 a row's gradient depends on the row drawn with it."""
+
+    def pairs(self, X, noise):
+        g = super().pairs(X, noise).mean(axis=-2, keepdims=True)
+        return np.broadcast_to(g, g.shape[:-2] + (2, self.dim)).copy()
+
+
+def test_surrogate_bound_takes_the_whole_chunk_path_on_a_subclass(monkeypatch):
+    # isinstance sent such a subclass down the per-row path, which paired
+    # each row with whatever row it was packed with.
+    oracle = _EntryBatchOracle(_verify_data(50), batch_size=1)
+    x, eta, N = np.full(8, 0.1), 1.0 / oracle.smoothness, 2 * _MC_CHUNK + 17
+    chunks = _spy_evaluations(monkeypatch, _EntryBatchOracle)
+    v = surrogate_bound_check(oracle, x, eta, N, RngStream(92))
+    assert [(c["pairs"], c["f"]) for c in chunks] == [(2 * c["n"], c["n"]) for c in chunks]
+    monkeypatch.undo()
+    want = _one_shot_verdict(oracle, x, eta, N, RngStream(92))
+    assert (v.mean_decrease, v.mean_surrogate, v.std_err) == want
+    assert v.passed is (want[0] <= want[1] + 3.0 * want[2])
 
 
 @pytest.mark.parametrize("batch", [1, 50, 500])  # 500: the full batch
@@ -457,3 +603,19 @@ def test_ftrl_check_feeds_the_learner_and_argmin_what_a_per_pair_loop_does(seed,
     worst = max(abs(float.fromhex(w[-2]) - float.fromhex(w[-1])) for w in want)
     assert result.passed is (worst < 1e-8)
     assert result.detail == f"max deviation {worst:.3e}"
+
+
+def _state(gen):
+    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", [20190901, 7, 1])
+def test_ftrl_check_index_draw_takes_what_generator_choice_takes(seed):
+    # The FTRL check picks alpha and M by an index draw; Generator.choice
+    # makes the same draw, so the stream and the floats are the same.
+    by_choice, by_index = RngStream(seed, 1).generator(), RngStream(seed, 1).generator()
+    for options in [(0.1, 1.0, 10.0), (0.5, 1.0, 2.0)] * 500:
+        want = float(by_choice.choice(np.array(options)))
+        got = options[by_index.integers(0, 3)]
+        assert type(got) is float and got.hex() == want.hex()
+    assert _state(by_index) == _state(by_choice)
