@@ -6,17 +6,17 @@ Every kernel has the signature
 
 and takes steps t0 = c0, ..., c0 + T - 1 (0-based) of a run on the
 built-in Rosenbrock objective with additive Gaussian noise. ``noise``
-iterates that noise, already scaled by sigma, as flat floats, g's two a
-step, then g''s two for the SGDOL kernels (``g_pair_consumed`` pairs a
-step); a gradient is the exact one plus them, and the kernel takes
-exactly T steps' floats. ``rows`` is a flat typed buffer with a row per
-step with t0 % stride == 0, which a kernel finds by comparing t0 with the
-next such step: x_t, then the stepsize(s) step t used (one column for the
-global-stepsize kernels, SGD's lr and Adam's NaN, one per coordinate for
-the per-coordinate kernels). The step loop, ``optimizers._run_groups``,
-feeds each run's kernel a noise chunk at a time, scaled once and shared
-by every run on the stream, and derives the records, and all else a run
-keeps, from the rows.
+iterates that noise, already scaled by sigma, as flat floats, four a
+step for every kernel: g's two, then g''s two, which the one-gradient
+kernels (SGD, AdaGrad, Adam) skip; a gradient is the exact one plus
+them, and the kernel takes exactly 4T floats. ``rows`` is a flat typed
+buffer with a row per step with t0 % stride == 0, which a kernel finds by
+comparing t0 with the next such step: x_t, then the stepsize(s) step t
+used (one column for the global-stepsize kernels, SGD's lr and Adam's
+NaN, one per coordinate for the per-coordinate kernels). The step loop,
+``optimizers._run_groups``, feeds each run's kernel a noise chunk at a
+time, scaled once and shared by every run on the stream, and derives the
+records, and all else a run keeps, from the rows.
 
 A kernel is a pure function: ``x`` and every array of the ``state`` its
 optimizer class declares (FTRL sums, AdaGrad accumulators, Adam moments
@@ -57,15 +57,15 @@ def _chunks(draw, T, d):
     return ((c0, draw(min(rows, T - c0))) for c0 in range(0, T, rows))
 
 
-def _steps(noise, c0, T, width):
-    """Iterate (t0, *noise of step t0) for the T steps from c0, ``width`` floats a step.
+def _steps(noise, c0, T):
+    """Iterate (t0, *noise of step t0) for the T steps from c0, four floats a step.
 
     zip regroups the floats step by step, so no per-step list is built for
     the cyclic GC to track, and reuses the tuple of a step that the loop
     unpacks. It stops at the range's end, before it takes a float of step
     c0 + T.
     """
-    return zip(range(c0, c0 + T), *[iter(noise)] * width)
+    return zip(range(c0, c0 + T), *[iter(noise)] * 4)
 
 
 def _sgdol_global(noise, x, c0, T, stride, M, alpha, curv, si, ss):
@@ -74,7 +74,7 @@ def _sgdol_global(noise, x, c0, T, stride, M, alpha, curv, si, ss):
     hi = 2.0 / M
     x0, x1 = x
     nxt = -(-c0 // stride) * stride
-    for t0, u0, u1, v0, v1 in _steps(noise, c0, T, 4):
+    for t0, u0, u1, v0, v1 in _steps(noise, c0, T):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
@@ -105,7 +105,7 @@ def _sgdol_coord(noise, x, c0, T, stride, M, alpha, si, ss):
     nxt = -(-c0 // stride) * stride
     si0, si1 = si
     ss0, ss1 = ss
-    for t0, u0, u1, v0, v1 in _steps(noise, c0, T, 4):
+    for t0, u0, u1, v0, v1 in _steps(noise, c0, T):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
@@ -136,11 +136,12 @@ def _sgdol_coord(noise, x, c0, T, stride, M, alpha, si, ss):
 
 
 def _sgd(noise, x, c0, T, stride, lr):
-    """Constant-stepsize SGD (also the precomputed-stepsize variant); reads only g's noise."""
+    """Constant-stepsize SGD (also the precomputed-stepsize variant); like every
+    kernel it reads four floats a step, and like AdaGrad and Adam it skips g''s two."""
     rec = array("d")
     x0, x1 = x
     nxt = -(-c0 // stride) * stride
-    for t0, u0, u1 in _steps(noise, c0, T, 2):
+    for t0, u0, u1, _, _ in _steps(noise, c0, T):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
@@ -158,7 +159,7 @@ def _adagrad_global(noise, x, c0, T, stride, lr, accum):
     sqrt = math.sqrt
     x0, x1 = x
     nxt = -(-c0 // stride) * stride
-    for t0, u0, u1 in _steps(noise, c0, T, 2):
+    for t0, u0, u1, _, _ in _steps(noise, c0, T):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
@@ -181,7 +182,7 @@ def _adagrad_coord(noise, x, c0, T, stride, lr, accum):
     x0, x1 = x
     nxt = -(-c0 // stride) * stride
     q0, q1 = accum
-    for t0, u0, u1 in _steps(noise, c0, T, 2):
+    for t0, u0, u1, _, _ in _steps(noise, c0, T):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c
@@ -210,7 +211,7 @@ def _adam(noise, x, c0, T, stride, lr, beta1, beta2, eps, m, v, p1, p2):
     nxt = -(-c0 // stride) * stride
     m0, m1 = m
     w0, w1 = v
-    for t0, u0, u1 in _steps(noise, c0, T, 2):
+    for t0, u0, u1, _, _ in _steps(noise, c0, T):
         c = x1 - x0 * x0
         r0 = -2.0 * (1.0 - x0) - 400.0 * x0 * c
         r1 = 200.0 * c

@@ -337,14 +337,7 @@ def _get_typed(section, key, cast, problems, where, default=None):
         return default
     raw = section[key]
     try:
-        if cast is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
+        return section.getboolean(key) if cast is bool else cast(raw)
     except ValueError:
         problems.append(f"{where}.{key}: cannot parse {raw!r}")
         return default
@@ -358,7 +351,7 @@ def parse_config(path) -> ExperimentSpec:
     key or section, no section header) is one such problem. Missing file
     surfaces as an OSError.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

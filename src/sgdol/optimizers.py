@@ -554,14 +554,14 @@ def _run_groups(groups, oracle, T, rngs, output_rngs, report_every=None, force_g
     Each stream's noise is drawn a chunk at a time (``_kernels._chunks``),
     once for all the groups, and each group takes the chunk's steps in one
     of two ways. On an exact ``RosenbrockOracle`` a kind with a fused kernel
-    steps on it: the chunk, scaled by sigma, becomes a flat list of floats
-    once per stream and noise width, and each run's x and state go from
-    chunk to chunk as tuples. Every other group stacks its runs on the lane
-    axis of ``update`` and takes every lane's pair from one ``oracle.pairs``
-    call a step; on an exact ``QuadraticOracle`` a kind with a kernel sums
-    its records in index order, as the kernels' reference does. Any other
-    oracle (a subclass of a built-in one included, as it may redefine the
-    objective) and ``force_generic`` take neither kernel nor index order.
+    steps on it: each stream's chunk, scaled by sigma, becomes one flat list
+    of floats, and each run's x and state go from chunk to chunk as tuples.
+    Every other group stacks its runs on the lane axis of ``update`` and
+    takes every lane's pair from one ``oracle.pairs`` call a step; on an
+    exact ``QuadraticOracle`` a kind with a kernel sums its records in index
+    order, as the kernels' reference does. Any other oracle (a subclass of a
+    built-in one included, as it may redefine the objective) and
+    ``force_generic`` take neither kernel nor index order.
 
     Then one path folds each regret ledger over the chunk (a group with one
     keeps every step) and keeps the record steps: a lane group records them
@@ -594,10 +594,6 @@ def _run_groups(groups, oracle, T, rngs, output_rngs, report_every=None, force_g
               if getattr(opt, "ledger", None) is not None] for group in groups]
     kept = [[] if i in lanes else [array("d") for _ in rngs] for i in range(len(groups))]
     rows = {i: [array("d") for _ in rngs] for i in fused}
-    # The kernel groups by the pairs of a step's noise they read: g's, or g's and g''s.
-    widths = defaultdict(list)
-    for i in fused:
-        widths[groups[i][0].g_pair_consumed].append(i)
     captures = defaultdict(list)  # k -> the (group, stream) of each lane run with that x_k
     for i, r in ((i, r) for i in lanes for r in range(R)):
         captures[ks[i][r]].append((i, r))
@@ -640,22 +636,20 @@ def _run_groups(groups, oracle, T, rngs, output_rngs, report_every=None, force_g
             for c0, noise in _kernels._chunks(draw, T, d):
                 n = len(noise[0])
                 for r in range(R) if fused else ():
-                    chunk = oracle.sigma * noise[r]  # the products sigma * z that pairs forms
-                    for w, members in widths.items():
-                        flat = chunk[:, :w].ravel().tolist()
-                        for i in members:
-                            kernel, xs, args = fused[i]
-                            steps, p = iter(flat), len(groups[i][0].params)
-                            every = 1 if folds[i] else stride
-                            k = ks[i][r] - 1 - c0  # x_k is the x the chunk's first k steps leave
-                            for lo, hi in ((0, k), (k, n)) if 0 <= k < n else ((0, n),):
-                                part, xs[r], *args[r][p:] = kernel(
-                                    steps, xs[r], c0 + lo, hi - lo, every, *args[r])
-                                # A ledger group's steps wait in kept for the fold.
-                                (kept if folds[i] else rows)[i][r] += part
-                                if hi == k:
-                                    x_k[i, r] = np.array(xs[r])
-                        del flat, steps  # so one flat list of floats is alive at a time
+                    # The products sigma * z that pairs forms, g's two then g''s a step.
+                    flat = (oracle.sigma * noise[r]).ravel().tolist()
+                    for i, (kernel, xs, args) in fused.items():
+                        steps, p = iter(flat), len(groups[i][0].params)
+                        every = 1 if folds[i] else stride
+                        k = ks[i][r] - 1 - c0  # x_k is the x the chunk's first k steps leave
+                        for lo, hi in ((0, k), (k, n)) if 0 <= k < n else ((0, n),):
+                            part, xs[r], *args[r][p:] = kernel(
+                                steps, xs[r], c0 + lo, hi - lo, every, *args[r])
+                            # A ledger group's steps wait in kept for the fold.
+                            (kept if folds[i] else rows)[i][r] += part
+                            if hi == k:
+                                x_k[i, r] = np.array(xs[r])
+                    del flat, steps  # so one flat list of floats is alive at a time
                 for t0, step in enumerate(lane_noise(noise) if stepping else (), c0):
                     for i, r in captures.get(t0 + 1, ()):
                         x_k[i, r] = lanes[i].x.reshape(-1, d)[r].copy()

@@ -376,14 +376,11 @@ class SigmoidLossOracle(StochasticOracle):
             (self.dim,))[0]
 
     def record_lanes(self, X: np.ndarray):
-        # f and grad share the residuals r and 1 + r^2, which both would
-        # compute alike: phi(r) = r^2 / (1 + r^2), phi'(r) = 2r / (1 + r^2)^2.
+        # f and grad share the residuals r, which both would compute alike.
         def block(P):
             r = _residuals(P, self.data.features, self.data.labels)
-            t2 = r * r
-            den = 1.0 + t2
-            return (np.add.reduce(np.divide(t2, den, out=t2), axis=-1) / len(self.data),
-                    _grad_from_weights(2.0 * r / (den * den), self.data.features))
+            return (np.add.reduce(sigmoid_phi(r), axis=-1) / len(self.data),
+                    _grad_from_weights(sigmoid_phi_prime(r), self.data.features))
         return tuple(self._by_points(X, block, (), (self.dim,)))
 
     def draw(self, rng: Generator, n: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -100,6 +101,51 @@ lr = 0.1
     assert code == 1
     assert capsys.readouterr().err == (
         "config error: optimizer.sgdol.lr: not taken by kind 'sgdol_global'\n")
+
+
+def test_run_reads_a_percent_sign_literally(tmp_path, synthetic500_path, capsys):
+    # configparser's default interpolation raised InterpolationSyntaxError here.
+    dataset = tmp_path / "100% rows.libsvm"
+    shutil.copyfile(synthetic500_path, dataset)
+    out_dir = tmp_path / "50%off" / "%(seed)s"
+    config = tmp_path / "exp.ini"
+    config.write_text(f"""
+[experiment]
+oracle = sigmoid
+dataset = {dataset}
+batch_size = 5
+t = 10
+repetitions = 1
+seed = 11
+output_dir = {out_dir}
+
+[optimizer.sgd]
+kind = sgd
+lr = 0.1
+""")
+    code = cli_main(["run", str(config)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert (out_dir / "sgd.csv").exists()
+
+
+def test_run_a_percent_sign_in_a_number_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "exp.ini"
+    config.write_text("""
+[experiment]
+oracle = rosenbrock
+t = 100
+repetitions = 1
+seed = 11
+
+[optimizer.sgd]
+kind = sgd
+lr = 1%
+""")
+    code = cli_main(["run", str(config)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "config error: optimizer.sgd.lr: cannot parse '1%'" in err
 
 
 def test_run_rejects_an_oracle_key_the_kind_does_not_take(tmp_path, synthetic500_path, capsys):

@@ -270,7 +270,7 @@ def _check_case(case, synthetic500):
     """(oracle, x) of a named surrogate-bound case."""
     if case == "rosenbrock-sigma5":
         return RosenbrockOracle(sigma=5.0), np.array([0.3, -0.2])
-    if case.startswith("verify"):  # 50x8, or 1x8: one row, so every draw is that row
+    if case.startswith("verify"):  # 50x8, 2x8, or 1x8, whose one row is the full batch
         data = _verify_data(int(case.split("-")[1].split("x")[0]))
         return SigmoidLossOracle(data, batch_size=1), np.zeros(8)
     oracle = SigmoidLossOracle(synthetic500, batch_size=int(case[len("sigmoid-b"):]))
@@ -279,7 +279,8 @@ def _check_case(case, synthetic500):
 
 @pytest.mark.parametrize("case", ["rosenbrock-sigma5", "sigmoid-b1", "sigmoid-b50",
                                   "sigmoid-b500",  # b500: the full batch
-                                  "verify-50x8-b1", "verify-1x8-b1"])
+                                  "verify-50x8-b1", "verify-2x8-b1",
+                                  "verify-1x8-b1"])  # 1x8-b1: one row is the full batch
 def test_chunked_surrogate_bound_equals_one_draw(case, synthetic500):
     oracle, x = _check_case(case, synthetic500)
     N = 2 * _MC_CHUNK + 17  # two whole chunks and a short one
@@ -322,7 +323,8 @@ def _spy_evaluations(monkeypatch, cls):
     return chunks
 
 
-@pytest.mark.parametrize("case", ["verify-50x8-b1", "rosenbrock-sigma5", "sigmoid-b50"])
+@pytest.mark.parametrize("case", ["verify-50x8-b1", "verify-2x8-b1", "rosenbrock-sigma5",
+                                  "sigmoid-b50"])
 def test_surrogate_bound_evaluates_each_distinct_row_once(case, synthetic500, monkeypatch):
     # Where a draw is one row a half, each chunk evaluates only the rows
     # first drawn in it, so the check evaluates each distinct row once;
@@ -344,8 +346,9 @@ def test_surrogate_bound_evaluates_each_distinct_row_once(case, synthetic500, mo
         assert chunk["rows"] == ([new] if new else [])
         assert chunk["f"] == len(new)
         assert chunk["pairs"] == len(new) + len(new) % 2
-    assert sum(c["f"] for c in chunks) == len(seen) <= 50
-    assert chunks[0]["f"] == len(seen)  # 2048 draws of 50 rows take every row at once
+    # 2048 draws take every row at once, so no later chunk evaluates one.
+    assert chunks[0]["f"] == len(seen) == len(oracle.data)
+    assert sum(c["f"] for c in chunks) == len(seen)
 
 
 def test_surrogate_bound_row_table_evaluates_late_and_repeated_rows_once(monkeypatch):

@@ -507,6 +507,38 @@ def test_a_config_with_a_path_as_optimizer_name_writes_nothing(tmp_path, name):
     assert [p.name for p in tmp_path.iterdir()] == ["exp.ini"]
 
 
+_BOOLEAN_SPELLINGS = [("1", True), ("YES", True), ("True", True), ("oN", True),
+                      ("0", False), ("No", False), ("fALSE", False), ("OFF", False)]
+
+
+@pytest.mark.parametrize("key", ["keep_raw", "append_bias", "balance"])
+@pytest.mark.parametrize("raw, value", _BOOLEAN_SPELLINGS + [("maybe", None)])
+def test_a_boolean_key_takes_eight_spellings_in_any_case(tmp_path, synthetic500_path, key, raw,
+                                                          value):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"""
+[experiment]
+oracle = sigmoid
+dataset = {synthetic500_path}
+batch_size = 5
+t = 10
+repetitions = 1
+seed = 11
+{key} = {raw}
+
+[optimizer.sgd]
+kind = sgd
+lr = 0.1
+""")
+    if value is None:
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert info.value.problems == [f"experiment.{key}: cannot parse 'maybe'"]
+        return
+    spec = parse_config(path)
+    assert (spec.keep_raw if key == "keep_raw" else getattr(spec.oracle, key)) is value
+
+
 def test_parse_config_missing_file():
     with pytest.raises(OSError):
         parse_config("/no/such/config.ini")

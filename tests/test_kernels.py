@@ -423,6 +423,17 @@ def test_kernel_takes_T_as_its_fourth_positional_argument(name):
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[:4])
 
 
+@pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
+@pytest.mark.parametrize("T", [1, 7])
+def test_every_kernel_reads_four_noise_floats_a_step(name, T):
+    # One noise layout for every kernel: g's two floats, then g''s two, which
+    # the one-gradient kernels read and skip.
+    opt = _warm(name, np.zeros(2), np.random.default_rng(3))
+    noise = iter(np.random.default_rng(4).standard_normal(4 * T + 3).tolist())
+    kernels.get_kernel(name)(noise, tuple(opt.x.tolist()), 0, T, 1, *_kernel_args(opt))
+    assert len(list(noise)) == 3
+
+
 def test_kernel_restores_optimizer_state():
     oracle = RosenbrockOracle(sigma=1.0)
     o1 = Sgdol(np.zeros(2), M=1002.0)
