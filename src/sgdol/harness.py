@@ -4,13 +4,13 @@ An experiment is (oracle x optimizer list x T x repetitions x seed). Each
 repetition owns one oracle noise stream shared by every optimizer, so
 optimizers see identical gradient pairs and their series are directly
 comparable; the uniformly sampled output index gets its own stream per
-(optimizer, repetition). All the (optimizer x repetition) runs go to
-one call of the step loop, ``optimizers._run_groups``, which draws each
+(optimizer, repetition). All the (optimizer x repetition) runs go to one
+call of the step loop, ``optimizers._run_groups``, which draws each
 repetition's noise once for all of them and steps each optimizer's runs
-on its fused kernel or through its ``update``. Averages over repetitions
-are plain arithmetic means, taken in repetition order. CSV output uses
-shortest round-trip decimals, so identical specs produce byte-identical
-files.
+on its kernel (``optimizers._KernelSteps``) or its ``update``
+(``_LaneSteps``). Averages over repetitions are plain arithmetic means,
+taken in repetition order. CSV output uses shortest round-trip decimals,
+so identical specs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -406,7 +406,10 @@ def parse_config(path) -> ExperimentSpec:
         output_dir=exp.get("output_dir"),
         keep_raw=_get_typed(exp, "keep_raw", bool, problems, "experiment", False),
     )
-    problems.extend(spec.validate())
+    # Each unparsed value is reported once: validation skips its field (key t is field T).
+    unparsed = {p.partition(": cannot parse ")[0].lower() for p in problems}
+    problems += [p for p in spec.validate() if ("" if p.startswith("optimizer.") else "experiment.")
+                 + p.partition(":")[0].lower() not in unparsed]
     if problems:
         raise ConfigError(problems)
     return spec

@@ -175,8 +175,3 @@ class RegretLedger:
         diff = eta - 1.0 / self.M
         first = 0.5 * self.M * self.alpha * diff * diff
         return first + self.bound_second_term()
-
-
-def regret_second_term_log_cap(alpha: float, M: float, L: float, T: int) -> float:
-    """Closed-form cap (5 L^2 / M) * ln(1 + L^2 T / alpha) on the summed second term."""
-    return 5.0 * L * L / M * np.log(1.0 + L * L * T / alpha)

@@ -20,15 +20,13 @@ a time, in ``_fold``, and ``update`` records no round.
 whatever state earlier steps left. Every run goes through one step loop,
 ``_run_groups``: ``run`` hands it one lane, ``run_lanes`` and
 ``harness.run_experiment`` groups of optimizers with one per oracle
-stream, and each stream's noise is drawn a chunk at a time, once for all
-of them. Each group takes a chunk's steps in one of two ways: on the exact
-Rosenbrock class a kind with a fused kernel in ``_kernels`` steps on it;
-every other group steps through its own ``update``, which needs only the
+stream. It draws each stream's noise a chunk at a time, once for all of
+them, and steps each group on one of two steppers: ``_KernelSteps`` runs
+a kind's fused kernel in ``_kernels`` on the exact Rosenbrock class, and
+``_LaneSteps`` every other group's ``update``, which needs only the
 ``draw``, ``pairs`` and ``record_lanes`` of ``oracles.StochasticOracle``.
-On the exact quadratic class a kind with a kernel sums its records in
-index order, as the kernels' reference does. Every group records in
-``_record`` and leaves the same results and state either way, bit for
-bit, a diverging run's inf and NaN included: no step checks a pair.
+Either way a group leaves the same results and state, bit for bit, a
+diverging run's inf and NaN included: no step checks a pair.
 """
 
 from __future__ import annotations
@@ -97,6 +95,8 @@ class Optimizer:
     kernel: Optional[str] = None
     # Gradients of each pair the update uses: g only (1) or g and g' (2).
     g_pair_consumed = 1
+    # The ``online.RegretLedger`` that the loop folds every step into, if any.
+    ledger = None
 
     def __init__(self, x0):
         self.x = vector(x0).copy()
@@ -441,26 +441,16 @@ def _record(oracle, xs, etas, rec, where, index_order=False):
     stepsize sum in index order, as the kernels' references do, in place in ``etas``."""
     f, gsq, mean, coords = (a if a is None else a[where].swapaxes(0, 1) for a in rec)
     total = _index_sum if index_order else functools.partial(np.add.reduce, axis=-1)
-    with np.errstate(all="ignore"):
-        if index_order:  # f = 0.5 * sum(diag * x^2) in index order
-            grad = oracle.grad_lanes(xs)
-            f[...] = 0.5 * _index_sum(oracle.diag * (xs * xs))
-        else:
-            f[...], grad = oracle.record_lanes(xs)
-        gsq[...] = total(grad * grad)
-        if coords is not None:
-            coords[...] = etas = etas.reshape(coords.shape)
-            etas = total(etas) / xs.shape[-1]
-        mean[...] = etas.reshape(len(etas), -1)  # a step's one stepsize for all lanes broadcasts
-
-
-def _results(groups, recs, ks, x_k, T, stride):
-    """``results[i][r]``: each run's records, output iterate and final iterate."""
-    return [[RunResult(Trajectory(np.arange(1, T + 1, stride, dtype=np.int64), f[r], gsq[r],
-                                  mean[r], None if coords is None else coords[r]),
-                       ks[i][r], x_k[i, r], optimizer.x.copy())
-             for r, optimizer in enumerate(group)]
-            for i, (group, (f, gsq, mean, coords)) in enumerate(zip(groups, recs))]
+    if index_order:  # f = 0.5 * sum(diag * x^2) in index order
+        grad = oracle.grad_lanes(xs)
+        f[...] = 0.5 * _index_sum(oracle.diag * (xs * xs))
+    else:
+        f[...], grad = oracle.record_lanes(xs)
+    gsq[...] = total(grad * grad)
+    if coords is not None:
+        coords[...] = etas = etas.reshape(coords.shape)
+        etas = total(etas) / xs.shape[-1]
+    mean[...] = etas.reshape(len(etas), -1)  # a step's one stepsize for all lanes broadcasts
 
 
 def run(
@@ -495,13 +485,6 @@ def _set_attr(obj, attr: str, value):
     setattr(attrgetter(owner)(obj) if owner else obj, leaf, value)
 
 
-def _fold(oracle, ledger, xs, etas, draw):
-    """Record in ``ledger`` the steps from x_t ``xs`` (n, d) at ``etas`` (n,) on ``draw``."""
-    with np.errstate(all="ignore"):
-        g, g_prime = oracle.pairs(xs, draw).swapaxes(0, 1)  # bit for bit the loops' pairs
-        ledger.record(etas, row_dot(g, g_prime), row_dot(g, g), row_dot(g_prime, g_prime))
-
-
 def _clone(obj):
     """A shallow copy. Unlike ``copy.copy`` it caches nothing on the class."""
     twin = object.__new__(type(obj))
@@ -531,13 +514,6 @@ def _stack(optimizers: Sequence[Optimizer]) -> Optimizer:
     return lanes
 
 
-def _unstack(lanes: Optimizer, optimizers: Sequence[Optimizer]):
-    """Write each lane's x and state back to its optimizer."""
-    for attr in ("x",) + lanes.state:
-        for optimizer, value in zip(optimizers, attrgetter(attr)(lanes)):
-            _set_attr(optimizer, attr, value.copy() if value.ndim else value.item())
-
-
 def _index_sum(rows):
     """Each row of ``rows`` summed in index order, in place.
 
@@ -548,153 +524,175 @@ def _index_sum(rows):
     return np.add.accumulate(rows, axis=-1, out=rows)[..., -1] + 0.0
 
 
+def _fold(oracle, group, xs, etas, noise):
+    """Fold x_t ``xs`` (n, R, d) at ``etas`` into each run's ledger; True if a run has one."""
+    ledgers = [(r, opt.ledger) for r, opt in enumerate(group) if opt.ledger]
+    for r, ledger in ledgers:  # run r reads stream r's draw: bit for bit its steps' pairs
+        g, g_prime = oracle.pairs(xs[:, r], noise[r][:len(xs)]).swapaxes(0, 1)
+        ledger.record(etas.reshape(len(xs), -1)[:, r], row_dot(g, g_prime), row_dot(g, g),
+                      row_dot(g_prime, g_prime))
+    return bool(ledgers)
+
+
+class _KernelSteps:
+    """The groups of kinds with a fused kernel, each run stepping on its kernel.
+
+    A stream's chunk, scaled by sigma, is one flat list of floats for every
+    run on it. A run's x, parameters and state pass between chunks as tuples,
+    and its kernel writes rows of x_t and stepsize(s): every step's with a
+    ledger, for ``taken``, else the record steps', recorded after the last chunk.
+    """
+
+    index_order = ()  # no record on the Rosenbrock sums in index order
+
+    def __init__(self, oracle, groups, stride, ks, x_k, T, recs):
+        self.oracle, self.groups, self.ks, self.x_k, self.T, self.recs = (
+            oracle, groups, ks, x_k, T, recs)
+        self.runs = {i: (_kernels.get_kernel(group[0].kernel),
+                         [tuple(opt.x.tolist()) for opt in group],
+                         [_kernel_args(opt) for opt in group]) for i, group in groups.items()}
+        self.ledgered = [i for i, group in groups.items() if any(opt.ledger for opt in group)]
+        self.every = {i: 1 if i in self.ledgered else stride for i in groups}
+        self.rows = {i: [array("d") for _ in group] for i, group in groups.items()}
+
+    def advance(self, c0, noise):
+        self.n = n = len(noise[0])
+        for r, stream in enumerate(noise):
+            # The products sigma * z that pairs forms, g's two then g''s a step.
+            flat = (self.oracle.sigma * stream).ravel().tolist()
+            for i, (kernel, xs, args) in self.runs.items():
+                steps, p = iter(flat), len(self.groups[i][0].params)
+                k = self.ks[i][r] - 1 - c0  # x_k is the x the chunk's first k steps leave
+                for lo, hi in ((0, k), (k, n)) if 0 <= k < n else ((0, n),):
+                    part, xs[r], *args[r][p:] = kernel(
+                        steps, xs[r], c0 + lo, hi - lo, self.every[i], *args[r])
+                    self.rows[i][r] += part
+                    if hi == k:
+                        self.x_k[i, r] = np.array(xs[r])
+            del flat, steps  # so one flat list of floats is alive at a time
+        for i in self.runs if c0 + n == self.T else ():  # each run has a row per record step
+            if i not in self.ledgered:
+                xs, etas = self._take(i, self.recs[i][0].shape[1])
+                _record(self.oracle, xs, etas, self.recs[i], np.s_[:, :])
+
+    def _take(self, i, n):  # group i's n rows a run as x_t (n, R, d) and stepsizes, cleared
+        table = np.stack([np.frombuffer(rows).reshape(n, -1) for rows in self.rows[i]], axis=1)
+        self.rows[i] = [array("d") for _ in self.rows[i]]
+        return table[..., :self.oracle.dim], table[..., self.oracle.dim:]
+
+    def taken(self):
+        return [(i, *self._take(i, self.n)) for i in self.ledgered if any(self.rows[i])]
+
+    def finish(self):
+        for i, (_, xs, args) in self.runs.items():
+            for opt, x, values in zip(self.groups[i], xs, args):
+                for attr, value in zip(("x",) + opt.state, [x, *values[len(opt.params):]]):
+                    _set_attr(opt, attr, np.array(value) if isinstance(value, tuple) else value)
+
+
+class _LaneSteps:
+    """Every other group, each through its ``update``, on one ``oracle.pairs`` call a step.
+
+    A group stacks its runs on the lane axis (a lone lane steps unstacked,
+    where numpy's calls cost less) and keeps x_t and stepsize(s) of its
+    record steps, or of every step with a ledger. On an exact
+    ``QuadraticOracle`` a kind with a kernel sums its records in index order.
+    """
+
+    def __init__(self, oracle, groups, stride, ks, x_k, quadratic):
+        self.oracle, self.groups, self.stride, self.x_k = oracle, groups, stride, x_k
+        self.lanes = {i: group[0] if len(group) == 1 else _stack(group)
+                      for i, group in groups.items()}
+        self.kept = {i: [] for i in groups}
+        self.stepping = [(self.lanes[i], self.kept[i], any(opt.ledger for opt in group))
+                         for i, group in groups.items()]
+        self.captures = defaultdict(list)  # k -> the (group, stream) of each run with that x_k
+        for i, r in ((i, r) for i in groups for r in range(len(ks[i]))):
+            self.captures[ks[i][r]].append((i, r))
+        self.index_order = {i for i, group in groups.items() if quadratic and group[0].kernel}
+
+    def advance(self, c0, noise):
+        oracle, stride, stepping, lanes = self.oracle, self.stride, self.stepping, self.lanes
+        d, R, one = oracle.dim, len(noise), len(stepping) == 1
+        if R > 1:
+            # (n, R, *entry), laid out by step, pair entry, then stream: numpy keeps
+            # that layout in pairs made by adding noise, so their g and g' rows are contiguous.
+            axis = min(2, noise[0].ndim)
+            noise = [np.stack(noise, axis=axis).swapaxes(1, axis)]
+        for t0, step in enumerate(noise[0], c0):
+            for i, r in self.captures.get(t0 + 1, ()):
+                self.x_k[i, r] = lanes[i].x.reshape(-1, d)[r].copy()
+            X = stepping[0][0].x if one else np.array([s[0].x for s in stepping])
+            pairs = oracle.pairs(X, step)
+            if R > 1:  # each group's g, then g', as contiguous (R, d) rows
+                pairs = np.ascontiguousarray(pairs.swapaxes(-3, -2))
+            for (group_lanes, steps, every), p in zip(stepping, (pairs,) if one else pairs):
+                x = group_lanes.x
+                eta = group_lanes.update(p[0], p[1])
+                if every or t0 % stride == 0:  # update rebinds group_lanes.x, so x keeps x_t
+                    steps.append((x, eta))
+
+    def taken(self):
+        out = [(i, *map(np.array, zip(*steps))) for i, steps in self.kept.items() if steps]
+        for steps in self.kept.values():
+            del steps[:]
+        return [(i, xs.reshape(len(xs), -1, self.oracle.dim), etas) for i, xs, etas in out]
+
+    def finish(self):
+        for i, lanes in self.lanes.items():  # each stacked lane's x and state to its optimizer
+            for attr in ("x",) + lanes.state if lanes is not self.groups[i][0] else ():
+                for optimizer, value in zip(self.groups[i], attrgetter(attr)(lanes)):
+                    _set_attr(optimizer, attr, value.copy() if value.ndim else value.item())
+
+
 def _run_groups(groups, oracle, T, rngs, output_rngs, report_every=None, force_generic=False):
     """Step every group in one chunk loop; ``run_lanes``' arguments and results.
 
     Each stream's noise is drawn a chunk at a time (``_kernels._chunks``),
-    once for all the groups, and each group takes the chunk's steps in one
-    of two ways. On an exact ``RosenbrockOracle`` a kind with a fused kernel
-    steps on it: each stream's chunk, scaled by sigma, becomes one flat list
-    of floats, and each run's x and state go from chunk to chunk as tuples.
-    Every other group stacks its runs on the lane axis of ``update`` and
-    takes every lane's pair from one ``oracle.pairs`` call a step; on an
-    exact ``QuadraticOracle`` a kind with a kernel sums its records in index
-    order, as the kernels' reference does. Any other oracle (a subclass of a
-    built-in one included, as it may redefine the objective) and
-    ``force_generic`` take neither kernel nor index order.
-
-    Then one path folds each regret ledger over the chunk (a group with one
-    keeps every step) and keeps the record steps: a lane group records them
-    at once, a kernel group holds its compact rows until the loop ends.
-    Every optimizer, and its ledger, keeps the steps taken, even when a
-    call raises.
+    once for all the groups, and each stepper's ``advance(c0, noise)`` steps
+    its groups: ``_KernelSteps`` a kind with a fused kernel on an exact
+    ``RosenbrockOracle`` (no subclass, which may redefine the objective, and
+    not with ``force_generic``), ``_LaneSteps`` every other group. One path
+    folds each ledger (``_fold``) over the x_t and stepsizes that ``taken()``
+    hands back and records their record steps (``_record``). ``finish()``
+    writes x and state back: each optimizer and ledger keeps the steps taken,
+    even when a call raises.
     """
     stride, ks, recs = _schedule(groups, oracle, T, rngs, output_rngs, report_every)
     if not groups:
         return []
-    exact = None if force_generic else type(oracle)
-    gens = [rng.generator() for rng in rngs]
-    R, d = len(rngs), oracle.dim
-    # Per kernel group: its kernel, and each run's x, and its parameters then
-    # state, as the last chunk left them. Per lane group: its lanes, where a
-    # lone lane steps unstacked, on (d,) arrays, where numpy's calls cost less.
-    fused, lanes, index_order, x_k = {}, {}, [], {}
-    for i, group in enumerate(groups):
-        kernel = group[0].kernel
-        if kernel is not None and exact is RosenbrockOracle:
-            fused[i] = (_kernels.get_kernel(kernel), [tuple(opt.x.tolist()) for opt in group],
-                        [_kernel_args(opt) for opt in group])
-        else:
-            lanes[i] = _stack(group) if R > 1 else group[0]
-        index_order.append(kernel is not None and exact is QuadraticOracle)
-    # Per group: the (stream, ledger) of each run with a regret ledger, for which
-    # it keeps every step, and the steps it kept this chunk: (x_t, stepsizes) on
-    # update, rows per stream on a kernel. A kernel group's rows of record steps.
-    folds = [[(r, opt.ledger) for r, opt in enumerate(group)
-              if getattr(opt, "ledger", None) is not None] for group in groups]
-    kept = [[] if i in lanes else [array("d") for _ in rngs] for i in range(len(groups))]
-    rows = {i: [array("d") for _ in rngs] for i in fused}
-    captures = defaultdict(list)  # k -> the (group, stream) of each lane run with that x_k
-    for i, r in ((i, r) for i in lanes for r in range(R)):
-        captures[ks[i][r]].append((i, r))
-    stepping = [(lanes[i], kept[i], folds[i]) for i in lanes]
-    one = len(stepping) == 1
-
-    def draw(n):
-        return [oracle.draw(gen, n) for gen in gens]
-
-    def lane_noise(noise):
-        # (n, R, *entry), laid out by step, pair entry, then stream: numpy
-        # keeps that layout in pairs made by adding noise, whose g and g'
-        # rows are then contiguous. One stream's draw as it comes.
-        if R == 1:
-            return noise[0]
-        axis = min(2, noise[0].ndim)
-        return np.stack(noise, axis=axis).swapaxes(1, axis)
-
-    def taken(i, noise):
-        """Group i's steps kept this chunk, cleared, each ledger's rounds folded: a
-        lane group's x_t (n, R, d) and stepsizes, a kernel group's rows per stream."""
-        if i in lanes:
-            xs, etas = (np.array(steps) for steps in zip(*kept[i]))
-            del kept[i][:]
-            xs = xs.reshape(len(xs), -1, d)
-            out = xs, etas
-            runs = [(xs[:, r], etas.reshape(len(xs), -1)[:, r]) for r, _ in folds[i]]
-        else:
-            # A row is x_t, then the one stepsize or d of them.
-            width = d + (1 if recs[i][3] is None else d)
-            out = [np.frombuffer(steps).reshape(-1, width) for steps in kept[i]]
-            kept[i][:] = [array("d") for _ in rngs]
-            runs = [(out[r][:, :d], out[r][:, d]) for r, _ in folds[i]]
-        for (r, ledger), (xs, etas) in zip(folds[i], runs):  # run r reads stream r's draw
-            _fold(oracle, ledger, xs, etas, noise[r][:len(xs)])
-        return out
-
-    try:
-        with np.errstate(all="ignore"):  # overflow is silent, as in the kernels
-            for c0, noise in _kernels._chunks(draw, T, d):
-                n = len(noise[0])
-                for r in range(R) if fused else ():
-                    # The products sigma * z that pairs forms, g's two then g''s a step.
-                    flat = (oracle.sigma * noise[r]).ravel().tolist()
-                    for i, (kernel, xs, args) in fused.items():
-                        steps, p = iter(flat), len(groups[i][0].params)
-                        every = 1 if folds[i] else stride
-                        k = ks[i][r] - 1 - c0  # x_k is the x the chunk's first k steps leave
-                        for lo, hi in ((0, k), (k, n)) if 0 <= k < n else ((0, n),):
-                            part, xs[r], *args[r][p:] = kernel(
-                                steps, xs[r], c0 + lo, hi - lo, every, *args[r])
-                            # A ledger group's steps wait in kept for the fold.
-                            (kept if folds[i] else rows)[i][r] += part
-                            if hi == k:
-                                x_k[i, r] = np.array(xs[r])
-                    del flat, steps  # so one flat list of floats is alive at a time
-                for t0, step in enumerate(lane_noise(noise) if stepping else (), c0):
-                    for i, r in captures.get(t0 + 1, ()):
-                        x_k[i, r] = lanes[i].x.reshape(-1, d)[r].copy()
-                    X = stepping[0][0].x if one else np.array([s[0].x for s in stepping])
-                    pairs = oracle.pairs(X, step)
-                    if R > 1:  # each group's g, then g', as contiguous (R, d) rows
-                        pairs = np.ascontiguousarray(pairs.swapaxes(-3, -2))
-                    record = t0 % stride == 0
-                    for (group_lanes, steps, ledgers), p in zip(stepping,
-                                                                (pairs,) if one else pairs):
-                        x = group_lanes.x
-                        eta = group_lanes.update(p[0], p[1])
-                        if record or ledgers:  # update rebinds group_lanes.x, so x keeps x_t
-                            steps.append((x, eta))
+    x_k, exact = {}, None if force_generic else type(oracle)
+    on_kernel = {i: g for i, g in enumerate(groups) if g[0].kernel and exact is RosenbrockOracle}
+    rest = {i: g for i, g in enumerate(groups) if i not in on_kernel}
+    steppers = [_KernelSteps(oracle, on_kernel, stride, ks, x_k, T, recs)] if on_kernel else []
+    if rest:
+        steppers.append(_LaneSteps(oracle, rest, stride, ks, x_k, exact is QuadraticOracle))
+    gens, noise = [rng.generator() for rng in rngs], None
+    with np.errstate(all="ignore"):  # overflow is silent, as in the kernels
+        try:
+            for c0, noise in _kernels._chunks(lambda n: [oracle.draw(gen, n) for gen in gens],
+                                              T, oracle.dim):
+                for stepper in steppers:
+                    stepper.advance(c0, noise)
                 # Each group's record steps among those it kept: every step, with a ledger.
                 r0, keep = -(-c0 // stride), np.s_[-c0 % stride::stride]
-                for i in range(len(groups)):
-                    if i in fused and folds[i]:
-                        for run_rows, steps in zip(rows[i], taken(i, noise)):
-                            run_rows.frombytes(steps[keep].tobytes())
-                    elif i in lanes and kept[i]:
-                        xs, etas = taken(i, noise)
-                        if folds[i]:
+                for stepper in steppers:
+                    for i, xs, etas in stepper.taken():
+                        if _fold(oracle, groups[i], xs, etas, noise):
                             xs, etas = xs[keep], etas[keep]
                         if len(xs):
                             _record(oracle, xs, etas, recs[i], np.s_[:, r0:r0 + len(xs)],
-                                    index_order[i])
-        # Each kernel group's runs recorded at once: every run has a row per record step.
-        for i in fused:
-            table = np.stack([np.frombuffer(run_rows).reshape(recs[i][0].shape[1], -1)
-                              for run_rows in rows[i]], axis=1)
-            _record(oracle, table[..., :d], table[..., d:], recs[i], np.s_[:, :])
-    finally:
-        # Each optimizer, and its ledger, keeps the steps taken, even when a call raises.
-        for i, (_, xs, args) in fused.items():
-            for opt, x, values in zip(groups[i], xs, args):
-                for attr, value in zip(("x",) + opt.state, [x, *values[len(opt.params):]]):
-                    _set_attr(opt, attr, np.array(value) if isinstance(value, tuple) else value)
-        for i, group_lanes in lanes.items():
-            if group_lanes is not groups[i][0]:
-                _unstack(group_lanes, groups[i])
-        for i in range(len(groups)):
-            if folds[i] and any(kept[i]):  # steps of the chunk that the call cut short
-                taken(i, noise)
-    return _results(groups, recs, ks, x_k, T, stride)
+                                    i in stepper.index_order)
+        finally:
+            for stepper in steppers:  # a chunk that a raising call cut short folds too
+                stepper.finish()
+                for i, xs, etas in stepper.taken():
+                    _fold(oracle, groups[i], xs, etas, noise)
+    return [[RunResult(Trajectory(np.arange(1, T + 1, stride, dtype=np.int64), f[r], gsq[r],
+                                  mean[r], None if coords is None else coords[r]),
+                       ks[i][r], x_k[i, r], optimizer.x.copy())
+             for r, optimizer in enumerate(group)]
+            for i, (group, (f, gsq, mean, coords)) in enumerate(zip(groups, recs))]
 
 
 def run_lanes(
@@ -714,10 +712,8 @@ def run_lanes(
     may differ. Returns ``results[i][r]``, equal bit for bit to
     ``run(groups[i][r], oracle, T, rngs[r], report_every,
     output_rng=output_rngs[i][r], force_generic=True)``, and leaves each
-    optimizer in the state that run would.
-
-    This is ``_run_groups`` with ``force_generic``: every group steps
-    through ``update``. No pair is checked: a lane that diverges goes on to
+    optimizer in the state that run would: this is ``_run_groups`` with
+    ``force_generic``. No pair is checked: a lane that diverges goes on to
     inf or NaN, silently, and moves no other lane.
     """
     return _run_groups(groups, oracle, T, rngs, output_rngs, report_every, force_generic=True)

@@ -254,11 +254,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def same_as(self, other: "Dataset") -> bool:
-        return np.array_equal(self.features, other.features) and np.array_equal(
-            self.labels, other.labels
-        )
-
 
 def _residuals(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     # A stacked matmul is one gemv per query point, so each row's residuals

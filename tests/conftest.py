@@ -37,10 +37,11 @@ def routes(monkeypatch):
     """How ``optimizers._run_groups`` stepped its groups.
 
     ``groups`` holds the groups of each call. ``kernels`` names each kernel
-    the loop fetched through ``_kernels.get_kernel``, one per group that
-    steps on a kernel, in group order, and ``kernel_steps`` counts the steps
-    taken on each kernel. ``index_sums`` counts the ``_index_sum`` calls of
-    records summed in index order.
+    that ``optimizers._KernelSteps`` fetched through ``_kernels.get_kernel``
+    at the call, one per group that steps on a kernel, in group order, and
+    ``kernel_steps`` counts the steps taken on each kernel. ``index_sums``
+    counts the ``_index_sum`` calls of records that ``optimizers._LaneSteps``
+    groups sum in index order.
     """
     seen = SimpleNamespace(groups=[], kernels=[], kernel_steps=Counter(), index_sums=0)
     run_groups, get_kernel, index_sum = (optimizers._run_groups, kernels.get_kernel,

@@ -148,6 +148,29 @@ lr = 1%
     assert "config error: optimizer.sgd.lr: cannot parse '1%'" in err
 
 
+def test_run_reports_each_value_that_does_not_parse_once(tmp_path, capsys):
+    # The defaults that the unparsed values leave (T = 0, lr unset) are not
+    # reported again as "T: must be an integer >= 1" or "lr: required".
+    config = tmp_path / "exp.ini"
+    config.write_text("""
+[experiment]
+oracle = rosenbrock
+t = 1e3
+repetitions = 1
+seed = 11
+
+[optimizer.sgd]
+kind = sgd
+lr = 1%
+""")
+    code = cli_main(["run", str(config)])
+    assert code == 1
+    assert sorted(capsys.readouterr().err.splitlines()) == [
+        "config error: experiment.t: cannot parse '1e3'",
+        "config error: optimizer.sgd.lr: cannot parse '1%'",
+    ]
+
+
 def test_run_rejects_an_oracle_key_the_kind_does_not_take(tmp_path, synthetic500_path, capsys):
     config = tmp_path / "exp.ini"
     config.write_text(f"""

@@ -178,6 +178,36 @@ def test_a_run_cut_short_leaves_one_state_on_both_paths(monkeypatch):
     assert left[0] == left[1]
 
 
+def test_a_mixed_call_cut_short_leaves_each_run_as_a_single_run_cut_short(monkeypatch):
+    # Each stream's second draw raises. A kernel group with a regret ledger
+    # and a lane group in one call each keep the first chunk's steps, and the
+    # ledgers their rounds, as single runs cut short the same way do.
+    real, calls = RosenbrockOracle.draw, defaultdict(int)
+
+    def draw(self, rng, n):
+        calls[rng] += 1
+        if calls[rng] == 2:
+            raise RuntimeError("draw failed")
+        return real(self, rng, n)
+    monkeypatch.setattr(RosenbrockOracle, "draw", draw)
+    makers = [lambda: Sgdol(np.zeros(2), M=1002.0, alpha=10.0, record_regret=True),
+              lambda: SgdolMomentum(np.zeros(2), M=1002.0)]
+    oracle, rngs = RosenbrockOracle(sigma=5.0), [RngStream(54), RngStream(55)]
+    outs = [[RngStream(80 + 2 * i + r) for r in range(len(rngs))] for i in range(len(makers))]
+    groups = [[make() for _ in rngs] for make in makers]
+    with pytest.raises(RuntimeError, match="draw failed"):
+        _run_groups(groups, oracle, T, rngs, outs, report_every=3)
+    assert all(opt.x.any() for group in groups for opt in group)
+    assert [opt.ledger.count for opt in groups[0]] == [ROWS] * len(rngs)
+    for i, make in enumerate(makers):
+        for r, rng in enumerate(rngs):
+            single = make()
+            with pytest.raises(RuntimeError, match="draw failed"):
+                run(single, oracle, T, rng, report_every=3, output_rng=outs[i][r])
+            assert _state_bits(groups[i][r]) == _state_bits(single), (i, r)
+            assert _ledger_bits(groups[i][r]) == _ledger_bits(single), (i, r)
+
+
 def _kernel_group_peak(T):
     """The tracemalloc peak of a two-stream ``_run_groups`` call of four kernel groups."""
     rngs = [RngStream(52), RngStream(53)]

