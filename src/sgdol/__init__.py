@@ -28,7 +28,6 @@ from .oracles import (
     load_libsvm,
     rosenbrock_f,
     rosenbrock_grad,
-    save_libsvm,
     sigmoid_loss_f,
     sigmoid_loss_grad,
 )

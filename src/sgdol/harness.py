@@ -16,7 +16,6 @@ so identical specs produce byte-identical files.
 from __future__ import annotations
 
 import configparser
-import csv
 import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, get_args, get_type_hints
@@ -42,7 +41,6 @@ __all__ = [
     "ConfigError",
     "run_experiment",
     "write_csv",
-    "read_csv_series",
     "parse_config",
 ]
 
@@ -288,32 +286,6 @@ def write_csv(table: ResultTable, out_dir):
                     fh.write(f"{t},{','.join(map(repr, row.tolist()))}\r\n")
         except OSError as exc:
             raise OSError(f"failed writing {path}: {exc}") from exc
-
-
-def read_csv_series(path) -> Dict[str, np.ndarray]:
-    """Parse back a written CSV into named float columns (t as int64).
-
-    A file with no header, or a row of another length, is a ``ValueError``.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: line 1: no header")
-        cols: Dict[str, list] = {h: [] for h in header}
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num}: {len(row)} fields, "
-                                 f"the header has {len(header)}")
-            for h, v in zip(header, row):
-                cols[h].append(v)
-    out: Dict[str, np.ndarray] = {}
-    for h, vals in cols.items():
-        if h == "t":
-            out[h] = np.array([int(v) for v in vals], dtype=np.int64)
-        else:
-            out[h] = np.array([float(v) if v else np.nan for v in vals])
-    return out
 
 
 # ----------------------------------------------------------------------------

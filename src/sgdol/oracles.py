@@ -33,7 +33,6 @@ __all__ = [
     "sigmoid_loss_f",
     "sigmoid_loss_grad",
     "load_libsvm",
-    "save_libsvm",
     "balance_subsample",
 ]
 
@@ -423,9 +422,10 @@ def load_libsvm(
 ) -> Dataset:
     """Parse a LibSVM text file into a dense Dataset.
 
-    Format per line: ``<label> <index>:<value> ...`` with 1-based strictly
-    increasing indices. ``#`` starts a comment; blank lines are skipped.
-    When ``append_bias`` a constant 1.0 feature is added to every row.
+    Format per line: ``<label> <index>:<value> ...`` in ASCII numerals, with
+    1-based strictly increasing indices. ``#`` starts a comment; blank lines
+    are skipped. When ``append_bias`` a constant 1.0 feature is added to
+    every row.
     """
     if n_features is not None:
         check_fields(n_features=n_features)
@@ -445,7 +445,11 @@ def load_libsvm(
             if not line:
                 continue
             tokens = line.split()
+            # float() and int() also read other scripts' digits, "_" between
+            # digits and a signed index; the format has none of these.
             try:
+                if not tokens[0].isascii() or "_" in tokens[0]:
+                    raise ValueError(tokens[0])
                 label = float(tokens[0])
             except ValueError:
                 raise LibsvmParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
@@ -458,6 +462,8 @@ def load_libsvm(
                 if not sep:
                     raise LibsvmParseError(f"line {lineno}: expected index:value, got {tok!r}")
                 try:
+                    if not (tok.isascii() and idx_str.isdigit() and "_" not in tok):
+                        raise ValueError(tok)
                     idx = int(idx_str)
                     val = float(val_str)
                 except ValueError:
@@ -490,22 +496,6 @@ def load_libsvm(
     if append_bias:
         features[:, d] = 1.0
     return Dataset(features, np.array(labels))
-
-
-def save_libsvm(data: Dataset, path):
-    """Re-emit a Dataset as LibSVM text (zeros omitted, shortest decimals).
-
-    Round trip: ``load_libsvm(path, append_bias=False, n_features=data.n_features)``
-    reproduces the Dataset exactly.
-    """
-    with open(path, "w") as fh:
-        for i in range(len(data)):
-            label = float(data.labels[i])
-            parts = ["+1" if label == 1.0 else "-1" if label == -1.0 else repr(label)]
-            row = data.features[i]
-            for j in np.nonzero(row)[0]:
-                parts.append(f"{j + 1}:{float(row[j])!r}")
-            fh.write(" ".join(parts) + "\n")
 
 
 def balance_subsample(data: Dataset, rng: Generator) -> Dataset:

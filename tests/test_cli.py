@@ -42,6 +42,19 @@ def test_parse_libsvm_malformed(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("+1 \u0663:2.0", "bad feature token '\u0663:2.0'"),
+    ("\u0661 1:1", "bad label '\u0661'"),
+], ids=["arabic-indic-index", "arabic-indic-label"])
+def test_parse_libsvm_refuses_numerals_outside_the_format(tmp_path, capsys, line, message):
+    path = tmp_path / "bad.libsvm"
+    path.write_text(f"+1 1:0.5\n-1 2:1.5\n{line}\n", encoding="utf-8")
+    code = cli_main(["parse-libsvm", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"parse error: line 3: {message}\n"
+
+
 def test_run_subcommand(tmp_path, capsys):
     out_dir = tmp_path / "results"
     config = tmp_path / "exp.ini"

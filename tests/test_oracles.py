@@ -12,7 +12,6 @@ from sgdol import (
     load_libsvm,
     rosenbrock_f,
     rosenbrock_grad,
-    save_libsvm,
     sigmoid_loss_f,
     sigmoid_loss_grad,
 )
@@ -259,12 +258,31 @@ def test_load_libsvm_comments_and_blank_lines(tiny3_path):
     assert list(data.labels) == [1.0, -1.0, 1.0]
 
 
-def test_libsvm_round_trip(synthetic500, tmp_path):
-    out = tmp_path / "echo.libsvm"
-    save_libsvm(synthetic500, out)
-    back = load_libsvm(out, append_bias=False, n_features=synthetic500.n_features)
-    assert np.array_equal(back.features, synthetic500.features) and np.array_equal(
-        back.labels, synthetic500.labels)
+# Forms that float() and int() read but the format does not have.
+_FOREIGN_NUMERALS = {
+    "underscore-in-index": ("+1 1_0:0.5", "bad feature token '1_0:0.5'"),
+    "arabic-indic-index": ("-1 \u0663:2.0", "bad feature token '\u0663:2.0'"),
+    "signed-index": ("+1 +3:1", "bad feature token '+3:1'"),
+    "underscore-in-value": ("+1 2:1_5.0", "bad feature token '2:1_5.0'"),
+    "arabic-indic-label": ("\u0661 1:1", "bad label '\u0661'"),
+}
+
+
+@pytest.mark.parametrize("line, message", _FOREIGN_NUMERALS.values(), ids=_FOREIGN_NUMERALS)
+def test_load_libsvm_refuses_numerals_outside_the_format(tmp_path, line, message):
+    path = tmp_path / "bad.libsvm"
+    path.write_text(f"+1 1:0.5\n{line}\n", encoding="utf-8")
+    with pytest.raises(LibsvmParseError) as excinfo:
+        load_libsvm(path)
+    assert str(excinfo.value) == f"line 2: {message}"
+
+
+def test_load_libsvm_reads_signs_exponents_and_bare_fractions(tmp_path):
+    path = tmp_path / "ex.libsvm"
+    path.write_text("+1 1:1e-5 2:-0.5 3:+.5\n1 1:1\n-1.0 2:2\n")
+    data = load_libsvm(path, append_bias=False)
+    assert np.array_equal(data.features, np.array([[1e-5, -0.5, 0.5], [1, 0, 0], [0, 2, 0]]))
+    assert data.labels.tolist() == [1.0, 1.0, -1.0]
 
 
 # ---------------------------------------------------------------------------
